@@ -1,6 +1,6 @@
 """Chunk fetching: decode tasks, chunk chain, cache-and-prefetch engine."""
 
-from .block_map import BlockMap, ChunkRecord
+from .block_map import BlockMap, ChunkExtent, ChunkRecord
 from .decode import (
     ChunkResult,
     StreamEvent,
@@ -16,6 +16,7 @@ from .tasks import ChunkTaskSpec, RemoteChunkOutcome, execute_chunk_task
 
 __all__ = [
     "BlockMap",
+    "ChunkExtent",
     "ChunkRecord",
     "ChunkResult",
     "ChunkTaskSpec",

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import UsageError
 
-__all__ = ["ChunkRecord", "BlockMap"]
+__all__ = ["ChunkRecord", "ChunkExtent", "BlockMap"]
 
 
 @dataclass
@@ -34,12 +35,25 @@ class ChunkRecord:
         return self.output_end - self.output_start
 
 
+class ChunkExtent(NamedTuple):
+    """What is known about an already-decoded chunk besides its start bit:
+    enough to decode it again by checked zlib delegation."""
+
+    end_bit: int  # start of the next chunk; the file's end for the last one
+    length: int  # decompressed bytes the chunk must produce
+    window: bytes  # 32 KiB preceding the chunk
+    next_window: bytes  # the successor's window, to verify the tail (or None)
+    is_last: bool
+
+
 class BlockMap:
-    """Ordered chunk records with lookup by decompressed offset."""
+    """Ordered chunk records with lookup by decompressed offset or by
+    compressed start bit."""
 
     def __init__(self):
         self._records: list = []
         self._output_starts: list = []
+        self._position_of_start: dict = {}  # start_bit -> index in _records
         self.finalized = False  # True once the file end has been reached
 
     def __len__(self) -> int:
@@ -81,6 +95,7 @@ class BlockMap:
                 )
         elif record.output_start != 0:
             raise UsageError("first chunk record must start at output 0")
+        self._position_of_start[record.start_bit] = len(self._records)
         self._records.append(record)
         self._output_starts.append(record.output_start)
         if record.end_bit is None:
@@ -101,3 +116,16 @@ class BlockMap:
 
     def record_for_output(self, offset: int) -> ChunkRecord:
         return self._records[self.chunk_index_for_output(offset)]
+
+    def chained_at(self, start_bit: int):
+        """``(record, successor)`` of the chunk chained at ``start_bit``
+        (``successor`` is ``None`` for the newest record), or ``None`` when
+        no chunk is chained there."""
+        position = self._position_of_start.get(start_bit)
+        if position is None:
+            return None
+        successor = (
+            self._records[position + 1]
+            if position + 1 < len(self._records) else None
+        )
+        return self._records[position], successor

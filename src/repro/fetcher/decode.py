@@ -335,12 +335,18 @@ def _resolve_footer_byte(file_reader, end_of_consumed_bit: int) -> int:
     zlib consumed whole (shifted) bytes, so the stream's true end lies in
     the 8 bits before ``end_of_consumed_bit``; with a nonzero shift two
     byte offsets are possible for the padding-aligned footer. The true one
-    is followed by another member's magic, by EOF, or by zero padding.
+    fits inside the file and is followed by another member's magic, by
+    exactly the end of the file, or by zero padding. (Past a footer that
+    would overrun the file a read returns nothing too, which is not
+    "followed by the end of the file".)
     """
     if end_of_consumed_bit % 8 == 0:
         return end_of_consumed_bit // 8
     low = end_of_consumed_bit // 8
+    size = file_reader.size()
     for candidate in (low + 1, low):
+        if candidate + 8 > size:
+            continue
         after = file_reader.pread(candidate + 8, 2)
         if after == MAGIC or not after:
             return candidate
@@ -542,6 +548,15 @@ def decode_index_chunk(
             file_reader, start_bit, end_bit, window,
             max_output=max_output, decoder=decoder,
         )
+        if expected_size is not None and result.length > expected_size:
+            # ``end_bit`` need not satisfy the stop predicate (a chunk
+            # split under a memory budget may end before a Fixed or final
+            # block), so the decoder ran on to the next block that does.
+            _truncate_payload(result.payload, expected_size)
+            result.events = [
+                event for event in result.events
+                if event.local_offset <= expected_size
+            ]
     result.end_bit = None if is_last else end_bit
     return result
 

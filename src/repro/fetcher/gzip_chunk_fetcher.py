@@ -9,7 +9,12 @@ chosen at construction:
   workable candidate. False positives land in the cache under offsets
   nobody requests and age out; the consumer's *exact* request (previous
   chunk's end offset) either hits a speculative result or triggers an
-  on-demand decode at top priority.
+  on-demand decode at top priority. That holds beyond the reader's
+  frontier only. A chunk the reader has already chained has a known
+  extent (:attr:`GzipChunkFetcher.known_extent`), so a request or
+  prefetch wish for it is the ``index`` task below — the §3.3 rule
+  "two-stage only while the window is unknown" — and prefetch follows
+  the chain's successors instead of searching grid cells.
 * ``index`` — a finalized seek-point index is loaded: chunks are the index
   intervals, workers delegate to zlib with the stored window (fast path,
   balanced workloads, bounded memory — §3.3).
@@ -44,6 +49,7 @@ from ..pool import (
     resolve_backend,
 )
 from ..telemetry import Telemetry
+from .block_map import ChunkExtent
 from .decode import (
     ChunkResult,
     StreamEvent,
@@ -239,6 +245,11 @@ class GzipChunkFetcher:
         #: Hook the reader installs to account an index-window fallback
         #: (damage record + lifecycle event); called as (chunk_id, error).
         self.on_index_fallback = None
+        #: Lookup the reader installs over its chunk chain: ``start_bit``
+        #: -> :class:`ChunkExtent` of a chunk it has already decoded, or
+        #: ``None``. Search mode decodes such chunks like index chunks.
+        #: Called on the requesting thread only.
+        self.known_extent = None
         metrics.probe(
             "cache.prefetch", lambda: self.prefetch_cache.snapshot()
         )
@@ -328,7 +339,18 @@ class GzipChunkFetcher:
 
     # -- task bodies -------------------------------------------------------------
 
-    def _task_for_id(self, chunk_id: int):
+    def _known(self, start_bit: int):
+        """``(start_bit, extent)`` when search mode knows the extent of
+        the chunk at ``start_bit`` (the reader has chained it), else
+        ``None``: the index-style way to decode that chunk."""
+        if self.mode != "search" or self.known_extent is None:
+            return None
+        extent = self.known_extent(start_bit)
+        return None if extent is None else (start_bit, extent)
+
+    def _task_for_id(self, chunk_id: int, known=None):
+        if known is not None:
+            return self._decode_extent(*known)
         if self.mode == "search":
             return speculative_decode(
                 self.file_reader,
@@ -345,22 +367,26 @@ class GzipChunkFetcher:
         members, end = self._bgzf_groups[chunk_id]
         return decode_bgzf_members(self.file_reader, members, end)
 
-    def _run_chunk_task(self, chunk_id: int, kind: str, attempt: int = 0):
-        """Task body with a lifecycle span on the executing thread."""
+    def _run_chunk_task(self, chunk_id: int, kind: str, attempt: int = 0,
+                        known=None):
+        """Task body with a lifecycle span on the executing thread.
+
+        ``known`` is :meth:`_known`'s pair for a search-mode chunk whose
+        extent the reader has chained; it decodes as an index chunk.
+        """
+        mode = "index" if known is not None else self.mode
         with self.telemetry.recorder.span(
-            "chunk.decode", chunk_id=chunk_id, mode=self.mode, kind=kind,
+            "chunk.decode", chunk_id=chunk_id, mode=mode, kind=kind,
             attempt=attempt,
         ):
             events = self.telemetry.events
-            if events.enabled and self.mode != "search":
+            if events.enabled and mode != "search":
                 # Search mode emits block-find/decode inside the
                 # speculative body, where the phases actually separate.
-                events.emit(
-                    "decode", chunk=chunk_id, mode=self.mode, kind=kind
-                )
+                events.emit("decode", chunk=chunk_id, mode=mode, kind=kind)
             faults.fire("chunk.decode", chunk_id=chunk_id, attempt=attempt)
             try:
-                return self._task_for_id(chunk_id)
+                return self._task_for_id(chunk_id, known)
             finally:
                 # Drain on the thread that decoded (even on a rejected
                 # speculation): batched-kernel pass timings are
@@ -396,23 +422,38 @@ class GzipChunkFetcher:
         except IndexIntegrityError:
             return None
 
-    def _decode_index_chunk(self, chunk_id: int) -> ChunkResult:
+    def _index_extent(self, chunk_id: int):
+        """``(start_bit, extent)`` of an index chunk; raises
+        :class:`IndexIntegrityError` when its lazily validated window
+        turns out damaged."""
         point, end_bit, expected, is_last = self._index_bounds(chunk_id)
+        return point.compressed_bit_offset, ChunkExtent(
+            end_bit, expected, window_bytes(point.window),
+            self._next_window_for(chunk_id), is_last,
+        )
+
+    def _decode_index_chunk(self, chunk_id: int) -> ChunkResult:
         try:
-            window = window_bytes(point.window)
+            start_bit, extent = self._index_extent(chunk_id)
         except IndexIntegrityError as error:
             return self._decode_index_fallback(chunk_id, error)
+        return self._decode_extent(start_bit, extent)
+
+    def _decode_extent(self, start_bit: int,
+                       extent: ChunkExtent) -> ChunkResult:
+        """Checked zlib delegation of one chunk of known extent: an index
+        interval, or in search mode a chunk the reader has chained."""
         self._index_chunks.increment()
         return decode_index_chunk(
             self.file_reader,
-            point.compressed_bit_offset,
-            end_bit,
-            window,
-            expected_size=expected,
-            is_last=is_last,
+            start_bit,
+            extent.end_bit,
+            extent.window,
+            expected_size=extent.length,
+            is_last=extent.is_last,
             max_output=self.max_chunk_output,
             decoder=self.decoder,
-            next_window=self._next_window_for(chunk_id),
+            next_window=extent.next_window,
         )
 
     def _decode_index_fallback(self, chunk_id: int,
@@ -494,12 +535,14 @@ class GzipChunkFetcher:
         )
 
     def _spec_for_id(self, chunk_id: int, attempt: int = 0,
-                     exact=None) -> ChunkTaskSpec:
+                     exact=None, known=None) -> ChunkTaskSpec:
         """Picklable description of one chunk task, for the process pool.
 
         ``exact`` (search mode only) is ``(start_bit, window)``: instead
         of searching, the worker decodes exactly from that offset — the
-        retry ladder's pool-resubmission rung.
+        retry ladder's pool-resubmission rung. ``known`` (search mode
+        only) is :meth:`_known`'s pair and wins over both: the worker
+        gets the same ``index`` task an index chunk is.
         """
         spec = ChunkTaskSpec(
             recipe=self._recipe,
@@ -516,7 +559,18 @@ class GzipChunkFetcher:
             # Tracing off but event logging on: workers still need the
             # parent's timeline zero so lifecycle timestamps line up.
             spec.trace_origin = self.telemetry.events.origin
-        if self.mode == "search":
+        if self.mode == "index":
+            known = self._index_extent(chunk_id)
+        if known is not None:
+            spec.mode = "index"
+            spec.start_bit, extent = known
+            spec.end_bit = extent.end_bit
+            spec.window = extent.window
+            spec.expected_size = extent.length
+            spec.is_last = extent.is_last
+            spec.max_output = self.max_chunk_output
+            spec.next_window = extent.next_window
+        elif self.mode == "search":
             spec.chunk_size = self.chunk_size
             spec.find_uncompressed = self.find_uncompressed
             spec.max_output = self.max_chunk_output
@@ -525,15 +579,6 @@ class GzipChunkFetcher:
                 spec.exact = True
                 spec.start_bit, spec.window = exact
                 spec.end_bit = (chunk_id + 1) * self.chunk_size * 8
-        elif self.mode == "index":
-            point, end_bit, expected, is_last = self._index_bounds(chunk_id)
-            spec.start_bit = point.compressed_bit_offset
-            spec.end_bit = end_bit
-            spec.window = bytes(point.window)
-            spec.expected_size = expected
-            spec.is_last = is_last
-            spec.max_output = self.max_chunk_output
-            spec.next_window = self._next_window_for(chunk_id)
         else:
             members, end = self._bgzf_groups[chunk_id]
             spec.member_offsets = tuple(members)
@@ -676,13 +721,16 @@ class GzipChunkFetcher:
         self._id_of_key[start_bit] = chunk_id
         self._keys_of_id.setdefault(chunk_id, set()).add(start_bit)
 
-    def _inflight_estimate(self, chunk_id: int) -> int:
+    def _inflight_estimate(self, chunk_id: int, known=None) -> int:
         """Conservative resident-byte reservation for one in-flight decode.
 
         Search mode is bounded by the split ceiling (marker symbols are
-        2 bytes each); index chunks have a known decompressed size; BGZF
-        groups assume a generous 4x compression ratio.
+        2 bytes each); index chunks and chunks of known extent have a
+        known decompressed size; BGZF groups assume a generous 4x
+        compression ratio.
         """
+        if known is not None:
+            return max(known[1].length, 1)
         if self.mode == "search":
             return 2 * self.chunk_split_size
         if self.mode == "index":
@@ -691,8 +739,9 @@ class GzipChunkFetcher:
         members, end = self._bgzf_groups[chunk_id]
         return max(4 * (end - members[0]), 1)
 
-    def _submit(self, chunk_id: int) -> bool:
-        """Submit a speculative decode; False only on a budget refusal."""
+    def _submit(self, chunk_id: int, known=None) -> bool:
+        """Submit a speculative decode (of the chunk ``known`` names, when
+        given); False only on a budget refusal."""
         with self._lock:
             if (
                 self.backend == "serial"
@@ -704,7 +753,7 @@ class GzipChunkFetcher:
                 return True
             reserved = 0
             if self.governor is not None and self.governor.budget:
-                reserved = self._inflight_estimate(chunk_id)
+                reserved = self._inflight_estimate(chunk_id, known)
                 # Headroom keeps room for one mandatory on-demand decode,
                 # so speculation can never starve the consumer's read.
                 if not self.governor.try_reserve(
@@ -714,7 +763,7 @@ class GzipChunkFetcher:
                     return False
             if self.backend == "processes":
                 try:
-                    spec = self._spec_for_id(chunk_id)
+                    spec = self._spec_for_id(chunk_id, known=known)
                 except IndexIntegrityError:
                     # A damaged lazy window cannot ship to a worker
                     # process; the consumer's own request will run the
@@ -737,7 +786,7 @@ class GzipChunkFetcher:
             else:
                 future = self.pool.submit(
                     self._run_chunk_task, chunk_id, "speculative",
-                    priority=PRIORITY_PREFETCH,
+                    known=known, priority=PRIORITY_PREFETCH,
                 )
             self._futures[chunk_id] = future
             if reserved:
@@ -758,20 +807,61 @@ class GzipChunkFetcher:
             self._harvest()
         return shed
 
-    def _trigger_prefetch(self, accessed_id: int) -> None:
+    def _chain_wishes(self, accessed_id: int, known, wishes: list) -> list:
+        """Re-aim the wishes ahead of a chunk of known extent along the
+        reader's chain: ``(chunk_id, known)`` pairs, in wish order.
+
+        The wish ``accessed_id + n`` becomes the accessed chunk's n-th
+        chain successor while those are known, and past the newest of
+        them the grid cell that many steps beyond the frontier — inside
+        known territory a cell's block search finds nothing the chain
+        does not already name. Wishes past the file's end drop out; the
+        others (behind the access, another stream's) stay grid cells.
+        """
+        steps = max(wishes, default=accessed_id) - accessed_id
+        # chain[n - 1] is the n-th successor as ``(start_bit, extent)``;
+        # an extent of None marks the frontier and ends the chain.
+        chain = []
+        extent = known[1]
+        while len(chain) < steps and extent is not None and not extent.is_last:
+            start_bit = extent.end_bit
+            extent = self.known_extent(start_bit)
+            chain.append((start_bit, extent))
+        targets = []
+        for wish in wishes:
+            step = wish - accessed_id
+            if step < 1:
+                targets.append((wish, None))
+            elif step <= len(chain) and chain[step - 1][1] is not None:
+                successor = chain[step - 1]
+                targets.append(
+                    (self.chunk_id_for_bit(successor[0]), successor)
+                )
+            elif chain and chain[-1][1] is None:
+                frontier_id = self.chunk_id_for_bit(chain[-1][0])
+                targets.append((frontier_id + step - len(chain), None))
+        return targets
+
+    def _trigger_prefetch(self, accessed_id: int, start_bit: int) -> None:
         self._history.append(accessed_id)
         if len(self._history) > 64:
             del self._history[:-64]
         wishes = self.strategy.prefetch(self._history, self.parallelization)
-        for wish in wishes:
+        known = self._known(start_bit)
+        if known is None:
+            targets = [(wish, None) for wish in wishes]
+        else:
+            targets = self._chain_wishes(accessed_id, known, wishes)
+        for wish, target in targets:
+            keys = (target[0],) if target else self._keys_of_id.get(wish, ())
             cached = any(
                 self.prefetch_cache.peek(key) is not None
                 or self.access_cache.peek(key) is not None
-                for key in self._keys_of_id.get(wish, ())
+                for key in keys
             )
             if cached:
                 continue
-            if not self._submit(wish):
+            if not self._submit(wish, target):
                 # Over budget: shed queued speculation instead of piling
                 # more on, and stop walking the wish list — later wishes
                 # would only hit the same refusal.
@@ -788,7 +878,14 @@ class GzipChunkFetcher:
         cached speculative results keep their markers and are materialized
         by the caller.
 
-        Every access triggers the prefetcher, cache hit or not (§3.1).
+        In search mode a chunk :attr:`known_extent` has an answer for is
+        decoded on demand by checked zlib delegation (the ``index`` task,
+        on either backend, with its bit-exact fallback), never by block
+        search or the Python decoder; those serve the frontier and beyond.
+
+        Every access triggers the prefetcher, cache hit or not (§3.1) —
+        along the chain's successors after a chunk of known extent, over
+        grid cells otherwise.
         """
         chunk_id = self.chunk_id_for_bit(start_bit)
         result = self.access_cache.get(start_bit)
@@ -828,7 +925,7 @@ class GzipChunkFetcher:
                 )
             self.access_cache.insert(start_bit, result)
             self._remember_key(start_bit, chunk_id)
-        self._trigger_prefetch(chunk_id)
+        self._trigger_prefetch(chunk_id, start_bit)
         return result
 
     # -- retry ladder ----------------------------------------------------------------
@@ -848,7 +945,9 @@ class GzipChunkFetcher:
         to drain reservations), never with the refusable ``try_reserve``.
         """
         if self.governor is not None and self.governor.budget:
-            reserved = self._inflight_estimate(chunk_id)
+            reserved = self._inflight_estimate(
+                chunk_id, self._known(start_bit)
+            )
             if not self.governor.try_reserve("on_demand", reserved):
                 self._shed_speculation()
                 self.governor.reserve("on_demand", reserved)
@@ -877,7 +976,8 @@ class GzipChunkFetcher:
                 future = self.pool.submit(
                     execute_chunk_task,
                     self._spec_for_id(
-                        chunk_id, attempt=attempt, exact=(start_bit, window)
+                        chunk_id, attempt=attempt, exact=(start_bit, window),
+                        known=self._known(start_bit),
                     ),
                     priority=PRIORITY_ON_DEMAND,
                 )
@@ -913,6 +1013,12 @@ class GzipChunkFetcher:
                 # so the ladder's silent rung change shows up in --profile.
                 self._ladder_pool_unavailable.increment()
                 break
+            except Exception as error:
+                # What a worker raised leaves under the same contract as
+                # what the serial rung below raises.
+                raise self._decode_error(
+                    chunk_id, start_bit, attempt, error
+                ) from error
             if result is not None:
                 return result
             break  # deterministic decode failure: reproduce it serially
@@ -925,15 +1031,22 @@ class GzipChunkFetcher:
         except UsageError:
             raise  # caller bug, not a decode failure — report it as-is
         except Exception as error:
-            raise ChunkDecodeError(
-                f"chunk {chunk_id} failed to decode at bit offset "
-                f"{start_bit} after {attempt} attempt(s) on the "
-                f"{self.backend!r} backend: {error}",
-                chunk_id=chunk_id,
-                start_bit=start_bit,
-                attempts=attempt,
-                backend=self.backend,
+            raise self._decode_error(
+                chunk_id, start_bit, attempt, error
             ) from error
+
+    def _decode_error(self, chunk_id: int, start_bit: int, attempt: int,
+                      error) -> ChunkDecodeError:
+        """The ladder's one error contract, whichever rung gave up."""
+        return ChunkDecodeError(
+            f"chunk {chunk_id} failed to decode at bit offset "
+            f"{start_bit} after {attempt} attempt(s) on the "
+            f"{self.backend!r} backend: {error}",
+            chunk_id=chunk_id,
+            start_bit=start_bit,
+            attempts=attempt,
+            backend=self.backend,
+        )
 
     def _note_backend_failure(self, reason: str) -> None:
         """Record a crash/timeout; downgrade the backend when they pile up."""
@@ -981,6 +1094,11 @@ class GzipChunkFetcher:
                           attempt: int = 0):
         self._on_demand_decodes.increment()
         faults.fire("chunk.on_demand", chunk_id=chunk_id, attempt=attempt)
+        known = self._known(start_bit)
+        if known is not None:
+            return self._run_chunk_task(
+                chunk_id, "on_demand", attempt=attempt, known=known
+            )
         if self.mode == "search":
             stop_bit = (chunk_id + 1) * self.chunk_size * 8
             with self.telemetry.recorder.span(

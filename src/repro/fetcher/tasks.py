@@ -143,9 +143,10 @@ class ChunkTaskSpec:
     Mode-specific fields mirror the fetcher's three operating modes:
     ``search`` runs the block finder + two-stage decode over a fixed
     compressed window, ``index`` decodes a known interval with its known
-    window (handed to the child as bytes), ``bgzf`` zlib-decodes whole
-    members. Only plain picklable values — the parent never ships live
-    objects.
+    window (handed to the child as bytes; also what a search-mode fetcher
+    sends for a chunk its reader has already chained), ``bgzf``
+    zlib-decodes whole members. Only plain picklable values — the parent
+    never ships live objects.
     """
 
     recipe: tuple
@@ -287,6 +288,9 @@ def _decode_for_spec(spec: ChunkTaskSpec, reader, telemetry) -> ChunkResult:
             decoder=spec.decoder,
         )
     if spec.mode == "index":
+        # Counted child-side (it merges into the parent's registry with
+        # the outcome), as the thread backend counts it in the fetcher.
+        telemetry.metrics.counter("decode.index_chunks").increment()
         return decode_index_chunk(
             reader,
             spec.start_bit,

@@ -35,6 +35,7 @@ from ..errors import (
 )
 from ..fetcher import (
     BlockMap,
+    ChunkExtent,
     ChunkRecord,
     DEFAULT_CHUNK_SIZE,
     GzipChunkFetcher,
@@ -304,6 +305,7 @@ class ParallelGzipReader:
             # whose block finder and resync machinery handle damage.
             self._fetcher = build_fetcher(False)
         self._fetcher.on_index_fallback = self._note_index_fallback
+        self._fetcher.known_extent = self._known_extent
 
         self._block_map = BlockMap()
         sizing = {}
@@ -553,6 +555,31 @@ class ParallelGzipReader:
                     is_stream_start=point.is_stream_start,
                 )
             )
+
+    def _known_extent(self, start_bit: int):
+        """The fetcher's view of the chain: the :class:`ChunkExtent` of
+        the chunk chained at ``start_bit``, or ``None`` when none is or
+        its bytes are pinned (recovered from damage, not re-decodable).
+
+        Every figure comes from our own bit-exact decoder's first pass,
+        so a zlib-delegated re-decode is checked against it: the output
+        length, and the tail against the window the successor (or the
+        frontier) was given.
+        """
+        chained = self._block_map.chained_at(start_bit)
+        if chained is None or start_bit in self._damaged_data:
+            return None
+        record, successor = chained
+        next_window = None
+        if successor is not None:
+            if not successor.is_stream_start:
+                next_window = successor.window
+        elif self._frontier is not None and not self._frontier[2]:
+            next_window = self._frontier[1]
+        return ChunkExtent(
+            record.end_bit, record.length, record.window, next_window,
+            record.end_bit is None,
+        )
 
     def _decode_next_chunk(self):
         """Advance the chain by one chunk; tolerant mode absorbs failures."""

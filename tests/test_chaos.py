@@ -20,6 +20,7 @@ from repro.errors import (
     ChunkDecodeError,
     FormatError,
     IntegrityError,
+    NetworkError,
     RecoveryError,
     ReproError,
     UsageError,
@@ -275,6 +276,20 @@ class TestDecodeFaults:
         assert info.value.chunk_id is not None
         assert info.value.attempts >= 1
         assert isinstance(info.value.__cause__, InjectedError)
+
+    def test_worker_raised_fault_leaves_the_ladder_as_chunk_decode_error(self):
+        # What a worker process raises on the ladder's pool rung has the
+        # same contract as what the serial rung raises in the parent.
+        specs = [FaultSpec("chunk.decode", "raise", error="network",
+                           attempts=None)]
+        with injected(seed=CHAOS_SEED, specs=specs):
+            reader = ParallelGzipReader(
+                BLOB, parallelization=2, chunk_size=CHUNK, backend="processes"
+            )
+            with pytest.raises(ChunkDecodeError) as info:
+                _read_all(reader)
+        assert info.value.backend == "processes"
+        assert isinstance(info.value.__cause__, NetworkError)
 
 
 # ---------------------------------------------------------------------------
