@@ -1,4 +1,4 @@
-"""Single-thread Deflate decode-kernel throughput: fused vs batched vs legacy.
+"""Single-thread Deflate decode-kernel throughput: fused vs the reference loops.
 
 Measures the block-decode hot loop in isolation (no chunking, no workers)
 in both modes the pipeline uses:
@@ -13,10 +13,11 @@ All decoder timings are interleaved inside the same repetition loop and
 the best-of-N is reported, which cancels machine-load drift that
 single-shot timings on a small container are exposed to (±10% observed).
 
-Emits the paper-style table, and appends to ``BENCH_decode_kernels.json``
-at the repo root: the file keeps one *trajectory entry per decoder set*,
-so the fused-vs-legacy numbers from before the batched tier existed stay
-on record next to the current three-way measurement.
+Emits the paper-style table, and appends a trajectory entry to
+``BENCH_decode_kernels.json`` at the repo root. Older entries stay on
+record — including the three-tier measurement of the removed two-pass
+``batched`` kernel, the evidence its deletion rests on; only a newest
+entry for the same decoder set is replaced, so reruns do not pile up.
 """
 
 import json
@@ -33,7 +34,7 @@ from conftest import fmt_bw
 CORPUS_SIZE = 4 << 20
 LEVEL = 6
 REPS = 8
-DECODERS = ("fused", "batched", "legacy")
+DECODERS = ("fused", "legacy")  # the kernels and their reference loops
 TRAJECTORY_PATH = pathlib.Path(__file__).parent.parent / "BENCH_decode_kernels.json"
 
 _results = {}
@@ -90,31 +91,14 @@ def _measure(name: str, data: bytes):
 
 
 def _load_trajectory() -> list:
-    """Prior entries from the committed file, oldest first.
-
-    Accepts both the schema-1 flat layout (one implicit fused/legacy
-    entry) and the schema-2 ``trajectory`` list. The entry for the
-    *current* decoder set is dropped — this run replaces it.
-    """
+    """Prior entries from the committed file, oldest first, minus a
+    newest entry this run supersedes (same decoder set)."""
     if not TRAJECTORY_PATH.exists():
         return []
-    document = json.loads(TRAJECTORY_PATH.read_text())
-    if "trajectory" in document:
-        entries = document["trajectory"]
-    elif "results" in document:  # schema 1: fused/legacy, pre-batched
-        entries = [{
-            "decoders": ["fused", "legacy"],
-            "corpus_size": document.get("corpus_size"),
-            "level": document.get("level"),
-            "reps": document.get("reps"),
-            "results": document["results"],
-        }]
-    else:
-        entries = []
-    return [
-        entry for entry in entries
-        if tuple(entry.get("decoders", ())) != DECODERS
-    ]
+    entries = json.loads(TRAJECTORY_PATH.read_text())["trajectory"]
+    if entries and tuple(entries[-1].get("decoders", ())) == DECODERS:
+        entries = entries[:-1]
+    return entries
 
 
 def test_decode_kernels(benchmark, reporter):
@@ -125,10 +109,9 @@ def test_decode_kernels(benchmark, reporter):
         iterations=1,
     )
 
-    table = reporter("Decode kernels: single-thread fused vs batched vs legacy")
-    widths = [8, 14, 12, 12, 12, 9, 9]
-    table.row("corpus", "mode", "fused", "batched", "legacy",
-              "bat/fus", "fus/leg", widths=widths)
+    table = reporter("Decode kernels: single-thread fused vs legacy (reference)")
+    widths = [8, 14, 12, 12, 9]
+    table.row("corpus", "mode", "fused", "legacy", "fus/leg", widths=widths)
     entry = {
         "decoders": list(DECODERS),
         "corpus_size": CORPUS_SIZE,
@@ -137,11 +120,9 @@ def test_decode_kernels(benchmark, reporter):
         "results": {},
     }
     for (name, mode), rates in _results.items():
-        batched_speedup = rates["batched"] / rates["fused"]
         fused_speedup = rates["fused"] / rates["legacy"]
         table.row(
-            name, mode, fmt_bw(rates["fused"]), fmt_bw(rates["batched"]),
-            fmt_bw(rates["legacy"]), f"{batched_speedup:.2f}x",
+            name, mode, fmt_bw(rates["fused"]), fmt_bw(rates["legacy"]),
             f"{fused_speedup:.2f}x", widths=widths,
         )
         entry["results"][f"{name}/{mode}"] = {
@@ -149,7 +130,6 @@ def test_decode_kernels(benchmark, reporter):
                 f"{decoder}_mb_s": round(rates[decoder] / 1e6, 3)
                 for decoder in DECODERS
             },
-            "batched_vs_fused": round(batched_speedup, 3),
             "fused_vs_legacy": round(fused_speedup, 3),
         }
     table.add()
@@ -160,13 +140,8 @@ def test_decode_kernels(benchmark, reporter):
     document = {"schema": 2, "trajectory": _load_trajectory() + [entry]}
     TRAJECTORY_PATH.write_text(json.dumps(document, indent=2) + "\n")
 
-    # Regression guards. The fused kernels must stay decisively ahead of
-    # legacy in every mode (committed results show >=1.5x; the floor is
-    # lower only to absorb shared-container noise). The batched tier must
-    # hold its win on the literal-heavy corpus — that is the workload the
-    # two-pass split exists for — while match-heavy corpora are allowed
-    # to tie or trail fused (documented trade-off, see README).
+    # Regression guard. The fused kernels must stay decisively ahead of
+    # the reference loops in every mode (committed results show >=1.5x;
+    # the floor is lower only to absorb shared-container noise).
     for (name, mode), rates in _results.items():
         assert rates["fused"] > 1.25 * rates["legacy"], (name, mode, rates)
-    conventional = _results[("base64", "conventional")]
-    assert conventional["batched"] >= conventional["fused"], conventional

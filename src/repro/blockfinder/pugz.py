@@ -40,11 +40,10 @@ class PugzBlockFinder(BlockFinder):
     """Candidate finder with pugz's decode-ahead ASCII validation."""
 
     def __init__(self, source, *, min_decoded: int = _MIN_DECODED,
-                 max_decoded: int = _MAX_DECODED, decoder: str = None):
+                 max_decoded: int = _MAX_DECODED):
         self._reader = BitReader(ensure_file_reader(source))
         self._min_decoded = min_decoded
         self._max_decoded = max_decoded
-        self._decoder = decoder
 
     def _trial(self, position: int) -> bool:
         reader = self._reader
@@ -52,7 +51,7 @@ class PugzBlockFinder(BlockFinder):
         try:
             header = read_block_header(reader, strict=True)
             stream = TwoStageStreamDecoder(
-                window=None, max_size=self._max_decoded, decoder=self._decoder
+                window=None, max_size=self._max_decoded
             )
             stream.decode_block(reader, header)
             while stream.produced < self._min_decoded and not header.final:

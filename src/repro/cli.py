@@ -26,7 +26,6 @@ import sys
 import time
 
 from . import __version__
-from .deflate.kernels import DECODER_NAMES
 from .errors import (
     EXIT_NETWORK,
     NetworkError,
@@ -68,16 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker pool backend; auto (default) uses processes for the "
         "GIL-bound search path on multi-core machines and threads for "
         "the zlib-delegation paths (loaded index, BGZF)",
-    )
-    parser.add_argument(
-        "--decoder",
-        default=None,
-        choices=list(DECODER_NAMES),
-        help="Deflate block-decode kernel: fused (default; table-fused "
-        "fast loops), batched (two-pass: resolve symbols, then "
-        "vectorized materialization), or legacy (symbol-at-a-time "
-        "reference loops); all produce identical output "
-        "($REPRO_DECODER sets the default)",
     )
     parser.add_argument("-o", "--output", help="output file path")
     parser.add_argument(
@@ -522,7 +511,6 @@ def _dispatch(arguments) -> int:
         chunk_timeout=arguments.chunk_timeout,
         trace=bool(arguments.trace) or explain,
         events=bool(arguments.events) or explain,
-        decoder=arguments.decoder,
         detect_catalog=not arguments.no_catalog,
         max_memory=arguments.max_memory,
         spill_dir=arguments.spill_dir,

@@ -19,21 +19,14 @@ from .constants import (
 )
 from .inflate import BlockBoundary, InflateResult, TwoStageStreamDecoder, inflate
 from .kernels import (
-    DECODER_NAMES,
     block_decoders,
-    decode_block_into_bytearray_batched,
     decode_block_into_bytearray_fused,
-    decode_block_two_stage_batched,
     decode_block_two_stage_fused,
-    drain_kernel_stats,
-    publish_kernel_stats,
-    resolve_decoder,
 )
 from .markers import (
     ChunkPayload,
     pad_window,
     replace_markers,
-    seed_marker_window,
     seed_marker_window_u16,
     segment_has_markers,
 )
@@ -56,19 +49,12 @@ __all__ = [
     "InflateResult",
     "TwoStageStreamDecoder",
     "inflate",
-    "DECODER_NAMES",
     "block_decoders",
-    "decode_block_into_bytearray_batched",
     "decode_block_into_bytearray_fused",
-    "decode_block_two_stage_batched",
     "decode_block_two_stage_fused",
-    "drain_kernel_stats",
-    "publish_kernel_stats",
-    "resolve_decoder",
     "ChunkPayload",
     "pad_window",
     "replace_markers",
-    "seed_marker_window",
     "seed_marker_window_u16",
     "segment_has_markers",
     "compress",

@@ -12,8 +12,10 @@ One parser serves two callers with different tolerance:
 
 Payload decoding has two variants: conventional decoding into a
 ``bytearray`` seeded with the known window, and two-stage decoding into a
-Python list of 16-bit symbols where unknown window bytes are marker values
-(paper §2.2).
+``bytearray`` of little-endian ``uint16`` symbols where unknown window bytes
+are marker values (paper §2.2). These bounds-checked loops are the
+reference tier: the fused kernels in :mod:`repro.deflate.kernels` delegate
+to them for stored blocks, degenerate headers and the EOF zone.
 """
 
 from __future__ import annotations
@@ -312,15 +314,18 @@ def decode_block_into_bytearray(reader, header: BlockHeader, buffer: bytearray,
             raise DeflateError("decoded output exceeds configured maximum")
 
 
-def decode_block_two_stage(reader, header: BlockHeader, buffer: list,
+def decode_block_two_stage(reader, header: BlockHeader, buffer: bytearray,
                            last_marker_end: int, max_size: int = None) -> int:
-    """Two-stage decode of one block into a list of 16-bit symbols.
+    """Two-stage decode of one block into a buffer of 16-bit symbols.
 
-    ``buffer`` holds ints: 0–255 are resolved bytes, ``MARKER_FLAG | w``
-    marks the unknown window byte at offset ``w``. The caller seeds the
-    first :data:`MAX_WINDOW_SIZE` entries with markers.
+    ``buffer`` holds little-endian ``uint16`` symbols, 2 bytes each — the
+    layout :func:`repro.deflate.markers.replace_markers` consumes: 0–255
+    are resolved bytes, ``MARKER_FLAG | w`` marks the unknown window byte
+    at offset ``w``. The caller seeds the first :data:`MAX_WINDOW_SIZE`
+    symbols with markers. ``last_marker_end``, ``max_size`` and the
+    return value are in symbol units; slices are byte-doubled.
 
-    ``last_marker_end`` is the end (exclusive, buffer index) of the last
+    ``last_marker_end`` is the end (exclusive, symbol index) of the last
     region known to possibly contain markers; the conservative rule is:
     copying from a region that overlaps ``[0, last_marker_end)`` may
     propagate markers into the destination. Returns the updated value so the
@@ -328,8 +333,11 @@ def decode_block_two_stage(reader, header: BlockHeader, buffer: list,
     is marker-free (paper §3.3).
     """
     if header.block_type == BLOCK_TYPE_STORED:
-        buffer.extend(reader.read_bytes(header.stored_length))
-        if max_size is not None and len(buffer) > max_size:
+        data = reader.read_bytes(header.stored_length)
+        widened = bytearray(2 * len(data))
+        widened[::2] = data
+        buffer += widened
+        if max_size is not None and (len(buffer) >> 1) > max_size:
             raise DeflateError("decoded output exceeds configured maximum")
         return last_marker_end
 
@@ -349,6 +357,7 @@ def decode_block_two_stage(reader, header: BlockHeader, buffer: list,
         symbol = entry & 0x1FF
         if symbol < 256:
             append(symbol)
+            append(0)
             continue
         if symbol == 256:
             return last_marker_end
@@ -363,7 +372,7 @@ def decode_block_two_stage(reader, header: BlockHeader, buffer: list,
             raise DeflateError(f"reserved distance symbol {distance_symbol}")
         extra, base = DISTANCE_EXTRA_BASE[distance_symbol]
         distance = base + (read(extra) if extra else 0)
-        size = len(buffer)
+        size = len(buffer) >> 1
         if distance > size:
             raise DeflateError(
                 f"distance {distance} reaches before start of data ({size} known)"
@@ -372,14 +381,14 @@ def decode_block_two_stage(reader, header: BlockHeader, buffer: list,
         if start < last_marker_end:
             # Source may contain markers; destination inherits that taint.
             last_marker_end = size + length
+        byte_start = start << 1
         if distance >= length:
-            buffer.extend(buffer[start : start + length])
+            buffer += buffer[byte_start : byte_start + (length << 1)]
         else:
-            extend = buffer.extend
             remaining = length
             while remaining > 0:
-                take = min(remaining, len(buffer) - start)
-                extend(buffer[start : start + take])
+                take = min(remaining, (len(buffer) >> 1) - start)
+                buffer += buffer[byte_start : byte_start + (take << 1)]
                 remaining -= take
-        if max_size is not None and len(buffer) > max_size:
+        if max_size is not None and (len(buffer) >> 1) > max_size:
             raise DeflateError("decoded output exceeds configured maximum")

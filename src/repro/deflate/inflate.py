@@ -13,14 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..errors import DeflateError
 from ..io import BitReader, ensure_file_reader
 from .block import BlockHeader, read_block_header
 from .constants import MAX_WINDOW_SIZE
 from .kernels import block_decoders
-from .markers import ChunkPayload, seed_marker_window, seed_marker_window_u16
+from .markers import ChunkPayload, seed_marker_window_u16
 
 __all__ = ["inflate", "InflateResult", "BlockBoundary", "TwoStageStreamDecoder"]
 
@@ -47,14 +45,14 @@ class InflateResult:
 
 
 def inflate(source, window: bytes = b"", max_size: int = None,
-            decoder: str = None) -> InflateResult:
+            decoder: str = "fused") -> InflateResult:
     """Decode one complete Deflate stream conventionally.
 
     ``source`` may be raw bytes, a file reader, or a positioned
     :class:`BitReader` (which will be read from its current offset —
     this is how the gzip layer resumes after a stream header).
-    ``decoder`` selects the block kernel (``fused``/``batched``/``legacy``;
-    default from ``$REPRO_DECODER``).
+    ``decoder="legacy"`` runs the bounds-checked reference loops instead
+    of the fused kernels (differential tests and the Table 2 baseline row).
     """
     reader = source if isinstance(source, BitReader) else BitReader(ensure_file_reader(source))
     decode_bytes, _ = block_decoders(decoder)
@@ -85,29 +83,27 @@ class TwoStageStreamDecoder:
     the optimization the paper credits for base64 data behaving like
     single-stage decompression (§4.4).
 
-    The marker buffer's memory layout follows the selected kernel (its
-    two-stage function's ``marker_buffer`` attribute): the legacy tier
-    fills a Python list of ints, the fused/batched tiers a native
-    little-endian ``uint16`` bytearray whose finished regions hand over
-    to the payload without per-symbol conversion. All bookkeeping here
-    (``produced``, flush cuts, ``last_marker_end``) is in symbol units
-    regardless of layout.
+    The marker buffer is a native little-endian ``uint16`` bytearray
+    (2 bytes per symbol) whose finished regions hand over to the payload
+    without per-symbol conversion. All bookkeeping here (``produced``,
+    flush cuts, ``last_marker_end``, ``max_size``) is in symbols — one
+    output byte each — in both modes.
+
+    ``max_size`` bounds ``produced``: the block decoders check it after
+    every match, so a single runaway block raises :class:`DeflateError`
+    at most one match (258 symbols) past the limit. ``decoder`` is
+    :func:`inflate`'s tier selector.
     """
 
     def __init__(self, window: bytes = None, max_size: int = None,
-                 decoder: str = None):
+                 decoder: str = "fused"):
         self.payload = ChunkPayload()
         self.boundaries: list = []
         self._max_size = max_size
         self._decode_bytes, self._decode_symbols = block_decoders(decoder)
-        self._marker_u16 = (
-            getattr(self._decode_symbols, "marker_buffer", "list") == "u16"
-        )
         self._emitted = 0
         if window is None:
-            self._marker_buffer = (
-                seed_marker_window_u16() if self._marker_u16 else seed_marker_window()
-            )
+            self._marker_buffer = seed_marker_window_u16()
             self._byte_buffer = None
             self._seed_length = MAX_WINDOW_SIZE
             self._last_marker_end = MAX_WINDOW_SIZE
@@ -120,20 +116,15 @@ class TwoStageStreamDecoder:
     def in_marker_mode(self) -> bool:
         return self._marker_buffer is not None
 
-    def _marker_length(self) -> int:
-        """Symbol count of the marker buffer, independent of its layout."""
-        buffer = self._marker_buffer
-        return len(buffer) >> 1 if self._marker_u16 else len(buffer)
+    def _buffered(self) -> int:
+        """Symbols in the active buffer, window seed included."""
+        if self._marker_buffer is not None:
+            return len(self._marker_buffer) >> 1
+        return len(self._byte_buffer)
 
     @property
     def produced(self) -> int:
-        if self._marker_buffer is not None:
-            return self._emitted + self._marker_length() - self._seed_length
-        return self._emitted + len(self._byte_buffer) - self._seed_length
-
-    def _check_size(self) -> None:
-        if self._max_size is not None and self.produced > self._max_size:
-            raise DeflateError("decoded chunk exceeds configured maximum size")
+        return self._emitted + self._buffered() - self._seed_length
 
     def decode_block(self, reader, header: BlockHeader) -> None:
         """Decode one block whose header was already parsed."""
@@ -141,21 +132,26 @@ class TwoStageStreamDecoder:
             BlockBoundary(header.start_bit_offset, self.produced,
                           header.block_type, header.final)
         )
+        # The block decoders bound the *buffer* length, so hand them what
+        # is left of max_size on top of what the buffer already holds.
+        limit = None
+        if self._max_size is not None:
+            limit = self._max_size - self._emitted + self._seed_length
         if self._marker_buffer is not None:
             self._last_marker_end = self._decode_symbols(
-                reader, header, self._marker_buffer, self._last_marker_end
+                reader, header, self._marker_buffer, self._last_marker_end, limit
             )
-            self._check_size()
-            self._maybe_fall_back()
-            if (
-                self._marker_buffer is not None
-                and self._marker_length() > _FLUSH_THRESHOLD
-            ):
-                self._flush_markers(keep=MAX_WINDOW_SIZE)
         else:
-            self._decode_bytes(reader, header, self._byte_buffer)
-            self._check_size()
-            if len(self._byte_buffer) > _FLUSH_THRESHOLD:
+            self._decode_bytes(reader, header, self._byte_buffer, limit)
+        if limit is not None and self._buffered() > limit:
+            # Literal-only blocks have no per-match check to trip.
+            raise DeflateError("decoded chunk exceeds configured maximum size")
+        if self._marker_buffer is not None:
+            self._maybe_fall_back()
+        if self._buffered() > _FLUSH_THRESHOLD:
+            if self._marker_buffer is not None:
+                self._flush_markers(keep=MAX_WINDOW_SIZE)
+            else:
                 self._flush_bytes(keep=MAX_WINDOW_SIZE)
 
     def read_and_decode_block(self, reader) -> BlockHeader:
@@ -166,21 +162,21 @@ class TwoStageStreamDecoder:
 
     # -- internal buffer management -------------------------------------------
 
+    def _emit_symbols(self, stop: int = None) -> None:
+        """Hand marker-buffer symbols ``[seed_length, stop)`` to the payload."""
+        view = memoryview(self._marker_buffer)
+        end = len(view) if stop is None else stop << 1
+        data = bytes(view[self._seed_length << 1 : end])
+        view.release()
+        self.payload.append_symbol_bytes(data)
+        self._emitted += len(data) >> 1
+
     def _flush_markers(self, keep: int) -> None:
-        buffer = self._marker_buffer
-        cut = self._marker_length() - keep
+        cut = self._buffered() - keep
         if cut <= self._seed_length:
             return
-        if self._marker_u16:
-            view = memoryview(buffer)
-            data = bytes(view[self._seed_length << 1 : cut << 1])
-            view.release()
-            self.payload.append_symbol_bytes(data)
-            self._marker_buffer = buffer[cut << 1 :]
-        else:
-            self.payload.append_symbols(buffer[self._seed_length : cut])
-            self._marker_buffer = buffer[cut:]
-        self._emitted += cut - self._seed_length
+        self._emit_symbols(cut)
+        self._marker_buffer = self._marker_buffer[cut << 1 :]
         self._seed_length = 0
         self._last_marker_end = max(0, self._last_marker_end - cut)
 
@@ -202,52 +198,27 @@ class TwoStageStreamDecoder:
 
     def _maybe_fall_back(self) -> None:
         """Switch to conventional decoding once the window is marker-free."""
-        buffer = self._marker_buffer
-        length = self._marker_length()
+        length = self._buffered()
         if length - self._last_marker_end < MAX_WINDOW_SIZE:
             return
         cut = length - MAX_WINDOW_SIZE
-        if self._marker_u16:
-            view = memoryview(buffer)
-            tail = bytes(view[cut << 1 :])
-            if cut > self._seed_length:
-                self.payload.append_symbol_bytes(
-                    bytes(view[self._seed_length << 1 : cut << 1])
-                )
-                self._emitted += cut - self._seed_length
-            view.release()
-            # The trailing window is marker-free (every value < 256), so
-            # narrowing to bytes is lossless.
-            window_values = (
-                np.frombuffer(tail, dtype=np.uint16).astype(np.uint8).tobytes()
-            )
-        else:
-            window_values = buffer[-MAX_WINDOW_SIZE:]
-            if cut > self._seed_length:
-                self.payload.append_symbols(buffer[self._seed_length : cut])
-                self._emitted += cut - self._seed_length
+        if cut > self._seed_length:
+            self._emit_symbols(cut)
+        # The trailing window is marker-free (every value < 256), so
+        # narrowing to bytes is lossless: keep each symbol's low byte.
+        window_values = self._marker_buffer[cut << 1 :: 2]
         self._marker_buffer = None
         # The carried tail is resolved but *unemitted* output (not window
         # seed), so seed_length is 0: it still reaches the payload at the
         # next flush or finish.
-        self._byte_buffer = bytearray(window_values)
+        self._byte_buffer = window_values
         self._seed_length = 0
 
     def finish(self) -> ChunkPayload:
         """Flush everything and return the completed payload."""
         if self._marker_buffer is not None:
-            if self._marker_u16:
-                view = memoryview(self._marker_buffer)
-                data = bytes(view[self._seed_length << 1 :])
-                view.release()
-                self.payload.append_symbol_bytes(data)
-                self._emitted += self._marker_length() - self._seed_length
-                self._marker_buffer = bytearray()
-            else:
-                self.payload.append_symbols(self._marker_buffer[self._seed_length :])
-                self._emitted += len(self._marker_buffer) - self._seed_length
-                self._marker_buffer = []
-            self._seed_length = 0
+            self._emit_symbols()
+            self._marker_buffer = bytearray()
         else:
             view = memoryview(self._byte_buffer)
             data = bytes(view[self._seed_length :])
@@ -255,5 +226,5 @@ class TwoStageStreamDecoder:
             self.payload.append_bytes(data)
             self._emitted += len(self._byte_buffer) - self._seed_length
             self._byte_buffer = bytearray()
-            self._seed_length = 0
+        self._seed_length = 0
         return self.payload

@@ -1,94 +1,56 @@
-"""Fused and batched Deflate block-decode kernels (paper §4.1, Table 2).
+"""Fused Deflate block-decode kernels (paper §4.1, Table 2).
 
-These are drop-in replacements for the legacy symbol-at-a-time loops in
-:mod:`repro.deflate.block`. Two ingredients make them fast:
-
-* :class:`~repro.huffman.fused.FusedDecoder` tables whose entries
-  pre-resolve everything the legacy loop branches on per symbol (kind,
-  bits consumed, extra bits, base value, even a second literal);
-* an **inlined bit buffer**: the kernel pulls the reader's cursor into
-  local variables via :meth:`BitReader.export_state`, refills inline, and
-  resynchronizes with :meth:`BitReader.import_state` at block end — zero
-  per-symbol method calls.
-
-Three tiers share those ingredients:
+The block decoder exists in two tiers:
 
 ``fused``
-    One loop iteration per table entry, emitting output immediately
-    through :data:`_EMIT` (pre-built 1- and 2-byte ``bytes`` objects).
-    The refill tops the buffer up to at least 48 bits, the worst case one
-    iteration can consume, pulling up to 32 bytes per ``int.from_bytes``
-    call: the call has fixed overhead, so large takes that leave a few
-    hundred bits in the buffer beat byte-at-a-time reads even though
-    every shift then runs on a multi-digit int.
+    The loops in this module — what every reader, fetcher and worker
+    runs. Two ingredients make them fast:
 
-``batched``
-    The two-pass split of Sitaridi et al. ("Massively-Parallel Lossless
-    Data Decompression"): **pass 1** (:func:`_batched_pass1`) only
-    *resolves* symbols — it appends raw table entries and packed match
-    records to growable lists, never touching the output buffer, with
-    the literal lookup unrolled three deep under a 78-bit refill floor
-    (3×15 lookup bits + 5 pending length extra + 15 distance lookup +
-    13 pending distance extra) so the loop spends its time on lookups,
-    not bookkeeping. **Pass 2** (:func:`_materialize_bytes` /
-    :func:`_materialize_u16`) converts the records to NumPy arrays once,
-    computes every output position with cumulative sums, scatters all
-    literal bytes with vectorized fancy indexing, and replays match
-    copies as ``bytearray`` slice assignments (overlapping copies via
-    the repeat trick). Records are materialized in ~256 KiB batches so
-    memory stays bounded on giant blocks. The split wins where literal
-    emission dominates (it replaces a ``bytes``-object append per entry
-    with one array pass) and roughly ties ``fused`` on match-heavy data,
-    where both tiers bottom out in the same slice copies.
+    * :class:`~repro.huffman.fused.FusedDecoder` tables whose entries
+      pre-resolve everything the reference loop branches on per symbol
+      (kind, bits consumed, extra bits, base value, even a second
+      literal);
+    * an **inlined bit buffer**: the kernel pulls the reader's cursor
+      into local variables via :meth:`BitReader.export_state`, refills
+      inline, and resynchronizes with :meth:`BitReader.import_state` at
+      block end — zero per-symbol method calls.
+
+    One loop iteration handles one table entry and emits its output
+    immediately through :data:`_EMIT` / :data:`_EMIT16` (pre-built
+    ``bytes`` objects). The refill tops the buffer up to at least 48
+    bits, the worst case one iteration can consume, pulling up to 32
+    bytes per ``int.from_bytes`` call: the call has fixed overhead, so
+    large takes that leave a few hundred bits in the buffer beat
+    byte-at-a-time reads even though every shift then runs on a
+    multi-digit int.
 
 ``legacy``
-    The bounds-checked reference loops in :mod:`repro.deflate.block`.
+    The reference tier: the bounds-checked symbol-at-a-time loops in
+    :mod:`repro.deflate.block`, with per-call :class:`BitReader` methods
+    and exact EOF semantics. They are the fused kernels' **tail**: when
+    fewer than 48 bits remain — only possible inside the last few input
+    bytes — the kernel resyncs the reader and delegates the block
+    remainder to them, and stored blocks and degenerate headers with no
+    distance code take them outright. They are also the differential
+    tests' oracle and the Table 2 baseline row, which is the only reason
+    :func:`block_decoders` (used by the :mod:`repro.deflate.inflate`
+    drivers) can name them; nothing above ``repro.deflate`` selects a
+    tier.
 
-When fewer bits than a tier's refill floor remain — only possible inside
-the last few input bytes — the kernel resyncs the reader and delegates
-the block remainder to a bounds-checked tail loop with exact EOF
-semantics. Stored blocks and degenerate headers with no distance code
-take the tail path outright.
-
-Marker-mode (two-stage) output of the fused and batched tiers is emitted
-natively as little-endian ``uint16`` in a ``bytearray`` — the exact
+Both tiers share one buffer contract. Conventional decode appends bytes
+to a ``bytearray`` seeded with the window. Marker-mode (two-stage) decode
+appends little-endian ``uint16`` symbols to a ``bytearray`` — the exact
 memory layout :func:`repro.deflate.markers.replace_markers` consumes —
-so the driver hands segments over with a zero-copy ``frombuffer`` instead
-of converting a Python list (the tail loop for that format is
-:func:`_decode_block_two_stage_u16`). The legacy tier keeps its list
-format; drivers inspect the ``marker_buffer`` attribute on the two-stage
-function to seed the right buffer.
-
-Decoder selection: :func:`resolve_decoder` maps ``None``/``"auto"`` to the
-``REPRO_DECODER`` environment variable (default ``fused``);
-:func:`block_decoders` returns the matching (conventional, two-stage)
-function pair for the wire-through call sites.
-
-The batched tier accumulates per-pass wall time and pass-2 output bytes
-in thread-local counters; decode task bodies publish them into the
-telemetry registry with :func:`publish_kernel_stats` (thread-local means
-a task's drain sees exactly its own decode, even with concurrent worker
-threads).
+so the driver hands segments over with a zero-copy ``frombuffer``.
+``max_size`` (total buffer length, in the buffer's symbol unit) is
+checked after every match, so output overshoots it by at most one match.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from time import perf_counter_ns
-
-import numpy as np
-
 from ..errors import DeflateError, UsageError
-from .block import (
-    decode_block_into_bytearray,
-    decode_block_two_stage,
-)
-from .constants import (
-    BLOCK_TYPE_STORED,
-    DISTANCE_EXTRA_BASE,
-    LENGTH_EXTRA_BASE,
-)
+from .block import decode_block_into_bytearray, decode_block_two_stage
+from .constants import BLOCK_TYPE_STORED
 
 # Imported lazily in _fused_for: repro.huffman.fused itself imports
 # repro.deflate.constants, so a module-level import here would make the
@@ -96,18 +58,10 @@ from .constants import (
 FusedDecoder = None
 
 __all__ = [
-    "DECODER_NAMES",
-    "resolve_decoder",
     "block_decoders",
     "decode_block_into_bytearray_fused",
     "decode_block_two_stage_fused",
-    "decode_block_into_bytearray_batched",
-    "decode_block_two_stage_batched",
-    "drain_kernel_stats",
-    "publish_kernel_stats",
 ]
-
-DECODER_NAMES = ("fused", "batched", "legacy")
 
 #: ``bytes`` to emit per literal-entry payload: index < 256 is a single
 #: byte, index 256 + (b1 | b2 << 8) is the two-byte pair ``b1, b2``
@@ -140,25 +94,13 @@ def _emit16_table() -> list:
     return _EMIT16
 
 
-def resolve_decoder(name=None) -> str:
-    """Resolve a decoder name, falling back to ``$REPRO_DECODER``/``fused``."""
-    if name in (None, "auto"):
-        name = os.environ.get("REPRO_DECODER", "fused") or "fused"
-    if name not in DECODER_NAMES:
-        raise UsageError(
-            f"unknown decoder {name!r}; expected one of {', '.join(DECODER_NAMES)}"
-        )
-    return name
-
-
-def block_decoders(name=None):
-    """``(conventional, two_stage)`` block-decode functions for ``name``."""
-    name = resolve_decoder(name)
+def block_decoders(name: str = "fused"):
+    """``(conventional, two_stage)`` block-decode functions of one tier."""
+    if name == "fused":
+        return decode_block_into_bytearray_fused, decode_block_two_stage_fused
     if name == "legacy":
         return decode_block_into_bytearray, decode_block_two_stage
-    if name == "batched":
-        return decode_block_into_bytearray_batched, decode_block_two_stage_batched
-    return decode_block_into_bytearray_fused, decode_block_two_stage_fused
+    raise UsageError(f"unknown decoder {name!r}; expected fused or legacy")
 
 
 def _fused_for(header):
@@ -172,58 +114,9 @@ def _fused_for(header):
     return fused
 
 
-# -- batched-tier telemetry ---------------------------------------------------
-
-_kernel_local = threading.local()
-
-
-def _note_batched(pass1_ns: int, pass2_ns: int, copy_bytes: int) -> None:
-    stats = _kernel_local.__dict__
-    stats["pass1_ns"] = stats.get("pass1_ns", 0) + pass1_ns
-    stats["pass2_ns"] = stats.get("pass2_ns", 0) + pass2_ns
-    stats["copy_bytes"] = stats.get("copy_bytes", 0) + copy_bytes
-
-
-def drain_kernel_stats() -> dict:
-    """Take (and reset) this thread's accumulated batched-kernel stats.
-
-    Returns ``{}`` when the batched tier did not run on this thread since
-    the last drain, so non-batched paths pay nothing downstream.
-    """
-    stats = _kernel_local.__dict__
-    if not stats:
-        return {}
-    return {
-        "batched_pass1_ns": stats.pop("pass1_ns", 0),
-        "batched_pass2_ns": stats.pop("pass2_ns", 0),
-        "batched_copy_bytes": stats.pop("copy_bytes", 0),
-    }
-
-
-def publish_kernel_stats(metrics, recorder=None, chunk_id=None) -> None:
-    """Drain this thread's kernel stats into a metrics registry.
-
-    Called by decode task bodies (thread workers and the process-backend
-    child entry point) right after a chunk decode, on the decoding thread.
-    With an enabled trace ``recorder``, also drops a per-chunk instant so
-    traces attribute pass-1 vs pass-2 time chunk by chunk.
-    """
-    stats = drain_kernel_stats()
-    if not stats:
-        return
-    for name, value in stats.items():
-        if value:
-            metrics.counter(f"decode.{name}").increment(value)
-    if recorder is not None and recorder.enabled:
-        recorder.instant("chunk.kernel_passes", chunk_id=chunk_id, **stats)
-
-
-# -- fused tier ---------------------------------------------------------------
-
-
 def decode_block_into_bytearray_fused(reader, header, buffer: bytearray,
                                       max_size: int = None) -> None:
-    """Fused conventional decode; same contract as the legacy function."""
+    """Fused conventional decode; same contract as the reference loop."""
     if header.block_type == BLOCK_TYPE_STORED or header.distance_decoder is None:
         return decode_block_into_bytearray(reader, header, buffer, max_size)
     fused = _fused_for(header)
@@ -257,7 +150,7 @@ def decode_block_into_bytearray_fused(reader, header, buffer: bytearray,
                     bits += take * 8
                     byte_pos += take
                 if bits < 48:
-                    # EOF zone: resync and let the bounds-checked legacy
+                    # EOF zone: resync and let the bounds-checked reference
                     # loop finish (or fault on) the tail.
                     reader.import_state((buf, bits, byte_pos, chunk, chunk_start))
                     owned = False
@@ -322,15 +215,14 @@ def decode_block_into_bytearray_fused(reader, header, buffer: bytearray,
 
 def decode_block_two_stage_fused(reader, header, buffer: bytearray,
                                  last_marker_end: int, max_size: int = None) -> int:
-    """Fused two-stage decode into a native ``uint16`` bytearray.
+    """Fused two-stage decode; same contract as the reference loop.
 
-    Same marker semantics as the legacy list loop, but ``buffer`` holds
-    little-endian ``uint16`` symbols (2 bytes each); all bookkeeping —
-    ``last_marker_end``, ``max_size``, the return value — stays in symbol
-    units, slices are byte-doubled.
+    ``buffer`` holds little-endian ``uint16`` symbols (2 bytes each); all
+    bookkeeping — ``last_marker_end``, ``max_size``, the return value —
+    is in symbol units, slices are byte-doubled.
     """
     if header.block_type == BLOCK_TYPE_STORED or header.distance_decoder is None:
-        return _decode_block_two_stage_u16(
+        return decode_block_two_stage(
             reader, header, buffer, last_marker_end, max_size
         )
     fused = _fused_for(header)
@@ -366,7 +258,7 @@ def decode_block_two_stage_fused(reader, header, buffer: bytearray,
                 if bits < 48:
                     reader.import_state((buf, bits, byte_pos, chunk, chunk_start))
                     owned = False
-                    return _decode_block_two_stage_u16(
+                    return decode_block_two_stage(
                         reader, header, buffer, last_marker_end, max_size
                     )
 
@@ -430,406 +322,3 @@ def decode_block_two_stage_fused(reader, header, buffer: bytearray,
     finally:
         if owned:
             reader.import_state((buf, bits, byte_pos, chunk, chunk_start))
-
-
-decode_block_two_stage_fused.marker_buffer = "u16"
-
-
-def _decode_block_two_stage_u16(reader, header, buffer: bytearray,
-                                last_marker_end: int, max_size: int = None) -> int:
-    """Bounds-checked two-stage loop over the native ``uint16`` buffer.
-
-    Mirror of :func:`repro.deflate.block.decode_block_two_stage` (per-call
-    :class:`BitReader` methods with exact EOF semantics), serving as the
-    EOF-zone / stored-block / degenerate-header tail for the fused and
-    batched marker-mode kernels, whose buffers the list-based legacy loop
-    cannot extend.
-    """
-    if header.block_type == BLOCK_TYPE_STORED:
-        data = reader.read_bytes(header.stored_length)
-        buffer += np.frombuffer(data, dtype=np.uint8).astype(np.uint16).tobytes()
-        if max_size is not None and (len(buffer) >> 1) > max_size:
-            raise DeflateError("decoded output exceeds configured maximum")
-        return last_marker_end
-
-    literal_table = header.literal_decoder.table
-    literal_bits = header.literal_decoder.max_length
-    distance_decoder = header.distance_decoder
-    emit16 = _emit16_table()
-    peek = reader.peek
-    skip = reader.skip
-    read = reader.read
-
-    while True:
-        entry = literal_table[peek(literal_bits)]
-        if entry == 0:
-            raise DeflateError("invalid literal/length prefix")
-        skip(entry >> 9)
-        symbol = entry & 0x1FF
-        if symbol < 256:
-            buffer += emit16[symbol]
-            continue
-        if symbol == 256:
-            return last_marker_end
-        if symbol > 285:
-            raise DeflateError(f"invalid length symbol {symbol}")
-        extra, base = LENGTH_EXTRA_BASE[symbol - 257]
-        length = base + (read(extra) if extra else 0)
-        if distance_decoder is None:
-            raise DeflateError("length symbol but block declares no distance codes")
-        distance_symbol = distance_decoder.decode(reader)
-        if distance_symbol > 29:
-            raise DeflateError(f"reserved distance symbol {distance_symbol}")
-        extra, base = DISTANCE_EXTRA_BASE[distance_symbol]
-        distance = base + (read(extra) if extra else 0)
-        size = len(buffer) >> 1
-        if distance > size:
-            raise DeflateError(
-                f"distance {distance} reaches before start of data ({size} known)"
-            )
-        start = size - distance
-        if start < last_marker_end:
-            last_marker_end = size + length
-        byte_start = start << 1
-        if distance >= length:
-            buffer += buffer[byte_start : byte_start + (length << 1)]
-        else:
-            remaining = length
-            while remaining > 0:
-                take = min(remaining, (len(buffer) >> 1) - start)
-                buffer += buffer[byte_start : byte_start + (take << 1)]
-                remaining -= take
-        if max_size is not None and (len(buffer) >> 1) > max_size:
-            raise DeflateError("decoded output exceeds configured maximum")
-
-
-# -- batched tier -------------------------------------------------------------
-
-#: Pass-1 batch bound, in approximate output units (literal entries count
-#: 1, match records their full length): materialize roughly every 256 Ki
-#: so record lists and the pass-2 scratch stay bounded on giant blocks
-#: and ``max_size`` is enforced with bounded overshoot.
-_BATCH_LIMIT = 1 << 18
-
-#: Pass-1 refill floor: 3 chained literal lookups (<= 15 bits each) plus
-#: the worst-case control continuation (5 pending length-extra bits + 15
-#: distance lookup + 13 pending distance-extra bits).
-_REFILL_FLOOR = 78
-
-_EOB = 0  # end-of-block entry consumed; block done
-_EOF = 1  # refill starved inside the EOF zone; tail loop takes over
-_FLUSH = 2  # batch limit reached; materialize and continue
-
-
-def _batched_pass1(reader, fused):
-    """Resolve symbols without producing output (batched pass 1).
-
-    Returns ``(status, lits, mops)`` where ``lits`` holds raw emission
-    entries (payload still packed, see :mod:`repro.huffman.fused`) and
-    ``mops`` packed match records
-    ``len(lits)_at_match << 26 | length << 16 | distance``. The literal
-    lookup is unrolled three deep: emission entries always consume >= 1
-    bit (invalid prefixes are control entries), so the chain needs no
-    validity branch, and the refill floor covers the worst-case chain
-    plus one full match continuation. The reader is resynchronized on
-    every exit, so pass-1 segments of one block can be interleaved with
-    materialization.
-    """
-    lit_table = fused.lit_table
-    lit_mask = fused.lit_mask
-    dist_table = None  # built lazily on the first match
-    dist_mask = 0
-    from_bytes = int.from_bytes
-    length_of = len
-    lits: list = []
-    lits_append = lits.append
-    mops: list = []
-    mops_append = mops.append
-    pending = 0  # approximate output units since batch start
-
-    buf, bits, byte_pos, chunk, chunk_start, pread, cache_size = reader.export_state()
-    chunk_len = length_of(chunk)
-    try:
-        while True:
-            if bits < _REFILL_FLOOR:
-                while bits < _REFILL_FLOOR:
-                    offset = byte_pos - chunk_start
-                    if offset < 0 or offset >= chunk_len:
-                        chunk = pread(byte_pos, cache_size)
-                        chunk_start = byte_pos
-                        chunk_len = length_of(chunk)
-                        if not chunk_len:
-                            break
-                        offset = 0
-                    take = chunk_len - offset
-                    if take > 32:
-                        take = 32
-                    buf |= from_bytes(chunk[offset : offset + take], "little") << bits
-                    bits += take * 8
-                    byte_pos += take
-                if bits < _REFILL_FLOOR:
-                    return _EOF, lits, mops
-                if length_of(lits) + pending >= _BATCH_LIMIT:
-                    return _FLUSH, lits, mops
-
-            entry = lit_table[buf & lit_mask]
-            consumed = entry & 31
-            buf >>= consumed
-            bits -= consumed
-            if entry & 32 == 0:
-                lits_append(entry)
-                entry = lit_table[buf & lit_mask]
-                consumed = entry & 31
-                buf >>= consumed
-                bits -= consumed
-                if entry & 32 == 0:
-                    lits_append(entry)
-                    entry = lit_table[buf & lit_mask]
-                    consumed = entry & 31
-                    buf >>= consumed
-                    bits -= consumed
-                    if entry & 32 == 0:
-                        lits_append(entry)
-                        continue
-            # Control continuation for whichever chain level broke out.
-            length = entry >> 6
-            if length == 0:  # end-of-block
-                return _EOB, lits, mops
-            if length == 1:  # INVALID_PAYLOAD: unassigned prefix
-                raise DeflateError("invalid literal/length prefix")
-            if length >= 512:  # extra bits pending (not baked into the slot)
-                extra = length >> 9
-                length = (length & 511) + (buf & ((1 << extra) - 1))
-                buf >>= extra
-                bits -= extra
-
-            if dist_table is None:
-                dist_table, dist_mask = fused.distance_table()
-            dentry = dist_table[buf & dist_mask]
-            consumed = dentry & 31
-            if not consumed:
-                raise DeflateError("invalid distance prefix")
-            buf >>= consumed
-            bits -= consumed
-            distance = dentry >> 5
-            extra = distance & 15
-            if extra:  # pending distance extra bits
-                distance = (distance >> 4) + (buf & ((1 << extra) - 1))
-                buf >>= extra
-                bits -= extra
-            else:
-                distance >>= 4
-
-            mops_append((length_of(lits) << 26) | (length << 16) | distance)
-            pending += length
-    finally:
-        reader.import_state((buf, bits, byte_pos, chunk, chunk_start))
-
-
-def _positions(lits, mops, base):
-    """Vectorize one record batch into output positions (shared pass-2 math).
-
-    Returns ``(payload, is_pair, lit_pos, total_lit, match_pos, match_len,
-    match_dist, total_match)`` — literal positions relative to the batch
-    start, match positions absolute (``base`` included) since match copies
-    replay against the full buffer. Validates every match distance against
-    the buffer length at its own position, exactly where the scalar loops
-    fail.
-    """
-    num_lits = len(lits)
-    num_matches = len(mops)
-    payload = is_pair = lit_pos = None
-    match_pos = match_len = match_dist = None
-    total_lit = total_match = 0
-
-    if num_lits:
-        entries = np.fromiter(lits, np.int64, count=num_lits)
-        payload = entries >> 6
-        is_pair = payload >= 256  # EMIT_PAIR_OFFSET
-        sizes = is_pair.astype(np.int64)
-        sizes += 1
-        lit_cum = np.cumsum(sizes)
-        total_lit = int(lit_cum[-1])
-    if num_matches:
-        records = np.fromiter(mops, np.int64, count=num_matches)
-        match_count = records >> 26  # literal entries before this match
-        match_len = (records >> 16) & 1023
-        match_dist = records & 0xFFFF
-        len_cum = np.cumsum(match_len)
-        total_match = int(len_cum[-1])
-
-    if num_lits:
-        lit_pos = lit_cum - sizes  # offset among literal bytes
-        if num_matches:
-            # Literal entry i lands after every match recorded at count <= i:
-            # expand each match's cumulative copy length over the literal
-            # entries that follow it.
-            bounds = np.empty(num_matches + 2, dtype=np.int64)
-            bounds[0] = 0
-            bounds[1:-1] = match_count
-            bounds[-1] = num_lits
-            shifts = np.empty(num_matches + 1, dtype=np.int64)
-            shifts[0] = 0
-            shifts[1:] = len_cum
-            lit_pos = lit_pos + np.repeat(shifts, np.diff(bounds))
-    if num_matches:
-        if num_lits:
-            lit_bytes_before = np.empty(num_lits + 1, dtype=np.int64)
-            lit_bytes_before[0] = 0
-            lit_bytes_before[1:] = lit_cum
-            match_pos = base + lit_bytes_before[match_count] + len_cum - match_len
-        else:
-            match_pos = base + len_cum - match_len
-        bad = match_dist > match_pos
-        if bad.any():
-            first = int(np.argmax(bad))
-            raise DeflateError(
-                f"distance {int(match_dist[first])} reaches before start of "
-                f"data ({int(match_pos[first])} known)"
-            )
-    return (payload, is_pair, lit_pos, total_lit,
-            match_pos, match_len, match_dist, total_match)
-
-
-def _materialize_bytes(lits, mops, buffer: bytearray, max_size) -> int:
-    """Batched pass 2, conventional mode: emit one record batch.
-
-    Scatters all literal bytes into a NumPy scratch array (match spans
-    left as holes), appends it to ``buffer`` in one copy, then replays
-    match copies as ``bytearray`` slice assignments — overlapping copies
-    via source-period repetition. Returns the bytes produced.
-    """
-    base = len(buffer)
-    (payload, is_pair, lit_pos, total_lit,
-     match_pos, match_len, match_dist, total_match) = _positions(lits, mops, base)
-    total = total_lit + total_match
-    if not total:
-        return 0
-    if max_size is not None and base + total > max_size:
-        raise DeflateError("decoded output exceeds configured maximum")
-
-    out = np.zeros(total, dtype=np.uint8)
-    if total_lit:
-        singles = ~is_pair
-        out[lit_pos[singles]] = payload[singles]
-        if is_pair.any():
-            pair_values = payload[is_pair] - 256
-            pair_pos = lit_pos[is_pair]
-            out[pair_pos] = pair_values & 255
-            out[pair_pos + 1] = pair_values >> 8
-    buffer += out.tobytes()
-
-    if total_match:
-        for position, length, distance in zip(
-            match_pos.tolist(), match_len.tolist(), match_dist.tolist()
-        ):
-            start = position - distance
-            if distance >= length:
-                buffer[position : position + length] = buffer[start : start + length]
-            else:
-                buffer[position : position + length] = (
-                    bytes(buffer[start:position]) * (length // distance + 1)
-                )[:length]
-    return total
-
-
-def _materialize_u16(lits, mops, buffer: bytearray, last_marker_end: int,
-                     max_size) -> int:
-    """Batched pass 2, marker mode: emit one record batch as ``uint16``.
-
-    Identical structure to :func:`_materialize_bytes` but positions are in
-    symbols, the scratch array is ``uint16`` (matching the buffer's native
-    layout), and match copies replicate the legacy taint rule: a copy
-    whose source starts before ``last_marker_end`` extends the tainted
-    region to its destination end. Returns the updated marker bound.
-    """
-    base = len(buffer) >> 1
-    (payload, is_pair, lit_pos, total_lit,
-     match_pos, match_len, match_dist, total_match) = _positions(lits, mops, base)
-    total = total_lit + total_match
-    if not total:
-        return last_marker_end
-    if max_size is not None and base + total > max_size:
-        raise DeflateError("decoded output exceeds configured maximum")
-
-    out = np.zeros(total, dtype=np.uint16)
-    if total_lit:
-        singles = ~is_pair
-        out[lit_pos[singles]] = payload[singles]
-        if is_pair.any():
-            pair_values = payload[is_pair] - 256
-            pair_pos = lit_pos[is_pair]
-            out[pair_pos] = pair_values & 255
-            out[pair_pos + 1] = pair_values >> 8
-    buffer += out.tobytes()
-
-    if total_match:
-        for position, length, distance in zip(
-            match_pos.tolist(), match_len.tolist(), match_dist.tolist()
-        ):
-            start = position - distance
-            if start < last_marker_end:
-                last_marker_end = position + length
-            byte_pos = position << 1
-            byte_start = start << 1
-            byte_len = length << 1
-            if distance >= length:
-                buffer[byte_pos : byte_pos + byte_len] = (
-                    buffer[byte_start : byte_start + byte_len]
-                )
-            else:
-                buffer[byte_pos : byte_pos + byte_len] = (
-                    bytes(buffer[byte_start:byte_pos]) * (length // distance + 1)
-                )[:byte_len]
-    return last_marker_end
-
-
-def decode_block_into_bytearray_batched(reader, header, buffer: bytearray,
-                                        max_size: int = None) -> None:
-    """Batched two-pass conventional decode; same contract as legacy."""
-    if header.block_type == BLOCK_TYPE_STORED or header.distance_decoder is None:
-        return decode_block_into_bytearray(reader, header, buffer, max_size)
-    fused = _fused_for(header)
-    while True:
-        started = perf_counter_ns()
-        status, lits, mops = _batched_pass1(reader, fused)
-        resolved = perf_counter_ns()
-        copied = _materialize_bytes(lits, mops, buffer, max_size)
-        _note_batched(resolved - started, perf_counter_ns() - resolved, copied)
-        if status == _EOB:
-            return
-        if status == _EOF:
-            # EOF zone: the bounds-checked legacy loop finishes (or
-            # faults on) the tail with exact truncation semantics.
-            return decode_block_into_bytearray(reader, header, buffer, max_size)
-
-
-def decode_block_two_stage_batched(reader, header, buffer: bytearray,
-                                   last_marker_end: int,
-                                   max_size: int = None) -> int:
-    """Batched two-pass marker-mode decode into the ``uint16`` bytearray."""
-    if header.block_type == BLOCK_TYPE_STORED or header.distance_decoder is None:
-        return _decode_block_two_stage_u16(
-            reader, header, buffer, last_marker_end, max_size
-        )
-    fused = _fused_for(header)
-    while True:
-        started = perf_counter_ns()
-        status, lits, mops = _batched_pass1(reader, fused)
-        resolved = perf_counter_ns()
-        before = len(buffer)
-        last_marker_end = _materialize_u16(
-            lits, mops, buffer, last_marker_end, max_size
-        )
-        _note_batched(
-            resolved - started, perf_counter_ns() - resolved, len(buffer) - before
-        )
-        if status == _EOB:
-            return last_marker_end
-        if status == _EOF:
-            return _decode_block_two_stage_u16(
-                reader, header, buffer, last_marker_end, max_size
-            )
-
-
-decode_block_two_stage_batched.marker_buffer = "u16"

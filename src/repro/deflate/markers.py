@@ -23,7 +23,6 @@ from ..errors import UsageError
 from .constants import MARKER_FLAG, MAX_WINDOW_SIZE
 
 __all__ = [
-    "seed_marker_window",
     "seed_marker_window_u16",
     "replace_markers",
     "segment_has_markers",
@@ -32,28 +31,17 @@ __all__ = [
 ]
 
 
-#: Template for :func:`seed_marker_window`, materialized once. ``list.copy``
-#: of 32 Ki ints is a single memcpy-like operation, far cheaper than
-#: re-materializing ``range()`` for every chunk a worker decodes.
-_MARKER_WINDOW_TEMPLATE: list = None
-
-#: Same window pre-rendered as native ``uint16`` bytes for the kernels
-#: that keep their marker buffer in that layout (fused/batched tiers).
+#: Template for :func:`seed_marker_window_u16`, materialized once: copying
+#: 64 KiB is far cheaper than re-rendering the range for every chunk a
+#: worker decodes.
 _MARKER_WINDOW_TEMPLATE_U16: bytes = None
 
 
-def seed_marker_window() -> list:
-    """The 32 Ki marker symbols that stand in for an unknown window."""
-    global _MARKER_WINDOW_TEMPLATE
-    if _MARKER_WINDOW_TEMPLATE is None:
-        _MARKER_WINDOW_TEMPLATE = list(range(MARKER_FLAG, MARKER_FLAG + MAX_WINDOW_SIZE))
-    return _MARKER_WINDOW_TEMPLATE.copy()
-
-
 def seed_marker_window_u16() -> bytearray:
-    """The marker window as a native ``uint16`` bytearray (2 bytes/symbol).
+    """The 32 Ki marker symbols that stand in for an unknown window, as a
+    native ``uint16`` bytearray (2 bytes/symbol).
 
-    Buffer seed for the kernels that emit marker symbols in the layout
+    Marker-mode block decoders emit symbols in the layout
     :func:`replace_markers` consumes directly, so finished regions hand
     over with a ``frombuffer`` view instead of a per-symbol conversion.
     """
@@ -117,17 +105,12 @@ class ChunkPayload:
             self.segments.append(bytes(data))
             self.length += len(data)
 
-    def append_symbols(self, symbols: list) -> None:
-        if symbols:
-            self.segments.append(np.asarray(symbols, dtype=np.uint16))
-            self.length += len(symbols)
-
     def append_symbol_bytes(self, data) -> None:
         """Append first-stage symbols already in ``uint16`` memory layout.
 
         ``data`` is the raw little-endian byte image of a symbol run (the
-        fused/batched kernels' native marker buffer); ``frombuffer`` wraps
-        it without converting or copying per symbol.
+        block decoders' marker buffer); ``frombuffer`` wraps it without
+        converting or copying per symbol.
         """
         if data:
             self.segments.append(np.frombuffer(data, dtype=np.uint16))

@@ -107,17 +107,14 @@ def decode_chunk_range(
     *,
     max_output: int = None,
     split_output: int = None,
-    decoder: str = None,
 ) -> ChunkResult:
     """Decode from ``start_bit`` until the stop condition or file end.
 
     ``window=None`` selects two-stage (marker) decoding; a ``bytes`` window
-    selects conventional decoding. ``decoder`` picks the block kernel
-    (``fused``/``batched``/``legacy``; default from ``$REPRO_DECODER``).
-    Raises
-    :class:`FormatError` if the data at ``start_bit`` is not a decodable
-    chain of Deflate blocks — exactly the signal the speculative caller
-    uses to advance to the next candidate.
+    selects conventional decoding. Raises :class:`FormatError` if the data
+    at ``start_bit`` is not a decodable chain of Deflate blocks — exactly
+    the signal the speculative caller uses to advance to the next
+    candidate.
 
     ``split_output`` is the per-chunk decompressed-size *ceiling* of the
     memory-governed pipeline: once at least one block is decoded and the
@@ -128,15 +125,14 @@ def decode_chunk_range(
     allocation. Unlike ``max_output`` (a hard error), splitting loses no
     work: everything decoded so far is verified output. A single block
     larger than the ceiling cannot be split (Deflate blocks are atomic
-    here); ``max_output`` remains the backstop for that case.
+    here); ``max_output`` remains the backstop for that case, enforced
+    inside the block (at most one match past the limit).
     """
     requested_start = start_bit
     start_bit = _skip_member_header(file_reader, start_bit)
     reader = BitReader(file_reader.clone())
     size_bits = reader.size_in_bits()
-    stream = TwoStageStreamDecoder(
-        window=window, max_size=max_output, decoder=decoder
-    )
+    stream = TwoStageStreamDecoder(window=window, max_size=max_output)
     events: list = []
     end_bit = None
     end_is_stream_start = False
@@ -232,7 +228,6 @@ def speculative_decode(
     split_output: int = None,
     max_candidates: int = 32 * 1024,
     telemetry=None,
-    decoder: str = None,
 ) -> ChunkResult:
     """Search chunk ``chunk_index`` for a Deflate block and decode from it.
 
@@ -276,13 +271,11 @@ def speculative_decode(
                     result = decode_chunk_range(
                         file_reader, offset, stop_bit, None,
                         max_output=max_output, split_output=split_output,
-                        decoder=decoder,
                     )
             else:
                 result = decode_chunk_range(
                     file_reader, offset, stop_bit, None,
                     max_output=max_output, split_output=split_output,
-                    decoder=decoder,
                 )
             result.speculative = True
             break
@@ -524,7 +517,6 @@ def decode_index_chunk(
     expected_size: int = None,
     is_last: bool = False,
     max_output: int = None,
-    decoder: str = None,
     next_window: bytes = None,
 ) -> ChunkResult:
     """Decode one index-interval chunk: zlib fast path, our decoder as
@@ -546,7 +538,7 @@ def decode_index_chunk(
     except FormatError:
         result = decode_chunk_range(
             file_reader, start_bit, end_bit, window,
-            max_output=max_output, decoder=decoder,
+            max_output=max_output,
         )
         if expected_size is not None and result.length > expected_size:
             # ``end_bit`` need not satisfy the stop predicate (a chunk

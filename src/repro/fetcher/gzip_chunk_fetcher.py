@@ -29,7 +29,6 @@ from concurrent.futures import CancelledError
 
 from .. import faults
 from ..cache import FetchNextAdaptive, LRUCache, MemoryGovernor, parse_size
-from ..deflate.kernels import publish_kernel_stats, resolve_decoder
 from ..errors import (
     ChunkDecodeError,
     FormatError,
@@ -101,7 +100,6 @@ class GzipChunkFetcher:
         max_retries: int = 2,
         chunk_timeout: float = None,
         telemetry: Telemetry = None,
-        decoder: str = None,
         max_memory=None,
         governor: MemoryGovernor = None,
     ):
@@ -119,10 +117,6 @@ class GzipChunkFetcher:
         self.strategy = strategy or FetchNextAdaptive()
         self.find_uncompressed = find_uncompressed
         self.max_chunk_output = max_chunk_output
-        # Resolve the kernel choice in the parent so worker processes see a
-        # concrete name regardless of their environment (and so a typo
-        # fails at construction, not in a worker).
-        self.decoder = resolve_decoder(decoder)
         self.telemetry = telemetry if telemetry is not None else Telemetry()
 
         # Memory governance: a shared governor (usually handed down by the
@@ -360,7 +354,6 @@ class GzipChunkFetcher:
                 max_output=self.max_chunk_output,
                 split_output=self.chunk_split_size,
                 telemetry=self.telemetry,
-                decoder=self.decoder,
             )
         if self.mode == "index":
             return self._decode_index_chunk(chunk_id)
@@ -385,15 +378,7 @@ class GzipChunkFetcher:
                 # speculative body, where the phases actually separate.
                 events.emit("decode", chunk=chunk_id, mode=mode, kind=kind)
             faults.fire("chunk.decode", chunk_id=chunk_id, attempt=attempt)
-            try:
-                return self._task_for_id(chunk_id, known)
-            finally:
-                # Drain on the thread that decoded (even on a rejected
-                # speculation): batched-kernel pass timings are
-                # thread-local until folded into the registry.
-                publish_kernel_stats(
-                    self.telemetry.metrics, self.telemetry.recorder, chunk_id
-                )
+            return self._task_for_id(chunk_id, known)
 
     def _index_bounds(self, chunk_id: int):
         """(start_bit, end_bit, expected_size, is_last) for an index chunk."""
@@ -452,7 +437,6 @@ class GzipChunkFetcher:
             expected_size=extent.length,
             is_last=extent.is_last,
             max_output=self.max_chunk_output,
-            decoder=self.decoder,
             next_window=extent.next_window,
         )
 
@@ -507,7 +491,6 @@ class GzipChunkFetcher:
             end_bit,
             window,
             max_output=max_output,
-            decoder=self.decoder,
         )
         from ..deflate.markers import ChunkPayload
 
@@ -550,7 +533,6 @@ class GzipChunkFetcher:
             chunk_id=chunk_id,
             attempt=attempt,
             faults=faults.active(),
-            decoder=self.decoder,
             trace=self.telemetry.tracing,
             trace_origin=self.telemetry.recorder.origin,
             events=self.telemetry.event_logging,
@@ -1105,21 +1087,14 @@ class GzipChunkFetcher:
                 "chunk.decode", chunk_id=chunk_id, mode=self.mode,
                 kind="on_demand", attempt=attempt,
             ):
-                try:
-                    return decode_chunk_range(
-                        self.file_reader,
-                        start_bit,
-                        stop_bit,
-                        window,
-                        max_output=self.max_chunk_output,
-                        split_output=self.chunk_split_size,
-                        decoder=self.decoder,
-                    )
-                finally:
-                    publish_kernel_stats(
-                        self.telemetry.metrics, self.telemetry.recorder,
-                        chunk_id,
-                    )
+                return decode_chunk_range(
+                    self.file_reader,
+                    start_bit,
+                    stop_bit,
+                    window,
+                    max_output=self.max_chunk_output,
+                    split_output=self.chunk_split_size,
+                )
         return self._run_chunk_task(chunk_id, "on_demand", attempt=attempt)
 
     # -- statistics ----------------------------------------------------------------
@@ -1144,17 +1119,9 @@ class GzipChunkFetcher:
         return {
             "mode": self.mode,
             "backend": self.backend,
-            "decoder": self.decoder,
-            # Batched-kernel pass attribution (zeros unless the batched
-            # tier ran); worker-process contributions arrive through the
-            # outcome merge, thread-backend ones through the task drain.
-            "kernel": {
-                name: self.telemetry.metrics.counter(f"decode.{name}").value
-                for name in (
-                    "batched_pass1_ns", "batched_pass2_ns",
-                    "batched_copy_bytes",
-                )
-            },
+            # The one block-decode kernel; kept because recorded benchmark
+            # rows carry the field.
+            "decoder": "fused",
             "memory": memory,
             "encoding": {
                 "catalog_detected": self.catalog is not None,

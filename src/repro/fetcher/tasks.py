@@ -35,7 +35,6 @@ import multiprocessing
 from dataclasses import dataclass, field
 
 from .. import faults
-from ..deflate import publish_kernel_stats
 from ..errors import FormatError, UsageError
 from ..io import FileReader, MemoryFileReader, StandardFileReader
 from ..telemetry import Telemetry
@@ -179,9 +178,6 @@ class ChunkTaskSpec:
     # active FaultInjector (or None) — travels with the task so chunk
     # faults fire in whichever process actually decodes the chunk
     faults: object = None
-    # block-decode kernel for the Deflate paths ("fused"/"batched"/
-    # "legacy"; None lets the worker resolve $REPRO_DECODER itself)
-    decoder: str = None
     # telemetry plumbing (trace_origin doubles as the event-log origin
     # when tracing is off but event logging is on)
     trace: bool = False
@@ -253,10 +249,6 @@ def execute_chunk_task(spec: ChunkTaskSpec) -> RemoteChunkOutcome:
                 attempt=spec.attempt, error=repr(error),
             )
         result = None
-    # Batched-kernel pass timings accumulate thread-locally inside the
-    # kernels; fold them into this task's metrics so they ride the
-    # outcome's export_state back to the parent (success or reject).
-    publish_kernel_stats(telemetry.metrics, recorder, spec.chunk_id)
     return RemoteChunkOutcome(
         result=result,
         metrics=telemetry.metrics.export_state(),
@@ -275,7 +267,6 @@ def _decode_for_spec(spec: ChunkTaskSpec, reader, telemetry) -> ChunkResult:
                 spec.window,
                 max_output=spec.max_output,
                 split_output=spec.split_output,
-                decoder=spec.decoder,
             )
         return speculative_decode(
             reader,
@@ -285,7 +276,6 @@ def _decode_for_spec(spec: ChunkTaskSpec, reader, telemetry) -> ChunkResult:
             max_output=spec.max_output,
             split_output=spec.split_output,
             telemetry=telemetry,
-            decoder=spec.decoder,
         )
     if spec.mode == "index":
         # Counted child-side (it merges into the parent's registry with
@@ -299,7 +289,6 @@ def _decode_for_spec(spec: ChunkTaskSpec, reader, telemetry) -> ChunkResult:
             expected_size=spec.expected_size,
             is_last=spec.is_last,
             max_output=spec.max_output,
-            decoder=spec.decoder,
             next_window=spec.next_window,
         )
     if spec.mode == "bgzf":

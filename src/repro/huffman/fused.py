@@ -45,9 +45,8 @@ Entry packing (literal/length table)::
 
     Invalid prefixes are *control* entries, not zero entries: every
     emission entry therefore consumes at least one bit, so the kernels'
-    literal fast path — including the batched kernel's chained lookups —
-    needs no per-symbol validity branch; the control path rejects
-    payload 1 instead.
+    literal fast path needs no per-symbol validity branch; the control
+    path rejects payload 1 instead.
 
 Entry packing (distance table)::
 

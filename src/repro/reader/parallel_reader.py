@@ -93,7 +93,6 @@ class ParallelGzipReader:
         trace: bool = False,
         events: bool = False,
         telemetry: Telemetry = None,
-        decoder: str = None,
         max_memory=None,
         spill_dir=None,
         metrics_port: int = None,
@@ -164,14 +163,6 @@ class ParallelGzipReader:
         ``max_retries`` bounds the fetcher's per-chunk retry ladder and
         ``chunk_timeout`` (seconds) turns a hung chunk decode into a
         retryable timeout (also arming the process pool's watchdog).
-
-        ``decoder`` selects the Deflate block-decode kernel: ``"fused"``
-        (default, the table-fused fast loops), ``"batched"`` (two-pass:
-        resolve symbols scalar, materialize output vectorized — fastest
-        on literal-heavy data), or ``"legacy"`` (the symbol-at-a-time
-        reference loops); ``None`` resolves ``$REPRO_DECODER``. All
-        produce byte-identical output — the knob exists for benchmarking
-        and as an escape hatch.
 
         ``trace=True`` records chunk-lifecycle spans for the whole pipeline
         (reader, fetcher, pool workers, block finders); export them with
@@ -291,7 +282,6 @@ class ParallelGzipReader:
                 max_retries=max_retries,
                 chunk_timeout=chunk_timeout,
                 telemetry=self.telemetry,
-                decoder=decoder,
                 governor=self._governor,
             )
 

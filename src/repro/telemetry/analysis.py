@@ -249,8 +249,6 @@ def attribute_reads(trace_events, event_records=None) -> dict:
                     "stages": {stage: seconds}, "attributed_fraction"}],
          "totals": {"read_wall_seconds", "stages", "stage_fractions",
                     "attributed_fraction", "reads", "bottleneck"},
-         "kernel": {... batched pass-1/pass-2 split, when the batched
-                    decoder ran and left chunk.kernel_passes instants ...},
          "events": {... event-log digest, when records were given ...},
          "advice": [...]}
 
@@ -304,19 +302,6 @@ def attribute_reads(trace_events, event_records=None) -> dict:
                     overlaps.append((max(start, lo), min(end, hi)))
             if overlaps:
                 net_by_chunk[chunk] = _merge(overlaps)
-
-    # Batched-kernel pass split: the kernels drop one instant per decoded
-    # chunk; summed here they divide worker decode time into symbol
-    # resolution (pass 1) and vectorized materialization (pass 2).
-    kernel_totals = {
-        "batched_pass1_ns": 0, "batched_pass2_ns": 0, "batched_copy_bytes": 0
-    }
-    kernel_chunks = 0
-    for event in trace_events:
-        if event.get("name") == "chunk.kernel_passes":
-            kernel_chunks += 1
-            for key in kernel_totals:
-                kernel_totals[key] += event.get("args", {}).get(key, 0)
 
     report_reads = []
     totals = {stage: 0.0 for stage in READ_STAGES}
@@ -446,13 +431,6 @@ def attribute_reads(trace_events, event_records=None) -> dict:
         },
         "advice": [_ADVICE[bottleneck]] if bottleneck else [],
     }
-    if kernel_chunks:
-        report["kernel"] = {
-            "chunks": kernel_chunks,
-            "batched_pass1_seconds": kernel_totals["batched_pass1_ns"] / 1e9,
-            "batched_pass2_seconds": kernel_totals["batched_pass2_ns"] / 1e9,
-            "batched_copy_bytes": kernel_totals["batched_copy_bytes"],
-        }
     if event_records is not None:
         report["events"] = _digest_events(event_records)
     return report
@@ -511,15 +489,6 @@ def format_explain(report: dict) -> list:
     if bottleneck:
         share = 100.0 * fractions.get(bottleneck, 0.0)
         say(f"bottleneck: reads spent {share:.0f}% in {bottleneck}")
-    kernel = report.get("kernel")
-    if kernel:
-        pass1 = kernel.get("batched_pass1_seconds", 0.0)
-        pass2 = kernel.get("batched_pass2_seconds", 0.0)
-        copied = kernel.get("batched_copy_bytes", 0)
-        say(f"batched kernel ({kernel.get('chunks', 0)} chunk(s)): "
-            f"pass 1 (resolve) {pass1:.3f} s, "
-            f"pass 2 (materialize) {pass2:.3f} s, "
-            f"{copied / 1e6:.1f} MB match copies")
     for advice in report.get("advice", []):
         say(f"hint: {advice}")
     events = report.get("events")

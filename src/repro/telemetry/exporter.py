@@ -44,7 +44,9 @@ __all__ = [
 ]
 
 #: Stamped into ``/stats`` and ``/series`` payloads; bump on shape change.
-STATS_SCHEMA = 3  # 3: added the "index" section (persistent index cache)
+#: 3: added the "index" section (persistent index cache);
+#: 4: removed the "kernel" section (one block-decode kernel).
+STATS_SCHEMA = 4
 
 
 def sanitize_metric_name(name: str) -> str:

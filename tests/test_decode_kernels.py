@@ -1,12 +1,11 @@
-"""Differential tests for the fused and batched Deflate decode kernels.
+"""Differential tests for the fused Deflate decode kernels.
 
-The fast kernels (``repro.deflate.kernels``) must be byte-for-byte
-interchangeable with the legacy loops — and with zlib wherever a complete
-stream is decoded — in every mode: conventional decode, two-stage
-(marker) decode including the exact marker symbols, error behavior on
-truncated input, and through the fetcher/reader pipeline. Every
-differential is parametrized over the full decoder matrix
-(``fused``/``batched``/``legacy``).
+The fused kernels (``repro.deflate.kernels``) must be byte-for-byte
+interchangeable with the bounds-checked reference loops (tier name
+``legacy``) — and with zlib wherever a complete stream is decoded — in
+every mode: conventional decode, two-stage (marker) decode including the
+exact marker symbols, and error behavior on truncated input. Every
+differential is parametrized over both tiers.
 """
 
 import gzip as stdlib_gzip
@@ -17,15 +16,9 @@ import zlib
 import pytest
 
 from repro.datagen import generate_base64, generate_fastq, generate_silesia_like
-from repro.deflate import (
-    DECODER_NAMES,
-    TwoStageStreamDecoder,
-    inflate,
-    read_block_header,
-    resolve_decoder,
-)
+from repro.deflate import TwoStageStreamDecoder, inflate, read_block_header
 from repro.deflate.kernels import block_decoders
-from repro.errors import DeflateError, FormatError, ReproError, UsageError
+from repro.errors import DeflateError, ReproError, UsageError
 from repro.huffman import (
     CONTROL_FLAG,
     EMIT_PAIR_OFFSET,
@@ -40,8 +33,7 @@ from .deflate_writer_util import (
     encode_fixed_block_with_match,
 )
 
-DECODERS = DECODER_NAMES  # ("fused", "batched", "legacy")
-FAST_DECODERS = ("fused", "batched")  # kernels with a legacy referee
+DECODERS = ("fused", "legacy")  # the kernels and their reference loops
 
 
 def raw_deflate(data: bytes, level: int = 6, zdict: bytes = None) -> bytes:
@@ -86,25 +78,24 @@ class TestConventionalDifferential:
     def test_kernels_match_legacy_and_zlib(self, name, level):
         data = CORPORA[name]
         compressed = raw_deflate(data, level)
-        results = {dec: inflate(compressed, decoder=dec) for dec in DECODERS}
-        legacy = results["legacy"]
+        fused = inflate(compressed, decoder="fused")
+        legacy = inflate(compressed, decoder="legacy")
         assert legacy.data == data  # zlib round-trip referee
-        for dec in FAST_DECODERS:
-            assert results[dec].data == legacy.data, dec
-            assert results[dec].end_bit_offset == legacy.end_bit_offset, dec
-            assert [
-                (b.bit_offset, b.output_offset, b.block_type, b.is_final)
-                for b in results[dec].boundaries
-            ] == [
-                (b.bit_offset, b.output_offset, b.block_type, b.is_final)
-                for b in legacy.boundaries
-            ], dec
+        assert fused.data == legacy.data
+        assert fused.end_bit_offset == legacy.end_bit_offset
+        assert [
+            (b.bit_offset, b.output_offset, b.block_type, b.is_final)
+            for b in fused.boundaries
+        ] == [
+            (b.bit_offset, b.output_offset, b.block_type, b.is_final)
+            for b in legacy.boundaries
+        ]
 
-    @pytest.mark.parametrize("decoder", FAST_DECODERS)
+    @pytest.mark.parametrize("decoder", DECODERS)
     @pytest.mark.parametrize("level", [0, 6])
     def test_stored_blocks(self, decoder, level):
-        # level 0 produces stored blocks; the fast entry points must route
-        # them through the legacy loop untouched.
+        # level 0 produces stored blocks; the fused entry points must route
+        # them through the reference loop untouched.
         data = CORPORA["silesia"]
         compressed = raw_deflate(data, level)
         assert inflate(compressed, decoder=decoder).data == data
@@ -117,8 +108,7 @@ class TestConventionalDifferential:
     @pytest.mark.parametrize("decoder", DECODERS)
     @pytest.mark.parametrize("distance", list(range(1, 9)))
     def test_overlapping_copy_distances(self, decoder, distance):
-        # Overlapping matches (distance < length) exercise the batched
-        # kernel's repeat-trick copy at every small period.
+        # Overlapping matches (distance < length) at every small period.
         prefix = bytes(range(97, 97 + distance))
         compressed = encode_fixed_block_with_match(
             distance, length=29, prefix=prefix
@@ -139,7 +129,7 @@ class TestConventionalDifferential:
         with pytest.raises(DeflateError):
             inflate(compressed, max_size=1000, decoder=decoder)
 
-    @pytest.mark.parametrize("decoder", FAST_DECODERS)
+    @pytest.mark.parametrize("decoder", DECODERS)
     @pytest.mark.parametrize("level", [1, 6])
     def test_random_small_inputs(self, decoder, level):
         rng = random.Random(4321)
@@ -151,7 +141,7 @@ class TestConventionalDifferential:
 
 
 class TestMarkerModeDifferential:
-    @pytest.mark.parametrize("decoder", FAST_DECODERS)
+    @pytest.mark.parametrize("decoder", ["fused"])  # vs the legacy tier
     @pytest.mark.parametrize("name", ["base64", "silesia", "rle", "pairs"])
     def test_symbol_streams_identical(self, decoder, name):
         compressed = raw_deflate(CORPORA[name], 6)
@@ -185,8 +175,7 @@ class TestMarkerModeDifferential:
     @pytest.mark.parametrize("distance", [1, 2, 3, 5, 8])
     def test_overlapping_copies_into_marker_window(self, decoder, distance):
         # A match at the very start of a windowless chunk copies *marker*
-        # symbols with a small period — the taint-tracking path of the
-        # batched u16 materializer.
+        # symbols with a small period — the taint-tracking path.
         prefix = bytes(range(65, 65 + distance))
         compressed = encode_fixed_block_with_match(
             distance, length=17, prefix=prefix
@@ -216,13 +205,12 @@ class TestTruncationParity:
                 except ReproError as error:
                     outcomes[dec] = ("error", type(error).__name__)
             assert outcomes["fused"] == outcomes["legacy"], cut
-            assert outcomes["batched"] == outcomes["legacy"], cut
 
-    @pytest.mark.parametrize("decoder", FAST_DECODERS)
+    @pytest.mark.parametrize("decoder", DECODERS)
     def test_exact_eof_tail(self, decoder):
-        # Streams ending within the kernels' EOF refill zones (48 bits
-        # fused, 78 bits batched) delegate to the legacy tail loops —
-        # outputs must still be complete and identical.
+        # Streams ending within the fused kernels' 48-bit EOF refill zone
+        # delegate to the reference tail loops — outputs must still be
+        # complete and identical.
         for size in (1, 7, 64, 257, 4096):
             data = b"z" * size
             compressed = raw_deflate(data, 6)
@@ -272,38 +260,7 @@ class TestFusedTables:
 
 
 class TestDecoderSelection:
-    def test_resolve_defaults_to_fused(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DECODER", raising=False)
-        assert resolve_decoder(None) == "fused"
-        assert resolve_decoder("auto") == "fused"
-
-    @pytest.mark.parametrize("decoder", DECODERS)
-    def test_resolve_env_override(self, monkeypatch, decoder):
-        monkeypatch.setenv("REPRO_DECODER", decoder)
-        assert resolve_decoder(None) == decoder
-        assert resolve_decoder("fused") == "fused"  # explicit beats env
-
-    def test_resolve_rejects_unknown(self):
-        with pytest.raises(UsageError) as excinfo:
-            resolve_decoder("turbo")
-        # The error must enumerate every valid tier.
-        for name in DECODER_NAMES:
-            assert name in str(excinfo.value)
-
-    def test_resolve_rejects_unknown_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DECODER", "turbo")
-        with pytest.raises(UsageError):
-            resolve_decoder(None)
-
-    def test_cli_rejects_unknown_decoder(self, capsys):
-        from repro.cli import build_parser
-
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["file.gz", "--decoder", "turbo"])
-        assert excinfo.value.code == 2
-        stderr = capsys.readouterr().err
-        for name in DECODER_NAMES:
-            assert name in stderr
+    """The tier is chosen only at the ``repro.deflate`` driver level."""
 
     def test_block_decoders_pairs(self):
         from repro.deflate.block import (
@@ -311,96 +268,35 @@ class TestDecoderSelection:
             decode_block_two_stage,
         )
         from repro.deflate.kernels import (
-            decode_block_into_bytearray_batched,
             decode_block_into_bytearray_fused,
-            decode_block_two_stage_batched,
             decode_block_two_stage_fused,
         )
 
+        assert block_decoders() == block_decoders("fused") == (
+            decode_block_into_bytearray_fused,
+            decode_block_two_stage_fused,
+        )
         assert block_decoders("legacy") == (
             decode_block_into_bytearray,
             decode_block_two_stage,
         )
-        assert block_decoders("fused") == (
-            decode_block_into_bytearray_fused,
-            decode_block_two_stage_fused,
-        )
-        assert block_decoders("batched") == (
-            decode_block_into_bytearray_batched,
-            decode_block_two_stage_batched,
-        )
-
-
-class TestPipelineParity:
-    @pytest.mark.parametrize("decoder", DECODERS)
-    def test_parallel_reader_search_mode(self, decoder):
-        from repro.reader import decompress_parallel
-
-        data = generate_silesia_like(700_000, seed=21)
-        blob = stdlib_gzip.compress(data, 6)
-        out = decompress_parallel(
-            io.BytesIO(blob),
-            parallelization=2,
-            chunk_size=128 * 1024,
-            decoder=decoder,
-        )
-        assert out == data
+        with pytest.raises(UsageError):
+            block_decoders("turbo")
 
     @pytest.mark.parametrize("backend", ["threads", "processes"])
-    def test_parallel_reader_batched_backends(self, backend):
-        from repro.reader import decompress_parallel
-
-        data = generate_base64(400_000, seed=22)
-        blob = stdlib_gzip.compress(data, 6)
-        out = decompress_parallel(
-            io.BytesIO(blob),
-            parallelization=2,
-            chunk_size=128 * 1024,
-            backend=backend,
-            decoder="batched",
-        )
-        assert out == data
-
-    @pytest.mark.parametrize("decoder", DECODERS)
-    def test_fetcher_statistics_report_decoder(self, decoder):
-        from repro.fetcher import GzipChunkFetcher
-
-        blob = stdlib_gzip.compress(generate_base64(200_000, seed=5), 6)
-        fetcher = GzipChunkFetcher(
-            io.BytesIO(blob), chunk_size=64 * 1024, decoder=decoder
-        )
-        try:
-            stats = fetcher.statistics()
-            assert stats["decoder"] == decoder
-            assert set(stats["kernel"]) == {
-                "batched_pass1_ns", "batched_pass2_ns", "batched_copy_bytes"
-            }
-        finally:
-            fetcher.close()
-
-    def test_batched_kernel_counters_populate(self):
+    def test_reader_ignores_repro_decoder_env(self, monkeypatch, backend):
+        # The variable used to select (and validate) a kernel tier, in the
+        # parent and in worker processes; nothing reads it any more.
         from repro.reader import ParallelGzipReader
 
-        data = generate_base64(300_000, seed=8)
+        monkeypatch.setenv("REPRO_DECODER", "turbo")
+        data = generate_silesia_like(400_000, seed=21)
         blob = stdlib_gzip.compress(data, 6)
         with ParallelGzipReader(
-            io.BytesIO(blob), parallelization=2, chunk_size=64 * 1024,
-            decoder="batched",
+            io.BytesIO(blob), parallelization=2, chunk_size=128 * 1024,
+            backend=backend,
         ) as reader:
             assert reader.read() == data
-            kernel = reader.statistics()["kernel"]
-        assert kernel["batched_pass1_ns"] > 0
-        assert kernel["batched_pass2_ns"] > 0
-
-    def test_spec_carries_decoder(self):
-        from repro.fetcher import GzipChunkFetcher
-
-        blob = stdlib_gzip.compress(generate_base64(120_000, seed=6), 6)
-        fetcher = GzipChunkFetcher(
-            io.BytesIO(blob), chunk_size=64 * 1024, decoder="legacy"
-        )
-        try:
-            spec = fetcher._spec_for_id(0)
-            assert spec.decoder == "legacy"
-        finally:
-            fetcher.close()
+            stats = reader.statistics()
+        assert stats["decoder"] == "fused"
+        assert "kernel" not in stats

@@ -152,8 +152,10 @@ class TestPicklability:
     def test_chunk_payload_round_trip_with_markers(self):
         payload = ChunkPayload()
         payload.append_bytes(b"resolved prefix")
-        payload.append_symbols(
-            [MARKER_FLAG + 5, 65, MARKER_FLAG + 32767, 66]
+        payload.append_symbol_bytes(
+            np.array(
+                [MARKER_FLAG + 5, 65, MARKER_FLAG + 32767, 66], dtype="<u2"
+            ).tobytes()
         )
         clone = pickle.loads(pickle.dumps(payload))
         assert clone.length == payload.length
@@ -171,7 +173,9 @@ class TestPicklability:
 
     def test_chunk_result_round_trip(self):
         payload = ChunkPayload()
-        payload.append_symbols([MARKER_FLAG, 70, 71])
+        payload.append_symbol_bytes(
+            np.array([MARKER_FLAG, 70, 71], dtype="<u2").tobytes()
+        )
         result = ChunkResult(
             start_bit=800,
             end_bit=1600,

@@ -16,7 +16,7 @@ from repro.deflate import (
     pad_window,
     read_block_header,
     replace_markers,
-    seed_marker_window,
+    seed_marker_window_u16,
 )
 from repro.errors import DeflateError
 from repro.io import BitReader
@@ -68,10 +68,12 @@ class TestMarkerReplacement:
         assert pad_window(big) == big[-MAX_WINDOW_SIZE:]
 
     def test_seed_marker_window(self):
-        seed = seed_marker_window()
-        assert len(seed) == MAX_WINDOW_SIZE
-        assert seed[0] == MARKER_FLAG
-        assert seed[-1] == MARKER_FLAG | (MAX_WINDOW_SIZE - 1)
+        seed = seed_marker_window_u16()
+        assert isinstance(seed, bytearray)  # a fresh, extendable copy
+        symbols = np.frombuffer(seed, dtype="<u2")
+        assert len(symbols) == MAX_WINDOW_SIZE
+        assert symbols[0] == MARKER_FLAG
+        assert symbols[-1] == MARKER_FLAG | (MAX_WINDOW_SIZE - 1)
 
 
 class TestTwoStageDecoding:
@@ -167,6 +169,20 @@ class TestTwoStageDecoding:
         compressed = raw_deflate(b"y" * 200000)
         with pytest.raises(DeflateError):
             two_stage_decode_stream(compressed, max_size=1024)
+
+    @pytest.mark.parametrize("window", [None, b""], ids=["marker", "known"])
+    def test_max_size_trips_inside_a_single_block(self, window):
+        # zlib packs ~8 MiB of zeros into one Deflate block, which cannot
+        # be split: the limit must fire inside it, at most one match
+        # (258 symbols) late, not after the whole block is in memory.
+        compressor = zlib.compressobj(9, zlib.DEFLATED, -15, 9)
+        compressed = compressor.compress(bytes(16 << 20)) + compressor.flush()
+        limit = 1 << 20
+        decoder = TwoStageStreamDecoder(window=window, max_size=limit)
+        with pytest.raises(DeflateError):
+            decoder.read_and_decode_block(BitReader(compressed))
+        assert decoder.in_marker_mode == (window is None)
+        assert limit < decoder.produced <= limit + 258
 
     def test_boundaries_recorded(self):
         rng = random.Random(3)
