@@ -18,9 +18,9 @@ class CombinedBlockFinder(BlockFinder):
     already cleared.
     """
 
-    def __init__(self, source, counter: dict = None, *, find_uncompressed: bool = True):
+    def __init__(self, source, counter: dict = None):
         self.dynamic = VectorizedDynamicBlockFinder(source, counter=counter)
-        self.uncompressed = UncompressedBlockFinder(source) if find_uncompressed else None
+        self.uncompressed = UncompressedBlockFinder(source)
         self._cached_dynamic = None  # (queried offset, until, result)
         self._cached_nc = None
 
@@ -44,8 +44,6 @@ class CombinedBlockFinder(BlockFinder):
         return result
 
     def _next_nc(self, bit_offset: int, until):
-        if self.uncompressed is None:
-            return None
         hit, cached = self._lookup(self._cached_nc, bit_offset, until)
         if hit:
             return cached

@@ -23,12 +23,18 @@ or process interleaving. Exactly-once faults across *processes* (e.g.
 "kill one worker, then let the retry pass") use ``once_token``, a
 filesystem path claimed atomically by the first firing.
 
-The injector travels to worker processes inside each
+``chunk.decode`` fires exactly once per chunk decode on every backend
+and rung — speculative or on demand, pool thread, worker process or the
+serial rung — because they all run the one task body
+(:func:`~repro.fetcher.tasks.run_chunk_task`); ``attempt`` is 0 for the
+speculative prefetch and counts the retry ladder's rungs from 1. The
+injector travels to worker processes inside each
 :class:`~repro.fetcher.tasks.ChunkTaskSpec` (and is inherited
 copy-on-write by forked workers), so chunk-level faults fire in the
 worker that actually decodes the chunk. ``kill`` in a *parent* process
-(thread backend) degrades to raising :class:`WorkerCrashedError` — the
-same signal, without taking down the caller.
+(thread backend, serial rung) degrades to raising
+:class:`WorkerCrashedError` — the same signal, without taking down the
+caller.
 
 **Network I/O faults.** The ``io.pread`` site fires inside
 :class:`~repro.io.remote.ResilientFileReader` before *every* read
@@ -78,8 +84,8 @@ __all__ = [
 
 #: Hook sites the pipeline currently exposes.
 SITES = (
-    "chunk.decode",  # chunk task body (worker thread or worker process)
-    "chunk.on_demand",  # serial in-process fallback decode
+    "chunk.decode",  # the chunk task body, wherever it runs
+    "chunk.on_demand",  # the ladder's serial rung, before its decode
     "worker.task",  # process-pool child, before executing any task
     "index.load",  # persistent index import (store.load_index)
     "index.window",  # seek-point window validation/inflation

@@ -223,7 +223,6 @@ def speculative_decode(
     chunk_index: int,
     chunk_size: int,
     *,
-    find_uncompressed: bool = True,
     max_output: int = None,
     split_output: int = None,
     max_candidates: int = 32 * 1024,
@@ -245,9 +244,7 @@ def speculative_decode(
     lifecycle = telemetry.events if telemetry is not None else None
     search_from = chunk_index * chunk_size * 8
     stop_bit = (chunk_index + 1) * chunk_size * 8
-    finder = CombinedBlockFinder(
-        file_reader.clone(), find_uncompressed=find_uncompressed
-    )
+    finder = CombinedBlockFinder(file_reader.clone())
     if lifecycle is not None and lifecycle.enabled:
         lifecycle.emit("block-find", chunk=chunk_index)
     if recorder is not None and recorder.enabled:
@@ -522,12 +519,10 @@ def decode_index_chunk(
     """Decode one index-interval chunk: zlib fast path, our decoder as
     fallback (paper §3.3).
 
-    Shared by the fetcher's thread tasks and the process backend's child
-    entry point, so both backends decode index chunks identically. Streams
-    the shifted-buffer zlib path cannot cleanly cut (unaligned stored
-    blocks, member boundaries flush-aligned oddly, a tail that fails to
-    reproduce ``next_window``) fall back to the two-stage decoder in
-    conventional mode, which is bit-exact by construction.
+    Streams the shifted-buffer zlib path cannot cleanly cut (unaligned
+    stored blocks, member boundaries flush-aligned oddly, a tail that
+    fails to reproduce ``next_window``) fall back to the two-stage decoder
+    in conventional mode, which is bit-exact by construction.
     """
     try:
         result = zlib_decode_range(

@@ -20,6 +20,18 @@ chosen at construction:
   balanced workloads, bounded memory — §3.3).
 * ``bgzf`` — the file is BGZF: member offsets come from header metadata and
   members decode independently (§3.4.4).
+
+Whatever the mode, the priority (speculative prefetch or on-demand) and
+the backend, a decode is one :class:`~repro.fetcher.tasks.ChunkTaskSpec`
+filled by :meth:`GzipChunkFetcher._spec_for` and run by
+:func:`~repro.fetcher.tasks.run_chunk_task`. Backends differ only in
+pool and shipping: threads and the serial rung call that body with the
+live reader and telemetry, processes ship the spec to
+:func:`~repro.fetcher.tasks.execute_chunk_task`. The one decode that
+stays here is :meth:`GzipChunkFetcher._decode_index_fallback`, which
+needs the whole index: filling the spec of a chunk whose lazily validated
+window is damaged raises, speculation skips the chunk, and the
+consumer's request runs the fallback in the parent.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ import threading
 from concurrent.futures import CancelledError
 
 from .. import faults
-from ..cache import FetchNextAdaptive, LRUCache, MemoryGovernor, parse_size
+from ..cache import FetchNextAdaptive, LRUCache, MemoryGovernor
 from ..errors import (
     ChunkDecodeError,
     FormatError,
@@ -49,20 +61,14 @@ from ..pool import (
 )
 from ..telemetry import Telemetry
 from .block_map import ChunkExtent
-from .decode import (
-    ChunkResult,
-    StreamEvent,
-    decode_bgzf_members,
-    decode_chunk_range,
-    decode_index_chunk,
-    speculative_decode,
-)
+from .decode import ChunkResult, StreamEvent, decode_chunk_range
 from .tasks import (
     ChunkTaskSpec,
     RemoteChunkOutcome,
     execute_chunk_task,
     make_reader_recipe,
     release_inherited_source,
+    run_chunk_task,
 )
 
 __all__ = ["GzipChunkFetcher", "DEFAULT_CHUNK_SIZE"]
@@ -90,7 +96,6 @@ class GzipChunkFetcher:
         parallelization: int = 1,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         strategy=None,
-        find_uncompressed: bool = True,
         max_chunk_output: int = None,
         index=None,
         prefetch_cache_size: int = None,
@@ -100,7 +105,6 @@ class GzipChunkFetcher:
         max_retries: int = 2,
         chunk_timeout: float = None,
         telemetry: Telemetry = None,
-        max_memory=None,
         governor: MemoryGovernor = None,
     ):
         if parallelization < 1:
@@ -115,18 +119,12 @@ class GzipChunkFetcher:
         self.parallelization = parallelization
         self.chunk_size = chunk_size
         self.strategy = strategy or FetchNextAdaptive()
-        self.find_uncompressed = find_uncompressed
         self.max_chunk_output = max_chunk_output
         self.telemetry = telemetry if telemetry is not None else Telemetry()
 
-        # Memory governance: a shared governor (usually handed down by the
-        # reader so its materialized-bytes cache shares the same budget)
-        # or one built here from ``max_memory``. Without either, all byte
-        # accounting stays dormant and behavior is exactly as before.
-        if governor is None and max_memory is not None:
-            governor = MemoryGovernor(
-                parse_size(max_memory), telemetry=self.telemetry
-            )
+        # Memory governance: a governor shared with the reader, so its
+        # materialized-bytes cache draws on the same budget. Without one,
+        # all byte accounting stays dormant.
         self.governor = governor
         budget = governor.budget if governor is not None else None
         # Per-chunk decompressed ceiling: workers stop at a Deflate block
@@ -235,7 +233,6 @@ class GzipChunkFetcher:
             "fetcher.ladder_pool_unavailable"
         )
         self._index_fallbacks = metrics.counter("index.fallbacks")
-        self._index_chunks = metrics.counter("decode.index_chunks")
         #: Hook the reader installs to account an index-window fallback
         #: (damage record + lifecycle event); called as (chunk_id, error).
         self.on_index_fallback = None
@@ -331,7 +328,7 @@ class GzipChunkFetcher:
             return len(self._index)
         return len(self._bgzf_groups)
 
-    # -- task bodies -------------------------------------------------------------
+    # -- task specs ----------------------------------------------------------------
 
     def _known(self, start_bit: int):
         """``(start_bit, extent)`` when search mode knows the extent of
@@ -341,44 +338,6 @@ class GzipChunkFetcher:
             return None
         extent = self.known_extent(start_bit)
         return None if extent is None else (start_bit, extent)
-
-    def _task_for_id(self, chunk_id: int, known=None):
-        if known is not None:
-            return self._decode_extent(*known)
-        if self.mode == "search":
-            return speculative_decode(
-                self.file_reader,
-                chunk_id,
-                self.chunk_size,
-                find_uncompressed=self.find_uncompressed,
-                max_output=self.max_chunk_output,
-                split_output=self.chunk_split_size,
-                telemetry=self.telemetry,
-            )
-        if self.mode == "index":
-            return self._decode_index_chunk(chunk_id)
-        members, end = self._bgzf_groups[chunk_id]
-        return decode_bgzf_members(self.file_reader, members, end)
-
-    def _run_chunk_task(self, chunk_id: int, kind: str, attempt: int = 0,
-                        known=None):
-        """Task body with a lifecycle span on the executing thread.
-
-        ``known`` is :meth:`_known`'s pair for a search-mode chunk whose
-        extent the reader has chained; it decodes as an index chunk.
-        """
-        mode = "index" if known is not None else self.mode
-        with self.telemetry.recorder.span(
-            "chunk.decode", chunk_id=chunk_id, mode=mode, kind=kind,
-            attempt=attempt,
-        ):
-            events = self.telemetry.events
-            if events.enabled and mode != "search":
-                # Search mode emits block-find/decode inside the
-                # speculative body, where the phases actually separate.
-                events.emit("decode", chunk=chunk_id, mode=mode, kind=kind)
-            faults.fire("chunk.decode", chunk_id=chunk_id, attempt=attempt)
-            return self._task_for_id(chunk_id, known)
 
     def _index_bounds(self, chunk_id: int):
         """(start_bit, end_bit, expected_size, is_last) for an index chunk."""
@@ -415,29 +374,6 @@ class GzipChunkFetcher:
         return point.compressed_bit_offset, ChunkExtent(
             end_bit, expected, window_bytes(point.window),
             self._next_window_for(chunk_id), is_last,
-        )
-
-    def _decode_index_chunk(self, chunk_id: int) -> ChunkResult:
-        try:
-            start_bit, extent = self._index_extent(chunk_id)
-        except IndexIntegrityError as error:
-            return self._decode_index_fallback(chunk_id, error)
-        return self._decode_extent(start_bit, extent)
-
-    def _decode_extent(self, start_bit: int,
-                       extent: ChunkExtent) -> ChunkResult:
-        """Checked zlib delegation of one chunk of known extent: an index
-        interval, or in search mode a chunk the reader has chained."""
-        self._index_chunks.increment()
-        return decode_index_chunk(
-            self.file_reader,
-            start_bit,
-            extent.end_bit,
-            extent.window,
-            expected_size=extent.length,
-            is_last=extent.is_last,
-            max_output=self.max_chunk_output,
-            next_window=extent.next_window,
         )
 
     def _decode_index_fallback(self, chunk_id: int,
@@ -517,21 +453,24 @@ class GzipChunkFetcher:
             ),
         )
 
-    def _spec_for_id(self, chunk_id: int, attempt: int = 0,
-                     exact=None, known=None) -> ChunkTaskSpec:
-        """Picklable description of one chunk task, for the process pool.
+    def _spec_for(self, chunk_id: int, attempt: int = 0,
+                  exact=None, known=None) -> ChunkTaskSpec:
+        """The one description of a chunk decode, whatever the backend.
 
         ``exact`` (search mode only) is ``(start_bit, window)``: instead
-        of searching, the worker decodes exactly from that offset — the
-        retry ladder's pool-resubmission rung. ``known`` (search mode
-        only) is :meth:`_known`'s pair and wins over both: the worker
-        gets the same ``index`` task an index chunk is.
+        of searching, decode exactly from that offset — the on-demand
+        request. ``known`` (search mode only) is :meth:`_known`'s pair
+        and wins over it: the same ``index`` task an index chunk is.
+        Raises :class:`IndexIntegrityError` for an index chunk whose
+        lazily validated window turns out damaged; only
+        :meth:`_decode_index_fallback` can decode that one.
         """
         spec = ChunkTaskSpec(
             recipe=self._recipe,
             mode=self.mode,
             chunk_id=chunk_id,
             attempt=attempt,
+            max_output=self.max_chunk_output,
             faults=faults.active(),
             trace=self.telemetry.tracing,
             trace_origin=self.telemetry.recorder.origin,
@@ -545,22 +484,12 @@ class GzipChunkFetcher:
             known = self._index_extent(chunk_id)
         if known is not None:
             spec.mode = "index"
-            spec.start_bit, extent = known
-            spec.end_bit = extent.end_bit
-            spec.window = extent.window
-            spec.expected_size = extent.length
-            spec.is_last = extent.is_last
-            spec.max_output = self.max_chunk_output
-            spec.next_window = extent.next_window
+            spec.start_bit, spec.extent = known
         elif self.mode == "search":
             spec.chunk_size = self.chunk_size
-            spec.find_uncompressed = self.find_uncompressed
-            spec.max_output = self.max_chunk_output
             spec.split_output = self.chunk_split_size
             if exact is not None:
-                spec.exact = True
                 spec.start_bit, spec.window = exact
-                spec.end_bit = (chunk_id + 1) * self.chunk_size * 8
         else:
             members, end = self._bgzf_groups[chunk_id]
             spec.member_offsets = tuple(members)
@@ -572,9 +501,9 @@ class GzipChunkFetcher:
     def _absorb(self, outcome):
         """Unwrap a future's value; fold remote telemetry into ours.
 
-        Thread futures carry the :class:`ChunkResult` directly; process
-        futures carry a :class:`RemoteChunkOutcome` whose metrics and
-        trace events the worker accumulated in its own address space.
+        Thread futures carry :func:`run_chunk_task`'s value directly;
+        process futures carry a :class:`RemoteChunkOutcome` whose metrics
+        and trace events the worker accumulated in its own address space.
         """
         if isinstance(outcome, RemoteChunkOutcome):
             if outcome.metrics:
@@ -610,7 +539,6 @@ class GzipChunkFetcher:
             if reserved and self.governor is not None:
                 self.governor.discharge("in_flight", reserved)
             crashed = False
-            classified = False
             try:
                 result = self._absorb(future.result())
             except CancelledError:
@@ -624,20 +552,6 @@ class GzipChunkFetcher:
                 if events.enabled:
                     events.emit("shed", chunk=chunk_id)
                 continue
-            except FormatError as error:
-                # Thread-backend speculative reject (process workers
-                # fold theirs child-side): counted + traced, with the
-                # chunk context that used to be dropped.
-                self._speculative_rejects.increment()
-                if recorder.enabled:
-                    recorder.instant(
-                        "chunk.speculative_reject", chunk_id=chunk_id,
-                        error=repr(error),
-                    )
-                if events.enabled:
-                    events.emit("rejected", chunk=chunk_id)
-                classified = True
-                result = None
             except WorkerCrashedError as error:
                 self._worker_crashes.increment()
                 if recorder.enabled:
@@ -663,15 +577,13 @@ class GzipChunkFetcher:
                     events.emit(
                         "failed", chunk=chunk_id, reason="task-error"
                     )
-                classified = True
                 result = None
             if result is None:
+                # No candidate or rejected (the task body said which). A
+                # crash says nothing about decodability — leave the
+                # chunk eligible for resubmission/on-demand.
                 if not crashed:
-                    # A crash says nothing about decodability — leave
-                    # the chunk eligible for resubmission/on-demand.
                     self._no_candidate.add(chunk_id)
-                    if events.enabled and not classified:
-                        events.emit("no-candidate", chunk=chunk_id)
                 self._speculative_unusable.increment()
                 continue
             if result.split:
@@ -743,16 +655,14 @@ class GzipChunkFetcher:
                     if self.mode == "search" else reserved,
                 ):
                     return False
-            if self.backend == "processes":
-                try:
-                    spec = self._spec_for_id(chunk_id, known=known)
-                except IndexIntegrityError:
-                    # A damaged lazy window cannot ship to a worker
-                    # process; the consumer's own request will run the
-                    # in-process fallback re-decode instead.
-                    if reserved:
-                        self.governor.discharge("in_flight", reserved)
-                    return True
+            try:
+                spec = self._spec_for(chunk_id, known=known)
+            except IndexIntegrityError:
+                # A damaged lazy window: the consumer's own request will
+                # run the fallback re-decode instead.
+                if reserved:
+                    self.governor.discharge("in_flight", reserved)
+                return True
             self._speculative_submitted.increment()
             events = self.telemetry.events
             if events.enabled:
@@ -767,8 +677,8 @@ class GzipChunkFetcher:
                 )
             else:
                 future = self.pool.submit(
-                    self._run_chunk_task, chunk_id, "speculative",
-                    known=known, priority=PRIORITY_PREFETCH,
+                    run_chunk_task, spec, self.file_reader, self.telemetry,
+                    priority=PRIORITY_PREFETCH,
                 )
             self._futures[chunk_id] = future
             if reserved:
@@ -915,11 +825,11 @@ class GzipChunkFetcher:
     def _produce_chunk(self, start_bit: int, chunk_id: int, window: bytes):
         """Produce a chunk no cache or in-flight task delivered.
 
-        Escalation ladder: bounded resubmissions to the worker pool (an
-        *exact* decode from the last verified offset, at on-demand
-        priority — process backend only, where a fresh worker can succeed
-        after a crash/stall), then a serial in-process decode, then a
-        structured :class:`ChunkDecodeError` carrying the full context.
+        Escalation ladder: bounded resubmissions to the worker pool (at
+        on-demand priority — process backend only, where a fresh worker
+        can succeed after a crash/stall), then a serial in-process decode
+        of the same task, then a structured :class:`ChunkDecodeError`
+        carrying the full context.
 
         Under a memory budget the decode is *mandatory* — the consumer is
         blocked on it — so it reserves its worst case with the blocking
@@ -957,7 +867,7 @@ class GzipChunkFetcher:
             try:
                 future = self.pool.submit(
                     execute_chunk_task,
-                    self._spec_for_id(
+                    self._spec_for(
                         chunk_id, attempt=attempt, exact=(start_bit, window),
                         known=self._known(start_bit),
                     ),
@@ -986,9 +896,10 @@ class GzipChunkFetcher:
                 self._worker_crashes.increment()
                 self._note_backend_failure("crash")
                 continue
-            except IndexIntegrityError:
-                # Damaged lazy window: not shippable to a worker process;
-                # the serial rung below runs the in-process fallback.
+            except (IndexIntegrityError, FormatError):
+                # A damaged lazy window never left the parent; a format
+                # error is deterministic. The serial rung below runs the
+                # index fallback for the one and reproduces the other.
                 break
             except UsageError:
                 # Pool shut down / spec not shippable: go serial. Counted
@@ -1001,9 +912,7 @@ class GzipChunkFetcher:
                 raise self._decode_error(
                     chunk_id, start_bit, attempt, error
                 ) from error
-            if result is not None:
-                return result
-            break  # deterministic decode failure: reproduce it serially
+            return result
         # Final rung: serial, in-process, from the last verified offset.
         attempt += 1
         try:
@@ -1073,29 +982,18 @@ class GzipChunkFetcher:
             self._backend_failures = 0
 
     def _decode_on_demand(self, start_bit: int, chunk_id: int, window: bytes,
-                          attempt: int = 0):
+                          attempt: int):
+        """The ladder's serial rung: the same task, run on this thread."""
         self._on_demand_decodes.increment()
         faults.fire("chunk.on_demand", chunk_id=chunk_id, attempt=attempt)
-        known = self._known(start_bit)
-        if known is not None:
-            return self._run_chunk_task(
-                chunk_id, "on_demand", attempt=attempt, known=known
+        try:
+            spec = self._spec_for(
+                chunk_id, attempt=attempt, exact=(start_bit, window),
+                known=self._known(start_bit),
             )
-        if self.mode == "search":
-            stop_bit = (chunk_id + 1) * self.chunk_size * 8
-            with self.telemetry.recorder.span(
-                "chunk.decode", chunk_id=chunk_id, mode=self.mode,
-                kind="on_demand", attempt=attempt,
-            ):
-                return decode_chunk_range(
-                    self.file_reader,
-                    start_bit,
-                    stop_bit,
-                    window,
-                    max_output=self.max_chunk_output,
-                    split_output=self.chunk_split_size,
-                )
-        return self._run_chunk_task(chunk_id, "on_demand", attempt=attempt)
+        except IndexIntegrityError as error:
+            return self._decode_index_fallback(chunk_id, error)
+        return run_chunk_task(spec, self.file_reader, self.telemetry)
 
     # -- statistics ----------------------------------------------------------------
 

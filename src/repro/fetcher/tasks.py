@@ -1,17 +1,19 @@
-"""Picklable chunk-decode task descriptions for the process backend.
+"""The chunk-decode task: one description, one body, every backend.
 
-The thread backend submits bound methods that close over the fetcher —
-free, because workers share the address space. Worker *processes* see
-none of that, so a decode task must instead be a self-contained,
-picklable description: which bytes to decode (a :class:`ChunkTaskSpec`
-with a *reader recipe* saying how the child re-opens the source), plus
-the few decode parameters the mode needs. The child-side entry point
-:func:`execute_chunk_task` rebuilds a file reader, runs the exact same
-decode bodies the thread tasks use, and ships back a
+A chunk decode is one task the fetcher submits at two priorities,
+prefetch or on-demand (paper §3.1–§3.2, Fig. 4). :class:`ChunkTaskSpec`
+is its only description and :func:`run_chunk_task` its only body — span,
+``decode`` lifecycle event, ``chunk.decode`` fault site, dispatch to the
+mode's decode function, folding of a speculative reject — so backends
+differ only in pool and shipping. Pool threads and the serial rung call
+the body with the fetcher's live file reader and telemetry. Worker
+*processes* share neither: the spec is picklable and carries a *reader
+recipe* saying how the child re-opens the source, and
+:func:`execute_chunk_task` wraps that one boundary, shipping back a
 :class:`RemoteChunkOutcome` — the :class:`ChunkResult` (``bytes`` and
 numpy ``uint16`` segments, which pickle cheaply) bundled with the
-telemetry the child accumulated locally, so ``--profile``/``--trace``
-keep seeing per-chunk numbers no matter where the chunk was decoded.
+telemetry the child accumulated, so ``--profile``/``--trace`` keep
+seeing per-chunk numbers no matter where the chunk was decoded.
 
 Reader recipes:
 
@@ -38,6 +40,7 @@ from .. import faults
 from ..errors import FormatError, UsageError
 from ..io import FileReader, MemoryFileReader, StandardFileReader
 from ..telemetry import Telemetry
+from .block_map import ChunkExtent
 from .decode import (
     ChunkResult,
     decode_bgzf_members,
@@ -53,6 +56,7 @@ __all__ = [
     "make_reader_recipe",
     "release_inherited_source",
     "resolve_reader_recipe",
+    "run_chunk_task",
 ]
 
 #: Parent-registered in-memory sources, inherited by forked workers.
@@ -137,62 +141,125 @@ def resolve_reader_recipe(recipe) -> FileReader:
 
 @dataclass
 class ChunkTaskSpec:
-    """Everything a worker process needs to decode one chunk.
+    """Everything needed to decode one chunk, on any backend.
 
-    Mode-specific fields mirror the fetcher's three operating modes:
-    ``search`` runs the block finder + two-stage decode over a fixed
-    compressed window, ``index`` decodes a known interval with its known
-    window (handed to the child as bytes; also what a search-mode fetcher
-    sends for a chunk its reader has already chained), ``bgzf``
-    zlib-decodes whole members. Only plain picklable values — the parent
-    never ships live objects.
+    What is known about the chunk picks the decode: nothing but its grid
+    cell (``search``: block finder + two-stage decode over a fixed
+    compressed window), its start and window (``search`` with ``window``
+    set: the on-demand decode from the last verified offset), its whole
+    extent (``index``: checked zlib delegation — an index interval, or a
+    search-mode chunk the reader has already chained), or its BGZF
+    members (``bgzf``). Only plain picklable values — the parent never
+    ships live objects.
     """
 
-    recipe: tuple
+    recipe: tuple  # how a worker process re-opens the source
     mode: str  # "search" | "index" | "bgzf"
     chunk_id: int
+    # 0 is the speculative prefetch; a rung of the on-demand retry
+    # ladder counts from 1
+    attempt: int = 0
+    max_output: int = None
     # search mode
     chunk_size: int = 0
-    find_uncompressed: bool = True
-    max_output: int = None
     # per-chunk decompressed ceiling (memory budget): decode stops at a
     # block boundary past this and returns a resumable partial result
     split_output: int = None
-    # index mode
+    # where decoding starts, when known (always, outside speculation)
     start_bit: int = 0
-    end_bit: int = None
-    window: bytes = b""
-    expected_size: int = None
-    is_last: bool = False
-    # next seek point's window for tail verification of the zlib fast
-    # path (None: no next point / stream start / unavailable)
-    next_window: bytes = None
+    # search mode, on demand: the window at start_bit (None: search)
+    window: bytes = None
+    # index mode
+    extent: ChunkExtent = None
     # bgzf mode
     member_offsets: tuple = ()
     end_offset: int = 0
-    # retry-ladder context: exact=True decodes [start_bit, end_bit) from
-    # the given window instead of searching (the on-demand body, shipped
-    # to a worker as the ladder's pool-resubmission rung)
-    exact: bool = False
-    attempt: int = 0
     # active FaultInjector (or None) — travels with the task so chunk
     # faults fire in whichever process actually decodes the chunk
     faults: object = None
-    # telemetry plumbing (trace_origin doubles as the event-log origin
-    # when tracing is off but event logging is on)
+    # child telemetry plumbing (trace_origin doubles as the event-log
+    # origin when tracing is off but event logging is on)
     trace: bool = False
     trace_origin: float = None
     events: bool = False
 
 
+def run_chunk_task(spec: ChunkTaskSpec, reader, telemetry) -> ChunkResult:
+    """Decode the chunk ``spec`` describes from ``reader``: the one task
+    body, run by pool threads, the serial rung and worker processes.
+
+    A speculative task (``attempt`` 0) returns ``None`` when the chunk
+    has no decodable candidate or is rejected with :class:`FormatError`
+    — expected of speculation, so counted and logged here instead of
+    raised. Anything else propagates to whoever reads the future; on
+    demand so does :class:`FormatError`, the consumer being blocked on
+    exactly this chunk.
+    """
+    kind = "on_demand" if spec.attempt else "speculative"
+    searching = spec.mode == "search" and spec.window is None
+    recorder = telemetry.recorder
+    events = telemetry.events
+    try:
+        with recorder.span("chunk.decode", chunk_id=spec.chunk_id,
+                           mode=spec.mode, kind=kind, attempt=spec.attempt):
+            if events.enabled and not searching:
+                # A search emits block-find/decode itself, where the
+                # phases actually separate.
+                events.emit(
+                    "decode", chunk=spec.chunk_id, mode=spec.mode, kind=kind
+                )
+            faults.fire("chunk.decode", chunk_id=spec.chunk_id,
+                        attempt=spec.attempt)
+            result = _decode(spec, reader, telemetry, searching)
+    except FormatError as error:
+        if spec.attempt:
+            raise
+        telemetry.metrics.counter("fetcher.speculative_rejects").increment()
+        if recorder.enabled:
+            recorder.instant(
+                "chunk.speculative_reject", chunk_id=spec.chunk_id,
+                error=repr(error),
+            )
+        if events.enabled:
+            events.emit("rejected", chunk=spec.chunk_id)
+        return None
+    if result is None and events.enabled:
+        events.emit("no-candidate", chunk=spec.chunk_id)
+    return result
+
+
+def _decode(spec: ChunkTaskSpec, reader, telemetry, searching: bool):
+    if searching:
+        return speculative_decode(
+            reader, spec.chunk_id, spec.chunk_size,
+            max_output=spec.max_output, split_output=spec.split_output,
+            telemetry=telemetry,
+        )
+    if spec.mode == "search":
+        stop_bit = (spec.chunk_id + 1) * spec.chunk_size * 8
+        return decode_chunk_range(
+            reader, spec.start_bit, stop_bit, spec.window,
+            max_output=spec.max_output, split_output=spec.split_output,
+        )
+    if spec.mode == "index":
+        extent = spec.extent
+        telemetry.metrics.counter("decode.index_chunks").increment()
+        return decode_index_chunk(
+            reader, spec.start_bit, extent.end_bit, extent.window,
+            expected_size=extent.length, is_last=extent.is_last,
+            max_output=spec.max_output, next_window=extent.next_window,
+        )
+    if spec.mode == "bgzf":
+        return decode_bgzf_members(
+            reader, list(spec.member_offsets), spec.end_offset
+        )
+    raise UsageError(f"unknown task mode {spec.mode!r}")
+
+
 @dataclass
 class RemoteChunkOutcome:
-    """A chunk decode's result plus the telemetry it accumulated.
-
-    ``result`` is ``None`` when the chunk had no decodable candidate or
-    raised :class:`FormatError` — the same signal the thread backend's
-    future carries, folded into a value so the metrics still arrive.
-    """
+    """A worker process's chunk result plus the telemetry it accumulated
+    (``result`` is ``None`` exactly when :func:`run_chunk_task`'s is)."""
 
     result: ChunkResult = None
     metrics: dict = field(default_factory=dict)
@@ -201,14 +268,10 @@ class RemoteChunkOutcome:
 
 
 def execute_chunk_task(spec: ChunkTaskSpec) -> RemoteChunkOutcome:
-    """Worker-process entry point: decode the chunk a spec describes.
-
-    Runs the same decode bodies as the fetcher's thread tasks, under a
-    child-local :class:`Telemetry` whose trace shares the parent's
-    timestamp origin. Format errors are folded into a ``None`` result
-    (speculative candidates are *expected* to fail); anything else
-    propagates and reaches the parent through the future.
-    """
+    """Worker-process entry point: the shipping wrapper around
+    :func:`run_chunk_task` — re-open the source from the spec's recipe,
+    run the body under a child-local :class:`Telemetry` whose timeline
+    shares the parent's origin, ship result and telemetry back."""
     telemetry = Telemetry(
         trace=spec.trace, trace_origin=spec.trace_origin, events=spec.events
     )
@@ -223,76 +286,9 @@ def execute_chunk_task(spec: ChunkTaskSpec) -> RemoteChunkOutcome:
         # Remote stacks: wire counters accumulate into this task's local
         # registry and merge back to the parent with everything else.
         attach(telemetry)
-    try:
-        with recorder.span(
-            "chunk.decode", chunk_id=spec.chunk_id, mode=spec.mode,
-            kind="retry" if spec.exact else "speculative",
-            attempt=spec.attempt,
-        ):
-            if events.enabled and (spec.mode != "search" or spec.exact):
-                # Search-mode speculation emits block-find/decode itself.
-                events.emit(
-                    "decode", chunk=spec.chunk_id, mode=spec.mode,
-                    kind="retry" if spec.exact else "speculative",
-                )
-            faults.fire(
-                "chunk.decode", chunk_id=spec.chunk_id, attempt=spec.attempt
-            )
-            result = _decode_for_spec(spec, reader, telemetry)
-    except FormatError as error:
-        # Expected for speculative candidates; no longer silent — the
-        # rejection is counted and traced with its chunk context.
-        telemetry.metrics.counter("fetcher.speculative_rejects").increment()
-        if recorder.enabled:
-            recorder.instant(
-                "chunk.speculative_reject", chunk_id=spec.chunk_id,
-                attempt=spec.attempt, error=repr(error),
-            )
-        result = None
     return RemoteChunkOutcome(
-        result=result,
+        result=run_chunk_task(spec, reader, telemetry),
         metrics=telemetry.metrics.export_state(),
         trace_events=recorder.events() if recorder.enabled else [],
         events=events.records() if events.enabled else [],
     )
-
-
-def _decode_for_spec(spec: ChunkTaskSpec, reader, telemetry) -> ChunkResult:
-    if spec.mode == "search":
-        if spec.exact:
-            return decode_chunk_range(
-                reader,
-                spec.start_bit,
-                spec.end_bit,
-                spec.window,
-                max_output=spec.max_output,
-                split_output=spec.split_output,
-            )
-        return speculative_decode(
-            reader,
-            spec.chunk_id,
-            spec.chunk_size,
-            find_uncompressed=spec.find_uncompressed,
-            max_output=spec.max_output,
-            split_output=spec.split_output,
-            telemetry=telemetry,
-        )
-    if spec.mode == "index":
-        # Counted child-side (it merges into the parent's registry with
-        # the outcome), as the thread backend counts it in the fetcher.
-        telemetry.metrics.counter("decode.index_chunks").increment()
-        return decode_index_chunk(
-            reader,
-            spec.start_bit,
-            spec.end_bit,
-            spec.window,
-            expected_size=spec.expected_size,
-            is_last=spec.is_last,
-            max_output=spec.max_output,
-            next_window=spec.next_window,
-        )
-    if spec.mode == "bgzf":
-        return decode_bgzf_members(
-            reader, list(spec.member_offsets), spec.end_offset
-        )
-    raise UsageError(f"unknown task mode {spec.mode!r}")

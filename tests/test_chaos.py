@@ -9,8 +9,12 @@ and every test is wrapped in a hard SIGALRM deadline so a hang is a
 loud failure, never a stuck CI job.
 """
 
+import collections
+import functools
 import gzip as stdlib_gzip
+import io
 import os
+import random
 import signal
 
 import pytest
@@ -20,7 +24,6 @@ from repro.errors import (
     ChunkDecodeError,
     FormatError,
     IntegrityError,
-    NetworkError,
     RecoveryError,
     ReproError,
     UsageError,
@@ -31,6 +34,8 @@ from repro.errors import (
     exit_code_for,
 )
 from repro.faults import (
+    _ERROR_CLASSES,
+    SITES,
     FaultInjector,
     FaultSpec,
     InjectedError,
@@ -233,63 +238,133 @@ class TestSeededCorruption:
 
 
 # ---------------------------------------------------------------------------
-# Injected decode faults: retry ladder falls through to a correct read
+# Injected decode faults: one task body, so one contract on every backend
 # ---------------------------------------------------------------------------
+
+# Barely compressible, so the corpus spans several chunks and speculation
+# actually runs (BLOB above is a single chunk).
+MULTI_DATA = random.Random(CHAOS_SEED).randbytes(150_000).hex().encode()
+MULTI_BLOB = stdlib_gzip.compress(MULTI_DATA, 6)
+MULTI_CHUNK = 32 * 1024
+FAULTED_CHUNK = 2
+
+BACKENDS = ("threads", "processes", "serial")
+CHUNK_SITES = tuple(site for site in SITES if site.startswith("chunk."))
+
+
+def _open(backend: str, source=MULTI_BLOB, **options) -> ParallelGzipReader:
+    """A reader on ``backend``. The serial rung is reachable only by
+    downgrade, so ``"serial"`` opens on threads and steps down."""
+    reader = ParallelGzipReader(
+        source, parallelization=2, chunk_size=MULTI_CHUNK,
+        backend="threads" if backend == "serial" else backend, **options
+    )
+    if backend == "serial":
+        reader._fetcher._downgrade_backend("test")
+        assert reader.statistics()["backend"] == "serial"
+    return reader
+
+
+def _ladder_specs(site: str, error: str) -> list:
+    """Fail one chunk at ``site`` on every attempt. ``chunk.on_demand``
+    guards the serial rung only, so it gets a companion that drives
+    every backend down to that rung: the speculative decode and the
+    first pool resubmission are rejected."""
+    specs = [FaultSpec(site, "raise", error=error,
+                       chunk_ids=(FAULTED_CHUNK,), attempts=None)]
+    if site == "chunk.on_demand":
+        specs.append(FaultSpec("chunk.decode", "raise", error="format",
+                               chunk_ids=(FAULTED_CHUNK,), attempts=(0, 1)))
+    return specs
+
+
+@functools.lru_cache(maxsize=None)
+def _ladder_outcome(backend: str, site: str, error: str) -> tuple:
+    """What a reader on ``backend`` shows of a chunk no rung can decode:
+    the strict-mode error and the tolerant-mode damage report."""
+    with injected(seed=CHAOS_SEED, specs=_ladder_specs(site, error)):
+        strict = _open(backend)
+        with pytest.raises(ChunkDecodeError) as info:
+            _read_all(strict)
+        tolerant = _open(backend, tolerate_corruption=True)
+        output = _read_all(tolerant)
+    raised = info.value
+    assert raised.attempts >= 1
+    assert raised.backend == strict.statistics()["backend"]
+    return (
+        type(raised.__cause__), raised.chunk_id, raised.start_bit,
+        [(region.kind, region.start_bit, region.resume_bit,
+          region.output_offset, region.skipped_bits)
+         for region in tolerant.damage_report.regions],
+        output,
+    )
+
+
+def _corrupt_index_interval():
+    """MULTI_BLOB with the head of one index interval overwritten, and
+    the (intact) index that still describes it. All-ones bits declare
+    more Huffman codes than Deflate has: no decoder accepts the block."""
+    with ParallelGzipReader(MULTI_BLOB, parallelization=1,
+                            chunk_size=MULTI_CHUNK) as reader:
+        index = reader.export_index(io.BytesIO())
+    start = index[2].compressed_bit_offset // 8 + 1
+    damaged = bytearray(MULTI_BLOB)
+    damaged[start : start + 32] = b"\xff" * 32
+    return bytes(damaged), index
 
 
 class TestDecodeFaults:
-    def test_thread_backend_survives_speculative_faults(self):
-        specs = [FaultSpec("chunk.decode", "raise", error="injected",
-                           probability=0.6, attempts=(0,))]
+    @pytest.mark.parametrize("error", ["injected", "format"])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_speculative_faults_are_survived(self, backend, error):
+        specs = [FaultSpec("chunk.decode", "raise", error=error,
+                           chunk_ids=(1, 3), attempts=(0,))]
         with injected(seed=CHAOS_SEED, specs=specs):
-            reader = ParallelGzipReader(
-                BLOB, parallelization=3, chunk_size=CHUNK, backend="threads"
-            )
+            reader = _open(backend)
             out = _read_all(reader)
-        assert out == DATA
+        assert out == MULTI_DATA
+        assert not reader.damage_report.damaged
         stats = reader.statistics()
-        assert stats["task_errors"] + stats["on_demand_decodes"] > 0
+        assert stats["on_demand_decodes"] + stats["retries"] > 1
+        if backend != "serial":  # which never speculates
+            assert stats["task_errors"] + stats["speculative_rejects"] > 0
 
-    def test_process_backend_survives_speculative_faults(self):
-        specs = [FaultSpec("chunk.decode", "raise", error="format",
-                           probability=0.5, attempts=(0,))]
-        with injected(seed=CHAOS_SEED, specs=specs):
-            reader = ParallelGzipReader(
-                BLOB, parallelization=2, chunk_size=CHUNK, backend="processes"
-            )
-            out = _read_all(reader)
-        assert out == DATA
+    @pytest.mark.parametrize("error", sorted(_ERROR_CLASSES))
+    @pytest.mark.parametrize("site", CHUNK_SITES)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_exhausted_ladder_has_one_contract(self, backend, site, error):
+        # Fault every attempt: the ladder must terminate with the same
+        # structured error, and tolerant mode with the same damage
+        # report, whichever backend's rungs it climbed down.
+        outcome = _ladder_outcome(backend, site, error)
+        cause, chunk_id, _start_bit, regions, _output = outcome
+        assert cause is type(_ERROR_CLASSES[error]("x"))
+        assert chunk_id == FAULTED_CHUNK
+        assert len(regions) == 1
+        assert outcome == _ladder_outcome("threads", site, error)
 
-    def test_on_demand_fault_exhausts_into_chunk_decode_error(self):
-        # Fault every attempt at every site: the ladder must terminate
-        # with a structured error, never loop forever.
-        specs = [
-            FaultSpec("chunk.decode", "raise", attempts=None),
-            FaultSpec("chunk.on_demand", "raise", attempts=None),
-        ]
-        with injected(seed=CHAOS_SEED, specs=specs):
-            reader = ParallelGzipReader(
-                BLOB, parallelization=2, chunk_size=CHUNK, backend="threads"
+    def test_speculative_reject_is_one_event_on_every_backend(self):
+        # The reject happens where the task ran — a pool thread or a
+        # worker process — and must look the same from the parent.
+        damaged, index = _corrupt_index_interval()
+        seen = {}
+        for backend in ("threads", "processes"):
+            reader = _open(backend, damaged, index=index, events=True,
+                           verify=False, tolerate_corruption=True)
+            _read_all(reader)
+            # All but the ladder's pool resubmissions, a rung (hence a
+            # ``queued`` record) only the process backend has.
+            states = collections.Counter(
+                record["state"] for record in reader.telemetry.events.records()
+                if record.get("kind") != "on-demand-retry"
             )
-            with pytest.raises(ChunkDecodeError) as info:
-                _read_all(reader)
-        assert info.value.chunk_id is not None
-        assert info.value.attempts >= 1
-        assert isinstance(info.value.__cause__, InjectedError)
-
-    def test_worker_raised_fault_leaves_the_ladder_as_chunk_decode_error(self):
-        # What a worker process raises on the ladder's pool rung has the
-        # same contract as what the serial rung raises in the parent.
-        specs = [FaultSpec("chunk.decode", "raise", error="network",
-                           attempts=None)]
-        with injected(seed=CHAOS_SEED, specs=specs):
-            reader = ParallelGzipReader(
-                BLOB, parallelization=2, chunk_size=CHUNK, backend="processes"
+            seen[backend] = (
+                states, reader.statistics()["speculative_rejects"]
             )
-            with pytest.raises(ChunkDecodeError) as info:
-                _read_all(reader)
-        assert info.value.backend == "processes"
-        assert isinstance(info.value.__cause__, NetworkError)
+        states, rejects = seen["threads"]
+        assert rejects == states["rejected"] == 1
+        assert not states["no-candidate"]
+        assert seen["processes"] == seen["threads"]
 
 
 # ---------------------------------------------------------------------------
@@ -315,18 +390,18 @@ class TestWorkerCrash:
         assert pool["worker_respawns"] >= 1
 
     def test_repeated_kills_degrade_not_hang(self, tmp_path):
-        # Kill on every decode attempt. The pool burns its respawn budget,
-        # the fetcher downgrades backends, and the read still finishes
-        # because threads/serial rungs run in the parent where "kill"
-        # degrades into a raised WorkerCrashedError that the ladder and
-        # on-demand path absorb.
-        specs = [FaultSpec("chunk.decode", "kill", attempts=None)]
+        # Kill every speculative decode. The pool burns its respawn
+        # budget, the fetcher downgrades backends (on the thread pool
+        # "kill" degrades into a raised WorkerCrashedError, the same
+        # signal), and the read still finishes on on-demand decodes.
+        # (Killing every attempt is
+        # test_crash_is_surfaced_when_every_rung_crashes: the serial
+        # rung passes the same fault site as every other decode.)
+        specs = [FaultSpec("chunk.decode", "kill", attempts=(0,))]
         with injected(seed=CHAOS_SEED, specs=specs):
-            reader = ParallelGzipReader(
-                BLOB, parallelization=2, chunk_size=CHUNK, backend="processes"
-            )
+            reader = _open("processes")
             out = _read_all(reader)
-        assert out == DATA
+        assert out == MULTI_DATA
         stats = reader.statistics()
         assert stats["worker_crashes"] >= 1 or stats["pool"]["worker_crashes"] >= 1
         assert stats["backend_downgrades"] >= 1
