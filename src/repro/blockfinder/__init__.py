@@ -1,6 +1,6 @@
 """Speculative Deflate block finders (paper §3.4)."""
 
-from .base import BlockFinder, NOT_FOUND
+from .base import BlockFinder
 from .combined import CombinedBlockFinder
 from .dynamic import (
     DynamicBlockFinder,
@@ -19,7 +19,6 @@ from .vectorized import VectorizedDynamicBlockFinder, scan_dynamic_candidates
 
 __all__ = [
     "BlockFinder",
-    "NOT_FOUND",
     "CombinedBlockFinder",
     "DynamicBlockFinder",
     "DynamicBlockFinderCustomTrial",

@@ -10,10 +10,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-__all__ = ["BlockFinder", "NOT_FOUND"]
-
-#: Sentinel meaning "no candidate in the searched range".
-NOT_FOUND = None
+__all__ = ["BlockFinder"]
 
 
 class BlockFinder(ABC):

@@ -22,12 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..io import ensure_file_reader
-from .base import BlockFinder
+from .window import WindowedBlockFinder
 
 __all__ = ["UncompressedBlockFinder", "canonical_nc_offset", "scan_nc_candidates"]
-
-_SCAN_CHUNK = 1 << 20  # bytes per vectorized pass
 
 
 def canonical_nc_offset(bit_offset: int) -> int:
@@ -44,8 +41,8 @@ def canonical_nc_offset(bit_offset: int) -> int:
 def scan_nc_candidates(data: bytes, base_byte_offset: int = 0) -> np.ndarray:
     """All canonical NC candidate bit offsets within ``data``.
 
-    ``base_byte_offset`` is the file offset of ``data[0]``; byte position 0
-    of the file can never host a candidate (no room for header bits).
+    ``base_byte_offset`` is the file offset of ``data[0]``, which can never
+    host a candidate itself: the header bits sit in the byte before LEN.
     """
     if len(data) < 5:
         return np.empty(0, dtype=np.int64)
@@ -55,34 +52,14 @@ def scan_nc_candidates(data: bytes, base_byte_offset: int = 0) -> np.ndarray:
     header_ok = (arr[:-4] & 0xE0) == 0
     matches = ((lens ^ nlens) == 0xFFFF) & header_ok
     positions = np.nonzero(matches)[0] + 1  # LEN sits at byte b = index+1
-    if base_byte_offset == 0:
-        positions = positions  # b >= 1 already guaranteed by the slicing
     return (positions + base_byte_offset) * 8 - 3
 
 
-class UncompressedBlockFinder(BlockFinder):
-    """Chunked vectorized scanner over a file reader."""
+class UncompressedBlockFinder(WindowedBlockFinder):
+    """Single-kind view on the window loop; the NC kind of the combined finder."""
 
-    def __init__(self, source):
-        self._reader = ensure_file_reader(source)
+    accepts = None  # the vectorized check is the whole test
 
-    def find_next(self, bit_offset: int, until: int = None):
-        size_bits = self._reader.size() * 8
-        limit = size_bits if until is None else min(until, size_bits)
-        position = max(bit_offset, 0)
-        while position < limit:
-            # Candidate at bit 8b-3 needs bytes [b-1, b+4); start scanning
-            # one byte before the position's byte.
-            start_byte = max((position + 3) // 8 - 1, 0)
-            data = self._reader.pread(start_byte, _SCAN_CHUNK + 4)
-            if len(data) < 5:
-                return None
-            candidates = scan_nc_candidates(data, base_byte_offset=start_byte)
-            candidates = candidates[(candidates >= position) & (candidates < limit)]
-            if candidates.size:
-                return int(candidates[0])
-            advanced = start_byte + len(data) - 4
-            position = max(position + 1, advanced * 8 - 3)
-            if len(data) < _SCAN_CHUNK + 4:
-                return None
-        return None
+    def scan_window(self, data: bytes, base_bit: int, start_bit: int, stop_bit: int):
+        found = scan_nc_candidates(data, base_byte_offset=base_bit // 8)
+        return found[(found >= start_bit) & (found < stop_bit)].tolist()

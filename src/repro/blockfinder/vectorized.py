@@ -16,7 +16,9 @@ position at once**:
 
 Only survivors (a few hundred per MiB of random input, per Table 1's
 "invalid Precode-encoded data" rate) reach the scalar strict parser for
-the remaining checks. This is the production finder used by
+the remaining checks, one at a time and only until one is accepted. The
+filter runs inside the window loop of :mod:`repro.blockfinder.window`:
+alone here, beside the Non-Compressed one in the production
 :class:`~repro.blockfinder.combined.CombinedBlockFinder`; the scalar
 variants remain available for the Table 1/2 component benchmarks.
 """
@@ -27,16 +29,9 @@ import numpy as np
 
 from ..deflate.block import read_block_header
 from ..errors import FormatError
-from ..io import BitReader, ensure_file_reader
-from .base import BlockFinder
+from .window import _READ_AHEAD, PROBE_BITS, WindowedBlockFinder
 
 __all__ = ["VectorizedDynamicBlockFinder", "scan_dynamic_candidates"]
-
-#: Bits a candidate needs for the vectorized checks: 17 header bits plus
-#: 19 precode triplets.
-_PROBE_BITS = 17 + 19 * 3
-#: Bytes scanned per vectorized pass.
-_SCAN_CHUNK = 512 * 1024
 
 _HISTOGRAM_LUT_ARRAY = None
 
@@ -60,7 +55,7 @@ def scan_dynamic_candidates(data: bytes, start_bit: int, until_bit: int) -> np.n
     to a scalar finder).
     """
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    limit = min(until_bit, len(bits) - _PROBE_BITS)
+    limit = min(until_bit, len(bits) - PROBE_BITS)
     if limit <= start_bit:
         return np.empty(0, dtype=np.int64)
     positions = np.arange(start_bit, limit, dtype=np.int64)
@@ -123,56 +118,31 @@ def scan_dynamic_candidates(data: bytes, start_bit: int, until_bit: int) -> np.n
     return candidates[complete | single_symbol]
 
 
-class VectorizedDynamicBlockFinder(BlockFinder):
-    """Production Dynamic Block finder: vectorized prefilter + strict parse."""
+class VectorizedDynamicBlockFinder(WindowedBlockFinder):
+    """Production Dynamic Block finder: vectorized prefilter + strict parse.
+
+    ``candidates_tested`` counts the strict parses, ``counter`` their
+    per-stage rejections.
+    """
 
     def __init__(self, source, counter: dict = None):
-        self._file_reader = ensure_file_reader(source)
-        self._bit_reader = BitReader(self._file_reader)
         self.counter = counter if counter is not None else {}
         self.candidates_tested = 0
+        super().__init__(source)
 
-    def find_next(self, bit_offset: int, until: int = None):
-        size_bits = self._file_reader.size() * 8
-        limit = size_bits - 8
-        if until is not None:
-            limit = min(limit, until - 1)
-        position = bit_offset
-        while position <= limit:
-            chunk_start_byte = position // 8
-            chunk = self._file_reader.pread(
-                chunk_start_byte, _SCAN_CHUNK + _PROBE_BITS // 8 + 8
-            )
-            base_bit = chunk_start_byte * 8
-            candidates = scan_dynamic_candidates(
-                chunk, position - base_bit, limit + 1 - base_bit
-            )
-            for candidate in candidates:
-                offset = int(candidate) + base_bit
-                self.candidates_tested += 1
-                self._bit_reader.seek(offset)
-                try:
-                    read_block_header(
-                        self._bit_reader, strict=True, counter=self.counter
-                    )
-                    return offset
-                except FormatError:
-                    continue
-            scanned_until = base_bit + len(chunk) * 8 - _PROBE_BITS
-            if len(chunk) < _SCAN_CHUNK:
-                # Tail of the file: the probe window no longer fits, but a
-                # candidate might still hide in the last bits — let the
-                # scalar parser sweep them.
-                return self._scalar_tail(max(position, scanned_until), limit)
-            position = max(position + 1, scanned_until)
-        return None
+    def scan_window(self, data: bytes, base_bit: int, start_bit: int, stop_bit: int):
+        if stop_bit - base_bit > len(data) * 8 - PROBE_BITS:
+            # The file's last window: zero bits past the end let the filters
+            # judge the final positions; the strict parser sees the real end.
+            data += bytes(_READ_AHEAD)
+        found = scan_dynamic_candidates(data, start_bit - base_bit, stop_bit - base_bit)
+        return (found + base_bit).tolist()
 
-    def _scalar_tail(self, position: int, limit: int):
-        while position <= limit:
-            self._bit_reader.seek(position)
-            try:
-                read_block_header(self._bit_reader, strict=True, counter=self.counter)
-                return position
-            except FormatError:
-                position += 1
-        return None
+    def accepts(self, bits, offset: int) -> bool:
+        self.candidates_tested += 1
+        bits.seek(offset)
+        try:
+            read_block_header(bits, strict=True, counter=self.counter)
+        except FormatError:
+            return False
+        return True

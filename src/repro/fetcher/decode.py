@@ -245,13 +245,17 @@ def speculative_decode(
     search_from = chunk_index * chunk_size * 8
     stop_bit = (chunk_index + 1) * chunk_size * 8
     finder = CombinedBlockFinder(file_reader.clone())
+
+    def find_from(bit_offset: int):
+        # Every finder call is spanned, retries after a false positive too.
+        if recorder is not None and recorder.enabled:
+            with recorder.span("chunk.block_find", chunk_id=chunk_index):
+                return finder.find_next(bit_offset, until=stop_bit)
+        return finder.find_next(bit_offset, until=stop_bit)
+
     if lifecycle is not None and lifecycle.enabled:
         lifecycle.emit("block-find", chunk=chunk_index)
-    if recorder is not None and recorder.enabled:
-        with recorder.span("chunk.block_find", chunk_id=chunk_index):
-            offset = finder.find_next(search_from, until=stop_bit)
-    else:
-        offset = finder.find_next(search_from, until=stop_bit)
+    offset = find_from(search_from)
     if offset is not None and lifecycle is not None and lifecycle.enabled:
         lifecycle.emit("decode", chunk=chunk_index, mode="search",
                        kind="speculative")
@@ -278,7 +282,7 @@ def speculative_decode(
             break
         except FormatError:
             false_positives += 1
-            offset = finder.find_next(offset + 1, until=stop_bit)
+            offset = find_from(offset + 1)
     if telemetry is not None:
         metrics = telemetry.metrics
         metrics.counter("blockfinder.candidates_tested").increment(

@@ -130,6 +130,36 @@ class TestSpeculativeDecode:
         result = speculative_decode(reader, 0, 16 * 1024)
         assert result is None or result.payload.length >= 0
 
+    def test_retry_after_false_positive_is_spanned(self):
+        # A Non-Compressed header the finder accepts and the decoder
+        # rejects: zero header byte, LEN=4 / NLEN, four bytes, then
+        # BFINAL=1 with the reserved block type.
+        import struct
+        import zlib
+
+        from repro.telemetry import Telemetry
+
+        chunk_size = 16 * 1024
+        fake = b"\x00" + struct.pack("<HH", 4, 0xFFFB) + b"abcd\x07"
+        payload = bytearray(b"\xff" * (3 * chunk_size))
+        payload[chunk_size + 500 : chunk_size + 500 + len(fake)] = fake
+        compressor = zlib.compressobj(0, zlib.DEFLATED, 31)
+        blob = compressor.compress(bytes(payload)) + compressor.flush()
+        telemetry = Telemetry(trace=True, events=True)
+        speculative_decode(
+            MemoryFileReader(blob), 1, chunk_size, telemetry=telemetry
+        )
+        rejected = telemetry.metrics.counter("fetcher.decode_false_positives")
+        assert rejected.value == 1
+        spans = [
+            event["name"] for event in telemetry.recorder.events()
+            if event.get("ph") == "X"
+        ]
+        # The search that found the fake and the one that resumed behind it.
+        assert spans.count("chunk.block_find") == 2
+        states = [record["state"] for record in telemetry.events.records()]
+        assert states.count("block-find") == 1
+
 
 @pytest.mark.parametrize("backend", ["threads", "processes"])
 class TestGzipChunkFetcher:

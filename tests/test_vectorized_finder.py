@@ -1,9 +1,13 @@
 """Equivalence tests: vectorized finder == scalar production finder.
 
 The vectorized finder is a pure optimization; on every input it must
-return exactly the candidate sequence of the scalar skip-LUT finder.
+return exactly the candidate sequence of the scalar skip-LUT finder. The
+window loop under it is one too: ramped, clipped and resumed scans must
+serve what one pass of the pure filters over the whole input serves, and
+may read little more than the bytes they serve from.
 """
 
+import bisect
 import random
 import zlib
 
@@ -15,11 +19,23 @@ from hypothesis import strategies as st
 from repro.blockfinder import (
     CombinedBlockFinder,
     DynamicBlockFinder,
+    UncompressedBlockFinder,
     VectorizedDynamicBlockFinder,
     scan_dynamic_candidates,
+    scan_nc_candidates,
 )
+from repro.blockfinder.window import (
+    _FIRST_WINDOW,
+    _MAX_HEADER,
+    _READ_AHEAD,
+    _WINDOW_CAP,
+    PROBE_BITS,
+)
+from repro.deflate.block import read_block_header
 from repro.deflate.compress import CompressorOptions, compress
 from repro.deflate import inflate
+from repro.errors import FormatError
+from repro.io import BitReader, MemoryFileReader
 
 
 def scalar_candidates(data: bytes, until=None):
@@ -121,3 +137,291 @@ def test_property_equivalence_on_arbitrary_bytes(data):
 def test_combined_finder_uses_vectorized():
     finder = CombinedBlockFinder(b"\x00" * 64)
     assert isinstance(finder.dynamic, VectorizedDynamicBlockFinder)
+
+
+# -- the window loop: seams, restarts, bounded reads --------------------------
+
+def window_seams(total_bytes: int, start_byte: int = 0) -> list:
+    """Byte offsets where a scan started at ``start_byte`` changes window."""
+    seams, window, position = [], _FIRST_WINDOW, start_byte
+    while position + window < total_bytes:
+        position += window
+        seams.append(position)
+        window = min(window * 2, _WINDOW_CAP)
+    return seams
+
+
+def one_shot(data: bytes, dynamic: bool = True, nc: bool = True) -> list:
+    """Reference: the pure filters over the whole input, then the strict
+    parser on every Dynamic survivor.
+
+    Scanned in slabs that share no boundary with the ramp (whose seams are
+    multiples of 4 KiB) only to keep the filters' temporaries small.
+    """
+    found = []
+    padded = data + bytes(_READ_AHEAD)
+    slab = 200_000
+    bits = BitReader(data)
+    for start in range(0, len(data), slab):
+        piece = padded[start : start + slab + _READ_AHEAD]
+        stop_bit = min(slab, len(data) - start) * 8
+        for offset in scan_dynamic_candidates(piece, 0, stop_bit) if dynamic else ():
+            bits.seek(int(offset) + start * 8)
+            try:
+                read_block_header(bits, strict=True)
+            except FormatError:
+                continue
+            found.append(int(offset) + start * 8)
+    if nc:
+        found.extend(int(offset) for offset in scan_nc_candidates(data))
+    return sorted(found)
+
+
+def next_in(reference: list, offset: int, until=None):
+    index = bisect.bisect_left(reference, offset)
+    if index == len(reference):
+        return None
+    found = reference[index]
+    return None if until is not None and found >= until else found
+
+
+def noise_bytes(size: int, seed: int) -> bytes:
+    return np.random.default_rng(seed).integers(
+        0, 256, size=size, dtype=np.uint8
+    ).tobytes()
+
+
+def shifted(stream: bytes, shift: int, low_bits: int = 0) -> bytes:
+    """``stream`` moved up by ``shift`` bits, ``low_bits`` filling the gap."""
+    value = int.from_bytes(stream, "little") << shift | low_bits
+    return value.to_bytes(len(stream) + 1, "little")
+
+
+def dynamic_block_stream() -> bytes:
+    """A raw Deflate stream whose first block is a non-final Dynamic one."""
+    compressor = zlib.compressobj(6, zlib.DEFLATED, -15)
+    text = bytes(random.Random(8).randrange(97, 123) for _ in range(3000))
+    stream = compressor.compress(text) + compressor.flush(zlib.Z_FULL_FLUSH)
+    assert stream[0] & 0b111 == 0b100
+    return stream
+
+
+@pytest.fixture(scope="module")
+def noise():
+    data = noise_bytes(1 << 20, seed=20)
+    return data, one_shot(data)
+
+
+@pytest.fixture(scope="module")
+def multiblock():
+    rng = random.Random(21)
+    text = bytes(rng.randrange(33, 127) for _ in range(400_000))
+    data = compress(text, CompressorOptions(level=6, block_size=6000))
+    assert len(data) > 8 * _WINDOW_CAP
+    return data, one_shot(data)
+
+
+class TestWindowSeams:
+    @pytest.mark.parametrize("corpus", ["noise", "multiblock"])
+    def test_iter_candidates_equals_one_shot(self, corpus, request):
+        data, reference = request.getfixturevalue(corpus)
+        assert list(CombinedBlockFinder(data).iter_candidates()) == reference
+        assert list(
+            VectorizedDynamicBlockFinder(data).iter_candidates()
+        ) == one_shot(data, nc=False)
+        assert list(
+            UncompressedBlockFinder(data).iter_candidates()
+        ) == one_shot(data, dynamic=False)
+
+    @pytest.mark.parametrize("corpus", ["noise", "multiblock"])
+    def test_start_offsets_at_every_seam(self, corpus, request):
+        data, reference = request.getfixturevalue(corpus)
+        resumed = CombinedBlockFinder(data)
+        for seam in window_seams(len(data)):
+            # One finder walks up to each seam and is then asked around it:
+            # inside what it scanned, at its edge, and beyond it (a restart).
+            resumed.find_next(seam * 8 - 2 * PROBE_BITS, until=seam * 8)
+            for delta in (-PROBE_BITS, -1, 0, 1, PROBE_BITS):
+                offset = seam * 8 + delta
+                expected = next_in(reference, offset)
+                assert resumed.find_next(offset) == expected, (seam, delta)
+                fresh = CombinedBlockFinder(data)
+                assert fresh.find_next(offset) == expected, (seam, delta)
+
+    @pytest.mark.parametrize("corpus", ["noise", "multiblock"])
+    def test_until_inside_a_window(self, corpus, request):
+        data, reference = request.getfixturevalue(corpus)
+        seams = window_seams(len(data))[:6]
+        for seam in seams:
+            for until in (seam * 8 - 1, seam * 8 + 1, seam * 8 + 5003,
+                          seam * 8 + _FIRST_WINDOW * 4 + 3):
+                finder = CombinedBlockFinder(data)
+                served = list(finder.iter_candidates(0, until=until))
+                assert served == [c for c in reference if c < until]
+                # The same instance, now allowed further: it carries on.
+                beyond = until + _WINDOW_CAP * 8
+                assert list(
+                    finder.iter_candidates(until, until=beyond)
+                ) == [c for c in reference if until <= c < beyond]
+
+    def test_restarts_on_one_instance(self, multiblock):
+        data, reference = multiblock
+        finder = CombinedBlockFinder(data)
+        far = reference[len(reference) // 2]
+        assert finder.find_next(far) == far
+        # Before the scanned range: a restart, not a stale answer.
+        assert finder.find_next(0) == reference[0]
+        assert finder.find_next(reference[0]) == reference[0]
+        assert finder.find_next(reference[0] + 1) == reference[1]
+        # ``until`` clips what is served, not what is remembered.
+        assert finder.find_next(reference[0] + 1, until=reference[1]) is None
+        assert finder.find_next(reference[0] + 1, until=reference[1] + 1) == reference[1]
+        assert finder.find_next(reference[0] + 1) == reference[1]
+        # Far beyond the scanned range, then back again.
+        assert finder.find_next(reference[-1]) == reference[-1]
+        assert finder.find_next(reference[-1] + 1) is None
+        assert finder.find_next(reference[2]) == reference[2]
+
+    def test_strict_parses_match_one_pass(self, noise):
+        # Resuming never re-tests a survivor, and serves the same ones.
+        data, _ = noise
+        walked = VectorizedDynamicBlockFinder(data)
+        list(walked.iter_candidates())
+        survivors = sum(
+            scan_dynamic_candidates(
+                data[start : start + 200_000 + _READ_AHEAD], 0, 200_000 * 8
+            ).size
+            for start in range(0, len(data) - _READ_AHEAD, 200_000)
+        )
+        # The zero-padded tail of the file may let a few more through.
+        assert survivors <= walked.candidates_tested <= survivors + 4
+
+    @pytest.mark.parametrize("seam", window_seams(40 * 1024)[:3])
+    @pytest.mark.parametrize(
+        "delta", [-PROBE_BITS - 3, -PROBE_BITS + 1, -40, -17, -1, 0, 1]
+    )
+    def test_dynamic_header_straddling_a_seam(self, seam, delta):
+        assert seam in (4 * 1024, 12 * 1024, 28 * 1024)
+        target = seam * 8 + delta
+        byte, shift = divmod(target, 8)
+        filler = noise_bytes(64 * 1024, seed=22)
+        data = (
+            filler[:byte]
+            + shifted(dynamic_block_stream(), shift, filler[byte] & ((1 << shift) - 1))
+            + filler[byte:]
+        )
+        for finder_class in (CombinedBlockFinder, VectorizedDynamicBlockFinder):
+            assert target in list(finder_class(data).iter_candidates())
+            assert finder_class(data).find_next(target) == target
+        assert list(CombinedBlockFinder(data).iter_candidates()) == one_shot(data)
+
+    @pytest.mark.parametrize("seam", window_seams(40 * 1024)[:3])
+    @pytest.mark.parametrize("delta", [-4, -3, -2, -1, 0, 1])
+    def test_nc_length_pair_straddling_a_seam(self, seam, delta):
+        length_byte = seam + delta
+        data = bytearray(noise_bytes(64 * 1024, seed=23))
+        data[length_byte - 1] &= 0x1F
+        data[length_byte : length_byte + 4] = b"\x05\x00\xfa\xff"
+        data = bytes(data)
+        target = length_byte * 8 - 3
+        for finder_class in (CombinedBlockFinder, UncompressedBlockFinder):
+            assert target in list(finder_class(data).iter_candidates())
+            assert finder_class(data).find_next(target) == target
+        assert list(CombinedBlockFinder(data).iter_candidates()) == one_shot(data)
+
+
+class CountingReader(MemoryFileReader):
+    """Logs every ``pread`` as ``(offset, size)``; clones share the log."""
+
+    def __init__(self, data, log=None):
+        super().__init__(data)
+        self.log = [] if log is None else log
+
+    def pread(self, offset, size):
+        self.log.append((offset, size))
+        return super().pread(offset, size)
+
+    def clone(self):
+        return CountingReader(self._data, self.log)
+
+    def requested(self) -> int:
+        return sum(size for _, size in self.log)
+
+
+class TestBoundedReads:
+    """Counts, not timings: what the loop may ask of the file."""
+
+    def test_windows_ramp_and_are_read_once_for_both_kinds(self):
+        # All-ones input: no survivor of either kind, so every read is a
+        # scan window and the log is the ramp itself.
+        reader = CountingReader(b"\xff" * (100 * 1024))
+        assert CombinedBlockFinder(reader).find_next(0) is None
+        kib = 1024
+        assert reader.log == [
+            (0, 4 * kib + _READ_AHEAD),
+            (4 * kib, 8 * kib + _READ_AHEAD),
+            (12 * kib, 16 * kib + _READ_AHEAD),
+            (28 * kib, 32 * kib + _READ_AHEAD),
+            (60 * kib, 32 * kib + _READ_AHEAD),
+            (92 * kib, 8 * kib + _READ_AHEAD),  # clipped to the end of the file
+        ]
+
+    def test_reads_are_clipped_to_until(self):
+        reader = CountingReader(b"\xff" * (100 * 1024))
+        finder = CombinedBlockFinder(reader)
+        assert finder.find_next(0, until=10_000 * 8) is None
+        assert reader.log == [
+            (0, 4096 + _READ_AHEAD),
+            (4096, 10_000 - 4096 + _READ_AHEAD),
+        ]
+        # Allowed further, the same finder reads on from where it stopped.
+        assert finder.find_next(0, until=11_000 * 8) is None
+        assert reader.log[2:] == [(10_007, 11_000 - 10_007 + _READ_AHEAD)]
+
+    def test_nothing_requested_past_until(self, noise):
+        data, _ = noise
+        tight = total = 0
+        for until_byte in range(5_000, 400_000, 7_919):
+            until = until_byte * 8 + until_byte % 8
+            reader = CountingReader(data)
+            start = max(until - 3 * _WINDOW_CAP * 8, 0)
+            CombinedBlockFinder(reader).find_next(start, until=until)
+            furthest = max(offset + size for offset, size in reader.log)
+            # Only a header whose strict parse really runs past the window
+            # is followed into the file — read, not rejected.
+            assert furthest <= until // 8 + _READ_AHEAD + _MAX_HEADER
+            tight += furthest <= until // 8 + _READ_AHEAD
+            total += 1
+        assert tight >= 0.9 * total
+
+    def test_small_chunk_reads_little_more_than_itself(self, multiblock):
+        data, _ = multiblock
+        chunk = 16 * 1024
+        for index in range(len(data) // chunk):
+            reader = CountingReader(data)
+            CombinedBlockFinder(reader).find_next(
+                index * chunk * 8, until=(index + 1) * chunk * 8
+            )
+            assert reader.requested() <= 20 * 1024
+
+    def test_reads_proportional_to_distance(self, multiblock):
+        data, reference = multiblock
+        for start_byte in range(0, len(data) - _WINDOW_CAP, 9_973):
+            reader = CountingReader(data)
+            found = CombinedBlockFinder(reader).find_next(start_byte * 8)
+            if found is None:
+                continue
+            assert found == next_in(reference, start_byte * 8)
+            distance = found // 8 - start_byte
+            # Geometric ramp: at most twice the distance plus the first
+            # window — and the probe bytes and header slices on top.
+            assert reader.requested() <= 2 * distance + _FIRST_WINDOW + 2048
+
+    def test_iteration_reads_each_byte_about_once(self):
+        data = noise_bytes(2 << 20, seed=24)
+        reader = CountingReader(data)
+        candidates = list(CombinedBlockFinder(reader).iter_candidates())
+        assert candidates == sorted(candidates)
+        assert reader.requested() <= 1.1 * len(data)
+        windows = [size for _, size in reader.log if size > _MAX_HEADER]
+        assert len(windows) == len(window_seams(len(data))) + 1
