@@ -1,40 +1,51 @@
-"""Single-thread Deflate decode-kernel throughput: fused vs the reference loops.
+"""Single-thread Deflate decode-kernel throughput, every first stage.
 
-Measures the block-decode hot loop in isolation (no chunking, no workers)
+Measures the block-decode hot loop in isolation (no finder, no workers)
+the way a chunk meets it — from a block boundary 64 KiB into the stream —
 in both modes the pipeline uses:
 
-* **conventional** — decode to bytes with a known window
-  (:func:`repro.deflate.inflate`), the index-assisted path;
-* **marker** — two-stage decode to 16-bit symbols with an unknown window
-  (:class:`repro.deflate.TwoStageStreamDecoder`), the search-mode path
-  that dominates no-index decompression (paper §4.1).
+* **conventional** — decode to bytes with the known window: the fused
+  kernel and its reference loops (:func:`repro.deflate.inflate`), the
+  single-pass libz stream every known-window chunk decode now runs
+  (``libz``), and stdlib ``zlib`` over the whole stream as the yardstick;
+* **marker** — first stage with an unknown window: the fused kernel and
+  its reference loops (:class:`repro.deflate.TwoStageStreamDecoder`, the
+  Table 2 row and the no-libz path), and the three-pass dictionary probe
+  of :mod:`repro.deflate.libz` with its §4.4 hand-off (``probe``) and
+  with the hand-off held off (``probe_no_handoff``).
 
-All decoder timings are interleaved inside the same repetition loop and
+All kernel timings are interleaved inside the same repetition loop and
 the best-of-N is reported, which cancels machine-load drift that
 single-shot timings on a small container are exposed to (±10% observed).
 
 Emits the paper-style table, and appends a trajectory entry to
-``BENCH_decode_kernels.json`` at the repo root. Older entries stay on
-record — including the three-tier measurement of the removed two-pass
-``batched`` kernel, the evidence its deletion rests on; only a newest
-entry for the same decoder set is replaced, so reruns do not pile up.
+``BENCH_decode_kernels.json`` at the repo root; every row names the
+first-stage kernel the pipeline resolved, the usable cores and the libz
+version. Older entries stay on record — including the three-tier
+measurement of the removed two-pass ``batched`` kernel, the evidence its
+deletion rests on; only a newest entry for the same kernel set is
+replaced, so reruns do not pile up.
 """
 
+import contextlib
+import functools
 import json
+import os
 import pathlib
 import time
 import zlib
 
-from repro.datagen import generate_base64, generate_silesia_like
-from repro.deflate import TwoStageStreamDecoder, inflate
-from repro.io import BitReader
+from repro.datagen import generate_base64, generate_fastq, generate_silesia_like
+from repro.deflate import MAX_WINDOW_SIZE, TwoStageStreamDecoder, inflate, libz
+from repro.io import BitReader, ensure_file_reader
 
 from conftest import fmt_bw
 
 CORPUS_SIZE = 4 << 20
 LEVEL = 6
 REPS = 8
-DECODERS = ("fused", "legacy")  # the kernels and their reference loops
+_LIBZ = ("libz", "zlib", "probe", "probe_no_handoff") if libz.load() else ("zlib",)
+DECODERS = ("fused", "legacy") + _LIBZ  # every kernel of either mode
 TRAJECTORY_PATH = pathlib.Path(__file__).parent.parent / "BENCH_decode_kernels.json"
 
 _results = {}
@@ -49,15 +60,54 @@ def _corpora():
     return {
         "base64": generate_base64(CORPUS_SIZE, seed=1),
         "silesia": generate_silesia_like(CORPUS_SIZE, seed=2),
+        "fastq": generate_fastq(CORPUS_SIZE, seed=3),
     }
 
 
+@functools.lru_cache(maxsize=None)
+def _chunk_start(blob: bytes) -> tuple:
+    """``(start_bit, window)`` of the first block 64 KiB into the output."""
+    whole = inflate(blob)
+    block = next(b for b in whole.boundaries if b.output_offset >= 64 << 10)
+    return block.bit_offset, whole.data[: block.output_offset][-MAX_WINDOW_SIZE:]
+
+
+class _NoHandOff(libz.ChunkStream):
+    """The probe with §4.4's hand-off held off: three passes to the end."""
+
+    def _run_probes(self, count: int, main_left: int) -> None:
+        super()._run_probes(count, main_left)
+        self._clean = 0
+
+
+def _run_libz(blob: bytes, window, stream_class=libz.ChunkStream) -> int:
+    start_bit, _ = _chunk_start(blob)
+    with contextlib.closing(stream_class(
+        libz.load(), ensure_file_reader(blob), start_bit, None, window
+    )) as stream:
+        while not stream.next_block():
+            pass
+        return stream.finish().length
+
+
 def _decode_conventional(blob: bytes, decoder: str) -> int:
-    return len(inflate(blob, decoder=decoder).data)
+    start_bit, window = _chunk_start(blob)
+    if decoder == "zlib":
+        return len(zlib.decompress(blob, -15))
+    if decoder == "libz":
+        return _run_libz(blob, window)
+    reader = BitReader(blob)
+    reader.seek(start_bit)
+    return len(inflate(reader, window=window, decoder=decoder).data)
 
 
 def _decode_marker(blob: bytes, decoder: str) -> int:
+    if decoder == "probe":
+        return _run_libz(blob, None)
+    if decoder == "probe_no_handoff":
+        return _run_libz(blob, None, _NoHandOff)
     reader = BitReader(blob)
+    reader.seek(_chunk_start(blob)[0])
     stream = TwoStageStreamDecoder(window=None, decoder=decoder)
     while True:
         header = stream.read_and_decode_block(reader)
@@ -67,11 +117,18 @@ def _decode_marker(blob: bytes, decoder: str) -> int:
     return stream.produced
 
 
+_decode_conventional.kernels = tuple(
+    k for k in DECODERS if not k.startswith("probe"))
+_decode_marker.kernels = tuple(
+    k for k in DECODERS if k not in ("libz", "zlib"))
+
+
 def _interleaved_best(decode, blob: bytes) -> dict:
-    """Best-of-REPS seconds per decoder, all decoders alternating."""
-    best = {decoder: float("inf") for decoder in DECODERS}
+    """Best-of-REPS seconds per kernel of ``decode``'s mode, alternating."""
+    _chunk_start(blob)  # parsed once, outside the clock
+    best = {decoder: float("inf") for decoder in decode.kernels}
     for _ in range(REPS):
-        for decoder in DECODERS:
+        for decoder in decode.kernels:
             start = time.perf_counter()
             decode(blob, decoder)
             best[decoder] = min(best[decoder], time.perf_counter() - start)
@@ -109,9 +166,15 @@ def test_decode_kernels(benchmark, reporter):
         iterations=1,
     )
 
-    table = reporter("Decode kernels: single-thread fused vs legacy (reference)")
-    widths = [8, 14, 12, 12, 9]
-    table.row("corpus", "mode", "fused", "legacy", "fus/leg", widths=widths)
+    table = reporter("Decode kernels: single-thread, every first stage")
+    widths = [8, 13, 17, 11, 10]
+    table.row("corpus", "mode", "kernel", "MB/s", "vs fused", widths=widths)
+    first_stage = "probe" if libz.load() else "fused"
+    host = {
+        "first_stage": first_stage,
+        "cores": len(os.sched_getaffinity(0)),
+        "libz": zlib.ZLIB_RUNTIME_VERSION if libz.load() else None,
+    }
     entry = {
         "decoders": list(DECODERS),
         "corpus_size": CORPUS_SIZE,
@@ -120,21 +183,28 @@ def test_decode_kernels(benchmark, reporter):
         "results": {},
     }
     for (name, mode), rates in _results.items():
-        fused_speedup = rates["fused"] / rates["legacy"]
-        table.row(
-            name, mode, fmt_bw(rates["fused"]), fmt_bw(rates["legacy"]),
-            f"{fused_speedup:.2f}x", widths=widths,
-        )
-        entry["results"][f"{name}/{mode}"] = {
-            **{
-                f"{decoder}_mb_s": round(rates[decoder] / 1e6, 3)
-                for decoder in DECODERS
-            },
-            "fused_vs_legacy": round(fused_speedup, 3),
+        for decoder, rate in rates.items():
+            table.row(
+                name, mode, decoder, fmt_bw(rate),
+                f"{rate / rates['fused']:.2f}x", widths=widths,
+            )
+        row = {
+            f"{decoder}_mb_s": round(rate / 1e6, 3)
+            for decoder, rate in rates.items()
         }
+        row["fused_vs_legacy"] = round(rates["fused"] / rates["legacy"], 3)
+        if mode == "marker" and libz.load():
+            row["probe_vs_fused"] = round(rates["probe"] / rates["fused"], 3)
+            # The paper's Table 2 ratio: first stage against zlib.
+            zlib_rate = _results[(name, "conventional")]["zlib"]
+            row["zlib_per_first_stage"] = round(zlib_rate / rates[first_stage], 2)
+            row["zlib_per_fused"] = round(zlib_rate / rates["fused"], 2)
+        entry["results"][f"{name}/{mode}"] = {**row, **host}
     table.add()
     table.add(f"{CORPUS_SIZE >> 20} MiB per corpus, zlib level {LEVEL}, "
-              f"interleaved best-of-{REPS}")
+              f"interleaved best-of-{REPS}, from a block 64 KiB in; "
+              f"first stage {first_stage}, {host['cores']} core(s), "
+              f"libz {host['libz']}")
     table.emit()
 
     document = {"schema": 2, "trajectory": _load_trajectory() + [entry]}
@@ -142,6 +212,9 @@ def test_decode_kernels(benchmark, reporter):
 
     # Regression guard. The fused kernels must stay decisively ahead of
     # the reference loops in every mode (committed results show >=1.5x;
-    # the floor is lower only to absorb shared-container noise).
+    # the floor is lower only to absorb shared-container noise), and the
+    # probe ahead of the fused first stage it replaced.
     for (name, mode), rates in _results.items():
         assert rates["fused"] > 1.25 * rates["legacy"], (name, mode, rates)
+        if "probe" in rates:
+            assert rates["probe"] > 2 * rates["fused"], (name, mode, rates)

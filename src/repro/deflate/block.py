@@ -315,22 +315,15 @@ def decode_block_into_bytearray(reader, header: BlockHeader, buffer: bytearray,
 
 
 def decode_block_two_stage(reader, header: BlockHeader, buffer: bytearray,
-                           last_marker_end: int, max_size: int = None) -> int:
+                           max_size: int = None) -> None:
     """Two-stage decode of one block into a buffer of 16-bit symbols.
 
     ``buffer`` holds little-endian ``uint16`` symbols, 2 bytes each — the
     layout :func:`repro.deflate.markers.replace_markers` consumes: 0–255
     are resolved bytes, ``MARKER_FLAG | w`` marks the unknown window byte
     at offset ``w``. The caller seeds the first :data:`MAX_WINDOW_SIZE`
-    symbols with markers. ``last_marker_end``, ``max_size`` and the
-    return value are in symbol units; slices are byte-doubled.
-
-    ``last_marker_end`` is the end (exclusive, symbol index) of the last
-    region known to possibly contain markers; the conservative rule is:
-    copying from a region that overlaps ``[0, last_marker_end)`` may
-    propagate markers into the destination. Returns the updated value so the
-    driver can fall back to conventional decoding once the trailing window
-    is marker-free (paper §3.3).
+    symbols with markers. ``max_size`` is in symbol units; slices are
+    byte-doubled.
     """
     if header.block_type == BLOCK_TYPE_STORED:
         data = reader.read_bytes(header.stored_length)
@@ -339,7 +332,7 @@ def decode_block_two_stage(reader, header: BlockHeader, buffer: bytearray,
         buffer += widened
         if max_size is not None and (len(buffer) >> 1) > max_size:
             raise DeflateError("decoded output exceeds configured maximum")
-        return last_marker_end
+        return
 
     literal_table = header.literal_decoder.table
     literal_bits = header.literal_decoder.max_length
@@ -360,7 +353,7 @@ def decode_block_two_stage(reader, header: BlockHeader, buffer: bytearray,
             append(0)
             continue
         if symbol == 256:
-            return last_marker_end
+            return
         if symbol > 285:
             raise DeflateError(f"invalid length symbol {symbol}")
         extra, base = LENGTH_EXTRA_BASE[symbol - 257]
@@ -378,9 +371,6 @@ def decode_block_two_stage(reader, header: BlockHeader, buffer: bytearray,
                 f"distance {distance} reaches before start of data ({size} known)"
             )
         start = size - distance
-        if start < last_marker_end:
-            # Source may contain markers; destination inherits that taint.
-            last_marker_end = size + length
         byte_start = start << 1
         if distance >= length:
             buffer += buffer[byte_start : byte_start + (length << 1)]

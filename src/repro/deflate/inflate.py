@@ -2,21 +2,26 @@
 
 :func:`inflate` is the plain single-pass decoder (used by the serial
 reference path and wherever the window is known). :class:`TwoStageStreamDecoder`
-is the chunk decoder's engine: it decodes block after block into the marker
-intermediate format, falls back to conventional byte decoding as soon as the
-trailing 32 KiB window is marker-free (paper §3.3), and streams finished
-regions out into a :class:`~repro.deflate.markers.ChunkPayload` to bound
-memory.
+is the from-scratch chunk decoder (Table 2's first stage): it decodes block
+after block into the marker intermediate format, falls back to conventional
+byte decoding as soon as the trailing 32 KiB window is marker-free (paper
+§3.3), and streams finished regions out into a
+:class:`~repro.deflate.markers.ChunkPayload` to bound memory. The fetcher
+runs it only where libz cannot be loaded (else :mod:`repro.deflate.libz`
+yields the same payload at libz speed, with this class as its oracle);
+``pugz``, recovery and the calibration use it directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import DeflateError
 from ..io import BitReader, ensure_file_reader
 from .block import BlockHeader, read_block_header
-from .constants import MAX_WINDOW_SIZE
+from .constants import MARKER_FLAG, MAX_WINDOW_SIZE
 from .kernels import block_decoders
 from .markers import ChunkPayload, seed_marker_window_u16
 
@@ -77,17 +82,16 @@ class TwoStageStreamDecoder:
 
     With ``window=None`` it starts in first-stage (marker) mode; with a
     known window it decodes conventionally from the start. Marker mode
-    tracks a conservative bound on the last buffer index that may hold a
-    marker; once a whole window-length of marker-free output exists at a
-    block boundary, decoding *falls back* to the faster conventional mode —
+    looks at the trailing 32 Ki symbols at every block boundary; once they
+    hold no marker, decoding *falls back* to the faster conventional mode —
     the optimization the paper credits for base64 data behaving like
     single-stage decompression (§4.4).
 
     The marker buffer is a native little-endian ``uint16`` bytearray
     (2 bytes per symbol) whose finished regions hand over to the payload
     without per-symbol conversion. All bookkeeping here (``produced``,
-    flush cuts, ``last_marker_end``, ``max_size``) is in symbols — one
-    output byte each — in both modes.
+    flush cuts, ``max_size``) is in symbols — one output byte each — in
+    both modes.
 
     ``max_size`` bounds ``produced``: the block decoders check it after
     every match, so a single runaway block raises :class:`DeflateError`
@@ -106,7 +110,6 @@ class TwoStageStreamDecoder:
             self._marker_buffer = seed_marker_window_u16()
             self._byte_buffer = None
             self._seed_length = MAX_WINDOW_SIZE
-            self._last_marker_end = MAX_WINDOW_SIZE
         else:
             self._marker_buffer = None
             self._byte_buffer = bytearray(window[-MAX_WINDOW_SIZE:])
@@ -138,9 +141,7 @@ class TwoStageStreamDecoder:
         if self._max_size is not None:
             limit = self._max_size - self._emitted + self._seed_length
         if self._marker_buffer is not None:
-            self._last_marker_end = self._decode_symbols(
-                reader, header, self._marker_buffer, self._last_marker_end, limit
-            )
+            self._decode_symbols(reader, header, self._marker_buffer, limit)
         else:
             self._decode_bytes(reader, header, self._byte_buffer, limit)
         if limit is not None and self._buffered() > limit:
@@ -178,7 +179,6 @@ class TwoStageStreamDecoder:
         self._emit_symbols(cut)
         self._marker_buffer = self._marker_buffer[cut << 1 :]
         self._seed_length = 0
-        self._last_marker_end = max(0, self._last_marker_end - cut)
 
     def _flush_bytes(self, keep: int) -> None:
         buffer = self._byte_buffer
@@ -197,22 +197,18 @@ class TwoStageStreamDecoder:
         self._seed_length = 0
 
     def _maybe_fall_back(self) -> None:
-        """Switch to conventional decoding once the window is marker-free."""
-        length = self._buffered()
-        if length - self._last_marker_end < MAX_WINDOW_SIZE:
+        """Switch to conventional decoding once the window is marker-free
+        (the buffer always holds at least a window: seed or flush tail)."""
+        symbols = np.frombuffer(self._marker_buffer, dtype=np.uint16)
+        tail = symbols[-MAX_WINDOW_SIZE:]
+        if tail.max() >= MARKER_FLAG:
             return
-        cut = length - MAX_WINDOW_SIZE
-        if cut > self._seed_length:
-            self._emit_symbols(cut)
-        # The trailing window is marker-free (every value < 256), so
-        # narrowing to bytes is lossless: keep each symbol's low byte.
-        window_values = self._marker_buffer[cut << 1 :: 2]
+        self._emit_symbols()
+        # Every trailing value is < 256, so narrowing to bytes is lossless;
+        # already emitted, the window only seeds the byte buffer.
+        self._byte_buffer = bytearray(tail.astype(np.uint8))
         self._marker_buffer = None
-        # The carried tail is resolved but *unemitted* output (not window
-        # seed), so seed_length is 0: it still reaches the payload at the
-        # next flush or finish.
-        self._byte_buffer = window_values
-        self._seed_length = 0
+        self._seed_length = MAX_WINDOW_SIZE
 
     def finish(self) -> ChunkPayload:
         """Flush everything and return the completed payload."""

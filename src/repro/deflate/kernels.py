@@ -3,8 +3,9 @@
 The block decoder exists in two tiers:
 
 ``fused``
-    The loops in this module — what every reader, fetcher and worker
-    runs. Two ingredients make them fast:
+    The loops in this module — what ``inflate()``, recovery and, where
+    libz cannot be loaded, every chunk decode runs (with libz, chunks go
+    through :mod:`repro.deflate.libz`). Two ingredients make them fast:
 
     * :class:`~repro.huffman.fused.FusedDecoder` tables whose entries
       pre-resolve everything the reference loop branches on per symbol
@@ -214,17 +215,14 @@ def decode_block_into_bytearray_fused(reader, header, buffer: bytearray,
 
 
 def decode_block_two_stage_fused(reader, header, buffer: bytearray,
-                                 last_marker_end: int, max_size: int = None) -> int:
+                                 max_size: int = None) -> None:
     """Fused two-stage decode; same contract as the reference loop.
 
-    ``buffer`` holds little-endian ``uint16`` symbols (2 bytes each); all
-    bookkeeping — ``last_marker_end``, ``max_size``, the return value —
-    is in symbol units, slices are byte-doubled.
+    ``buffer`` holds little-endian ``uint16`` symbols (2 bytes each);
+    ``max_size`` is in symbol units, slices are byte-doubled.
     """
     if header.block_type == BLOCK_TYPE_STORED or header.distance_decoder is None:
-        return decode_block_two_stage(
-            reader, header, buffer, last_marker_end, max_size
-        )
+        return decode_block_two_stage(reader, header, buffer, max_size)
     fused = _fused_for(header)
     lit_table = fused.lit_table
     lit_mask = fused.lit_mask
@@ -258,9 +256,7 @@ def decode_block_two_stage_fused(reader, header, buffer: bytearray,
                 if bits < 48:
                     reader.import_state((buf, bits, byte_pos, chunk, chunk_start))
                     owned = False
-                    return decode_block_two_stage(
-                        reader, header, buffer, last_marker_end, max_size
-                    )
+                    return decode_block_two_stage(reader, header, buffer, max_size)
 
             entry = lit_table[buf & lit_mask]
             consumed = entry & 31
@@ -271,7 +267,7 @@ def decode_block_two_stage_fused(reader, header, buffer: bytearray,
                 continue
             length = entry >> 6
             if length == 0:  # end-of-block
-                return last_marker_end
+                return
             if length == 1:  # INVALID_PAYLOAD: unassigned prefix
                 raise DeflateError("invalid literal/length prefix")
             if length >= 512:  # extra bits pending (not baked into the slot)
@@ -303,9 +299,6 @@ def decode_block_two_stage_fused(reader, header, buffer: bytearray,
                     f"distance {distance} reaches before start of data ({size} known)"
                 )
             start = size - distance
-            if start < last_marker_end:
-                # Source may contain markers; destination inherits the taint.
-                last_marker_end = size + length
             byte_start = start << 1
             if distance >= length:
                 buffer += buffer[byte_start : byte_start + (length << 1)]

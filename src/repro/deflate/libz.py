@@ -1,0 +1,279 @@
+"""Chunk decoding at libz speed: a bit-exact ``ctypes`` inflater (paper
+§3.3, §4.4; first stage after pugz, PAPERS.md).
+
+The stdlib ``zlib`` module cannot start at a bit offset or stop at a block
+boundary; the libz it links can: ``inflatePrime`` feeds the leading partial
+byte, ``inflateSetDictionary`` the window, and ``inflate(Z_BLOCK)`` returns
+at every block end with the unused bit count in ``data_type``.
+:class:`ChunkStream` drives that for one chunk behind the interface
+``repro.fetcher.decode.decode_chunk_range`` loops over.
+
+With a known window it is one stream. With ``window=None`` it is *three* in
+lock-step over the same input, whose dictionaries spell out the window
+offset: ``LOW[w] = w & 0xFF``, ``HIGH[w] = w >> 8``, ``FLIP[w] = 0x80 |
+w >> 8``. A Deflate stream's block structure and back-reference graph do
+not depend on window *contents*, so all three take identical decisions; an
+output byte that came from the window differs between HIGH and FLIP (the
+taint) and reads ``MARKER_FLAG | LOW | HIGH << 8`` — the marker symbol the
+Python first stage emits, bit for bit. Once the trailing 32 Ki symbols at a
+block boundary are untainted the two probes are closed and the chunk
+continues single-pass into ``bytes`` segments (§4.4's hand-off). The fused
+Python kernel stays: the no-libz path, this module's oracle, Table 2's row.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import itertools
+import os
+import zlib
+
+import numpy as np
+
+from ..errors import DeflateError, TruncatedError
+from ..io import BitReader
+from .constants import MARKER_FLAG, MAX_WINDOW_SIZE
+from .inflate import BlockBoundary
+from .markers import ChunkPayload
+
+__all__ = ["load", "ChunkStream"]
+
+_Z_BLOCK, _Z_OK, _Z_BUF_ERROR = 5, 0, -5
+_OUT_SIZE = 256 * 1024  # output buffered per stream between flushes
+_REFILL = 128 * 1024
+#: Read this far past the stop offset: the block that crosses it must end
+#: (zlib's are under 25 KiB at the default memLevel; longer ones refill).
+_PAST_STOP = 32 * 1024
+
+
+class _ZStream(ctypes.Structure):
+    _fields_ = [
+        ("next_in", ctypes.c_void_p), ("avail_in", ctypes.c_uint),
+        ("total_in", ctypes.c_ulong), ("next_out", ctypes.c_void_p),
+        ("avail_out", ctypes.c_uint), ("total_out", ctypes.c_ulong),
+        ("msg", ctypes.c_char_p), ("state", ctypes.c_void_p),
+        ("zalloc", ctypes.c_void_p), ("zfree", ctypes.c_void_p),
+        ("opaque", ctypes.c_void_p), ("data_type", ctypes.c_int),
+        ("adler", ctypes.c_ulong), ("reserved", ctypes.c_ulong),
+    ]
+
+
+def _candidates():
+    """Names to ``dlopen``, best first: the file the ``zlib`` module has
+    mapped, then the platform sonames. ``ctypes.util.find_library`` is not
+    used on purpose — it forks ``ldconfig``/``gcc``, and a reaped child
+    that inherited a reader's pages counts into its peak resident size."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = [line.split(None, 5)[-1].strip() for line in maps]
+    except OSError:
+        paths = []
+    yield from (p for p in paths if os.path.basename(p).startswith("libz."))
+    yield from ("libz.so.1", "libz.dylib", "zlib1.dll")
+
+
+@functools.lru_cache(maxsize=None)
+def load():
+    """This process's libz as a ``ctypes`` library, or ``None`` (then the
+    Python decoder serves). Tried once; never an error."""
+    for name in _candidates():
+        try:
+            library = ctypes.CDLL(name)
+            library.zlibVersion.restype = ctypes.c_char_p
+            if library.zlibVersion().decode() != zlib.ZLIB_RUNTIME_VERSION:
+                continue
+            stream = ctypes.POINTER(_ZStream)
+            library.inflateInit2_.argtypes = (
+                stream, ctypes.c_int, ctypes.c_char_p, ctypes.c_int)
+            library.inflatePrime.argtypes = (stream, ctypes.c_int, ctypes.c_int)
+            library.inflateSetDictionary.argtypes = (
+                stream, ctypes.c_char_p, ctypes.c_uint)
+            library.inflate.argtypes = (stream, ctypes.c_int)
+            library.inflateReset.argtypes = library.inflateEnd.argtypes = (stream,)
+        except (OSError, AttributeError):
+            continue
+        return library
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _probe_dictionaries() -> tuple:
+    offsets = np.arange(MAX_WINDOW_SIZE, dtype=np.uint16)
+    high = (offsets >> 8).astype(np.uint8)
+    return (
+        offsets.astype(np.uint8).tobytes(), high.tobytes(),
+        (high | 0x80).tobytes(),
+    )
+
+
+class ChunkStream:
+    """One chunk's Deflate blocks through libz, block by block.
+
+    ``position`` is the bit offset of the next block header (after a final
+    block: of the bit after it — the gzip footer starts at the next byte
+    boundary). C state is invisible to the garbage collector: ``close``
+    (``inflateEnd`` on every stream) must run on every exit path.
+    """
+
+    def __init__(self, library, file_reader, start_bit: int, stop_bit: int,
+                 window: bytes, max_size: int = None):
+        self._streams = []
+        self._library = library
+        self._file = file_reader
+        self._stop_byte = 0 if stop_bit is None else stop_bit // 8
+        self._max_size = max_size
+        self._slab = b""
+        self._slab_start = self._slab_address = self._offset = self._fill = 0
+        self._clean = 0  # trailing output symbols known to be untainted
+        self.payload = ChunkPayload()
+        self.boundaries: list = []
+        self.produced = 0
+        dictionaries = (_probe_dictionaries() if window is None
+                        else (bytes(window[-MAX_WINDOW_SIZE:]),))
+        self._outs = [np.empty(_OUT_SIZE, dtype=np.uint8) for _ in dictionaries]
+        try:
+            for _ in dictionaries:
+                stream = _ZStream()
+                if library.inflateInit2_(
+                    ctypes.byref(stream), -15,
+                    zlib.ZLIB_RUNTIME_VERSION.encode(), ctypes.sizeof(stream),
+                ) != _Z_OK:
+                    raise MemoryError("inflateInit2 failed")
+                self._streams.append(stream)
+            self.restart(start_bit, dictionaries)
+        except BaseException:
+            self.close()
+            raise
+
+    def _read_slab(self, byte: int) -> None:
+        """One ``pread`` per slab, shared by all streams without a copy."""
+        size = _REFILL  # first read: a false positive dies within it
+        if self._slab:
+            size = max(size, self._stop_byte - byte + _PAST_STOP)
+        self._slab = bytes(self._file.pread(byte, size))
+        if not self._slab:
+            raise TruncatedError("input ended inside a Deflate stream")
+        self._slab_start = byte
+        pointer = ctypes.c_char_p(self._slab)  # into the bytes, no copy
+        self._slab_address = ctypes.cast(pointer, ctypes.c_void_p).value
+        self._offset = 0
+
+    def restart(self, bit_offset: int, dictionaries=()) -> None:
+        """Begin a Deflate stream at exactly ``bit_offset`` — the chunk's
+        start, or the next gzip member, whose window is empty."""
+        byte, bit = divmod(bit_offset, 8)
+        self._offset = byte - self._slab_start
+        if not 0 <= self._offset < len(self._slab):
+            self._read_slab(byte)
+        library, lead = self._library, self._slab[self._offset] >> bit
+        padded = itertools.zip_longest(self._streams, dictionaries, fillvalue=b"")
+        for stream, dictionary in padded:
+            library.inflateReset(stream)
+            if dictionary:
+                library.inflateSetDictionary(stream, dictionary, len(dictionary))
+            if bit:
+                library.inflatePrime(stream, 8 - bit, lead)
+        self._offset += bool(bit)
+        self.position = bit_offset
+
+    def peek_header(self) -> int:
+        """The three header bits at ``position`` (zero-padded at EOF)."""
+        byte, bit = divmod(self.position, 8)
+        index = byte - self._slab_start
+        pair = self._slab[index : index + 2]
+        if len(pair) < 2:  # slab seam
+            pair = self._file.pread(byte, 2)
+        return (int.from_bytes(pair, "little") >> bit) & 0b111
+
+    def byte_reader(self) -> BitReader:
+        """A :class:`BitReader` at the next byte boundary, primed with the
+        slab (a gzip footer and the next header usually lie inside it)."""
+        reader = BitReader(self._file)
+        reader.import_state(
+            (0, 0, (self.position + 7) // 8, self._slab, self._slab_start))
+        return reader
+
+    def _inflate(self, stream, out, room: int) -> int:
+        """One ``inflate(Z_BLOCK)`` call; returns the bytes it produced."""
+        stream.next_in = self._slab_address + self._offset
+        stream.avail_in = len(self._slab) - self._offset
+        stream.next_out = out.ctypes.data + self._fill
+        stream.avail_out = room
+        status = self._library.inflate(stream, _Z_BLOCK)
+        if status not in (_Z_OK, _Z_BUF_ERROR):
+            # Z_BLOCK returns before a stream's end is processed, so even
+            # Z_STREAM_END means a caller ran past a final block.
+            message = stream.msg.decode() if stream.msg else f"status {status}"
+            raise DeflateError(f"libz: {message}")
+        return room - stream.avail_out
+
+    def next_block(self) -> bool:
+        """Decode the block at ``position``; returns its BFINAL bit."""
+        header = self.peek_header()
+        self.boundaries.append(BlockBoundary(
+            self.position, self.produced, header >> 1, bool(header & 1)))
+        main = self._streams[0]
+        while True:
+            if self._offset >= len(self._slab):
+                self._read_slab(self._slab_start + len(self._slab))
+            room = _OUT_SIZE - self._fill
+            if self._max_size is not None:
+                # One byte of slack makes "exceeds" exact.
+                room = min(room, self._max_size + 1 - self.produced)
+            count = self._inflate(main, self._outs[0], room)
+            if len(self._streams) > 1:
+                self._run_probes(count, main.avail_in)
+            self._offset = len(self._slab) - main.avail_in
+            self._fill += count
+            self.produced += count
+            if self._max_size is not None and self.produced > self._max_size:
+                raise DeflateError("decoded chunk exceeds configured maximum size")
+            if self._fill == _OUT_SIZE:
+                self._flush()
+            if main.data_type & 128:
+                break
+        consumed_bits = (self._slab_start + self._offset) * 8
+        self.position = consumed_bits - (main.data_type & 63)
+        if len(self._streams) > 1 and self._clean >= MAX_WINDOW_SIZE:
+            # §4.4: the window is marker-free, so LOW's history *is* the
+            # data — carry on single-pass.
+            self._flush()
+            self.close(keep=1)
+        return bool(main.data_type & 64)
+
+    def _run_probes(self, count: int, main_left: int) -> None:
+        """Level HIGH and FLIP with the main pass; extend the clean run."""
+        for stream, out in zip(self._streams[1:], self._outs[1:]):
+            produced = self._inflate(stream, out, count)
+            if (produced, stream.avail_in) != (count, main_left):
+                raise DeflateError("libz: probe passes diverged")
+        span = slice(self._fill, self._fill + count)
+        taint = self._outs[1][span] != self._outs[2][span]
+        if taint.any():
+            self._clean = int(taint[::-1].argmax())
+        else:
+            self._clean += count
+
+    def _flush(self) -> None:
+        fill, self._fill = self._fill, 0
+        low = self._outs[0][:fill]
+        if len(self._streams) == 1:
+            self.payload.append_bytes(low.tobytes())
+            return
+        high = self._outs[1][:fill]
+        symbols = low.astype(np.uint16)
+        tainted = np.flatnonzero(high != self._outs[2][:fill])
+        symbols[tainted] |= MARKER_FLAG | (high[tainted].astype(np.uint16) << 8)
+        self.payload.append_symbol_bytes(memoryview(symbols).cast("B"))
+
+    def finish(self) -> ChunkPayload:
+        self._flush()
+        return self.payload
+
+    def close(self, keep: int = 0) -> None:
+        """``inflateEnd`` every stream but the first ``keep``."""
+        while len(self._streams) > keep:
+            self._library.inflateEnd(self._streams.pop())
+
+    __del__ = close  # backstop only

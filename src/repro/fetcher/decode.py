@@ -3,11 +3,13 @@
 Three decode paths, fastest applicable wins:
 
 * :func:`decode_chunk_range` — the general path: start at a known (or
-  candidate) bit offset, two-stage decode when the window is unknown,
+  candidate) bit offset, first stage (markers) when the window is unknown,
   conventional when it is known, stopping at the first Dynamic or
-  Non-Compressed non-final block at/after the stop offset (the same
-  predicate the block finder uses, so the next chunk's offset is findable —
-  §3.3's stop-condition parity).
+  Non-Compressed non-final block at/after the stop offset (the finder's
+  predicate, so the next chunk's offset is findable — §3.3's parity).
+  Blocks run bit-exactly through libz (:mod:`repro.deflate.libz`: one pass
+  with the window, three probe passes without), through the Python
+  two-stage decoder where libz cannot be loaded; no option selects.
 * :func:`zlib_decode_range` — index-loaded fast path: bit-shift the
   compressed range to byte alignment and delegate to zlib with the window
   as dictionary (the paper's ">2x faster than two-stage" mode).
@@ -21,13 +23,14 @@ decoding continues into the next member.
 
 from __future__ import annotations
 
+import contextlib
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..blockfinder import CombinedBlockFinder, canonical_nc_offset
-from ..deflate.block import read_block_header
+from ..deflate import libz
 from ..deflate.inflate import TwoStageStreamDecoder
 from ..deflate.markers import ChunkPayload
 from ..errors import FormatError, TruncatedError
@@ -130,80 +133,82 @@ def decode_chunk_range(
     """
     requested_start = start_bit
     start_bit = _skip_member_header(file_reader, start_bit)
-    reader = BitReader(file_reader.clone())
-    size_bits = reader.size_in_bits()
-    stream = TwoStageStreamDecoder(window=window, max_size=max_output)
+    size_bits = file_reader.size() * 8
     events: list = []
     end_bit = None
     end_is_stream_start = False
     split = False
-    reader.seek(start_bit)
+    tail_bit = start_bit
 
-    while True:
-        position = reader.tell()
-        if position >= size_bits:
-            raise TruncatedError("input ended inside a Deflate stream")
-        if (
-            split_output is not None
-            and stream.boundaries
-            and stream.produced >= split_output
-        ):
-            # The loop top is always a clean block boundary (the previous
-            # block was non-final), so resuming an exact decode here is
-            # safe with the propagated window — no normalization needed,
-            # the emitted offset and the resume request are the same key.
-            end_bit = position
-            split = True
-            break
-        if stop_bit is not None and stream.boundaries:
-            probe = reader.peek(3)
-            final_bit = probe & 1
-            block_type = (probe >> 1) & 0b11
-            if not final_bit and block_type in (0b00, 0b10):
-                # Compare the *normalized* offset: a Non-Compressed block's
-                # true header sits up to 7 zero-padding bits before its
-                # canonical offset, and the block finder (hence the next
-                # chunk's key) only ever sees the canonical form (§3.4.1).
-                normalized = (
-                    canonical_nc_offset(position) if block_type == 0 else position
-                )
-                if normalized >= stop_bit:
-                    end_bit = normalized
-                    break
-        header = read_block_header(reader)
-        stream.decode_block(reader, header)
-        if not header.final:
-            continue
-
-        # End of a Deflate stream: gzip footer, then maybe another member.
-        reader.align_to_byte()
-        footer = parse_gzip_footer(reader)
-        events.append(
-            StreamEvent("footer", stream.produced, footer.crc32, footer.isize)
-        )
-        byte_position = reader.tell() // 8
-        probe_bytes = file_reader.pread(byte_position, 2)
-        if probe_bytes == MAGIC:
-            member_start_bit = reader.tell()
-            parse_gzip_header(reader)
-            if stop_bit is not None and member_start_bit >= stop_bit:
-                end_bit = reader.tell()  # next chunk starts at the Deflate data
-                end_is_stream_start = True
+    library = libz.load()  # no knob: libz wherever it can be loaded
+    engine = _PythonChunkStream if library is None else libz.ChunkStream
+    with contextlib.closing(
+        engine(library, file_reader, start_bit, stop_bit, window, max_output)
+    ) as stream:
+        while True:
+            position = stream.position
+            if position >= size_bits:
+                raise TruncatedError("input ended inside a Deflate stream")
+            if (
+                split_output is not None
+                and stream.boundaries
+                and stream.produced >= split_output
+            ):
+                # The loop top is always a clean block boundary (the last
+                # block was non-final), so resuming an exact decode here is
+                # safe with the propagated window — no normalization needed,
+                # the emitted offset and the resume request are the same key.
+                end_bit = position
+                split = True
                 break
-            events.append(StreamEvent("header", stream.produced))
-            # Markers cannot legally reach across members; continue in the
-            # same decoder, whose buffer simply keeps growing.
-            continue
-        if not probe_bytes:
-            break  # clean end of file
-        tail = file_reader.pread(byte_position, 4096)
-        if len(tail) < 4096 and not any(tail):
-            break  # bgzip-style zero padding
-        raise FormatError(
-            f"trailing garbage after gzip member at byte {byte_position}"
-        )
+            if stop_bit is not None and stream.boundaries:
+                probe = stream.peek_header()
+                final_bit = probe & 1
+                block_type = (probe >> 1) & 0b11
+                if not final_bit and block_type in (0b00, 0b10):
+                    # Compare the *normalized* offset: a Non-Compressed
+                    # block's true header sits up to 7 zero-padding bits
+                    # before its canonical offset, and the block finder (so
+                    # the next chunk's key) only sees the canonical (§3.4.1).
+                    normalized = position
+                    if block_type == 0:
+                        normalized = canonical_nc_offset(position)
+                    if normalized >= stop_bit:
+                        end_bit = normalized
+                        break
+            if not stream.next_block():
+                continue
 
-    payload = stream.finish()
+            # End of a Deflate stream: gzip footer, then maybe another member.
+            reader = stream.byte_reader()
+            footer = parse_gzip_footer(reader)
+            events.append(
+                StreamEvent("footer", stream.produced, footer.crc32, footer.isize)
+            )
+            tail_bit = reader.tell()
+            byte_position = tail_bit // 8
+            probe_bytes = file_reader.pread(byte_position, 2)
+            if probe_bytes == MAGIC:
+                parse_gzip_header(reader)
+                if stop_bit is not None and tail_bit >= stop_bit:
+                    end_bit = reader.tell()  # next chunk starts at the Deflate data
+                    end_is_stream_start = True
+                    break
+                events.append(StreamEvent("header", stream.produced))
+                # Markers cannot legally reach across members: the next one
+                # starts with an empty window.
+                stream.restart(reader.tell())
+                continue
+            if not probe_bytes:
+                break  # clean end of file
+            tail = file_reader.pread(byte_position, 4096)
+            if len(tail) < 4096 and not any(tail):
+                break  # bgzip-style zero padding
+            raise FormatError(
+                f"trailing garbage after gzip member at byte {byte_position}"
+            )
+        payload = stream.finish()
+
     return ChunkResult(
         start_bit=requested_start,
         end_bit=end_bit,
@@ -212,10 +217,39 @@ def decode_chunk_range(
         events=events,
         boundaries=stream.boundaries,
         window_known=window is not None,
-        compressed_size_bits=(end_bit if end_bit is not None else reader.tell())
+        compressed_size_bits=(end_bit if end_bit is not None else tail_bit)
         - requested_start,
         split=split,
     )
+
+
+class _PythonChunkStream(TwoStageStreamDecoder):
+    """Where libz cannot be loaded: the fused two-stage decoder behind
+    :class:`repro.deflate.libz.ChunkStream`'s interface."""
+
+    def __init__(self, _library, file_reader, start_bit: int, _stop_bit: int,
+                 window: bytes, max_size: int):
+        super().__init__(window=window, max_size=max_size)
+        self._reader = BitReader(file_reader.clone())
+        self._reader.seek(start_bit)
+
+    position = property(lambda self: self._reader.tell())
+
+    def restart(self, bit_offset: int) -> None:
+        self._reader.seek(bit_offset)  # the buffer just keeps growing
+
+    def peek_header(self) -> int:
+        return self._reader.peek(3)
+
+    def next_block(self) -> bool:
+        return self.read_and_decode_block(self._reader).final
+
+    def byte_reader(self) -> BitReader:
+        self._reader.align_to_byte()
+        return self._reader
+
+    def close(self) -> None:
+        pass
 
 
 def speculative_decode(

@@ -41,6 +41,7 @@ from concurrent.futures import CancelledError
 
 from .. import faults
 from ..cache import FetchNextAdaptive, LRUCache, MemoryGovernor
+from ..deflate import libz
 from ..errors import (
     ChunkDecodeError,
     FormatError,
@@ -182,6 +183,11 @@ class GzipChunkFetcher:
             )
         self.max_retries = max_retries
         self.chunk_timeout = chunk_timeout
+        # The first-stage kernel is resolved, never chosen: libz's probe, or
+        # the fused kernel without libz. Loaded before the pool forks.
+        self._decoder = "probe" if libz.load() is not None else "fused"
+        if self._decoder == "fused":
+            self.telemetry.metrics.counter("decode.libz_unavailable").increment()
         self.pool = create_pool(
             self.backend, parallelization, telemetry=self.telemetry,
             task_timeout=chunk_timeout,
@@ -1017,9 +1023,7 @@ class GzipChunkFetcher:
         return {
             "mode": self.mode,
             "backend": self.backend,
-            # The one block-decode kernel; kept because recorded benchmark
-            # rows carry the field.
-            "decoder": "fused",
+            "decoder": self._decoder,
             "memory": memory,
             "encoding": {
                 "catalog_detected": self.catalog is not None,
@@ -1064,10 +1068,14 @@ class GzipChunkFetcher:
         }
 
     def close(self) -> None:
+        # Nobody will read what is still queued: cancel it (``shed``), wait
+        # for what runs, harvest — every queued chunk ends in a terminal state.
+        self._shed_speculation()
         self.pool.shutdown(wait=True)
         for pool in self._retired_pools:
             pool.shutdown(wait=True)
         self._retired_pools.clear()
+        self._harvest()
         if self._recipe_token is not None:
             release_inherited_source(self._recipe_token)
             self._recipe_token = None

@@ -114,8 +114,8 @@ _ADVICE = {
     ),
     "decode": (
         "decode-bound: reads waited on Deflate decoding itself — raise "
-        "-P, prefer --backend processes for the search path, and keep "
-        "the fused decoder enabled"
+        "-P; if --stats reports decoder \"fused\", libz could not be "
+        "loaded and the ~10x slower Python kernel is decoding"
     ),
     "network-io": (
         "origin-latency-bound: reads waited on wire round trips to the "

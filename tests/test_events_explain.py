@@ -99,9 +99,11 @@ def read_all_with_telemetry(backend, **kwargs):
                 break
             output.extend(piece)
         assert bytes(output) == DATA
-        trace_events = reader.telemetry.recorder.events()
-        event_records = reader.telemetry.events.records()
-        report = reader.explain()
+    # Read after close(), as the CLI does: what was still queued or in
+    # flight has been shed or harvested by then, so the log is complete.
+    trace_events = reader.telemetry.recorder.events()
+    event_records = reader.telemetry.events.records()
+    report = reader.explain()
     return trace_events, event_records, report
 
 
@@ -121,6 +123,24 @@ class TestLifecycleCompleteness:
         # The served data must also be visible as lifecycle events.
         states = {record["state"] for record in records}
         assert {"queued", "decode", "cached", "served"} <= states
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_close_terminates_what_was_queued(self, backend):
+        # One small read leaves speculative decodes queued and in flight;
+        # close() cancels or harvests them, so none ends as "queued".
+        reader = ParallelGzipReader(BLOB, parallelization=2,
+                                    chunk_size=16 * 1024, backend=backend,
+                                    events=True)
+        assert reader.read(1000) == DATA[:1000]
+        reader.close()
+        lifecycles = chunk_lifecycles(reader.telemetry.events.records())
+        speculative = [
+            history for history in lifecycles.values()
+            if history[0]["state"] == "queued"
+        ]
+        assert speculative
+        for history in speculative:
+            assert history[-1]["state"] in TERMINAL_STATES, history
 
 
 def _span(name, ts, dur, tid=1, pid=1, **args):
