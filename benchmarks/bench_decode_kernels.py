@@ -10,9 +10,17 @@ in both modes the pipeline uses:
   (``libz``), and stdlib ``zlib`` over the whole stream as the yardstick;
 * **marker** — first stage with an unknown window: the fused kernel and
   its reference loops (:class:`repro.deflate.TwoStageStreamDecoder`, the
-  Table 2 row and the no-libz path), and the three-pass dictionary probe
+  Table 2 row and the no-libz path), and the two-pass dictionary probe
   of :mod:`repro.deflate.libz` with its §4.4 hand-off (``probe``) and
-  with the hand-off held off (``probe_no_handoff``).
+  with the hand-off held off (``probe_no_handoff``). The entry before
+  this one in the trajectory is the same table for the three-pass probe.
+
+Two more layers of the search path ride in the same entry, each as
+before/after: **marker replacement** (the table gather of
+:mod:`repro.deflate.markers` against the ``np.where`` formula it replaced,
+beside the paper's 1254 MB/s) and the finder's **strict stage** (µs per
+rejected five-stage survivor, libz's ``Z_TREES`` header parse against the
+Python strict parser).
 
 All kernel timings are interleaved inside the same repetition loop and
 the best-of-N is reported, which cancels machine-load drift that
@@ -23,8 +31,8 @@ Emits the paper-style table, and appends a trajectory entry to
 first-stage kernel the pipeline resolved, the usable cores and the libz
 version. Older entries stay on record — including the three-tier
 measurement of the removed two-pass ``batched`` kernel, the evidence its
-deletion rests on; only a newest entry for the same kernel set is
-replaced, so reruns do not pile up.
+deletion rests on; only a newest entry for the same kernel set and probe
+pass count is replaced, so reruns do not pile up.
 """
 
 import contextlib
@@ -35,8 +43,18 @@ import pathlib
 import time
 import zlib
 
+import numpy as np
+
+from repro.blockfinder import VectorizedDynamicBlockFinder, scan_dynamic_candidates
 from repro.datagen import generate_base64, generate_fastq, generate_silesia_like
-from repro.deflate import MAX_WINDOW_SIZE, TwoStageStreamDecoder, inflate, libz
+from repro.deflate import (
+    MARKER_FLAG,
+    MAX_WINDOW_SIZE,
+    ChunkPayload,
+    TwoStageStreamDecoder,
+    inflate,
+    libz,
+)
 from repro.io import BitReader, ensure_file_reader
 
 from conftest import fmt_bw
@@ -44,6 +62,7 @@ from conftest import fmt_bw
 CORPUS_SIZE = 4 << 20
 LEVEL = 6
 REPS = 8
+PROBE_PASSES = 2
 _LIBZ = ("libz", "zlib", "probe", "probe_no_handoff") if libz.load() else ("zlib",)
 DECODERS = ("fused", "legacy") + _LIBZ  # every kernel of either mode
 TRAJECTORY_PATH = pathlib.Path(__file__).parent.parent / "BENCH_decode_kernels.json"
@@ -73,10 +92,10 @@ def _chunk_start(blob: bytes) -> tuple:
 
 
 class _NoHandOff(libz.ChunkStream):
-    """The probe with §4.4's hand-off held off: three passes to the end."""
+    """The probe with §4.4's hand-off held off: both passes to the end."""
 
-    def _run_probes(self, count: int, main_left: int) -> None:
-        super()._run_probes(count, main_left)
+    def _run_probe(self, count: int, main_left: int) -> None:
+        super()._run_probe(count, main_left)
         self._clean = 0
 
 
@@ -153,9 +172,71 @@ def _load_trajectory() -> list:
     if not TRAJECTORY_PATH.exists():
         return []
     entries = json.loads(TRAJECTORY_PATH.read_text())["trajectory"]
-    if entries and tuple(entries[-1].get("decoders", ())) == DECODERS:
+    if entries and (
+        tuple(entries[-1].get("decoders", ())), entries[-1].get("probe_passes")
+    ) == (DECODERS, PROBE_PASSES):
         entries = entries[:-1]
     return entries
+
+
+def _best(function, *args) -> float:
+    best = float("inf")
+    for _ in range(REPS):
+        start = time.perf_counter()
+        function(*args)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def _where_formula(segments: list, window: bytes) -> bytes:
+    """Stage 2 as it was before the table gather: seven passes and a join."""
+    window_array = np.frombuffer(window, dtype=np.uint8)
+    return b"".join(
+        np.where(s >= MARKER_FLAG, window_array[s & (MARKER_FLAG - 1)], s)
+        .astype(np.uint8).tobytes()
+        for s in segments
+    )
+
+
+def _measure_marker_replacement() -> dict:
+    """MB/s of output for a 4 Mi-symbol payload in 256 Ki-symbol segments
+    (what the probe flushes), a third of them markers (silesia's share)."""
+    rng = np.random.default_rng(1)
+    symbols = rng.integers(0, 256, CORPUS_SIZE).astype(np.uint16)
+    markers = rng.random(CORPUS_SIZE) < 1 / 3
+    symbols[markers] = MARKER_FLAG | rng.integers(0, MAX_WINDOW_SIZE, markers.sum())
+    window = rng.integers(0, 256, MAX_WINDOW_SIZE).astype(np.uint8).tobytes()
+    payload = ChunkPayload()
+    for start in range(0, CORPUS_SIZE, 256 << 10):
+        payload.append_symbol_bytes(symbols[start : start + (256 << 10)].tobytes())
+    assert payload.materialize(window) == _where_formula(payload.segments, window)
+    return {
+        "where_formula_mb_s": round(
+            CORPUS_SIZE / _best(_where_formula, payload.segments, window) / 1e6, 1),
+        "table_gather_mb_s": round(
+            CORPUS_SIZE / _best(payload.materialize, window) / 1e6, 1),
+        "paper_mb_s": 1254,
+        "marker_share": round(float(markers.mean()), 3),
+    }
+
+
+def _measure_strict_stage(blob: bytes) -> dict:
+    """µs per *rejected* five-stage survivor of the first MiB of ``blob``."""
+    data = blob[: 1 << 20]
+    survivors = scan_dynamic_candidates(data + bytes(32), 0, len(data) * 8).tolist()
+    load, row = libz.load, {"survivors": len(survivors)}
+    for leg, loader in (("libz", load), ("python", lambda: None)):
+        libz.load = loader
+        try:
+            finder = VectorizedDynamicBlockFinder(data)
+            bits = BitReader(data)
+            rejected = [o for o in survivors if not finder.accepts(bits, o)]
+            seconds = _best(lambda: [finder.accepts(bits, o) for o in rejected])
+        finally:
+            libz.load = load
+        row[f"{leg}_us_per_rejected"] = round(seconds / len(rejected) * 1e6, 2)
+        row["rejected"] = len(rejected)
+    return row
 
 
 def test_decode_kernels(benchmark, reporter):
@@ -167,7 +248,7 @@ def test_decode_kernels(benchmark, reporter):
     )
 
     table = reporter("Decode kernels: single-thread, every first stage")
-    widths = [8, 13, 17, 11, 10]
+    widths = [8, 13, 28, 14, 10]
     table.row("corpus", "mode", "kernel", "MB/s", "vs fused", widths=widths)
     first_stage = "probe" if libz.load() else "fused"
     host = {
@@ -177,6 +258,7 @@ def test_decode_kernels(benchmark, reporter):
     }
     entry = {
         "decoders": list(DECODERS),
+        "probe_passes": PROBE_PASSES,
         "corpus_size": CORPUS_SIZE,
         "level": LEVEL,
         "reps": REPS,
@@ -184,8 +266,12 @@ def test_decode_kernels(benchmark, reporter):
     }
     for (name, mode), rates in _results.items():
         for decoder, rate in rates.items():
+            label = {
+                "probe": f"probe ({PROBE_PASSES}-pass)",
+                "probe_no_handoff": f"probe ({PROBE_PASSES}-pass, no hand-off)",
+            }.get(decoder, decoder)
             table.row(
-                name, mode, decoder, fmt_bw(rate),
+                name, mode, label, fmt_bw(rate),
                 f"{rate / rates['fused']:.2f}x", widths=widths,
             )
         row = {
@@ -200,11 +286,29 @@ def test_decode_kernels(benchmark, reporter):
             row["zlib_per_first_stage"] = round(zlib_rate / rates[first_stage], 2)
             row["zlib_per_fused"] = round(zlib_rate / rates["fused"], 2)
         entry["results"][f"{name}/{mode}"] = {**row, **host}
+    # In-thread measurements: no pool, so P = 1 and no backend is involved.
+    host.update(backend=None, P=1)
+    replacement = _measure_marker_replacement()
+    entry["marker_replacement"] = {**replacement, **host}
+    table.add()
+    table.row("markers", "stage 2", "where formula",
+              f"{replacement['where_formula_mb_s']} MB/s", "", widths=widths)
+    table.row("markers", "stage 2", "table gather",
+              f"{replacement['table_gather_mb_s']} MB/s", "", widths=widths)
+    table.row("markers", "stage 2", "paper", "1254 MB/s", "", widths=widths)
+    if libz.load():
+        entry["strict_stage"] = {}
+        for name, data in corpora.items():
+            row = _measure_strict_stage(_raw_deflate(data))
+            entry["strict_stage"][name] = {**row, **host}
+            table.row(name, "strict", "python / libz",
+                      f"{row['python_us_per_rejected']} / "
+                      f"{row['libz_us_per_rejected']} us", "", widths=widths)
     table.add()
     table.add(f"{CORPUS_SIZE >> 20} MiB per corpus, zlib level {LEVEL}, "
               f"interleaved best-of-{REPS}, from a block 64 KiB in; "
               f"first stage {first_stage}, {host['cores']} core(s), "
-              f"libz {host['libz']}")
+              f"libz {host['libz']}, in-thread (P=1, no pool)")
     table.emit()
 
     document = {"schema": 2, "trajectory": _load_trajectory() + [entry]}

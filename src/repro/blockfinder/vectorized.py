@@ -15,10 +15,12 @@ position at once**:
    one-symbol special case.
 
 Only survivors (a few hundred per MiB of random input, per Table 1's
-"invalid Precode-encoded data" rate) reach the scalar strict parser for
-the remaining checks, one at a time and only until one is accepted. The
-filter runs inside the window loop of :mod:`repro.blockfinder.window`:
-alone here, beside the Non-Compressed one in the production
+"invalid Precode-encoded data" rate) reach the strict stage for the
+remaining checks, one at a time and only until one is accepted: libz's own
+header parse (:class:`repro.deflate.libz.HeaderCheck`) where libz loads,
+the scalar strict parser otherwise. The filter runs inside the window
+loop of :mod:`repro.blockfinder.window`: alone here, beside the
+Non-Compressed one in the production
 :class:`~repro.blockfinder.combined.CombinedBlockFinder`; the scalar
 variants remain available for the Table 1/2 component benchmarks.
 """
@@ -27,13 +29,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..deflate.block import read_block_header
+from ..deflate import libz
+from ..deflate.block import FilterStage, read_block_header
 from ..errors import FormatError
 from .window import _READ_AHEAD, PROBE_BITS, WindowedBlockFinder
 
 __all__ = ["VectorizedDynamicBlockFinder", "scan_dynamic_candidates"]
 
 _HISTOGRAM_LUT_ARRAY = None
+
+#: libz's header complaints under the Table 1 stage names. It does not tell
+#: an over-subscribed code from an incomplete one: each pair counts under
+#: its "invalid" row. Anything else (``b""``: cut off by the end of the
+#: file) is precode data.
+_LIBZ_STAGES = {
+    b"invalid final block": FilterStage.FINAL_BLOCK,
+    b"invalid block type": FilterStage.COMPRESSION_TYPE,
+    b"too many length or distance symbols": FilterStage.PRECODE_SIZE,
+    b"invalid code lengths set": FilterStage.PRECODE_INVALID,
+    b"invalid bit length repeat": FilterStage.PRECODE_DATA,
+    b"invalid distances set": FilterStage.DISTANCE_INVALID,
+    b"invalid code -- missing end-of-block": FilterStage.LITERAL_INVALID,
+    b"invalid literal/lengths set": FilterStage.LITERAL_INVALID,
+}
 
 
 def _histogram_lut_array() -> np.ndarray:
@@ -119,9 +137,9 @@ def scan_dynamic_candidates(data: bytes, start_bit: int, until_bit: int) -> np.n
 
 
 class VectorizedDynamicBlockFinder(WindowedBlockFinder):
-    """Production Dynamic Block finder: vectorized prefilter + strict parse.
+    """Production Dynamic Block finder: vectorized prefilter + strict stage.
 
-    ``candidates_tested`` counts the strict parses, ``counter`` their
+    ``candidates_tested`` counts the strict checks, ``counter`` their
     per-stage rejections.
     """
 
@@ -140,9 +158,19 @@ class VectorizedDynamicBlockFinder(WindowedBlockFinder):
 
     def accepts(self, bits, offset: int) -> bool:
         self.candidates_tested += 1
-        bits.seek(offset)
-        try:
-            read_block_header(bits, strict=True, counter=self.counter)
-        except FormatError:
-            return False
-        return True
+        check = libz.header_check()
+        if check is not None:
+            complaint = check.rejection(bits, offset)
+            if complaint is None:
+                return True
+            stage = _LIBZ_STAGES.get(complaint, FilterStage.PRECODE_DATA)
+        else:
+            bits.seek(offset)
+            try:
+                read_block_header(bits, strict=True)
+                return True
+            except FormatError as error:
+                # No stage: cut off by the file's end, libz's ``b""``.
+                stage = getattr(error, "stage", None) or FilterStage.PRECODE_DATA
+        self.counter[stage] = self.counter.get(stage, 0) + 1
+        return False

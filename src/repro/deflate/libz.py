@@ -8,17 +8,19 @@ at every block end with the unused bit count in ``data_type``.
 :class:`ChunkStream` drives that for one chunk behind the interface
 ``repro.fetcher.decode.decode_chunk_range`` loops over.
 
-With a known window it is one stream. With ``window=None`` it is *three* in
+With a known window it is one stream. With ``window=None`` it is *two* in
 lock-step over the same input, whose dictionaries spell out the window
-offset: ``LOW[w] = w & 0xFF``, ``HIGH[w] = w >> 8``, ``FLIP[w] = 0x80 |
-w >> 8``. A Deflate stream's block structure and back-reference graph do
-not depend on window *contents*, so all three take identical decisions; an
-output byte that came from the window differs between HIGH and FLIP (the
-taint) and reads ``MARKER_FLAG | LOW | HIGH << 8`` — the marker symbol the
-Python first stage emits, bit for bit. Once the trailing 32 Ki symbols at a
-block boundary are untainted the two probes are closed and the chunk
-continues single-pass into ``bytes`` segments (§4.4's hand-off). The fused
-Python kernel stays: the no-libz path, this module's oracle, Table 2's row.
+offset: ``LOW[w] = w & 0xFF`` and ``MIX[w] = LOW[w] ^ (0x80 | w >> 8)``. A
+Deflate stream's block structure and back-reference graph do not depend on
+window *contents*, so both take identical decisions; a literal comes out
+equal in both, a byte that came from the window differs (the taint) by a
+value whose bit 7 is set and whose low bits are ``w >> 8``, so the symbol is
+``LOW | (LOW ^ MIX) << 8`` — ``MARKER_FLAG | w``, the marker the Python
+first stage emits, bit for bit. Once the trailing 32 Ki symbols at a block
+boundary are untainted the probe is closed and the chunk continues
+single-pass into ``bytes`` segments (§4.4's hand-off). The fused Python
+kernel stays: the no-libz path, this module's oracle, Table 2's row.
+:class:`HeaderCheck` is the block finder's strict stage on the same library.
 """
 
 from __future__ import annotations
@@ -27,19 +29,20 @@ import ctypes
 import functools
 import itertools
 import os
+import threading
 import zlib
 
 import numpy as np
 
 from ..errors import DeflateError, TruncatedError
 from ..io import BitReader
-from .constants import MARKER_FLAG, MAX_WINDOW_SIZE
+from .constants import MAX_WINDOW_SIZE
 from .inflate import BlockBoundary
 from .markers import ChunkPayload
 
-__all__ = ["load", "ChunkStream"]
+__all__ = ["load", "ChunkStream", "HeaderCheck", "header_check"]
 
-_Z_BLOCK, _Z_OK, _Z_BUF_ERROR = 5, 0, -5
+_Z_BLOCK, _Z_TREES, _Z_OK, _Z_BUF_ERROR = 5, 6, 0, -5
 _OUT_SIZE = 256 * 1024  # output buffered per stream between flushes
 _REFILL = 128 * 1024
 #: Read this far past the stop offset: the block that crosses it must end
@@ -97,14 +100,28 @@ def load():
     return None
 
 
+def _raw_inflater(library) -> _ZStream:
+    """A raw-Deflate ``z_stream`` — C memory the caller must ``inflateEnd``."""
+    stream = _ZStream()
+    if library.inflateInit2_(
+        ctypes.byref(stream), -15,
+        zlib.ZLIB_RUNTIME_VERSION.encode(), ctypes.sizeof(stream),
+    ) != _Z_OK:
+        raise MemoryError("inflateInit2 failed")
+    return stream
+
+
+def _address(data: bytes) -> int:
+    """``data``'s bytes for ``next_in``, not copied: the caller keeps it alive."""
+    return ctypes.cast(ctypes.c_char_p(data), ctypes.c_void_p).value
+
+
 @functools.lru_cache(maxsize=None)
 def _probe_dictionaries() -> tuple:
     offsets = np.arange(MAX_WINDOW_SIZE, dtype=np.uint16)
-    high = (offsets >> 8).astype(np.uint8)
-    return (
-        offsets.astype(np.uint8).tobytes(), high.tobytes(),
-        (high | 0x80).tobytes(),
-    )
+    low = offsets.astype(np.uint8)
+    mix = low ^ (0x80 | offsets >> 8).astype(np.uint8)
+    return low.tobytes(), mix.tobytes()
 
 
 class ChunkStream:
@@ -134,13 +151,7 @@ class ChunkStream:
         self._outs = [np.empty(_OUT_SIZE, dtype=np.uint8) for _ in dictionaries]
         try:
             for _ in dictionaries:
-                stream = _ZStream()
-                if library.inflateInit2_(
-                    ctypes.byref(stream), -15,
-                    zlib.ZLIB_RUNTIME_VERSION.encode(), ctypes.sizeof(stream),
-                ) != _Z_OK:
-                    raise MemoryError("inflateInit2 failed")
-                self._streams.append(stream)
+                self._streams.append(_raw_inflater(library))
             self.restart(start_bit, dictionaries)
         except BaseException:
             self.close()
@@ -155,8 +166,7 @@ class ChunkStream:
         if not self._slab:
             raise TruncatedError("input ended inside a Deflate stream")
         self._slab_start = byte
-        pointer = ctypes.c_char_p(self._slab)  # into the bytes, no copy
-        self._slab_address = ctypes.cast(pointer, ctypes.c_void_p).value
+        self._slab_address = _address(self._slab)
         self._offset = 0
 
     def restart(self, bit_offset: int, dictionaries=()) -> None:
@@ -223,7 +233,7 @@ class ChunkStream:
                 room = min(room, self._max_size + 1 - self.produced)
             count = self._inflate(main, self._outs[0], room)
             if len(self._streams) > 1:
-                self._run_probes(count, main.avail_in)
+                self._run_probe(count, main.avail_in)
             self._offset = len(self._slab) - main.avail_in
             self._fill += count
             self.produced += count
@@ -242,14 +252,14 @@ class ChunkStream:
             self.close(keep=1)
         return bool(main.data_type & 64)
 
-    def _run_probes(self, count: int, main_left: int) -> None:
-        """Level HIGH and FLIP with the main pass; extend the clean run."""
-        for stream, out in zip(self._streams[1:], self._outs[1:]):
-            produced = self._inflate(stream, out, count)
-            if (produced, stream.avail_in) != (count, main_left):
-                raise DeflateError("libz: probe passes diverged")
+    def _run_probe(self, count: int, main_left: int) -> None:
+        """Level MIX with the main pass; extend the clean run."""
+        stream = self._streams[1]
+        produced = self._inflate(stream, self._outs[1], count)
+        if (produced, stream.avail_in) != (count, main_left):
+            raise DeflateError("libz: probe passes diverged")
         span = slice(self._fill, self._fill + count)
-        taint = self._outs[1][span] != self._outs[2][span]
+        taint = self._outs[0][span] != self._outs[1][span]
         if taint.any():
             self._clean = int(taint[::-1].argmax())
         else:
@@ -261,10 +271,11 @@ class ChunkStream:
         if len(self._streams) == 1:
             self.payload.append_bytes(low.tobytes())
             return
-        high = self._outs[1][:fill]
-        symbols = low.astype(np.uint16)
-        tainted = np.flatnonzero(high != self._outs[2][:fill])
-        symbols[tainted] |= MARKER_FLAG | (high[tainted].astype(np.uint16) << 8)
+        # LOW ^ MIX is 0 for a literal and 0x80 | w >> 8 for window byte w:
+        # shifted up it is MARKER_FLAG and the offset's high bits at once.
+        symbols = (low ^ self._outs[1][:fill]).astype(np.uint16)
+        symbols <<= 8
+        symbols |= low
         self.payload.append_symbol_bytes(memoryview(symbols).cast("B"))
 
     def finish(self) -> ChunkPayload:
@@ -277,3 +288,63 @@ class ChunkStream:
             self._library.inflateEnd(self._streams.pop())
 
     __del__ = close  # backstop only
+
+
+class HeaderCheck:
+    """The block finder's strict stage (§3.4.2) by libz: one raw inflater,
+    reset per candidate, that parses a Dynamic Block header and returns
+    where it ends (``Z_TREES``), never given room for output."""
+
+    def __init__(self, library):
+        self._library = library
+        self._stream = _raw_inflater(library)
+        # No room for output, ever — but next_out may not be NULL.
+        self._sink = ctypes.create_string_buffer(8)
+        self._stream.next_out = ctypes.addressof(self._sink)
+
+    def rejection(self, bits, bit_offset: int):
+        """``None`` if a valid non-final Dynamic Block header starts at
+        ``bit_offset``, else what is wrong with it: libz's message, or
+        ``b""`` for one cut off by the end of the file. Reads from the bytes
+        ``bits`` (a :class:`BitReader`) holds; a header running past them is
+        followed one cache-size read into the file, as ``bits`` would."""
+        _, _, _, data, data_start, pread, follow = bits.export_state()
+        byte, bit = divmod(bit_offset, 8)
+        index = byte - data_start
+        if not 0 <= index < len(data):
+            data, data_start, index = pread(byte, follow), byte, 0
+        head = int.from_bytes(data[index : index + 2], "little") >> bit
+        if head & 0b111 != 0b100:  # Z_TREES would also stop after other types
+            return b"invalid final block" if head & 1 else b"invalid block type"
+        library, stream = self._library, self._stream
+        library.inflateReset(stream)
+        if bit:
+            library.inflatePrime(stream, 8 - bit, head)
+            index += 1
+        stream.next_in, stream.avail_in = _address(data) + index, len(data) - index
+        status = library.inflate(stream, _Z_TREES)
+        if status in (_Z_OK, _Z_BUF_ERROR) and not stream.data_type & 256:
+            tail = pread(data_start + len(data), follow)
+            stream.next_in, stream.avail_in = _address(tail), len(tail)
+            status = library.inflate(stream, _Z_TREES)
+        if status in (_Z_OK, _Z_BUF_ERROR):
+            return None if stream.data_type & 256 else b""
+        return stream.msg or b""
+
+    def __del__(self):
+        self._library.inflateEnd(self._stream)
+
+
+_thread = threading.local()
+
+
+def header_check():
+    """This thread's :class:`HeaderCheck` (its stream is C memory: one per
+    thread, not one per finder), or ``None`` where libz cannot be loaded."""
+    library = load()
+    if library is None:
+        return None
+    check = getattr(_thread, "header_check", None)
+    if check is None:
+        check = _thread.header_check = HeaderCheck(library)
+    return check

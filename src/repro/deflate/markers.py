@@ -7,10 +7,12 @@ markers are copied around *by value*, every marker in a chunk's output
 always refers to that one chunk-start window — a single replacement pass
 resolves all of them once the window is known.
 
-Replacement is a vectorized NumPy gather; the paper measures it at 1254
-MB/s, an order of magnitude faster than Deflate decoding (Table 2), which is
-what makes the second stage cheap and the sequential window propagation the
-only Amdahl term.
+Replacement is one NumPy gather per segment through a 64 Ki-entry table
+that maps every symbol, literal or marker, to its byte. The paper measures
+it at 1254 MB/s, an order of magnitude faster than Deflate decoding (Table
+2), which is what makes the second stage cheap and the sequential window
+propagation the only Amdahl term; ours runs at 810 MB/s in-thread (150
+before the table: ``BENCH_decode_kernels.json``, ``marker_replacement``).
 """
 
 from __future__ import annotations
@@ -65,22 +67,24 @@ def pad_window(window: bytes) -> bytes:
     return bytes(MAX_WINDOW_SIZE - len(window)) + bytes(window)
 
 
-def replace_markers(segment: np.ndarray, window: bytes) -> bytes:
-    """Resolve every marker in a uint16 segment against ``window``.
+#: The constant half of :func:`symbol_table`: a literal maps to itself,
+#: and 256..0x7FFF, which no valid stream produces, to zero.
+_LITERAL_HALF = bytes(range(256)) + bytes(MARKER_FLAG - 256)
 
-    ``window`` must be exactly 32 KiB (use :func:`pad_window`). This is the
-    second decompression stage: a vectorized gather
-    ``out[i] = window[segment[i] & 0x7FFF] if segment[i] & 0x8000 else segment[i]``.
-    """
+
+def symbol_table(window: bytes) -> np.ndarray:
+    """``table[symbol]`` is the byte a first-stage symbol stands for once the
+    chunk-start ``window`` (exactly 32 KiB, see :func:`pad_window`) is known:
+    ``table[s] = s`` for a literal, ``table[MARKER_FLAG | w] = window[w]``."""
     if len(window) != MAX_WINDOW_SIZE:
         raise UsageError(f"window must be {MAX_WINDOW_SIZE} bytes, got {len(window)}")
-    window_array = np.frombuffer(window, dtype=np.uint8)
-    is_marker = segment >= MARKER_FLAG
-    offsets = segment & (MARKER_FLAG - 1)
-    # segment is already uint16; an astype here would add a full copy of
-    # every segment on the stage-2 hot path for nothing.
-    resolved = np.where(is_marker, window_array[offsets], segment).astype(np.uint8)
-    return resolved.tobytes()
+    return np.frombuffer(_LITERAL_HALF + window, dtype=np.uint8)
+
+
+def replace_markers(segment: np.ndarray, window: bytes) -> bytes:
+    """Resolve every marker in a uint16 segment against ``window`` — the
+    second decompression stage: ``symbol_table(window)[segment]``."""
+    return symbol_table(window).take(segment).tobytes()
 
 
 def segment_has_markers(segment: np.ndarray) -> bool:
@@ -134,14 +138,22 @@ class ChunkPayload:
 
     def materialize(self, window: bytes = b"") -> bytes:
         """Resolve all markers against the chunk-start ``window`` (stage 2)."""
-        padded = pad_window(window)
-        pieces = []
-        for segment in self.segments:
+        segments = self.segments
+        if not any(isinstance(segment, np.ndarray) for segment in segments):
+            # Index, BGZF and catalog chunks: nothing to gather.
+            return segments[0] if len(segments) == 1 else b"".join(segments)
+        table = symbol_table(pad_window(window))
+        out = np.empty(self.length, dtype=np.uint8)
+        position = 0
+        for segment in segments:
+            target = out[position : position + len(segment)]
             if isinstance(segment, np.ndarray):
-                pieces.append(replace_markers(segment, padded))
+                # No uint16 is out of range, and "raise" buffers the output.
+                table.take(segment, out=target, mode="wrap")
             else:
-                pieces.append(segment)
-        return b"".join(pieces)
+                target[:] = np.frombuffer(segment, dtype=np.uint8)
+            position += len(segment)
+        return out.tobytes()
 
     def window_at_end(self, window: bytes = b"") -> bytes:
         """The resolved final 32 KiB — the next chunk's window (stage-2 tail).
@@ -158,9 +170,8 @@ class ChunkPayload:
                 break
             tail = segment[-needed:]
             if isinstance(tail, np.ndarray):
-                pieces.append(replace_markers(tail, padded))
-            else:
-                pieces.append(bytes(tail))
+                tail = replace_markers(tail, padded)
+            pieces.append(tail)
             needed -= len(tail)
         combined = b"".join(reversed(pieces))
         if len(combined) < MAX_WINDOW_SIZE:

@@ -8,7 +8,7 @@ Three decode paths, fastest applicable wins:
   Non-Compressed non-final block at/after the stop offset (the finder's
   predicate, so the next chunk's offset is findable — §3.3's parity).
   Blocks run bit-exactly through libz (:mod:`repro.deflate.libz`: one pass
-  with the window, three probe passes without), through the Python
+  with the window, two probe passes without), through the Python
   two-stage decoder where libz cannot be loaded; no option selects.
 * :func:`zlib_decode_range` — index-loaded fast path: bit-shift the
   compressed range to byte alignment and delegate to zlib with the window

@@ -1,22 +1,27 @@
 """Worker backend selection: threads vs. processes.
 
-The decode pipeline has two kinds of hot path. The zlib-delegation modes
-(loaded index, BGZF) spend their time inside zlib, which releases the
-GIL, so threads already scale and stay the cheaper choice — no pickling,
-no per-worker file handles. The two-stage search path is pure Python and
-GIL-bound: only worker *processes* give it real multi-core speedup
-(paper Figs. 9–12; pugz's chunk-per-worker scheme on actual threads).
+Threads share the address space: no spawn, no pickling, no per-worker file
+handles, a result is with the orchestrating thread the moment it is done.
+They scale where the hot path leaves the GIL. The zlib-delegation modes
+(loaded index, BGZF, catalog) always did; the two-stage search path does
+wherever libz loads (:mod:`repro.deflate.libz`: inflate and the finder's
+strict check run in C). Where it does not, the fused Python kernel is
+GIL-bound and only worker *processes* give it a second core — at the price
+of shipping 2 bytes per output byte through a pipe.
 
-``resolve_backend`` encodes that rule for ``backend="auto"``: processes
-exactly when the speculative two-stage path is active, more than one
-worker is requested, and the machine has more than one usable core —
-otherwise threads (on a single core a process pool only adds IPC cost).
+``resolve_backend`` encodes that for ``backend="auto"``, keyed on that one
+observable property of the decoder: processes exactly when the speculative
+path is active, more than one worker is requested, the machine has more
+than one usable core *and* libz cannot be loaded — otherwise threads.
+Measured at P = 1 and 2 on 2 cores, all this repository's hosts offer
+(EXPERIMENTS.md, "Search path after PR 22"; ROADMAP 4(b)).
 """
 
 from __future__ import annotations
 
 import os
 
+from ..deflate import libz
 from ..errors import UsageError
 
 __all__ = ["BACKENDS", "available_cores", "create_pool", "resolve_backend"]
@@ -37,7 +42,8 @@ def resolve_backend(backend: str, *, mode: str, parallelization: int) -> str:
     """Map a requested backend (possibly ``auto``) to a concrete one.
 
     ``mode`` is the fetcher's operating mode (``search``/``index``/
-    ``bgzf``); only ``search`` runs the GIL-bound two-stage decoder.
+    ``bgzf``); only ``search`` runs the two-stage decoder, and that is
+    GIL-bound only without libz.
     """
     if backend not in BACKENDS:
         raise UsageError(
@@ -45,11 +51,9 @@ def resolve_backend(backend: str, *, mode: str, parallelization: int) -> str:
         )
     if backend != "auto":
         return backend
-    if mode != "search" or parallelization < 2:
+    if mode != "search" or parallelization < 2 or available_cores() < 2:
         return "threads"
-    if available_cores() < 2:
-        return "threads"
-    return "processes"
+    return "threads" if libz.load() is not None else "processes"
 
 
 def create_pool(backend: str, size: int, *, telemetry=None, context=None,

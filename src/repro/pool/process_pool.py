@@ -1,12 +1,15 @@
 """Worker process pool: real multi-core execution for GIL-bound decoding.
 
-The two-stage decoder's hot path is pure Python, so :class:`ThreadPool`
-workers serialize on the GIL and speculative chunk decodes gain nothing
-from extra cores. :class:`ProcessPool` runs the same priority-scheduled
-task model on ``multiprocessing`` workers instead: tasks must be
-*descriptions* — a picklable module-level callable plus picklable
-arguments — and results travel back through a pipe, so each decode
-genuinely occupies its own core.
+Where libz cannot be loaded the two-stage decoder's hot path is the fused
+Python kernel, :class:`ThreadPool` workers serialize on the GIL and
+speculative chunk decodes gain nothing from extra cores.
+:class:`ProcessPool` runs the same priority-scheduled task model on
+``multiprocessing`` workers instead: tasks must be *descriptions* — a
+picklable module-level callable plus picklable arguments — and results
+travel back through a pipe, so each decode genuinely occupies its own
+core. With libz the decoder leaves the GIL and threads win (no spawn, no
+pipe): ``backend="auto"`` picks this pool only for the Python kernel
+(:mod:`repro.pool.backend`); ``backend="processes"`` always selects it.
 
 Scheduling stays parent-side: a dispatcher thread holds the priority
 queue and feeds exactly one task at a time to each idle worker over a

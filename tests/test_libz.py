@@ -14,7 +14,7 @@ import pytest
 from .deflate_writer_util import BitWriter, write_fixed_literal
 from repro.blockfinder import canonical_nc_offset
 from repro.datagen import generate_base64, generate_fastq, generate_silesia_like
-from repro.deflate import MAX_WINDOW_SIZE, FilterStage, inflate, libz
+from repro.deflate import MARKER_FLAG, MAX_WINDOW_SIZE, FilterStage, inflate, libz
 from repro.deflate.constants import distance_to_symbol, length_to_symbol
 from repro.errors import DeflateError, FormatError, TruncatedError
 from repro.fetcher.decode import decode_chunk_range, speculative_decode
@@ -115,6 +115,50 @@ def test_this_host_runs_the_libz_path(monkeypatch):
     blob = gzip.compress(b"x" * 100)
     assert decode_chunk_range(ensure_file_reader(blob), 80, None, b"").length == 100
     assert len(built) == 1
+
+
+# -- the probe: two dictionaries spell out a window offset -------------------
+
+
+def test_probe_dictionary_algebra():
+    low, mix = (np.frombuffer(d, dtype=np.uint8) for d in libz._probe_dictionaries())
+    offsets = np.arange(MAX_WINDOW_SIZE)
+    difference = low ^ mix
+    assert len(low) == len(mix) == MAX_WINDOW_SIZE
+    assert (difference & 0x80).all()  # a window byte always differs: the taint
+    # (LOW, LOW ^ MIX) round-trips to the offset, and to the marker symbol.
+    assert np.array_equal(low | (difference & 0x7F).astype(np.int64) << 8, offsets)
+    assert np.array_equal(
+        low | difference.astype(np.uint16) << 8, MARKER_FLAG | offsets)
+
+
+def test_marker_mode_is_two_streams_until_the_hand_off():
+    blob = gzip.compress(generate_base64(400_000, seed=4), 6)
+    second = inflate(blob[10:-8]).boundaries[1]
+    stream = libz.ChunkStream(
+        libz.load(), ensure_file_reader(blob), 80 + second.bit_offset, None, None)
+    with contextlib.closing(stream):
+        assert len(stream._streams) == len(stream._outs) == 2
+        while len(stream._streams) == 2:
+            assert not stream.next_block()
+        assert len(stream._streams) == 1  # §4.4: the probe is closed
+        known = libz.ChunkStream(
+            libz.load(), ensure_file_reader(blob), 80, None, b"")
+        with contextlib.closing(known):
+            assert len(known._streams) == 1
+
+
+def test_diverging_passes_are_a_format_error(monkeypatch):
+    blob = gzip.compress(generate_silesia_like(100_000, seed=4), 6)
+    real = libz.ChunkStream._inflate
+
+    def short_probe(self, stream, out, room):
+        return real(self, stream, out, room - (stream is not self._streams[0]))
+
+    monkeypatch.setattr(libz.ChunkStream, "_inflate", short_probe)
+    assert decode_chunk_range(ensure_file_reader(blob), 80, None, b"").length
+    with pytest.raises(DeflateError, match="diverged"):
+        decode_chunk_range(ensure_file_reader(blob), 80, None, None)
 
 
 # -- crafted streams: every start alignment x first block type ----------------
@@ -395,7 +439,7 @@ def current_rss_bytes() -> int:
 
 
 def test_rejected_candidates_do_not_leak():
-    # A candidate that decodes a block and then dies leaves three open
+    # A candidate that decodes a block and then dies leaves two open
     # z_streams (~40 KiB of C memory each) behind unless they are closed.
     blob = bytearray(gzip.compress(generate_silesia_like(200_000, seed=5), 6))
     second, third = inflate(bytes(blob[10:-8])).boundaries[1:3]

@@ -1,6 +1,7 @@
 """Tests for the process worker backend: pool, task specs, telemetry merge."""
 
 import gzip as stdlib_gzip
+import io
 import os
 import pickle
 import random
@@ -9,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.deflate import libz
 from repro.deflate.constants import MARKER_FLAG
 from repro.deflate.markers import ChunkPayload
 from repro.errors import UsageError, WorkerCrashedError
@@ -19,6 +21,9 @@ from repro.fetcher import (
     execute_chunk_task,
 )
 from repro.fetcher.tasks import make_reader_recipe, resolve_reader_recipe
+from repro.gz.bgzf import compress_bgzf
+from repro.gz.parallel_writer import compress_parallel
+from repro.index import GzipIndex
 from repro.io import MemoryFileReader
 from repro.pool import (
     PRIORITY_ON_DEMAND,
@@ -28,6 +33,7 @@ from repro.pool import (
     create_pool,
     resolve_backend,
 )
+from repro.reader import ParallelGzipReader
 from repro.telemetry import MetricsRegistry, Telemetry, TraceRecorder
 
 
@@ -139,9 +145,47 @@ class TestBackendResolution:
     def test_auto_uses_threads_for_serial_decode(self):
         assert resolve_backend("auto", mode="search", parallelization=1) == "threads"
 
-    def test_auto_search_mode_depends_on_cores(self):
+    def test_auto_search_mode_depends_on_cores(self, monkeypatch):
+        # Keyed on the decoder: a C-backed one leaves the GIL, so threads.
+        if libz.load() is not None:
+            assert resolve_backend("auto", mode="search", parallelization=4) == "threads"
+        # The fused Python kernel is GIL-bound: processes, given a second core.
+        monkeypatch.setattr(libz, "load", lambda: None)
         expected = "processes" if available_cores() >= 2 else "threads"
         assert resolve_backend("auto", mode="search", parallelization=4) == expected
+        monkeypatch.setattr("repro.pool.backend.available_cores", lambda: 1)
+        assert resolve_backend("auto", mode="search", parallelization=4) == "threads"
+        monkeypatch.setattr("repro.pool.backend.available_cores", lambda: 2)
+        assert resolve_backend("auto", mode="search", parallelization=4) == "processes"
+
+    @pytest.mark.parametrize("leg", ["libz", "python"])
+    def test_reader_auto_backend_follows_the_decoder(self, monkeypatch, leg):
+        if leg == "python":
+            monkeypatch.setattr(libz, "load", lambda: None)
+        elif libz.load() is None:
+            pytest.skip("libz cannot be loaded on this host")
+        monkeypatch.setattr("repro.pool.backend.available_cores", lambda: 2)
+        data = ascii_data(120_000, seed=4)
+
+        def resolved(blob, **options):
+            with ParallelGzipReader(blob, parallelization=2, **options) as reader:
+                assert reader.read() == data
+                stats = reader.statistics()
+            return stats["mode"], stats["backend"]
+
+        blob = stdlib_gzip.compress(data)
+        search = "threads" if leg == "libz" else "processes"
+        assert resolved(blob, chunk_size=16 * 1024) == ("search", search)
+        # Everything that delegates to zlib stays on threads on both legs.
+        with ParallelGzipReader(blob, chunk_size=16 * 1024) as reader:
+            sink = io.BytesIO()
+            reader.export_index(sink)
+        index = GzipIndex.load(sink.getvalue())
+        assert resolved(blob, index=index) == ("index", "threads")
+        assert resolved(compress_bgzf(data)) == ("bgzf", "threads")
+        catalogued = compress_parallel(data, layout="parallel-friendly",
+                                       chunk_size=16 * 1024)
+        assert resolved(catalogued)[1] == "threads"
 
     def test_create_pool_rejects_unresolved_auto(self):
         with pytest.raises(UsageError):

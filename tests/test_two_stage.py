@@ -67,6 +67,76 @@ class TestMarkerReplacement:
         big = bytes(range(256)) * 200
         assert pad_window(big) == big[-MAX_WINDOW_SIZE:]
 
+    @staticmethod
+    def where_formula(segment, window: bytes) -> bytes:
+        """Stage 2 as it was written before the table gather (the oracle)."""
+        window_array = np.frombuffer(window, dtype=np.uint8)
+        offsets = segment & (MARKER_FLAG - 1)
+        resolved = np.where(segment >= MARKER_FLAG, window_array[offsets], segment)
+        return resolved.astype(np.uint8).tobytes()
+
+    @staticmethod
+    def random_segment(rng, size: int, marker_share: float) -> np.ndarray:
+        segment = rng.integers(0, 256, size).astype(np.uint16)
+        markers = rng.random(size) < marker_share
+        segment[markers] = MARKER_FLAG | rng.integers(0, MAX_WINDOW_SIZE, markers.sum())
+        return segment
+
+    @pytest.mark.parametrize("window_size", [0, 1, 700, MAX_WINDOW_SIZE - 1,
+                                             MAX_WINDOW_SIZE, MAX_WINDOW_SIZE + 9])
+    @pytest.mark.parametrize("marker_share", [0.0, 0.3, 1.0])
+    def test_table_gather_equals_where_formula(self, window_size, marker_share):
+        rng = np.random.default_rng(window_size * 7 + int(marker_share * 10))
+        window = pad_window(rng.integers(0, 256, window_size).astype(np.uint8).tobytes())
+        for size in (0, 1, 4097):
+            segment = self.random_segment(rng, size, marker_share)
+            assert replace_markers(segment, window) == \
+                self.where_formula(segment, window)
+
+    def test_symbols_no_valid_stream_produces_read_zero(self):
+        # 256..0x7FFF is neither a literal nor a marker. The gather table
+        # maps it to 0; the where/astype formula used to keep its low byte.
+        segment = np.array([255, 256, 0x1234, MARKER_FLAG - 1], dtype=np.uint16)
+        assert replace_markers(segment, pad_window(b"\xff" * 9)) == b"\xff\0\0\0"
+
+    @pytest.mark.parametrize("window_size", [0, 700, MAX_WINDOW_SIZE])
+    def test_mixed_segments_materialize_piecewise(self, window_size):
+        rng = np.random.default_rng(window_size + 1)
+        window = rng.integers(0, 256, window_size).astype(np.uint8).tobytes()
+        for sizes in ([5], [40_000, 3], [0, 10, 33_000, 7, 2_000], [100, 50_000]):
+            payload, pieces = ChunkPayload(), []
+            for index, size in enumerate(sizes):
+                if index % 2:
+                    data = rng.integers(0, 256, size).astype(np.uint8).tobytes()
+                    payload.append_bytes(data)
+                    pieces.append(data)
+                else:
+                    segment = self.random_segment(rng, size, 0.3)
+                    payload.append_symbol_bytes(segment.tobytes())
+                    pieces.append(self.where_formula(segment, pad_window(window)))
+            expected = b"".join(pieces)
+            assert payload.length == len(expected)
+            assert payload.materialize(window) == expected
+            # Short chunk: older window bytes shift in from the left.
+            assert payload.window_at_end(window) == \
+                (pad_window(window) + expected)[-MAX_WINDOW_SIZE:]
+
+    def test_all_bytes_payload_is_not_copied(self, monkeypatch):
+        import repro.deflate.markers as markers
+
+        def no_table(window):
+            raise AssertionError("no marker segment, no gather table")
+
+        monkeypatch.setattr(markers, "symbol_table", no_table)
+        one = ChunkPayload()
+        one.append_bytes(b"x" * 70_000)
+        assert one.materialize(b"window") is one.segments[0]
+        two = ChunkPayload()
+        two.append_bytes(b"a" * 40_000)
+        two.append_bytes(b"b" * 10)
+        assert two.materialize() == b"a" * 40_000 + b"b" * 10
+        assert two.window_at_end(b"w") == (b"a" * 40_000 + b"b" * 10)[-MAX_WINDOW_SIZE:]
+
     def test_seed_marker_window(self):
         seed = seed_marker_window_u16()
         assert isinstance(seed, bytearray)  # a fresh, extendable copy

@@ -31,7 +31,8 @@ from repro.blockfinder.window import (
     _WINDOW_CAP,
     PROBE_BITS,
 )
-from repro.deflate.block import read_block_header
+from repro.deflate import libz
+from repro.deflate.block import FilterStage, read_block_header
 from repro.deflate.compress import CompressorOptions, compress
 from repro.deflate import inflate
 from repro.errors import FormatError
@@ -425,3 +426,129 @@ class TestBoundedReads:
         assert reader.requested() <= 1.1 * len(data)
         windows = [size for _, size in reader.log if size > _MAX_HEADER]
         assert len(windows) == len(window_seams(len(data))) + 1
+
+
+# -- the strict stage: libz's header parse vs the Python parser ---------------
+
+
+def survivors_of(data: bytes) -> list:
+    """Every five-stage survivor of ``data``, one pass, zero-padded tail."""
+    return scan_dynamic_candidates(
+        data + bytes(_READ_AHEAD), 0, len(data) * 8
+    ).tolist()
+
+
+def walk(data: bytes) -> VectorizedDynamicBlockFinder:
+    finder = VectorizedDynamicBlockFinder(data)
+    finder.accepted = list(finder.iter_candidates())
+    return finder
+
+
+def strict_corpora() -> dict:
+    import gzip
+
+    from repro.datagen import generate_base64, generate_fastq, generate_silesia_like
+
+    return {
+        "base64": gzip.compress(generate_base64(1_500_000, seed=11), 6),
+        "silesia": gzip.compress(generate_silesia_like(2_000_000, seed=5), 6),
+        "fastq": gzip.compress(generate_fastq(2_000_000, seed=7), 6),
+        "noise": noise_bytes(1 << 20, seed=31),
+    }
+
+
+@pytest.mark.skipif(libz.load() is None, reason="libz cannot be loaded on this host")
+class TestLibzStrictStage:
+    def test_accept_set_equals_the_python_parser(self, monkeypatch):
+        tested = 0
+        for name, data in strict_corpora().items():
+            ours = walk(data)
+            with monkeypatch.context() as patch:
+                patch.setattr(libz, "load", lambda: None)
+                oracle = walk(data)
+            assert ours.accepted == oracle.accepted, name
+            assert ours.candidates_tested == oracle.candidates_tested, name
+            # Stage names differ (libz does not tell invalid from
+            # non-optimal); every rejection is counted once on both legs.
+            assert sum(ours.counter.values()) == sum(oracle.counter.values()) \
+                == ours.candidates_tested - len(ours.accepted), name
+            assert set(ours.counter) <= set(FilterStage.ORDER), name
+            tested += ours.candidates_tested
+            if name != "noise":
+                assert ours.accepted, name
+        assert tested >= 10_000
+
+    def test_every_survivor_one_by_one(self):
+        # Not through the window loop: each survivor against a reader that
+        # holds nothing, so every header is fetched the fallback way.
+        data = strict_corpora()["noise"][: 256 * 1024]
+        check = libz.header_check()
+        reader = BitReader(MemoryFileReader(data), cache_size=_MAX_HEADER)
+        for offset in survivors_of(data):
+            reader.seek(offset)
+            try:
+                read_block_header(reader, strict=True)
+                expected = True
+            except FormatError:
+                expected = False
+            assert (check.rejection(BitReader(data, cache_size=_MAX_HEADER),
+                                    offset) is None) == expected, offset
+
+    def test_header_truncated_at_every_byte(self, monkeypatch):
+        from repro.datagen import generate_silesia_like
+
+        compressor = zlib.compressobj(6, zlib.DEFLATED, -15)
+        stream = compressor.compress(generate_silesia_like(60_000, seed=9))
+        stream += compressor.flush(zlib.Z_FULL_FLUSH)
+        assert VectorizedDynamicBlockFinder(stream).find_next(0) == 0
+        complete = None
+        for shift in (0, 3):
+            whole = shifted(stream, shift)
+            for size in range(1, 200):
+                ours = walk(whole[:size])  # never crashes, never hangs
+                with monkeypatch.context() as patch:
+                    patch.setattr(libz, "load", lambda: None)
+                    oracle = walk(whole[:size])
+                assert ours.accepted == oracle.accepted, (shift, size)
+                assert sum(ours.counter.values()) == sum(oracle.counter.values())
+                if complete is None and ours.accepted:
+                    complete = size
+        assert 40 < complete < 199  # cut inside the header: rejected until here
+
+    def test_other_block_types_are_not_headers(self):
+        # Z_TREES also returns at the end of a stored or fixed header; the
+        # three header bits are checked before libz is asked.
+        check = libz.header_check()
+        for first, complaint in ((0b000, b"invalid block type"),
+                                 (0b010, b"invalid block type"),
+                                 (0b110, b"invalid block type"),
+                                 (0b101, b"invalid final block")):
+            data = bytes([first]) + bytes(64)
+            assert check.rejection(BitReader(data), 0) == complaint
+        assert check.rejection(BitReader(b""), 0) is not None
+        assert check.rejection(BitReader(b"\x04"), 0) == b""
+
+    def test_one_stream_per_thread_and_flat_rss(self):
+        import threading
+
+        assert libz.header_check() is libz.header_check()
+        others = []
+        thread = threading.Thread(target=lambda: others.append(libz.header_check()))
+        thread.start()
+        thread.join(timeout=10)
+        assert others and others[0] is not libz.header_check()
+
+        data = noise_bytes(64 * 1024, seed=32)
+
+        def construct(times: int) -> None:
+            for _ in range(times):
+                VectorizedDynamicBlockFinder(data).find_next(0, until=8 * 8192)
+
+        def resident() -> int:
+            with open("/proc/self/statm") as statm:
+                return int(statm.read().split()[1]) * 4096
+
+        construct(200)
+        before = resident()
+        construct(2000)
+        assert abs(resident() - before) <= 2 << 20
