@@ -15,12 +15,16 @@ in both modes the pipeline uses:
   with the hand-off held off (``probe_no_handoff``). The entry before
   this one in the trajectory is the same table for the three-pass probe.
 
-Two more layers of the search path ride in the same entry, each as
-before/after: **marker replacement** (the table gather of
-:mod:`repro.deflate.markers` against the ``np.where`` formula it replaced,
-beside the paper's 1254 MB/s) and the finder's **strict stage** (µs per
-rejected five-stage survivor, libz's ``Z_TREES`` header parse against the
-Python strict parser).
+Three more layers of the search path ride in the same entry:
+**marker replacement** (the table gather of :mod:`repro.deflate.markers`
+against the ``np.where`` formula it replaced, beside the paper's
+1254 MB/s), the finder's **strict stage** (µs per rejected five-stage
+survivor, libz's ``Z_TREES`` header parse against the Python strict
+parser) and the finder's **scan** (``finder_scan``: ms per window, sustained
+MB/s and ``tracemalloc`` bytes per input byte of
+``scan_dynamic_candidates`` at every window size of the ramp, beside the
+paper's 43 MB/s; the entry before it is the per-bit ``int64`` scan, whose
+4.4–4.7 ms per 32 KiB window is on record in EXPERIMENTS.md).
 
 All kernel timings are interleaved inside the same repetition loop and
 the best-of-N is reported, which cancels machine-load drift that
@@ -32,7 +36,8 @@ first-stage kernel the pipeline resolved, the usable cores and the libz
 version. Older entries stay on record — including the three-tier
 measurement of the removed two-pass ``batched`` kernel, the evidence its
 deletion rests on; only a newest entry for the same kernel set and probe
-pass count is replaced, so reruns do not pile up.
+pass count is replaced (and only if it has a ``finder_scan`` block too), so
+reruns do not pile up.
 """
 
 import contextlib
@@ -41,11 +46,13 @@ import json
 import os
 import pathlib
 import time
+import tracemalloc
 import zlib
 
 import numpy as np
 
 from repro.blockfinder import VectorizedDynamicBlockFinder, scan_dynamic_candidates
+from repro.blockfinder.window import _READ_AHEAD
 from repro.datagen import generate_base64, generate_fastq, generate_silesia_like
 from repro.deflate import (
     MARKER_FLAG,
@@ -63,6 +70,7 @@ CORPUS_SIZE = 4 << 20
 LEVEL = 6
 REPS = 8
 PROBE_PASSES = 2
+SCAN_WINDOWS_KIB = (4, 8, 16, 32)
 _LIBZ = ("libz", "zlib", "probe", "probe_no_handoff") if libz.load() else ("zlib",)
 DECODERS = ("fused", "legacy") + _LIBZ  # every kernel of either mode
 TRAJECTORY_PATH = pathlib.Path(__file__).parent.parent / "BENCH_decode_kernels.json"
@@ -173,8 +181,9 @@ def _load_trajectory() -> list:
         return []
     entries = json.loads(TRAJECTORY_PATH.read_text())["trajectory"]
     if entries and (
-        tuple(entries[-1].get("decoders", ())), entries[-1].get("probe_passes")
-    ) == (DECODERS, PROBE_PASSES):
+        tuple(entries[-1].get("decoders", ())), entries[-1].get("probe_passes"),
+        "finder_scan" in entries[-1],
+    ) == (DECODERS, PROBE_PASSES, True):
         entries = entries[:-1]
     return entries
 
@@ -239,6 +248,31 @@ def _measure_strict_stage(blob: bytes) -> dict:
     return row
 
 
+def _measure_finder_scan(blob: bytes) -> dict:
+    """The five-stage scan over the first MiB of ``blob``, window by window
+    the way the finder's loop hands them over, at each size of its ramp."""
+    data = blob[: 1 << 20] + bytes(_READ_AHEAD)
+    row = {}
+    for kib in SCAN_WINDOWS_KIB:
+        size = kib << 10
+        starts = range(0, 1 << 20, size)
+        seconds = _best(lambda: [
+            scan_dynamic_candidates(data[start : start + size + _READ_AHEAD], 0, size * 8)
+            for start in starts
+        ])
+        row[f"{kib}_kib"] = {
+            "ms_per_window": round(seconds / len(starts) * 1e3, 3),
+            "mb_s": round((1 << 20) / seconds / 1e6, 1),
+        }
+    size = SCAN_WINDOWS_KIB[-1] << 10
+    tracemalloc.start()
+    scan_dynamic_candidates(data[: size + _READ_AHEAD], 0, size * 8)
+    row["temporaries_bytes_per_input_byte"] = round(
+        tracemalloc.get_traced_memory()[1] / size, 1)
+    tracemalloc.stop()
+    return row
+
+
 def test_decode_kernels(benchmark, reporter):
     corpora = _corpora()
     benchmark.pedantic(
@@ -296,14 +330,26 @@ def test_decode_kernels(benchmark, reporter):
     table.row("markers", "stage 2", "table gather",
               f"{replacement['table_gather_mb_s']} MB/s", "", widths=widths)
     table.row("markers", "stage 2", "paper", "1254 MB/s", "", widths=widths)
+    streams = {name: _raw_deflate(data) for name, data in corpora.items()}
     if libz.load():
         entry["strict_stage"] = {}
-        for name, data in corpora.items():
-            row = _measure_strict_stage(_raw_deflate(data))
+        for name, blob in streams.items():
+            row = _measure_strict_stage(blob)
             entry["strict_stage"][name] = {**row, **host}
             table.row(name, "strict", "python / libz",
                       f"{row['python_us_per_rejected']} / "
                       f"{row['libz_us_per_rejected']} us", "", widths=widths)
+    noise = np.random.default_rng(4).integers(0, 256, 1 << 20, dtype=np.uint8)
+    streams["noise"] = noise.tobytes()
+    entry["finder_scan"] = {}
+    for name, blob in streams.items():
+        row = _measure_finder_scan(blob)
+        entry["finder_scan"][name] = {**row, "paper_mb_s": 43, **host}
+        table.row(name, "finder scan", " / ".join(f"{k} KiB" for k in SCAN_WINDOWS_KIB),
+                  " / ".join(str(row[f"{k}_kib"]["mb_s"]) for k in SCAN_WINDOWS_KIB)
+                  + " MB/s", f"{row['temporaries_bytes_per_input_byte']} B/B",
+                  widths=widths)
+    table.row("paper", "finder scan", "DBF rapidgzip", "43 MB/s", "", widths=widths)
     table.add()
     table.add(f"{CORPUS_SIZE >> 20} MiB per corpus, zlib level {LEVEL}, "
               f"interleaved best-of-{REPS}, from a block 64 KiB in; "
@@ -322,3 +368,7 @@ def test_decode_kernels(benchmark, reporter):
         assert rates["fused"] > 1.25 * rates["legacy"], (name, mode, rates)
         if "probe" in rates:
             assert rates["probe"] > 2 * rates["fused"], (name, mode, rates)
+    # A count, not a timing: the scan's temporaries are a few arrays over the
+    # window's bytes and its survivors, not int64 positions per bit (179 B/B).
+    for name, row in entry["finder_scan"].items():
+        assert row["temporaries_bytes_per_input_byte"] <= 80, (name, row)

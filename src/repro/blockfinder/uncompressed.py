@@ -46,12 +46,12 @@ def scan_nc_candidates(data: bytes, base_byte_offset: int = 0) -> np.ndarray:
     """
     if len(data) < 5:
         return np.empty(0, dtype=np.int64)
-    arr = np.frombuffer(data, dtype=np.uint8)
-    lens = arr[1:-3].astype(np.uint32) | (arr[2:-2].astype(np.uint32) << 8)
-    nlens = arr[3:-1].astype(np.uint32) | (arr[4:].astype(np.uint32) << 8)
-    header_ok = (arr[:-4] & 0xE0) == 0
-    matches = ((lens ^ nlens) == 0xFFFF) & header_ok
-    positions = np.nonzero(matches)[0] + 1  # LEN sits at byte b = index+1
+    # LEN and NLEN read off one view of the overlapping 16-bit words (byte
+    # order spelled out: the fields are little-endian on every host).
+    pairs = np.ndarray((len(data) - 1,), dtype="<u2", buffer=data, strides=(1,))
+    header_ok = np.frombuffer(data, dtype=np.uint8)[:-4] < 0x20  # & 0xE0 == 0
+    matches = ((pairs[1:-2] ^ pairs[3:]) == 0xFFFF) & header_ok
+    positions = np.flatnonzero(matches) + 1  # LEN sits at byte b = index+1
     return (positions + base_byte_offset) * 8 - 3
 
 

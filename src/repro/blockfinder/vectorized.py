@@ -1,18 +1,28 @@
 """Vectorized Dynamic Block finder — NumPy as the bit-parallelism engine.
 
-The paper accelerates its block finder with compile-time lookup tables and
-bit-packed arithmetic (§3.4.2). The pure-Python analogue of that
-"process many bits per instruction" idea is NumPy: this finder evaluates
-the first *five* filter stages of the §3.4.2 chain for **every bit
-position at once**:
+The paper's finder never looks at single bits: a skip LUT jumps to the next
+plausible header and the precode check runs on packed words (§3.4.2). This
+one does the same with array operations over a whole scan window, in three
+steps that evaluate the first *five* filter stages of the §3.4.2 chain at
+**every bit position**:
 
-1. final-block bit = 0,
-2. block type = 0b10,
-3. HLIT < 30,
-4. packed precode histogram built by vectorized gathers (the 5-bit-field
-   packing of the paper, as array arithmetic),
-5. histogram validity/efficiency walk (Fig. 6), with the degenerate
-   one-symbol special case.
+* **Stages 1–3** (final-block bit = 0, block type = 0b10, HLIT < 30) look at
+  8 bits, so the 16-bit word at byte *i* decides them for all 8 alignments
+  in that byte. One gather through a 64 Ki-entry table turns the window's
+  overlapping words into one mask byte each — the paper's skip LUT as a
+  mask — and ``unpackbits`` + ``flatnonzero`` of that *mask* are the ≈11.5%
+  of positions that are ever indexed.
+* **Stage 4's input** is two unaligned 64-bit loads per survivor: HCLEN at
+  bit 13, the 57 triplet bits at bit 17, cut to the ``HCLEN + 4`` triplets
+  the header transmits.
+* **Stages 4–5** are one table: 4 triplets → their Kraft sum
+  ``Σ 2^(7−length)`` over the non-zero lengths, and how many there are. A
+  histogram passes Fig. 6's walk (never over-subscribed, nothing left at
+  length 7) exactly when the sum is 128, i.e. 1: the walk's ``available``
+  at level *l* is 2^l minus the partial sum, and partial sums only grow.
+  The degenerate one-symbol precode is sum 64 from a count of 1. The
+  packed histogram itself (:mod:`repro.huffman.precode`) stays the scalar
+  finders' engine and this filter's test oracle.
 
 Only survivors (a few hundred per MiB of random input, per Table 1's
 "invalid Precode-encoded data" rate) reach the strict stage for the
@@ -27,6 +37,8 @@ variants remain available for the Table 1/2 component benchmarks.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..deflate import libz
@@ -35,8 +47,6 @@ from ..errors import FormatError
 from .window import _READ_AHEAD, PROBE_BITS, WindowedBlockFinder
 
 __all__ = ["VectorizedDynamicBlockFinder", "scan_dynamic_candidates"]
-
-_HISTOGRAM_LUT_ARRAY = None
 
 #: libz's header complaints under the Table 1 stage names. It does not tell
 #: an over-subscribed code from an incomplete one: each pair counts under
@@ -54,14 +64,27 @@ _LIBZ_STAGES = {
 }
 
 
-def _histogram_lut_array() -> np.ndarray:
-    """The 12-bit (4-triplet) packed-histogram LUT as a NumPy gather table."""
-    global _HISTOGRAM_LUT_ARRAY
-    if _HISTOGRAM_LUT_ARRAY is None:
-        from ..huffman.precode import _histogram_lut
+@lru_cache(maxsize=1)
+def _tables() -> tuple:
+    """``(header_mask, kraft, transmitted)``, built once per process.
 
-        _HISTOGRAM_LUT_ARRAY = np.array(_histogram_lut(), dtype=np.uint64)
-    return _HISTOGRAM_LUT_ARRAY
+    ``header_mask[w]``, bit *s*: the 8 bits at alignment *s* of the 16-bit
+    word *w* pass stages 1–3. ``kraft[four triplets]``: ``Σ 2^(7−length)``
+    over their non-zero lengths, ``| count of those << 11`` — five entries
+    add without carry into the count (19 · 64 < 2048) or out of ``uint16``
+    (19 < 32). ``transmitted[HCLEN]``: mask of the ``HCLEN + 4`` triplets.
+    """
+    shifts = np.arange(8, dtype=np.uint16)[:, None]
+    octets = (np.arange(1 << 16, dtype=np.uint16) >> shifts).astype(np.uint8)
+    header_mask = np.packbits(
+        ((octets & 7) == 0b100) & (octets < 30 << 3), axis=0, bitorder="little"
+    ).ravel()
+    lengths = (np.arange(1 << 12, dtype=np.uint16)[:, None] >> (0, 3, 6, 9)) & 7
+    kraft = (((128 >> lengths) & 127) | ((lengths > 0) << 11)).sum(
+        axis=1, dtype=np.uint16
+    )
+    transmitted = (1 << 3 * np.arange(4, 20, dtype=np.int64)) - 1
+    return header_mask, kraft, transmitted
 
 
 def scan_dynamic_candidates(data: bytes, start_bit: int, until_bit: int) -> np.ndarray:
@@ -72,67 +95,44 @@ def scan_dynamic_candidates(data: bytes, start_bit: int, until_bit: int) -> np.n
     past ``data`` are not evaluated (callers re-scan the tail or hand it
     to a scalar finder).
     """
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    limit = min(until_bit, len(bits) - PROBE_BITS)
+    size = len(data)
+    limit = min(until_bit, size * 8 - PROBE_BITS)
     if limit <= start_bit:
         return np.empty(0, dtype=np.int64)
-    positions = np.arange(start_bit, limit, dtype=np.int64)
+    header_mask, kraft, transmitted = _tables()
 
-    # Stages 1-3: non-final, type 10 (LSB-first: 0 then 1), HLIT < 30.
-    mask = (bits[positions] == 0) & (bits[positions + 1] == 0) & (
-        bits[positions + 2] == 1
+    # Stages 1-3: one mask byte per overlapping little-endian 16-bit word,
+    # then the set bits of the mask. Byte order is spelled out so that a
+    # big-endian host reads the same words.
+    first_byte = start_bit >> 3
+    pairs = np.ndarray((size - 1,), dtype="<u2", buffer=data, strides=(1,))
+    plausible = np.unpackbits(
+        header_mask.take(pairs[first_byte : (limit + 7) >> 3]), bitorder="little"
+    ).view(bool)[start_bit - 8 * first_byte : limit - 8 * first_byte]
+    candidates = np.flatnonzero(plausible) + start_bit
+
+    # Stage 4 input: the unaligned 64-bit word at a bit's byte, shifted down
+    # by the bit's place in it, leaves 57 bits — HCLEN, then every triplet.
+    # (The last load ends within _READ_AHEAD of the last position.) Signed,
+    # so shifts and gathers stay in the index dtype: the sign bits a shift
+    # drags in lie above bit 56 and are masked off.
+    words = np.ndarray((size - 7,), dtype="<i8", buffer=data, strides=(1,))
+    at = candidates + 13
+    hclen = (words[at >> 3] >> (at & 7)) & 15
+    at += 4
+    triplets = (words[at >> 3] >> (at & 7)) & transmitted[hclen]
+
+    # Stages 4-5: Kraft sum and symbol count of the transmitted triplets —
+    # those masked to zero add nothing.
+    total = (
+        kraft[triplets & 0xFFF]
+        + kraft[(triplets >> 12) & 0xFFF]
+        + kraft[(triplets >> 24) & 0xFFF]
+        + kraft[(triplets >> 36) & 0xFFF]
+        + kraft[triplets >> 48]
     )
-    candidates = positions[mask]
-    if not candidates.size:
-        return candidates
-    hlit = np.zeros(len(candidates), dtype=np.int32)
-    for bit_index in range(5):
-        hlit |= bits[candidates + 3 + bit_index].astype(np.int32) << bit_index
-    candidates = candidates[hlit < 30]
-    if not candidates.size:
-        return candidates
-
-    # Stage 4: the packed precode histogram (5-bit fields per code length),
-    # exactly the paper's bit-packing. The 57 triplet bits are fetched as
-    # one unaligned 64-bit load per candidate (8 byte-gathers + shift) and
-    # histogrammed through the 4-triplet lookup table — triplets beyond
-    # HCLEN+4 are masked to zero, which only inflates the ignored
-    # length-0 field (19 zeros still fit its 5 bits).
-    hclen = np.zeros(len(candidates), dtype=np.int32)
-    for bit_index in range(4):
-        hclen |= bits[candidates + 13 + bit_index].astype(np.int32) << bit_index
-    num_triplets = (hclen + 4).astype(np.uint64)
-
-    raw = np.frombuffer(data, dtype=np.uint8)
-    triplet_bit = candidates + 17
-    byte_base = triplet_bit >> 3
-    bit_shift = (triplet_bit & 7).astype(np.uint64)
-    window = np.zeros(len(candidates), dtype=np.uint64)
-    for byte_index in range(8):
-        window |= raw[byte_base + byte_index].astype(np.uint64) << np.uint64(
-            8 * byte_index
-        )
-    triplets = (window >> bit_shift) & np.uint64((1 << 57) - 1)
-    triplets &= (np.uint64(1) << (np.uint64(3) * num_triplets)) - np.uint64(1)
-
-    lut = _histogram_lut_array()
-    packed = (
-        lut[triplets & np.uint64(0xFFF)]
-        + lut[(triplets >> np.uint64(12)) & np.uint64(0xFFF)]
-        + lut[(triplets >> np.uint64(24)) & np.uint64(0xFFF)]
-        + lut[(triplets >> np.uint64(36)) & np.uint64(0xFFF)]
-        + lut[triplets >> np.uint64(48)]
-    ).astype(np.int64)
-
-    # Stage 5: validity walk over the packed fields (Fig. 6).
-    available = np.ones(len(candidates), dtype=np.int64)
-    never_oversubscribed = np.ones(len(candidates), dtype=bool)
-    for level in range(1, 8):
-        count = (packed >> (5 * level)) & 31
-        available = available * 2 - count
-        never_oversubscribed &= available >= 0
-    complete = never_oversubscribed & (available == 0)
-    single_symbol = (packed >> 5) == 1  # one symbol of length 1, rest zero
+    complete = (total & 2047) == 128
+    single_symbol = total == (1 << 11 | 64)  # one symbol of length 1
     return candidates[complete | single_symbol]
 
 

@@ -33,7 +33,7 @@ PROBE_BITS = 17 + 19 * 3
 _READ_AHEAD = PROBE_BITS // 8 + 8  # ... and the filters' 8-byte gathers
 _FIRST_WINDOW = 4 * 1024
 #: Where the sustained scan rate is still flat and the filters' NumPy
-#: scratch stays near 5 MiB (measured: EXPERIMENTS.md, "Scan window cap").
+#: scratch stays near 2 MiB (measured: EXPERIMENTS.md, "Scan window cap").
 _WINDOW_CAP = 32 * 1024
 #: Longest Dynamic header in bytes: 17 + 57 bits, then 286 + 32 code
 #: lengths of at most a 7-bit precode symbol with 7 extra bits.

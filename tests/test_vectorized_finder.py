@@ -13,7 +13,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.blockfinder import (
@@ -24,6 +24,7 @@ from repro.blockfinder import (
     scan_dynamic_candidates,
     scan_nc_candidates,
 )
+from repro.blockfinder.vectorized import _tables
 from repro.blockfinder.window import (
     _FIRST_WINDOW,
     _MAX_HEADER,
@@ -36,6 +37,8 @@ from repro.deflate.block import FilterStage, read_block_header
 from repro.deflate.compress import CompressorOptions, compress
 from repro.deflate import inflate
 from repro.errors import FormatError
+from repro.huffman import CodeClassification
+from repro.huffman.precode import classify_packed_histogram, packed_histogram
 from repro.io import BitReader, MemoryFileReader
 
 
@@ -126,6 +129,185 @@ class TestScanStage:
         if full.size >= 2:
             later = scan_dynamic_candidates(noise, int(full[0]) + 1, 4096 * 8)
             assert later[0] == full[1]
+
+
+# -- the prefilter itself: stages 1-5 against the packed-histogram walk -------
+
+def precode_passes(triplets: int, count: int) -> bool:
+    """Stages 4-5 the §3.4.2 way: packed histogram, Fig. 6 walk, and the
+    degenerate precode of one symbol of length 1."""
+    packed = packed_histogram(triplets, count)
+    return (
+        classify_packed_histogram(packed) is CodeClassification.VALID
+        or packed >> 5 == 1
+    )
+
+
+def reference_survivors(data: bytes, start_bit: int, until_bit: int) -> list:
+    """Scalar stages 1-5, one bit position at a time."""
+    found = []
+    for position in range(start_bit, min(until_bit, len(data) * 8 - PROBE_BITS)):
+        byte = position >> 3
+        header = int.from_bytes(data[byte : byte + 11], "little") >> (position & 7)
+        if header & 0b111 != 0b100 or (header >> 3) & 31 >= 30:
+            continue
+        if precode_passes(header >> 17, (header >> 13 & 15) + 4):
+            found.append(position)
+    return found
+
+
+def header_at(alignment: int, hclen: int, lengths, hlit: int = 0) -> bytes:
+    """Zero bits up to ``alignment``, then a non-final Dynamic header whose
+    19 triplet slots hold ``lengths``, then the read-ahead padding."""
+    value = 0b100 | hlit << 3 | hclen << 13
+    for index, length in enumerate(lengths):
+        value |= length << (17 + 3 * index)
+    return (value << alignment).to_bytes(PROBE_BITS // 8 + 2, "little") + bytes(
+        _READ_AHEAD
+    )
+
+
+def kept(alignment: int, hclen: int, lengths) -> bool:
+    data = header_at(alignment, hclen, lengths)
+    return scan_dynamic_candidates(data, alignment, alignment + 1).tolist() == [
+        alignment
+    ]
+
+
+def prefilter_corpus(name: str) -> bytes:
+    """12 KiB of noise, or of a raw Deflate stream of the named generator."""
+    from repro import datagen
+
+    if name == "noise":
+        return noise_bytes(12 * 1024, seed=41)
+    text = getattr(datagen, f"generate_{name}")(120_000, seed=41)
+    return zlib.compress(text, 6)[2:-4][: 12 * 1024]
+
+
+class TestPrefilter:
+    """Survivors, not only accepted candidates: a prefilter that let too
+    much through would pass every test above and only cost time."""
+
+    @pytest.mark.parametrize("corpus", ["noise", "base64", "silesia_like", "fastq"])
+    def test_equals_the_scalar_reference(self, corpus):
+        data = prefilter_corpus(corpus)
+        assert len(data) == 12 * 1024
+        reference = reference_survivors(data, 0, len(data) * 8)
+        assert len(reference) > 20
+        total = len(data) * 8
+        for start in (*range(9), 4099, 8 * 5000 + 5):
+            for until in (total, total - PROBE_BITS - 3, 8 * 9000 + 3, start + 1):
+                found = scan_dynamic_candidates(data, start, until)
+                assert found.dtype == np.int64
+                assert found.tolist() == [
+                    offset for offset in reference if start <= offset < until
+                ], (start, until)
+
+    @pytest.mark.parametrize(
+        "lengths, expected",
+        [
+            ([1, 1], True),  # complete
+            ([2, 2, 2, 2], True),
+            ([1, 2, 3, 4, 5, 6, 7, 7], True),
+            ([1, 1, 1], False),  # over-subscribed at level 1
+            ([1, 2, 2, 7], False),  # ... and once the tree is already full
+            ([1, 2], False),  # incomplete
+            ([], False),  # empty
+            ([1], True),  # the degenerate one-symbol precode
+            ([0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1], True),
+            ([2], False),  # Kraft sum 32
+            ([2, 2], False),  # Kraft sum 64, like a lone length 1 — but two
+            ([2, 3, 3], False),
+            ([1] * 19, False),  # the largest sum the tables can be asked for
+            ([7] * 19, False),
+        ],
+    )
+    def test_crafted_precodes(self, lengths, expected):
+        lengths = lengths + [0] * (19 - len(lengths))
+        assert precode_passes(
+            sum(length << 3 * index for index, length in enumerate(lengths)), 19
+        ) == expected
+        for alignment in range(8):
+            assert kept(alignment, 15, lengths) == expected, alignment
+
+    def test_triplets_past_hclen_are_ignored(self):
+        for alignment in range(8):
+            for hclen in range(16):
+                used = hclen + 4
+                garbage = [7, 1, 3] * 5
+                assert kept(alignment, hclen, [1, 1] + [0] * (used - 2) + garbage[: 19 - used])
+                assert not kept(alignment, hclen, [1, 2] + [0] * (used - 2) + [2] * (19 - used))
+
+    def test_stages_one_to_three(self):
+        complete = [1, 1] + [0] * 17
+        for alignment in range(8):
+            for hlit in range(32):
+                data = header_at(alignment, 15, complete, hlit=hlit)
+                found = scan_dynamic_candidates(data, 0, alignment + 1).tolist()
+                assert found == ([alignment] if hlit < 30 else []), (alignment, hlit)
+            good = header_at(alignment, 15, complete)
+            for flip in range(3):  # final bit set, stored/fixed, reserved type
+                value = int.from_bytes(good, "little") ^ 1 << (alignment + flip)
+                data = value.to_bytes(len(good), "little")
+                assert alignment not in scan_dynamic_candidates(data, 0, 64).tolist()
+
+    def test_tables_against_the_packed_histogram(self):
+        header_mask, kraft, transmitted = _tables()
+        assert header_mask.dtype == np.uint8 and kraft.dtype == np.uint16
+        for word in range(0, 1 << 16, 7):
+            expected = sum(
+                1 << shift
+                for shift in range(8)
+                if (word >> shift) & 7 == 0b100 and (word >> shift + 3) & 31 < 30
+            )
+            assert header_mask[word] == expected, word
+        for value in range(1 << 12):
+            counts = [(packed_histogram(value, 4) >> 5 * level) & 31 for level in range(8)]
+            weight = sum(count << (7 - level) for level, count in enumerate(counts) if level)
+            assert kraft[value] == (weight | sum(counts[1:]) << 11), value
+        assert transmitted.tolist() == [(1 << 3 * (hclen + 4)) - 1 for hclen in range(16)]
+        # Five entries add up inside uint16, and the sum never reaches the count.
+        assert 5 * int(kraft.max()) < 1 << 16
+        full = int.from_bytes(header_at(0, 15, [1] * 19), "little") >> 17
+        total = sum(int(kraft[full >> shift & 0xFFF]) for shift in range(0, 60, 12))
+        assert total == (19 << 11 | 19 * 64)
+
+    def test_last_evaluated_position(self):
+        complete = [1, 1] + [0] * 17
+        header = int.from_bytes(header_at(0, 15, complete), "little")
+        for size in (10, 11, 64, 4096 + 3):
+            last = size * 8 - PROBE_BITS - 1
+            for position in range(max(last - 9, 0), last + 1):
+                data = (header << position).to_bytes(size, "little")
+                # Its probe window ends on the last bits of ``data``.
+                assert scan_dynamic_candidates(data, 0, size * 8).tolist() == [position]
+                assert scan_dynamic_candidates(data, position, position + 1).size == 1
+            # One further, the 19th triplet would lie past the end: not evaluated.
+            data = (header << last + 1).to_bytes(size, "little")
+            assert scan_dynamic_candidates(data, 0, size * 8).size == 0
+
+    @pytest.mark.parametrize("size", [0, 1, 5, 9, 10, 11, 17, 18])
+    def test_short_inputs(self, size):
+        for fill in (b"\x00", b"\xff", b"\x04", b"\x24"):
+            data = fill * size
+            for start in range(0, size * 8 + 2):
+                found = scan_dynamic_candidates(data, start, size * 8 + 64)
+                assert found.tolist() == reference_survivors(data, start, size * 8 + 64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    alignment=st.integers(0, 7),
+    hclen=st.integers(0, 15),
+    lengths=st.lists(st.integers(0, 7), min_size=19, max_size=19),
+)
+@example(alignment=7, hclen=15, lengths=[1] * 19)
+@example(alignment=3, hclen=0, lengths=[0, 0, 0, 1] + [7] * 15)
+@example(alignment=5, hclen=2, lengths=[2, 2, 0, 0, 0, 0] + [1] * 13)
+def test_property_kraft_criterion_equals_the_walk(alignment, hclen, lengths):
+    """Property: sum == 1 (or the lone length 1) <=> the Fig. 6 walk passes."""
+    triplets = sum(length << 3 * index for index, length in enumerate(lengths))
+    assert kept(alignment, hclen, lengths) == precode_passes(triplets, hclen + 4)
 
 
 @settings(max_examples=40, deadline=None)
