@@ -42,39 +42,26 @@ PAPER_ANCHORS = {
 }
 
 
-def test_fig09_real_small_scale(benchmark, reporter, backends):
+def test_fig09_real_small_scale(benchmark, reporter):
     data, blob = make_corpus(generate_base64, 2 * 1024 * 1024)
 
     def sweep():
         return {
-            (backend, threads): real_decompression_bandwidth(
+            threads: real_decompression_bandwidth(
                 blob, parallelization=threads, chunk_size=128 * 1024,
-                repeats=1, backend=backend,
+                repeats=1,
             )
-            for backend in backends
             for threads in REAL_THREADS
         }
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
     table = reporter("Figure 9 (real): base64, this implementation")
-    table.row("backend", "threads", "bandwidth", widths=[10, 8, 14])
-    for (backend, threads), bandwidth in results.items():
-        table.row(backend, threads, fmt_bw(bandwidth), widths=[10, 8, 14])
-    cores = available_cores()
+    table.row("threads", "bandwidth", widths=[8, 14])
+    for threads, bandwidth in results.items():
+        table.row(threads, fmt_bw(bandwidth), widths=[8, 14])
     table.add()
-    table.add(f"usable cores: {cores}")
-    if {"threads", "processes"} <= set(backends) and cores >= 4:
-        speedup = results[("processes", 4)] / results[("threads", 4)]
-        table.add(f"process/thread speedup at 4 workers: {speedup:.2f}x")
-        table.emit()
-        # The GIL-bound search path must genuinely scale across cores.
-        assert speedup >= 2.0
-    else:
-        table.add(
-            "(fewer than 4 usable cores: processes cannot beat threads "
-            "here, speedup assertion skipped)"
-        )
-        table.emit()
+    table.add(f"usable cores: {available_cores()}")
+    table.emit()
     for bandwidth in results.values():
         assert bandwidth > 0
 

@@ -15,24 +15,23 @@ from _scaling import PAPER_CORES, REAL_THREADS, make_corpus, measured_model, rea
 from conftest import fmt_bw
 
 
-def test_fig11_real_small_scale(benchmark, reporter, backends):
+def test_fig11_real_small_scale(benchmark, reporter):
     data, blob = make_corpus(generate_fastq, 2 * 1024 * 1024)
 
     def sweep():
         return {
-            (backend, threads): real_decompression_bandwidth(
+            threads: real_decompression_bandwidth(
                 blob, parallelization=threads, chunk_size=128 * 1024,
-                repeats=1, backend=backend,
+                repeats=1,
             )
-            for backend in backends
             for threads in REAL_THREADS
         }
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
     table = reporter("Figure 11 (real): FASTQ, this implementation")
-    table.row("backend", "threads", "bandwidth", widths=[10, 8, 14])
-    for (backend, threads), bandwidth in results.items():
-        table.row(backend, threads, fmt_bw(bandwidth), widths=[10, 8, 14])
+    table.row("threads", "bandwidth", widths=[8, 14])
+    for threads, bandwidth in results.items():
+        table.row(threads, fmt_bw(bandwidth), widths=[8, 14])
     table.emit()
 
 

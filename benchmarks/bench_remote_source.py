@@ -87,7 +87,7 @@ def _serial_sweep(url, total: int) -> int:
 def _parallel_decode(url, expected: bytes) -> None:
     source = _open(url)
     with ParallelGzipReader(
-        source, parallelization=PARALLELIZATION, backend="threads",
+        source, parallelization=PARALLELIZATION
     ) as reader:
         assert reader.read() == expected
 

@@ -18,23 +18,6 @@ import pytest
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--backend",
-        default="both",
-        choices=["auto", "threads", "processes", "both"],
-        help="worker backend(s) the real-decompression benchmarks sweep "
-        "(default: both threads and processes)",
-    )
-
-
-@pytest.fixture
-def backends(request):
-    """Concrete backend list selected by --backend."""
-    choice = request.config.getoption("--backend")
-    return ["threads", "processes"] if choice == "both" else [choice]
-
-
 class TableReporter:
     """Collects rows and emits an aligned paper-style table."""
 

@@ -43,7 +43,6 @@ from .errors import (
     ReproError,
     TruncatedError,
     UsageError,
-    WorkerCrashedError,
     exit_code_for,
 )
 
@@ -60,7 +59,6 @@ __all__ = [
     "ReproError",
     "TruncatedError",
     "UsageError",
-    "WorkerCrashedError",
     "exit_code_for",
     "__version__",
     "ParallelGzipReader",

@@ -60,14 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KiB",
         help="compressed chunk size in KiB (default: 4096 = 4 MiB)",
     )
-    parser.add_argument(
-        "--backend",
-        default="auto",
-        choices=["auto", "threads", "processes"],
-        help="worker pool backend; auto (default) uses processes for the "
-        "GIL-bound search path on multi-core machines and threads for "
-        "the zlib-delegation paths (loaded index, BGZF)",
-    )
     parser.add_argument("-o", "--output", help="output file path")
     parser.add_argument(
         "-c", "--stdout", action="store_true", help="write output to stdout"
@@ -102,16 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-chunk soft deadline; a hung decode becomes a retryable "
-        "timeout (also arms the process pool's stall watchdog)",
-    )
-    robustness.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="retry budget per chunk for the fetcher's escalation ladder "
-        "(default: 2)",
+        help="bound on the wait for an in-flight chunk decode; a chunk "
+        "that misses it is decoded on the reading thread instead",
     )
     robustness.add_argument(
         "--max-memory",
@@ -365,8 +349,8 @@ def main(argv=None) -> int:
         if code == EXIT_NETWORK:
             _summarize_network_failure(error)
         # Distinct exit codes per failure class: format=4, integrity=5,
-        # worker-crash=6, recovery=7, index=8, network=9, other library
-        # errors=1.
+        # recovery=7, index=8, network=9, other library errors=1 (6 is
+        # retired).
         return code
     except BrokenPipeError:
         return 141
@@ -505,9 +489,7 @@ def _dispatch(arguments) -> int:
         index=index,
         index_cache=arguments.index_cache,
         index_validate=arguments.index_validate,
-        backend=arguments.backend,
         tolerate_corruption=arguments.tolerate_corruption,
-        max_retries=arguments.max_retries,
         chunk_timeout=arguments.chunk_timeout,
         trace=bool(arguments.trace) or explain,
         events=bool(arguments.events) or explain,

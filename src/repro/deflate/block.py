@@ -171,18 +171,17 @@ def _read_dynamic_header(reader, final, start, strict, counter) -> BlockHeader:
     triplets = reader.read(num_precode * 3)
     histogram = packed_histogram_lut(triplets, num_precode)
     classification = classify_packed_histogram(histogram)
-    single_symbol = histogram == (1 << 5)  # one symbol of length 1
     if classification is CodeClassification.INVALID:
         _fail(FilterStage.PRECODE_INVALID, "over-subscribed precode", counter)
     if classification is CodeClassification.EMPTY:
         _fail(FilterStage.PRECODE_INVALID, "empty precode", counter)
-    if classification is CodeClassification.NON_OPTIMAL and not single_symbol:
+    if classification is CodeClassification.NON_OPTIMAL:
         _fail(FilterStage.PRECODE_NON_OPTIMAL, "inefficient precode", counter)
 
     precode_lengths = [0] * MAX_PRECODE_SYMBOLS
     for index in range(num_precode):
         precode_lengths[PRECODE_SYMBOL_ORDER[index]] = (triplets >> (3 * index)) & 0b111
-    precode = CanonicalDecoder(precode_lengths, allow_incomplete=single_symbol)
+    precode = CanonicalDecoder(precode_lengths)
 
     # Decode HLIT+257+HDIST+1 code lengths; repeats may cross the boundary.
     total = num_literals + num_distances

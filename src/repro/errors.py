@@ -49,17 +49,6 @@ class UsageError(ReproError):
     """The public API was used incorrectly (bad arguments, closed reader)."""
 
 
-class WorkerCrashedError(ReproError):
-    """A pool worker process died before finishing its task.
-
-    Raised from the task's future (and therefore from
-    :meth:`GzipChunkFetcher.request`) when a process-backend worker is
-    killed — OOM, signal, or interpreter abort — and the pool's bounded
-    requeue/respawn budget is exhausted, so the failure surfaces to the
-    consumer instead of hanging the pipeline.
-    """
-
-
 class RecoveryError(ReproError):
     """Corrupted-file recovery could not locate any decodable region."""
 
@@ -131,28 +120,26 @@ class SourceChangedError(NetworkError):
 
 
 class ChunkDecodeError(ReproError):
-    """A chunk could not be produced after the full retry ladder.
+    """A chunk the consumer is blocked on could not be decoded.
 
-    Carries the failure context the retry ladder accumulated — which
-    chunk, where it starts, how many attempts were burned, and on which
-    backend — so callers (and the CLI error message) can say more than
-    "decode failed". The triggering error is chained as ``__cause__``.
+    Carries the failure context — which chunk, where it starts, and
+    whether the fetcher was on ``threads`` or ``serial`` — so callers (and
+    the CLI error message) can say more than "decode failed". The
+    triggering error is chained as ``__cause__``.
     """
 
     def __init__(self, message: str, *, chunk_id: int = None,
-                 start_bit: int = None, attempts: int = 1,
-                 backend: str = None):
+                 start_bit: int = None, backend: str = None):
         super().__init__(message)
         self.chunk_id = chunk_id
         self.start_bit = start_bit
-        self.attempts = attempts
         self.backend = backend
 
 
 #: CLI exit codes per failure class (0 = success, 1 = other library error).
 EXIT_FORMAT = 4
 EXIT_INTEGRITY = 5
-EXIT_WORKER_CRASH = 6
+# 6 meant "worker process crashed"; retired with the process backend, not reused
 EXIT_RECOVERY = 7
 EXIT_INDEX = 8
 EXIT_NETWORK = 9
@@ -174,8 +161,6 @@ def exit_code_for(error: BaseException) -> int:
             return EXIT_INDEX
         if isinstance(cursor, RecoveryError):
             return EXIT_RECOVERY
-        if isinstance(cursor, WorkerCrashedError):
-            return EXIT_WORKER_CRASH
         if isinstance(cursor, IntegrityError):
             return EXIT_INTEGRITY
         if isinstance(cursor, FormatError):

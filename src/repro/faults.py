@@ -1,9 +1,9 @@
 """Deterministic fault injection for the decode pipeline (chaos harness).
 
-Production means chunks fail, workers OOM, and files arrive truncated.
-This module makes those failures *reproducible on demand* so the retry
-ladder, the worker supervisor, and tolerant mode can be tested under a
-seed instead of waiting for the real thing:
+Production means chunks fail, workers stall, and files arrive truncated.
+This module makes those failures *reproducible on demand* so the
+fetcher's bounded waits, its on-demand rung, and tolerant mode can be
+tested under a seed instead of waiting for the real thing:
 
 * **Input damage** — :func:`flip_bytes` and :func:`truncate` build
   corrupted/truncated variants of a byte blob deterministically from a
@@ -11,30 +11,21 @@ seed instead of waiting for the real thing:
 * **Runtime faults** — a :class:`FaultInjector` holding
   :class:`FaultSpec` rules is installed process-wide with
   :func:`install` (or the :func:`injected` context manager). Hook points
-  in the fetcher, the chunk task bodies, and the pool workers call
-  :func:`fire`, which consults the active injector and may sleep
-  (``delay``/``stall``), raise (``raise``), or kill the current worker
-  process (``kill``).
+  in the fetcher, the chunk task body, the index store and the remote
+  reader call :func:`fire`, which consults the active injector and may
+  sleep (``delay``/``stall``) or raise (``raise``).
 
 Determinism: whether a spec fires for a given ``(site, chunk_id,
 attempt)`` is decided by hashing those coordinates with the seed — never
 by shared RNG state — so the decision is identical regardless of thread
-or process interleaving. Exactly-once faults across *processes* (e.g.
-"kill one worker, then let the retry pass") use ``once_token``, a
-filesystem path claimed atomically by the first firing.
+interleaving. Exactly-once faults (e.g. "stall one decode, then let the
+on-demand decode pass") use ``once_token``, a filesystem path claimed
+atomically by the first firing.
 
-``chunk.decode`` fires exactly once per chunk decode on every backend
-and rung — speculative or on demand, pool thread, worker process or the
-serial rung — because they all run the one task body
-(:func:`~repro.fetcher.tasks.run_chunk_task`); ``attempt`` is 0 for the
-speculative prefetch and counts the retry ladder's rungs from 1. The
-injector travels to worker processes inside each
-:class:`~repro.fetcher.tasks.ChunkTaskSpec` (and is inherited
-copy-on-write by forked workers), so chunk-level faults fire in the
-worker that actually decodes the chunk. ``kill`` in a *parent* process
-(thread backend, serial rung) degrades to raising
-:class:`WorkerCrashedError` — the same signal, without taking down the
-caller.
+``chunk.decode`` fires exactly once per chunk decode — speculative on a
+pool thread or on demand on the requesting thread — because both run the
+one task body (:func:`~repro.fetcher.tasks.run_chunk_task`); ``attempt``
+is 0 for the speculative prefetch and 1 for the on-demand decode.
 
 **Network I/O faults.** The ``io.pread`` site fires inside
 :class:`~repro.io.remote.ResilientFileReader` before *every* read
@@ -54,7 +45,6 @@ bodies, mid-decode content swaps — use the in-process
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import os
 import random
 import time
@@ -66,14 +56,12 @@ from .errors import (
     NetworkError,
     TruncatedError,
     UsageError,
-    WorkerCrashedError,
 )
 
 __all__ = [
     "FaultInjector",
     "FaultSpec",
     "InjectedError",
-    "active",
     "fire",
     "flip_bytes",
     "injected",
@@ -85,8 +73,7 @@ __all__ = [
 #: Hook sites the pipeline currently exposes.
 SITES = (
     "chunk.decode",  # the chunk task body, wherever it runs
-    "chunk.on_demand",  # the ladder's serial rung, before its decode
-    "worker.task",  # process-pool child, before executing any task
+    "chunk.on_demand",  # the serial on-demand rung, before its decode
     "index.load",  # persistent index import (store.load_index)
     "index.window",  # seek-point window validation/inflation
     "index.export",  # persistent index export (store.save_index)
@@ -142,20 +129,17 @@ class FaultSpec:
     ``site`` names a hook point from :data:`SITES`. ``kind`` is one of:
 
     * ``"raise"`` — raise an exception (``error`` picks the class:
-      ``"injected"``/``"format"``/``"truncated"``/``"crash"``/
-      ``"index"``/``"network"``);
+      ``"injected"``/``"format"``/``"truncated"``/``"index"``/
+      ``"network"``);
     * ``"delay"`` — sleep ``delay_seconds`` then continue;
     * ``"stall"`` — like delay, semantically "this task hung" (use with
-      a watchdog/timeout that should fire first);
-    * ``"kill"`` — ``os._exit(exit_code)`` the current worker process
-      (raises :class:`WorkerCrashedError` instead when running in the
-      parent process, i.e. on the thread backend).
+      a timeout that should fire first).
 
     ``chunk_ids``/``attempts`` restrict matching (``None`` = any).
     ``probability`` < 1 gates firing on a deterministic hash of
     ``(seed, site, chunk_id, attempt)``. ``once_token`` is a filesystem
     path: the first firing claims it atomically and later matches are
-    skipped — exactly-once semantics even across worker processes.
+    skipped — exactly-once semantics.
     """
 
     site: str
@@ -165,7 +149,6 @@ class FaultSpec:
     probability: float = 1.0
     error: str = "injected"
     delay_seconds: float = 0.05
-    exit_code: int = 9
     once_token: str = None
 
     def validate(self) -> "FaultSpec":
@@ -173,7 +156,7 @@ class FaultSpec:
             raise UsageError(
                 f"unknown fault site {self.site!r}; choose from {SITES}"
             )
-        if self.kind not in ("raise", "delay", "stall", "kill"):
+        if self.kind not in ("raise", "delay", "stall"):
             raise UsageError(f"unknown fault kind {self.kind!r}")
         if self.kind == "raise" and self.error not in _ERROR_CLASSES:
             raise UsageError(f"unknown fault error class {self.error!r}")
@@ -190,7 +173,6 @@ _ERROR_CLASSES = {
     "injected": InjectedError,
     "format": FormatError,
     "truncated": TruncatedError,
-    "crash": WorkerCrashedError,
     "index": _injected_index_error,
     "network": NetworkError,
 }
@@ -198,7 +180,7 @@ _ERROR_CLASSES = {
 
 @dataclass(frozen=True)
 class FaultInjector:
-    """A seed plus a tuple of :class:`FaultSpec` rules. Picklable."""
+    """A seed plus a tuple of :class:`FaultSpec` rules."""
 
     seed: int
     specs: tuple
@@ -232,12 +214,6 @@ class FaultInjector:
                 time.sleep(spec.delay_seconds)
             elif spec.kind == "raise":
                 raise _ERROR_CLASSES[spec.error](context)
-            elif spec.kind == "kill":
-                if multiprocessing.parent_process() is None:
-                    # Parent process (thread backend): killing would take
-                    # down the caller — surface the same signal instead.
-                    raise WorkerCrashedError(context)
-                os._exit(spec.exit_code)
             else:
                 raise UsageError(f"unknown fault kind {spec.kind!r}")
 
@@ -267,11 +243,6 @@ def uninstall() -> None:
     _ACTIVE = None
 
 
-def active() -> FaultInjector:
-    """The installed injector, or ``None`` outside chaos runs."""
-    return _ACTIVE
-
-
 def fire(site: str, *, chunk_id=None, attempt: int = 0) -> None:
     """Hook-point entry: no-op unless an injector is installed."""
     if _ACTIVE is not None:
@@ -281,8 +252,8 @@ def fire(site: str, *, chunk_id=None, attempt: int = 0) -> None:
 class injected:
     """Context manager installing an injector for the enclosed block::
 
-        with faults.injected(seed=7, specs=[FaultSpec("chunk.decode", "kill")]):
-            decompress_parallel(path, parallelization=4, backend="processes")
+        with faults.injected(seed=7, specs=[FaultSpec("chunk.decode", "raise")]):
+            decompress_parallel(path, parallelization=4)
     """
 
     def __init__(self, *, seed: int, specs) -> None:

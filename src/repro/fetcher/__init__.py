@@ -12,7 +12,7 @@ from .decode import (
     zlib_decode_range,
 )
 from .gzip_chunk_fetcher import DEFAULT_CHUNK_SIZE, GzipChunkFetcher
-from .tasks import ChunkTaskSpec, RemoteChunkOutcome, execute_chunk_task
+from .tasks import ChunkTaskSpec
 
 __all__ = [
     "BlockMap",
@@ -20,12 +20,10 @@ __all__ = [
     "ChunkRecord",
     "ChunkResult",
     "ChunkTaskSpec",
-    "RemoteChunkOutcome",
     "StreamEvent",
     "decode_bgzf_members",
     "decode_chunk_range",
     "decode_index_chunk",
-    "execute_chunk_task",
     "shift_to_byte_alignment",
     "speculative_decode",
     "zlib_decode_range",

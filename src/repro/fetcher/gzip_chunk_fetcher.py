@@ -21,17 +21,16 @@ chosen at construction:
 * ``bgzf`` — the file is BGZF: member offsets come from header metadata and
   members decode independently (§3.4.4).
 
-Whatever the mode, the priority (speculative prefetch or on-demand) and
-the backend, a decode is one :class:`~repro.fetcher.tasks.ChunkTaskSpec`
-filled by :meth:`GzipChunkFetcher._spec_for` and run by
-:func:`~repro.fetcher.tasks.run_chunk_task`. Backends differ only in
-pool and shipping: threads and the serial rung call that body with the
-live reader and telemetry, processes ship the spec to
-:func:`~repro.fetcher.tasks.execute_chunk_task`. The one decode that
-stays here is :meth:`GzipChunkFetcher._decode_index_fallback`, which
-needs the whole index: filling the spec of a chunk whose lazily validated
-window is damaged raises, speculation skips the chunk, and the
-consumer's request runs the fallback in the parent.
+Whatever the mode and the priority (speculative prefetch or on-demand),
+a decode is one :class:`~repro.fetcher.tasks.ChunkTaskSpec` filled by
+:meth:`GzipChunkFetcher._spec_for` and run by
+:func:`~repro.fetcher.tasks.run_chunk_task` with the live reader and
+telemetry — on a pool thread when speculative, on the requesting thread
+when the consumer is blocked on it. The one decode that stays here is
+:meth:`GzipChunkFetcher._decode_index_fallback`, which needs the whole
+index: filling the spec of a chunk whose lazily validated window is
+damaged raises, speculation skips the chunk, and the consumer's request
+runs the fallback.
 """
 
 from __future__ import annotations
@@ -42,35 +41,17 @@ from concurrent.futures import CancelledError
 from .. import faults
 from ..cache import FetchNextAdaptive, LRUCache, MemoryGovernor
 from ..deflate import libz
-from ..errors import (
-    ChunkDecodeError,
-    FormatError,
-    IndexIntegrityError,
-    UsageError,
-    WorkerCrashedError,
-)
+from ..errors import ChunkDecodeError, IndexIntegrityError, UsageError
 from ..gz.bgzf import bgzf_block_offsets, is_bgzf
 from ..gz.catalog import detect_catalog as probe_catalog
 from ..gz.catalog import synthesize_index
 from ..index.store import window_bytes
 from ..io import ensure_file_reader
-from ..pool import (
-    PRIORITY_ON_DEMAND,
-    PRIORITY_PREFETCH,
-    create_pool,
-    resolve_backend,
-)
+from ..pool import PRIORITY_PREFETCH, create_pool
 from ..telemetry import Telemetry
 from .block_map import ChunkExtent
 from .decode import ChunkResult, StreamEvent, decode_chunk_range
-from .tasks import (
-    ChunkTaskSpec,
-    RemoteChunkOutcome,
-    execute_chunk_task,
-    make_reader_recipe,
-    release_inherited_source,
-    run_chunk_task,
-)
+from .tasks import ChunkTaskSpec, run_chunk_task
 
 __all__ = ["GzipChunkFetcher", "DEFAULT_CHUNK_SIZE"]
 
@@ -102,8 +83,6 @@ class GzipChunkFetcher:
         prefetch_cache_size: int = None,
         detect_bgzf: bool = True,
         detect_catalog: bool = True,
-        backend: str = "auto",
-        max_retries: int = 2,
         chunk_timeout: float = None,
         telemetry: Telemetry = None,
         governor: MemoryGovernor = None,
@@ -112,8 +91,6 @@ class GzipChunkFetcher:
             raise UsageError("parallelization must be at least 1")
         if chunk_size < 1024:
             raise UsageError("chunk_size must be at least 1 KiB")
-        if max_retries < 0:
-            raise UsageError("max_retries cannot be negative")
         if chunk_timeout is not None and chunk_timeout <= 0:
             raise UsageError("chunk_timeout must be positive (or None)")
         self.file_reader = ensure_file_reader(source)
@@ -135,9 +112,6 @@ class GzipChunkFetcher:
             max(budget // 8, MIN_SPLIT_OUTPUT) if budget else None
         )
 
-        # Mode detection must precede pool creation: backend="auto" picks
-        # processes only for the GIL-bound search mode, and a process
-        # pool's reader recipe must be registered before workers fork.
         # Precedence: explicit index > embedded chunk catalog > BGZF >
         # search — an explicit index is the caller's word, a catalog is
         # the encoder's.
@@ -169,31 +143,18 @@ class GzipChunkFetcher:
         else:
             self.mode = "search"
 
-        self.backend = resolve_backend(
-            backend, mode=self.mode, parallelization=parallelization
-        )
-        self._recipe = None
-        self._recipe_token = None
-        if self.backend == "processes":
-            import multiprocessing
-
-            fork = "fork" in multiprocessing.get_all_start_methods()
-            self._recipe, self._recipe_token = make_reader_recipe(
-                self.file_reader, fork=fork
-            )
-        self.max_retries = max_retries
+        #: ``threads``, or ``serial`` once repeated time-outs retired the pool.
+        self.backend = "threads"
         self.chunk_timeout = chunk_timeout
         # The first-stage kernel is resolved, never chosen: libz's probe, or
-        # the fused kernel without libz. Loaded before the pool forks.
+        # the fused kernel without libz.
         self._decoder = "probe" if libz.load() is not None else "fused"
         if self._decoder == "fused":
             self.telemetry.metrics.counter("decode.libz_unavailable").increment()
         self.pool = create_pool(
-            self.backend, parallelization, telemetry=self.telemetry,
-            task_timeout=chunk_timeout,
+            self.backend, parallelization, telemetry=self.telemetry
         )
-        self._retired_pools: list = []  # shut-down pools kept for reaping
-        self._backend_failures = 0  # consecutive crash/timeout observations
+        self._backend_failures = 0  # time-outs observed since the last downgrade
         capacity = prefetch_cache_size or max(2 * parallelization, 2)
         sizing = {}
         if governor is not None:
@@ -228,16 +189,11 @@ class GzipChunkFetcher:
         self._on_demand_decodes = metrics.counter("fetcher.on_demand_decodes")
         self._wait_inflight = metrics.counter("fetcher.wait_inflight")
         self._speculative_rejects = metrics.counter("fetcher.speculative_rejects")
-        self._retries = metrics.counter("fetcher.retries")
         self._chunk_timeouts = metrics.counter("fetcher.chunk_timeouts")
-        self._worker_crashes = metrics.counter("fetcher.worker_crashes")
         self._task_errors = metrics.counter("fetcher.task_errors")
         self._backend_downgrades = metrics.counter("fetcher.backend_downgrades")
         self._chunk_splits = metrics.counter("fetcher.chunk_splits")
         self._speculative_shed = metrics.counter("fetcher.speculative_shed")
-        self._ladder_pool_unavailable = metrics.counter(
-            "fetcher.ladder_pool_unavailable"
-        )
         self._index_fallbacks = metrics.counter("index.fallbacks")
         #: Hook the reader installs to account an index-window fallback
         #: (damage record + lifecycle event); called as (chunk_id, error).
@@ -461,7 +417,7 @@ class GzipChunkFetcher:
 
     def _spec_for(self, chunk_id: int, attempt: int = 0,
                   exact=None, known=None) -> ChunkTaskSpec:
-        """The one description of a chunk decode, whatever the backend.
+        """The one description of a chunk decode.
 
         ``exact`` (search mode only) is ``(start_bit, window)``: instead
         of searching, decode exactly from that offset — the on-demand
@@ -472,20 +428,11 @@ class GzipChunkFetcher:
         :meth:`_decode_index_fallback` can decode that one.
         """
         spec = ChunkTaskSpec(
-            recipe=self._recipe,
             mode=self.mode,
             chunk_id=chunk_id,
             attempt=attempt,
             max_output=self.max_chunk_output,
-            faults=faults.active(),
-            trace=self.telemetry.tracing,
-            trace_origin=self.telemetry.recorder.origin,
-            events=self.telemetry.event_logging,
         )
-        if spec.events and spec.trace_origin is None:
-            # Tracing off but event logging on: workers still need the
-            # parent's timeline zero so lifecycle timestamps line up.
-            spec.trace_origin = self.telemetry.events.origin
         if self.mode == "index":
             known = self._index_extent(chunk_id)
         if known is not None:
@@ -504,23 +451,6 @@ class GzipChunkFetcher:
 
     # -- cache plumbing ------------------------------------------------------------
 
-    def _absorb(self, outcome):
-        """Unwrap a future's value; fold remote telemetry into ours.
-
-        Thread futures carry :func:`run_chunk_task`'s value directly;
-        process futures carry a :class:`RemoteChunkOutcome` whose metrics
-        and trace events the worker accumulated in its own address space.
-        """
-        if isinstance(outcome, RemoteChunkOutcome):
-            if outcome.metrics:
-                self.telemetry.metrics.merge_state(outcome.metrics)
-            if outcome.trace_events:
-                self.telemetry.recorder.ingest(outcome.trace_events)
-            if outcome.events:
-                self.telemetry.events.ingest(outcome.events)
-            return outcome.result
-        return outcome
-
     def _harvest(self) -> None:
         """Move completed speculative futures into the prefetch cache."""
         with self._lock:
@@ -533,8 +463,8 @@ class GzipChunkFetcher:
                 return
             recorder = self.telemetry.recorder
             events = self.telemetry.events
-            # Spanned: absorbing worker results (telemetry merges, cache
-            # inserts) is read-thread time --explain should account for.
+            # Spanned: absorbing worker results (cache inserts) is
+            # read-thread time --explain should account for.
             with recorder.span("chunk.harvest", count=len(finished)):
                 self._harvest_finished(finished, recorder, events)
 
@@ -544,9 +474,8 @@ class GzipChunkFetcher:
             reserved = self._inflight_charge.pop(chunk_id, 0)
             if reserved and self.governor is not None:
                 self.governor.discharge("in_flight", reserved)
-            crashed = False
             try:
-                result = self._absorb(future.result())
+                result = future.result()
             except CancelledError:
                 # Shed under memory pressure before any worker ran it.
                 # Says nothing about decodability: stay eligible for
@@ -558,20 +487,6 @@ class GzipChunkFetcher:
                 if events.enabled:
                     events.emit("shed", chunk=chunk_id)
                 continue
-            except WorkerCrashedError as error:
-                self._worker_crashes.increment()
-                if recorder.enabled:
-                    recorder.instant(
-                        "chunk.worker_crash", chunk_id=chunk_id,
-                        error=repr(error),
-                    )
-                if events.enabled:
-                    events.emit(
-                        "failed", chunk=chunk_id, reason="worker-crash"
-                    )
-                self._note_backend_failure("crash")
-                result = None
-                crashed = True
             except Exception as error:  # contain: speculation is optional
                 self._task_errors.increment()
                 if recorder.enabled:
@@ -585,11 +500,8 @@ class GzipChunkFetcher:
                     )
                 result = None
             if result is None:
-                # No candidate or rejected (the task body said which). A
-                # crash says nothing about decodability — leave the
-                # chunk eligible for resubmission/on-demand.
-                if not crashed:
-                    self._no_candidate.add(chunk_id)
+                # No candidate or rejected (the task body said which).
+                self._no_candidate.add(chunk_id)
                 self._speculative_unusable.increment()
                 continue
             if result.split:
@@ -676,17 +588,10 @@ class GzipChunkFetcher:
                     "queued", chunk=chunk_id, kind="speculative",
                     backend=self.backend,
                 )
-            if self.backend == "processes":
-                future = self.pool.submit(
-                    execute_chunk_task, spec,
-                    priority=PRIORITY_PREFETCH,
-                )
-            else:
-                future = self.pool.submit(
-                    run_chunk_task, spec, self.file_reader, self.telemetry,
-                    priority=PRIORITY_PREFETCH,
-                )
-            self._futures[chunk_id] = future
+            self._futures[chunk_id] = self.pool.submit(
+                run_chunk_task, spec, self.file_reader, self.telemetry,
+                priority=PRIORITY_PREFETCH,
+            )
             if reserved:
                 self._inflight_charge[chunk_id] = reserved
             return True
@@ -697,9 +602,7 @@ class GzipChunkFetcher:
         Cancelled futures complete immediately, so a follow-up harvest
         discharges their in-flight reservations synchronously.
         """
-        shed = self.pool.shed(PRIORITY_PREFETCH) if hasattr(
-            self.pool, "shed"
-        ) else 0
+        shed = self.pool.shed(PRIORITY_PREFETCH)
         if shed:
             self._speculative_shed.increment(shed)
             self._harvest()
@@ -778,7 +681,7 @@ class GzipChunkFetcher:
 
         In search mode a chunk :attr:`known_extent` has an answer for is
         decoded on demand by checked zlib delegation (the ``index`` task,
-        on either backend, with its bit-exact fallback), never by block
+        with its bit-exact fallback), never by block
         search or the Python decoder; those serve the frontier and beyond.
 
         Every access triggers the prefetcher, cache hit or not (§3.1) —
@@ -826,16 +729,12 @@ class GzipChunkFetcher:
         self._trigger_prefetch(chunk_id, start_bit)
         return result
 
-    # -- retry ladder ----------------------------------------------------------------
+    # -- on-demand decode -------------------------------------------------------------
 
     def _produce_chunk(self, start_bit: int, chunk_id: int, window: bytes):
-        """Produce a chunk no cache or in-flight task delivered.
-
-        Escalation ladder: bounded resubmissions to the worker pool (at
-        on-demand priority — process backend only, where a fresh worker
-        can succeed after a crash/stall), then a serial in-process decode
-        of the same task, then a structured :class:`ChunkDecodeError`
-        carrying the full context.
+        """Produce a chunk no cache or in-flight task delivered: decode it
+        on this thread from the last verified offset, or raise a structured
+        :class:`ChunkDecodeError` carrying the full context.
 
         Under a memory budget the decode is *mandatory* — the consumer is
         blocked on it — so it reserves its worst case with the blocking
@@ -850,156 +749,62 @@ class GzipChunkFetcher:
                 self._shed_speculation()
                 self.governor.reserve("on_demand", reserved)
             try:
-                return self._produce_chunk_unbudgeted(
-                    start_bit, chunk_id, window
-                )
+                return self._decode_on_demand(start_bit, chunk_id, window)
             finally:
                 self.governor.discharge("on_demand", reserved)
-        return self._produce_chunk_unbudgeted(start_bit, chunk_id, window)
+        return self._decode_on_demand(start_bit, chunk_id, window)
 
-    def _produce_chunk_unbudgeted(self, start_bit: int, chunk_id: int,
-                                  window: bytes):
-        recorder = self.telemetry.recorder
-        events = self.telemetry.events
-        attempt = 0
-        while self.backend == "processes" and attempt < self.max_retries:
-            attempt += 1
-            self._retries.increment()
-            if recorder.enabled:
-                recorder.instant(
-                    "chunk.retry", chunk_id=chunk_id, attempt=attempt,
-                    rung="pool",
-                )
-            try:
-                future = self.pool.submit(
-                    execute_chunk_task,
-                    self._spec_for(
-                        chunk_id, attempt=attempt, exact=(start_bit, window),
-                        known=self._known(start_bit),
-                    ),
-                    priority=PRIORITY_ON_DEMAND,
-                )
-                if events.enabled:
-                    events.emit(
-                        "queued", chunk=chunk_id, kind="on-demand-retry",
-                        attempt=attempt,
-                    )
-                # Spanned separately from chunk.wait_inflight: this wait
-                # is a retry rung, and --explain splits it causally the
-                # same way (decode vs. queue time on the worker side).
-                with recorder.span(
-                    "chunk.wait_on_demand", chunk_id=chunk_id,
-                    attempt=attempt,
-                ):
-                    result = self._absorb(
-                        future.result(timeout=self.chunk_timeout)
-                    )
-            except TimeoutError:
-                self._chunk_timeouts.increment()
-                self._note_backend_failure("timeout")
-                continue
-            except WorkerCrashedError:
-                self._worker_crashes.increment()
-                self._note_backend_failure("crash")
-                continue
-            except (IndexIntegrityError, FormatError):
-                # A damaged lazy window never left the parent; a format
-                # error is deterministic. The serial rung below runs the
-                # index fallback for the one and reproduces the other.
-                break
-            except UsageError:
-                # Pool shut down / spec not shippable: go serial. Counted
-                # so the ladder's silent rung change shows up in --profile.
-                self._ladder_pool_unavailable.increment()
-                break
-            except Exception as error:
-                # What a worker raised leaves under the same contract as
-                # what the serial rung below raises.
-                raise self._decode_error(
-                    chunk_id, start_bit, attempt, error
-                ) from error
-            return result
-        # Final rung: serial, in-process, from the last verified offset.
-        attempt += 1
+    def _decode_on_demand(self, start_bit: int, chunk_id: int, window: bytes):
+        """The serial rung: the same task, run on this thread."""
+        self._on_demand_decodes.increment()
         try:
-            return self._decode_on_demand(
-                start_bit, chunk_id, window, attempt=attempt
-            )
+            faults.fire("chunk.on_demand", chunk_id=chunk_id, attempt=1)
+            try:
+                spec = self._spec_for(
+                    chunk_id, attempt=1, exact=(start_bit, window),
+                    known=self._known(start_bit),
+                )
+            except IndexIntegrityError as error:
+                return self._decode_index_fallback(chunk_id, error)
+            return run_chunk_task(spec, self.file_reader, self.telemetry)
         except UsageError:
             raise  # caller bug, not a decode failure — report it as-is
         except Exception as error:
-            raise self._decode_error(
-                chunk_id, start_bit, attempt, error
+            raise ChunkDecodeError(
+                f"chunk {chunk_id} failed to decode at bit offset "
+                f"{start_bit} on the {self.backend!r} backend: {error}",
+                chunk_id=chunk_id,
+                start_bit=start_bit,
+                backend=self.backend,
             ) from error
 
-    def _decode_error(self, chunk_id: int, start_bit: int, attempt: int,
-                      error) -> ChunkDecodeError:
-        """The ladder's one error contract, whichever rung gave up."""
-        return ChunkDecodeError(
-            f"chunk {chunk_id} failed to decode at bit offset "
-            f"{start_bit} after {attempt} attempt(s) on the "
-            f"{self.backend!r} backend: {error}",
-            chunk_id=chunk_id,
-            start_bit=start_bit,
-            attempts=attempt,
-            backend=self.backend,
-        )
-
     def _note_backend_failure(self, reason: str) -> None:
-        """Record a crash/timeout; downgrade the backend when they pile up."""
+        """Record an in-flight time-out; downgrade when they pile up."""
         with self._lock:
             self._backend_failures += 1
-            degraded = getattr(self.pool, "degraded", False)
-            if self._backend_failures < 3 and not degraded:
+            if self._backend_failures < 3:
                 return
         self._downgrade_backend(reason)
 
     def _downgrade_backend(self, reason: str) -> None:
-        """Step down processes → threads → serial after repeated failures.
+        """Step down threads → serial after repeated time-outs.
 
-        The old pool is retired asynchronously (reaped in :meth:`close`);
-        its in-flight futures stay in ``self._futures`` and are harvested
-        or classified like any others.
+        The pool object stays: its statistics stay readable and its
+        in-flight futures are harvested like any others; :meth:`_submit`
+        stops feeding it.
         """
         with self._lock:
-            if self.backend == "processes":
-                target = "threads"
-            elif self.backend == "threads":
-                target = "serial"
-            else:
+            if self.backend == "serial":
                 return
-            previous = self.backend
             self._backend_downgrades.increment()
             recorder = self.telemetry.recorder
             if recorder.enabled:
                 recorder.instant(
-                    "fetcher.backend_downgrade", previous=previous,
-                    target=target, reason=reason,
+                    "fetcher.backend_downgrade", previous=self.backend,
+                    target="serial", reason=reason,
                 )
-            if target == "threads":
-                self._retired_pools.append(self.pool)
-                self.pool.shutdown(wait=False)
-                self.pool = create_pool(
-                    "threads", self.parallelization, telemetry=self.telemetry
-                )
-            # target == "serial": keep the thread pool object (its
-            # statistics stay readable); _submit stops feeding it.
-            self.backend = target
+            self.backend = "serial"
             self._backend_failures = 0
-
-    def _decode_on_demand(self, start_bit: int, chunk_id: int, window: bytes,
-                          attempt: int):
-        """The ladder's serial rung: the same task, run on this thread."""
-        self._on_demand_decodes.increment()
-        faults.fire("chunk.on_demand", chunk_id=chunk_id, attempt=attempt)
-        try:
-            spec = self._spec_for(
-                chunk_id, attempt=attempt, exact=(start_bit, window),
-                known=self._known(start_bit),
-            )
-        except IndexIntegrityError as error:
-            return self._decode_index_fallback(chunk_id, error)
-        return run_chunk_task(spec, self.file_reader, self.telemetry)
 
     # -- statistics ----------------------------------------------------------------
 
@@ -1056,13 +861,10 @@ class GzipChunkFetcher:
             "speculative_unusable": self.speculative_unusable,
             "on_demand_decodes": self.on_demand_decodes,
             "speculative_rejects": self._speculative_rejects.value,
-            "retries": self._retries.value,
             "wait_inflight": self._wait_inflight.value,
             "chunk_timeouts": self._chunk_timeouts.value,
-            "worker_crashes": self._worker_crashes.value,
             "task_errors": self._task_errors.value,
             "backend_downgrades": self._backend_downgrades.value,
-            "ladder_pool_unavailable": self._ladder_pool_unavailable.value,
             "inflight_decodes": len(self._futures),
             "pool": self.pool.statistics(),
         }
@@ -1072,13 +874,7 @@ class GzipChunkFetcher:
         # for what runs, harvest — every queued chunk ends in a terminal state.
         self._shed_speculation()
         self.pool.shutdown(wait=True)
-        for pool in self._retired_pools:
-            pool.shutdown(wait=True)
-        self._retired_pools.clear()
         self._harvest()
-        if self._recipe_token is not None:
-            release_inherited_source(self._recipe_token)
-            self._recipe_token = None
         self.file_reader.close()
 
     def __enter__(self) -> "GzipChunkFetcher":

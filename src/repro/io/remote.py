@@ -26,10 +26,9 @@ I/O failure a *recoverable event* instead of an unhandled exception:
   retried — mixing object generations would be silent garbage.
 
 :func:`open_remote` assembles the stack; ``ensure_file_reader`` calls
-it for ``http(s)://`` strings, and :attr:`ResilientFileReader.remote_options`
-lets :mod:`repro.fetcher.tasks` ship a ``("url", options)`` recipe to
-worker processes, which rebuild an identical stack bound to the same
-size/ETag so a mid-decode origin swap is detected child-side too.
+it for ``http(s)://`` strings. Worker threads read through clones that
+share the connection pool, so they share the captured size/ETag and a
+mid-decode origin swap is detected whichever thread meets it.
 
 Failure semantics end-to-end: exhausted retries surface as
 :class:`NetworkError` (CLI exit code 9); under
@@ -47,7 +46,7 @@ import threading
 import time
 import urllib.parse
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .. import faults
 from ..errors import NetworkError, SourceChangedError, UsageError
@@ -82,15 +81,13 @@ def is_remote_url(source) -> bool:
 
 @dataclass(frozen=True)
 class RemoteReaderOptions:
-    """Everything needed to (re)build a resilient remote reader stack.
+    """Everything needed to build a resilient remote reader stack.
 
-    Frozen, hashable, and picklable on purpose: this object *is* the
-    ``("url", options)`` reader recipe worker processes receive.
     ``timeout`` bounds one socket operation (one attempt); ``deadline``
     bounds one ``pread`` including every retry and backoff sleep.
     ``expected_size``/``expected_etag``/``expected_last_modified`` bind
-    a rebuilt reader to the generation the parent opened — a changed
-    origin raises :class:`SourceChangedError` instead of mixing bytes.
+    the reader to a known generation of the object — a different one at
+    the origin raises :class:`SourceChangedError` instead of mixing bytes.
     ``jitter_seed`` makes the backoff sequence deterministic for tests.
     """
 
@@ -129,8 +126,7 @@ class NetworkStats:
 
     Counts locally (always available) and mirrors every increment into
     an attached :class:`~repro.telemetry.MetricsRegistry` under
-    ``net.*`` names, so worker-process contributions merge back into
-    the parent exactly like every other counter. When a trace recorder
+    ``net.*`` names. When a trace recorder
     is attached, each wire request additionally leaves a ``net.request``
     span — the raw material for ``--explain``'s ``network-io`` stage.
     """
@@ -740,26 +736,6 @@ class ResilientFileReader(FileReader):
     def url(self):
         return getattr(self._base, "url", None) or (
             self._options.url if self._options is not None else None
-        )
-
-    @property
-    def remote_options(self):
-        """Recipe for rebuilding this stack in a worker process, bound
-        to the origin generation seen so far (or ``None`` for non-URL
-        bases)."""
-        if self._options is None:
-            return None
-        probe = self._base
-        while probe is not None and not isinstance(probe, HttpRangeFileReader):
-            probe = getattr(probe, "_base", None)
-        if probe is None:
-            return self._options
-        pool = probe._pool
-        return replace(
-            self._options,
-            expected_size=pool.size,
-            expected_etag=pool.etag,
-            expected_last_modified=pool.last_modified,
         )
 
     # -- telemetry -----------------------------------------------------------

@@ -1,16 +1,12 @@
-"""Worker pools: priority thread pool and multi-core process pool."""
+"""Worker pool: a priority thread pool."""
 
-from .backend import BACKENDS, available_cores, create_pool, resolve_backend
-from .process_pool import ProcessPool
+from .backend import available_cores, create_pool
 from .thread_pool import PRIORITY_ON_DEMAND, PRIORITY_PREFETCH, ThreadPool
 
 __all__ = [
-    "BACKENDS",
     "PRIORITY_ON_DEMAND",
     "PRIORITY_PREFETCH",
-    "ProcessPool",
     "ThreadPool",
     "available_cores",
     "create_pool",
-    "resolve_backend",
 ]

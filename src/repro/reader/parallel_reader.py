@@ -86,9 +86,7 @@ class ParallelGzipReader:
         detect_bgzf: bool = True,
         detect_catalog: bool = True,
         seek_point_spacing: int = None,
-        backend: str = "auto",
         tolerate_corruption: bool = False,
-        max_retries: int = 2,
         chunk_timeout: float = None,
         trace: bool = False,
         events: bool = False,
@@ -147,11 +145,6 @@ class ParallelGzipReader:
         fatal — it is recorded in telemetry and the reader falls back to
         searching.
 
-        ``backend`` picks the worker pool: ``"threads"``, ``"processes"``,
-        or ``"auto"`` (the default), which uses processes exactly when the
-        GIL-bound two-stage search path is active on a multi-core machine
-        and threads for the zlib-delegation paths (loaded index, BGZF).
-
         ``tolerate_corruption=True`` turns mid-file corruption, truncation,
         and checksum mismatches from exceptions into *accounted damage*:
         the reader skips the broken stretch, resynchronises at the next
@@ -160,9 +153,11 @@ class ParallelGzipReader:
         incident in :attr:`damage_report`. Reads never silently launder
         damage — check ``reader.damage_report.damaged`` afterwards.
 
-        ``max_retries`` bounds the fetcher's per-chunk retry ladder and
-        ``chunk_timeout`` (seconds) turns a hung chunk decode into a
-        retryable timeout (also arming the process pool's watchdog).
+        ``chunk_timeout`` (seconds) bounds the wait on an in-flight
+        speculative decode: a chunk that does not arrive in time is decoded
+        on the reading thread instead, and after three such time-outs the
+        fetcher stops feeding the pool (``statistics()["backend"]`` reads
+        ``serial``). ``None`` (the default) waits without bound.
 
         ``trace=True`` records chunk-lifecycle spans for the whole pipeline
         (reader, fetcher, pool workers, block finders); export them with
@@ -278,8 +273,6 @@ class ParallelGzipReader:
                 index=index,
                 detect_bgzf=allow_bgzf,
                 detect_catalog=detect_catalog,
-                backend=backend,
-                max_retries=max_retries,
                 chunk_timeout=chunk_timeout,
                 telemetry=self.telemetry,
                 governor=self._governor,

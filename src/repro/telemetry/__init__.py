@@ -96,28 +96,19 @@ __all__ = [
 class Telemetry:
     """Recorder + metrics + event-log bundle shared by one decode pipeline.
 
-    ``trace_origin`` pins the trace/event timestamp zero point; worker
-    processes pass the parent recorder's origin so their shipped-back
-    spans and lifecycle records land on the parent's timeline.
-
     ``events`` may be ``True`` (create an :class:`EventLog` sharing the
     recorder's timeline) or an existing :class:`EventLog`/
     :class:`NullEventLog` to share one log across bundles.
     """
 
     def __init__(self, trace: bool = False, metrics: MetricsRegistry = None,
-                 trace_origin: float = None, events=False):
-        self.recorder = (
-            TraceRecorder(origin=trace_origin) if trace else NULL_RECORDER
-        )
+                 events=False):
+        self.recorder = TraceRecorder() if trace else NULL_RECORDER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         if isinstance(events, (EventLog, NullEventLog)):
             self.events = events
         elif events:
-            origin = (
-                self.recorder.origin if self.recorder.enabled else trace_origin
-            )
-            self.events = EventLog(origin=origin)
+            self.events = EventLog(origin=self.recorder.origin)
         else:
             self.events = NULL_EVENT_LOG
 

@@ -26,9 +26,9 @@ and attributes its wall time across named stages:
 * ``recovery`` — tolerant-mode resynchronisation after damage;
 * ``verify`` — CRC-32/ISIZE verification on the reading thread;
 * ``bookkeeping`` — harvesting finished futures (absorbing worker
-  results, merging child telemetry, cache insertion) plus the
-  chain-advance bookkeeping inside ``decode_next_chunk`` not owned by a
-  more specific stage (cache probes, prefetch submission);
+  results, cache insertion) plus the chain-advance bookkeeping inside
+  ``decode_next_chunk`` not owned by a more specific stage (cache probes,
+  prefetch submission);
 * ``serve-copy`` — slicing decoded chunks into the caller's result
   buffer and joining the pieces;
 * ``other`` — the unexplained remainder (small by construction; a large
@@ -37,9 +37,9 @@ and attributes its wall time across named stages:
 The split of a blocked-on-future wait into queue-wait vs. decode vs.
 block-find is *causal*: the wait span carries the awaited chunk id, and
 worker-side ``chunk.decode``/``chunk.block_find`` spans for that same
-chunk id — from any thread or worker process, since traces merge — are
-intersected with the wait interval. Time the wait overlapped a worker
-decoding that chunk is decode time; the remainder is queue wait.
+chunk id, from any thread, are intersected with the wait interval. Time
+the wait overlapped a worker decoding that chunk is decode time; the
+remainder is queue wait.
 
 Everything operates on plain trace-event dicts (``ph == "X"`` spans with
 microsecond ``ts``/``dur``), so it works on a live recorder's
@@ -90,7 +90,7 @@ _DIRECT_STAGES = {
 }
 
 #: Waits on another execution context, split causally by chunk id.
-_WAIT_SPANS = ("chunk.wait_inflight", "chunk.wait_on_demand")
+_WAIT_SPANS = ("chunk.wait_inflight",)
 
 #: Envelope spans: claimed *after* the direct/wait spans they contain, so
 #: only their leftover time (cache probes, prefetch submission, chain

@@ -10,9 +10,7 @@ through an explicit lifecycle state machine
 and each transition is appended as one schema-versioned, JSON-serializable
 record. Records are cheap dicts held in a bounded ring; they can be
 exported as JSON Lines (one record per line — the format log scrapers and
-``jq`` consume directly), shipped across process boundaries (worker
-processes accumulate locally and the parent :meth:`EventLog.ingest`\\ s
-them, exactly like trace events), and replayed by the analysis toolkit
+``jq`` consume directly) and replayed by the analysis toolkit
 (:mod:`repro.telemetry.analysis`) to reconstruct where read latency went.
 
 Event logging is opt-in. The default is :data:`NULL_EVENT_LOG`, a
@@ -113,9 +111,6 @@ class NullEventLog:
     def emit(self, state, chunk=None, bit=None, **attrs) -> None:
         pass
 
-    def ingest(self, records) -> None:
-        pass
-
     def records(self) -> list:
         return []
 
@@ -138,8 +133,7 @@ class EventLog:
     """Thread-safe bounded ring of lifecycle records with JSONL export.
 
     ``origin`` pins the zero point of record timestamps; pass the trace
-    recorder's origin so events and spans share a timeline (worker
-    processes receive the parent's origin through the task spec).
+    recorder's origin so events and spans share a timeline.
     ``capacity`` bounds memory — the newest records win, and the count of
     dropped older records is reported in :meth:`save`'s trailer and
     :attr:`dropped`.
@@ -155,10 +149,6 @@ class EventLog:
         self._records: deque = deque(maxlen=capacity)
         self._pid = os.getpid()
         self.dropped = 0
-
-    @property
-    def origin(self) -> float:
-        return self._origin
 
     def emit(self, state: str, chunk=None, bit=None, **attrs) -> None:
         """Append one lifecycle transition record."""
@@ -179,16 +169,6 @@ class EventLog:
                 self.dropped += 1
             self._records.append(record)
 
-    def ingest(self, records) -> None:
-        """Fold records shipped back from a worker process's local log."""
-        if not records:
-            return
-        with self._lock:
-            for record in records:
-                if len(self._records) == self._records.maxlen:
-                    self.dropped += 1
-                self._records.append(record)
-
     @property
     def num_records(self) -> int:
         with self._lock:
@@ -197,9 +177,8 @@ class EventLog:
     def records(self) -> list:
         """Time-ordered snapshot (copies the deque, not the dicts).
 
-        Worker-process records arrive in ingest batches, so the raw ring
-        interleaves out of order across processes; sorting by timestamp
-        restores the global order (all processes share ``perf_counter``).
+        Threads read the clock before they take the ring's lock, so
+        neighbours can land out of order; sorting by timestamp restores it.
         """
         with self._lock:
             snapshot = list(self._records)

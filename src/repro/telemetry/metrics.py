@@ -123,34 +123,6 @@ class Histogram:
         with self._lock:
             return self.total / self.count if self.count else None
 
-    def export_state(self) -> dict:
-        """Picklable full state for cross-process merging."""
-        with self._lock:
-            return {
-                "count": self.count,
-                "total": self.total,
-                "min": self.minimum,
-                "max": self.maximum,
-                "samples": [list(sample) for sample in self._samples],
-            }
-
-    def merge_state(self, state: dict) -> None:
-        """Fold another histogram's exported state into this one.
-
-        Running aggregates add exactly; the sample ring absorbs the other
-        side's (timestamp, value) pairs, so windowed percentiles keep
-        working as long as both sides share a clock (``perf_counter`` is
-        machine-wide on Linux, which is where worker processes run).
-        """
-        with self._lock:
-            self.count += state["count"]
-            self.total += state["total"]
-            if state["count"]:
-                self.minimum = min(self.minimum, state["min"])
-                self.maximum = max(self.maximum, state["max"])
-            for timestamp, value in state["samples"]:
-                self._samples.append((timestamp, value))
-
     def summary(self, window_seconds: float = None) -> dict:
         """JSON-serializable snapshot (count, sum, extrema, percentiles)."""
         return {
@@ -203,40 +175,6 @@ class MetricsRegistry:
     def names(self) -> list:
         with self._lock:
             return sorted(set(self._instruments) | set(self._probes))
-
-    def export_state(self) -> dict:
-        """Picklable snapshot of every instrument, for shipping a worker
-        process's locally accumulated metrics back to the parent.
-
-        Probes are deliberately excluded: they are live callbacks over
-        parent-side objects and re-register there anyway.
-        """
-        with self._lock:
-            instruments = dict(self._instruments)
-        state: dict = {"counters": {}, "gauges": {}, "histograms": {}}
-        for name, instrument in instruments.items():
-            if isinstance(instrument, Counter):
-                state["counters"][name] = instrument.value
-            elif isinstance(instrument, Gauge):
-                state["gauges"][name] = instrument.value
-            elif isinstance(instrument, Histogram):
-                state["histograms"][name] = instrument.export_state()
-        return state
-
-    def merge_state(self, state: dict) -> None:
-        """Fold an :meth:`export_state` snapshot into this registry.
-
-        Counters and histograms add; gauges are last-write-wins, matching
-        their single-registry semantics.
-        """
-        for name, value in state.get("counters", {}).items():
-            if value:
-                self.counter(name).increment(value)
-        for name, value in state.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, histogram_state in state.get("histograms", {}).items():
-            if histogram_state.get("count"):
-                self.histogram(name).merge_state(histogram_state)
 
     def as_dict(self) -> dict:
         """Snapshot every instrument into plain JSON-serializable values."""

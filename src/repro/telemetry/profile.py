@@ -273,24 +273,13 @@ def format_profile(statistics: dict, *, wall_time: float = None,
 
     # Resilience: only reported when something actually went wrong — a
     # clean run keeps its profile unchanged.
-    crashes = pool.get("worker_crashes", 0)
-    respawns = pool.get("worker_respawns", 0)
-    requeued = pool.get("tasks_requeued", 0)
-    timeouts = pool.get("task_timeouts", 0)
     chunk_timeouts = statistics.get("chunk_timeouts", 0)
-    retries = statistics.get("retries", 0)
     downgrades = statistics.get("backend_downgrades", 0)
-    ladder_serial = statistics.get("ladder_pool_unavailable", 0)
     damaged = statistics.get("damaged_regions", 0)
-    if (crashes or respawns or requeued or timeouts or chunk_timeouts
-            or retries or downgrades or ladder_serial):
+    if chunk_timeouts or downgrades:
         info(
-            f"{'Resilience':<28}: {crashes} worker crash(es), "
-            f"{respawns} respawn(s), {requeued} task(s) requeued, "
-            f"{timeouts} watchdog timeout(s), "
-            f"{chunk_timeouts} chunk timeout(s), {retries} chunk retry(ies), "
-            f"{downgrades} backend downgrade(s), "
-            f"{ladder_serial} serial ladder fallback(s)"
+            f"{'Resilience':<28}: {chunk_timeouts} chunk timeout(s), "
+            f"{downgrades} backend downgrade(s)"
         )
     if damaged:
         info(

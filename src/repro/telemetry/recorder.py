@@ -83,9 +83,6 @@ class NullRecorder:
     def set_thread_name(self, name, tid=None) -> None:
         pass
 
-    def ingest(self, events) -> None:
-        pass
-
     @property
     def origin(self):
         return None
@@ -109,21 +106,14 @@ NULL_RECORDER = NullRecorder()
 
 
 class TraceRecorder:
-    """Thread-safe span/instant collector with Chrome trace-event export.
-
-    ``origin`` pins the zero point of the exported timestamps. A worker
-    process creates its recorder with the parent's ``origin`` so the
-    events it ships back (via :meth:`ingest`) land on the same timeline —
-    ``perf_counter`` reads the machine-wide monotonic clock on Linux, so
-    the two processes agree on "now".
-    """
+    """Thread-safe span/instant collector with Chrome trace-event export."""
 
     enabled = True
 
-    def __init__(self, origin: float = None):
+    def __init__(self):
         self._lock = threading.Lock()
         self._events: list = []
-        self._origin = time.perf_counter() if origin is None else origin
+        self._origin = time.perf_counter()
         self._pid = os.getpid()
         self._named_threads: dict = {}
         self.set_thread_name(threading.current_thread().name)
@@ -191,8 +181,7 @@ class TraceRecorder:
         """Attach viewer metadata naming a thread's track.
 
         Renames re-emit the metadata event — trace viewers keep the last
-        name seen, which lets a worker process replace the auto-recorded
-        "MainThread" with its pool-assigned worker name.
+        name seen.
         """
         tid = tid if tid is not None else threading.get_ident()
         with self._lock:
@@ -208,19 +197,6 @@ class TraceRecorder:
                     "args": {"name": name},
                 }
             )
-
-    def ingest(self, events: list) -> None:
-        """Append already-rendered trace events from another recorder.
-
-        Used by the process backend: each chunk task's worker-side
-        recorder exports its events (pid = the worker process), and the
-        parent folds them in here so one trace file covers the whole
-        multi-process pipeline.
-        """
-        if not events:
-            return
-        with self._lock:
-            self._events.extend(events)
 
     # -- export ------------------------------------------------------------------
 

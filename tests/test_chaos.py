@@ -19,7 +19,6 @@ import signal
 
 import pytest
 
-from repro import WorkerCrashedError
 from repro.errors import (
     ChunkDecodeError,
     FormatError,
@@ -28,9 +27,10 @@ from repro.errors import (
     ReproError,
     UsageError,
     EXIT_FORMAT,
+    EXIT_INDEX,
     EXIT_INTEGRITY,
+    EXIT_NETWORK,
     EXIT_RECOVERY,
-    EXIT_WORKER_CRASH,
     exit_code_for,
 )
 from repro.faults import (
@@ -43,7 +43,6 @@ from repro.faults import (
     injected,
     truncate,
 )
-from repro.pool import ProcessPool
 from repro.reader import ParallelGzipReader
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "1337"))
@@ -149,20 +148,22 @@ class TestExitCodes:
     def test_direct_mapping(self):
         assert exit_code_for(FormatError("x")) == EXIT_FORMAT == 4
         assert exit_code_for(IntegrityError("x")) == EXIT_INTEGRITY == 5
-        assert exit_code_for(WorkerCrashedError("x")) == EXIT_WORKER_CRASH == 6
         assert exit_code_for(RecoveryError("x")) == EXIT_RECOVERY == 7
         assert exit_code_for(ReproError("x")) == 1
+        # 6 was "worker process crashed": retired, not reused.
+        assert 6 not in (EXIT_FORMAT, EXIT_INTEGRITY, EXIT_RECOVERY,
+                         EXIT_INDEX, EXIT_NETWORK)
 
     def test_cause_chain_wins_over_wrapper(self):
         try:
             try:
-                raise WorkerCrashedError("worker died")
-            except WorkerCrashedError as crash:
+                raise IntegrityError("crc mismatch")
+            except IntegrityError as mismatch:
                 raise ChunkDecodeError(
                     "chunk 3 failed", chunk_id=3, start_bit=0
-                ) from crash
+                ) from mismatch
         except ChunkDecodeError as error:
-            assert exit_code_for(error) == EXIT_WORKER_CRASH
+            assert exit_code_for(error) == EXIT_INTEGRITY
 
     def test_bare_chunk_decode_error_is_format(self):
         assert exit_code_for(ChunkDecodeError("x", chunk_id=0, start_bit=0)) == 4
@@ -238,7 +239,7 @@ class TestSeededCorruption:
 
 
 # ---------------------------------------------------------------------------
-# Injected decode faults: one task body, so one contract on every backend
+# Injected decode faults: one task body, so one contract on pool and serial
 # ---------------------------------------------------------------------------
 
 # Barely compressible, so the corpus spans several chunks and speculation
@@ -248,39 +249,37 @@ MULTI_BLOB = stdlib_gzip.compress(MULTI_DATA, 6)
 MULTI_CHUNK = 32 * 1024
 FAULTED_CHUNK = 2
 
-BACKENDS = ("threads", "processes", "serial")
+BACKENDS = ("threads", "serial")
 CHUNK_SITES = tuple(site for site in SITES if site.startswith("chunk."))
 
 
 def _open(backend: str, source=MULTI_BLOB, **options) -> ParallelGzipReader:
-    """A reader on ``backend``. The serial rung is reachable only by
-    downgrade, so ``"serial"`` opens on threads and steps down."""
+    """A reader on ``backend``. ``"serial"`` is reachable only by
+    downgrade, so it opens on threads and steps down."""
     reader = ParallelGzipReader(
-        source, parallelization=2, chunk_size=MULTI_CHUNK,
-        backend="threads" if backend == "serial" else backend, **options
+        source, parallelization=2, chunk_size=MULTI_CHUNK, **options
     )
     if backend == "serial":
         reader._fetcher._downgrade_backend("test")
-        assert reader.statistics()["backend"] == "serial"
+    assert reader.statistics()["backend"] == backend
     return reader
 
 
 def _ladder_specs(site: str, error: str) -> list:
     """Fail one chunk at ``site`` on every attempt. ``chunk.on_demand``
-    guards the serial rung only, so it gets a companion that drives
-    every backend down to that rung: the speculative decode and the
-    first pool resubmission are rejected."""
+    guards the on-demand decode only, so it gets a companion that makes
+    the reader need one: the speculative decode is rejected."""
     specs = [FaultSpec(site, "raise", error=error,
                        chunk_ids=(FAULTED_CHUNK,), attempts=None)]
     if site == "chunk.on_demand":
         specs.append(FaultSpec("chunk.decode", "raise", error="format",
-                               chunk_ids=(FAULTED_CHUNK,), attempts=(0, 1)))
+                               chunk_ids=(FAULTED_CHUNK,), attempts=(0,)))
     return specs
 
 
 @functools.lru_cache(maxsize=None)
 def _ladder_outcome(backend: str, site: str, error: str) -> tuple:
-    """What a reader on ``backend`` shows of a chunk no rung can decode:
+    """What a reader on ``backend`` shows of a chunk that cannot be decoded:
     the strict-mode error and the tolerant-mode damage report."""
     with injected(seed=CHAOS_SEED, specs=_ladder_specs(site, error)):
         strict = _open(backend)
@@ -289,7 +288,6 @@ def _ladder_outcome(backend: str, site: str, error: str) -> tuple:
         tolerant = _open(backend, tolerate_corruption=True)
         output = _read_all(tolerant)
     raised = info.value
-    assert raised.attempts >= 1
     assert raised.backend == strict.statistics()["backend"]
     return (
         type(raised.__cause__), raised.chunk_id, raised.start_bit,
@@ -325,7 +323,7 @@ class TestDecodeFaults:
         assert out == MULTI_DATA
         assert not reader.damage_report.damaged
         stats = reader.statistics()
-        assert stats["on_demand_decodes"] + stats["retries"] > 1
+        assert stats["on_demand_decodes"] > 1
         if backend != "serial":  # which never speculates
             assert stats["task_errors"] + stats["speculative_rejects"] > 0
 
@@ -333,9 +331,9 @@ class TestDecodeFaults:
     @pytest.mark.parametrize("site", CHUNK_SITES)
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_exhausted_ladder_has_one_contract(self, backend, site, error):
-        # Fault every attempt: the ladder must terminate with the same
-        # structured error, and tolerant mode with the same damage
-        # report, whichever backend's rungs it climbed down.
+        # Fault every attempt: the read must end with the same structured
+        # error, and tolerant mode with the same damage report, whether
+        # the pool was still being fed or not.
         outcome = _ladder_outcome(backend, site, error)
         cause, chunk_id, _start_bit, regions, _output = outcome
         assert cause is type(_ERROR_CLASSES[error]("x"))
@@ -343,200 +341,66 @@ class TestDecodeFaults:
         assert len(regions) == 1
         assert outcome == _ladder_outcome("threads", site, error)
 
-    def test_speculative_reject_is_one_event_on_every_backend(self):
-        # The reject happens where the task ran — a pool thread or a
-        # worker process — and must look the same from the parent.
+    def test_speculative_reject_is_one_event(self):
+        # The reject happens on a pool thread and must show up exactly
+        # once: one lifecycle record, one counter increment.
         damaged, index = _corrupt_index_interval()
-        seen = {}
-        for backend in ("threads", "processes"):
-            reader = _open(backend, damaged, index=index, events=True,
-                           verify=False, tolerate_corruption=True)
-            _read_all(reader)
-            # All but the ladder's pool resubmissions, a rung (hence a
-            # ``queued`` record) only the process backend has.
-            states = collections.Counter(
-                record["state"] for record in reader.telemetry.events.records()
-                if record.get("kind") != "on-demand-retry"
-            )
-            seen[backend] = (
-                states, reader.statistics()["speculative_rejects"]
-            )
-        states, rejects = seen["threads"]
-        assert rejects == states["rejected"] == 1
-        assert not states["no-candidate"]
-        assert seen["processes"] == seen["threads"]
-
-
-# ---------------------------------------------------------------------------
-# Worker crashes: kill -9 mid-decode must be invisible to the caller
-# ---------------------------------------------------------------------------
-
-
-class TestWorkerCrash:
-    def test_killed_worker_is_respawned_and_read_succeeds(self, tmp_path):
-        token = str(tmp_path / "kill-once")
-        specs = [FaultSpec("chunk.decode", "kill", attempts=None,
-                           once_token=token)]
-        with injected(seed=CHAOS_SEED, specs=specs):
-            reader = ParallelGzipReader(
-                BLOB, parallelization=2, chunk_size=CHUNK, backend="processes"
-            )
-            out = _read_all(reader)
-        assert out == DATA, (
-            f"output diverged after worker kill (CHAOS_SEED={CHAOS_SEED})"
+        reader = _open("threads", damaged, index=index, events=True,
+                       verify=False, tolerate_corruption=True)
+        _read_all(reader)
+        states = collections.Counter(
+            record["state"] for record in reader.telemetry.events.records()
         )
-        pool = reader.statistics()["pool"]
-        assert pool["worker_crashes"] >= 1
-        assert pool["worker_respawns"] >= 1
-
-    def test_repeated_kills_degrade_not_hang(self, tmp_path):
-        # Kill every speculative decode. The pool burns its respawn
-        # budget, the fetcher downgrades backends (on the thread pool
-        # "kill" degrades into a raised WorkerCrashedError, the same
-        # signal), and the read still finishes on on-demand decodes.
-        # (Killing every attempt is
-        # test_crash_is_surfaced_when_every_rung_crashes: the serial
-        # rung passes the same fault site as every other decode.)
-        specs = [FaultSpec("chunk.decode", "kill", attempts=(0,))]
-        with injected(seed=CHAOS_SEED, specs=specs):
-            reader = _open("processes")
-            out = _read_all(reader)
-        assert out == MULTI_DATA
-        stats = reader.statistics()
-        assert stats["worker_crashes"] >= 1 or stats["pool"]["worker_crashes"] >= 1
-        assert stats["backend_downgrades"] >= 1
-        assert stats["backend"] in ("threads", "serial")
-
-    def test_crash_is_surfaced_when_every_rung_crashes(self):
-        specs = [
-            FaultSpec("chunk.decode", "kill", attempts=None),
-            FaultSpec("chunk.on_demand", "raise", error="crash", attempts=None),
-        ]
-        with injected(seed=CHAOS_SEED, specs=specs):
-            reader = ParallelGzipReader(
-                BLOB, parallelization=2, chunk_size=CHUNK, backend="processes"
-            )
-            with pytest.raises(ChunkDecodeError) as info:
-                _read_all(reader)
-        assert exit_code_for(info.value) == EXIT_WORKER_CRASH
+        assert reader.statistics()["speculative_rejects"] == 1
+        assert states["rejected"] == 1
+        assert not states["no-candidate"]
 
 
 # ---------------------------------------------------------------------------
-# Stalls: the watchdog turns a hung worker into a retried chunk
+# Stalls: bounded waits turn a hung worker into an on-demand decode
 # ---------------------------------------------------------------------------
 
 
 class TestStalls:
-    def test_stalled_chunk_is_rescued_by_watchdog(self, tmp_path):
+    def test_stalled_chunk_is_rescued_by_timeout(self, tmp_path):
         token = str(tmp_path / "stall-once")
-        specs = [FaultSpec("chunk.decode", "stall", delay_seconds=30.0,
-                           attempts=None, once_token=token)]
+        specs = [FaultSpec("chunk.decode", "stall", delay_seconds=2.0,
+                           attempts=(0,), once_token=token)]
         with injected(seed=CHAOS_SEED, specs=specs):
-            reader = ParallelGzipReader(
-                BLOB, parallelization=2, chunk_size=CHUNK,
-                backend="processes", chunk_timeout=1.0,
-            )
+            reader = _open("threads", chunk_timeout=0.2)
             out = _read_all(reader)
-        assert out == DATA
+        assert out == MULTI_DATA
         stats = reader.statistics()
-        rescued = (
-            stats["chunk_timeouts"]
-            + stats["pool"]["task_timeouts"]
-            + stats["pool"]["worker_crashes"]
-        )
-        assert rescued >= 1, (
+        assert stats["chunk_timeouts"] >= 1, (
             f"stall was never detected (CHAOS_SEED={CHAOS_SEED})"
         )
+        assert stats["backend"] == "threads"
+
+    def test_three_timeouts_stop_feeding_the_pool(self):
+        # Every speculative decode hangs past the bound: the third
+        # time-out steps threads -> serial and the read finishes on
+        # on-demand decodes.
+        specs = [FaultSpec("chunk.decode", "stall", delay_seconds=0.5,
+                           attempts=(0,))]
+        with injected(seed=CHAOS_SEED, specs=specs):
+            reader = _open("threads", chunk_timeout=0.05)
+            out = _read_all(reader)
+        assert out == MULTI_DATA
+        stats = reader.statistics()
+        assert stats["chunk_timeouts"] >= 3
+        assert stats["backend_downgrades"] == 1
+        assert stats["backend"] == "serial"
 
     def test_short_delays_only_slow_things_down(self):
         specs = [FaultSpec("chunk.decode", "delay", delay_seconds=0.02,
                            probability=0.5, attempts=None)]
         with injected(seed=CHAOS_SEED, specs=specs):
             reader = ParallelGzipReader(
-                BLOB, parallelization=2, chunk_size=CHUNK, backend="threads"
+                BLOB, parallelization=2, chunk_size=CHUNK
             )
             out = _read_all(reader)
         assert out == DATA
         assert not reader.damage_report.damaged
-
-
-# ---------------------------------------------------------------------------
-# Pool supervision unit tests (satellite: lifecycle edges)
-# ---------------------------------------------------------------------------
-
-
-def _identity(value):
-    return value
-
-
-def _exit_hard(code):
-    os._exit(code)
-
-
-class TestPoolSupervision:
-    def test_crash_requeues_task_and_respawns_worker(self, tmp_path):
-        token = str(tmp_path / "pool-kill-once")
-        injector = FaultInjector(
-            seed=CHAOS_SEED,
-            specs=[FaultSpec("worker.task", "kill", attempts=None,
-                             once_token=token)],
-        )
-        pool = ProcessPool(2)
-        try:
-            # Ship the injector into the children via a task argument;
-            # faults.fire() inside _worker_main picks it up globally.
-            from repro import faults as faults_module
-
-            futures = [
-                pool.submit(faults_module.install, injector) for _ in range(2)
-            ]
-            for future in futures:
-                future.result(timeout=30)
-            results = [pool.submit(_identity, n) for n in range(8)]
-            assert [f.result(timeout=30) for f in results] == list(range(8))
-            stats = pool.statistics()
-            assert stats["worker_crashes"] >= 1
-            assert stats["worker_respawns"] >= 1
-            assert stats["tasks_requeued"] >= 1
-        finally:
-            pool.shutdown()
-
-    def test_shutdown_leaves_no_zombies_after_crashes(self):
-        pool = ProcessPool(2)
-        futures = [pool.submit(_exit_hard, 3) for _ in range(3)]
-        for future in futures:
-            with pytest.raises(WorkerCrashedError):
-                future.result(timeout=60)
-        processes = list(pool.worker_processes)
-        pool.shutdown()
-        assert processes, "supervisor lost track of its worker processes"
-        for process in processes:
-            assert not process.is_alive()
-            assert process.exitcode is not None, (
-                f"unreaped zombie: {process}"
-            )
-
-    def test_respawn_budget_exhaustion_sets_degraded(self):
-        pool = ProcessPool(1, max_respawns=1, max_task_retries=0)
-        try:
-            for _ in range(4):
-                future = pool.submit(_exit_hard, 5)
-                with pytest.raises(WorkerCrashedError):
-                    future.result(timeout=60)
-                if pool.degraded:
-                    break
-            assert pool.degraded
-        finally:
-            pool.shutdown()
-        for process in pool.worker_processes:
-            assert not process.is_alive()
-
-    def test_submit_after_shutdown_is_usage_error(self):
-        pool = ProcessPool(1)
-        assert pool.submit(_identity, 1).result(timeout=30) == 1
-        pool.shutdown()
-        with pytest.raises(UsageError):
-            pool.submit(_identity, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -283,10 +283,10 @@ class TestDecoderSelection:
         with pytest.raises(UsageError):
             block_decoders("turbo")
 
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", ["threads"])
     def test_reader_ignores_repro_decoder_env(self, monkeypatch, backend):
-        # The variable used to select (and validate) a kernel tier, in the
-        # parent and in worker processes; nothing reads it any more.
+        # The variable used to select (and validate) a kernel tier;
+        # nothing reads it any more.
         from repro.deflate import libz
         from repro.reader import ParallelGzipReader
 
@@ -295,10 +295,10 @@ class TestDecoderSelection:
         blob = stdlib_gzip.compress(data, 6)
         with ParallelGzipReader(
             io.BytesIO(blob), parallelization=2, chunk_size=128 * 1024,
-            backend=backend,
         ) as reader:
             assert reader.read() == data
             stats = reader.statistics()
         # Resolved from what this host can load, not from the environment.
         assert stats["decoder"] == ("probe" if libz.load() else "fused")
         assert "kernel" not in stats
+        assert stats["backend"] == backend

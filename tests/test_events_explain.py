@@ -1,5 +1,5 @@
 """Tests for the structured event log and the read-latency attribution
-(--explain) toolkit, on both worker backends."""
+(--explain) toolkit."""
 
 import gzip as stdlib_gzip
 import io
@@ -55,16 +55,6 @@ class TestEventLog:
         assert all(json.loads(line)["schema"] == EVENT_SCHEMA
                    for line in lines)
 
-    def test_ingest_merges_child_records(self):
-        parent = EventLog(origin=0.0)
-        parent.emit("queued", chunk=2)
-        queued_ts = parent.records()[0]["ts"]
-        child_records = [{"schema": EVENT_SCHEMA, "ts": queued_ts + 0.5,
-                          "pid": 999, "state": "decode", "chunk": 2}]
-        parent.ingest(child_records)
-        states = [record["state"] for record in parent.records()]
-        assert states == ["queued", "decode"]  # merged onto one timeline
-
     def test_capacity_drops_counted(self):
         log = EventLog(origin=0.0, capacity=2)
         for index in range(5):
@@ -90,8 +80,7 @@ class TestEventLog:
 
 def read_all_with_telemetry(backend, **kwargs):
     with ParallelGzipReader(BLOB, parallelization=3, chunk_size=32 * 1024,
-                            backend=backend, trace=True, events=True,
-                            **kwargs) as reader:
+                            trace=True, events=True, **kwargs) as reader:
         output = bytearray()
         while True:
             piece = reader.read(128 * 1024)
@@ -99,6 +88,7 @@ def read_all_with_telemetry(backend, **kwargs):
                 break
             output.extend(piece)
         assert bytes(output) == DATA
+        assert reader.statistics()["backend"] == backend
     # Read after close(), as the CLI does: what was still queued or in
     # flight has been shed or harvested by then, so the log is complete.
     trace_events = reader.telemetry.recorder.events()
@@ -108,7 +98,7 @@ def read_all_with_telemetry(backend, **kwargs):
 
 
 class TestLifecycleCompleteness:
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", ["threads"])
     def test_every_chunk_reaches_terminal_state(self, backend):
         _, records, _ = read_all_with_telemetry(backend)
         lifecycles = chunk_lifecycles(records)
@@ -124,14 +114,14 @@ class TestLifecycleCompleteness:
         states = {record["state"] for record in records}
         assert {"queued", "decode", "cached", "served"} <= states
 
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", ["threads"])
     def test_close_terminates_what_was_queued(self, backend):
         # One small read leaves speculative decodes queued and in flight;
         # close() cancels or harvests them, so none ends as "queued".
         reader = ParallelGzipReader(BLOB, parallelization=2,
-                                    chunk_size=16 * 1024, backend=backend,
-                                    events=True)
+                                    chunk_size=16 * 1024, events=True)
         assert reader.read(1000) == DATA[:1000]
+        assert reader.statistics()["backend"] == backend
         reader.close()
         lifecycles = chunk_lifecycles(reader.telemetry.events.records())
         speculative = [
@@ -178,7 +168,7 @@ class TestAttribution:
         assert totals["attributed_fraction"] >= 0.95
         assert totals["bottleneck"] == "decode"
 
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", ["threads"])
     def test_attributes_most_wall_time(self, backend):
         # Live run: structural identities only. How much lands in named
         # stages depends on scheduler luck on a loaded host; that identity

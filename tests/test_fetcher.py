@@ -10,14 +10,17 @@ from repro.errors import UsageError
 from repro.fetcher import (
     BlockMap,
     ChunkRecord,
+    ChunkTaskSpec,
     DEFAULT_CHUNK_SIZE,
     GzipChunkFetcher,
     decode_chunk_range,
     shift_to_byte_alignment,
     speculative_decode,
 )
+from repro.fetcher.tasks import execute_chunk_task, run_chunk_task
 from repro.gz.writer import compress as gz_compress
 from repro.io import BitReader, MemoryFileReader
+from repro.telemetry import Telemetry
 from repro.gz.header import parse_gzip_header
 
 
@@ -161,12 +164,14 @@ class TestSpeculativeDecode:
         assert states.count("block-find") == 1
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("backend", ["threads"])  # what the pool stays on
 class TestGzipChunkFetcher:
-    def make(self, backend="threads", **kwargs):
+    def make(self, backend, **kwargs):
         kwargs.setdefault("parallelization", 2)
         kwargs.setdefault("chunk_size", 32 * 1024)
-        return GzipChunkFetcher(BLOB, backend=backend, **kwargs)
+        fetcher = GzipChunkFetcher(BLOB, **kwargs)
+        assert fetcher.backend == backend
+        return fetcher
 
     def test_sequential_requests_follow_chain(self, backend):
         with self.make(backend) as fetcher:
@@ -209,7 +214,6 @@ class TestGzipChunkFetcher:
         blob = gz_compress(noise, "gzip", level=0)
         fetcher = GzipChunkFetcher(
             blob, parallelization=3, chunk_size=32 * 1024, detect_bgzf=False,
-            backend=backend,
         )
         try:
             start = deflate_start(blob)
@@ -223,14 +227,15 @@ class TestGzipChunkFetcher:
                 window = result.payload.window_at_end(window)
                 start = result.end_bit
             assert bytes(output) == noise
+            assert fetcher.statistics()["backend"] == backend
         finally:
             fetcher.close()
 
     def test_invalid_configuration(self, backend):
         with pytest.raises(UsageError):
-            GzipChunkFetcher(BLOB, parallelization=0, backend=backend)
+            GzipChunkFetcher(BLOB, parallelization=0)
         with pytest.raises(UsageError):
-            GzipChunkFetcher(BLOB, chunk_size=10, backend=backend)
+            GzipChunkFetcher(BLOB, chunk_size=10)
 
     def test_chunk_id_mapping_search_mode(self, backend):
         with self.make(backend) as fetcher:
@@ -238,6 +243,17 @@ class TestGzipChunkFetcher:
             assert fetcher.chunk_id_for_bit(0) == 0
             assert fetcher.chunk_id_for_bit(32 * 1024 * 8) == 1
             assert fetcher.num_chunk_ids == -(-len(BLOB) // (32 * 1024))
+
+
+class TestChunkTask:
+    def test_unknown_mode_rejected(self):
+        spec = ChunkTaskSpec(mode="warp", chunk_id=0)
+        with pytest.raises(UsageError):
+            run_chunk_task(spec, MemoryFileReader(b""), Telemetry())
+
+    def test_process_entry_point_is_a_tombstone(self):
+        with pytest.raises(UsageError, match="process backend was removed"):
+            execute_chunk_task(ChunkTaskSpec(mode="search", chunk_id=0))
 
 
 class TestBlockMap:

@@ -195,22 +195,12 @@ class TestBudgetedDecompression:
         out, stats = self._run(
             decompressed=self.WITHIN_DECOMPRESSED,
             parallelization=4, max_memory=self.WITHIN_BUDGET,
-            backend="threads",
         )
         assert out == bomb_expected_output(self.WITHIN_DECOMPRESSED)
         memory = stats["memory"]
         assert memory["budget_bytes"] == self.WITHIN_BUDGET
         assert memory["high_water_bytes"] <= self.WITHIN_BUDGET
         assert stats["chunk_splits"] > 0  # the bomb chunk was split
-
-    def test_byte_exact_within_budget_processes(self):
-        out, stats = self._run(
-            decompressed=self.WITHIN_DECOMPRESSED,
-            parallelization=2, max_memory=self.WITHIN_BUDGET,
-            backend="processes",
-        )
-        assert out == bomb_expected_output(self.WITHIN_DECOMPRESSED)
-        assert stats["memory"]["high_water_bytes"] <= self.WITHIN_BUDGET
 
     def test_size_string_accepted(self):
         out, stats = self._run(parallelization=2, max_memory="8MiB")
@@ -231,21 +221,20 @@ class TestBudgetedDecompression:
         blob = bytearray(generate_bomb(self.DECOMPRESSED))
         blob[len(blob) // 2] ^= 0xFF
         blob[len(blob) // 2 + 1] ^= 0xFF
-        for backend in ("threads", "processes"):
-            reader = ParallelGzipReader(
-                bytes(blob), parallelization=2, max_memory="8MiB",
-                tolerate_corruption=True, backend=backend,
-            )
-            total = 0
-            while True:
-                piece = reader.read(4 * MiB)
-                if not piece:
-                    break
-                total += len(piece)
-            stats = reader.statistics()
-            reader.close()
-            assert total > 0
-            assert stats["memory"]["high_water_bytes"] > 0
+        reader = ParallelGzipReader(
+            bytes(blob), parallelization=2, max_memory="8MiB",
+            tolerate_corruption=True,
+        )
+        total = 0
+        while True:
+            piece = reader.read(4 * MiB)
+            if not piece:
+                break
+            total += len(piece)
+        stats = reader.statistics()
+        reader.close()
+        assert total > 0
+        assert stats["memory"]["high_water_bytes"] > 0
 
 
 class TestSpillStore:

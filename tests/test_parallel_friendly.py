@@ -86,14 +86,6 @@ class TestDifferentialMatrix:
         assert read_all(blob)[0] == data
 
     @pytest.mark.parametrize("layout", CATALOGUED_LAYOUTS)
-    def test_process_backend(self, layout):
-        data = CORPORA["base64"]()
-        blob = catalogued(data, layout)
-        decoded, stats = read_all(blob, backend="processes", parallelization=2)
-        assert decoded == data
-        assert stats["mode"] == "index"
-
-    @pytest.mark.parametrize("layout", CATALOGUED_LAYOUTS)
     def test_parallelization_invariance(self, layout):
         data = CORPORA["fastq"]()
         blob = catalogued(data, layout)

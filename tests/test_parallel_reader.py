@@ -7,7 +7,10 @@ the serial reference decompressor's bytes.
 
 import gzip as stdlib_gzip
 import io
+import os
 import random
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -59,7 +62,7 @@ def corpora():
     }
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("backend", ["threads"])  # what the pool stays on
 @pytest.mark.parametrize("parallelization", [1, 2, 4])
 @pytest.mark.parametrize(
     "name",
@@ -75,10 +78,35 @@ def corpora():
 )
 def test_full_decompression_matches(corpora, name, parallelization, backend):
     data, blob = corpora[name]
-    out = decompress_parallel(
-        blob, parallelization, chunk_size=16 * 1024, backend=backend
+    with ParallelGzipReader(
+        blob, parallelization=parallelization, chunk_size=16 * 1024
+    ) as reader:
+        assert reader.read() == data
+        assert reader.statistics()["backend"] == backend
+
+
+def test_parallel_search_never_imports_multiprocessing():
+    # Workers are threads: a whole search-mode pass at P=2 must not even
+    # load the package a process pool would be built from.
+    script = (
+        "import gzip, random, sys\n"
+        "from repro.reader import ParallelGzipReader\n"
+        "data = random.Random(5).randbytes(60_000).hex().encode()\n"
+        "reader = ParallelGzipReader(gzip.compress(data, 6),\n"
+        "                            parallelization=2, chunk_size=16 * 1024)\n"
+        "assert reader.read() == data\n"
+        "stats = reader.statistics()\n"
+        "reader.close()\n"
+        "assert stats['mode'] == 'search', stats['mode']\n"
+        "assert stats['speculative_submitted'] > 0\n"
+        "assert 'multiprocessing' not in sys.modules\n"
     )
-    assert out == data
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 class TestReading:

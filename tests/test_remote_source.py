@@ -28,7 +28,6 @@ from repro.errors import (
     UsageError,
     exit_code_for,
 )
-from repro.fetcher.tasks import make_reader_recipe, resolve_reader_recipe
 from repro.io import (
     BlockCacheFileReader,
     HttpRangeFileReader,
@@ -260,26 +259,14 @@ class TestWiring:
             finally:
                 reader.close()
 
-    def test_reader_recipe_round_trip(self):
-        with FaultHTTPServer(BLOB) as server:
-            with open_remote(server.url, block_size=8192, **FAST) as reader:
-                reader.size()  # discover metadata so the recipe binds it
-                recipe, token = make_reader_recipe(reader, fork=False)
-                assert token is None
-                assert recipe[0] == "url"
-                options = recipe[1]
-                assert options.expected_size == len(BLOB)
-                assert options.expected_etag is not None
-                rebuilt = resolve_reader_recipe(recipe)
-                assert rebuilt.pread(100, 50) == BLOB[100:150]
-                # Child-side cache: same recipe -> same reader object.
-                assert resolve_reader_recipe(recipe) is rebuilt
-
     def test_rebuilt_reader_detects_generation_mismatch(self):
         with FaultHTTPServer(BLOB) as server:
-            with open_remote(server.url, **FAST) as reader:
-                reader.size()
-                options = reader.remote_options
+            with HttpRangeFileReader(server.url) as first:
+                options = RemoteReaderOptions(
+                    url=server.url, expected_size=first.size(),
+                    expected_etag=first.etag, **FAST,
+                )
+            assert options.expected_etag is not None
             server.set_payload(BLOB + b"v2")
             rebuilt = reader_from_options(options)
             with pytest.raises(SourceChangedError):
@@ -296,24 +283,23 @@ class TestWiring:
 
 
 class TestEndToEndChaos:
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", ["threads"])
     def test_flaky_origin_with_latency_decodes_byte_identical(self, backend):
         with FaultHTTPServer(BLOB, seed=CHAOS_SEED, error_rate=0.10,
                              latency=0.002) as server:
             source = open_remote(server.url, block_size=CHUNK, retries=6,
                                  **FAST)
             with ParallelGzipReader(source, parallelization=4,
-                                    chunk_size=CHUNK,
-                                    backend=backend) as reader:
+                                    chunk_size=CHUNK) as reader:
                 assert reader.read() == DATA, (
-                    f"remote decode diverged (CHAOS_SEED={CHAOS_SEED}, "
-                    f"backend={backend})"
+                    f"remote decode diverged (CHAOS_SEED={CHAOS_SEED})"
                 )
+                assert reader.statistics()["backend"] == backend
                 net = reader.statistics()["network"]
                 assert net["requests"] > 0
                 assert net["giveups"] == 0
 
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", ["threads"])
     def test_connection_drops_mid_decode_recover(self, backend):
         # Coalesced span reads keep the request count low, so the rates
         # are high enough that the seeded draws provably hit both kinds;
@@ -324,9 +310,9 @@ class TestEndToEndChaos:
             source = open_remote(server.url, block_size=CHUNK, retries=6,
                                  breaker_threshold=20, **FAST)
             with ParallelGzipReader(source, parallelization=4,
-                                    chunk_size=CHUNK,
-                                    backend=backend) as reader:
+                                    chunk_size=CHUNK) as reader:
                 assert reader.read() == DATA
+                assert reader.statistics()["backend"] == backend
             assert server.counters()["drops"] + \
                 server.counters()["short_reads"] > 0
 

@@ -4,7 +4,7 @@ Once the reader has chained a chunk it knows the chunk's extent (start
 and end bit, output length, preceding and following window), so a later
 cache miss on it is decoded by checked zlib delegation — the task index
 mode uses — and not by block search, markers or the Python decoder. The
-output must stay byte-identical on every corpus, backend and budget, and
+output must stay byte-identical on every corpus and budget, and
 the existing counters must show which path ran.
 """
 
@@ -93,7 +93,7 @@ def _drop_spill_files(directory) -> None:
 
 
 @pytest.mark.parametrize("budget", [None, "512KiB"], ids=["default", "split"])
-@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("backend", ["threads"])
 @pytest.mark.parametrize(
     "corpus", ["base64", "silesia", "fastq", "stored", "multi_member"]
 )
@@ -113,7 +113,7 @@ def test_rereads_are_delegated_and_identical(corpus, backend, budget,
         options = {"max_memory": budget, "spill_dir": str(tmp_path)}
     rng = random.Random(11)
     with ParallelGzipReader(
-        blob, parallelization=2, chunk_size=CHUNK, backend=backend, **options
+        blob, parallelization=2, chunk_size=CHUNK, **options
     ) as reader:
         assert reader.read() == data
         first = reader.statistics()
@@ -125,8 +125,8 @@ def test_rereads_are_delegated_and_identical(corpus, backend, budget,
         assert len(spans) >= 10  # more chunks than any cache holds
 
         # A sweep from the start also flushes what the first pass left
-        # behind: finished speculative tasks (their counters merge when
-        # harvested) and marker-mode results still in the prefetch cache.
+        # behind: finished speculative tasks and marker-mode results still
+        # in the prefetch cache.
         _wait_until_idle(reader)
         _drop_spill_files(tmp_path)
         reader.seek(0)
@@ -161,11 +161,11 @@ def test_rereads_are_delegated_and_identical(corpus, backend, budget,
     assert last["damaged_regions"] == 0
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("backend", ["threads"])
 def test_prefetch_after_backward_seek_follows_the_chain(backend):
     data, blob = _corpus("base64")
     with ParallelGzipReader(
-        blob, parallelization=2, chunk_size=CHUNK, backend=backend
+        blob, parallelization=2, chunk_size=CHUNK
     ) as reader:
         assert reader.read() == data
         spans = _chunk_spans(reader)
@@ -178,15 +178,14 @@ def test_prefetch_after_backward_seek_follows_the_chain(backend):
         # decode on demand, search, or resolve markers.
         assert reader.read_at(end, 100) == data[end:end + 100]
         after = reader.statistics()
-    # (A worker process's count arrives with its result, one read later.)
+    assert after["backend"] == backend
     assert after["metrics"]["decode.index_chunks"] >= 2
-    for name in ("on_demand_decodes", "retries"):
-        assert after[name] == before[name], name
+    assert after["on_demand_decodes"] == before["on_demand_decodes"]
     for name in ("blockfinder.candidates_tested", "decode.markers_replaced"):
         assert after["metrics"][name] == before["metrics"][name], name
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("backend", ["threads"])
 def test_tolerant_reader_rereads_what_it_first_returned(backend):
     data, blob = _corpus("base64")
     with ParallelGzipReader(blob, chunk_size=CHUNK) as reader:
@@ -199,7 +198,7 @@ def test_tolerant_reader_rereads_what_it_first_returned(backend):
     damaged = flip_bytes(blob, seed=3, flips=8, start=header,
                          stop=header + 16)
     with ParallelGzipReader(
-        damaged, parallelization=2, chunk_size=CHUNK, backend=backend,
+        damaged, parallelization=2, chunk_size=CHUNK,
         tolerate_corruption=True,
     ) as reader:
         first = reader.read()
@@ -219,6 +218,7 @@ def test_tolerant_reader_rereads_what_it_first_returned(backend):
         stats = reader.statistics()
         assert reader.damage_report.regions == regions
     assert stats["mode"] == "search"
+    assert stats["backend"] == backend
     assert stats["metrics"]["decode.index_chunks"] > 0
 
 
@@ -244,7 +244,7 @@ def test_last_chunk_of_a_single_member_file_is_zlib_delegated(seed,
     blob = gzip.compress(data, 6)
     chunk_size = 128 * 1024
     with ParallelGzipReader(
-        blob, parallelization=1, chunk_size=chunk_size, backend="threads"
+        blob, parallelization=1, chunk_size=chunk_size
     ) as reader:
         assert reader.read() == data
         spans = _chunk_spans(reader)
@@ -263,8 +263,7 @@ def test_last_chunk_of_a_single_member_file_is_zlib_delegated(seed,
 
     del delegated.start_bits[:]
     with ParallelGzipReader(
-        blob, parallelization=1, backend="threads",
-        index=GzipIndex.load(sink.getvalue()),
+        blob, parallelization=1, index=GzipIndex.load(sink.getvalue()),
     ) as reader:
         start, end = spans[-1]
         assert reader.read_at(start, end - start) == data[start:end]

@@ -263,11 +263,8 @@ class TestStatisticsSurface:
 
 class TestTracedPipeline:
     def test_trace_has_span_per_chunk_and_worker_metadata(self, tmp_path):
-        # Worker *thread* names are asserted below; "auto" would pick
-        # processes on a host with two or more cores.
         with ParallelGzipReader(BLOB, parallelization=3,
-                                chunk_size=16 * 1024, trace=True,
-                                backend="threads") as reader:
+                                chunk_size=16 * 1024, trace=True) as reader:
             assert reader.read() == DATA
             chunks = reader.statistics()["chunks_decoded"]
             path = tmp_path / "pipeline.trace.json"

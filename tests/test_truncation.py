@@ -1,11 +1,11 @@
-"""Truncated-file behavior across fetcher modes and pool backends.
+"""Truncated-file behavior across fetcher modes.
 
 A file can be cut off at three qualitatively different places — inside
 the gzip *header*, mid-*deflate*-stream, and inside the final *footer*
 (CRC-32/ISIZE trailer). Each fetcher mode (speculative search, loaded
 index, BGZF) must turn all three into a structured, classified error in
 strict mode and into a correct partial read plus a damage report in
-tolerant mode. Every case is exercised on both worker backends.
+tolerant mode.
 """
 
 import gzip as stdlib_gzip
@@ -31,7 +31,7 @@ DATA = generate_base64(800_000, seed=3)
 SEARCH_BLOB = stdlib_gzip.compress(DATA, 6)
 BGZF_BLOB = gz_compress(DATA, "bgzf")
 
-BACKENDS = ["threads", "processes"]
+BACKENDS = ["threads"]  # what ChunkDecodeError.backend must name
 CUTS = ["header", "mid", "footer"]
 
 
@@ -89,12 +89,11 @@ def _read_all(reader) -> bytes:
 
 
 class TestStrictSearchMode:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_header_truncation_fails_at_open(self, backend):
+    def test_header_truncation_fails_at_open(self):
         with pytest.raises(TruncatedError) as info:
             ParallelGzipReader(
                 _cut(SEARCH_BLOB, "header"), parallelization=2,
-                chunk_size=CHUNK, backend=backend,
+                chunk_size=CHUNK,
             )
         assert exit_code_for(info.value) == EXIT_FORMAT
 
@@ -103,10 +102,11 @@ class TestStrictSearchMode:
     def test_stream_truncation_fails_at_read(self, where, backend):
         reader = ParallelGzipReader(
             _cut(SEARCH_BLOB, where), parallelization=2,
-            chunk_size=CHUNK, backend=backend,
+            chunk_size=CHUNK,
         )
         with pytest.raises(ChunkDecodeError) as info:
             _read_all(reader)
+        assert info.value.backend == backend
         assert isinstance(info.value.__cause__, TruncatedError)
         assert exit_code_for(info.value) == EXIT_FORMAT
 
@@ -119,32 +119,31 @@ class TestStrictIndexMode:
         # longer honor; the failure surfaces at the damaged chunk.
         reader = ParallelGzipReader(
             _cut(SEARCH_BLOB, where), parallelization=2, chunk_size=CHUNK,
-            backend=backend, index=GzipIndex.load(index_file),
+            index=GzipIndex.load(index_file),
         )
         with pytest.raises(ChunkDecodeError) as info:
             _read_all(reader)
+        assert info.value.backend == backend
         assert isinstance(info.value.__cause__, TruncatedError)
         assert exit_code_for(info.value) == EXIT_FORMAT
 
 
 class TestStrictBgzfMode:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_header_truncation_fails_at_open(self, backend):
+    def test_header_truncation_fails_at_open(self):
         with pytest.raises(TruncatedError):
             ParallelGzipReader(
                 _cut(BGZF_BLOB, "header"), parallelization=2,
-                chunk_size=CHUNK, backend=backend,
+                chunk_size=CHUNK,
             )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("where", ["mid", "footer"])
-    def test_broken_chain_fails_at_open(self, where, backend):
+    def test_broken_chain_fails_at_open(self, where):
         # BGZF mode walks the BSIZE chain up front, so a cut anywhere
         # after the first header is detected before any decode starts.
         with pytest.raises(FormatError) as info:
             ParallelGzipReader(
                 _cut(BGZF_BLOB, where), parallelization=2,
-                chunk_size=CHUNK, backend=backend,
+                chunk_size=CHUNK,
             )
         assert exit_code_for(info.value) == EXIT_FORMAT
 
@@ -154,9 +153,9 @@ class TestStrictBgzfMode:
 # ---------------------------------------------------------------------------
 
 
-def _tolerant_read(blob, *, index=None, backend="threads"):
+def _tolerant_read(blob, *, index=None):
     reader = ParallelGzipReader(
-        blob, parallelization=2, chunk_size=CHUNK, backend=backend,
+        blob, parallelization=2, chunk_size=CHUNK,
         index=index, tolerate_corruption=True,
     )
     out = _read_all(reader)
@@ -170,9 +169,8 @@ class TestTolerantSearchMode:
         assert report.damaged
         assert any(region.kind == "truncated" for region in report.regions)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_mid_truncation_keeps_correct_prefix(self, backend):
-        out, report = _tolerant_read(_cut(SEARCH_BLOB, "mid"), backend=backend)
+    def test_mid_truncation_keeps_correct_prefix(self):
+        out, report = _tolerant_read(_cut(SEARCH_BLOB, "mid"))
         assert report.damaged
         first = min(region.output_offset for region in report.regions)
         assert first > 0, "nothing recovered before the cut"

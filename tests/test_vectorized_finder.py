@@ -663,18 +663,28 @@ class TestLibzStrictStage:
     def test_every_survivor_one_by_one(self):
         # Not through the window loop: each survivor against a reader that
         # holds nothing, so every header is fetched the fallback way.
-        data = strict_corpora()["noise"][: 256 * 1024]
+        noise = strict_corpora()["noise"][: 256 * 1024]
+        # What no corpus holds: a precode of exactly one symbol, of length 1.
+        # Incomplete, so the prefilter keeps it and both strict checks reject.
+        lone = 0b100  # BFINAL 0, BTYPE dynamic; HLIT = HDIST = HCLEN = 0
+        lone |= 1 << (17 + 3 * 3)  # 4th triplet: symbol 0 has length 1
+        lone = lone.to_bytes(8, "little") + bytes(64)
+        assert survivors_of(lone)[:1] == [0]
         check = libz.header_check()
-        reader = BitReader(MemoryFileReader(data), cache_size=_MAX_HEADER)
-        for offset in survivors_of(data):
-            reader.seek(offset)
-            try:
-                read_block_header(reader, strict=True)
-                expected = True
-            except FormatError:
-                expected = False
-            assert (check.rejection(BitReader(data, cache_size=_MAX_HEADER),
-                                    offset) is None) == expected, offset
+        for data, offsets in ((noise, survivors_of(noise)), (lone, [0])):
+            reader = BitReader(MemoryFileReader(data), cache_size=_MAX_HEADER)
+            for offset in offsets:
+                reader.seek(offset)
+                try:
+                    read_block_header(reader, strict=True)
+                    rejected_at = None
+                except FormatError as error:
+                    rejected_at = error.stage
+                assert (
+                    check.rejection(BitReader(data, cache_size=_MAX_HEADER),
+                                    offset) is None
+                ) == (rejected_at is None), offset
+        assert rejected_at == FilterStage.PRECODE_NON_OPTIMAL
 
     def test_header_truncated_at_every_byte(self, monkeypatch):
         from repro.datagen import generate_silesia_like
