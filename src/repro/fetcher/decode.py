@@ -76,10 +76,26 @@ class ChunkResult:
     #: because the output hit the per-chunk decompressed ceiling; the
     #: chunk chain resumes at ``end_bit`` like after any other chunk.
     split: bool = False
+    #: The window at ``end_bit``, once :meth:`next_window` resolved it.
+    end_window: bytes = field(default=None, repr=False)
 
     @property
     def length(self) -> int:
         return self.payload.length
+
+    def next_window(self, window: bytes) -> bytes:
+        """The window at ``end_bit`` of this chunk decoded from ``window``.
+
+        Resolved once, by whoever needs it first — a worker extending the
+        fetcher's chain record or the reader advancing its frontier; only
+        the trailing 32 KiB is touched (``ChunkPayload.window_at_end``).
+        """
+        if self.end_window is None:
+            self.end_window = (
+                b"" if self.end_is_stream_start
+                else self.payload.window_at_end(window)
+            )
+        return self.end_window
 
 
 def _skip_member_header(file_reader, start_bit: int) -> int:

@@ -14,7 +14,15 @@ chosen at construction:
   extent (:attr:`GzipChunkFetcher.known_extent`), so a request or
   prefetch wish for it is the ``index`` task below — the §3.3 rule
   "two-stage only while the window is unknown" — and prefetch follows
-  the chain's successors instead of searching grid cells.
+  the chain's successors instead of searching grid cells. The same rule
+  holds ahead of the frontier, bound when a worker *starts* a task, not
+  when it is queued: the chain record holds the start and window of
+  each chunk whose predecessor's window is known (written by the
+  reader's request and by workers finishing such a predecessor), so a
+  queued task whose cell is recorded there decodes exactly — one libz
+  pass, no block search, no markers — and a cell inside a known chunk,
+  or past the file's last, returns without searching. No task ever
+  waits on another to learn more.
 * ``index`` — a finalized seek-point index is loaded: chunks are the index
   intervals, workers delegate to zlib with the stored window (fast path,
   balanced workloads, bounded memory — §3.3).
@@ -156,6 +164,7 @@ class GzipChunkFetcher:
         )
         self._backend_failures = 0  # time-outs observed since the last downgrade
         capacity = prefetch_cache_size or max(2 * parallelization, 2)
+        self._id_of_key: dict = {}  # cached start_bit -> chunk id
         sizing = {}
         if governor is not None:
             sizing = {"sizer": _result_nbytes, "governor": governor}
@@ -174,10 +183,14 @@ class GzipChunkFetcher:
             **sizing,
         )
         self._futures: dict = {}  # chunk id -> Future[ChunkResult | None]
-        self._id_of_key: dict = {}  # cached start_bit -> chunk id
         self._keys_of_id: dict = {}  # chunk id -> set of cached start_bits
         self._inflight_charge: dict = {}  # chunk id -> reserved bytes
-        self._no_candidate: set = set()  # chunk ids with nothing decodable
+        # chunk ids with nothing decodable, or nothing the reader will
+        # request (retired: inside a known chunk, or past the file's last)
+        self._no_candidate: set = set()
+        # search mode, the chain record: chunk id -> (start_bit, window)
+        # of the chunk starting in that cell, once its window is known
+        self._chain: dict = {}
         self._history: list = []  # recently accessed chunk ids
         self._lock = threading.RLock()
 
@@ -233,13 +246,16 @@ class GzipChunkFetcher:
                 )
 
     def _note_eviction(self, cache: str):
-        """Cache-eviction hook emitting the ``evicted`` lifecycle event."""
+        """Cache-eviction hook emitting the ``evicted`` lifecycle event.
+        It holds the event log and key map, not the fetcher, so a cache
+        never keeps its fetcher alive."""
+        events = self.telemetry.events
+        id_of_key = self._id_of_key
+
         def hook(key, _value):
-            events = self.telemetry.events
             if events.enabled:
                 events.emit(
-                    "evicted", chunk=self._id_of_key.get(key), bit=key,
-                    cache=cache,
+                    "evicted", chunk=id_of_key.get(key), bit=key, cache=cache,
                 )
         return hook
 
@@ -589,12 +605,51 @@ class GzipChunkFetcher:
                     backend=self.backend,
                 )
             self._futures[chunk_id] = self.pool.submit(
-                run_chunk_task, spec, self.file_reader, self.telemetry,
-                priority=PRIORITY_PREFETCH,
+                self._run_queued, spec, priority=PRIORITY_PREFETCH,
             )
             if reserved:
                 self._inflight_charge[chunk_id] = reserved
             return True
+
+    def _run_queued(self, spec: ChunkTaskSpec):
+        """A worker starts a queued task: bind it to what is known now,
+        not at submission. A search cell the chain record holds a start
+        and window for decodes exactly from there, like the on-demand
+        rung; a retired cell returns without searching. A search that
+        lands on the recorded start extends the chain too."""
+        if spec.mode != "search":
+            return run_chunk_task(spec, self.file_reader, self.telemetry)
+        if spec.chunk_id in self._no_candidate:
+            events = self.telemetry.events
+            if events.enabled:
+                events.emit("no-candidate", chunk=spec.chunk_id)
+            return None
+        entry = self._chain.get(spec.chunk_id)
+        if entry is not None:
+            spec.start_bit, spec.window = entry
+        result = run_chunk_task(spec, self.file_reader, self.telemetry)
+        entry = entry or self._chain.get(spec.chunk_id)
+        if result is not None and entry and result.start_bit == entry[0]:
+            self._chain_end(result, entry[1])
+        return result
+
+    def _chain_end(self, result: ChunkResult, window: bytes) -> None:
+        """Record where a chunk decoded from a known ``window`` hands
+        over: its successor's start and window enter the chain record
+        (at most ``2·P + 2`` windows), and the cells it covers — strictly
+        inside it, or past it when it ran to the file's end — retire."""
+        cell = self.chunk_id_for_bit(result.start_bit)
+        if result.end_bit is None:
+            with self._lock:
+                self._no_candidate.update(range(cell + 1, self.num_chunk_ids))
+            return
+        next_cell = self.chunk_id_for_bit(result.end_bit)
+        entry = (result.end_bit, result.next_window(window))
+        with self._lock:
+            self._no_candidate.update(range(cell + 1, next_cell))
+            self._chain[next_cell] = entry
+            if len(self._chain) > 2 * self.parallelization + 2:
+                del self._chain[min(self._chain)]
 
     def _shed_speculation(self) -> int:
         """Cancel queued speculative work to free budget reservations.
@@ -643,12 +698,11 @@ class GzipChunkFetcher:
                 targets.append((frontier_id + step - len(chain), None))
         return targets
 
-    def _trigger_prefetch(self, accessed_id: int, start_bit: int) -> None:
+    def _trigger_prefetch(self, accessed_id: int, known) -> None:
         self._history.append(accessed_id)
         if len(self._history) > 64:
             del self._history[:-64]
         wishes = self.strategy.prefetch(self._history, self.parallelization)
-        known = self._known(start_bit)
         if known is None:
             targets = [(wish, None) for wish in wishes]
         else:
@@ -726,7 +780,11 @@ class GzipChunkFetcher:
                 )
             self.access_cache.insert(start_bit, result)
             self._remember_key(start_bit, chunk_id)
-        self._trigger_prefetch(chunk_id, start_bit)
+        known = self._known(start_bit)
+        if known is None and self.mode == "search":
+            # The frontier: its window is known, so its successor's is too.
+            self._chain_end(result, window)
+        self._trigger_prefetch(chunk_id, known)
         return result
 
     # -- on-demand decode -------------------------------------------------------------
@@ -875,6 +933,10 @@ class GzipChunkFetcher:
         self._shed_speculation()
         self.pool.shutdown(wait=True)
         self._harvest()
+        # Nothing decodes again: drop the windows and the reader's hooks,
+        # which would otherwise keep a closed reader alive in a cycle.
+        self._chain.clear()
+        self.known_extent = self.on_index_fallback = None
         self.file_reader.close()
 
     def __enter__(self) -> "GzipChunkFetcher":

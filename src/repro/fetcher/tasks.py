@@ -35,7 +35,8 @@ class ChunkTaskSpec:
     What is known about the chunk picks the decode: nothing but its grid
     cell (``search``: block finder + two-stage decode over a fixed
     compressed window), its start and window (``search`` with ``window``
-    set: the on-demand decode from the last verified offset), its whole
+    set: the on-demand decode from the last verified offset, or a queued
+    one the fetcher's chain record bound when a worker started it), its whole
     extent (``index``: checked zlib delegation — an index interval, or a
     search-mode chunk the reader has already chained), or its BGZF
     members (``bgzf``).
@@ -53,7 +54,7 @@ class ChunkTaskSpec:
     split_output: int = None
     # where decoding starts, when known (always, outside speculation)
     start_bit: int = 0
-    # search mode, on demand: the window at start_bit (None: search)
+    # search mode: the window at start_bit once known (None: search)
     window: bytes = None
     # index mode
     extent: ChunkExtent = None

@@ -301,7 +301,7 @@ class ParallelGzipReader:
         self._materialized = LRUCache(
             max(4, parallelization // 2),
             max_bytes=budget // 8 if budget else None,
-            on_evict=self._spill_evicted,
+            on_evict=self._spill_evicted(),
             **sizing,
         )
         self.telemetry.metrics.probe(
@@ -772,10 +772,8 @@ class ParallelGzipReader:
             self._add_interior_seek_points(record, data, result.boundaries)
 
         if result.end_bit is not None:
-            if result.end_is_stream_start:
-                next_window = b""
-            else:
-                next_window = result.payload.window_at_end(window)
+            # Already resolved when the fetcher extended its chain record.
+            next_window = result.next_window(window)
             self._frontier = (result.end_bit, next_window, result.end_is_stream_start)
             if not self._index.finalized:
                 self._index.add(
@@ -936,19 +934,26 @@ class ParallelGzipReader:
         while self._frontier is not None and self._block_map.known_size <= offset:
             self._decode_next_chunk()
 
-    def _spill_evicted(self, key, data) -> None:
+    def _spill_evicted(self):
         """Eviction hook: park evicted chunk bytes in the spill tier.
 
         Damaged-region bytes are already pinned in ``_damaged_data`` (and
-        could not be re-decoded anyway), so they never spill.
+        could not be re-decoded anyway), so they never spill. The hook
+        holds the event log, the spill tier and the pinned bytes, not the
+        reader, so the cache never keeps its reader alive.
         """
         events = self.telemetry.events
-        if events.enabled:
-            events.emit("evicted", bit=key, cache="materialized")
-        if key in self._damaged_data or self._spill is None:
-            return
-        if self._spill.put(key, data) and events.enabled:
-            events.emit("spilled", bit=key, nbytes=len(data))
+        spill = self._spill
+        pinned = self._damaged_data
+
+        def hook(key, data):
+            if events.enabled:
+                events.emit("evicted", bit=key, cache="materialized")
+            if key in pinned or spill is None:
+                return
+            if spill.put(key, data) and events.enabled:
+                events.emit("spilled", bit=key, nbytes=len(data))
+        return hook
 
     def _cache_materialized(self, key, data) -> None:
         events = self.telemetry.events
@@ -1342,6 +1347,9 @@ class ParallelGzipReader:
                 self._fetcher.close()
                 if self._spill is not None:
                     self._spill.close()
+                # The probes close over the reader and its parts; frozen,
+                # nothing cyclic is left and the last reference frees it.
+                self.telemetry.metrics.freeze_probes()
                 self._closed = True
 
     @property

@@ -297,6 +297,9 @@ class MetricsServer:
             self._thread.join(timeout=5.0)
             self._thread = None
         self._server.server_close()
+        # The handler class keeps this server in a cycle: do not let it
+        # keep the provider's owner (a closed reader) alive as well.
+        self._stats_provider = None
 
     def __enter__(self) -> "MetricsServer":
         return self.start()

@@ -172,6 +172,17 @@ class MetricsRegistry:
         with self._lock:
             self._probes[name] = callback
 
+    def freeze_probes(self) -> None:
+        """Replace every probe by its current reading. For a pipeline
+        shutting down: later snapshots still show the last values, and
+        the registry stops keeping the probed objects alive."""
+        with self._lock:
+            probes = dict(self._probes)
+        readings = {name: callback() for name, callback in probes.items()}
+        with self._lock:
+            for name, value in readings.items():
+                self._probes[name] = lambda value=value: value
+
     def names(self) -> list:
         with self._lock:
             return sorted(set(self._instruments) | set(self._probes))

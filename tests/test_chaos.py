@@ -341,6 +341,48 @@ class TestDecodeFaults:
         assert len(regions) == 1
         assert outcome == _ladder_outcome("threads", site, error)
 
+    @pytest.mark.parametrize("error", ["injected", "format"])
+    def test_fault_on_a_bound_task_is_contained(self, error):
+        # At P=1 a worker starts each queued task once its predecessor is
+        # decoded, so the task is bound to the recorded start and window:
+        # an exact decode, no block search. A fault there keeps the
+        # speculative contract — folded into a reject or a contained task
+        # error — and the on-demand rung decodes the chunk instead.
+        specs = [FaultSpec("chunk.decode", "raise", error=error,
+                           chunk_ids=(FAULTED_CHUNK,), attempts=(0,))]
+        with injected(seed=CHAOS_SEED, specs=specs):
+            reader = ParallelGzipReader(
+                MULTI_BLOB, parallelization=1, chunk_size=MULTI_CHUNK,
+                events=True,
+            )
+            out = _read_all(reader)
+        assert out == MULTI_DATA
+        stats = reader.statistics()
+        states = [
+            record["state"] for record in reader.telemetry.events.records()
+            if record.get("chunk") == FAULTED_CHUNK
+        ]
+        assert "block-find" not in states  # bound at dequeue: no search
+        assert ("rejected" if error == "format" else "failed") in states
+        assert stats["metrics"]["blockfinder.candidates_tested"] == 0
+        assert stats["on_demand_decodes"] == 2  # the first chunk, and this
+
+    @pytest.mark.parametrize("error", sorted(_ERROR_CLASSES))
+    def test_exhausted_ladder_on_a_bound_task(self, error):
+        # The same chunk failing on every attempt raises exactly what the
+        # serial rung (which never speculates) raises.
+        with injected(seed=CHAOS_SEED,
+                      specs=_ladder_specs("chunk.decode", error)):
+            reader = ParallelGzipReader(
+                MULTI_BLOB, parallelization=1, chunk_size=MULTI_CHUNK
+            )
+            with pytest.raises(ChunkDecodeError) as info:
+                _read_all(reader)
+        raised = info.value
+        serial = _ladder_outcome("serial", "chunk.decode", error)
+        assert (type(raised.__cause__), raised.chunk_id,
+                raised.start_bit) == serial[:3]
+
     def test_speculative_reject_is_one_event(self):
         # The reject happens on a pool thread and must show up exactly
         # once: one lifecycle record, one counter increment.

@@ -402,3 +402,85 @@ class TestPeakRSS:
         assert peak_bytes < 96 * MiB, (
             f"peak RSS {peak_bytes / MiB:.0f} MiB not bounded by the budget"
         )
+
+
+class TestClosedReaderIsFreed:
+    """A closed reader holds no reference cycle: reference counting frees
+    it — caches, windows, pool, telemetry — with its last reference, not
+    whenever the cyclic collector reaches its generation."""
+
+    def test_no_cycle_outlives_close(self, tmp_path):
+        import gc
+        import io
+        import weakref
+
+        from repro.datagen import generate_silesia_like
+        from repro.index import GzipIndex
+
+        data = generate_silesia_like(600_000, seed=3)
+        blob = gzip.compress(data, 6)
+        with ParallelGzipReader(blob, chunk_size=64 * 1024) as reader:
+            sink = io.BytesIO()
+            reader.export_index(sink)
+        index = GzipIndex.load(sink.getvalue())
+        variants = [
+            {},
+            {"max_memory": "8MiB", "spill_dir": str(tmp_path)},
+            {"trace": True, "events": True},
+            {"tolerate_corruption": True},
+            {"index": index},
+        ]
+        gc.disable()
+        try:
+            for options in variants:
+                reader = ParallelGzipReader(
+                    blob, parallelization=2, chunk_size=64 * 1024, **options
+                )
+                assert reader.read() == data
+                reader.close()
+                owned = [reader, reader._fetcher, reader._fetcher.pool,
+                         reader._block_map, reader.telemetry]
+                references = [weakref.ref(item) for item in owned]
+                del reader, owned
+                assert [ref() for ref in references] == [None] * 5, options
+        finally:
+            gc.enable()
+
+    def test_resident_size_is_flat_across_passes_without_gc(self):
+        """Twelve open/read/close passes with the cyclic collector off:
+        resident size must not grow per pass (it grew by the whole reader
+        — index windows, caches — before close broke the cycles)."""
+        script = textwrap.dedent(
+            """
+            import gc, gzip
+            from repro.datagen import generate_silesia_like
+            from repro.reader import ParallelGzipReader
+
+            def resident():
+                for line in open("/proc/self/status"):
+                    if line.startswith("VmRSS"):
+                        return int(line.split()[1]) * 1024
+
+            data = generate_silesia_like(4 << 20, seed=4)
+            blob = gzip.compress(data, 6)
+            gc.disable()
+            samples = []
+            for _ in range(12):
+                with ParallelGzipReader(
+                    blob, parallelization=2, chunk_size=64 * 1024
+                ) as reader:
+                    assert reader.read() == data
+                samples.append(resident())
+            # Passes 1-2 warm the allocator; the slope is taken after them.
+            print((samples[-1] - samples[2]) / (len(samples) - 3))
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=env, timeout=110,
+        )
+        assert result.returncode == 0, result.stderr
+        slope = float(result.stdout.strip())
+        assert slope < 0.5 * MiB, f"{slope / MiB:.2f} MiB per pass"

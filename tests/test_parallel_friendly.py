@@ -20,6 +20,7 @@ import pytest
 from repro.datagen import generate_base64, generate_fastq, generate_silesia_like
 from repro.deflate.compress import BitWriter, CompressorOptions, DeflateCompressor
 from repro.errors import FormatError, IntegrityError, UsageError
+from repro.fetcher import speculative_decode
 from repro.gz.catalog import (
     ArchiveCatalog,
     CatalogChunk,
@@ -36,6 +37,7 @@ from repro.gz.header import parse_gzip_header
 from repro.gz.parallel_writer import CATALOGUED_LAYOUTS, compress_parallel
 from repro.io import BitReader, ensure_file_reader
 from repro.reader import ParallelGzipReader, decompress_parallel
+from repro.telemetry import Telemetry
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "mgzip_fixture.gz")
 
@@ -111,11 +113,24 @@ class TestAcceptanceTelemetry:
 
     def test_marker_path_baseline_does_search(self):
         # Sanity check that the assertion above is meaningful: the same
-        # archive decoded without the catalog does hit the block finder.
+        # archive decoded without the catalog is in search mode, where a
+        # grid cell is searched unless a worker starts its task with the
+        # chunk start already known (how often is up to scheduling) —
+        # and searching a cell of it does hit the block finder.
         data = CORPORA["base64"]()
         blob = catalogued(data, "chunk-isolated")
-        _, stats = read_all(blob, detect_catalog=False, chunk_size=64 * 1024)
-        assert stats["encoding"]["blockfinder_searches"] > 0
+        decoded, stats = read_all(
+            blob, detect_catalog=False, chunk_size=64 * 1024
+        )
+        assert decoded == data
+        assert stats["mode"] == "search"
+        assert not stats["encoding"]["catalog_detected"]
+        telemetry = Telemetry()
+        speculative_decode(ensure_file_reader(blob), 1, 64 * 1024,
+                           telemetry=telemetry)
+        assert telemetry.metrics.counter(
+            "blockfinder.candidates_tested"
+        ).value > 0
 
     def test_seek_uses_catalog(self):
         data = CORPORA["silesia"]()

@@ -10,7 +10,9 @@ import pytest
 
 from repro.datagen import generate_base64
 from repro.errors import UsageError
+from repro.fetcher import speculative_decode
 from repro.gz.writer import compress as gz_compress
+from repro.io import ensure_file_reader
 from repro.reader import ParallelGzipReader
 from repro.telemetry import (
     NULL_RECORDER,
@@ -84,6 +86,22 @@ class TestMetricsRegistry:
         assert registry.as_dict()["probe.v"] == 1
         state["v"] = 7
         assert registry.as_dict()["probe.v"] == 7
+
+    def test_frozen_probe_keeps_its_reading_not_its_object(self):
+        import weakref
+
+        class Owner:
+            def read(self):
+                return 3
+
+        owner = Owner()
+        registry = MetricsRegistry()
+        registry.probe("owner.value", owner.read)  # holds the owner
+        registry.freeze_probes()
+        alive = weakref.ref(owner)
+        del owner
+        assert alive() is None
+        assert registry.as_dict()["owner.value"] == 3
 
     def test_as_dict_is_json_serializable(self):
         registry = MetricsRegistry()
@@ -233,9 +251,21 @@ class TestStatisticsSurface:
         assert stats["pool"]["tasks_completed"] > 0
         assert stats["metrics"]["fetcher.speculative_submitted"] == \
             stats["speculative_submitted"]
-        assert stats["metrics"]["blockfinder.candidates_tested"] > 0
+        # How many queued tasks still searched depends on timing (a worker
+        # decodes exactly where the chain already names the chunk start);
+        # the surface reports whatever count that was.
+        assert stats["metrics"]["blockfinder.candidates_tested"] == \
+            stats["encoding"]["blockfinder_searches"] >= 0
         assert stats["metrics"]["pool.task_seconds"]["count"] == \
             stats["pool"]["tasks_completed"]
+        # The finder's counts reach the registry a search-mode task records
+        # into: one speculated cell, deterministically.
+        telemetry = Telemetry()
+        speculative_decode(ensure_file_reader(BLOB), 1, 16 * 1024,
+                           telemetry=telemetry)
+        assert telemetry.metrics.counter(
+            "blockfinder.candidates_tested"
+        ).value > 0
 
     def test_index_mode(self):
         with ParallelGzipReader(BLOB, chunk_size=16 * 1024) as reader:
@@ -309,7 +339,14 @@ class TestProfileReport:
         text = "\n".join(lines)
         assert "Worker utilization" in text
         assert "Chunks decoded" in text
-        assert "Block finder" in text
+        # A line for the finder exactly when it ran — which, in a search
+        # read, is up to how many tasks a worker started with a known start.
+        searched = stats["metrics"]["blockfinder.candidates_tested"] > 0
+        assert ("Block finder" in text) == searched
+        stats["metrics"]["blockfinder.candidates_tested"] = 7
+        stats["metrics"]["blockfinder.candidates_accepted"] = 2
+        text = "\n".join(format_profile(stats, wall_time=0.5))
+        assert "7 candidates tested, 2 accepted" in text
 
     def test_format_profile_tolerates_empty_stats(self):
         assert format_profile({}) == []
