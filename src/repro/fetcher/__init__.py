@@ -1,6 +1,6 @@
 """Chunk fetching: decode tasks, chunk chain, cache-and-prefetch engine."""
 
-from .block_map import BlockMap, ChunkExtent, ChunkRecord
+from .chain import ChunkChain, ChunkExtent, ChunkRecord
 from .decode import (
     ChunkResult,
     StreamEvent,
@@ -15,7 +15,7 @@ from .gzip_chunk_fetcher import DEFAULT_CHUNK_SIZE, GzipChunkFetcher
 from .tasks import ChunkTaskSpec
 
 __all__ = [
-    "BlockMap",
+    "ChunkChain",
     "ChunkExtent",
     "ChunkRecord",
     "ChunkResult",

@@ -1,31 +1,27 @@
 """The cache-and-prefetch chunk fetcher (paper §3.1–§3.4, Fig. 4/5).
 
 Orchestrates a thread pool, a prefetch cache, an access cache, a prefetch
-strategy, and the chunk-id <-> offset database. Three operating modes,
-chosen at construction:
+strategy, and the chunk-id <-> offset database, the
+:class:`~repro.fetcher.chain.ChunkChain` (:attr:`GzipChunkFetcher.chain`)
+the reader extends. Three operating modes, chosen at construction:
 
 * ``search`` — no index: speculative tasks run the block finder over fixed
-  compressed-size chunk windows and two-stage-decode from the first
-  workable candidate. False positives land in the cache under offsets
-  nobody requests and age out; the consumer's *exact* request (previous
-  chunk's end offset) either hits a speculative result or triggers an
-  on-demand decode at top priority. That holds beyond the reader's
-  frontier only. A chunk the reader has already chained has a known
-  extent (:attr:`GzipChunkFetcher.known_extent`), so a request or
-  prefetch wish for it is the ``index`` task below — the §3.3 rule
-  "two-stage only while the window is unknown" — and prefetch follows
-  the chain's successors instead of searching grid cells. The same rule
-  holds ahead of the frontier, bound when a worker *starts* a task, not
-  when it is queued: the chain record holds the start and window of
-  each chunk whose predecessor's window is known (written by the
-  reader's request and by workers finishing such a predecessor), so a
-  queued task whose cell is recorded there decodes exactly — one libz
-  pass, no block search, no markers — and a cell inside a known chunk,
-  or past the file's last, returns without searching. No task ever
-  waits on another to learn more.
-* ``index`` — a finalized seek-point index is loaded: chunks are the index
-  intervals, workers delegate to zlib with the stored window (fast path,
-  balanced workloads, bounded memory — §3.3).
+  compressed-size cells and two-stage-decode from the first workable
+  candidate. False positives land in the cache under offsets nobody
+  requests and age out; the consumer's *exact* request (previous chunk's
+  end offset) either hits a speculative result or triggers an on-demand
+  decode at top priority. §3.3's rule "two-stage only while the window
+  is unknown" is applied through the chain. A chunk already on it has an
+  extent, so a request or prefetch wish for it is the ``index`` task
+  below, and prefetch follows its successors instead of searching cells.
+  Ahead of the frontier a task is bound when a worker *starts* it, not
+  when it is queued: a cell the chain holds a start and window for
+  decodes exactly — one libz pass, no block search, no markers — and a
+  retired cell returns without searching. No task ever waits on another
+  to learn more.
+* ``index`` — a finalized seek-point index is loaded: the chain is built
+  from it, chunks are its intervals, workers delegate to zlib with the
+  stored window (fast path, balanced workloads, bounded memory — §3.3).
 * ``bgzf`` — the file is BGZF: member offsets come from header metadata and
   members decode independently (§3.4.4).
 
@@ -36,7 +32,7 @@ a decode is one :class:`~repro.fetcher.tasks.ChunkTaskSpec` filled by
 telemetry — on a pool thread when speculative, on the requesting thread
 when the consumer is blocked on it. The one decode that stays here is
 :meth:`GzipChunkFetcher._decode_index_fallback`, which needs the whole
-index: filling the spec of a chunk whose lazily validated window is
+chain: filling the spec of a chunk whose lazily validated window is
 damaged raises, speculation skips the chunk, and the consumer's request
 runs the fallback.
 """
@@ -57,7 +53,7 @@ from ..index.store import window_bytes
 from ..io import ensure_file_reader
 from ..pool import PRIORITY_PREFETCH, create_pool
 from ..telemetry import Telemetry
-from .block_map import ChunkExtent
+from .chain import ChunkChain
 from .decode import ChunkResult, StreamEvent, decode_chunk_range
 from .tasks import ChunkTaskSpec, run_chunk_task
 
@@ -123,7 +119,6 @@ class GzipChunkFetcher:
         # Precedence: explicit index > embedded chunk catalog > BGZF >
         # search — an explicit index is the caller's word, a catalog is
         # the encoder's.
-        self._index = None
         self._bgzf_groups = None
         self.catalog = None
         self.catalog_index = None
@@ -137,11 +132,7 @@ class GzipChunkFetcher:
                 index = self.catalog_index
             self._note_catalog_probe()
         if index is not None and getattr(index, "finalized", False) and len(index):
-            self._index = index
             self.mode = "index"
-            self._key_to_id = {
-                point.compressed_bit_offset: i for i, point in enumerate(index)
-            }
         elif detect_bgzf and is_bgzf(self.file_reader):
             self._bgzf_groups = self._build_bgzf_groups()
             self.mode = "bgzf"
@@ -150,6 +141,16 @@ class GzipChunkFetcher:
             }
         else:
             self.mode = "search"
+        cell_bits = chunk_size * 8
+        #: What is known about the file's chunks; a finalized index is all
+        #: of it at once. In search mode the reader starts the frontier.
+        self.chain = ChunkChain(
+            index, cell_bits=cell_bits,
+            cells=-(-self.file_reader.size() * 8 // cell_bits),
+            ahead_limit=2 * parallelization + 2,
+        )
+        if self.mode == "bgzf":
+            self.chain.advance(self._bgzf_groups[0][0][0] * 8, b"", True)
 
         #: ``threads``, or ``serial`` once repeated time-outs retired the pool.
         self.backend = "threads"
@@ -185,12 +186,6 @@ class GzipChunkFetcher:
         self._futures: dict = {}  # chunk id -> Future[ChunkResult | None]
         self._keys_of_id: dict = {}  # chunk id -> set of cached start_bits
         self._inflight_charge: dict = {}  # chunk id -> reserved bytes
-        # chunk ids with nothing decodable, or nothing the reader will
-        # request (retired: inside a known chunk, or past the file's last)
-        self._no_candidate: set = set()
-        # search mode, the chain record: chunk id -> (start_bit, window)
-        # of the chunk starting in that cell, once its window is known
-        self._chain: dict = {}
         self._history: list = []  # recently accessed chunk ids
         self._lock = threading.RLock()
 
@@ -211,11 +206,6 @@ class GzipChunkFetcher:
         #: Hook the reader installs to account an index-window fallback
         #: (damage record + lifecycle event); called as (chunk_id, error).
         self.on_index_fallback = None
-        #: Lookup the reader installs over its chunk chain: ``start_bit``
-        #: -> :class:`ChunkExtent` of a chunk it has already decoded, or
-        #: ``None``. Search mode decodes such chunks like index chunks.
-        #: Called on the requesting thread only.
-        self.known_extent = None
         metrics.probe(
             "cache.prefetch", lambda: self.prefetch_cache.snapshot()
         )
@@ -278,20 +268,13 @@ class GzipChunkFetcher:
                 current = []
         return groups
 
-    def initial_chunk(self):
-        """Where the reader's chunk chain must start, or None for search
-        mode (the caller parses the first gzip header itself)."""
-        if self.mode == "index":
-            point = self._index[0]
-            return (point.compressed_bit_offset, point.window, point.is_stream_start)
-        if self.mode == "bgzf":
-            return (self._bgzf_groups[0][0][0] * 8, b"", True)
-        return None
-
     def chunk_id_for_bit(self, start_bit: int) -> int:
         if self.mode == "search":
-            return start_bit // (self.chunk_size * 8)
-        identifier = self._key_to_id.get(start_bit)
+            return start_bit // self.chain.cell_bits
+        if self.mode == "index":
+            identifier = self.chain.position(start_bit)
+        else:
+            identifier = self._key_to_id.get(start_bit)
         if identifier is None:
             raise UsageError(f"bit offset {start_bit} is not a chunk boundary")
         return identifier
@@ -299,60 +282,12 @@ class GzipChunkFetcher:
     @property
     def num_chunk_ids(self) -> int:
         if self.mode == "search":
-            return (self.file_reader.size() * 8 + self.chunk_size * 8 - 1) // (
-                self.chunk_size * 8
-            )
+            return self.chain.cells
         if self.mode == "index":
-            return len(self._index)
+            return len(self.chain)
         return len(self._bgzf_groups)
 
     # -- task specs ----------------------------------------------------------------
-
-    def _known(self, start_bit: int):
-        """``(start_bit, extent)`` when search mode knows the extent of
-        the chunk at ``start_bit`` (the reader has chained it), else
-        ``None``: the index-style way to decode that chunk."""
-        if self.mode != "search" or self.known_extent is None:
-            return None
-        extent = self.known_extent(start_bit)
-        return None if extent is None else (start_bit, extent)
-
-    def _index_bounds(self, chunk_id: int):
-        """(start_bit, end_bit, expected_size, is_last) for an index chunk."""
-        point = self._index[chunk_id]
-        if chunk_id + 1 < len(self._index):
-            next_point = self._index[chunk_id + 1]
-            end_bit = next_point.compressed_bit_offset
-            expected = next_point.uncompressed_offset - point.uncompressed_offset
-            return point, end_bit, expected, False
-        end_bit = self._index.compressed_size_bits
-        expected = self._index.uncompressed_size - point.uncompressed_offset
-        return point, end_bit, expected, True
-
-    def _next_window_for(self, chunk_id: int):
-        """The next seek point's window, for tail verification of the
-        zlib-delegated decode — or ``None`` when there is no next point,
-        it starts a new stream, or its window fails its own validation
-        (that chunk will fall back on its own turn)."""
-        if chunk_id + 1 >= len(self._index):
-            return None
-        next_point = self._index[chunk_id + 1]
-        if next_point.is_stream_start:
-            return None
-        try:
-            return window_bytes(next_point.window) or None
-        except IndexIntegrityError:
-            return None
-
-    def _index_extent(self, chunk_id: int):
-        """``(start_bit, extent)`` of an index chunk; raises
-        :class:`IndexIntegrityError` when its lazily validated window
-        turns out damaged."""
-        point, end_bit, expected, is_last = self._index_bounds(chunk_id)
-        return point.compressed_bit_offset, ChunkExtent(
-            end_bit, expected, window_bytes(point.window),
-            self._next_window_for(chunk_id), is_last,
-        )
 
     def _decode_index_fallback(self, chunk_id: int,
                                error: IndexIntegrityError) -> ChunkResult:
@@ -363,12 +298,13 @@ class GzipChunkFetcher:
         and serve exactly the damaged chunk's bytes. The reader's hook
         accounts the incident; the consumer sees correct data, never the
         error."""
-        point, end_bit, expected, is_last = self._index_bounds(chunk_id)
+        chain = self.chain
+        record = chain[chunk_id]
         good_id = chunk_id
         window = None
         while good_id > 0:
             good_id -= 1
-            candidate = self._index[good_id]
+            candidate = chain[good_id]
             if candidate.is_stream_start:
                 window = b""
                 break
@@ -378,10 +314,10 @@ class GzipChunkFetcher:
             except IndexIntegrityError:
                 continue
         if window is None:
-            if good_id != 0 or not self._index[0].is_stream_start:
+            if good_id != 0 or not chain[0].is_stream_start:
                 raise error  # no trustworthy resume point at all
             window = b""
-        good = self._index[good_id]
+        good = chain[good_id]
         self._index_fallbacks.increment()
         recorder = self.telemetry.recorder
         if recorder.enabled:
@@ -401,20 +337,20 @@ class GzipChunkFetcher:
         )
         result = decode_chunk_range(
             self.file_reader,
-            good.compressed_bit_offset,
-            end_bit,
+            good.start_bit,
+            record.end_bit,
             window,
             max_output=max_output,
         )
         from ..deflate.markers import ChunkPayload
 
-        prefix = point.uncompressed_offset - good.uncompressed_offset
+        prefix = record.output_start - good.output_start
         data = result.payload.materialize(window)
         payload = ChunkPayload()
-        payload.append_bytes(data[prefix : prefix + expected])
+        payload.append_bytes(data[prefix : prefix + record.length])
         return ChunkResult(
-            start_bit=point.compressed_bit_offset,
-            end_bit=None if is_last else end_bit,
+            start_bit=record.start_bit,
+            end_bit=record.end_bit,
             end_is_stream_start=result.end_is_stream_start,
             payload=payload,
             events=[
@@ -427,7 +363,7 @@ class GzipChunkFetcher:
             ],
             window_known=True,
             compressed_size_bits=max(
-                (end_bit or 0) - point.compressed_bit_offset, 0
+                (record.end_bit or 0) - record.start_bit, 0
             ),
         )
 
@@ -437,10 +373,12 @@ class GzipChunkFetcher:
 
         ``exact`` (search mode only) is ``(start_bit, window)``: instead
         of searching, decode exactly from that offset — the on-demand
-        request. ``known`` (search mode only) is :meth:`_known`'s pair
-        and wins over it: the same ``index`` task an index chunk is.
-        Raises :class:`IndexIntegrityError` for an index chunk whose
-        lazily validated window turns out damaged; only
+        request. ``known`` (search mode only) is the chunk's extent on
+        the chain and wins over it: the same ``index`` task an index
+        chunk is. ``None`` for an index chunk whose bytes the reader
+        pinned: nothing decodes it again. Raises
+        :class:`IndexIntegrityError` for an index chunk whose lazily
+        validated window turns out damaged; only
         :meth:`_decode_index_fallback` can decode that one.
         """
         spec = ChunkTaskSpec(
@@ -450,10 +388,12 @@ class GzipChunkFetcher:
             max_output=self.max_chunk_output,
         )
         if self.mode == "index":
-            known = self._index_extent(chunk_id)
+            known = self.chain.extent(self.chain[chunk_id].start_bit)
+            if known is None:
+                return None
         if known is not None:
             spec.mode = "index"
-            spec.start_bit, spec.extent = known
+            spec.start_bit, spec.extent = known.start_bit, known
         elif self.mode == "search":
             spec.chunk_size = self.chunk_size
             spec.split_output = self.chunk_split_size
@@ -517,7 +457,7 @@ class GzipChunkFetcher:
                 result = None
             if result is None:
                 # No candidate or rejected (the task body said which).
-                self._no_candidate.add(chunk_id)
+                self.chain.retired.add(chunk_id)
                 self._speculative_unusable.increment()
                 continue
             if result.split:
@@ -558,12 +498,11 @@ class GzipChunkFetcher:
         compression ratio.
         """
         if known is not None:
-            return max(known[1].length, 1)
+            return max(known.length, 1)
         if self.mode == "search":
             return 2 * self.chunk_split_size
         if self.mode == "index":
-            _point, _end, expected, _last = self._index_bounds(chunk_id)
-            return max(expected, 1)
+            return max(self.chain[chunk_id].length, 1)
         members, end = self._bgzf_groups[chunk_id]
         return max(4 * (end - members[0]), 1)
 
@@ -574,7 +513,7 @@ class GzipChunkFetcher:
             if (
                 self.backend == "serial"
                 or chunk_id in self._futures
-                or chunk_id in self._no_candidate
+                or chunk_id in self.chain.retired
                 or chunk_id < 0
                 or chunk_id >= self.num_chunk_ids
             ):
@@ -594,6 +533,8 @@ class GzipChunkFetcher:
             except IndexIntegrityError:
                 # A damaged lazy window: the consumer's own request will
                 # run the fallback re-decode instead.
+                spec = None
+            if spec is None:
                 if reserved:
                     self.governor.discharge("in_flight", reserved)
                 return True
@@ -613,43 +554,26 @@ class GzipChunkFetcher:
 
     def _run_queued(self, spec: ChunkTaskSpec):
         """A worker starts a queued task: bind it to what is known now,
-        not at submission. A search cell the chain record holds a start
-        and window for decodes exactly from there, like the on-demand
-        rung; a retired cell returns without searching. A search that
-        lands on the recorded start extends the chain too."""
+        not at submission. A search cell the chain holds a start and
+        window for decodes exactly from there, like the on-demand rung; a
+        retired cell returns without searching. A search that lands on
+        the recorded start extends the chain too."""
         if spec.mode != "search":
             return run_chunk_task(spec, self.file_reader, self.telemetry)
-        if spec.chunk_id in self._no_candidate:
+        chain = self.chain
+        if spec.chunk_id in chain.retired:
             events = self.telemetry.events
             if events.enabled:
                 events.emit("no-candidate", chunk=spec.chunk_id)
             return None
-        entry = self._chain.get(spec.chunk_id)
+        entry = chain.ahead.get(spec.chunk_id)
         if entry is not None:
             spec.start_bit, spec.window = entry
         result = run_chunk_task(spec, self.file_reader, self.telemetry)
-        entry = entry or self._chain.get(spec.chunk_id)
+        entry = entry or chain.ahead.get(spec.chunk_id)
         if result is not None and entry and result.start_bit == entry[0]:
-            self._chain_end(result, entry[1])
+            chain.hand_over(result, entry[1])
         return result
-
-    def _chain_end(self, result: ChunkResult, window: bytes) -> None:
-        """Record where a chunk decoded from a known ``window`` hands
-        over: its successor's start and window enter the chain record
-        (at most ``2·P + 2`` windows), and the cells it covers — strictly
-        inside it, or past it when it ran to the file's end — retire."""
-        cell = self.chunk_id_for_bit(result.start_bit)
-        if result.end_bit is None:
-            with self._lock:
-                self._no_candidate.update(range(cell + 1, self.num_chunk_ids))
-            return
-        next_cell = self.chunk_id_for_bit(result.end_bit)
-        entry = (result.end_bit, result.next_window(window))
-        with self._lock:
-            self._no_candidate.update(range(cell + 1, next_cell))
-            self._chain[next_cell] = entry
-            if len(self._chain) > 2 * self.parallelization + 2:
-                del self._chain[min(self._chain)]
 
     def _shed_speculation(self) -> int:
         """Cancel queued speculative work to free budget reservations.
@@ -663,9 +587,9 @@ class GzipChunkFetcher:
             self._harvest()
         return shed
 
-    def _chain_wishes(self, accessed_id: int, known, wishes: list) -> list:
+    def _wishes_along_chain(self, accessed_id: int, known, wishes: list) -> list:
         """Re-aim the wishes ahead of a chunk of known extent along the
-        reader's chain: ``(chunk_id, known)`` pairs, in wish order.
+        chain: ``(chunk_id, extent)`` pairs, in wish order.
 
         The wish ``accessed_id + n`` becomes the accessed chunk's n-th
         chain successor while those are known, and past the newest of
@@ -675,27 +599,18 @@ class GzipChunkFetcher:
         others (behind the access, another stream's) stay grid cells.
         """
         steps = max(wishes, default=accessed_id) - accessed_id
-        # chain[n - 1] is the n-th successor as ``(start_bit, extent)``;
-        # an extent of None marks the frontier and ends the chain.
-        chain = []
-        extent = known[1]
-        while len(chain) < steps and extent is not None and not extent.is_last:
-            start_bit = extent.end_bit
-            extent = self.known_extent(start_bit)
-            chain.append((start_bit, extent))
+        successors, frontier_bit = self.chain.successors(known, steps)
         targets = []
         for wish in wishes:
             step = wish - accessed_id
             if step < 1:
                 targets.append((wish, None))
-            elif step <= len(chain) and chain[step - 1][1] is not None:
-                successor = chain[step - 1]
-                targets.append(
-                    (self.chunk_id_for_bit(successor[0]), successor)
-                )
-            elif chain and chain[-1][1] is None:
-                frontier_id = self.chunk_id_for_bit(chain[-1][0])
-                targets.append((frontier_id + step - len(chain), None))
+            elif step <= len(successors):
+                extent = successors[step - 1]
+                targets.append((self.chunk_id_for_bit(extent.start_bit), extent))
+            elif frontier_bit is not None:
+                beyond = step - len(successors) - 1
+                targets.append((self.chunk_id_for_bit(frontier_bit) + beyond, None))
         return targets
 
     def _trigger_prefetch(self, accessed_id: int, known) -> None:
@@ -706,9 +621,12 @@ class GzipChunkFetcher:
         if known is None:
             targets = [(wish, None) for wish in wishes]
         else:
-            targets = self._chain_wishes(accessed_id, known, wishes)
+            targets = self._wishes_along_chain(accessed_id, known, wishes)
         for wish, target in targets:
-            keys = (target[0],) if target else self._keys_of_id.get(wish, ())
+            keys = (
+                (target.start_bit,) if target is not None
+                else self._keys_of_id.get(wish, ())
+            )
             cached = any(
                 self.prefetch_cache.peek(key) is not None
                 or self.access_cache.peek(key) is not None
@@ -733,16 +651,17 @@ class GzipChunkFetcher:
         cached speculative results keep their markers and are materialized
         by the caller.
 
-        In search mode a chunk :attr:`known_extent` has an answer for is
-        decoded on demand by checked zlib delegation (the ``index`` task,
-        with its bit-exact fallback), never by block
-        search or the Python decoder; those serve the frontier and beyond.
+        In search mode a chunk already on the :attr:`chain` is decoded on
+        demand by checked zlib delegation (the ``index`` task, with its
+        bit-exact fallback), never by block search or the Python decoder;
+        those serve the frontier and beyond.
 
         Every access triggers the prefetcher, cache hit or not (§3.1) —
         along the chain's successors after a chunk of known extent, over
         grid cells otherwise.
         """
         chunk_id = self.chunk_id_for_bit(start_bit)
+        known = self.chain.extent(start_bit) if self.mode == "search" else None
         result = self.access_cache.get(start_bit)
         if result is None:
             self._harvest()
@@ -769,7 +688,7 @@ class GzipChunkFetcher:
                 if result is not None:
                     self.access_cache.insert(start_bit, result)
         if result is None:
-            result = self._produce_chunk(start_bit, chunk_id, window)
+            result = self._produce_chunk(start_bit, chunk_id, window, known)
             if result.split:
                 self._chunk_splits.increment()
             events = self.telemetry.events
@@ -780,16 +699,16 @@ class GzipChunkFetcher:
                 )
             self.access_cache.insert(start_bit, result)
             self._remember_key(start_bit, chunk_id)
-        known = self._known(start_bit)
         if known is None and self.mode == "search":
             # The frontier: its window is known, so its successor's is too.
-            self._chain_end(result, window)
+            self.chain.hand_over(result, window)
         self._trigger_prefetch(chunk_id, known)
         return result
 
     # -- on-demand decode -------------------------------------------------------------
 
-    def _produce_chunk(self, start_bit: int, chunk_id: int, window: bytes):
+    def _produce_chunk(self, start_bit: int, chunk_id: int, window: bytes,
+                       known):
         """Produce a chunk no cache or in-flight task delivered: decode it
         on this thread from the last verified offset, or raise a structured
         :class:`ChunkDecodeError` carrying the full context.
@@ -800,19 +719,20 @@ class GzipChunkFetcher:
         to drain reservations), never with the refusable ``try_reserve``.
         """
         if self.governor is not None and self.governor.budget:
-            reserved = self._inflight_estimate(
-                chunk_id, self._known(start_bit)
-            )
+            reserved = self._inflight_estimate(chunk_id, known)
             if not self.governor.try_reserve("on_demand", reserved):
                 self._shed_speculation()
                 self.governor.reserve("on_demand", reserved)
             try:
-                return self._decode_on_demand(start_bit, chunk_id, window)
+                return self._decode_on_demand(
+                    start_bit, chunk_id, window, known
+                )
             finally:
                 self.governor.discharge("on_demand", reserved)
-        return self._decode_on_demand(start_bit, chunk_id, window)
+        return self._decode_on_demand(start_bit, chunk_id, window, known)
 
-    def _decode_on_demand(self, start_bit: int, chunk_id: int, window: bytes):
+    def _decode_on_demand(self, start_bit: int, chunk_id: int, window: bytes,
+                          known):
         """The serial rung: the same task, run on this thread."""
         self._on_demand_decodes.increment()
         try:
@@ -820,7 +740,7 @@ class GzipChunkFetcher:
             try:
                 spec = self._spec_for(
                     chunk_id, attempt=1, exact=(start_bit, window),
-                    known=self._known(start_bit),
+                    known=known,
                 )
             except IndexIntegrityError as error:
                 return self._decode_index_fallback(chunk_id, error)
@@ -933,10 +853,11 @@ class GzipChunkFetcher:
         self._shed_speculation()
         self.pool.shutdown(wait=True)
         self._harvest()
-        # Nothing decodes again: drop the windows and the reader's hooks,
-        # which would otherwise keep a closed reader alive in a cycle.
-        self._chain.clear()
-        self.known_extent = self.on_index_fallback = None
+        # Nothing decodes again: drop the windows held ahead and the
+        # reader's hook, which would otherwise keep a closed reader alive
+        # in a cycle.
+        self.chain.ahead.clear()
+        self.on_index_fallback = None
         self.file_reader.close()
 
     def __enter__(self) -> "GzipChunkFetcher":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .. import faults
 from ..errors import FormatError, UsageError
-from .block_map import ChunkExtent
+from .chain import ChunkExtent
 from .decode import (
     ChunkResult,
     decode_bgzf_members,
@@ -36,10 +36,11 @@ class ChunkTaskSpec:
     cell (``search``: block finder + two-stage decode over a fixed
     compressed window), its start and window (``search`` with ``window``
     set: the on-demand decode from the last verified offset, or a queued
-    one the fetcher's chain record bound when a worker started it), its whole
-    extent (``index``: checked zlib delegation — an index interval, or a
-    search-mode chunk the reader has already chained), or its BGZF
-    members (``bgzf``).
+    one bound, when a worker started it, to the start and window the
+    :class:`~repro.fetcher.chain.ChunkChain` records for its cell), its
+    whole extent (``index``: checked zlib delegation — an index interval,
+    or a search-mode chunk already on the chain), or its BGZF members
+    (``bgzf``).
     """
 
     mode: str  # "search" | "index" | "bgzf"

@@ -33,13 +33,7 @@ from ..errors import (
     TruncatedError,
     UsageError,
 )
-from ..fetcher import (
-    BlockMap,
-    ChunkExtent,
-    ChunkRecord,
-    DEFAULT_CHUNK_SIZE,
-    GzipChunkFetcher,
-)
+from ..fetcher import ChunkRecord, DEFAULT_CHUNK_SIZE, GzipChunkFetcher
 from ..gz.crc32 import fast_crc32
 from ..gz.header import parse_gzip_header
 from ..index import GzipIndex, SeekPoint
@@ -186,7 +180,7 @@ class ParallelGzipReader:
         from ..recovery import DamageReport
 
         self._damage = DamageReport()
-        self._damaged_data: dict = {}  # start_bit -> pinned tolerant bytes
+        self._chunks_decoded = 0  # chunk decodes materialized
         self._seek_point_spacing = seek_point_spacing or 2 * chunk_size
         self._position = 0
         self._closed = False
@@ -288,9 +282,9 @@ class ParallelGzipReader:
             # whose block finder and resync machinery handle damage.
             self._fetcher = build_fetcher(False)
         self._fetcher.on_index_fallback = self._note_index_fallback
-        self._fetcher.known_extent = self._known_extent
+        # The fetcher's chunk chain, extended here as the frontier decodes.
+        self._chunks = self._fetcher.chain
 
-        self._block_map = BlockMap()
         sizing = {}
         if self._governor is not None:
             sizing = {
@@ -342,9 +336,8 @@ class ParallelGzipReader:
         self._catalog_crc: dict = {}  # start_bit -> (crc32, length)
         if index is None and self._fetcher.catalog_index is not None:
             # The encoder advertised its chunk layout in the first header:
-            # adopt the synthesized index (empty windows — no chunk needs
-            # history) and remember the per-chunk CRCs for verification.
-            index = self._fetcher.catalog_index
+            # the fetcher adopted the synthesized index (empty windows — no
+            # chunk needs history); remember the per-chunk CRCs.
             self._index_from_catalog = True
             catalog = self._fetcher.catalog
             self._catalog_crc = {
@@ -352,34 +345,22 @@ class ParallelGzipReader:
                 for number, chunk in enumerate(catalog.chunks)
                 if chunk.crc32 is not None
             }
-        initial = self._fetcher.initial_chunk()
-        if index is not None:
-            self._index = index
-            if self._fetcher.mode == "index":
-                # Every chunk's placement and window is already known:
-                # prebuild the whole chain so seeking anywhere is O(log n)
-                # with no initial decompression pass (paper §1.3).
-                self._prebuild_block_map(index)
-                self._frontier = None
-            else:
-                self._frontier = initial
-        else:
-            if initial is None:
-                try:
-                    header_reader = BitReader(self._file_reader)
-                    parse_gzip_header(header_reader)
-                    initial = (header_reader.tell(), b"", True)
-                except FormatError:
-                    if not self._tolerate:
-                        raise
-                    # Damaged leading header: start the chain at bit 0 and
-                    # let the first frontier decode fail into resync.
-                    initial = (0, b"", True)
-            self._frontier = initial
-            self._index = GzipIndex()
-            self._index.add(
-                SeekPoint(self._frontier[0], 0, b"", is_stream_start=True)
-            )
+        if self._fetcher.mode != "search":
+            # The fetcher knows where the chain starts: an index is the
+            # whole chain (seeking anywhere is O(log n) with no initial
+            # pass, paper §1.3), BGZF starts at the first member.
+            return
+        try:
+            header_reader = BitReader(self._file_reader)
+            parse_gzip_header(header_reader)
+            start_bit = header_reader.tell()
+        except FormatError:
+            if not self._tolerate:
+                raise
+            # Damaged leading header: start the chain at bit 0 and let the
+            # first frontier decode fail into resync.
+            start_bit = 0
+        self._chunks.advance(start_bit, b"", True)
 
     # -- persistent index cache -------------------------------------------------
 
@@ -445,8 +426,8 @@ class ParallelGzipReader:
         from ..recovery import DamagedRegion
 
         record = None
-        if chunk_id < len(self._block_map):
-            record = self._block_map[chunk_id]
+        if chunk_id < len(self._chunks):
+            record = self._chunks[chunk_id]
         self._damage.regions.append(
             DamagedRegion(
                 kind="index",
@@ -477,8 +458,8 @@ class ParallelGzipReader:
             # itself; persisting its empty windows would shadow (or evict)
             # a real window-bearing cache entry for no gain.
             or self._index_from_catalog
-            or not self._index.finalized
-            or not len(self._index)
+            or not self.index.finalized
+            or not len(self.index)
         ):
             return
         if any(
@@ -487,7 +468,7 @@ class ParallelGzipReader:
             return  # never persist an index built over damaged data
         try:
             index_store.save_index(
-                self._index,
+                self.index,
                 self._index_cache_path,
                 source=self._file_reader,
                 telemetry=self.telemetry,
@@ -508,61 +489,11 @@ class ParallelGzipReader:
         events = self.telemetry.events
         if events.enabled:
             events.emit(
-                "index-exported", points=len(self._index),
+                "index-exported", points=len(self.index),
                 path=self._index_cache_path,
             )
 
     # -- decoding engine --------------------------------------------------------
-
-    def _prebuild_block_map(self, index: GzipIndex) -> None:
-        points = index.seek_points
-        for position, point in enumerate(points):
-            last = position + 1 >= len(points)
-            output_end = (
-                index.uncompressed_size if last
-                else points[position + 1].uncompressed_offset
-            )
-            self._block_map.append(
-                ChunkRecord(
-                    start_bit=point.compressed_bit_offset,
-                    output_start=point.uncompressed_offset,
-                    output_end=output_end,
-                    end_bit=None if last else points[position + 1].compressed_bit_offset,
-                    # Lazily validated windows stay in the index; the
-                    # record copy is only consulted by search-mode code
-                    # paths, which a prebuilt index chain never takes.
-                    window=(
-                        point.window
-                        if isinstance(point.window, bytes) else b""
-                    ),
-                    is_stream_start=point.is_stream_start,
-                )
-            )
-
-    def _known_extent(self, start_bit: int):
-        """The fetcher's view of the chain: the :class:`ChunkExtent` of
-        the chunk chained at ``start_bit``, or ``None`` when none is or
-        its bytes are pinned (recovered from damage, not re-decodable).
-
-        Every figure comes from our own bit-exact decoder's first pass,
-        so a zlib-delegated re-decode is checked against it: the output
-        length, and the tail against the window the successor (or the
-        frontier) was given.
-        """
-        chained = self._block_map.chained_at(start_bit)
-        if chained is None or start_bit in self._damaged_data:
-            return None
-        record, successor = chained
-        next_window = None
-        if successor is not None:
-            if not successor.is_stream_start:
-                next_window = successor.window
-        elif self._frontier is not None and not self._frontier[2]:
-            next_window = self._frontier[1]
-        return ChunkExtent(
-            record.end_bit, record.length, record.window, next_window,
-            record.end_bit is None,
-        )
 
     def _decode_next_chunk(self):
         """Advance the chain by one chunk; tolerant mode absorbs failures."""
@@ -573,7 +504,7 @@ class ParallelGzipReader:
                 record = self._decode_frontier_chunk()
             except (ChunkDecodeError, FormatError) as error:
                 record = self._absorb_damage(error)
-        if self._frontier is None:
+        if self._chunks.frontier is None:
             self._maybe_export_index_cache()
         return record
 
@@ -589,7 +520,8 @@ class ParallelGzipReader:
         """
         from ..recovery import DamagedRegion, resync_after_damage
 
-        start_bit, _window, _is_stream_start = self._frontier
+        chain = self._chunks
+        start_bit, _window, _is_stream_start = chain.frontier
         network = _network_cause(error)
         if isinstance(network, SourceChangedError):
             # A new object generation: placeholder-filling would mix
@@ -602,7 +534,7 @@ class ParallelGzipReader:
             or isinstance(cause, TruncatedError)
             else "corrupt"
         )
-        output_start = self._block_map.known_size
+        output_start = chain.known_size
         self._verify_active = False  # checksums are meaningless past damage
         if network is not None:
             # The bytes are unreachable, not corrupt: block-finder resync
@@ -625,11 +557,7 @@ class ParallelGzipReader:
                     "reader.damage", kind="network", start_bit=start_bit,
                     resumed=False,
                 )
-            self._frontier = None
-            if not self._index.finalized:
-                self._index.finalize(
-                    output_start, self._file_reader.size() * 8
-                )
+            chain.end(self._file_reader.size() * 8)
             return None
         if self._fetcher.mode == "bgzf":
             return self._absorb_bgzf_damage(start_bit, kind, error)
@@ -658,11 +586,7 @@ class ParallelGzipReader:
                     "reader.damage", kind=kind, start_bit=start_bit,
                     resumed=False,
                 )
-            self._frontier = None
-            if not self._index.finalized:
-                self._index.finalize(
-                    output_start, self._file_reader.size() * 8
-                )
+            chain.end(self._file_reader.size() * 8)
             return None
         self._damage.regions.append(
             DamagedRegion(
@@ -690,23 +614,21 @@ class ParallelGzipReader:
             window=b"",
             is_stream_start=False,
         )
-        self._block_map.append(record)
+        chain.append(record)
         # Pin the recovered bytes: they cannot be re-materialized through
         # the fetcher (its decode would fail at this offset again).
-        self._damaged_data[start_bit] = segment.data
+        chain.pinned[start_bit] = segment.data
         self._cache_materialized(start_bit, segment.data)
         end_bits = self._file_reader.size() * 8
         if segment.end_bit >= end_bits - 16:
             # Within footer padding of EOF: the file is fully consumed.
-            self._frontier = None
-            if not self._index.finalized:
-                self._index.finalize(record.output_end, end_bits)
+            chain.end(end_bits)
         else:
-            # Resume the chain where consistent decoding stopped; the
-            # window may itself contain placeholders — tolerated.
+            # Resume the chain where consistent decoding stopped, without
+            # a seek point: the window may itself contain placeholders.
             from ..deflate import MAX_WINDOW_SIZE
 
-            self._frontier = (
+            chain.frontier = (
                 segment.end_bit,
                 segment.data[-MAX_WINDOW_SIZE:],
                 False,
@@ -721,7 +643,7 @@ class ParallelGzipReader:
 
         boundaries = sorted(self._fetcher._key_to_id)
         next_key = next((key for key in boundaries if key > start_bit), None)
-        output_start = self._block_map.known_size
+        output_start = self._chunks.known_size
         end_bits = self._file_reader.size() * 8
         self._damage.regions.append(
             DamagedRegion(
@@ -734,22 +656,21 @@ class ParallelGzipReader:
             )
         )
         if next_key is None:
-            self._frontier = None
-            if not self._index.finalized:
-                self._index.finalize(output_start, end_bits)
+            self._chunks.end(end_bits)
         else:
-            self._frontier = (next_key, b"", True)
+            self._chunks.frontier = (next_key, b"", True)
         return None
 
     def _decode_frontier_chunk(self) -> ChunkRecord:
         """Decode the chunk at the frontier and extend the chain."""
-        start_bit, window, is_stream_start = self._frontier
+        chain = self._chunks
+        start_bit, window, is_stream_start = chain.frontier
         with self.telemetry.recorder.span(
             "reader.decode_next_chunk", start_bit=start_bit
         ):
             result = self._fetcher.request(start_bit, window)
             data = self._materialize_result(result, window)
-        output_start = self._block_map.known_size
+        output_start = chain.known_size
         record = ChunkRecord(
             start_bit=start_bit,
             output_start=output_start,
@@ -758,39 +679,27 @@ class ParallelGzipReader:
             window=window,
             is_stream_start=is_stream_start,
         )
-        self._block_map.append(record)
+        chain.append(record)
         recorder = self.telemetry.recorder
         if recorder.enabled:
             recorder.instant(
                 "reader.frontier",
-                chunks=len(self._block_map),
-                known_size=self._block_map.known_size,
+                chunks=len(chain),
+                known_size=chain.known_size,
             )
         self._cache_materialized(start_bit, data)
         self._verify_sequential(record, data, result.events)
-        if not self._index.finalized:
+        if not chain.index.finalized:
             self._add_interior_seek_points(record, data, result.boundaries)
 
         if result.end_bit is not None:
-            # Already resolved when the fetcher extended its chain record.
-            next_window = result.next_window(window)
-            self._frontier = (result.end_bit, next_window, result.end_is_stream_start)
-            if not self._index.finalized:
-                self._index.add(
-                    SeekPoint(
-                        result.end_bit,
-                        record.output_end,
-                        next_window,
-                        is_stream_start=result.end_is_stream_start,
-                    )
-                )
+            # The end window was resolved when the fetcher handed over.
+            chain.advance(
+                result.end_bit, result.next_window(window),
+                result.end_is_stream_start,
+            )
         else:
-            self._frontier = None
-            if not self._index.finalized:
-                self._index.finalize(
-                    record.output_end,
-                    start_bit + result.compressed_size_bits,
-                )
+            chain.end(start_bit + result.compressed_size_bits)
         return record
 
     def _add_interior_seek_points(self, record: ChunkRecord, data: bytes,
@@ -824,7 +733,7 @@ class ParallelGzipReader:
             window = data[window_start : boundary.output_offset]
             if window_start == 0 and len(window) < MAX_WINDOW_SIZE:
                 window = (record.window + window)[-MAX_WINDOW_SIZE:]
-            self._index.add(
+            self.index.add(
                 SeekPoint(
                     boundary.bit_offset,
                     record.output_start + boundary.output_offset,
@@ -837,7 +746,12 @@ class ParallelGzipReader:
         with self.telemetry.recorder.span(
             "chunk.materialize", start_bit=result.start_bit
         ):
-            data = result.payload.materialize(window)
+            # Only marker output reads the window; an index record's may
+            # be a lazily validated one nothing else needs here.
+            data = result.payload.materialize(
+                b"" if result.window_known else window
+            )
+        self._chunks_decoded += 1
         if not result.window_known:
             # Marker symbols just got their window: the two-stage decode's
             # second stage, the moment speculative output becomes real.
@@ -931,20 +845,23 @@ class ParallelGzipReader:
         self._verify_active = False
 
     def _ensure_decoded_to(self, offset: int) -> None:
-        while self._frontier is not None and self._block_map.known_size <= offset:
+        while (
+            self._chunks.frontier is not None
+            and self._chunks.known_size <= offset
+        ):
             self._decode_next_chunk()
 
     def _spill_evicted(self):
         """Eviction hook: park evicted chunk bytes in the spill tier.
 
-        Damaged-region bytes are already pinned in ``_damaged_data`` (and
+        Damaged-region bytes are already pinned on the chain (and
         could not be re-decoded anyway), so they never spill. The hook
         holds the event log, the spill tier and the pinned bytes, not the
         reader, so the cache never keeps its reader alive.
         """
         events = self.telemetry.events
         spill = self._spill
-        pinned = self._damaged_data
+        pinned = self._chunks.pinned
 
         def hook(key, data):
             if events.enabled:
@@ -968,7 +885,7 @@ class ParallelGzipReader:
         if data is None:
             # Tolerant resync segments are pinned: the fetcher cannot
             # re-materialize them (its decode fails at that offset).
-            data = self._damaged_data.get(record.start_bit)
+            data = self._chunks.pinned.get(record.start_bit)
             if data is not None:
                 self._cache_materialized(record.start_bit, data)
                 return data
@@ -1058,7 +975,7 @@ class ParallelGzipReader:
                 lost_bytes=record.length,
             )
         self._verify_active = False
-        self._damaged_data[record.start_bit] = placeholder
+        self._chunks.pinned[record.start_bit] = placeholder
         return placeholder
 
     # -- file-like API ------------------------------------------------------------
@@ -1072,10 +989,10 @@ class ParallelGzipReader:
             remaining = size if size >= 0 else None
             while remaining is None or remaining > 0:
                 self._ensure_decoded_to(self._position)
-                if self._position >= self._block_map.known_size:
+                if self._position >= self._chunks.known_size:
                     break  # end of file
                 serve_started = time.perf_counter() if recorder.enabled else 0.0
-                record = self._block_map.record_for_output(self._position)
+                record = self._chunks.record_for_output(self._position)
                 data = self._chunk_bytes(record)
                 local = self._position - record.output_start
                 piece = (
@@ -1189,9 +1106,9 @@ class ParallelGzipReader:
         """Total decompressed size; triggers a full pass if still unknown."""
         with self._lock:
             self._check_open()
-            while self._frontier is not None:
+            while self._chunks.frontier is not None:
                 self._decode_next_chunk()
-            return self._block_map.known_size
+            return self._chunks.known_size
 
     def readable(self) -> bool:
         return True
@@ -1205,8 +1122,8 @@ class ParallelGzipReader:
     def eof(self) -> bool:
         with self._lock:
             return (
-                self._frontier is None
-                and self._position >= self._block_map.known_size
+                self._chunks.frontier is None
+                and self._position >= self._chunks.known_size
             )
 
     # -- index management -----------------------------------------------------------
@@ -1214,7 +1131,7 @@ class ParallelGzipReader:
     @property
     def index(self) -> GzipIndex:
         """The (possibly still growing) seek-point index."""
-        return self._index
+        return self._chunks.index
 
     @property
     def damage_report(self):
@@ -1227,10 +1144,10 @@ class ParallelGzipReader:
         (legacy v1 stream format; ``target`` may be a file object)."""
         with self._lock:
             self._check_open()
-            while self._frontier is not None:
+            while self._chunks.frontier is not None:
                 self._decode_next_chunk()
-            self._index.save(target)
-            return self._index
+            self.index.save(target)
+            return self.index
 
     def export_index_atomic(self, target) -> GzipIndex:
         """Complete the initial pass if needed, then persist the index
@@ -1239,19 +1156,19 @@ class ParallelGzipReader:
         be a filesystem path."""
         with self._lock:
             self._check_open()
-            while self._frontier is not None:
+            while self._chunks.frontier is not None:
                 self._decode_next_chunk()
             index_store.save_index(
-                self._index, target, source=self._file_reader,
+                self.index, target, source=self._file_reader,
                 telemetry=self.telemetry,
             )
-            return self._index
+            return self.index
 
     def statistics(self) -> dict:
         stats = self._fetcher.statistics()
         stats["schema"] = STATS_SCHEMA
-        stats["chunks_decoded"] = len(self._block_map)
-        stats["known_size"] = self._block_map.known_size
+        stats["chunks_decoded"] = self._chunks_decoded
+        stats["known_size"] = self._chunks.known_size
         stats["read_calls"] = self._read_calls.value
         stats["bytes_returned"] = self._bytes_returned.value
         stats["damaged_regions"] = len(self._damage.regions)
@@ -1261,7 +1178,7 @@ class ParallelGzipReader:
             "validate": self._index_validate,
             "imported": self._index_imported,
             "exported": self._index_exported,
-            "seek_points": len(self._index),
+            "seek_points": len(self.index),
             "index_chunks": counter("decode.index_chunks").value,
             "windows_validated": counter("index.windows_validated").value,
             "window_crc_failures": counter(

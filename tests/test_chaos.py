@@ -43,6 +43,7 @@ from repro.faults import (
     injected,
     truncate,
 )
+from repro.index.store import index_to_bytes_v2, load_index
 from repro.reader import ParallelGzipReader
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "1337"))
@@ -396,6 +397,37 @@ class TestDecodeFaults:
         assert reader.statistics()["speculative_rejects"] == 1
         assert states["rejected"] == 1
         assert not states["no-candidate"]
+
+    def test_damaged_index_window_has_one_contract(self):
+        # One seek point's lazily validated window fails validation every
+        # time it is touched: the pool skips that chunk and checks its
+        # predecessor's tail against nothing, and the consumer's request
+        # re-decodes it from the last good point — the same bytes, the
+        # same fallback count and the same damage record as on serial.
+        with ParallelGzipReader(MULTI_BLOB, parallelization=1,
+                                chunk_size=MULTI_CHUNK) as reader:
+            exported = reader.export_index(io.BytesIO())
+        saved = index_to_bytes_v2(exported)
+        faulted_bit = exported[FAULTED_CHUNK].compressed_bit_offset
+        specs = [FaultSpec("index.window", "raise", error="index",
+                           chunk_ids=(FAULTED_CHUNK,), attempts=None)]
+
+        def outcome(backend):
+            index = load_index(saved, validate="lazy")
+            with injected(seed=CHAOS_SEED, specs=specs):
+                reader = _open(backend, index=index)
+                output = _read_all(reader)
+            return (
+                output, reader.statistics()["index"]["fallbacks"],
+                [(region.kind, region.start_bit)
+                 for region in reader.damage_report.regions],
+            )
+
+        threads = outcome("threads")
+        assert threads[0] == MULTI_DATA
+        assert threads[1] >= 1
+        assert threads[2] == [("index", faulted_bit)]
+        assert outcome("serial") == threads
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 starts them, not when they are queued (paper §3.3: two-stage decoding
 only while the window is unknown).
 
-The fetcher's chain record holds the start and window of each chunk
-whose predecessor's window is known; a queued task whose grid cell is
-recorded there decodes exactly — one libz pass, no block search, no
-markers — and a cell inside a known chunk returns without searching. At
+The fetcher's ``ChunkChain`` holds, per grid cell ahead of the frontier,
+the start and window of the chunk starting there once its predecessor's
+window is known; a queued task whose cell is recorded there decodes
+exactly — one libz pass, no block search, no markers — and a cell inside
+a known chunk retires and returns without searching. At
 P=1 the lone worker starts every task after its predecessor is done, so
 a whole read runs without a single marker or finder candidate.
 """
@@ -141,19 +142,19 @@ def test_chain_record_is_bounded_and_cleared(parallelization):
         blob, parallelization=parallelization, chunk_size=16 * 1024,
         strategy=FetchNextFixed(),
     )
-    fetcher = reader._fetcher
+    chain = reader._fetcher.chain
     sizes = []
-    record_end = fetcher._chain_end
+    hand_over = chain.hand_over
 
     def spy(result, window):
-        record_end(result, window)
-        sizes.append(len(fetcher._chain))
+        hand_over(result, window)
+        sizes.append(len(chain.ahead))
 
-    fetcher._chain_end = spy
+    chain.hand_over = spy
     assert reader.read() == data
     reader.close()
     assert sizes and max(sizes) <= 2 * parallelization + 2
-    assert fetcher._chain == {}
+    assert chain.ahead == {}
 
 
 @pytest.mark.parametrize("name", ["base64", "silesia", "multi_member"])
@@ -170,22 +171,20 @@ def test_recorded_starts_are_the_chain_under_contention(name):
             blob, parallelization=6, chunk_size=16 * 1024,
             strategy=FetchNextFixed(),
         )
-        fetcher = reader._fetcher
-        record_end = fetcher._chain_end
+        chain = reader._fetcher.chain
+        hand_over = chain.hand_over
 
         def spy(result, window):
-            record_end(result, window)
-            written.append(dict(fetcher._chain))
+            hand_over(result, window)
+            written.append(dict(chain.ahead))
 
-        fetcher._chain_end = spy
+        chain.hand_over = spy
         assert reader.read() == data
-        chain = {
-            record.start_bit: record.window for record in reader._block_map
-        }
+        windows = {record.start_bit: record.window for record in chain}
         reader.close()
     finally:
         sys.setswitchinterval(previous)
     entries = {entry for snapshot in written for entry in snapshot.values()}
     assert entries
     for start_bit, window in entries:
-        assert chain[start_bit] == window
+        assert windows[start_bit] == window

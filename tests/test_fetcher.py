@@ -7,8 +7,9 @@ import pytest
 
 from repro.cache import FetchNextFixed
 from repro.errors import UsageError
+from repro.errors import IndexIntegrityError
 from repro.fetcher import (
-    BlockMap,
+    ChunkChain,
     ChunkRecord,
     ChunkTaskSpec,
     DEFAULT_CHUNK_SIZE,
@@ -256,38 +257,115 @@ class TestChunkTask:
             execute_chunk_task(ChunkTaskSpec(mode="search", chunk_id=0))
 
 
-class TestBlockMap:
-    def record(self, start_bit, out_start, out_end, end_bit):
-        return ChunkRecord(start_bit, out_start, out_end, end_bit, b"", False)
+class TestChunkChain:
+    def record(self, start_bit, out_start, out_end, end_bit, window=b"",
+               is_stream_start=False):
+        return ChunkRecord(start_bit, out_start, out_end, end_bit, window,
+                           is_stream_start)
 
     def test_chaining_enforced(self):
-        block_map = BlockMap()
-        block_map.append(self.record(80, 0, 100, 500))
+        chain = ChunkChain()
+        chain.append(self.record(80, 0, 100, 500))
         with pytest.raises(UsageError):
-            block_map.append(self.record(999, 100, 200, 700))  # bit gap
+            chain.append(self.record(999, 100, 200, 700))  # bit gap
         with pytest.raises(UsageError):
-            block_map.append(self.record(500, 150, 200, 700))  # output gap
-        block_map.append(self.record(500, 100, 200, None))
-        assert block_map.finalized
+            chain.append(self.record(500, 150, 200, 700))  # output gap
+        chain.append(self.record(500, 100, 200, None))
+        assert chain.finalized
 
     def test_first_record_must_start_at_zero(self):
-        block_map = BlockMap()
+        chain = ChunkChain()
         with pytest.raises(UsageError):
-            block_map.append(self.record(80, 5, 100, 500))
+            chain.append(self.record(80, 5, 100, 500))
 
     def test_lookup(self):
-        block_map = BlockMap()
-        block_map.append(self.record(80, 0, 100, 500))
-        block_map.append(self.record(500, 100, 250, None))
-        assert block_map.chunk_index_for_output(0) == 0
-        assert block_map.chunk_index_for_output(99) == 0
-        assert block_map.chunk_index_for_output(100) == 1
-        assert block_map.known_size == 250
+        chain = ChunkChain()
+        chain.append(self.record(80, 0, 100, 500))
+        chain.append(self.record(500, 100, 250, None))
+        assert chain.chunk_index_for_output(0) == 0
+        assert chain.chunk_index_for_output(99) == 0
+        assert chain.chunk_index_for_output(100) == 1
+        assert chain.known_size == 250
         with pytest.raises(IndexError):
-            block_map.chunk_index_for_output(250)
+            chain.chunk_index_for_output(250)
 
     def test_append_after_finalize_rejected(self):
-        block_map = BlockMap()
-        block_map.append(self.record(80, 0, 100, None))
+        chain = ChunkChain()
+        chain.append(self.record(80, 0, 100, None))
         with pytest.raises(UsageError):
-            block_map.append(self.record(500, 100, 200, None))
+            chain.append(self.record(500, 100, 200, None))
+
+    # -- extent(): one lookup for search-mode and index-mode chunks --------
+
+    @staticmethod
+    def lazy(window: bytes, point: int, damaged: bool = False):
+        import zlib
+
+        from repro.index.store import LazyWindow
+
+        compressed = zlib.compress(window)
+        crc = zlib.crc32(compressed) ^ (1 if damaged else 0)  # a wrong CRC
+        return LazyWindow(compressed, crc, len(window), point)
+
+    def index_chain(self, windows, stream_starts=()):
+        """A chain built from a finalized index of 100-byte chunks, 800
+        bits apart, whose seek points hold ``windows``."""
+        from repro.index import GzipIndex, SeekPoint
+
+        index = GzipIndex()
+        for number, window in enumerate(windows):
+            index.add(SeekPoint(80 + 800 * number, 100 * number, window,
+                                is_stream_start=number in stream_starts))
+        index.finalize(100 * len(windows), 80 + 800 * len(windows))
+        return ChunkChain(index)
+
+    def test_index_chain_is_built_from_its_index(self):
+        chain = self.index_chain([b"", b"a" * 64, b"b" * 64])
+        assert [record.start_bit for record in chain] == [80, 880, 1680]
+        assert chain.frontier is None and chain.known_size == 300
+        extent = chain.extent(880)
+        assert extent == (880, 1680, 100, b"a" * 64, b"b" * 64, False)
+        assert chain.extent(1680).is_last
+        assert chain.extent(1680).end_bit is None
+        assert chain.extent(881) is None
+
+    def test_own_damaged_lazy_window_raises(self):
+        chain = self.index_chain(
+            [b"", self.lazy(b"a" * 64, 1, damaged=True), b"b" * 64]
+        )
+        with pytest.raises(IndexIntegrityError):
+            chain.extent(880)
+
+    def test_damaged_next_window_is_unchecked(self):
+        chain = self.index_chain(
+            [b"", self.lazy(b"a" * 64, 1), self.lazy(b"b" * 64, 2, True)]
+        )
+        extent = chain.extent(880)
+        assert extent.window == b"a" * 64  # the lazy window, validated
+        assert extent.next_window is None
+
+    def test_stream_start_successor_is_unchecked(self):
+        chain = self.index_chain([b"", b"a" * 64, b""], stream_starts=(0, 2))
+        assert chain.extent(880).next_window is None
+
+    def test_search_record_checks_successor_or_frontier_window(self):
+        chain = ChunkChain()
+        chain.advance(80, b"", True)
+        chain.append(self.record(80, 0, 100, 500, b"", True))
+        chain.advance(500, b"x" * 64, False)
+        chain.append(self.record(500, 100, 200, 900, b"x" * 64))
+        chain.advance(900, b"y" * 64, False)
+        assert chain.extent(80).next_window == b"x" * 64
+        assert chain.extent(500).next_window == b"y" * 64  # the frontier's
+        assert [point.compressed_bit_offset for point in chain.index] == \
+            [80, 500, 900]
+        chain.end(1200)
+        assert chain.extent(500).next_window is None
+        assert chain.index.finalized
+        assert chain.index.uncompressed_size == 200
+
+    def test_pinned_record_has_no_extent(self):
+        chain = ChunkChain()
+        chain.append(self.record(80, 0, 100, 500))
+        chain.pinned[80] = b"?" * 100
+        assert chain.extent(80) is None

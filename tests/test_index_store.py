@@ -488,7 +488,7 @@ class TestDelegationIntegrity:
                                 chunk_size=CHUNK) as reader:
             while reader.read(1 << 20):
                 pass
-            index = reader._index
+            index = reader.index
         points = index.seek_points
         assert len(points) >= 2
         file_reader = ensure_file_reader(str(source))

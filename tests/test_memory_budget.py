@@ -439,7 +439,7 @@ class TestClosedReaderIsFreed:
                 assert reader.read() == data
                 reader.close()
                 owned = [reader, reader._fetcher, reader._fetcher.pool,
-                         reader._block_map, reader.telemetry]
+                         reader._fetcher.chain, reader.telemetry]
                 references = [weakref.ref(item) for item in owned]
                 del reader, owned
                 assert [ref() for ref in references] == [None] * 5, options
