@@ -4,7 +4,6 @@ from .chain import ChunkChain, ChunkExtent, ChunkRecord
 from .decode import (
     ChunkResult,
     StreamEvent,
-    decode_bgzf_members,
     decode_chunk_range,
     decode_index_chunk,
     shift_to_byte_alignment,
@@ -21,7 +20,6 @@ __all__ = [
     "ChunkResult",
     "ChunkTaskSpec",
     "StreamEvent",
-    "decode_bgzf_members",
     "decode_chunk_range",
     "decode_index_chunk",
     "shift_to_byte_alignment",

@@ -1,6 +1,6 @@
 """Worker-side chunk decoding (paper §3.3).
 
-Three decode paths, fastest applicable wins:
+Two decode paths, fastest applicable wins:
 
 * :func:`decode_chunk_range` — the general path: start at a known (or
   candidate) bit offset, first stage (markers) when the window is unknown,
@@ -12,9 +12,8 @@ Three decode paths, fastest applicable wins:
   two-stage decoder where libz cannot be loaded; no option selects.
 * :func:`zlib_decode_range` — index-loaded fast path: bit-shift the
   compressed range to byte alignment and delegate to zlib with the window
-  as dictionary (the paper's ">2x faster than two-stage" mode).
-* :func:`decode_bgzf_members` — BGZF fast path: members are independent
-  and self-describing, no searching or markers needed (§3.4.4).
+  as dictionary (the paper's ">2x faster than two-stage" mode). Chunk
+  catalogs and BGZF member groups (§3.4.4) arrive here as index chunks.
 
 Gzip stream boundaries *inside* a chunk are handled inline: footers are
 parsed and recorded as events (for CRC/ISIZE verification upstream), and
@@ -44,7 +43,6 @@ __all__ = [
     "decode_index_chunk",
     "speculative_decode",
     "zlib_decode_range",
-    "decode_bgzf_members",
     "shift_to_byte_alignment",
 ]
 
@@ -102,11 +100,10 @@ def _skip_member_header(file_reader, start_bit: int) -> int:
     """If a gzip member header sits at a byte-aligned ``start_bit``, return
     the bit offset of its Deflate data; otherwise return ``start_bit``.
 
-    BGZF-built seek points (and any future stream-start chunk key) address
-    the member header. The check cannot misfire on a legitimate chunk: a
-    decodable chunk starts with a non-final Dynamic or Non-Compressed block
-    whose low three bits are never 0b111, while the gzip magic's first
-    byte is 0x1F.
+    Catalog-built seek points (BGZF's too) address the member header. The
+    check cannot misfire on a legitimate chunk: a decodable chunk starts
+    with a non-final Dynamic or Non-Compressed block whose low three bits
+    are never 0b111, while the gzip magic's first byte is 0x1F.
     """
     if start_bit % 8:
         return start_bit
@@ -411,10 +408,16 @@ def _starts_with_stored_block(file_reader, bit_offset: int) -> bool:
     points sit inside the previous block's zero padding, which itself
     parses as a type-00 header.)
     """
-    reader = BitReader(file_reader)
+    reader = BitReader(file_reader, cache_size=8)  # 3 bits, not a buffer
     reader.seek(bit_offset)
     reader.read(1)  # BFINAL
     return reader.read(2) == 0
+
+
+#: After a member boundary zlib is fed the range this many bytes at a time
+#: (a BGZF member's most), so a stream's ``unused_data`` copies at most one
+#: slice, not the rest of the range.
+_MEMBER_SLICE = 64 * 1024
 
 
 def zlib_decode_range(
@@ -428,13 +431,14 @@ def zlib_decode_range(
 ) -> ChunkResult:
     """Index fast path: delegate the known range to zlib (paper §3.3).
 
-    Requires exact chunk boundaries (from a loaded index). Member
-    boundaries inside the range are handled in *original-file* coordinates
-    (the footer of a stream is byte-aligned in the file, not in the
-    bit-shifted buffer handed to zlib), restarting both the shift and the
-    decompressor at each following member. Output is clipped to
-    ``expected_size`` because the trailing bits of the shifted buffer may
-    partially contain the next chunk's first block.
+    Requires exact chunk boundaries (from a loaded index). The range is
+    read once: shifted to byte alignment, and past a member ending inside
+    a shifted range once more, as the byte-aligned file it is there.
+    Member boundaries are resolved in *original-file* coordinates (a
+    footer is byte-aligned in the file, not in the shifted buffer), each
+    following member decoded by a fresh decompressor fed bounded slices.
+    Output is clipped to ``expected_size`` because the trailing bits of
+    the shifted buffer may partially contain the next chunk's first block.
 
     Delegation is *checked*, never trusted: stored blocks at unaligned
     offsets are refused up front (their byte-alignment padding does not
@@ -447,34 +451,38 @@ def zlib_decode_range(
     range_end = end_bit or file_reader.size() * 8
     payload = ChunkPayload()
     events: list = []
-    current_bit = _skip_member_header(file_reader, start_bit)
+    base_bit = _skip_member_header(file_reader, start_bit)
+    if base_bit % 8 and _starts_with_stored_block(file_reader, base_bit):
+        raise FormatError(
+            f"stored block at unaligned bit offset {base_bit}: "
+            f"zlib delegation cannot shift byte-aligned LEN/NLEN"
+        )
+    # data[i] holds the file's 8 bits at base_bit + 8 * i.
+    data = memoryview(shift_to_byte_alignment(file_reader, base_bit, range_end))
+    position = 0  # where in data the current stream's Deflate data starts
+    step = len(data)  # the first stream takes the whole range in one call
     current_window = window
     stream_ended = False
-    while current_bit < range_end:
-        if current_bit % 8 and _starts_with_stored_block(
-            file_reader, current_bit
-        ):
-            raise FormatError(
-                f"stored block at unaligned bit offset {current_bit}: "
-                f"zlib delegation cannot shift byte-aligned LEN/NLEN"
-            )
-        data = shift_to_byte_alignment(file_reader, current_bit, range_end)
+    while True:
         if current_window:
             decompressor = zlib.decompressobj(wbits=-15, zdict=current_window)
         else:
             decompressor = zlib.decompressobj(wbits=-15)
+        fed = position
         try:
-            piece = decompressor.decompress(data)
+            while not decompressor.eof and fed < len(data):
+                piece = decompressor.decompress(data[fed:fed + step])
+                payload.append_bytes(piece)
+                fed = min(fed + step, len(data))
         except zlib.error as error:
             raise FormatError(f"zlib delegation failed: {error}") from error
-        payload.append_bytes(piece)
         if not decompressor.eof:
             break  # chunk boundary mid-stream: the normal case
         stream_ended = True
 
         # Stream ended inside the chunk: locate the footer in the file.
-        consumed = len(data) - len(decompressor.unused_data)
-        footer_byte = _resolve_footer_byte(file_reader, current_bit + 8 * consumed)
+        consumed = fed - len(decompressor.unused_data)
+        footer_byte = _resolve_footer_byte(file_reader, base_bit + 8 * consumed)
         footer = file_reader.pread(footer_byte, 8)
         if len(footer) < 8:
             raise FormatError("truncated gzip footer in zlib delegation")
@@ -496,7 +504,15 @@ def zlib_decode_range(
         reader.seek(next_member * 8)
         parse_gzip_header(reader)
         events.append(StreamEvent("header", payload.length))
-        current_bit = reader.tell()  # byte-aligned: next shift is trivial
+        if base_bit % 8:
+            # Past the shifted head the file is byte-aligned: read the
+            # rest of the range as it is, once.
+            base_bit = reader.tell()
+            data = memoryview(
+                shift_to_byte_alignment(file_reader, base_bit, range_end)
+            )
+        position = (reader.tell() - base_bit) // 8
+        step = _MEMBER_SLICE
         current_window = b""
         stream_ended = False
 
@@ -601,44 +617,3 @@ def decode_index_chunk(
     result.end_bit = None if is_last else end_bit
     return result
 
-
-def decode_bgzf_members(file_reader, member_offsets: list, end_offset: int) -> ChunkResult:
-    """BGZF fast path: zlib-decode whole members, no searching, no markers."""
-    payload = ChunkPayload()
-    events: list = []
-    for index, offset in enumerate(member_offsets):
-        reader = BitReader(file_reader)
-        reader.seek(offset * 8)
-        parse_gzip_header(reader)
-        if index > 0:
-            events.append(StreamEvent("header", payload.length))
-        deflate_start = reader.tell() // 8
-        next_offset = (
-            member_offsets[index + 1] if index + 1 < len(member_offsets) else end_offset
-        )
-        compressed = file_reader.pread(deflate_start, next_offset - deflate_start)
-        decompressor = zlib.decompressobj(wbits=-15)
-        try:
-            piece = decompressor.decompress(compressed)
-        except zlib.error as error:
-            raise FormatError(f"corrupt BGZF member at byte {offset}: {error}") from error
-        payload.append_bytes(piece)
-        trailer = decompressor.unused_data
-        if len(trailer) >= 8:
-            events.append(
-                StreamEvent(
-                    "footer",
-                    payload.length,
-                    int.from_bytes(trailer[:4], "little"),
-                    int.from_bytes(trailer[4:8], "little"),
-                )
-            )
-    return ChunkResult(
-        start_bit=member_offsets[0] * 8,
-        end_bit=None if end_offset >= file_reader.size() else end_offset * 8,
-        end_is_stream_start=True,
-        payload=payload,
-        events=events,
-        window_known=True,
-        compressed_size_bits=(end_offset - member_offsets[0]) * 8,
-    )

@@ -3,7 +3,7 @@
 Orchestrates a thread pool, a prefetch cache, an access cache, a prefetch
 strategy, and the chunk-id <-> offset database, the
 :class:`~repro.fetcher.chain.ChunkChain` (:attr:`GzipChunkFetcher.chain`)
-the reader extends. Three operating modes, chosen at construction:
+the reader extends. Two operating modes, chosen at construction:
 
 * ``search`` — no index: speculative tasks run the block finder over fixed
   compressed-size cells and two-stage-decode from the first workable
@@ -22,8 +22,9 @@ the reader extends. Three operating modes, chosen at construction:
 * ``index`` — a finalized seek-point index is loaded: the chain is built
   from it, chunks are its intervals, workers delegate to zlib with the
   stored window (fast path, balanced workloads, bounded memory — §3.3).
-* ``bgzf`` — the file is BGZF: member offsets come from header metadata and
-  members decode independently (§3.4.4).
+  The index is the caller's, or synthesized from a chunk catalog: an
+  ``RG`` / ``MZ`` subfield the encoder wrote, or a BGZF file's BSIZE
+  chain (§3.4.4), whose member groups are the chunks.
 
 Whatever the mode and the priority (speculative prefetch or on-demand),
 a decode is one :class:`~repro.fetcher.tasks.ChunkTaskSpec` filled by
@@ -45,8 +46,9 @@ from concurrent.futures import CancelledError
 from .. import faults
 from ..cache import FetchNextAdaptive, LRUCache, MemoryGovernor
 from ..deflate import libz
+from ..deflate.markers import ChunkPayload
 from ..errors import ChunkDecodeError, IndexIntegrityError, UsageError
-from ..gz.bgzf import bgzf_block_offsets, is_bgzf
+from ..gz.bgzf import bgzf_catalog, is_bgzf
 from ..gz.catalog import detect_catalog as probe_catalog
 from ..gz.catalog import synthesize_index
 from ..index.store import window_bytes
@@ -118,13 +120,20 @@ class GzipChunkFetcher:
 
         # Precedence: explicit index > embedded chunk catalog > BGZF >
         # search — an explicit index is the caller's word, a catalog is
-        # the encoder's.
-        self._bgzf_groups = None
+        # the encoder's, a BSIZE chain a catalog the format spells out. A
+        # broken BSIZE chain raises FormatError here.
         self.catalog = None
         self.catalog_index = None
         self.catalog_errors: list = []
-        if index is None and detect_catalog:
-            self.catalog, self.catalog_errors = probe_catalog(self.file_reader)
+        if index is None:
+            if detect_catalog:
+                self.catalog, self.catalog_errors = probe_catalog(
+                    self.file_reader
+                )
+            if self.catalog is None and detect_bgzf and is_bgzf(
+                self.file_reader
+            ):
+                self.catalog = bgzf_catalog(self.file_reader, chunk_size)
             if self.catalog is not None:
                 self.catalog_index = synthesize_index(
                     self.catalog, self.file_reader.size()
@@ -133,12 +142,6 @@ class GzipChunkFetcher:
             self._note_catalog_probe()
         if index is not None and getattr(index, "finalized", False) and len(index):
             self.mode = "index"
-        elif detect_bgzf and is_bgzf(self.file_reader):
-            self._bgzf_groups = self._build_bgzf_groups()
-            self.mode = "bgzf"
-            self._key_to_id = {
-                group[0][0] * 8: i for i, group in enumerate(self._bgzf_groups)
-            }
         else:
             self.mode = "search"
         cell_bits = chunk_size * 8
@@ -149,8 +152,6 @@ class GzipChunkFetcher:
             cells=-(-self.file_reader.size() * 8 // cell_bits),
             ahead_limit=2 * parallelization + 2,
         )
-        if self.mode == "bgzf":
-            self.chain.advance(self._bgzf_groups[0][0][0] * 8, b"", True)
 
         #: ``threads``, or ``serial`` once repeated time-outs retired the pool.
         self.backend = "threads"
@@ -251,41 +252,17 @@ class GzipChunkFetcher:
 
     # -- chunk-id database (offsets <-> indexes, paper §3.2) --------------------
 
-    def _build_bgzf_groups(self) -> list:
-        """Group BGZF members into ~chunk_size work units: (offsets, end)."""
-        offsets = bgzf_block_offsets(self.file_reader)
-        size = self.file_reader.size()
-        groups = []
-        current: list = []
-        group_start = 0
-        for index, offset in enumerate(offsets):
-            if not current:
-                group_start = offset
-            current.append(offset)
-            end = offsets[index + 1] if index + 1 < len(offsets) else size
-            if end - group_start >= self.chunk_size or index == len(offsets) - 1:
-                groups.append((current, end))
-                current = []
-        return groups
-
     def chunk_id_for_bit(self, start_bit: int) -> int:
         if self.mode == "search":
             return start_bit // self.chain.cell_bits
-        if self.mode == "index":
-            identifier = self.chain.position(start_bit)
-        else:
-            identifier = self._key_to_id.get(start_bit)
+        identifier = self.chain.position(start_bit)
         if identifier is None:
             raise UsageError(f"bit offset {start_bit} is not a chunk boundary")
         return identifier
 
     @property
     def num_chunk_ids(self) -> int:
-        if self.mode == "search":
-            return self.chain.cells
-        if self.mode == "index":
-            return len(self.chain)
-        return len(self._bgzf_groups)
+        return self.chain.cells if self.mode == "search" else len(self.chain)
 
     # -- task specs ----------------------------------------------------------------
 
@@ -342,8 +319,6 @@ class GzipChunkFetcher:
             window,
             max_output=max_output,
         )
-        from ..deflate.markers import ChunkPayload
-
         prefix = record.output_start - good.output_start
         data = result.payload.materialize(window)
         payload = ChunkPayload()
@@ -394,15 +369,11 @@ class GzipChunkFetcher:
         if known is not None:
             spec.mode = "index"
             spec.start_bit, spec.extent = known.start_bit, known
-        elif self.mode == "search":
+        else:
             spec.chunk_size = self.chunk_size
             spec.split_output = self.chunk_split_size
             if exact is not None:
                 spec.start_bit, spec.window = exact
-        else:
-            members, end = self._bgzf_groups[chunk_id]
-            spec.member_offsets = tuple(members)
-            spec.end_offset = end
         return spec
 
     # -- cache plumbing ------------------------------------------------------------
@@ -494,17 +465,13 @@ class GzipChunkFetcher:
 
         Search mode is bounded by the split ceiling (marker symbols are
         2 bytes each); index chunks and chunks of known extent have a
-        known decompressed size; BGZF groups assume a generous 4x
-        compression ratio.
+        known decompressed size.
         """
         if known is not None:
             return max(known.length, 1)
         if self.mode == "search":
             return 2 * self.chunk_split_size
-        if self.mode == "index":
-            return max(self.chain[chunk_id].length, 1)
-        members, end = self._bgzf_groups[chunk_id]
-        return max(4 * (end - members[0]), 1)
+        return max(self.chain[chunk_id].length, 1)
 
     def _submit(self, chunk_id: int, known=None) -> bool:
         """Submit a speculative decode (of the chunk ``known`` names, when

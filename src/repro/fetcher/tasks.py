@@ -19,7 +19,6 @@ from ..errors import FormatError, UsageError
 from .chain import ChunkExtent
 from .decode import (
     ChunkResult,
-    decode_bgzf_members,
     decode_chunk_range,
     decode_index_chunk,
     speculative_decode,
@@ -37,13 +36,13 @@ class ChunkTaskSpec:
     compressed window), its start and window (``search`` with ``window``
     set: the on-demand decode from the last verified offset, or a queued
     one bound, when a worker started it, to the start and window the
-    :class:`~repro.fetcher.chain.ChunkChain` records for its cell), its
+    :class:`~repro.fetcher.chain.ChunkChain` records for its cell), or its
     whole extent (``index``: checked zlib delegation — an index interval,
-    or a search-mode chunk already on the chain), or its BGZF members
-    (``bgzf``).
+    a catalog's or BGZF member group among them, or a search-mode chunk
+    already on the chain).
     """
 
-    mode: str  # "search" | "index" | "bgzf"
+    mode: str  # "search" | "index"
     chunk_id: int
     # 0 is the speculative prefetch, 1 the on-demand decode
     attempt: int = 0
@@ -59,9 +58,6 @@ class ChunkTaskSpec:
     window: bytes = None
     # index mode
     extent: ChunkExtent = None
-    # bgzf mode
-    member_offsets: tuple = ()
-    end_offset: int = 0
 
 
 def run_chunk_task(spec: ChunkTaskSpec, reader, telemetry) -> ChunkResult:
@@ -128,10 +124,6 @@ def _decode(spec: ChunkTaskSpec, reader, telemetry, searching: bool):
             reader, spec.start_bit, extent.end_bit, extent.window,
             expected_size=extent.length, is_last=extent.is_last,
             max_output=spec.max_output, next_window=extent.next_window,
-        )
-    if spec.mode == "bgzf":
-        return decode_bgzf_members(
-            reader, list(spec.member_offsets), spec.end_offset
         )
     raise UsageError(f"unknown task mode {spec.mode!r}")
 

@@ -4,16 +4,19 @@ BGZF files are ordinary multi-member gzip files whose members carry a
 ``BC`` extra subfield storing the member's total compressed size (BSIZE).
 That metadata makes parallel decompression trivial: block offsets can be
 gathered by hopping from header to header without decoding anything, so the
-two-stage scheme can be skipped entirely — the chunk fetcher has a fast
-path for detected BGZF files.
+two-stage scheme can be skipped entirely. The BSIZE chain is a chunk
+catalog (:func:`bgzf_catalog`), opened like any other through a
+synthesized index.
 """
 
 from __future__ import annotations
 
 import zlib
+from dataclasses import replace
 
 from ..errors import FormatError
 from ..io import BitReader, ensure_file_reader
+from .catalog import ArchiveCatalog, members_catalog
 from .crc32 import fast_crc32
 from .header import GzipHeader, parse_gzip_header, serialize_gzip_footer
 
@@ -24,6 +27,7 @@ __all__ = [
     "bgzf_block_size",
     "is_bgzf",
     "bgzf_block_offsets",
+    "bgzf_catalog",
     "write_bgzf_member",
     "compress_bgzf",
 ]
@@ -35,6 +39,10 @@ BGZF_EOF_BLOCK = bytes.fromhex(
 
 #: bgzip limits each member to this much uncompressed data (0xFF00).
 MAX_BGZF_PAYLOAD = 65280
+
+#: No BGZF member holds more (SAM specification §4.1); a footer claiming
+#: more is damage, not data.
+_MAX_MEMBER_ISIZE = 65536
 
 
 def bgzf_extra_field(bsize: int) -> bytes:
@@ -78,6 +86,40 @@ def bgzf_block_offsets(source) -> list:
     if position != size:
         raise FormatError("BGZF chain does not cover the whole file")
     return offsets
+
+
+def bgzf_catalog(source, chunk_size: int) -> ArchiveCatalog:
+    """The chunk catalog the BSIZE chain spells out.
+
+    Members are grouped into chunks: a chunk closes once it spans at least
+    ``chunk_size`` compressed bytes, or at the last member. A one-member
+    chunk carries that member's CRC-32; a longer one none (the member
+    footers still verify it). Raises :class:`FormatError` when the chain
+    does not cover the file or a footer claims more than a member holds.
+    """
+    file_reader = ensure_file_reader(source)
+    offsets = bgzf_block_offsets(file_reader)
+    ends = offsets[1:] + [file_reader.size()]
+    catalog = members_catalog(
+        file_reader, [end - start for start, end in zip(offsets, ends)],
+        "bgzf",
+    )
+    for number, offset in enumerate(offsets):
+        if catalog.chunk_length(number) > _MAX_MEMBER_ISIZE:
+            raise FormatError(
+                f"BGZF member at byte {offset} claims more bytes than a "
+                "member holds"
+            )
+    members, catalog.chunks = catalog.chunks, []
+    first = 0  # the open group's first member
+    for number, end in enumerate(ends):
+        if end - offsets[first] >= chunk_size or number + 1 == len(ends):
+            chunk = members[first]
+            if number > first:
+                chunk = replace(chunk, crc32=None)
+            catalog.chunks.append(chunk)
+            first = number + 1
+    return catalog
 
 
 def write_bgzf_member(data: bytes, level: int = 6) -> bytes:

@@ -48,6 +48,7 @@ __all__ = [
     "build_rg_payload",
     "parse_rg_payload",
     "detect_catalog",
+    "members_catalog",
     "synthesize_index",
 ]
 
@@ -73,7 +74,7 @@ class ArchiveCatalog:
     """A parsed chunk catalog, ready for index synthesis."""
 
     layout: str  # "members" | "chunk-isolated"
-    source: str  # "rg" | "mz"
+    source: str  # "rg" | "mz" | "bgzf"
     chunks: list = field(default_factory=list)
     uncompressed_size: int = 0
     compressed_size: int = 0  # file bytes
@@ -183,16 +184,18 @@ def parse_rg_payload(payload: bytes) -> ArchiveCatalog:
 # -- detection ---------------------------------------------------------------
 
 
-def _catalog_from_mz(file_reader, lengths: list) -> ArchiveCatalog:
-    """Validate MZ member lengths against the file and read footer totals."""
+def members_catalog(file_reader, lengths: list, source: str) -> ArchiveCatalog:
+    """One chunk per member, from the members' total compressed lengths
+    (``MZ`` payload, BGZF BSIZE chain): validate them against the file and
+    read each footer's CRC-32 and ISIZE."""
     file_size = file_reader.size()
     if sum(lengths) != file_size:
         raise FormatError(
-            f"MZ member lengths sum to {sum(lengths)}, file is "
-            f"{file_size} bytes"
+            f"{source.upper()} member lengths sum to {sum(lengths)}, file "
+            f"is {file_size} bytes"
         )
     catalog = ArchiveCatalog(
-        layout="members", source="mz", compressed_size=file_size
+        layout="members", source=source, compressed_size=file_size
     )
     # Remote sources: the per-member magic/footer probes below would pay
     # one wire round trip each — hint them all up front so a block-cached
@@ -210,11 +213,14 @@ def _catalog_from_mz(file_reader, lengths: list) -> ArchiveCatalog:
     for length in lengths:
         if file_reader.pread(offset, 2) != MAGIC:
             raise FormatError(
-                f"MZ catalog points at byte {offset} but no member starts there"
+                f"{source.upper()} catalog points at byte {offset} but no "
+                "member starts there"
             )
         footer = file_reader.pread(offset + length - 8, 8)
         if len(footer) < 8:
-            raise FormatError("truncated member footer behind MZ catalog")
+            raise FormatError(
+                f"truncated member footer behind {source.upper()} catalog"
+            )
         catalog.chunks.append(
             CatalogChunk(
                 start_bit=offset * 8,
@@ -286,7 +292,7 @@ def detect_catalog(file_reader):
     if MZ_SUBFIELD_ID in by_id:
         try:
             lengths = parse_mz_payload(by_id[MZ_SUBFIELD_ID])
-            return _catalog_from_mz(file_reader, lengths), errors
+            return members_catalog(file_reader, lengths, "mz"), errors
         except FormatError as error:
             errors.append(f"MZ: {error}")
     return None, errors

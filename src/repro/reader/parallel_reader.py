@@ -77,7 +77,6 @@ class ParallelGzipReader:
         strategy=None,
         pugz_compatible: bool = False,
         max_chunk_output: int = None,
-        detect_bgzf: bool = True,
         detect_catalog: bool = True,
         seek_point_spacing: int = None,
         tolerate_corruption: bool = False,
@@ -137,7 +136,9 @@ class ParallelGzipReader:
         as chunks materialize. Set it to ``False`` to force the ordinary
         search path (benchmark baseline). A malformed catalog is never
         fatal — it is recorded in telemetry and the reader falls back to
-        searching.
+        searching. A BGZF file's BSIZE chain is a catalog too, read
+        whatever ``detect_catalog`` says; a broken chain fails the open,
+        or, with ``tolerate_corruption``, opens in search mode.
 
         ``tolerate_corruption=True`` turns mid-file corruption, truncation,
         and checksum mismatches from exceptions into *accounted damage*:
@@ -257,7 +258,7 @@ class ParallelGzipReader:
             if spill_dir is not None or budget else None
         )
 
-        def build_fetcher(allow_bgzf: bool) -> GzipChunkFetcher:
+        def build_fetcher(detect_bgzf: bool) -> GzipChunkFetcher:
             return GzipChunkFetcher(
                 self._file_reader,
                 parallelization=parallelization,
@@ -265,7 +266,7 @@ class ParallelGzipReader:
                 strategy=strategy,
                 max_chunk_output=max_chunk_output,
                 index=index,
-                detect_bgzf=allow_bgzf,
+                detect_bgzf=detect_bgzf,
                 detect_catalog=detect_catalog,
                 chunk_timeout=chunk_timeout,
                 telemetry=self.telemetry,
@@ -273,15 +274,18 @@ class ParallelGzipReader:
             )
 
         try:
-            self._fetcher = build_fetcher(detect_bgzf)
+            self._fetcher = build_fetcher(True)
         except FormatError:
-            if not tolerate_corruption or not detect_bgzf:
+            if not tolerate_corruption:
                 raise
-            # A truncated/damaged BGZF chain breaks mode detection before
-            # any chunk is decoded. Fall back to the search-mode fetcher,
-            # whose block finder and resync machinery handle damage.
+            # A broken BSIZE chain or an impossible BGZF footer leaves no
+            # catalog to open before any chunk is decoded. Fall back to the
+            # search-mode fetcher, whose resync machinery handles damage.
             self._fetcher = build_fetcher(False)
         self._fetcher.on_index_fallback = self._note_index_fallback
+        # The chunk catalog the fetcher synthesized its index from (empty
+        # windows: no chunk needs history), with per-chunk CRCs, or None.
+        self._catalog = self._fetcher.catalog
         # The fetcher's chunk chain, extended here as the frontier decodes.
         self._chunks = self._fetcher.chain
 
@@ -309,7 +313,7 @@ class ParallelGzipReader:
         self._verify_active = verify
 
         try:
-            self._init_chunk_chain(index)
+            self._init_chunk_chain()
         except Exception:
             self._fetcher.close()  # don't leak the worker pool
             raise
@@ -331,24 +335,10 @@ class ParallelGzipReader:
                     self._spill.close()
                 raise
 
-    def _init_chunk_chain(self, index) -> None:
-        self._index_from_catalog = False
-        self._catalog_crc: dict = {}  # start_bit -> (crc32, length)
-        if index is None and self._fetcher.catalog_index is not None:
-            # The encoder advertised its chunk layout in the first header:
-            # the fetcher adopted the synthesized index (empty windows — no
-            # chunk needs history); remember the per-chunk CRCs.
-            self._index_from_catalog = True
-            catalog = self._fetcher.catalog
-            self._catalog_crc = {
-                chunk.start_bit: (chunk.crc32, catalog.chunk_length(number))
-                for number, chunk in enumerate(catalog.chunks)
-                if chunk.crc32 is not None
-            }
+    def _init_chunk_chain(self) -> None:
         if self._fetcher.mode != "search":
-            # The fetcher knows where the chain starts: an index is the
-            # whole chain (seeking anywhere is O(log n) with no initial
-            # pass, paper §1.3), BGZF starts at the first member.
+            # An index is the whole chain: seeking anywhere is O(log n)
+            # with no initial pass (paper §1.3).
             return
         try:
             header_reader = BitReader(self._file_reader)
@@ -425,17 +415,13 @@ class ParallelGzipReader:
         bypassed for that chunk."""
         from ..recovery import DamagedRegion
 
-        record = None
-        if chunk_id < len(self._chunks):
-            record = self._chunks[chunk_id]
+        record = self._chunks[chunk_id]
         self._damage.regions.append(
             DamagedRegion(
                 kind="index",
-                start_bit=record.start_bit if record is not None else 0,
-                resume_bit=record.end_bit if record is not None else None,
-                output_offset=(
-                    record.output_start if record is not None else 0
-                ),
+                start_bit=record.start_bit,
+                resume_bit=record.end_bit,
+                output_offset=record.output_start,
                 detail=f"seek-point window rejected: {error}",
             )
         )
@@ -457,7 +443,7 @@ class ParallelGzipReader:
             # A catalog-synthesized index is already embedded in the file
             # itself; persisting its empty windows would shadow (or evict)
             # a real window-bearing cache entry for no gain.
-            or self._index_from_catalog
+            or self._catalog is not None
             or not self.index.finalized
             or not len(self.index)
         ):
@@ -536,39 +522,18 @@ class ParallelGzipReader:
         )
         output_start = chain.known_size
         self._verify_active = False  # checksums are meaningless past damage
-        if network is not None:
-            # The bytes are unreachable, not corrupt: block-finder resync
-            # would hammer the same dead origin for every candidate. Mark
-            # the rest of the file lost and stop cleanly.
-            self._damage.regions.append(
-                DamagedRegion(
-                    kind="network",
-                    start_bit=start_bit,
-                    resume_bit=None,
-                    output_offset=output_start,
-                    skipped_bits=max(
-                        self._file_reader.size() * 8 - start_bit, 0
-                    ),
-                    detail=str(network),
-                )
-            )
-            if self.telemetry.recorder.enabled:
-                self.telemetry.recorder.instant(
-                    "reader.damage", kind="network", start_bit=start_bit,
-                    resumed=False,
-                )
-            chain.end(self._file_reader.size() * 8)
-            return None
-        if self._fetcher.mode == "bgzf":
-            return self._absorb_bgzf_damage(start_bit, kind, error)
-        with self.telemetry.recorder.span(
-            "reader.resync", start_bit=start_bit
-        ):
-            segment = resync_after_damage(
-                self._file_reader, start_bit + 1,
-                placeholder=self._damage.placeholder,
-            )
         recorder = self.telemetry.recorder
+        segment = None
+        if network is None:
+            with recorder.span("reader.resync", start_bit=start_bit):
+                segment = resync_after_damage(
+                    self._file_reader, start_bit + 1,
+                    placeholder=self._damage.placeholder,
+                )
+        else:
+            # The bytes are unreachable, not corrupt: block-finder resync
+            # would hammer the same dead origin for every candidate.
+            kind, error = "network", network
         if segment is None:
             # The rest of the file is lost: account for it and stop.
             self._damage.regions.append(
@@ -577,7 +542,9 @@ class ParallelGzipReader:
                     start_bit=start_bit,
                     resume_bit=None,
                     output_offset=output_start,
-                    skipped_bits=self._file_reader.size() * 8 - start_bit,
+                    skipped_bits=max(
+                        self._file_reader.size() * 8 - start_bit, 0
+                    ),
                     detail=str(error),
                 )
             )
@@ -634,32 +601,6 @@ class ParallelGzipReader:
                 False,
             )
         return record
-
-    def _absorb_bgzf_damage(self, start_bit: int, kind: str, error):
-        """BGZF tolerant path: members are independent, so resynchronise
-        at the next known member-group boundary instead of block-finding
-        (the damaged group's output is lost, not placeholder-filled)."""
-        from ..recovery import DamagedRegion
-
-        boundaries = sorted(self._fetcher._key_to_id)
-        next_key = next((key for key in boundaries if key > start_bit), None)
-        output_start = self._chunks.known_size
-        end_bits = self._file_reader.size() * 8
-        self._damage.regions.append(
-            DamagedRegion(
-                kind=kind,
-                start_bit=start_bit,
-                resume_bit=next_key,
-                output_offset=output_start,
-                skipped_bits=(next_key or end_bits) - start_bit,
-                detail=str(error),
-            )
-        )
-        if next_key is None:
-            self._chunks.end(end_bits)
-        else:
-            self._chunks.frontier = (next_key, b"", True)
-        return None
 
     def _decode_frontier_chunk(self) -> ChunkRecord:
         """Decode the chunk at the frontier and extend the chain."""
@@ -923,19 +864,19 @@ class ParallelGzipReader:
         Unlike the member-footer running CRC, this works at any access
         order — every catalogued chunk is independently verifiable.
         """
-        if not self._verify or not self._catalog_crc:
+        if not self._verify or self._catalog is None:
             return
-        entry = self._catalog_crc.get(record.start_bit)
-        if entry is None:
+        number = self._chunks.position(record.start_bit)
+        crc = self._catalog.chunks[number].crc32
+        if crc is None:
             return
-        crc, length = entry
         self._chunk_crc_checked.increment()
-        if len(data) != length or fast_crc32(data) != crc:
+        if len(data) != record.length or fast_crc32(data) != crc:
             self._chunk_crc_failures.increment()
             self._integrity_failure(
                 record,
                 f"catalog chunk CRC mismatch at output offset "
-                f"{record.output_start}: stored {crc:#010x}/{length}B, "
+                f"{record.output_start}: stored {crc:#010x}/{record.length}B, "
                 f"computed {fast_crc32(data):#010x}/{len(data)}B",
             )
 

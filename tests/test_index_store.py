@@ -530,6 +530,42 @@ class TestDelegationIntegrity:
         finally:
             file_reader.close()
 
+    def test_member_boundary_after_a_shifted_head(self):
+        # A range that starts mid-member at an unaligned bit and runs
+        # past a footer into the next member: the shifted head is read
+        # once, the byte-aligned rest once more, never the rest per member.
+        from repro.datagen import generate_silesia_like
+        from repro.fetcher.decode import zlib_decode_range
+        from repro.io import SharedFileReader
+
+        parts = [generate_silesia_like(150_000, seed=k) for k in range(3)]
+        text = b"".join(parts)
+        blob = b"".join(stdlib_gzip.compress(part, 6) for part in parts)
+        with ParallelGzipReader(blob, chunk_size=CHUNK) as reader:
+            assert read_all(reader) == text
+            points = reader.index.seek_points
+        crossed = 0
+        for first, last in zip(points, points[2:]):
+            if not first.compressed_bit_offset % 8:
+                continue
+            source = SharedFileReader(blob)
+            result = zlib_decode_range(
+                source, first.compressed_bit_offset,
+                last.compressed_bit_offset, bytes(first.window),
+                expected_size=last.uncompressed_offset
+                - first.uncompressed_offset,
+            )
+            assert result.payload.materialize(b"") == text[
+                first.uncompressed_offset : last.uncompressed_offset
+            ]
+            footers = [e for e in result.events if e.kind == "footer"]
+            if footers and footers[-1].local_offset < result.length:
+                crossed += 1
+                span = (last.compressed_bit_offset + 7) // 8 \
+                    - first.compressed_bit_offset // 8
+                assert source.bytes_read <= 2 * span + 64
+        assert crossed, "corpus lost its mid-member boundary crossings"
+
 
 # ---------------------------------------------------------------------------
 # Concurrency: shared cache directory, last-writer-wins

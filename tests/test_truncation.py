@@ -1,11 +1,14 @@
-"""Truncated-file behavior across fetcher modes.
+"""Truncated and damaged files across open modes.
 
 A file can be cut off at three qualitatively different places — inside
 the gzip *header*, mid-*deflate*-stream, and inside the final *footer*
-(CRC-32/ISIZE trailer). Each fetcher mode (speculative search, loaded
-index, BGZF) must turn all three into a structured, classified error in
-strict mode and into a correct partial read plus a damage report in
-tolerant mode.
+(CRC-32/ISIZE trailer). Each open mode (speculative search, a loaded
+index, a BGZF file's BSIZE chain read as a synthesized index) must turn
+all three into a structured, classified error in strict mode and into a
+correct partial read plus a damage report in tolerant mode. A BGZF member
+damaged with its BSIZE chain intact follows the index contract: strict
+mode fails at that member's group, tolerant mode fills exactly that group
+with placeholder bytes.
 """
 
 import gzip as stdlib_gzip
@@ -22,6 +25,7 @@ from repro.errors import (
     exit_code_for,
 )
 from repro.faults import truncate
+from repro.gz.bgzf import bgzf_block_offsets, bgzf_catalog
 from repro.gz.writer import compress as gz_compress
 from repro.index import GzipIndex
 from repro.reader import ParallelGzipReader
@@ -60,6 +64,31 @@ def index_file(tmp_path_factory):
     finally:
         reader.close()
     return path
+
+
+def _damaged_bgzf_member():
+    """BGZF_BLOB with Deflate bytes of a middle member flipped (BSIZE
+    chain intact), and the catalog chunk (member group) holding it."""
+    offsets = bgzf_block_offsets(BGZF_BLOB)
+    member = offsets[len(offsets) // 2]
+    blob = bytearray(BGZF_BLOB)
+    for position in range(member + 118, member + 134):
+        blob[position] ^= 0xFF
+    catalog = bgzf_catalog(BGZF_BLOB, CHUNK)
+    group = max(
+        i for i, chunk in enumerate(catalog.chunks)
+        if chunk.start_bit <= member * 8
+    )
+    return bytes(blob), catalog, group
+
+
+def _overlong_isize():
+    """BGZF_BLOB with one footer claiming more than a member can hold."""
+    offsets = bgzf_block_offsets(BGZF_BLOB)
+    blob = bytearray(BGZF_BLOB)
+    footer_end = offsets[len(offsets) // 2]
+    blob[footer_end - 4 : footer_end] = (65537).to_bytes(4, "little")
+    return bytes(blob)
 
 
 def _cut(blob: bytes, where: str) -> bytes:
@@ -147,6 +176,20 @@ class TestStrictBgzfMode:
             )
         assert exit_code_for(info.value) == EXIT_FORMAT
 
+    def test_damaged_member_fails_at_read(self):
+        blob, _, _ = _damaged_bgzf_member()
+        reader = ParallelGzipReader(blob, parallelization=2, chunk_size=CHUNK)
+        with pytest.raises(ChunkDecodeError) as info:
+            _read_all(reader)
+        assert exit_code_for(info.value) == EXIT_FORMAT
+
+    def test_overlong_footer_fails_at_open(self):
+        with pytest.raises(FormatError) as info:
+            ParallelGzipReader(
+                _overlong_isize(), parallelization=2, chunk_size=CHUNK
+            )
+        assert exit_code_for(info.value) == EXIT_FORMAT
+
 
 # ---------------------------------------------------------------------------
 # Tolerant mode: correct partial output + a damage report
@@ -222,3 +265,30 @@ class TestTolerantBgzfMode:
         assert out[:first] == DATA[:first]
         if where == "footer":
             assert first > len(DATA) * 9 // 10
+
+    def test_damaged_member_becomes_placeholders(self):
+        # The index contract: the damaged group keeps its length, every
+        # offset stays valid, and the read resumes at the next group.
+        blob, catalog, group = _damaged_bgzf_member()
+        begin = catalog.chunks[group].uncompressed_offset
+        end = begin + catalog.chunk_length(group)
+        out, report = _tolerant_read(blob)
+        assert len(out) == len(DATA)
+        assert [region.kind for region in report.regions] == ["corrupt"]
+        region = report.regions[0]
+        assert region.start_bit == catalog.chunks[group].start_bit
+        assert region.resume_bit == catalog.chunks[group + 1].start_bit
+        assert region.output_offset == begin
+        assert region.unresolved_markers == end - begin
+        assert out[:begin] == DATA[:begin]
+        assert out[end:] == DATA[end:]
+
+    def test_overlong_footer_opens_in_search_mode(self):
+        reader = ParallelGzipReader(
+            _overlong_isize(), parallelization=2, chunk_size=CHUNK,
+            tolerate_corruption=True,
+        )
+        try:
+            assert reader.statistics()["mode"] == "search"
+        finally:
+            reader.close()
