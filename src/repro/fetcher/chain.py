@@ -12,6 +12,8 @@ owned by the fetcher and extended by the reader, in every open mode:
   compressed file, the unit search-mode speculation works on), the start
   and window of the chunk starting there once its predecessor's window is
   known;
+* the reach: the furthest cell a start and window were recorded for,
+  so how far the chain of exact decodes has got;
 * the retired cells, which no task should decode;
 * the tolerant reader's pinned bytes, which nothing can decode again.
 
@@ -32,6 +34,13 @@ from ..index import GzipIndex, SeekPoint
 from ..index.store import window_bytes
 
 __all__ = ["ChunkRecord", "ChunkExtent", "ChunkChain"]
+
+#: Cells past the reach the chain is left to decode first. A block search
+#: is the finder plus two lock-step libz passes over what an exact decode
+#: inflates once (c_s >= 2 c_e), so while it runs the chain decodes
+#: c_s / c_e >= 2 cells; searching cell reach + k only pays when k
+#: exceeds that.
+SEARCH_DISTANCE = 3
 
 
 @dataclass
@@ -89,6 +98,9 @@ class ChunkChain:
         #: cell -> ``(start_bit, window)`` of the chunk starting in it,
         #: once its predecessor's window is known; see :meth:`hand_over`.
         self.ahead: dict = {}
+        #: the furthest cell :meth:`hand_over` recorded a start and window
+        #: for; ``None`` before the first and after :meth:`close`
+        self.reach = None
         #: chunk ids (cells in search mode) no task should decode: nothing
         #: decodable there, or inside a known chunk, or past the file's last
         self.retired: set = set()
@@ -240,6 +252,22 @@ class ChunkChain:
             self.ahead[next_cell] = entry
             if len(self.ahead) > self.ahead_limit:
                 del self.ahead[min(self.ahead)]
+            if self.reach is None or next_cell > self.reach:
+                self.reach = next_cell
+
+    def within_reach(self, cell: int) -> bool:
+        """True when the chain gets to ``cell`` before a block search of it
+        would pay off: fewer than :data:`SEARCH_DISTANCE` cells past the
+        reach. Nothing is before the first hand-over (and in index mode,
+        which never hands over)."""
+        reach = self.reach
+        return reach is not None and cell < reach + SEARCH_DISTANCE
+
+    def close(self) -> None:
+        """Nothing decodes again: drop the windows held ahead and the reach."""
+        with self._lock:
+            self.ahead.clear()
+            self.reach = None
 
     # -- the frontier ------------------------------------------------------------
 

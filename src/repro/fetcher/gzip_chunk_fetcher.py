@@ -18,7 +18,11 @@ the reader extends. Two operating modes, chosen at construction:
   when it is queued: a cell the chain holds a start and window for
   decodes exactly — one libz pass, no block search, no markers — and a
   retired cell returns without searching. No task ever waits on another
-  to learn more.
+  to learn more. Chain first: a wish is searched only for a cell at
+  least ``SEARCH_DISTANCE`` (3) cells past the chain's reach (the
+  furthest recorded start); cells nearer are left to the exact chain
+  and wished again once their start is recorded. So a sequential read
+  at P <= 3 never searches, and at P >= 4 only the far wishes do.
 * ``index`` — a finalized seek-point index is loaded: the chain is built
   from it, chunks are its intervals, workers delegate to zlib with the
   stored window (fast path, balanced workloads, bounded memory — §3.3).
@@ -590,6 +594,11 @@ class GzipChunkFetcher:
         else:
             targets = self._wishes_along_chain(accessed_id, known, wishes)
         for wish, target in targets:
+            if (target is None and wish not in self.chain.ahead
+                    and self.chain.within_reach(wish)):
+                # Chain first: the exact chain gets there before a search
+                # would pay; the wish returns once its start is recorded.
+                continue
             keys = (
                 (target.start_bit,) if target is not None
                 else self._keys_of_id.get(wish, ())
@@ -823,7 +832,7 @@ class GzipChunkFetcher:
         # Nothing decodes again: drop the windows held ahead and the
         # reader's hook, which would otherwise keep a closed reader alive
         # in a cycle.
-        self.chain.ahead.clear()
+        self.chain.close()
         self.on_index_fallback = None
         self.file_reader.close()
 

@@ -130,5 +130,5 @@ def _decode(spec: ChunkTaskSpec, reader, telemetry, searching: bool):
 
 def execute_chunk_task(spec):
     """Tombstone of the process backend's entry point, kept only because
-    ``benchmarks/e2e/layers.py`` imports the name (ROADMAP item 9)."""
+    ``benchmarks/e2e/layers.py`` imports the name (ROADMAP item 5(b))."""
     raise UsageError("the process backend was removed")

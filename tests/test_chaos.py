@@ -450,13 +450,16 @@ class TestStalls:
         )
         assert stats["backend"] == "threads"
 
-    def test_three_timeouts_stop_feeding_the_pool(self):
+    STALL_ALL = [FaultSpec("chunk.decode", "stall", delay_seconds=0.5,
+                           attempts=(0,))]
+
+    def test_three_timeouts_stop_feeding_the_pool(self, monkeypatch):
         # Every speculative decode hangs past the bound: the third
         # time-out steps threads -> serial and the read finishes on
-        # on-demand decodes.
-        specs = [FaultSpec("chunk.decode", "stall", delay_seconds=0.5,
-                           attempts=(0,))]
-        with injected(seed=CHAOS_SEED, specs=specs):
+        # on-demand decodes. The downgrade is the contract without a
+        # memory budget; the sibling below covers the budgeted read.
+        monkeypatch.delenv("REPRO_MAX_MEMORY", raising=False)
+        with injected(seed=CHAOS_SEED, specs=self.STALL_ALL):
             reader = _open("threads", chunk_timeout=0.05)
             out = _read_all(reader)
         assert out == MULTI_DATA
@@ -464,6 +467,21 @@ class TestStalls:
         assert stats["chunk_timeouts"] >= 3
         assert stats["backend_downgrades"] == 1
         assert stats["backend"] == "serial"
+
+    def test_budget_refuses_the_third_stalled_wish(self):
+        # Under a budget each stalled task keeps its in-flight
+        # reservation; two of them leave no room for a third, so the
+        # third wish is refused instead of queued. A refused wish is never
+        # waited on and cannot time out: the read ends on threads.
+        with injected(seed=CHAOS_SEED, specs=self.STALL_ALL):
+            reader = _open("threads", chunk_timeout=0.05, max_memory="64MiB")
+            out = _read_all(reader)
+        assert out == MULTI_DATA
+        stats = reader.statistics()
+        assert stats["memory"]["backpressure_stalls"] >= 1
+        assert stats["chunk_timeouts"] < 3
+        assert stats["backend_downgrades"] == 0
+        assert stats["backend"] == "threads"
 
     def test_short_delays_only_slow_things_down(self):
         specs = [FaultSpec("chunk.decode", "delay", delay_seconds=0.02,

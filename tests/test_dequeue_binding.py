@@ -8,7 +8,9 @@ window is known; a queued task whose cell is recorded there decodes
 exactly — one libz pass, no block search, no markers — and a cell inside
 a known chunk retires and returns without searching. At
 P=1 the lone worker starts every task after its predecessor is done, so
-a whole read runs without a single marker or finder candidate.
+a whole read runs without a single marker or finder candidate. At P=2
+and 3 the same holds because of the submit-side rule, chain first: a
+wish for a cell the chain reaches first is not submitted at all.
 """
 
 import gzip
@@ -65,12 +67,28 @@ def deflate_start(blob: bytes) -> int:
     return reader.tell()
 
 
-@pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-@pytest.mark.parametrize("name", CORPORA)
-def test_p1_read_has_no_markers_and_no_search(name, chunk_size):
+# Ids without a ``-P`` suffix are the P=1 reads.
+CHAINED_READS = [
+    pytest.param(
+        name, chunk_size, parallelization,
+        id=f"{name}-{chunk_size}" + (
+            f"-P{parallelization}" if parallelization > 1 else ""
+        ),
+    )
+    for parallelization in (1, 2, 3)
+    for name in CORPORA
+    for chunk_size in CHUNK_SIZES
+]
+
+
+@pytest.mark.parametrize("name,chunk_size,parallelization", CHAINED_READS)
+def test_p1_read_has_no_markers_and_no_search(name, chunk_size,
+                                              parallelization):
+    # Up to P=3 the adaptive strategy wishes at most two cells past the
+    # access, all within the chain's reach: nothing is ever searched.
     data, blob = _corpus(name)
     with ParallelGzipReader(
-        blob, parallelization=1, chunk_size=chunk_size
+        blob, parallelization=parallelization, chunk_size=chunk_size
     ) as reader:
         assert reader.read() == data
         stats = reader.statistics()
@@ -88,6 +106,19 @@ def test_parallel_read_is_byte_identical(name, chunk_size, parallelization):
         blob, parallelization=parallelization, chunk_size=chunk_size
     ) as reader:
         assert reader.read() == data
+
+
+def test_far_wishes_are_still_searched():
+    # P=6 wishes six cells ahead; those at least SEARCH_DISTANCE past the
+    # reach are still searched.
+    data, blob = _corpus("base64")
+    with ParallelGzipReader(
+        blob, parallelization=6, chunk_size=16 * 1024,
+        strategy=FetchNextFixed(),
+    ) as reader:
+        assert reader.read() == data
+        stats = reader.statistics()
+    assert stats["metrics"]["blockfinder.candidates_tested"] > 0
 
 
 class TestQueuedTask:
@@ -133,6 +164,18 @@ class TestQueuedTask:
             assert fetcher.telemetry.metrics.counter(
                 "blockfinder.candidates_tested"
             ).value == 0
+
+    def test_p2_submits_only_the_recorded_next_cell(self):
+        # FetchNextFixed wishes the next two cells; the second lies within
+        # the chain's reach and unrecorded, so it is left to the chain.
+        with GzipChunkFetcher(
+            self.BLOB, parallelization=2, chunk_size=self.CHUNK,
+            strategy=FetchNextFixed(),
+        ) as fetcher:
+            first = fetcher.request(deflate_start(self.BLOB), b"")
+            cell = fetcher.chunk_id_for_bit(first.end_bit)
+            assert fetcher.chain.reach == cell
+            assert set(fetcher._futures) == {cell}
 
 
 @pytest.mark.parametrize("parallelization", [1, 2, 3])

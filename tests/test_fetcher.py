@@ -369,3 +369,49 @@ class TestChunkChain:
         chain.append(self.record(80, 0, 100, 500))
         chain.pinned[80] = b"?" * 100
         assert chain.extent(80) is None
+
+    # -- the reach: how far the chain of exact decodes has got -------------
+
+    class Decoded:
+        """What hand_over reads of a decoded chunk."""
+
+        def __init__(self, start_bit, end_bit):
+            self.start_bit, self.end_bit = start_bit, end_bit
+
+        def next_window(self, window):
+            return window + b"w"
+
+    def test_reach_advances_in_hand_over(self):
+        chain = ChunkChain(cell_bits=100, cells=20)
+        assert chain.reach is None
+        chain.hand_over(self.Decoded(50, 250), b"")
+        assert chain.reach == 2 and chain.ahead[2] == (250, b"w")
+        chain.hand_over(self.Decoded(250, 420), b"w")
+        assert chain.reach == 4
+        # A late hand-over of an earlier chunk leaves the furthest one.
+        chain.hand_over(self.Decoded(50, 250), b"")
+        assert chain.reach == 4
+
+    def test_reach_ignores_retired_only_updates(self):
+        chain = ChunkChain(cell_bits=100, cells=20)
+        chain.hand_over(self.Decoded(50, 250), b"")
+        chain.retired.add(9)
+        chain.hand_over(self.Decoded(250, None), b"")  # runs to the end
+        assert chain.retired >= set(range(3, 20))
+        assert chain.reach == 2
+
+    def test_close_clears_reach_and_ahead(self):
+        chain = ChunkChain(cell_bits=100, cells=20)
+        chain.hand_over(self.Decoded(50, 250), b"")
+        chain.close()
+        assert chain.reach is None and chain.ahead == {}
+        assert not chain.within_reach(0)
+
+    def test_within_reach_stops_at_the_search_distance(self):
+        from repro.fetcher.chain import SEARCH_DISTANCE
+
+        chain = ChunkChain(cell_bits=100, cells=20)
+        assert not chain.within_reach(1)  # nothing handed over yet
+        chain.hand_over(self.Decoded(250, 420), b"")
+        assert chain.within_reach(4 + SEARCH_DISTANCE - 1)
+        assert not chain.within_reach(4 + SEARCH_DISTANCE)
