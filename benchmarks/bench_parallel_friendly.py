@@ -8,7 +8,7 @@ stock gzip and track BGZF.
 
 Read side (the tentpole claim): single-thread decode of the *same*
 parallel-friendly archive with the catalog honored (complete seek index
-synthesized at open, every chunk on the fused conventional/zlib path)
+synthesized at open, every chunk on the conventional zlib path)
 versus the catalog ignored (``detect_catalog=False`` — the block-finder +
 two-stage marker pipeline the paper needs for arbitrary gzip). Identical
 bytes out; the speedup is pure encoding-awareness.

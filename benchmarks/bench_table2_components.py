@@ -155,8 +155,8 @@ def test_write_tmpfs(benchmark, tmp_path):
     _record(benchmark, "Write to /dev/shm/", len(data))
 
 
-def _decode_silesia(decoder: str):
-    inflate(_DECODE_BLOB, decoder=decoder)
+def _decode_silesia():
+    inflate(_DECODE_BLOB)
 
 
 _DECODE_BLOB = None
@@ -171,18 +171,12 @@ def _decode_blob() -> bytes:
     return _DECODE_BLOB
 
 
-def test_decode_fused(benchmark):
-    # Not a paper Table 2 row: the paper benchmarks decoding indirectly
-    # through the end-to-end figures. Reported here because the fused
-    # kernels shift the decode/block-finder balance that Table 2 frames.
-    _decode_blob()
-    benchmark.pedantic(_decode_silesia, args=("fused",), rounds=3, iterations=1)
-    _record(benchmark, "Decode (fused)", 2 << 20)
-
-
 def test_decode_legacy(benchmark):
+    # Not a paper Table 2 row: the paper benchmarks decoding indirectly
+    # through the end-to-end figures. Reported here because the Python
+    # decoder's speed sets the decode/block-finder balance Table 2 frames.
     _decode_blob()
-    benchmark.pedantic(_decode_silesia, args=("legacy",), rounds=3, iterations=1)
+    benchmark.pedantic(_decode_silesia, rounds=3, iterations=1)
     _record(benchmark, "Decode (legacy)", 2 << 20)
 
 
@@ -224,14 +218,10 @@ def test_report(benchmark, reporter):
         checks.append(("NBF/DBF", 7.0, _results["NBF"] / _results["DBF rapidgzip"]))
     for label, paper_ratio, ours in checks:
         table.add(f"  {label}: paper {paper_ratio:.1f}x, here {ours:.1f}x")
-    if "Decode (fused)" in _results and "Decode (legacy)" in _results:
-        fused = _results["Decode (fused)"]
-        legacy = _results["Decode (legacy)"]
+    if "Decode (legacy)" in _results:
         table.add()
-        table.add("Decode kernels (no paper row; see bench_decode_kernels):")
-        table.add(f"  Decode (fused):  {fmt_bw(fused)}")
-        table.add(f"  Decode (legacy): {fmt_bw(legacy)}")
-        table.add(f"  fused/legacy: {fused / legacy:.2f}x")
+        table.add("Python decoder (no paper row; see bench_decode_kernels):")
+        table.add(f"  Decode (legacy): {fmt_bw(_results['Decode (legacy)'])}")
     table.add()
     table.add("NOTE: the paper's 28x custom-parser advantage over the zlib")
     table.add("trial INVERTS here — a substrate artifact: one C-level zlib")
@@ -249,4 +239,3 @@ def test_report(benchmark, reporter):
     # memcpy-vs-gather effect below NumPy's granularity); both must beat
     # the Dynamic finder decisively.
     assert _results["Marker replacement"] > 5 * _results["DBF rapidgzip"]
-    assert _results["Decode (fused)"] > _results["Decode (legacy)"]

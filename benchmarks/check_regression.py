@@ -87,7 +87,7 @@ def _metric_keys(baseline: dict) -> list:
         return list(baseline["series_keys"])
     return [
         f"{decoder}_mb_s"
-        for decoder in baseline.get("decoders", ("fused", "legacy"))
+        for decoder in baseline.get("decoders", ("legacy",))
     ]
 
 

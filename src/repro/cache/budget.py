@@ -106,20 +106,18 @@ class MemoryGovernor:
     """Byte accounting and admission control for decompressed data.
 
     Thread-safe. Accounts are plain names (``"prefetch_cache"``,
-    ``"in_flight"``, ...); the budget applies to their *sum*. Waiters
-    blocked in :meth:`reserve` are woken by every :meth:`discharge`.
+    ``"in_flight"``, ...); the budget applies to their *sum*.
     """
 
     def __init__(self, budget: int = None, telemetry=None):
         if budget is not None:
             budget = parse_size(budget)
         self.budget = budget
-        self._condition = threading.Condition()
+        self._lock = threading.Lock()
         self._accounts: dict = {}
         self._high_water = 0
-        self.stalls = 0  # speculative reservations refused
+        self.stalls = 0  # speculative reservations declined
         self.overcommits = 0  # mandatory charges forced past the budget
-        self._telemetry = telemetry
         if telemetry is not None:
             metrics = telemetry.metrics
             metrics.probe("memory.charged_bytes", lambda: self.charged)
@@ -134,39 +132,38 @@ class MemoryGovernor:
 
     @property
     def charged(self) -> int:
-        with self._condition:
+        with self._lock:
             return sum(self._accounts.values())
 
     @property
     def high_water(self) -> int:
-        with self._condition:
+        with self._lock:
             return self._high_water
 
     def account(self, name: str) -> int:
-        with self._condition:
+        with self._lock:
             return self._accounts.get(name, 0)
 
     def charge(self, account: str, nbytes: int) -> None:
         """Unconditionally add ``nbytes`` to ``account``."""
         if nbytes <= 0:
             return
-        with self._condition:
+        with self._lock:
             self._accounts[account] = self._accounts.get(account, 0) + nbytes
             total = sum(self._accounts.values())
             if total > self._high_water:
                 self._high_water = total
 
     def discharge(self, account: str, nbytes: int) -> None:
-        """Release ``nbytes`` from ``account`` and wake any waiters."""
+        """Release ``nbytes`` from ``account``."""
         if nbytes <= 0:
             return
-        with self._condition:
+        with self._lock:
             remaining = self._accounts.get(account, 0) - nbytes
             if remaining > 0:
                 self._accounts[account] = remaining
             else:
                 self._accounts.pop(account, None)
-            self._condition.notify_all()
 
     # -- admission --------------------------------------------------------------
 
@@ -184,7 +181,7 @@ class MemoryGovernor:
         on-demand decode always has room even when speculation saturates
         the budget. Refusals are counted as backpressure stalls.
         """
-        with self._condition:
+        with self._lock:
             if not self._fits(nbytes, headroom):
                 self.stalls += 1
                 return False
@@ -194,35 +191,19 @@ class MemoryGovernor:
                 self._high_water = total
             return True
 
-    def reserve(self, account: str, nbytes: int, *,
-                timeout: float = 5.0) -> None:
-        """Charge ``nbytes`` for *mandatory* work, waiting for headroom.
+    def reserve(self, account: str, nbytes: int) -> None:
+        """Charge ``nbytes`` for *mandatory* work, fitting or not.
 
-        Waits up to ``timeout`` seconds for discharges (draining in-flight
-        speculation, cache evictions) to make room, then charges anyway —
-        the consumer's read must always make progress, so the budget is
-        enforced for speculation but only *pursued* for mandatory decodes.
-        Forced charges past the budget are counted in ``overcommits``.
+        The consumer's read must always make progress, so the budget is
+        enforced for speculation but only *pursued* for mandatory decodes:
+        the caller frees what it can first (shedding queued speculation,
+        harvesting finished work), then charges. A charge that lands past
+        the budget is counted in ``overcommits``. Nothing is waited for —
+        every discharge runs on the calling thread, so a wait could only
+        time out.
         """
-        recorder = (
-            self._telemetry.recorder if self._telemetry is not None else None
-        )
-        with self._condition:
-            if self._fits(nbytes, 0):
-                fitted = True
-            elif recorder is not None and recorder.enabled:
-                # The blocked wait is the pipeline's backpressure stall —
-                # spanned so --explain can attribute read latency to it.
-                with recorder.span("memory.stall", account=account,
-                                   nbytes=nbytes):
-                    fitted = self._condition.wait_for(
-                        lambda: self._fits(nbytes, 0), timeout=timeout
-                    )
-            else:
-                fitted = self._condition.wait_for(
-                    lambda: self._fits(nbytes, 0), timeout=timeout
-                )
-            if not fitted:
+        with self._lock:
+            if not self._fits(nbytes, 0):
                 self.overcommits += 1
             self._accounts[account] = self._accounts.get(account, 0) + nbytes
             total = sum(self._accounts.values())
@@ -233,7 +214,7 @@ class MemoryGovernor:
 
     def snapshot(self) -> dict:
         """Plain-dict state for ``statistics()`` surfaces."""
-        with self._condition:
+        with self._lock:
             accounts = dict(self._accounts)
             return {
                 "budget_bytes": self.budget,

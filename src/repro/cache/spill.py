@@ -37,7 +37,7 @@ class SpillStore:
     ``directory=None`` creates (and owns) a private temp directory,
     removed on :meth:`close`; an explicit directory is used as-is and
     only this store's ``*.spill`` files are deleted on close.
-    ``max_bytes`` bounds total disk usage — writes past it are refused
+    ``max_bytes`` bounds total disk usage — writes past it are rejected
     and counted, never an error (the chunk just stays re-decodable).
     """
 
@@ -57,7 +57,7 @@ class SpillStore:
         self.hits = 0
         self.misses = 0
         self.writes = 0
-        self.refused = 0  # writes refused by the disk ceiling
+        self.rejected = 0  # writes rejected by the disk ceiling
         self.corrupt = 0  # CRC/format failures on reload
         self._recorder = telemetry.recorder if telemetry is not None else None
         if telemetry is not None:
@@ -67,7 +67,7 @@ class SpillStore:
             metrics.probe("spill.writes", lambda: self.writes)
             metrics.probe("spill.bytes_written", lambda: self.bytes_written)
             metrics.probe("spill.corrupt", lambda: self.corrupt)
-            metrics.probe("spill.refused", lambda: self.refused)
+            metrics.probe("spill.rejected", lambda: self.rejected)
             metrics.probe("spill.entries", lambda: len(self))
 
     def _path(self, key: int) -> str:
@@ -76,7 +76,7 @@ class SpillStore:
     # -- store/load --------------------------------------------------------------
 
     def put(self, key: int, data: bytes) -> bool:
-        """Write one chunk; returns False when refused (closed/full/IO)."""
+        """Write one chunk; returns False when rejected (closed/full/IO)."""
         if self._recorder is not None and self._recorder.enabled:
             with self._recorder.span("spill.write", bit=key,
                                      nbytes=len(data)):
@@ -93,7 +93,7 @@ class SpillStore:
                 and self.max_bytes is not None
                 and self.bytes_written + len(data) > self.max_bytes
             ):
-                self.refused += 1
+                self.rejected += 1
                 return False
             try:
                 with open(self._path(key), "wb") as sink:
@@ -101,7 +101,7 @@ class SpillStore:
                                             zlib.crc32(data) & 0xFFFFFFFF))
                     sink.write(data)
             except OSError:
-                self.refused += 1
+                self.rejected += 1
                 return False
             if already:
                 self.bytes_written -= self._files[key]
@@ -171,7 +171,7 @@ class SpillStore:
                 "hits": self.hits,
                 "misses": self.misses,
                 "writes": self.writes,
-                "refused": self.refused,
+                "rejected": self.rejected,
                 "corrupt": self.corrupt,
             }
 

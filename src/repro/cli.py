@@ -259,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--explain",
         action="store_true",
         help="attribute each read()'s wall time across pipeline stages "
-        "(block-find, queue wait, decode, window propagation, "
-        "backpressure, spill I/O) and print the bottleneck report to "
+        "(block-find, queue wait, decode, window propagation, spill I/O) "
+        "and print the bottleneck report to "
         "stderr; implies tracing and event logging for this run",
     )
     observability.add_argument(
@@ -313,25 +313,19 @@ def _open_output(arguments, default_name: str):
 
 def _cmd_analyze(data: bytes) -> int:
     from .gz import iter_members
-    from .deflate import inflate
-    from .io import BitReader
 
+    type_names = {0: "stored", 1: "fixed", 2: "dynamic"}
     print(f"{'member':>6} {'start':>12} {'deflate-bit':>12} {'size':>12} "
           f"{'blocks':>7} {'types':>12}")
-    for number, (info, member_data) in enumerate(iter_members(data, verify=False)):
-        reader = BitReader(data)
-        reader.seek(info.deflate_start_bit)
-        result = inflate(reader)
-        type_names = {0: "stored", 1: "fixed", 2: "dynamic"}
+    for number, (info, _data) in enumerate(iter_members(data, verify=False)):
         counts: dict = {}
-        for boundary in result.boundaries:
-            counts[type_names[boundary.block_type]] = (
-                counts.get(type_names[boundary.block_type], 0) + 1
-            )
+        for boundary in info.boundaries:
+            name = type_names[boundary.block_type]
+            counts[name] = counts.get(name, 0) + 1
         summary = ",".join(f"{k}:{v}" for k, v in sorted(counts.items()))
         print(
             f"{number:>6} {info.compressed_start:>12} {info.deflate_start_bit:>12} "
-            f"{info.uncompressed_size:>12} {len(result.boundaries):>7} {summary:>12}"
+            f"{info.uncompressed_size:>12} {len(info.boundaries):>7} {summary:>12}"
         )
     return 0
 

@@ -18,11 +18,6 @@ from .constants import (
     MIN_MATCH_LENGTH,
 )
 from .inflate import BlockBoundary, InflateResult, TwoStageStreamDecoder, inflate
-from .kernels import (
-    block_decoders,
-    decode_block_into_bytearray_fused,
-    decode_block_two_stage_fused,
-)
 from .markers import (
     ChunkPayload,
     pad_window,
@@ -49,9 +44,6 @@ __all__ = [
     "InflateResult",
     "TwoStageStreamDecoder",
     "inflate",
-    "block_decoders",
-    "decode_block_into_bytearray_fused",
-    "decode_block_two_stage_fused",
     "ChunkPayload",
     "pad_window",
     "replace_markers",

@@ -13,9 +13,10 @@ One parser serves two callers with different tolerance:
 Payload decoding has two variants: conventional decoding into a
 ``bytearray`` seeded with the known window, and two-stage decoding into a
 ``bytearray`` of little-endian ``uint16`` symbols where unknown window bytes
-are marker values (paper §2.2). These bounds-checked loops are the
-reference tier: the fused kernels in :mod:`repro.deflate.kernels` delegate
-to them for stored blocks, degenerate headers and the EOF zone.
+are marker values (paper §2.2). These bounds-checked loops are the only
+Python Deflate decoder: the fallback where libz cannot be loaded
+(:mod:`repro.deflate.libz`), the differential tests' oracle and the
+Table 2 baseline row.
 """
 
 from __future__ import annotations
@@ -103,7 +104,6 @@ class BlockHeader:
     literal_decoder: CanonicalDecoder = None
     distance_decoder: CanonicalDecoder = None  # None => no distance codes
     code_lengths: list = field(default=None, repr=False)
-    fused: object = field(default=None, repr=False)  # FusedDecoder cache
 
     @property
     def is_compressed(self) -> bool:

@@ -6,10 +6,12 @@ is the from-scratch chunk decoder (Table 2's first stage): it decodes block
 after block into the marker intermediate format, falls back to conventional
 byte decoding as soon as the trailing 32 KiB window is marker-free (paper
 §3.3), and streams finished regions out into a
-:class:`~repro.deflate.markers.ChunkPayload` to bound memory. The fetcher
-runs it only where libz cannot be loaded (else :mod:`repro.deflate.libz`
-yields the same payload at libz speed, with this class as its oracle);
-``pugz``, recovery and the calibration use it directly.
+:class:`~repro.deflate.markers.ChunkPayload` to bound memory. Both run the
+bounds-checked loops of :mod:`repro.deflate.block`. The chunk engine of
+:mod:`repro.fetcher.decode` runs this class only where libz cannot be
+loaded (else :mod:`repro.deflate.libz` yields the same payload at libz
+speed, with this class as its oracle); ``pugz`` and the calibration use
+it directly.
 """
 
 from __future__ import annotations
@@ -20,9 +22,13 @@ import numpy as np
 
 from ..errors import DeflateError
 from ..io import BitReader, ensure_file_reader
-from .block import BlockHeader, read_block_header
+from .block import (
+    BlockHeader,
+    decode_block_into_bytearray,
+    decode_block_two_stage,
+    read_block_header,
+)
 from .constants import MARKER_FLAG, MAX_WINDOW_SIZE
-from .kernels import block_decoders
 from .markers import ChunkPayload, seed_marker_window_u16
 
 __all__ = ["inflate", "InflateResult", "BlockBoundary", "TwoStageStreamDecoder"]
@@ -49,18 +55,14 @@ class InflateResult:
     boundaries: list
 
 
-def inflate(source, window: bytes = b"", max_size: int = None,
-            decoder: str = "fused") -> InflateResult:
+def inflate(source, window: bytes = b"", max_size: int = None) -> InflateResult:
     """Decode one complete Deflate stream conventionally.
 
     ``source`` may be raw bytes, a file reader, or a positioned
     :class:`BitReader` (which will be read from its current offset —
     this is how the gzip layer resumes after a stream header).
-    ``decoder="legacy"`` runs the bounds-checked reference loops instead
-    of the fused kernels (differential tests and the Table 2 baseline row).
     """
     reader = source if isinstance(source, BitReader) else BitReader(ensure_file_reader(source))
-    decode_bytes, _ = block_decoders(decoder)
     buffer = bytearray(window[-MAX_WINDOW_SIZE:])
     seed = len(buffer)
     boundaries = []
@@ -71,7 +73,7 @@ def inflate(source, window: bytes = b"", max_size: int = None,
             BlockBoundary(header.start_bit_offset, len(buffer) - seed,
                           header.block_type, header.final)
         )
-        decode_bytes(reader, header, buffer, limit)
+        decode_block_into_bytearray(reader, header, buffer, limit)
         if header.final:
             break
     return InflateResult(bytes(buffer[seed:]), reader.tell(), boundaries)
@@ -95,16 +97,13 @@ class TwoStageStreamDecoder:
 
     ``max_size`` bounds ``produced``: the block decoders check it after
     every match, so a single runaway block raises :class:`DeflateError`
-    at most one match (258 symbols) past the limit. ``decoder`` is
-    :func:`inflate`'s tier selector.
+    at most one match (258 symbols) past the limit.
     """
 
-    def __init__(self, window: bytes = None, max_size: int = None,
-                 decoder: str = "fused"):
+    def __init__(self, window: bytes = None, max_size: int = None):
         self.payload = ChunkPayload()
         self.boundaries: list = []
         self._max_size = max_size
-        self._decode_bytes, self._decode_symbols = block_decoders(decoder)
         self._emitted = 0
         if window is None:
             self._marker_buffer = seed_marker_window_u16()
@@ -141,9 +140,9 @@ class TwoStageStreamDecoder:
         if self._max_size is not None:
             limit = self._max_size - self._emitted + self._seed_length
         if self._marker_buffer is not None:
-            self._decode_symbols(reader, header, self._marker_buffer, limit)
+            decode_block_two_stage(reader, header, self._marker_buffer, limit)
         else:
-            self._decode_bytes(reader, header, self._byte_buffer, limit)
+            decode_block_into_bytearray(reader, header, self._byte_buffer, limit)
         if limit is not None and self._buffered() > limit:
             # Literal-only blocks have no per-match check to trip.
             raise DeflateError("decoded chunk exceeds configured maximum size")

@@ -18,8 +18,9 @@ value whose bit 7 is set and whose low bits are ``w >> 8``, so the symbol is
 ``LOW | (LOW ^ MIX) << 8`` — ``MARKER_FLAG | w``, the marker the Python
 first stage emits, bit for bit. Once the trailing 32 Ki symbols at a block
 boundary are untainted the probe is closed and the chunk continues
-single-pass into ``bytes`` segments (§4.4's hand-off). The fused Python
-kernel stays: the no-libz path, this module's oracle, Table 2's row.
+single-pass into ``bytes`` segments (§4.4's hand-off). The Python
+decoder (:mod:`repro.deflate.block`) stays: the no-libz path, this
+module's oracle, Table 2's row.
 :class:`HeaderCheck` is the block finder's strict stage on the same library.
 """
 

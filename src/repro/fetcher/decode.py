@@ -7,9 +7,11 @@ Two decode paths, fastest applicable wins:
   conventional when it is known, stopping at the first Dynamic or
   Non-Compressed non-final block at/after the stop offset (the finder's
   predicate, so the next chunk's offset is findable — §3.3's parity).
-  Blocks run bit-exactly through libz (:mod:`repro.deflate.libz`: one pass
-  with the window, two probe passes without), through the Python
-  two-stage decoder where libz cannot be loaded; no option selects.
+  Blocks run bit-exactly through the chunk engine
+  (:func:`open_chunk_stream`): libz (:mod:`repro.deflate.libz`: one pass
+  with the window, two probe passes without), or the Python two-stage
+  decoder where libz cannot be loaded; no option selects. Recovery
+  (:mod:`repro.recovery`) decodes through the same engine.
 * :func:`zlib_decode_range` — index-loaded fast path: bit-shift the
   compressed range to byte alignment and delegate to zlib with the window
   as dictionary (the paper's ">2x faster than two-stage" mode). Chunk
@@ -41,6 +43,7 @@ __all__ = [
     "StreamEvent",
     "decode_chunk_range",
     "decode_index_chunk",
+    "open_chunk_stream",
     "speculative_decode",
     "zlib_decode_range",
     "shift_to_byte_alignment",
@@ -153,10 +156,8 @@ def decode_chunk_range(
     split = False
     tail_bit = start_bit
 
-    library = libz.load()  # no knob: libz wherever it can be loaded
-    engine = _PythonChunkStream if library is None else libz.ChunkStream
-    with contextlib.closing(
-        engine(library, file_reader, start_bit, stop_bit, window, max_output)
+    with open_chunk_stream(
+        file_reader, start_bit, window, stop_bit=stop_bit, max_output=max_output
     ) as stream:
         while True:
             position = stream.position
@@ -236,8 +237,23 @@ def decode_chunk_range(
     )
 
 
+def open_chunk_stream(file_reader, start_bit: int, window: bytes, *,
+                      stop_bit: int = None, max_output: int = None):
+    """The chunk engine at ``start_bit``, as a context manager that closes it.
+
+    libz's :class:`~repro.deflate.libz.ChunkStream` wherever libz can be
+    loaded, the Python decoder behind the same interface where it cannot;
+    no option selects. ``window=None`` decodes with markers.
+    """
+    library = libz.load()
+    engine = _PythonChunkStream if library is None else libz.ChunkStream
+    return contextlib.closing(
+        engine(library, file_reader, start_bit, stop_bit, window, max_output)
+    )
+
+
 class _PythonChunkStream(TwoStageStreamDecoder):
-    """Where libz cannot be loaded: the fused two-stage decoder behind
+    """Where libz cannot be loaded: the Python two-stage decoder behind
     :class:`repro.deflate.libz.ChunkStream`'s interface."""
 
     def __init__(self, _library, file_reader, start_bit: int, _stop_bit: int,
@@ -441,7 +457,7 @@ def zlib_decode_range(
     the shifted buffer may partially contain the next chunk's first block.
 
     Delegation is *checked*, never trusted: stored blocks at unaligned
-    offsets are refused up front (their byte-alignment padding does not
+    offsets are rejected up front (their byte-alignment padding does not
     survive the bit shift), the final chunk must actually reach its
     stream's end, and when the caller knows the next seek point's window
     (``next_window``) the decoded tail must reproduce it exactly. Any

@@ -160,10 +160,10 @@ class GzipChunkFetcher:
         #: ``threads``, or ``serial`` once repeated time-outs retired the pool.
         self.backend = "threads"
         self.chunk_timeout = chunk_timeout
-        # The first-stage kernel is resolved, never chosen: libz's probe, or
-        # the fused kernel without libz.
-        self._decoder = "probe" if libz.load() is not None else "fused"
-        if self._decoder == "fused":
+        # The first-stage decoder is resolved, never chosen: libz's probe,
+        # or the Python decoder without libz.
+        self._decoder = "probe" if libz.load() is not None else "python"
+        if self._decoder == "python":
             self.telemetry.metrics.counter("decode.libz_unavailable").increment()
         self.pool = create_pool(
             self.backend, parallelization, telemetry=self.telemetry
@@ -690,9 +690,10 @@ class GzipChunkFetcher:
         :class:`ChunkDecodeError` carrying the full context.
 
         Under a memory budget the decode is *mandatory* — the consumer is
-        blocked on it — so it reserves its worst case with the blocking
-        :meth:`MemoryGovernor.reserve` (shedding queued speculation first
-        to drain reservations), never with the refusable ``try_reserve``.
+        blocked on it — so when its worst case does not fit it sheds queued
+        speculation (whose harvest drains reservations) and charges with
+        :meth:`MemoryGovernor.reserve`, which never refuses and never
+        waits: every discharge runs on this thread.
         """
         if self.governor is not None and self.governor.budget:
             reserved = self._inflight_estimate(chunk_id, known)

@@ -9,7 +9,7 @@ BGZF detection) reuse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..deflate.inflate import inflate
 from ..errors import FormatError, IntegrityError
@@ -31,6 +31,9 @@ class MemberInfo:
     deflate_end_bit: int  # bit offset just past the final block
     uncompressed_start: int  # offset of this member's data in the output
     uncompressed_size: int
+    #: the member's Deflate blocks, as :func:`~repro.deflate.inflate`
+    #: found them while decoding it
+    boundaries: list = field(default_factory=list, repr=False)
 
 
 def iter_members(source, *, verify: bool = True, max_size: int = None):
@@ -68,6 +71,7 @@ def iter_members(source, *, verify: bool = True, max_size: int = None):
                 deflate_end_bit=deflate_end,
                 uncompressed_start=total_output,
                 uncompressed_size=len(data),
+                boundaries=result.boundaries,
             ),
             data,
         )

@@ -37,12 +37,6 @@ __all__ = [
     "classify_code_lengths",
     "build_canonical_code",
     "package_merge_lengths",
-    "FusedDecoder",
-    "fused_distance_table",
-    "fused_literal_table",
-    "CONTROL_FLAG",
-    "EMIT_PAIR_OFFSET",
-    "MAX_TABLE_WIDTH",
     "FIXED_DISTANCE_LENGTHS",
     "FIXED_LITERAL_LENGTHS",
     "fixed_distance_decoder",
@@ -60,23 +54,3 @@ __all__ = [
     "packed_histogram_lut",
     "quick_reject",
 ]
-
-_FUSED_NAMES = (
-    "FusedDecoder",
-    "fused_distance_table",
-    "fused_literal_table",
-    "CONTROL_FLAG",
-    "EMIT_PAIR_OFFSET",
-    "MAX_TABLE_WIDTH",
-)
-
-
-def __getattr__(name):
-    # Lazy: repro.huffman.fused imports repro.deflate.constants, and
-    # repro.deflate imports back into this package — eager loading here
-    # would make the import order entry-point dependent.
-    if name in _FUSED_NAMES:
-        from . import fused as _fused_module
-
-        return getattr(_fused_module, name)
-    raise AttributeError(f"module 'repro.huffman' has no attribute {name!r}")

@@ -136,12 +136,9 @@ class CanonicalDecoder:
     distance codes that use a single symbol); the block finder never sets it.
     """
 
-    __slots__ = ("table", "max_length", "num_symbols", "classification",
-                 "fused_literal", "fused_distance")
+    __slots__ = ("table", "max_length", "num_symbols", "classification")
 
     def __init__(self, lengths: Sequence[int], *, allow_incomplete: bool = False):
-        self.fused_literal = None  # cache slots for repro.huffman.fused
-        self.fused_distance = None
         classification = classify_code_lengths(lengths)
         if classification is CodeClassification.INVALID:
             raise HuffmanError("over-subscribed code lengths")

@@ -153,18 +153,16 @@ class BitReader:
             self._buffer_bits -= consume
         return bit_offset
 
-    # -- state export for inlined decode kernels -----------------------------
+    # -- state export for readers that bypass the method calls ---------------
 
     def export_state(self) -> tuple:
-        """Snapshot the bit-buffer state for an inlined decode loop.
+        """Snapshot the bit-buffer state for code that reads the cached
+        bytes directly.
 
         Returns ``(buffer, buffer_bits, byte_position, chunk, chunk_start,
-        pread, cache_size)``. The first five entries are the mutable cursor a
-        kernel advances on local variables (see
-        :mod:`repro.deflate.kernels`); ``pread``/``cache_size`` let it
-        replicate :meth:`_refill` without per-symbol method calls. The kernel
-        must hand the cursor back via :meth:`import_state` before anything
-        else touches the reader.
+        pread, cache_size)``: the mutable cursor, then what
+        :meth:`_refill` reads with. The libz header check
+        (:mod:`repro.deflate.libz`) parses straight out of ``chunk``.
         """
         return (
             self._buffer,
@@ -177,7 +175,8 @@ class BitReader:
         )
 
     def import_state(self, state: tuple) -> None:
-        """Resynchronize the reader from a kernel's advanced cursor.
+        """Position the reader on a cursor built elsewhere (the libz chunk
+        stream hands over its slab, the block finder its window).
 
         Accepts the first five elements of an :meth:`export_state` tuple:
         ``(buffer, buffer_bits, byte_position, chunk, chunk_start)``.

@@ -317,7 +317,7 @@ class HttpRangeFileReader(FileReader):
     trip. The first response's ETag/``Last-Modified`` are captured and
     every later response is checked against them — a mismatch raises
     :class:`SourceChangedError` mid-decode rather than mixing bytes
-    from two object generations. All transport-level failures (refused
+    from two object generations. All transport-level failures (denied
     connections, timeouts, 5xx, truncated bodies) surface as
     :class:`NetworkError` for the resilience layer above to retry.
     """

@@ -6,7 +6,7 @@ with the orchestrating thread the moment it is done. They scale because the
 hot paths leave the GIL — zlib delegation (loaded index, BGZF, catalog)
 always did, and the two-stage search path does wherever libz loads
 (:mod:`repro.deflate.libz`: inflate and the finder's strict check run in C).
-Without libz the fused Python kernel is GIL-bound and P > 1 buys nothing; that
+Without libz the Python decoder is GIL-bound and P > 1 buys nothing; that
 fallback is accepted as single-core (DESIGN.md §5).
 """
 

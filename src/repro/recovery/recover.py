@@ -11,6 +11,10 @@ of corrupted gzip files". This module implements that use case:
 3. two-stage-decode from there — the first 32 KiB of back-references point
    into the destroyed region, so unresolved markers are replaced by a
    placeholder byte and reported.
+
+Every segment decodes through the fetcher's chunk engine
+(:func:`repro.fetcher.decode.open_chunk_stream`): libz where it loads,
+the Python decoder where it does not.
 """
 
 from __future__ import annotations
@@ -20,10 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..blockfinder import CombinedBlockFinder
-from ..deflate.constants import MARKER_FLAG, MAX_WINDOW_SIZE
-from ..deflate.inflate import TwoStageStreamDecoder
-from ..deflate.block import read_block_header
+from ..deflate.constants import MARKER_FLAG
 from ..errors import FormatError, RecoveryError
+from ..fetcher.decode import open_chunk_stream
 from ..gz.header import MAGIC, parse_gzip_footer, parse_gzip_header
 from ..io import BitReader, ensure_file_reader
 
@@ -58,32 +61,27 @@ class RecoveryReport:
 
 def _decode_segment(file_reader, start_bit: int, *, window, placeholder: int):
     """Decode from ``start_bit`` as far as the stream stays consistent."""
-    reader = BitReader(file_reader.clone())
-    reader.seek(start_bit)
-    decoder = TwoStageStreamDecoder(window=window)
+    size_bits = file_reader.size() * 8
     end_bit = start_bit
-    try:
-        while True:
-            if reader.tell() >= reader.size_in_bits():
-                break
-            header = read_block_header(reader)
-            decoder.decode_block(reader, header)
-            end_bit = reader.tell()
-            if header.final:
-                reader.align_to_byte()
-                parse_gzip_footer(reader)
-                end_bit = reader.tell()
-                probe = file_reader.pread(end_bit // 8, 2)
-                if probe != MAGIC:
-                    break
-                parse_gzip_header(reader)
-    except FormatError:
-        pass  # decode as far as possible, keep what we have
-    payload = decoder.finish()
+    with open_chunk_stream(file_reader, start_bit, window) as stream:
+        try:
+            while stream.position < size_bits:
+                final = stream.next_block()
+                end_bit = stream.position
+                if final:
+                    reader = stream.byte_reader()
+                    parse_gzip_footer(reader)
+                    end_bit = reader.tell()
+                    if file_reader.pread(end_bit // 8, 2) != MAGIC:
+                        break
+                    parse_gzip_header(reader)
+                    stream.restart(reader.tell())
+        except FormatError:
+            pass  # decode as far as possible, keep what we have
+        payload = stream.finish()
 
     unresolved = 0
     pieces = []
-    pad = bytes([placeholder]) * 1
     for segment in payload.segments:
         if isinstance(segment, bytes):
             pieces.append(segment)

@@ -19,8 +19,6 @@ and attributes its wall time across named stages:
   wire spans carry no chunk id);
 * ``window-propagation`` — materialization: marker replacement with the
   propagated 32 KiB window, the paper's sequential tail;
-* ``backpressure-stall`` — blocked in the memory governor waiting for
-  budget headroom;
 * ``spill-io`` — reloading evicted chunks from (or writing them to) the
   spill tier;
 * ``recovery`` — tolerant-mode resynchronisation after damage;
@@ -66,7 +64,6 @@ READ_STAGES = (
     "decode",
     "network-io",
     "window-propagation",
-    "backpressure-stall",
     "spill-io",
     "recovery",
     "verify",
@@ -79,7 +76,6 @@ READ_STAGES = (
 #: stage, full stop.
 _DIRECT_STAGES = {
     "chunk.materialize": "window-propagation",
-    "memory.stall": "backpressure-stall",
     "spill.read": "spill-io",
     "spill.write": "spill-io",
     "reader.resync": "recovery",
@@ -114,8 +110,8 @@ _ADVICE = {
     ),
     "decode": (
         "decode-bound: reads waited on Deflate decoding itself — raise "
-        "-P; if --stats reports decoder \"fused\", libz could not be "
-        "loaded and the ~10x slower Python kernel is decoding"
+        "-P; if --stats reports decoder \"python\", libz could not be "
+        "loaded and the ~40x slower Python decoder is decoding"
     ),
     "network-io": (
         "origin-latency-bound: reads waited on wire round trips to the "
@@ -129,10 +125,6 @@ _ADVICE = {
         "each must wait for its predecessor's 32 KiB window; import an "
         "index (windows known, zlib fast path) or recompress with "
         "independent chunks (BGZF)"
-    ),
-    "backpressure-stall": (
-        "memory-bound: reads stalled waiting for budget headroom — "
-        "raise --max-memory or reduce parallelization"
     ),
     "spill-io": (
         "spill-bound: reads reloaded evicted chunks from disk — raise "

@@ -189,7 +189,7 @@ def format_profile(statistics: dict, *, wall_time: float = None,
             )
     spill = statistics.get("spill")
     if spill and (spill.get("writes") or spill.get("hits")
-                  or spill.get("misses") or spill.get("refused")):
+                  or spill.get("misses") or spill.get("rejected")):
         from ..cache import format_size
 
         info(
@@ -197,7 +197,7 @@ def format_profile(statistics: dict, *, wall_time: float = None,
             f"spilled ({format_size(spill.get('bytes_written', 0))}), "
             f"{spill.get('hits', 0)} hit(s) / {spill.get('misses', 0)} "
             f"miss(es), {spill.get('corrupt', 0)} corrupt reload(s), "
-            f"{spill.get('refused', 0)} write(s) refused"
+            f"{spill.get('rejected', 0)} write(s) rejected"
         )
 
     # Persistent index cache: reported whenever the tier was in play —

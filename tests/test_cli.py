@@ -163,6 +163,26 @@ class TestAnalyze:
         assert "member" in out
         assert "dynamic" in out or "stored" in out or "fixed" in out
 
+        # One decode per member: the block counts printed are the ones
+        # inflate() reports for the member's Deflate stream.
+        from repro.deflate import inflate
+        from repro.gz import parse_gzip_header
+        from repro.io import BitReader
+
+        reader = BitReader(gz_file.read_bytes())
+        parse_gzip_header(reader)
+        deflate_start = reader.tell()
+        boundaries = inflate(reader).boundaries
+        names = {0: "stored", 1: "fixed", 2: "dynamic"}
+        counts = {}
+        for boundary in boundaries:
+            name = names[boundary.block_type]
+            counts[name] = counts.get(name, 0) + 1
+        row = out.splitlines()[1].split()
+        assert row[:3] == ["0", "0", str(deflate_start)]
+        assert int(row[4]) == len(boundaries)
+        assert row[5] == ",".join(f"{k}:{v}" for k, v in sorted(counts.items()))
+
 
 class TestCompress:
     @pytest.mark.parametrize("profile", ["gzip", "pigz", "bgzf", "igzip0"])

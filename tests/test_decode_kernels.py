@@ -1,11 +1,11 @@
-"""Differential tests for the fused Deflate decode kernels.
+"""Differential tests for the one Python Deflate decoder.
 
-The fused kernels (``repro.deflate.kernels``) must be byte-for-byte
-interchangeable with the bounds-checked reference loops (tier name
-``legacy``) — and with zlib wherever a complete stream is decoded — in
-every mode: conventional decode, two-stage (marker) decode including the
-exact marker symbols, and error behavior on truncated input. Every
-differential is parametrized over both tiers.
+The bounds-checked loops of ``repro.deflate.block`` are the only Python
+decoder: the fallback where libz cannot be loaded, the oracle of the libz
+chunk engine and the Table 2 baseline row. They must agree byte for byte
+with zlib and stdlib gzip wherever a complete stream is decoded — in
+conventional decode, in two-stage (marker) decode including the exact
+marker symbols, and in error behavior on truncated input.
 """
 
 import gzip as stdlib_gzip
@@ -13,27 +13,19 @@ import io
 import random
 import zlib
 
+import numpy as np
 import pytest
 
 from repro.datagen import generate_base64, generate_fastq, generate_silesia_like
-from repro.deflate import TwoStageStreamDecoder, inflate, read_block_header
-from repro.deflate.kernels import block_decoders
-from repro.errors import DeflateError, ReproError, UsageError
-from repro.huffman import (
-    CONTROL_FLAG,
-    EMIT_PAIR_OFFSET,
-    FusedDecoder,
-    fixed_distance_decoder,
-    fixed_literal_decoder,
-)
-from repro.io import BitReader
+from repro.deflate import TwoStageStreamDecoder, inflate, pad_window
+from repro.errors import DeflateError, ReproError
+from repro.fetcher.decode import open_chunk_stream
+from repro.io import BitReader, ensure_file_reader
 
 from .deflate_writer_util import (
     encode_fixed_block,
     encode_fixed_block_with_match,
 )
-
-DECODERS = ("fused", "legacy")  # the kernels and their reference loops
 
 
 def raw_deflate(data: bytes, level: int = 6, zdict: bytes = None) -> bytes:
@@ -44,15 +36,25 @@ def raw_deflate(data: bytes, level: int = 6, zdict: bytes = None) -> bytes:
     return compressor.compress(data) + compressor.flush()
 
 
-def two_stage_segments(compressed: bytes, decoder: str) -> list:
-    """All payload segments from a full two-stage decode."""
+def two_stage_stream(compressed: bytes, start_bit: int = 0):
+    """A windowless two-stage decode from ``start_bit`` to the stream end."""
     reader = BitReader(compressed)
-    stream = TwoStageStreamDecoder(window=None, decoder=decoder)
+    reader.seek(start_bit)
+    stream = TwoStageStreamDecoder(window=None)
     while True:
         header = stream.read_and_decode_block(reader)
         if header.final:
             break
-    return stream.finish().segments
+    return stream
+
+
+def symbols(payload) -> np.ndarray:
+    """A payload's symbol stream, ``bytes`` segments widened."""
+    return np.concatenate([
+        segment if isinstance(segment, np.ndarray)
+        else np.frombuffer(segment, dtype=np.uint8).astype(np.uint16)
+        for segment in payload.segments
+    ] or [np.zeros(0, np.uint16)])
 
 
 def make_corpora():
@@ -76,104 +78,100 @@ class TestConventionalDifferential:
     @pytest.mark.parametrize("name", sorted(CORPORA))
     @pytest.mark.parametrize("level", [1, 6, 9])
     def test_kernels_match_legacy_and_zlib(self, name, level):
+        # The chunk engine's kernel (libz, or the Python decoder where
+        # libz cannot be loaded) must see the blocks the Python loops see,
+        # and both must reproduce zlib's input.
         data = CORPORA[name]
         compressed = raw_deflate(data, level)
-        fused = inflate(compressed, decoder="fused")
-        legacy = inflate(compressed, decoder="legacy")
+        legacy = inflate(compressed)
         assert legacy.data == data  # zlib round-trip referee
-        assert fused.data == legacy.data
-        assert fused.end_bit_offset == legacy.end_bit_offset
+        with open_chunk_stream(ensure_file_reader(compressed), 0, b"") as stream:
+            while not stream.next_block():
+                pass
+            assert stream.finish().materialize(b"") == data
         assert [
             (b.bit_offset, b.output_offset, b.block_type, b.is_final)
-            for b in fused.boundaries
+            for b in stream.boundaries
         ] == [
             (b.bit_offset, b.output_offset, b.block_type, b.is_final)
             for b in legacy.boundaries
         ]
+        # The engine stops on the final block's last bit; inflate() too.
+        assert stream.position == legacy.end_bit_offset
 
-    @pytest.mark.parametrize("decoder", DECODERS)
     @pytest.mark.parametrize("level", [0, 6])
-    def test_stored_blocks(self, decoder, level):
-        # level 0 produces stored blocks; the fused entry points must route
-        # them through the reference loop untouched.
+    def test_stored_blocks(self, level):
         data = CORPORA["silesia"]
         compressed = raw_deflate(data, level)
-        assert inflate(compressed, decoder=decoder).data == data
+        assert inflate(compressed).data == data
 
-    @pytest.mark.parametrize("decoder", DECODERS)
-    def test_fixed_block(self, decoder):
-        compressed = encode_fixed_block(b"hello fused world")
-        assert inflate(compressed, decoder=decoder).data == b"hello fused world"
+    def test_fixed_block(self):
+        compressed = encode_fixed_block(b"hello fixed world")
+        assert inflate(compressed).data == b"hello fixed world"
 
-    @pytest.mark.parametrize("decoder", DECODERS)
     @pytest.mark.parametrize("distance", list(range(1, 9)))
-    def test_overlapping_copy_distances(self, decoder, distance):
+    def test_overlapping_copy_distances(self, distance):
         # Overlapping matches (distance < length) at every small period.
         prefix = bytes(range(97, 97 + distance))
         compressed = encode_fixed_block_with_match(
             distance, length=29, prefix=prefix
         )
         expected = prefix + (prefix * (29 // distance + 1))[:29]
-        assert inflate(compressed, decoder=decoder).data == expected
+        assert inflate(compressed).data == expected
 
-    @pytest.mark.parametrize("decoder", DECODERS)
-    def test_window_seeded_decode(self, decoder):
+    def test_window_seeded_decode(self):
         window = bytes(range(256)) * 64
         data = window[1000:3000] + b"fresh tail data" * 50
         compressed = raw_deflate(data, 9, zdict=window)
-        assert inflate(compressed, window=window, decoder=decoder).data == data
+        assert inflate(compressed, window=window).data == data
 
-    @pytest.mark.parametrize("decoder", DECODERS)
-    def test_max_size_enforced(self, decoder):
+    def test_max_size_enforced(self):
         compressed = raw_deflate(b"y" * 100_000, 6)
         with pytest.raises(DeflateError):
-            inflate(compressed, max_size=1000, decoder=decoder)
+            inflate(compressed, max_size=1000)
 
-    @pytest.mark.parametrize("decoder", DECODERS)
     @pytest.mark.parametrize("level", [1, 6])
-    def test_random_small_inputs(self, decoder, level):
+    def test_random_small_inputs(self, level):
         rng = random.Random(4321)
         for _ in range(30):
             size = rng.randrange(0, 2000)
             data = bytes(rng.randrange(256) for _ in range(size))
             compressed = raw_deflate(data, level)
-            assert inflate(compressed, decoder=decoder).data == data
+            assert inflate(compressed).data == data
 
 
 class TestMarkerModeDifferential:
-    @pytest.mark.parametrize("decoder", ["fused"])  # vs the legacy tier
     @pytest.mark.parametrize("name", ["base64", "silesia", "rle", "pairs"])
-    def test_symbol_streams_identical(self, decoder, name):
-        compressed = raw_deflate(CORPORA[name], 6)
-        fast = two_stage_segments(compressed, decoder)
-        legacy = two_stage_segments(compressed, "legacy")
-        assert len(fast) == len(legacy)
-        for seg_f, seg_l in zip(fast, legacy):
-            if isinstance(seg_f, bytes):
-                assert seg_f == seg_l
-            else:
-                assert (seg_f == seg_l).all()
+    def test_symbol_streams_identical(self, name):
+        # From a block boundary mid-stream the window is unknown: the
+        # marker symbols, resolved against the true window, are zlib's
+        # output, and the chunk engine's probe emits the same symbols.
+        data = CORPORA[name]
+        compressed = raw_deflate(data, 6)
+        whole = inflate(compressed)
+        later = [b for b in whole.boundaries if b.output_offset]
+        start = later[len(later) // 2] if later else whole.boundaries[0]
+        window = pad_window(data[: start.output_offset])
+        python = two_stage_stream(compressed, start.bit_offset).finish()
+        assert python.materialize(window) == data[start.output_offset :]
+        with open_chunk_stream(
+            ensure_file_reader(compressed), start.bit_offset, None
+        ) as engine:
+            while not engine.next_block():
+                pass
+            payload = engine.finish()
+        assert np.array_equal(symbols(payload), symbols(python))
 
     def test_window_references_produce_markers(self):
         window = b"0123456789" * 4000
         data = window[:5000] + b"new data" * 100
         compressed = raw_deflate(data, 9, zdict=window[-32768:])
-        reader_out = {}
-        for dec in DECODERS:
-            reader = BitReader(compressed)
-            stream = TwoStageStreamDecoder(window=None, decoder=dec)
-            while True:
-                header = stream.read_and_decode_block(reader)
-                if header.final:
-                    break
-            reader_out[dec] = stream.finish().materialize(window[-32768:])
-        assert all(out == data for out in reader_out.values()), {
-            dec: out == data for dec, out in reader_out.items()
-        }
+        payload = two_stage_stream(compressed).finish()
+        assert payload.has_markers
+        assert payload.materialize(window[-32768:]) == data
 
-    @pytest.mark.parametrize("decoder", DECODERS)
     @pytest.mark.parametrize("distance", [1, 2, 3, 5, 8])
-    def test_overlapping_copies_into_marker_window(self, decoder, distance):
+    def test_overlapping_copies_into_marker_window(self, distance):
         # A match at the very start of a windowless chunk copies *marker*
         # symbols with a small period — the taint-tracking path.
         prefix = bytes(range(65, 65 + distance))
@@ -181,107 +179,36 @@ class TestMarkerModeDifferential:
             distance, length=17, prefix=prefix
         )
         window = bytes(range(200, 200 + 32)) * 1024
-        reader = BitReader(compressed)
-        stream = TwoStageStreamDecoder(window=None, decoder=decoder)
-        while True:
-            if stream.read_and_decode_block(reader).final:
-                break
         expected = prefix + (prefix * (17 // distance + 1))[:17]
-        assert stream.finish().materialize(window) == expected
+        assert two_stage_stream(compressed).finish().materialize(window) == expected
 
 
 class TestTruncationParity:
     def test_truncated_tails_agree(self):
+        # A cut stream is an error for zlib and for the Python decoder
+        # alike — never silently short output.
         data = CORPORA["silesia"][:60_000]
         compressed = raw_deflate(data, 6)
         rng = random.Random(7)
         cuts = sorted(rng.randrange(1, len(compressed)) for _ in range(25))
         for cut in cuts:
             piece = compressed[:cut]
-            outcomes = {}
-            for dec in DECODERS:
-                try:
-                    outcomes[dec] = ("ok", inflate(piece, decoder=dec).data)
-                except ReproError as error:
-                    outcomes[dec] = ("error", type(error).__name__)
-            assert outcomes["fused"] == outcomes["legacy"], cut
+            with pytest.raises(zlib.error):
+                zlib.decompress(piece, -15)
+            with pytest.raises(ReproError):
+                inflate(piece)
 
-    @pytest.mark.parametrize("decoder", DECODERS)
-    def test_exact_eof_tail(self, decoder):
-        # Streams ending within the fused kernels' 48-bit EOF refill zone
-        # delegate to the reference tail loops — outputs must still be
-        # complete and identical.
+    def test_exact_eof_tail(self):
+        # Streams ending in their last few bytes: the bit reader's refill
+        # runs out exactly at the final block's last bit.
         for size in (1, 7, 64, 257, 4096):
             data = b"z" * size
             compressed = raw_deflate(data, 6)
-            assert inflate(compressed, decoder=decoder).data == data
-
-
-class TestFusedTables:
-    def test_fixed_literal_entries(self):
-        decoder = fixed_literal_decoder()
-        fused = FusedDecoder(decoder, fixed_distance_decoder())
-        found_single = found_pair = found_control = False
-        for entry in fused.lit_table:
-            if entry == 0:
-                continue
-            payload = entry >> 6
-            if entry & CONTROL_FLAG:
-                found_control = True
-            elif payload >= EMIT_PAIR_OFFSET:
-                found_pair = True
-            else:
-                found_single = True
-        assert found_single and found_control
-        # Fixed literal codes are 8-9 bits with width 13 (8 + 5): no two
-        # literals fit, so no pair entries are expected here.
-        assert not found_pair
-
-    def test_pair_entries_emitted_for_short_codes(self):
-        # base64 level-6 blocks have ~6-bit literal codes: pairs must
-        # appear, and decode must still agree with zlib (covered above);
-        # here just assert the table actually contains pair entries.
-        compressed = raw_deflate(CORPORA["base64"], 6)
-        reader = BitReader(compressed)
-        header = read_block_header(reader)
-        fused = FusedDecoder(header.literal_decoder, header.distance_decoder)
-        assert any(
-            not entry & CONTROL_FLAG and (entry >> 6) >= EMIT_PAIR_OFFSET
-            for entry in fused.lit_table
-            if entry
-        )
-
-    def test_distance_table_cached_on_decoder(self):
-        decoder = fixed_distance_decoder()
-        fused = FusedDecoder(fixed_literal_decoder(), decoder)
-        table1 = fused.distance_table()
-        table2 = fused.distance_table()
-        assert table1 is table2 is decoder.fused_distance
+            assert inflate(compressed).data == data
 
 
 class TestDecoderSelection:
-    """The tier is chosen only at the ``repro.deflate`` driver level."""
-
-    def test_block_decoders_pairs(self):
-        from repro.deflate.block import (
-            decode_block_into_bytearray,
-            decode_block_two_stage,
-        )
-        from repro.deflate.kernels import (
-            decode_block_into_bytearray_fused,
-            decode_block_two_stage_fused,
-        )
-
-        assert block_decoders() == block_decoders("fused") == (
-            decode_block_into_bytearray_fused,
-            decode_block_two_stage_fused,
-        )
-        assert block_decoders("legacy") == (
-            decode_block_into_bytearray,
-            decode_block_two_stage,
-        )
-        with pytest.raises(UsageError):
-            block_decoders("turbo")
+    """The decoder is resolved from what the host can load, never chosen."""
 
     @pytest.mark.parametrize("backend", ["threads"])
     def test_reader_ignores_repro_decoder_env(self, monkeypatch, backend):
@@ -299,6 +226,6 @@ class TestDecoderSelection:
             assert reader.read() == data
             stats = reader.statistics()
         # Resolved from what this host can load, not from the environment.
-        assert stats["decoder"] == ("probe" if libz.load() else "fused")
+        assert stats["decoder"] == ("probe" if libz.load() else "python")
         assert "kernel" not in stats
         assert stats["backend"] == backend

@@ -562,7 +562,7 @@ def test_reader_without_libz_is_byte_identical(monkeypatch, name, backend):
         assert reader.read() == data
         fallback = reader.statistics()
     assert calls  # the loader was asked, and its answer respected
-    assert fallback["decoder"] == "fused"
+    assert fallback["decoder"] == "python"
     # The GIL-bound kernel gets no second backend: P=2 buys nothing there.
     assert fallback["mode"] == stats["mode"] == "search"
     assert fallback["backend"] == stats["backend"] == backend

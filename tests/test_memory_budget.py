@@ -20,6 +20,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -111,30 +112,15 @@ class TestMemoryGovernor:
         assert not governor.try_reserve("spec", 600, headroom=500)
         assert governor.try_reserve("spec", 500, headroom=500)
 
-    def test_reserve_blocks_then_overcommits(self):
+    def test_reserve_charges_past_the_budget_without_waiting(self):
         governor = MemoryGovernor(1000)
-        governor.charge("cache", 900)
-        governor.reserve("mandatory", 400, timeout=0.05)
-        assert governor.charged == 1300  # forced through
-        assert governor.overcommits == 1
-
-    def test_reserve_wakes_on_discharge(self):
-        import threading
-
-        governor = MemoryGovernor(1000)
-        governor.charge("cache", 900)
-        done = threading.Event()
-
-        def reserver():
-            governor.reserve("mandatory", 400, timeout=30.0)
-            done.set()
-
-        thread = threading.Thread(target=reserver)
-        thread.start()
-        governor.discharge("cache", 600)
-        assert done.wait(timeout=5)
-        thread.join()
+        governor.charge("cache", 500)
+        governor.reserve("mandatory", 400)  # fits
         assert governor.overcommits == 0
+        governor.reserve("mandatory", 400)  # does not: forced through
+        assert governor.charged == 1300
+        assert governor.overcommits == 1
+        assert governor.high_water == 1300
 
     def test_unbudgeted_accounting_never_refuses(self):
         governor = MemoryGovernor(None)
@@ -206,6 +192,19 @@ class TestBudgetedDecompression:
         out, stats = self._run(parallelization=2, max_memory="8MiB")
         assert out == bomb_expected_output(self.DECOMPRESSED)
         assert stats["memory"]["budget_bytes"] == 8 * MiB
+
+    def test_mandatory_decodes_never_sleep(self):
+        # Every discharge runs on the reading thread, so a mandatory decode
+        # that waited for one could only time out: 5 s per stall, 35 s for
+        # this read. It charges at once, with the same accounting.
+        start = time.monotonic()
+        out, stats = self._run(parallelization=2, max_memory="8MiB")
+        elapsed = time.monotonic() - start
+        assert out == bomb_expected_output(self.DECOMPRESSED)
+        memory = stats["memory"]
+        assert memory["overcommits"] == 7
+        assert memory["high_water_bytes"] == 12_680_442
+        assert elapsed < 5, elapsed
 
     def test_no_budget_keeps_statistics_dormant(self):
         out, stats = self._run(parallelization=2)

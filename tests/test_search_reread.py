@@ -17,7 +17,6 @@ import time
 
 import pytest
 
-from repro.cache import MemoryGovernor
 from repro.datagen import (
     generate_base64,
     generate_fastq,
@@ -104,12 +103,8 @@ def test_rereads_are_delegated_and_identical(corpus, backend, budget,
     if budget is not None:
         # The floor keeps ordinary chunks whole; lowered, this budget
         # splits every chunk that decompresses to more than 64 KiB. A
-        # budget this tight makes mandatory decodes wait for room they
-        # then take regardless; the wait is shortened, not removed.
+        # budget this tight makes mandatory decodes overcommit.
         monkeypatch.setattr(gzip_chunk_fetcher, "MIN_SPLIT_OUTPUT", 32 * 1024)
-        monkeypatch.setitem(
-            MemoryGovernor.reserve.__kwdefaults__, "timeout", 0.02
-        )
         options = {"max_memory": budget, "spill_dir": str(tmp_path)}
     rng = random.Random(11)
     with ParallelGzipReader(
