@@ -200,7 +200,7 @@ def test_ablation_zlib_delegation(benchmark, reporter):
     """Index fast path: zlib delegation vs forcing the custom decoder."""
     import io
 
-    from repro.index import GzipIndex
+    from repro.index import load_index
     from repro.reader import ParallelGzipReader
 
     data = generate_base64(1024 * 1024, seed=22)
@@ -208,7 +208,7 @@ def test_ablation_zlib_delegation(benchmark, reporter):
     with ParallelGzipReader(blob, chunk_size=64 * 1024) as reader:
         sink = io.BytesIO()
         reader.export_index(sink)
-    index = GzipIndex.load(sink.getvalue())
+    index = load_index(sink.getvalue(), source=blob)
 
     def timed_read(**kwargs) -> float:
         start = time.perf_counter()

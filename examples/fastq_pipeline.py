@@ -15,7 +15,7 @@ from collections import Counter
 
 from repro.datagen import count_fastq_records, generate_fastq
 from repro.gz.writer import compress
-from repro.index import GzipIndex
+from repro.index import load_index
 from repro.reader import ParallelGzipReader
 
 # 1. Create reads.fastq.gz (pigz-like layout, as in the paper's setup).
@@ -58,7 +58,7 @@ print(f"mean quality: Q{quality_sum / quality_count:.1f}")
 
 # 3. Indexed random access: re-read records around the 60% mark without
 #    re-decompressing the first 60% of the file.
-index = GzipIndex.load(index_sink.getvalue())
+index = load_index(index_sink.getvalue(), source=blob)
 with ParallelGzipReader(blob, parallelization=2, index=index) as reader:
     offset = int(len(fastq) * 0.6)
     reader.seek(offset)

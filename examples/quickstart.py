@@ -12,7 +12,7 @@ import io
 
 from repro.datagen import generate_base64
 from repro.gz.writer import compress
-from repro.index import GzipIndex
+from repro.index import load_index
 from repro.reader import ParallelGzipReader
 
 # 1. Make a gzip file (any gzip file works — this one is base64 test data
@@ -41,7 +41,7 @@ with ParallelGzipReader(gz_blob, parallelization=4, chunk_size=256 * 1024) as re
 
 # 5. Re-open with the index: decompression now delegates to zlib and
 #    seeking anywhere is constant-time.
-index = GzipIndex.load(index_sink.getvalue())
+index = load_index(index_sink.getvalue(), source=gz_blob)
 with ParallelGzipReader(gz_blob, parallelization=4, index=index) as reader:
     reader.seek(3_000_000)
     assert reader.read(80) == data[3_000_000:3_000_080]

@@ -18,7 +18,7 @@ import threading  # two concurrent clients below
 from repro.cache import FetchMultiStream
 from repro.datagen import build_tar, silesia_members
 from repro.gz.writer import compress
-from repro.index import GzipIndex
+from repro.index import load_index
 from repro.reader import ParallelGzipReader
 
 # 1. Build archive.tar.gz with a few differently flavored members.
@@ -35,7 +35,7 @@ with ParallelGzipReader(archive, parallelization=4, chunk_size=128 * 1024) as re
         print("members:", names)
     index_sink = io.BytesIO()
     reader.export_index(index_sink)
-index = GzipIndex.load(index_sink.getvalue())
+index = load_index(index_sink.getvalue(), source=archive)
 
 # 3. Indexed reopen: extract a single member without a full pass.
 with ParallelGzipReader(

@@ -9,10 +9,11 @@ prefetcher keeps submitting more.
 
 :class:`MemoryGovernor` replaces the implicit "entries are roughly a
 chunk each" sizing with explicit byte accounting shared by every holder
-of decompressed data — the prefetch cache, the access cache, the
-reader's materialized-bytes cache, and in-flight (submitted but not yet
-collected) speculative decodes, which are charged a conservative
-*reservation* up front and re-charged at their true size on harvest.
+of decompressed data — the fetcher's prefetch cache, the reader's
+materialized-bytes cache (the paper's access cache), and in-flight
+(submitted but not yet collected) speculative decodes, which are charged
+a conservative *reservation* up front and re-charged at their true size
+on harvest.
 
 The governor never frees anything itself; it is pure accounting plus an
 admission gate. Graceful degradation is the callers' job:

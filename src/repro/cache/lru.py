@@ -1,10 +1,11 @@
 """LRU caches for decoded chunks (paper §3.2).
 
-Two separate caches exist in the fetcher: a small *access cache* holding
-chunks the reader actually consumed (size 1 for plain sequential
-decompression) and a larger *prefetch cache* (2x the parallelization) fed by
-the prefetcher — keeping them separate prevents speculative results from
-evicting data the consumer is about to re-read (prefetch cache pollution).
+Two separate caches exist: the fetcher's *prefetch cache* (2x the
+parallelization) fed by the prefetcher, and the reader's materialized-bytes
+cache, which is the paper's *access cache*: it holds the chunks the reader
+actually consumed, as served bytes. Keeping them separate prevents
+speculative results from evicting data the consumer is about to re-read
+(prefetch cache pollution).
 
 False positives get inserted under an offset nobody ever requests; they age
 out through normal LRU eviction, which is the mechanism that makes the
@@ -19,9 +20,10 @@ the byte-capacity half of the memory-governed pipeline.
 
 Membership checks (``in``), :meth:`peek`, and :meth:`keys` deliberately
 touch neither the recency order nor the hit/miss statistics: the
-fetcher's prefetch scan probes both caches on every access, and counting
-those probes as lookups would both pollute the LRU order (aging out data
-the consumer is about to re-read) and inflate the reported hit rates.
+fetcher's prefetch scan probes the prefetch cache on every access, and
+counting those probes as lookups would both pollute the LRU order (aging
+out data the consumer is about to re-read) and inflate the reported hit
+rates.
 """
 
 from __future__ import annotations

@@ -501,7 +501,7 @@ def _dispatch(arguments) -> int:
         )
     try:
         if arguments.export_index:
-            reader.export_index_atomic(arguments.export_index)
+            reader.export_index(arguments.export_index)
 
         if arguments.count:
             print(reader.size())

@@ -1,7 +1,7 @@
 """The cache-and-prefetch chunk fetcher (paper §3.1–§3.4, Fig. 4/5).
 
-Orchestrates a thread pool, a prefetch cache, an access cache, a prefetch
-strategy, and the chunk-id <-> offset database, the
+Orchestrates a thread pool, a prefetch cache, a prefetch strategy, and
+the chunk-id <-> offset database, the
 :class:`~repro.fetcher.chain.ChunkChain` (:attr:`GzipChunkFetcher.chain`)
 the reader extends. Two operating modes, chosen at construction:
 
@@ -178,14 +178,7 @@ class GzipChunkFetcher:
             capacity,
             max_bytes=budget // 4 if budget else None,
             account="prefetch_cache" if governor is not None else None,
-            on_evict=self._note_eviction("prefetch"),
-            **sizing,
-        )
-        self.access_cache = LRUCache(
-            max(parallelization // 4, 1),
-            max_bytes=budget // 8 if budget else None,
-            account="access_cache" if governor is not None else None,
-            on_evict=self._note_eviction("access"),
+            on_evict=self._note_eviction(),
             **sizing,
         )
         self._futures: dict = {}  # chunk id -> Future[ChunkResult | None]
@@ -214,9 +207,6 @@ class GzipChunkFetcher:
         metrics.probe(
             "cache.prefetch", lambda: self.prefetch_cache.snapshot()
         )
-        metrics.probe(
-            "cache.access", lambda: self.access_cache.snapshot()
-        )
         metrics.probe("fetcher.inflight_decodes", lambda: len(self._futures))
 
     def _note_catalog_probe(self) -> None:
@@ -240,8 +230,8 @@ class GzipChunkFetcher:
                     chunks=len(self.catalog.chunks),
                 )
 
-    def _note_eviction(self, cache: str):
-        """Cache-eviction hook emitting the ``evicted`` lifecycle event.
+    def _note_eviction(self):
+        """Prefetch-cache eviction hook emitting the ``evicted`` event.
         It holds the event log and key map, not the fetcher, so a cache
         never keeps its fetcher alive."""
         events = self.telemetry.events
@@ -250,7 +240,8 @@ class GzipChunkFetcher:
         def hook(key, _value):
             if events.enabled:
                 events.emit(
-                    "evicted", chunk=id_of_key.get(key), bit=key, cache=cache,
+                    "evicted", chunk=id_of_key.get(key), bit=key,
+                    cache="prefetch",
                 )
         return hook
 
@@ -603,12 +594,8 @@ class GzipChunkFetcher:
                 (target.start_bit,) if target is not None
                 else self._keys_of_id.get(wish, ())
             )
-            cached = any(
-                self.prefetch_cache.peek(key) is not None
-                or self.access_cache.peek(key) is not None
-                for key in keys
-            )
-            if cached:
+            if any(self.prefetch_cache.peek(key) is not None
+                   for key in keys):
                 continue
             if not self._submit(wish, target):
                 # Over budget: shed queued speculation instead of piling
@@ -625,7 +612,8 @@ class GzipChunkFetcher:
         ``window`` is the known 32 KiB preceding the chunk (``b""`` at
         stream starts) — used only when an on-demand decode is needed;
         cached speculative results keep their markers and are materialized
-        by the caller.
+        by the caller. Nothing is kept here once served: the reader's
+        materialized-bytes cache is the paper's access cache.
 
         In search mode a chunk already on the :attr:`chain` is decoded on
         demand by checked zlib delegation (the ``index`` task, with its
@@ -638,12 +626,8 @@ class GzipChunkFetcher:
         """
         chunk_id = self.chunk_id_for_bit(start_bit)
         known = self.chain.extent(start_bit) if self.mode == "search" else None
-        result = self.access_cache.get(start_bit)
-        if result is None:
-            self._harvest()
-            result = self.prefetch_cache.get(start_bit)
-            if result is not None:
-                self.access_cache.insert(start_bit, result)
+        self._harvest()
+        result = self.prefetch_cache.get(start_bit)
         if result is None:
             # An in-flight speculative task may be about to produce it.
             future = self._futures.get(chunk_id)
@@ -661,20 +645,10 @@ class GzipChunkFetcher:
                         pass  # classified (and counted) by _harvest below
                 self._harvest()
                 result = self.prefetch_cache.get(start_bit)
-                if result is not None:
-                    self.access_cache.insert(start_bit, result)
         if result is None:
             result = self._produce_chunk(start_bit, chunk_id, window, known)
             if result.split:
                 self._chunk_splits.increment()
-            events = self.telemetry.events
-            if events.enabled:
-                events.emit(
-                    "cached", chunk=chunk_id, bit=start_bit, cache="access",
-                    nbytes=result.payload.nbytes,
-                )
-            self.access_cache.insert(start_bit, result)
-            self._remember_key(start_bit, chunk_id)
         if known is None and self.mode == "search":
             # The frontier: its window is known, so its successor's is too.
             self.chain.hand_over(result, window)
@@ -811,7 +785,6 @@ class GzipChunkFetcher:
             "chunk_splits": self._chunk_splits.value,
             "speculative_shed": self._speculative_shed.value,
             "prefetch_cache": self.prefetch_cache.snapshot(),
-            "access_cache": self.access_cache.snapshot(),
             "speculative_submitted": self.speculative_submitted,
             "speculative_unusable": self.speculative_unusable,
             "on_demand_decodes": self.on_demand_decodes,

@@ -80,9 +80,11 @@ def run_chunk_task(spec: ChunkTaskSpec, reader, telemetry) -> ChunkResult:
                            mode=spec.mode, kind=kind, attempt=spec.attempt):
             if events.enabled and not searching:
                 # A search emits block-find/decode itself, where the
-                # phases actually separate.
+                # phases actually separate. The start bit joins the
+                # reader's bit-keyed cached/served records to this chunk.
                 events.emit(
-                    "decode", chunk=spec.chunk_id, mode=spec.mode, kind=kind
+                    "decode", chunk=spec.chunk_id, bit=spec.start_bit,
+                    mode=spec.mode, kind=kind,
                 )
             faults.fire("chunk.decode", chunk_id=spec.chunk_id,
                         attempt=spec.attempt)

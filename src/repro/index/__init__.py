@@ -1,20 +1,18 @@
 """Seek-point index for constant-time random access.
 
-:mod:`.gzip_index` holds the in-memory index and the legacy v1 wire
-format; :mod:`.store` adds the crash-safe persistent tier (atomic
-export, checksummed v2 format, source fingerprints, lazy validation).
+:mod:`.gzip_index` holds the in-memory index; :mod:`.store` is the only
+code that reads or writes index bytes: crash-safe export of the
+checksummed, source-bound v2 format, and import of v2 or legacy v1
+files (v1 is import-only) through one set of checks.
 """
 
-from .gzip_index import (
-    GzipIndex,
-    INDEX_MAGIC,
-    MAX_COMPRESSED_WINDOW,
-    SeekPoint,
-)
+from .gzip_index import GzipIndex, SeekPoint
 from .store import (
+    INDEX_MAGIC_V1,
     INDEX_MAGIC_V2,
     INDEX_TRAILER_V2,
     LazyWindow,
+    MAX_COMPRESSED_WINDOW,
     SourceFingerprint,
     VALIDATION_POLICIES,
     cache_path,
@@ -26,7 +24,7 @@ from .store import (
 
 __all__ = [
     "GzipIndex",
-    "INDEX_MAGIC",
+    "INDEX_MAGIC_V1",
     "INDEX_MAGIC_V2",
     "INDEX_TRAILER_V2",
     "LazyWindow",

@@ -1,4 +1,4 @@
-"""Exportable seek-point index (paper §1.3, "Index for Seeking").
+"""Seek-point index (paper §1.3, "Index for Seeking").
 
 Each seek point stores the compressed *bit* offset, the decompressed byte
 offset, and the 32 KiB window needed to resume decompression there. The
@@ -10,32 +10,19 @@ re-imported (like indexed_gzip); with a finalized index loaded:
 * workloads are balanced, because the points are equally spaced in
   *decompressed* space.
 
-Binary format (little-endian): magic ``RPGZIDX1``, u8 version, u8 flags
-(bit 0 = finalized), u64 uncompressed size, u64 compressed size in bits,
-u32 seek-point count; each point: u64 compressed bit offset, u64
-uncompressed offset, u8 flags (bit 0 = stream start), u32 compressed window
-length, zlib-compressed window bytes.
+This module holds the in-memory index only. Its bytes on disk are
+:mod:`repro.index.store`'s: format v2 is the one format written, and
+legacy v1 files are import-only; both layouts are described there.
 """
 
 from __future__ import annotations
 
-import io
-import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from ..deflate.constants import MAX_WINDOW_SIZE
-from ..errors import FormatError, UsageError
+from ..errors import UsageError
 
-__all__ = ["SeekPoint", "GzipIndex", "INDEX_MAGIC", "MAX_COMPRESSED_WINDOW"]
-
-INDEX_MAGIC = b"RPGZIDX1"
-_VERSION = 1
-
-#: Largest credible zlib-compressed 32 KiB window: raw size plus the
-#: worst-case stored-block expansion overhead. A declared length past
-#: this is a malformed (or malicious) index, not a big window.
-MAX_COMPRESSED_WINDOW = MAX_WINDOW_SIZE + 1024
+__all__ = ["SeekPoint", "GzipIndex"]
 
 
 @dataclass(frozen=True)
@@ -49,7 +36,7 @@ class SeekPoint:
 
 
 class GzipIndex:
-    """Sorted collection of seek points with import/export."""
+    """Sorted collection of seek points."""
 
     def __init__(self):
         self._points: list = []
@@ -106,130 +93,3 @@ class GzipIndex:
         if index < 0 or self._uncompressed_offsets[index] != point_offset:
             raise UsageError(f"no seek point at offset {point_offset}")
         return index
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        out = io.BytesIO()
-        out.write(INDEX_MAGIC)
-        out.write(bytes([_VERSION, 1 if self.finalized else 0]))
-        out.write(self.uncompressed_size.to_bytes(8, "little"))
-        out.write(self.compressed_size_bits.to_bytes(8, "little"))
-        out.write(len(self._points).to_bytes(4, "little"))
-        for point in self._points:
-            out.write(point.compressed_bit_offset.to_bytes(8, "little"))
-            out.write(point.uncompressed_offset.to_bytes(8, "little"))
-            out.write(bytes([1 if point.is_stream_start else 0]))
-            compressed_window = zlib.compress(point.window, 6)
-            out.write(len(compressed_window).to_bytes(4, "little"))
-            out.write(compressed_window)
-        return out.getvalue()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "GzipIndex":
-        """Parse a v1 index, rejecting malformed input defensively.
-
-        Every way a hostile or damaged file can break the parse —
-        truncation mid-field, a declared window length larger than any
-        real compressed window, a window that zlib cannot inflate, an
-        inflated window past 32 KiB, non-monotonic seek points — raises
-        :class:`FormatError` with the byte offset of the bad field,
-        never a leaked ``struct.error``/``zlib.error``.
-        """
-        stream = io.BytesIO(data)
-
-        def take(n: int, what: str) -> bytes:
-            offset = stream.tell()
-            piece = stream.read(n)
-            if len(piece) != n:
-                raise FormatError(
-                    f"truncated index file: needed {n} byte(s) for {what} "
-                    f"at byte offset {offset}, found {len(piece)}"
-                )
-            return piece
-
-        if take(8, "magic") != INDEX_MAGIC:
-            raise FormatError("not a rapidgzip-repro index file")
-        version, flags = take(2, "version/flags")
-        if version != _VERSION:
-            raise FormatError(f"unsupported index version {version}")
-        index = cls()
-        uncompressed_size = int.from_bytes(take(8, "uncompressed size"), "little")
-        compressed_size_bits = int.from_bytes(
-            take(8, "compressed size"), "little"
-        )
-        count = int.from_bytes(take(4, "seek-point count"), "little")
-        for number in range(count):
-            compressed_bit = int.from_bytes(
-                take(8, f"point {number} bit offset"), "little"
-            )
-            uncompressed = int.from_bytes(
-                take(8, f"point {number} output offset"), "little"
-            )
-            point_flags = take(1, f"point {number} flags")[0]
-            length_offset = stream.tell()
-            window_length = int.from_bytes(
-                take(4, f"point {number} window length"), "little"
-            )
-            if window_length > MAX_COMPRESSED_WINDOW:
-                raise FormatError(
-                    f"implausible window length {window_length} for seek "
-                    f"point {number} at byte offset {length_offset} "
-                    f"(limit {MAX_COMPRESSED_WINDOW})"
-                )
-            window_offset = stream.tell()
-            compressed_window = take(window_length, f"point {number} window")
-            try:
-                # Bounded inflate: ask for at most one byte past the cap,
-                # so an absurd declared window cannot balloon memory.
-                decompressor = zlib.decompressobj()
-                window = decompressor.decompress(
-                    compressed_window, MAX_WINDOW_SIZE + 1
-                )
-            except zlib.error as error:
-                raise FormatError(
-                    f"corrupt window for seek point {number} at byte "
-                    f"offset {window_offset}: {error}"
-                ) from error
-            if len(window) > MAX_WINDOW_SIZE:
-                raise FormatError(
-                    f"window for seek point {number} at byte offset "
-                    f"{window_offset} inflates to {len(window)} bytes "
-                    f"(limit {MAX_WINDOW_SIZE})"
-                )
-            try:
-                index.add(
-                    SeekPoint(
-                        compressed_bit_offset=compressed_bit,
-                        uncompressed_offset=uncompressed,
-                        window=window,
-                        is_stream_start=bool(point_flags & 1),
-                    )
-                )
-            except UsageError as error:
-                raise FormatError(
-                    f"non-monotonic seek point {number} at byte offset "
-                    f"{length_offset}: {error}"
-                ) from error
-        if flags & 1:
-            index.finalize(uncompressed_size, compressed_size_bits)
-        return index
-
-    def save(self, target) -> None:
-        """Write the index to a path or binary file object."""
-        data = self.to_bytes()
-        if hasattr(target, "write"):
-            target.write(data)
-        else:
-            with open(target, "wb") as handle:
-                handle.write(data)
-
-    @classmethod
-    def load(cls, source) -> "GzipIndex":
-        """Read an index from a path, bytes, or binary file object."""
-        if isinstance(source, (bytes, bytearray)):
-            return cls.from_bytes(bytes(source))
-        if hasattr(source, "read"):
-            return cls.from_bytes(source.read())
-        with open(source, "rb") as handle:
-            return cls.from_bytes(handle.read())

@@ -49,6 +49,19 @@ Format v2 (little-endian)::
                 | I compressed window length | I window crc
                 | compressed window bytes
     footer      I crc-32 of everything above | 8s trailer "RPGZEND2"
+
+Format v2 is the only format written. Legacy v1 files still import:
+:func:`load_index` parses their layout below and runs v2's checks on it
+(truncation, window length, bounded inflate, point order, finalized).
+They carry no checksums and no fingerprint, so a v1 window is inflated
+at load under every policy and ``source`` binds nothing::
+
+    header      8s magic "RPGZIDX1" | B version=1 | B flags (bit0
+                finalized) | Q uncompressed size | Q compressed size bits
+                | I seek-point count
+    point * N   Q compressed bit offset | Q uncompressed offset
+                | B flags (bit0 stream start) | I compressed window length
+                | compressed window bytes
 """
 
 from __future__ import annotations
@@ -65,17 +78,14 @@ from .. import faults
 from ..deflate.constants import MAX_WINDOW_SIZE
 from ..errors import IndexIntegrityError, UsageError
 from ..io import FileReader, ensure_file_reader
-from .gzip_index import (
-    GzipIndex,
-    INDEX_MAGIC,
-    MAX_COMPRESSED_WINDOW,
-    SeekPoint,
-)
+from .gzip_index import GzipIndex, SeekPoint
 
 __all__ = [
+    "INDEX_MAGIC_V1",
     "INDEX_MAGIC_V2",
     "INDEX_TRAILER_V2",
     "LazyWindow",
+    "MAX_COMPRESSED_WINDOW",
     "SourceFingerprint",
     "VALIDATION_POLICIES",
     "cache_path",
@@ -86,9 +96,15 @@ __all__ = [
     "window_bytes",
 ]
 
+INDEX_MAGIC_V1 = b"RPGZIDX1"
 INDEX_MAGIC_V2 = b"RPGZIDX2"
 INDEX_TRAILER_V2 = b"RPGZEND2"
 _VERSION = 2
+
+#: Largest credible zlib-compressed 32 KiB window: raw size plus the
+#: worst-case stored-block expansion overhead. A declared length past
+#: this is a malformed (or malicious) index, not a big window.
+MAX_COMPRESSED_WINDOW = MAX_WINDOW_SIZE + 1024
 
 _FLAG_FINALIZED = 1
 _FLAG_FINGERPRINT = 2
@@ -98,6 +114,8 @@ _HEADER = struct.Struct("<8sBBHQQI")
 _FINGERPRINT = struct.Struct("<QQIIIIQ")
 _POINT = struct.Struct("<QQBIII")
 _FOOTER = struct.Struct("<I8s")
+_HEADER_V1 = struct.Struct("<8sBBQQI")
+_POINT_V1 = struct.Struct("<QQBI")
 
 #: Accepted ``validate=`` values, strictest first.
 VALIDATION_POLICIES = ("eager", "lazy", "off")
@@ -320,18 +338,32 @@ def _check_window(compressed: bytes, crc: int, raw_length: int,
             f"{crc:#010x}, computed {actual_crc:#010x})",
             check="window_crc", point=point,
         )
+    window = _inflate_window(compressed, point)
+    if len(window) != raw_length:
+        raise IndexIntegrityError(
+            f"seek point {point}: window inflated to {len(window)} byte(s), "
+            f"declared {raw_length}",
+            check="window_length", point=point,
+        )
+    return window
+
+
+def _inflate_window(compressed: bytes, point: int) -> bytes:
+    """Inflate one stored window into at most one byte past 32 KiB, so a
+    hostile window cannot balloon memory; every failure is typed."""
     try:
-        decompressor = zlib.decompressobj()
-        window = decompressor.decompress(compressed, MAX_WINDOW_SIZE + 1)
+        window = zlib.decompressobj().decompress(
+            compressed, MAX_WINDOW_SIZE + 1
+        )
     except zlib.error as error:
         raise IndexIntegrityError(
             f"seek point {point}: window failed to inflate: {error}",
             check="window_inflate", point=point,
         ) from error
-    if len(window) != raw_length or len(window) > MAX_WINDOW_SIZE:
+    if len(window) > MAX_WINDOW_SIZE:
         raise IndexIntegrityError(
-            f"seek point {point}: window inflated to {len(window)} byte(s), "
-            f"declared {raw_length}",
+            f"seek point {point}: window inflates past {MAX_WINDOW_SIZE} "
+            f"byte(s)",
             check="window_length", point=point,
         )
     return window
@@ -378,7 +410,7 @@ def index_to_bytes_v2(index: GzipIndex, *,
                 fingerprint.sample_size, fingerprint.stride,
             )
         )
-    for number, point in enumerate(index):
+    for point in index:
         window = window_bytes(point.window)
         compressed = zlib.compress(window, compresslevel)
         pieces.append(
@@ -392,7 +424,6 @@ def index_to_bytes_v2(index: GzipIndex, *,
             )
         )
         pieces.append(compressed)
-        del number
     body = b"".join(pieces)
     return body + _FOOTER.pack(zlib.crc32(body), INDEX_TRAILER_V2)
 
@@ -469,9 +500,8 @@ def load_index(source_index, *, source=None, validate: str = "eager",
       and still fail *typed* if corrupt — never wrong bytes).
 
     Raises :class:`~repro.errors.IndexIntegrityError` naming the failed
-    check; legacy v1 files parse through the hardened
-    :meth:`GzipIndex.from_bytes` (no fingerprint or checksums to
-    verify — their failures are wrapped with ``check="format"``).
+    check. Legacy v1 files run the same checks, minus the checksums and
+    the fingerprint they do not carry (module docstring).
     """
     check_policy(validate)
     path = None
@@ -497,28 +527,26 @@ def load_index(source_index, *, source=None, validate: str = "eager",
 
 def _parse_index(data: bytes, path, source, validate: str,
                  telemetry) -> GzipIndex:
-    if data[:8] == INDEX_MAGIC:  # legacy v1: hardened parse, no binding
-        from ..errors import FormatError
-
-        try:
-            return GzipIndex.from_bytes(data)
-        except FormatError as error:
+    legacy = data[:8] == INDEX_MAGIC_V1
+    if legacy:
+        header = _take(data, 0, _HEADER_V1.size, "header", path)
+        magic, version, flags, uncompressed_size, compressed_size_bits, \
+            count = _HEADER_V1.unpack(header)
+        expected, point_size = 1, _POINT_V1.size
+    else:
+        header = _take(data, 0, _HEADER.size, "header", path)
+        magic, version, flags, _reserved, uncompressed_size, \
+            compressed_size_bits, count = _HEADER.unpack(header)
+        expected, point_size = _VERSION, _POINT.size
+        if magic != INDEX_MAGIC_V2:
             raise IndexIntegrityError(
-                f"legacy index rejected: {error}", check="format", path=path,
-            ) from error
-
-    header = _take(data, 0, _HEADER.size, "header", path)
-    magic, version, flags, _reserved, uncompressed_size, \
-        compressed_size_bits, count = _HEADER.unpack(header)
-    if magic != INDEX_MAGIC_V2:
-        raise IndexIntegrityError(
-            f"not a rapidgzip-repro index file (magic {magic!r})",
-            check="magic", path=path, offset=0,
-        )
-    if version != _VERSION:
+                f"not a rapidgzip-repro index file (magic {magic!r})",
+                check="magic", path=path, offset=0,
+            )
+    if version != expected:
         raise IndexIntegrityError(
             f"index version {version} is not supported by this release "
-            f"(expected {_VERSION}); refusing to guess at a future format",
+            f"(expected {expected}); refusing to guess at a future format",
             check="version", path=path, offset=8,
         )
     if not flags & _FLAG_FINALIZED:
@@ -528,12 +556,12 @@ def _parse_index(data: bytes, path, source, validate: str,
             check="finalized", path=path, offset=9,
         )
 
-    if validate == "eager":
+    if validate == "eager" and not legacy:
         _check_footer(data, path)
 
-    offset = _HEADER.size
+    offset = len(header)
     fingerprint = None
-    if flags & _FLAG_FINGERPRINT:
+    if not legacy and flags & _FLAG_FINGERPRINT:
         block = _take(data, offset, _FINGERPRINT.size, "fingerprint", path)
         fingerprint = SourceFingerprint(*_FINGERPRINT.unpack(block))
         offset += _FINGERPRINT.size
@@ -548,20 +576,25 @@ def _parse_index(data: bytes, path, source, validate: str,
 
     # A count no file of this size could hold is structural damage, not
     # a huge index — reject before looping (and allocating) on it.
-    if count > max((len(data) - _HEADER.size) // _POINT.size, 0):
+    if count > max((len(data) - len(header)) // point_size, 0):
         raise IndexIntegrityError(
             f"declared seek-point count {count} cannot fit in a "
             f"{len(data)}-byte index file",
-            check="truncated", path=path, offset=_HEADER.size - 4,
+            check="truncated", path=path, offset=len(header) - 4,
         )
 
     index = GzipIndex()
     eager = validate == "eager"
     for number in range(count):
-        record = _take(data, offset, _POINT.size, f"seek point {number}", path)
-        bit_offset, output_offset, point_flags, raw_length, \
-            compressed_length, window_crc = _POINT.unpack(record)
-        offset += _POINT.size
+        record = _take(data, offset, point_size, f"seek point {number}", path)
+        if legacy:
+            bit_offset, output_offset, point_flags, compressed_length = \
+                _POINT_V1.unpack(record)
+            raw_length = window_crc = 0
+        else:
+            bit_offset, output_offset, point_flags, raw_length, \
+                compressed_length, window_crc = _POINT.unpack(record)
+        offset += point_size
         if raw_length > MAX_WINDOW_SIZE or \
                 compressed_length > MAX_COMPRESSED_WINDOW:
             raise IndexIntegrityError(
@@ -574,7 +607,9 @@ def _parse_index(data: bytes, path, source, validate: str,
             path,
         )
         offset += compressed_length
-        if eager:
+        if legacy:
+            window = _inflate_window(compressed, number)
+        elif eager:
             window = _check_window(compressed, window_crc, raw_length, number)
             if telemetry is not None:
                 telemetry.metrics.counter(
@@ -600,7 +635,7 @@ def _parse_index(data: bytes, path, source, validate: str,
                 check="order", path=path, offset=offset,
             ) from error
 
-    if offset + _FOOTER.size > len(data):
+    if not legacy and offset + _FOOTER.size > len(data):
         raise IndexIntegrityError(
             f"truncated index file: footer missing at byte offset {offset}",
             check="truncated", path=path, offset=offset,

@@ -93,12 +93,13 @@ class ParallelGzipReader:
         """Open a gzip file for parallel reading.
 
         ``max_memory`` caps the resident decompressed bytes the whole
-        pipeline may hold at once (prefetch cache, access cache, the
-        reader's materialized-bytes cache, and in-flight speculative
-        decodes). Accepts a byte count or a size string (``"64MiB"``,
-        ``"1.5G"``). Under the cap the prefetcher stops submitting (and
-        sheds queued) speculation, workers split oversized chunks at
-        Deflate block boundaries, and chunks evicted from the
+        pipeline may hold at once (the fetcher's prefetch cache, this
+        reader's materialized-bytes cache, which is the paper's access
+        cache, and in-flight speculative decodes). Accepts a byte count
+        or a size string (``"64MiB"``, ``"1.5G"``). Under the cap the
+        prefetcher stops submitting (and sheds queued) speculation,
+        workers split oversized chunks at Deflate block boundaries, and
+        chunks evicted from the
         materialized cache spill to disk so backward seeks into them
         stay cheap. ``spill_dir`` picks the spill directory (a private
         temp directory by default); setting it without ``max_memory``
@@ -1081,28 +1082,28 @@ class ParallelGzipReader:
         return self._damage
 
     def export_index(self, target) -> GzipIndex:
-        """Complete the initial pass if needed, then save the index
-        (legacy v1 stream format; ``target`` may be a file object)."""
-        with self._lock:
-            self._check_open()
-            while self._chunks.frontier is not None:
-                self._decode_next_chunk()
-            self.index.save(target)
-            return self.index
+        """Complete the initial pass if needed, then write the index in
+        format v2, bound to this file by its source fingerprint.
 
-    def export_index_atomic(self, target) -> GzipIndex:
-        """Complete the initial pass if needed, then persist the index
-        crash-safely (checksummed v2 format with a source fingerprint,
-        written via temp file + fsync + ``os.replace``). ``target`` must
-        be a filesystem path."""
+        A path is written crash-safely (temp file, ``fsync``,
+        ``os.replace``: :func:`~repro.index.save_index`); a binary file
+        object receives the bytes. Read it back with
+        :func:`~repro.index.load_index`, passing ``source=`` to reject it
+        for any other file."""
         with self._lock:
             self._check_open()
             while self._chunks.frontier is not None:
                 self._decode_next_chunk()
-            index_store.save_index(
-                self.index, target, source=self._file_reader,
-                telemetry=self.telemetry,
-            )
+            fingerprint = index_store.fingerprint_source(self._file_reader)
+            if hasattr(target, "write"):
+                target.write(index_store.index_to_bytes_v2(
+                    self.index, fingerprint=fingerprint
+                ))
+            else:
+                index_store.save_index(
+                    self.index, target, fingerprint=fingerprint,
+                    telemetry=self.telemetry,
+                )
             return self.index
 
     def statistics(self) -> dict:
@@ -1131,6 +1132,9 @@ class ParallelGzipReader:
             "export_failures": counter("index.export_failures").value,
         }
         stats["materialized_cache"] = self._materialized.snapshot()
+        # The paper's access cache is the materialized cache; the alias
+        # keeps older readers of statistics() working (ROADMAP 5(b)).
+        stats["access_cache"] = stats["materialized_cache"]
         network_stats = getattr(
             self._file_reader, "network_statistics", None
         )

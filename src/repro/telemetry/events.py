@@ -27,8 +27,9 @@ Record shape (schema 1)::
 when tracing is also on, so event timestamps line up with trace span
 timestamps). ``chunk`` is the fetcher's chunk id and ``bit`` the chunk's
 compressed start-bit cache key; either may be absent when unknown at the
-emission site — the ``cached`` transition always carries both, which is
-the join the lifecycle reconstruction uses.
+emission site. A prefetch-cache ``cached`` transition and an exact
+``decode`` carry both, which is the join the lifecycle reconstruction
+uses.
 """
 
 from __future__ import annotations
@@ -220,8 +221,8 @@ def chunk_lifecycles(records) -> dict:
     """Group records per chunk: ``{key: [records in time order]}``.
 
     Records are joined on the fetcher chunk id when present; records that
-    only carry a ``bit`` are folded into the chunk that a ``cached``
-    record bound to the same bit (the cache key <-> chunk id join).
+    only carry a ``bit`` are folded into the chunk that a record
+    carrying both bound to the same bit (the cache key <-> chunk id join).
     Records with neither id (rare bookkeeping notes) are dropped.
     """
     ordered = sorted(records, key=lambda record: record.get("ts", 0.0))

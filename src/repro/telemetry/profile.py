@@ -89,7 +89,6 @@ def format_profile(statistics: dict, *, wall_time: float = None,
 
     for label, key in (
         ("Prefetch cache", "prefetch_cache"),
-        ("Access cache", "access_cache"),
         ("Materialized cache", "materialized_cache"),
     ):
         cache = statistics.get(key)

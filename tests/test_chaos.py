@@ -22,6 +22,7 @@ import pytest
 from repro.errors import (
     ChunkDecodeError,
     FormatError,
+    IndexIntegrityError,
     IntegrityError,
     RecoveryError,
     ReproError,
@@ -427,6 +428,69 @@ class TestDecodeFaults:
         assert threads[0] == MULTI_DATA
         assert threads[1] >= 1
         assert threads[2] == [("index", faulted_bit)]
+        assert outcome("serial") == threads
+
+
+# ---------------------------------------------------------------------------
+# Index fault sites: one contract on pool and serial
+# ---------------------------------------------------------------------------
+
+
+class TestIndexFaults:
+    def test_failed_export_has_one_contract(self, tmp_path):
+        # A path export under an ``index.export`` fault raises the same
+        # typed error on both backends and leaves the previous file intact.
+        specs = [FaultSpec("index.export", "raise", error="index")]
+
+        def outcome(backend):
+            target = tmp_path / f"{backend}.idx"
+            reader = _open(backend)
+            try:
+                reader.export_index(target)
+                before = target.read_bytes()
+                with injected(seed=CHAOS_SEED, specs=specs):
+                    with pytest.raises(ReproError) as info:
+                        reader.export_index(target)
+            finally:
+                reader.close()
+            assert target.read_bytes() == before
+            # No staging litter beside the exports.
+            assert all(name.endswith(".idx") for name in os.listdir(tmp_path))
+            error = info.value
+            return type(error), getattr(error, "check", None), before
+
+        threads = outcome("threads")
+        assert threads[:2] == (IndexIntegrityError, "injected")
+        assert threads[2].startswith(b"RPGZIDX2")
+        assert outcome("serial") == threads
+
+    def test_faulted_cache_load_has_one_contract(self, tmp_path):
+        # An ``index_cache`` open whose ``index.load`` fails falls back to
+        # a search: the same bytes, damage region and index statistics
+        # whether the pool keeps being fed or not.
+        source = tmp_path / "multi.gz"
+        source.write_bytes(MULTI_BLOB)
+        cache = tmp_path / "cache"
+        _read_all(_open("threads", str(source), index_cache=str(cache)))
+        assert list(cache.iterdir())  # the cold read exported an index
+        specs = [FaultSpec("index.load", "raise", error="index")]
+
+        def outcome(backend):
+            with injected(seed=CHAOS_SEED, specs=specs):
+                reader = _open(backend, str(source), index_cache=str(cache))
+                output = _read_all(reader)
+            return (
+                output,
+                [(region.kind, region.start_bit)
+                 for region in reader.damage_report.regions],
+                reader.statistics()["index"],
+            )
+
+        threads = outcome("threads")
+        assert threads[0] == MULTI_DATA
+        assert threads[1] == [("index", 0)]
+        assert threads[2]["load_failures"] == 1
+        assert not threads[2]["imported"]
         assert outcome("serial") == threads
 
 

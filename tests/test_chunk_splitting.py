@@ -10,7 +10,7 @@ import io
 
 import pytest
 
-from repro.index import GzipIndex
+from repro.index import load_index
 from repro.reader import ParallelGzipReader
 
 
@@ -43,7 +43,7 @@ class TestChunkSplitting:
             sink = io.BytesIO()
             reader.export_index(sink)
             chunks = reader.statistics()["chunks_decoded"]
-        index = GzipIndex.load(sink.getvalue())
+        index = load_index(sink.getvalue())
         # Far more seek points than decoded chunks: the splitting worked.
         assert len(index) > chunks
         gaps = [
@@ -61,7 +61,7 @@ class TestChunkSplitting:
         ) as reader:
             sink = io.BytesIO()
             reader.export_index(sink)
-        index = GzipIndex.load(sink.getvalue())
+        index = load_index(sink.getvalue())
         with ParallelGzipReader(blob, parallelization=3, index=index) as reader:
             assert reader.read() == data
 
@@ -72,7 +72,7 @@ class TestChunkSplitting:
         ) as reader:
             sink = io.BytesIO()
             reader.export_index(sink)
-        index = GzipIndex.load(sink.getvalue())
+        index = load_index(sink.getvalue())
         with ParallelGzipReader(blob, parallelization=2, index=index) as reader:
             reader.seek(len(data) - 500)
             assert reader.read(100) == data[len(data) - 500 : len(data) - 400]
@@ -93,7 +93,7 @@ class TestChunkSplitting:
             sink = io.BytesIO()
             reader.export_index(sink)
             chunks = reader.statistics()["chunks_decoded"]
-        index = GzipIndex.load(sink.getvalue())
+        index = load_index(sink.getvalue())
         assert len(index) == chunks
 
     def test_windows_at_interior_points_are_correct(self):
@@ -103,7 +103,7 @@ class TestChunkSplitting:
         ) as reader:
             sink = io.BytesIO()
             reader.export_index(sink)
-        index = GzipIndex.load(sink.getvalue())
+        index = load_index(sink.getvalue())
         for point in list(index)[1:-1]:
             if point.is_stream_start or point.uncompressed_offset == 0:
                 continue

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.datagen import generate_base64, generate_fastq, generate_silesia_like
 from repro.gz.writer import PROFILES, compress as gz_compress
-from repro.index import GzipIndex
+from repro.index import load_index
 from repro.reader import ParallelGzipReader, decompress_parallel
 
 
@@ -48,7 +48,7 @@ def test_property_index_round_trip_any_profile(profile, seed):
     with ParallelGzipReader(blob, chunk_size=16 * 1024) as reader:
         sink = io.BytesIO()
         reader.export_index(sink)
-    index = GzipIndex.load(sink.getvalue())
+    index = load_index(sink.getvalue())
     with ParallelGzipReader(blob, parallelization=2, index=index) as reader:
         assert reader.read() == data
         # And a random mid-file access agrees.

@@ -1,19 +1,29 @@
-"""Tests for the seek-point index and its serialization."""
+"""Tests for the seek-point index and its serialization: format v2 is
+written, legacy v1 is import-only and fails the same named checks."""
 
+import gzip as stdlib_gzip
 import io
+import random
+import struct
 import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import FormatError, UsageError
+from repro.errors import IndexIntegrityError, UsageError
 from repro.index import (
     GzipIndex,
-    INDEX_MAGIC,
+    INDEX_MAGIC_V1,
+    INDEX_MAGIC_V2,
+    INDEX_TRAILER_V2,
     MAX_COMPRESSED_WINDOW,
     SeekPoint,
+    load_index,
+    save_index,
 )
+from repro.index.store import index_to_bytes_v2
+from repro.reader import ParallelGzipReader
 
 
 def make_index(points=3, finalized=True) -> GzipIndex:
@@ -65,9 +75,9 @@ class TestIndexBasics:
 class TestSerialization:
     def test_round_trip(self):
         index = make_index()
-        data = index.to_bytes()
-        assert data.startswith(INDEX_MAGIC)
-        loaded = GzipIndex.from_bytes(data)
+        data = index_to_bytes_v2(index)
+        assert data.startswith(INDEX_MAGIC_V2)
+        loaded = load_index(data)
         assert loaded.finalized
         assert loaded.uncompressed_size == index.uncompressed_size
         assert loaded.compressed_size_bits == index.compressed_size_bits
@@ -75,107 +85,202 @@ class TestSerialization:
         for original, restored in zip(index, loaded):
             assert original == restored
 
-    def test_unfinalized_round_trip(self):
-        index = make_index(finalized=False)
-        loaded = GzipIndex.from_bytes(index.to_bytes())
-        assert not loaded.finalized
-
     def test_windows_compressed_in_file(self):
         index = make_index()
         # 2 x 32 KiB of constant windows must compress to far less.
-        assert len(index.to_bytes()) < 10_000
+        assert len(index_to_bytes_v2(index)) < 10_000
 
     def test_bad_magic_rejected(self):
-        with pytest.raises(FormatError):
-            GzipIndex.from_bytes(b"NOTANIDX" + bytes(100))
+        with pytest.raises(IndexIntegrityError) as info:
+            load_index(b"NOTANIDX" + bytes(100))
+        assert info.value.check == "magic"
 
     def test_truncated_rejected(self):
-        data = make_index().to_bytes()
-        with pytest.raises(FormatError):
-            GzipIndex.from_bytes(data[: len(data) - 10])
+        data = index_to_bytes_v2(make_index())
+        with pytest.raises(IndexIntegrityError) as info:
+            load_index(data[: len(data) - 10])
+        assert info.value.check in {"trailer", "truncated"}
 
     def test_save_load_path(self, tmp_path):
         path = tmp_path / "file.idx"
         index = make_index()
-        index.save(path)
-        assert GzipIndex.load(path).uncompressed_size == index.uncompressed_size
+        save_index(index, path)
+        assert load_index(path).uncompressed_size == index.uncompressed_size
 
     def test_save_load_fileobj(self):
-        sink = io.BytesIO()
-        make_index().save(sink)
-        sink.seek(0)
-        assert len(GzipIndex.load(sink)) == 3
+        sink = io.BytesIO(index_to_bytes_v2(make_index()))
+        assert len(load_index(sink)) == 3
 
 
-def _raw_v1(points) -> bytes:
-    """Hand-build a v1 index blob from (bit, offset, flags, window) tuples,
-    bypassing GzipIndex's own validation — for malformed-input tests."""
+_SIZES = (10**6, 10**6)
+
+
+def _raw_v1(points, *, finalized=True, sizes=_SIZES, declare=None) -> bytes:
+    """Hand-build a v1 index blob from (bit, offset, flags, compressed
+    window) tuples, bypassing GzipIndex's own validation; ``declare``
+    overrides every declared window length. The program no longer writes
+    v1; this is the legacy layout ``load_index`` imports."""
     out = io.BytesIO()
-    out.write(INDEX_MAGIC)
-    out.write(bytes([1, 1]))  # version, finalized
-    out.write((10**6).to_bytes(8, "little"))
-    out.write((10**6).to_bytes(8, "little"))
+    out.write(INDEX_MAGIC_V1)
+    out.write(bytes([1, 1 if finalized else 0]))  # version, flags
+    out.write(sizes[0].to_bytes(8, "little"))
+    out.write(sizes[1].to_bytes(8, "little"))
     out.write(len(points).to_bytes(4, "little"))
     for bit, offset, flags, compressed_window in points:
         out.write(bit.to_bytes(8, "little"))
         out.write(offset.to_bytes(8, "little"))
         out.write(bytes([flags]))
-        out.write(len(compressed_window).to_bytes(4, "little"))
+        length = len(compressed_window) if declare is None else declare
+        out.write(length.to_bytes(4, "little"))
         out.write(compressed_window)
     return out.getvalue()
 
 
+def _raw_v2(points, *, finalized=True, sizes=_SIZES, declare=None,
+            raw_length=32768) -> bytes:
+    """The same points as a v2 blob: valid CRCs, every window declaring
+    ``raw_length`` — so only the damage under test can fail."""
+    pieces = [struct.pack(
+        "<8sBBHQQI", INDEX_MAGIC_V2, 2, 1 if finalized else 0, 0,
+        sizes[0], sizes[1], len(points),
+    )]
+    for bit, offset, flags, compressed_window in points:
+        pieces.append(struct.pack(
+            "<QQBIII", bit, offset, flags, raw_length,
+            len(compressed_window) if declare is None else declare,
+            zlib.crc32(compressed_window),
+        ))
+        pieces.append(compressed_window)
+    body = b"".join(pieces)
+    return body + struct.pack("<I8s", zlib.crc32(body), INDEX_TRAILER_V2)
+
+
+def _points_of(index):
+    return [
+        (point.compressed_bit_offset, point.uncompressed_offset,
+         int(point.is_stream_start), zlib.compress(point.window, 6))
+        for point in index
+    ]
+
+
+def _v1_of(index) -> bytes:
+    """``index`` in the v1 layout, exactly as the former v1 writer did."""
+    return _raw_v1(
+        _points_of(index), finalized=index.finalized,
+        sizes=(index.uncompressed_size, index.compressed_size_bits),
+    )
+
+
+_WINDOW = zlib.compress(b"x" * 32768)
+_BOMB = zlib.compress(b"\x00" * (40 * 1024), 9)
+
+#: One damage class each, as v1 / v2 point lists (plus header options),
+#: and the check both formats must name.
+_DAMAGE = {
+    # The parser must reject an absurd declared length *before* trying
+    # to allocate or read it.
+    "oversized window length": (
+        "window_length", [(100, 0, 1, b"")],
+        {"declare": MAX_COMPRESSED_WINDOW + 1}),
+    "undecodable window": (
+        "window_inflate", [(100, 0, 0, b"\xff\x00\xaa" * 30)], {}),
+    "window inflating past 32 KiB": (
+        "window_length", [(100, 0, 0, _BOMB)], {}),
+    "non-monotonic points": (
+        "order", [(1000, 5000, 0, _WINDOW), (900, 4000, 0, _WINDOW)], {}),
+    "never finalized": (
+        "finalized", [(100, 0, 1, _WINDOW)], {"finalized": False}),
+}
+
+
+def _damaged(kind: str, writer) -> bytes:
+    _check, points, options = _DAMAGE[kind]
+    return writer(points, **options)
+
+
 class TestMalformedV1:
-    """Hardened v1 parse: every damage class is a FormatError with byte-
-    offset context, never a leaked struct.error/zlib.error."""
+    """Legacy v1 import runs v2's checks: every damage class is an
+    IndexIntegrityError naming its check, never a leaked
+    struct.error/zlib.error."""
 
     def test_truncation_at_every_boundary(self):
-        data = make_index().to_bytes()
+        data = _v1_of(make_index())
         for cut in (0, 4, 8, 9, 10, 17, 25, 29, 30, 37, 45, 46, 49,
                     len(data) - 1):
-            with pytest.raises(FormatError) as info:
-                GzipIndex.from_bytes(data[:cut])
-            assert "byte offset" in str(info.value) or "index file" in str(
-                info.value
-            )
+            with pytest.raises(IndexIntegrityError) as info:
+                load_index(data[:cut])
+            assert info.value.check == "truncated", cut
+            assert "byte" in str(info.value)
 
     def test_oversized_window_length_rejected(self):
-        blob = _raw_v1([(100, 0, 1, b"")])
-        # Patch the window-length field to an absurd value; the parser
-        # must reject it *before* trying to allocate or read it.
-        damaged = blob[:-4] + (MAX_COMPRESSED_WINDOW + 1).to_bytes(4, "little")
-        with pytest.raises(FormatError, match="implausible window length"):
-            GzipIndex.from_bytes(damaged)
+        with pytest.raises(IndexIntegrityError,
+                           match="implausible window length") as info:
+            load_index(_damaged("oversized window length", _raw_v1))
+        assert info.value.check == "window_length"
 
-    def test_undecodable_window_is_format_error(self):
-        garbage = b"\xff\x00\xaa" * 30
-        blob = _raw_v1([(100, 0, 0, garbage)])
-        with pytest.raises(FormatError, match="corrupt window"):
-            GzipIndex.from_bytes(blob)
+    def test_undecodable_window_is_rejected(self):
+        with pytest.raises(IndexIntegrityError,
+                           match="failed to inflate") as info:
+            load_index(_damaged("undecodable window", _raw_v1))
+        assert info.value.check == "window_inflate"
 
     def test_window_inflating_past_32k_rejected(self):
-        bomb = zlib.compress(b"\x00" * (40 * 1024), 9)
-        assert len(bomb) <= MAX_COMPRESSED_WINDOW
-        blob = _raw_v1([(100, 0, 0, bomb)])
-        with pytest.raises(FormatError, match="inflates to"):
-            GzipIndex.from_bytes(blob)
+        assert len(_BOMB) <= MAX_COMPRESSED_WINDOW
+        with pytest.raises(IndexIntegrityError,
+                           match="inflates past") as info:
+            load_index(_damaged("window inflating past 32 KiB", _raw_v1))
+        assert info.value.check == "window_length"
 
     def test_non_monotonic_points_rejected(self):
-        window = zlib.compress(b"x" * 100)
-        blob = _raw_v1([(1000, 5000, 0, window), (900, 4000, 0, window)])
-        with pytest.raises(FormatError, match="non-monotonic"):
-            GzipIndex.from_bytes(blob)
+        with pytest.raises(IndexIntegrityError, match="non-monotonic") as info:
+            load_index(_damaged("non-monotonic points", _raw_v1))
+        assert info.value.check == "order"
+
+    def test_unfinalized_v1_rejected(self):
+        blob = _v1_of(make_index(finalized=False))
+        with pytest.raises(IndexIntegrityError) as info:
+            load_index(blob)
+        assert info.value.check == "finalized"
+
+    @pytest.mark.parametrize("kind", sorted(_DAMAGE))
+    def test_same_damage_same_check_as_v2(self, kind):
+        check = _DAMAGE[kind][0]
+        for writer in (_raw_v1, _raw_v2):
+            with pytest.raises(IndexIntegrityError) as info:
+                load_index(_damaged(kind, writer))
+            assert info.value.check == check, (writer.__name__, kind)
 
     def test_flipped_bytes_never_leak_internal_errors(self):
         from repro import faults
 
-        data = make_index().to_bytes()
+        data = _v1_of(make_index())
         for seed in range(40):
             damaged = faults.flip_bytes(data, seed=seed, flips=3)
             try:
-                GzipIndex.from_bytes(damaged)
-            except FormatError:
+                load_index(damaged)
+            except IndexIntegrityError:
                 pass  # typed rejection is the contract
+
+    def test_legacy_file_imports_unchanged(self):
+        # Pin: a v1 file loads to the points, windows and finalization
+        # it was written from, and a reader given it reads the same bytes.
+        data = random.Random(7).randbytes(120_000).hex().encode()
+        blob = stdlib_gzip.compress(data, 6)
+        with ParallelGzipReader(blob, parallelization=1,
+                                chunk_size=32 * 1024) as reader:
+            assert reader.read() == data
+            built = reader.index
+        assert len(built) > 3
+        loaded = load_index(_v1_of(built))
+        assert loaded.seek_points == built.seek_points
+        assert loaded.finalized and built.finalized
+        assert (loaded.uncompressed_size, loaded.compressed_size_bits) == (
+            built.uncompressed_size, built.compressed_size_bits
+        )
+        with ParallelGzipReader(blob, parallelization=2,
+                                index=loaded) as reader:
+            assert reader.read() == data
+            assert reader.statistics()["mode"] == "index"
 
 
 @settings(max_examples=30, deadline=None)
@@ -187,7 +292,8 @@ class TestMalformedV1:
     )
 )
 def test_property_serialization_round_trip(offsets):
-    """Property: to_bytes/from_bytes is the identity for any valid index."""
+    """Property: a v1 file and the v2 export both load back to the
+    identical index."""
     index = GzipIndex()
     compressed_bit = 0
     uncompressed = 0
@@ -195,5 +301,10 @@ def test_property_serialization_round_trip(offsets):
         compressed_bit += compressed_delta
         index.add(SeekPoint(compressed_bit, uncompressed, bytes(16)))
         uncompressed += uncompressed_delta
-    loaded = GzipIndex.from_bytes(index.to_bytes())
-    assert loaded.seek_points == index.seek_points
+    index.finalize(uncompressed, compressed_bit + 1)
+    for blob in (_v1_of(index), index_to_bytes_v2(index)):
+        loaded = load_index(blob)
+        assert loaded.seek_points == index.seek_points
+        assert (loaded.uncompressed_size, loaded.compressed_size_bits) == (
+            index.uncompressed_size, index.compressed_size_bits
+        )

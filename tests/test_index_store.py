@@ -21,6 +21,7 @@ Deterministic throughout: damage is seeded, so a red run replays.
 """
 
 import gzip as stdlib_gzip
+import io
 import os
 import random
 import threading
@@ -43,6 +44,8 @@ from repro.index import (
 )
 from repro.index.store import check_policy, index_to_bytes_v2
 from repro.reader import ParallelGzipReader
+
+from .test_index import _v1_of
 
 CHUNK = 32 * 1024
 
@@ -82,7 +85,7 @@ def index_file(corpus, tmp_path_factory):
     ) as reader:
         while reader.read(1 << 20):
             pass
-        reader.export_index_atomic(str(target))
+        reader.export_index(str(target))
     return target
 
 
@@ -140,9 +143,23 @@ class TestRoundTrip:
         index.add(SeekPoint(100, 0, b"", is_stream_start=True))
         index.add(SeekPoint(2000, 5000, b"x" * 32768))
         index.finalize(10000, 4000)
-        loaded = load_index(index.to_bytes())
+        loaded = load_index(_v1_of(index))
         assert len(loaded) == 2
         assert loaded.finalized
+
+    def test_stream_export_is_v2_and_bound_to_its_source(self, corpus):
+        sink = io.BytesIO()
+        with ParallelGzipReader(
+            str(corpus), parallelization=2, chunk_size=CHUNK
+        ) as reader:
+            reader.export_index(sink)
+        blob = sink.getvalue()
+        assert blob.startswith(INDEX_MAGIC_V2)
+        assert len(load_index(blob, source=str(corpus))) > 3
+        other = stdlib_gzip.compress(DATA[::-1], 6)
+        with pytest.raises(IndexIntegrityError) as info:
+            load_index(blob, source=other)
+        assert info.value.check == "fingerprint"
 
     def test_unfinalized_index_not_exportable(self):
         index = GzipIndex()

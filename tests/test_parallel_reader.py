@@ -24,7 +24,7 @@ from repro.errors import (
     UsageError,
 )
 from repro.gz.writer import compress as gz_compress
-from repro.index import GzipIndex
+from repro.index import GzipIndex, load_index
 from repro.reader import ParallelGzipReader, decompress_parallel
 
 
@@ -221,7 +221,7 @@ class TestIndexRoundTrip:
         with ParallelGzipReader(blob, parallelization=2, chunk_size=16 * 1024) as reader:
             sink = io.BytesIO()
             reader.export_index(sink)
-        index = GzipIndex.load(sink.getvalue())
+        index = load_index(sink.getvalue())
         assert index.finalized
         assert len(index) > 3
         with ParallelGzipReader(blob, parallelization=2, index=index) as reader:
@@ -233,7 +233,7 @@ class TestIndexRoundTrip:
         with ParallelGzipReader(blob, chunk_size=16 * 1024) as reader:
             sink = io.BytesIO()
             reader.export_index(sink)
-        index = GzipIndex.load(sink.getvalue())
+        index = load_index(sink.getvalue())
         with ParallelGzipReader(blob, parallelization=2, index=index) as reader:
             assert reader.statistics()["chunks_decoded"] == 0
             reader.seek(250_000)
@@ -252,7 +252,7 @@ class TestIndexRoundTrip:
         with ParallelGzipReader(blob, chunk_size=8 * 1024) as reader:
             sink = io.BytesIO()
             reader.export_index(sink)
-        index = GzipIndex.load(sink.getvalue())
+        index = load_index(sink.getvalue())
         with ParallelGzipReader(blob, parallelization=3, index=index) as reader:
             assert reader.read() == data
 

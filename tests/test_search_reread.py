@@ -25,7 +25,7 @@ from repro.datagen import (
 from repro.faults import flip_bytes
 from repro.fetcher import decode as decode_module
 from repro.fetcher import decode_index_chunk, gzip_chunk_fetcher
-from repro.index import GzipIndex
+from repro.index import load_index
 from repro.io import ensure_file_reader
 from repro.reader import ParallelGzipReader
 
@@ -258,7 +258,7 @@ def test_last_chunk_of_a_single_member_file_is_zlib_delegated(seed,
 
     del delegated.start_bits[:]
     with ParallelGzipReader(
-        blob, parallelization=1, index=GzipIndex.load(sink.getvalue()),
+        blob, parallelization=1, index=load_index(sink.getvalue()),
     ) as reader:
         start, end = spans[-1]
         assert reader.read_at(start, end - start) == data[start:end]

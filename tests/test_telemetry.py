@@ -271,9 +271,9 @@ class TestStatisticsSurface:
         with ParallelGzipReader(BLOB, chunk_size=16 * 1024) as reader:
             sink = io.BytesIO()
             reader.export_index(sink)
-        from repro.index import GzipIndex
+        from repro.index import load_index
 
-        index = GzipIndex.load(sink.getvalue())
+        index = load_index(sink.getvalue())
         with ParallelGzipReader(BLOB, parallelization=2,
                                 index=index) as reader:
             assert reader.read() == DATA

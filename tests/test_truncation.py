@@ -27,7 +27,7 @@ from repro.errors import (
 from repro.faults import truncate
 from repro.gz.bgzf import bgzf_block_offsets, bgzf_catalog
 from repro.gz.writer import compress as gz_compress
-from repro.index import GzipIndex
+from repro.index import load_index
 from repro.reader import ParallelGzipReader
 
 CHUNK = 64 * 1024
@@ -148,7 +148,7 @@ class TestStrictIndexMode:
         # longer honor; the failure surfaces at the damaged chunk.
         reader = ParallelGzipReader(
             _cut(SEARCH_BLOB, where), parallelization=2, chunk_size=CHUNK,
-            index=GzipIndex.load(index_file),
+            index=load_index(index_file),
         )
         with pytest.raises(ChunkDecodeError) as info:
             _read_all(reader)
@@ -232,7 +232,7 @@ class TestTolerantIndexMode:
     @pytest.mark.parametrize("where", CUTS)
     def test_damaged_chunks_become_placeholders(self, where, index_file):
         out, report = _tolerant_read(
-            _cut(SEARCH_BLOB, where), index=GzipIndex.load(index_file)
+            _cut(SEARCH_BLOB, where), index=load_index(index_file)
         )
         # Index mode knows every chunk's output size, so damaged chunks
         # keep their length (placeholder-filled) and offsets stay valid.
