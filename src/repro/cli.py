@@ -167,15 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the full parallel search (notice on stderr, exit 0) and is "
         "re-exported afterwards",
     )
-    group.add_argument(
-        "--index-validate",
-        default="eager",
-        choices=["eager", "lazy", "off"],
-        help="validation policy for imported indexes: eager (default) "
-        "checks every window checksum up front, lazy defers window "
-        "checks to first use (damage re-decodes just that interval), "
-        "off checks structure only",
-    )
 
     actions = parser.add_argument_group("alternative actions")
     actions.add_argument(
@@ -470,7 +461,6 @@ def _dispatch(arguments) -> int:
         index = load_index(
             arguments.import_index,
             source=source if arguments.file != "-" and not is_url else None,
-            validate=arguments.index_validate,
         )
 
     explain = bool(arguments.explain or arguments.explain_json)
@@ -482,7 +472,6 @@ def _dispatch(arguments) -> int:
         verify=not arguments.no_verify,
         index=index,
         index_cache=arguments.index_cache,
-        index_validate=arguments.index_validate,
         tolerate_corruption=arguments.tolerate_corruption,
         chunk_timeout=arguments.chunk_timeout,
         trace=bool(arguments.trace) or explain,

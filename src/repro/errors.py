@@ -59,8 +59,8 @@ class IndexIntegrityError(ReproError):
     Raised by :mod:`repro.index.store` when an on-disk index cannot be
     trusted: bad magic or a future version, truncation, a window or
     footer CRC mismatch, a fingerprint that no longer matches the
-    compressed source file, or a zlib error while inflating a lazily
-    loaded window. ``check`` names the specific validation that failed
+    compressed source file, or a zlib error while inflating a stored
+    window. ``check`` names the specific validation that failed
     (``"magic"``, ``"version"``, ``"truncated"``, ``"window_crc"``,
     ``"window_inflate"``, ``"window_length"``, ``"footer_crc"``,
     ``"fingerprint"``, ``"finalized"``, ``"order"``, ``"io"``,

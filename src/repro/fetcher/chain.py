@@ -29,7 +29,7 @@ import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ..errors import IndexIntegrityError, UsageError
+from ..errors import UsageError
 from ..index import GzipIndex, SeekPoint
 from ..index.store import window_bytes
 
@@ -52,7 +52,7 @@ class ChunkRecord:
     output_end: int  # decompressed offset one past the chunk's last byte
     end_bit: int  # normalized start of the next chunk (None = file end)
     # 32 KiB *preceding* this chunk (b"" at stream start); in index mode
-    # the seek point's own, possibly lazily validated, window object
+    # the seek point's own window
     window: bytes
     is_stream_start: bool  # chunk begins exactly at a gzip member boundary
 
@@ -193,11 +193,8 @@ class ChunkChain:
         or ``None`` when none is or its bytes are pinned.
 
         The tail is checked against the window the successor (or the
-        frontier) starts from; a successor at a stream start, or one whose
-        lazily validated window is damaged, leaves it unchecked — that
-        chunk falls back on its own turn. Raises
-        :class:`IndexIntegrityError` when the chunk's *own* window is
-        damaged.
+        frontier) starts from; a successor at a stream start leaves it
+        unchecked.
         """
         position = self._position_of_start.get(start_bit)
         if position is None or start_bit in self.pinned:
@@ -211,14 +208,10 @@ class ChunkChain:
                 next_window = successor.window
         elif self.frontier is not None and not self.frontier[2]:
             next_window = self.frontier[1]
-        if next_window:
-            try:
-                next_window = window_bytes(next_window)
-            except IndexIntegrityError:
-                next_window = None
         return ChunkExtent(
             start_bit, record.end_bit, record.length, window,
-            next_window or None, record.end_bit is None,
+            window_bytes(next_window) if next_window else None,
+            record.end_bit is None,
         )
 
     def successors(self, extent: ChunkExtent, steps: int) -> tuple:

@@ -35,11 +35,7 @@ a decode is one :class:`~repro.fetcher.tasks.ChunkTaskSpec` filled by
 :meth:`GzipChunkFetcher._spec_for` and run by
 :func:`~repro.fetcher.tasks.run_chunk_task` with the live reader and
 telemetry — on a pool thread when speculative, on the requesting thread
-when the consumer is blocked on it. The one decode that stays here is
-:meth:`GzipChunkFetcher._decode_index_fallback`, which needs the whole
-chain: filling the spec of a chunk whose lazily validated window is
-damaged raises, speculation skips the chunk, and the consumer's request
-runs the fallback.
+when the consumer is blocked on it.
 """
 
 from __future__ import annotations
@@ -50,17 +46,15 @@ from concurrent.futures import CancelledError
 from .. import faults
 from ..cache import FetchNextAdaptive, LRUCache, MemoryGovernor
 from ..deflate import libz
-from ..deflate.markers import ChunkPayload
-from ..errors import ChunkDecodeError, IndexIntegrityError, UsageError
+from ..errors import ChunkDecodeError, UsageError
 from ..gz.bgzf import bgzf_catalog, is_bgzf
 from ..gz.catalog import detect_catalog as probe_catalog
 from ..gz.catalog import synthesize_index
-from ..index.store import window_bytes
 from ..io import ensure_file_reader
 from ..pool import PRIORITY_PREFETCH, create_pool
 from ..telemetry import Telemetry
 from .chain import ChunkChain
-from .decode import ChunkResult, StreamEvent, decode_chunk_range
+from .decode import ChunkResult
 from .tasks import ChunkTaskSpec, run_chunk_task
 
 __all__ = ["GzipChunkFetcher", "DEFAULT_CHUNK_SIZE"]
@@ -200,10 +194,6 @@ class GzipChunkFetcher:
         self._backend_downgrades = metrics.counter("fetcher.backend_downgrades")
         self._chunk_splits = metrics.counter("fetcher.chunk_splits")
         self._speculative_shed = metrics.counter("fetcher.speculative_shed")
-        self._index_fallbacks = metrics.counter("index.fallbacks")
-        #: Hook the reader installs to account an index-window fallback
-        #: (damage record + lifecycle event); called as (chunk_id, error).
-        self.on_index_fallback = None
         metrics.probe(
             "cache.prefetch", lambda: self.prefetch_cache.snapshot()
         )
@@ -261,82 +251,6 @@ class GzipChunkFetcher:
 
     # -- task specs ----------------------------------------------------------------
 
-    def _decode_index_fallback(self, chunk_id: int,
-                               error: IndexIntegrityError) -> ChunkResult:
-        """A lazily validated seek-point window failed its CRC/inflate at
-        decode time: re-decode this chunk's interval from the last seek
-        point whose window is still trustworthy (search-style decode with
-        a real window), slice off the prefix belonging to earlier chunks,
-        and serve exactly the damaged chunk's bytes. The reader's hook
-        accounts the incident; the consumer sees correct data, never the
-        error."""
-        chain = self.chain
-        record = chain[chunk_id]
-        good_id = chunk_id
-        window = None
-        while good_id > 0:
-            good_id -= 1
-            candidate = chain[good_id]
-            if candidate.is_stream_start:
-                window = b""
-                break
-            try:
-                window = window_bytes(candidate.window)
-                break
-            except IndexIntegrityError:
-                continue
-        if window is None:
-            if good_id != 0 or not chain[0].is_stream_start:
-                raise error  # no trustworthy resume point at all
-            window = b""
-        good = chain[good_id]
-        self._index_fallbacks.increment()
-        recorder = self.telemetry.recorder
-        if recorder.enabled:
-            recorder.instant(
-                "index.fallback", chunk_id=chunk_id, from_point=good_id,
-                error=repr(error),
-            )
-        events = self.telemetry.events
-        if events.enabled:
-            events.emit("index-fallback", chunk=chunk_id, point=good_id)
-        hook = self.on_index_fallback
-        if hook is not None:
-            hook(chunk_id, error)
-        max_output = (
-            self.max_chunk_output * (chunk_id - good_id + 1)
-            if self.max_chunk_output else None
-        )
-        result = decode_chunk_range(
-            self.file_reader,
-            good.start_bit,
-            record.end_bit,
-            window,
-            max_output=max_output,
-        )
-        prefix = record.output_start - good.output_start
-        data = result.payload.materialize(window)
-        payload = ChunkPayload()
-        payload.append_bytes(data[prefix : prefix + record.length])
-        return ChunkResult(
-            start_bit=record.start_bit,
-            end_bit=record.end_bit,
-            end_is_stream_start=result.end_is_stream_start,
-            payload=payload,
-            events=[
-                StreamEvent(
-                    event.kind, event.local_offset - prefix,
-                    event.crc32, event.isize,
-                )
-                for event in result.events
-                if event.local_offset >= prefix
-            ],
-            window_known=True,
-            compressed_size_bits=max(
-                (record.end_bit or 0) - record.start_bit, 0
-            ),
-        )
-
     def _spec_for(self, chunk_id: int, attempt: int = 0,
                   exact=None, known=None) -> ChunkTaskSpec:
         """The one description of a chunk decode.
@@ -346,10 +260,7 @@ class GzipChunkFetcher:
         request. ``known`` (search mode only) is the chunk's extent on
         the chain and wins over it: the same ``index`` task an index
         chunk is. ``None`` for an index chunk whose bytes the reader
-        pinned: nothing decodes it again. Raises
-        :class:`IndexIntegrityError` for an index chunk whose lazily
-        validated window turns out damaged; only
-        :meth:`_decode_index_fallback` can decode that one.
+        pinned: nothing decodes it again.
         """
         spec = ChunkTaskSpec(
             mode=self.mode,
@@ -490,12 +401,7 @@ class GzipChunkFetcher:
                     if self.mode == "search" else reserved,
                 ):
                     return False
-            try:
-                spec = self._spec_for(chunk_id, known=known)
-            except IndexIntegrityError:
-                # A damaged lazy window: the consumer's own request will
-                # run the fallback re-decode instead.
-                spec = None
+            spec = self._spec_for(chunk_id, known=known)
             if spec is None:
                 if reserved:
                     self.governor.discharge("in_flight", reserved)
@@ -688,13 +594,9 @@ class GzipChunkFetcher:
         self._on_demand_decodes.increment()
         try:
             faults.fire("chunk.on_demand", chunk_id=chunk_id, attempt=1)
-            try:
-                spec = self._spec_for(
-                    chunk_id, attempt=1, exact=(start_bit, window),
-                    known=known,
-                )
-            except IndexIntegrityError as error:
-                return self._decode_index_fallback(chunk_id, error)
+            spec = self._spec_for(
+                chunk_id, attempt=1, exact=(start_bit, window), known=known,
+            )
             return run_chunk_task(spec, self.file_reader, self.telemetry)
         except UsageError:
             raise  # caller bug, not a decode failure — report it as-is
@@ -803,11 +705,8 @@ class GzipChunkFetcher:
         self._shed_speculation()
         self.pool.shutdown(wait=True)
         self._harvest()
-        # Nothing decodes again: drop the windows held ahead and the
-        # reader's hook, which would otherwise keep a closed reader alive
-        # in a cycle.
+        # Nothing decodes again: drop the windows held ahead.
         self.chain.close()
-        self.on_index_fallback = None
         self.file_reader.close()
 
     def __enter__(self) -> "GzipChunkFetcher":

@@ -11,10 +11,8 @@ from .store import (
     INDEX_MAGIC_V1,
     INDEX_MAGIC_V2,
     INDEX_TRAILER_V2,
-    LazyWindow,
     MAX_COMPRESSED_WINDOW,
     SourceFingerprint,
-    VALIDATION_POLICIES,
     cache_path,
     fingerprint_source,
     load_index,
@@ -27,11 +25,9 @@ __all__ = [
     "INDEX_MAGIC_V1",
     "INDEX_MAGIC_V2",
     "INDEX_TRAILER_V2",
-    "LazyWindow",
     "MAX_COMPRESSED_WINDOW",
     "SeekPoint",
     "SourceFingerprint",
-    "VALIDATION_POLICIES",
     "cache_path",
     "fingerprint_source",
     "load_index",

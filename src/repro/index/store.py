@@ -23,15 +23,16 @@ Defenses, end to end:
   import, so an index can never be applied to a changed or different
   file. Identity is content-based: mtime drift alone does not reject
   (copies keep their index), any content-sample mismatch does.
-* **Validation policies** — ``validate="eager"`` inflates and checks
-  every window at load; ``"lazy"`` defers window CRC + inflation to
-  first access (:class:`LazyWindow`), so damage localized to one window
-  surfaces *mid-flight* where the fetcher re-decodes that interval from
-  the last good seek point; ``"off"`` checks structure only.
+* **One validation pipeline** — an import is checked whole before
+  :func:`load_index` returns: the footer CRC, the fingerprint (when the
+  file carries one and ``source`` is given), and every window's CRC and
+  bounded inflation. A returned ``SeekPoint.window`` is always real
+  bytes, so nothing downstream can meet a damaged window.
 
 Every failure raises :class:`~repro.errors.IndexIntegrityError` with
-the failed check's name; callers choose policy (the reader's index
-cache logs-and-falls-back, CLI ``--import-index`` is strict).
+the failed check's name; callers choose what a rejection means (the
+reader's index cache logs it and searches instead, CLI
+``--import-index`` is strict).
 Fault-injection sites ``index.load`` / ``index.window`` /
 ``index.export`` (:mod:`repro.faults`) make every failure path
 rehearsable under a seed.
@@ -53,8 +54,8 @@ Format v2 (little-endian)::
 Format v2 is the only format written. Legacy v1 files still import:
 :func:`load_index` parses their layout below and runs v2's checks on it
 (truncation, window length, bounded inflate, point order, finalized).
-They carry no checksums and no fingerprint, so a v1 window is inflated
-at load under every policy and ``source`` binds nothing::
+They carry no checksums and no fingerprint, so ``source`` binds
+nothing::
 
     header      8s magic "RPGZIDX1" | B version=1 | B flags (bit0
                 finalized) | Q uncompressed size | Q compressed size bits
@@ -84,10 +85,8 @@ __all__ = [
     "INDEX_MAGIC_V1",
     "INDEX_MAGIC_V2",
     "INDEX_TRAILER_V2",
-    "LazyWindow",
     "MAX_COMPRESSED_WINDOW",
     "SourceFingerprint",
-    "VALIDATION_POLICIES",
     "cache_path",
     "fingerprint_source",
     "index_to_bytes_v2",
@@ -117,9 +116,6 @@ _FOOTER = struct.Struct("<I8s")
 _HEADER_V1 = struct.Struct("<8sBBQQI")
 _POINT_V1 = struct.Struct("<QQBI")
 
-#: Accepted ``validate=`` values, strictest first.
-VALIDATION_POLICIES = ("eager", "lazy", "off")
-
 #: Head/tail sample length for source fingerprints.
 _SAMPLE_SIZE = 64 * 1024
 #: Bytes hashed at each stride step.
@@ -133,15 +129,6 @@ def _span(telemetry, name: str, **attrs):
     if telemetry is None:
         return contextlib.nullcontext()
     return telemetry.recorder.span(name, **attrs)
-
-
-def check_policy(validate: str) -> str:
-    if validate not in VALIDATION_POLICIES:
-        raise UsageError(
-            f"unknown index validation policy {validate!r}; choose one of "
-            f"{', '.join(VALIDATION_POLICIES)}"
-        )
-    return validate
 
 
 def cache_path(cache_dir, source_path) -> str:
@@ -250,81 +237,7 @@ def fingerprint_source(source, *, like: SourceFingerprint = None) -> SourceFinge
             reader.close()
 
 
-# -- lazy windows -----------------------------------------------------------------
-
-
-class LazyWindow:
-    """A seek-point window validated and inflated on first access.
-
-    Holds the compressed window bytes plus their stored CRC-32 and
-    declared raw length; :meth:`materialize` (also ``bytes(window)``)
-    checks the CRC, inflates with a bounded buffer, and caches the
-    result. Any mismatch raises
-    :class:`~repro.errors.IndexIntegrityError` *at the access site*,
-    which is exactly where the fetcher can re-decode the interval from
-    the last good seek point instead of serving wrong bytes.
-
-    ``len()``/truthiness come from the declared raw length so placement
-    logic never forces materialization.
-    """
-
-    __slots__ = ("_compressed", "_crc", "_raw_length", "_point", "_telemetry",
-                 "_value")
-
-    def __init__(self, compressed: bytes, crc: int, raw_length: int,
-                 point: int, telemetry=None):
-        self._compressed = compressed
-        self._crc = crc
-        self._raw_length = raw_length
-        self._point = point
-        self._telemetry = telemetry
-        self._value = None
-
-    @property
-    def point(self) -> int:
-        return self._point
-
-    @property
-    def validated(self) -> bool:
-        return self._value is not None
-
-    def materialize(self) -> bytes:
-        if self._value is not None:
-            return self._value
-        telemetry = self._telemetry
-        try:
-            self._value = _check_window(
-                self._compressed, self._crc, self._raw_length, self._point,
-            )
-        except IndexIntegrityError:
-            if telemetry is not None:
-                telemetry.metrics.counter(
-                    "index.window_crc_failures"
-                ).increment()
-            raise
-        if telemetry is not None:
-            telemetry.metrics.counter("index.windows_validated").increment()
-        return self._value
-
-    def __bytes__(self) -> bytes:
-        return self.materialize()
-
-    def __len__(self) -> int:
-        return self._raw_length
-
-    def __bool__(self) -> bool:
-        return self._raw_length > 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (bytes, bytearray)):
-            return self.materialize() == other
-        if isinstance(other, LazyWindow):
-            return self.materialize() == other.materialize()
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        state = "validated" if self._value is not None else "unvalidated"
-        return f"<LazyWindow point={self._point} {self._raw_length} B {state}>"
+# -- windows ---------------------------------------------------------------------
 
 
 def _check_window(compressed: bytes, crc: int, raw_length: int,
@@ -370,12 +283,8 @@ def _inflate_window(compressed: bytes, point: int) -> bytes:
 
 
 def window_bytes(window) -> bytes:
-    """Coerce a (possibly lazy) seek-point window to real bytes.
-
-    The single boundary every consumer of ``SeekPoint.window`` funnels
-    through; raises :class:`~repro.errors.IndexIntegrityError` when a
-    lazily validated window turns out damaged.
-    """
+    """Coerce a seek-point window to ``bytes``: a loaded index holds
+    bytes already, a caller-built one may hold any bytes-like object."""
     if type(window) is bytes:
         return window
     return bytes(window)
@@ -489,21 +398,20 @@ def load_index(source_index, *, source=None, validate: str = "eager",
     ``source_index`` is the index path, bytes, or a binary file object;
     ``source`` (path/bytes/FileReader), when given, binds the import:
     the embedded fingerprint is re-sampled against it and any content
-    drift rejects the index. ``validate`` picks the pipeline:
-
-    * ``"eager"`` (default) — footer CRC, fingerprint, and every window
-      CRC + inflation checked before the index is returned;
-    * ``"lazy"`` — structure + fingerprint checked now, windows become
-      :class:`LazyWindow` objects validated on first access (damage
-      surfaces mid-flight where the fetcher can re-decode around it);
-    * ``"off"`` — structural parse only (windows still inflate lazily,
-      and still fail *typed* if corrupt — never wrong bytes).
+    drift rejects the index. The whole file is checked before the index
+    is returned: footer CRC, fingerprint, structure, and every window's
+    CRC and inflation. ``validate`` accepts only ``"eager"``, the one
+    pipeline; it is kept for callers that still pass it.
 
     Raises :class:`~repro.errors.IndexIntegrityError` naming the failed
     check. Legacy v1 files run the same checks, minus the checksums and
     the fingerprint they do not carry (module docstring).
     """
-    check_policy(validate)
+    if validate != "eager":
+        raise UsageError(
+            f"unknown index validation policy {validate!r}; an index is "
+            f"always validated whole at load (\"eager\")"
+        )
     path = None
     if isinstance(source_index, (bytes, bytearray)):
         data = bytes(source_index)
@@ -520,13 +428,11 @@ def load_index(source_index, *, source=None, validate: str = "eager",
                 check="io", path=path,
             ) from error
     faults.fire("index.load")
-    with _span(telemetry, "index.import", nbytes=len(data),
-               validate=validate):
-        return _parse_index(data, path, source, validate, telemetry)
+    with _span(telemetry, "index.import", nbytes=len(data)):
+        return _parse_index(data, path, source, telemetry)
 
 
-def _parse_index(data: bytes, path, source, validate: str,
-                 telemetry) -> GzipIndex:
+def _parse_index(data: bytes, path, source, telemetry) -> GzipIndex:
     legacy = data[:8] == INDEX_MAGIC_V1
     if legacy:
         header = _take(data, 0, _HEADER_V1.size, "header", path)
@@ -556,7 +462,7 @@ def _parse_index(data: bytes, path, source, validate: str,
             check="finalized", path=path, offset=9,
         )
 
-    if validate == "eager" and not legacy:
+    if not legacy:
         _check_footer(data, path)
 
     offset = len(header)
@@ -565,7 +471,7 @@ def _parse_index(data: bytes, path, source, validate: str,
         block = _take(data, offset, _FINGERPRINT.size, "fingerprint", path)
         fingerprint = SourceFingerprint(*_FINGERPRINT.unpack(block))
         offset += _FINGERPRINT.size
-    if validate != "off" and fingerprint is not None and source is not None:
+    if fingerprint is not None and source is not None:
         observed = fingerprint_source(source, like=fingerprint)
         drift = fingerprint.mismatch(observed)
         if drift:
@@ -584,7 +490,6 @@ def _parse_index(data: bytes, path, source, validate: str,
         )
 
     index = GzipIndex()
-    eager = validate == "eager"
     for number in range(count):
         record = _take(data, offset, point_size, f"seek point {number}", path)
         if legacy:
@@ -609,17 +514,12 @@ def _parse_index(data: bytes, path, source, validate: str,
         offset += compressed_length
         if legacy:
             window = _inflate_window(compressed, number)
-        elif eager:
+        else:
             window = _check_window(compressed, window_crc, raw_length, number)
             if telemetry is not None:
                 telemetry.metrics.counter(
                     "index.windows_validated"
                 ).increment()
-        else:
-            window = LazyWindow(
-                compressed, window_crc, raw_length, number,
-                telemetry=telemetry,
-            )
         try:
             index.add(
                 SeekPoint(

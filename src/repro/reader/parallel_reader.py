@@ -73,12 +73,10 @@ class ParallelGzipReader:
         verify: bool = True,
         index: GzipIndex = None,
         index_cache=None,
-        index_validate: str = "eager",
         strategy=None,
         pugz_compatible: bool = False,
         max_chunk_output: int = None,
         detect_catalog: bool = True,
-        seek_point_spacing: int = None,
         tolerate_corruption: bool = False,
         chunk_timeout: float = None,
         trace: bool = False,
@@ -107,23 +105,22 @@ class ParallelGzipReader:
         ``$REPRO_MAX_MEMORY`` supplies the default (useful to replay an
         entire test suite under a budget).
 
-        ``seek_point_spacing`` caps the *decompressed* distance between
-        seek points: chunks whose output exceeds it contribute extra seek
+        Seek points are at most ``2 * chunk_size`` *decompressed* bytes
+        apart: chunks whose output exceeds that contribute extra seek
         points at interior Deflate block boundaries (paper §1.4: "large
         chunks are split ... so that the maximum decompressed chunk size
-        is not larger than the configured chunk size"). Defaults to
-        ``2 * chunk_size``. This bounds both seek latency and the memory
-        needed per chunk when the exported index is later imported.
+        is not larger than the configured chunk size"). This bounds both
+        seek latency and the memory needed per chunk when the exported
+        index is later imported.
 
         ``index_cache`` names a directory holding persistent seek
         indexes (created if missing). On open, a matching cached index
-        is imported — validated per ``index_validate`` (``"eager"``
-        checks every window checksum up front, ``"lazy"`` defers window
-        checks to first use, ``"off"`` checks structure only) — and the
-        reader starts in the fast zlib-delegation mode. A stale, torn,
-        or corrupted cache entry is *never* fatal: the failure is
-        recorded in :attr:`damage_report` (kind ``"index"``) and
-        telemetry, and the reader falls back to a full parallel search;
+        is imported — checked whole before use, every window checksum
+        included — and the reader starts in the fast zlib-delegation
+        mode. A stale, torn, or corrupted cache entry is *never* fatal:
+        the failure is recorded in :attr:`damage_report` (kind
+        ``"index"``) and telemetry, and the reader falls back to a full
+        parallel search;
         after that first full pass the fresh index is atomically
         re-exported, healing the cache. Caching needs a real file path
         (it is skipped for byte buffers and file objects).
@@ -183,7 +180,7 @@ class ParallelGzipReader:
 
         self._damage = DamageReport()
         self._chunks_decoded = 0  # chunk decodes materialized
-        self._seek_point_spacing = seek_point_spacing or 2 * chunk_size
+        self._point_spacing = 2 * chunk_size
         self._position = 0
         self._closed = False
         self._lock = threading.RLock()
@@ -229,7 +226,6 @@ class ParallelGzipReader:
         # remember the path for the atomic auto-export after the first
         # full decode. Requires a real file path; silently inactive for
         # byte buffers and anonymous file objects.
-        self._index_validate = index_store.check_policy(index_validate)
         self._index_cache_path = None
         self._index_imported = False
         self._index_exported = False
@@ -283,7 +279,6 @@ class ParallelGzipReader:
             # catalog to open before any chunk is decoded. Fall back to the
             # search-mode fetcher, whose resync machinery handles damage.
             self._fetcher = build_fetcher(False)
-        self._fetcher.on_index_fallback = self._note_index_fallback
         # The chunk catalog the fetcher synthesized its index from (empty
         # windows: no chunk needs history), with per-chunk CRCs, or None.
         self._catalog = self._fetcher.catalog
@@ -371,7 +366,6 @@ class ParallelGzipReader:
             loaded = index_store.load_index(
                 path,
                 source=self._file_reader,
-                validate=self._index_validate,
                 telemetry=self.telemetry,
             )
         except IndexIntegrityError as error:
@@ -380,10 +374,7 @@ class ParallelGzipReader:
         self._index_imported = True
         events = self.telemetry.events
         if events.enabled:
-            events.emit(
-                "index-imported", points=len(loaded),
-                validate=self._index_validate,
-            )
+            events.emit("index-imported", points=len(loaded))
         return loaded
 
     def _note_index_rejected(self, error) -> None:
@@ -408,24 +399,6 @@ class ParallelGzipReader:
             events.emit(
                 "index-rejected", check=getattr(error, "check", None)
             )
-
-    def _note_index_fallback(self, chunk_id: int, error) -> None:
-        """Fetcher hook: one seek-point window failed validation mid-
-        flight and its interval was re-decoded from the last good point.
-        The served bytes are correct; this records why the fast path was
-        bypassed for that chunk."""
-        from ..recovery import DamagedRegion
-
-        record = self._chunks[chunk_id]
-        self._damage.regions.append(
-            DamagedRegion(
-                kind="index",
-                start_bit=record.start_bit,
-                resume_bit=record.end_bit,
-                output_offset=record.output_start,
-                detail=f"seek-point window rejected: {error}",
-            )
-        )
 
     def _maybe_export_index_cache(self) -> None:
         """Atomically publish the just-built index to the cache directory.
@@ -654,9 +627,9 @@ class ParallelGzipReader:
         extra. The exported index then keeps both seek latency and the
         per-chunk memory of future index-mode readers bounded.
         """
-        if record.length <= self._seek_point_spacing or not boundaries:
+        if record.length <= self._point_spacing or not boundaries:
             return
-        next_emit = self._seek_point_spacing
+        next_emit = self._point_spacing
         from ..deflate import MAX_WINDOW_SIZE
 
         for boundary in boundaries:
@@ -682,14 +655,13 @@ class ParallelGzipReader:
                     window,
                 )
             )
-            next_emit = boundary.output_offset + self._seek_point_spacing
+            next_emit = boundary.output_offset + self._point_spacing
 
     def _materialize_result(self, result, window: bytes) -> bytes:
         with self.telemetry.recorder.span(
             "chunk.materialize", start_bit=result.start_bit
         ):
-            # Only marker output reads the window; an index record's may
-            # be a lazily validated one nothing else needs here.
+            # Only marker output reads the window.
             data = result.payload.materialize(
                 b"" if result.window_known else window
             )
@@ -1117,16 +1089,14 @@ class ParallelGzipReader:
         counter = self.telemetry.metrics.counter
         stats["index"] = {
             "cache_path": self._index_cache_path,
-            "validate": self._index_validate,
             "imported": self._index_imported,
             "exported": self._index_exported,
             "seek_points": len(self.index),
             "index_chunks": counter("decode.index_chunks").value,
             "windows_validated": counter("index.windows_validated").value,
-            "window_crc_failures": counter(
-                "index.window_crc_failures"
-            ).value,
-            "fallbacks": counter("index.fallbacks").value,
+            # Always 0: a damaged window fails the load, never a chunk.
+            # Kept because benchmarks/e2e reads it (ROADMAP 5(b)).
+            "fallbacks": 0,
             "load_failures": counter("index.load_failures").value,
             "exports": counter("index.exports").value,
             "export_failures": counter("index.export_failures").value,

@@ -81,7 +81,6 @@ LIFECYCLE_STATES = (
 INDEX_STATES = (
     "index-imported",       # cached/explicit index loaded and accepted
     "index-rejected",       # import failed validation; search mode used
-    "index-fallback",       # one window failed mid-flight; re-decoded
     "index-exported",       # index atomically persisted
     "index-export-failed",  # persist attempt failed (tolerated)
 )

@@ -45,8 +45,10 @@ __all__ = [
 
 #: Stamped into ``/stats`` and ``/series`` payloads; bump on shape change.
 #: 3: added the "index" section (persistent index cache);
-#: 4: removed the "kernel" section (one block-decode kernel).
-STATS_SCHEMA = 4
+#: 4: removed the "kernel" section (one block-decode kernel);
+#: 5: removed "index" keys "validate" and "window_crc_failures" (one
+#: index validation pipeline).
+STATS_SCHEMA = 5
 
 
 def sanitize_metric_name(name: str) -> str:

@@ -206,33 +206,23 @@ def format_profile(statistics: dict, *, wall_time: float = None,
     if index and (
         index.get("cache_path") or index.get("imported")
         or index.get("exported") or index.get("index_chunks")
-        or index.get("fallbacks") or index.get("load_failures")
+        or index.get("load_failures")
     ):
         info(
             f"{'Index':<28}: {index.get('seek_points', 0)} seek point(s), "
             f"{'imported' if index.get('imported') else 'built fresh'}"
             + (", exported" if index.get("exported") else "")
-            + f", validate={index.get('validate', '?')}"
         )
         info(
             f"{'Index decode path':<28}: {index.get('index_chunks', 0)} "
             f"zlib-delegated chunk(s), "
             f"{index.get('windows_validated', 0)} window(s) validated"
         )
-        failures = (
-            index.get("window_crc_failures", 0)
-            + index.get("fallbacks", 0)
-            + index.get("load_failures", 0)
-            + index.get("export_failures", 0)
-        )
-        if failures:
+        if index.get("load_failures", 0) + index.get("export_failures", 0):
             info(
                 f"{'Index integrity':<28}: "
-                f"{index.get('window_crc_failures', 0)} window CRC "
-                f"failure(s), {index.get('fallbacks', 0)} mid-flight "
-                f"fallback(s), {index.get('load_failures', 0)} rejected "
-                f"import(s), {index.get('export_failures', 0)} failed "
-                f"export(s)"
+                f"{index.get('load_failures', 0)} rejected import(s), "
+                f"{index.get('export_failures', 0)} failed export(s)"
             )
 
     # Remote source: reported only when the input came over the wire —

@@ -24,6 +24,7 @@ from repro.errors import (
     FormatError,
     IndexIntegrityError,
     IntegrityError,
+    NetworkError,
     RecoveryError,
     ReproError,
     UsageError,
@@ -44,7 +45,7 @@ from repro.faults import (
     injected,
     truncate,
 )
-from repro.index.store import index_to_bytes_v2, load_index
+from repro.io import CircuitBreaker, MemoryFileReader, ResilientFileReader
 from repro.reader import ParallelGzipReader
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "1337"))
@@ -313,6 +314,40 @@ def _corrupt_index_interval():
     return bytes(damaged), index
 
 
+def _unretried_source() -> ResilientFileReader:
+    """MULTI_BLOB behind the network resilience layer, whose reads pass
+    the ``io.pread`` site: no retries, and a breaker that never opens, so
+    exactly the faulted reads fail."""
+    return ResilientFileReader(
+        MemoryFileReader(MULTI_BLOB), retries=0,
+        breaker=CircuitBreaker(threshold=1 << 30),
+    )
+
+
+def _dead_range_outcome(backend: str) -> tuple:
+    """What a reader on ``backend`` shows of a source whose reads fail on
+    every attempt inside ``FAULTED_CHUNK``'s cell: the strict-mode error
+    and the tolerant-mode damage report."""
+    dead = range(FAULTED_CHUNK * MULTI_CHUNK, (FAULTED_CHUNK + 1) * MULTI_CHUNK)
+    specs = [FaultSpec("io.pread", "raise", error="network", chunk_ids=dead,
+                       attempts=None)]
+    with injected(seed=CHAOS_SEED, specs=specs):
+        strict = _open(backend, _unretried_source())
+        with pytest.raises(ChunkDecodeError) as info:
+            _read_all(strict)
+        tolerant = _open(backend, _unretried_source(),
+                         tolerate_corruption=True)
+        output = _read_all(tolerant)
+    raised = info.value
+    return (
+        type(raised.__cause__), raised.chunk_id, raised.start_bit,
+        [(region.kind, region.start_bit, region.resume_bit,
+          region.output_offset, region.skipped_bits)
+         for region in tolerant.damage_report.regions],
+        output,
+    )
+
+
 class TestDecodeFaults:
     @pytest.mark.parametrize("error", ["injected", "format"])
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -399,36 +434,17 @@ class TestDecodeFaults:
         assert states["rejected"] == 1
         assert not states["no-candidate"]
 
-    def test_damaged_index_window_has_one_contract(self):
-        # One seek point's lazily validated window fails validation every
-        # time it is touched: the pool skips that chunk and checks its
-        # predecessor's tail against nothing, and the consumer's request
-        # re-decodes it from the last good point — the same bytes, the
-        # same fallback count and the same damage record as on serial.
-        with ParallelGzipReader(MULTI_BLOB, parallelization=1,
-                                chunk_size=MULTI_CHUNK) as reader:
-            exported = reader.export_index(io.BytesIO())
-        saved = index_to_bytes_v2(exported)
-        faulted_bit = exported[FAULTED_CHUNK].compressed_bit_offset
-        specs = [FaultSpec("index.window", "raise", error="index",
-                           chunk_ids=(FAULTED_CHUNK,), attempts=None)]
-
-        def outcome(backend):
-            index = load_index(saved, validate="lazy")
-            with injected(seed=CHAOS_SEED, specs=specs):
-                reader = _open(backend, index=index)
-                output = _read_all(reader)
-            return (
-                output, reader.statistics()["index"]["fallbacks"],
-                [(region.kind, region.start_bit)
-                 for region in reader.damage_report.regions],
-            )
-
-        threads = outcome("threads")
-        assert threads[0] == MULTI_DATA
-        assert threads[1] >= 1
-        assert threads[2] == [("index", faulted_bit)]
-        assert outcome("serial") == threads
+    def test_exhausted_pread_has_one_contract(self):
+        # Every read of one chunk's bytes fails for good at ``io.pread``:
+        # the strict read ends with the same structured error, and the
+        # tolerant read with the same damage report, on both backends.
+        threads = _dead_range_outcome("threads")
+        cause, chunk_id, _start_bit, regions, output = threads
+        assert cause is NetworkError
+        assert chunk_id == FAULTED_CHUNK
+        assert [region[0] for region in regions] == ["network"]
+        assert output == MULTI_DATA[: regions[0][3]]
+        assert _dead_range_outcome("serial") == threads
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,7 @@ def make_high_ratio_blob() -> tuple:
 class TestChunkSplitting:
     def test_interior_seek_points_added(self):
         data, blob = make_high_ratio_blob()
-        with ParallelGzipReader(
-            blob, chunk_size=64 * 1024, seek_point_spacing=128 * 1024
-        ) as reader:
+        with ParallelGzipReader(blob, chunk_size=64 * 1024) as reader:
             sink = io.BytesIO()
             reader.export_index(sink)
             chunks = reader.statistics()["chunks_decoded"]
@@ -50,15 +48,13 @@ class TestChunkSplitting:
             second.uncompressed_offset - first.uncompressed_offset
             for first, second in zip(index, list(index)[1:])
         ]
-        # Spacing bounded by spacing + one block's output (blocks of this
-        # corpus decompress to ~300 KiB per zlib block).
+        # Spacing (2 * chunk_size) bounded by spacing + one block's output
+        # (blocks of this corpus decompress to ~300 KiB per zlib block).
         assert max(gaps) < 128 * 1024 + 600 * 1024
 
     def test_split_index_round_trips(self):
         data, blob = make_high_ratio_blob()
-        with ParallelGzipReader(
-            blob, chunk_size=64 * 1024, seek_point_spacing=128 * 1024
-        ) as reader:
+        with ParallelGzipReader(blob, chunk_size=64 * 1024) as reader:
             sink = io.BytesIO()
             reader.export_index(sink)
         index = load_index(sink.getvalue())
@@ -67,9 +63,8 @@ class TestChunkSplitting:
 
     def test_split_index_random_access_touches_few_chunks(self):
         data, blob = make_high_ratio_blob()
-        with ParallelGzipReader(
-            blob, chunk_size=64 * 1024, seek_point_spacing=64 * 1024
-        ) as reader:
+        # Seek points at most 64 KiB of output apart (2 * chunk_size).
+        with ParallelGzipReader(blob, chunk_size=32 * 1024) as reader:
             sink = io.BytesIO()
             reader.export_index(sink)
         index = load_index(sink.getvalue())
@@ -98,9 +93,7 @@ class TestChunkSplitting:
 
     def test_windows_at_interior_points_are_correct(self):
         data, blob = make_high_ratio_blob()
-        with ParallelGzipReader(
-            blob, chunk_size=64 * 1024, seek_point_spacing=96 * 1024
-        ) as reader:
+        with ParallelGzipReader(blob, chunk_size=48 * 1024) as reader:
             sink = io.BytesIO()
             reader.export_index(sink)
         index = load_index(sink.getvalue())

@@ -124,12 +124,16 @@ class TestIndexCache:
         assert main(args) == 0  # warm open imports what the cold one wrote
         assert capsysbinary.readouterr().out == DATA
 
-    @pytest.mark.parametrize("validate", ["eager", "lazy"])
+    # "eager": the default, prefetching ahead of the consumer; "lazy": a
+    # memory budget below one 32 KiB chunk declines every speculative
+    # decode, so each chunk of the fallback search is decoded on demand.
+    @pytest.mark.parametrize("decode", ["eager", "lazy"])
     def test_corrupt_cache_falls_back_exit_0(self, gz_file, tmp_path,
-                                             validate, capsysbinary):
+                                             decode, capsysbinary):
         cache = tmp_path / "cache"
-        base = ["-c", "--index-cache", str(cache),
-                "--index-validate", validate, str(gz_file)]
+        budget = ["--max-memory", "16KiB"] if decode == "lazy" else []
+        base = ["-c", "--index-cache", str(cache), "--chunk-size", "32",
+                *budget, str(gz_file)]
         assert main(base) == 0
         capsysbinary.readouterr()
         cached = next(cache.glob("*.rpzidx"))

@@ -7,7 +7,6 @@ import pytest
 
 from repro.cache import FetchNextFixed
 from repro.errors import UsageError
-from repro.errors import IndexIntegrityError
 from repro.fetcher import (
     ChunkChain,
     ChunkRecord,
@@ -297,16 +296,6 @@ class TestChunkChain:
 
     # -- extent(): one lookup for search-mode and index-mode chunks --------
 
-    @staticmethod
-    def lazy(window: bytes, point: int, damaged: bool = False):
-        import zlib
-
-        from repro.index.store import LazyWindow
-
-        compressed = zlib.compress(window)
-        crc = zlib.crc32(compressed) ^ (1 if damaged else 0)  # a wrong CRC
-        return LazyWindow(compressed, crc, len(window), point)
-
     def index_chain(self, windows, stream_starts=()):
         """A chain built from a finalized index of 100-byte chunks, 800
         bits apart, whose seek points hold ``windows``."""
@@ -328,21 +317,6 @@ class TestChunkChain:
         assert chain.extent(1680).is_last
         assert chain.extent(1680).end_bit is None
         assert chain.extent(881) is None
-
-    def test_own_damaged_lazy_window_raises(self):
-        chain = self.index_chain(
-            [b"", self.lazy(b"a" * 64, 1, damaged=True), b"b" * 64]
-        )
-        with pytest.raises(IndexIntegrityError):
-            chain.extent(880)
-
-    def test_damaged_next_window_is_unchecked(self):
-        chain = self.index_chain(
-            [b"", self.lazy(b"a" * 64, 1), self.lazy(b"b" * 64, 2, True)]
-        )
-        extent = chain.extent(880)
-        assert extent.window == b"a" * 64  # the lazy window, validated
-        assert extent.next_window is None
 
     def test_stream_start_successor_is_unchecked(self):
         chain = self.index_chain([b"", b"a" * 64, b""], stream_starts=(0, 2))

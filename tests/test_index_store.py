@@ -2,13 +2,14 @@
 
 Four pillars, mirroring the issue's acceptance criteria:
 
-* **Round-trip and rejection units** — v2 save/load under every
-  validation policy, v1 dispatch, future-version and truncation
-  rejection with named checks, lazy-window semantics, fingerprints.
+* **Round-trip and rejection units** — v2 save/load, v1 dispatch,
+  future-version, truncation and count rejection with named checks
+  (crafted files re-sealed with a valid footer CRC reach the structural
+  checks behind it), fingerprints.
 * **Chaos matrix** — seeded ``flip_bytes``/``truncate`` damage to the
   cached index file and injected faults at every index fault site
-  (``index.load``/``index.window``/``index.export``), crossed with
-  eager and lazy validation. The invariant everywhere: **bytes out are
+  (``index.load``/``index.window``/``index.export``). The invariant
+  everywhere: **the damaged index is rejected at load, bytes out are
   identical to a fresh decode, no exception escapes, the incident is
   recorded** (differential safety).
 * **Self-heal** — a rejected cache is silently replaced by a freshly
@@ -24,7 +25,9 @@ import gzip as stdlib_gzip
 import io
 import os
 import random
+import struct
 import threading
+import zlib
 
 import pytest
 
@@ -34,7 +37,7 @@ from repro.faults import FaultSpec, flip_bytes, injected, truncate
 from repro.index import (
     GzipIndex,
     INDEX_MAGIC_V2,
-    LazyWindow,
+    INDEX_TRAILER_V2,
     SourceFingerprint,
     cache_path,
     fingerprint_source,
@@ -42,7 +45,7 @@ from repro.index import (
     save_index,
     window_bytes,
 )
-from repro.index.store import check_policy, index_to_bytes_v2
+from repro.index.store import index_to_bytes_v2
 from repro.reader import ParallelGzipReader
 
 from .test_index import _v1_of
@@ -95,6 +98,16 @@ def open_with_cache(corpus, cache_dir, **kwargs):
     return ParallelGzipReader(str(corpus), index_cache=str(cache_dir), **kwargs)
 
 
+def reseal(blob, keep: int = None) -> bytes:
+    """``blob`` (a mutated v2 file) with its footer CRC recomputed, its
+    body first cut to ``keep`` bytes when given: a crafted file the
+    whole-file checksum accepts, so the structural check behind it is
+    the one that must reject it."""
+    footer = struct.Struct("<I8s")  # body CRC-32 | trailer magic
+    body = bytes(blob[: -footer.size])[:keep]
+    return body + footer.pack(zlib.crc32(body), INDEX_TRAILER_V2)
+
+
 def seed_cache(corpus, index_file, cache_dir) -> str:
     """Place the pristine index where the auto-import will find it."""
     target = cache_path(str(cache_dir), str(corpus))
@@ -112,25 +125,27 @@ def seed_cache(corpus, index_file, cache_dir) -> str:
 
 
 class TestRoundTrip:
-    def test_v2_round_trip_all_policies(self, corpus, index_file):
-        pristine = load_index(str(index_file), validate="off")
-        assert len(pristine) > 3
-        for policy in ("eager", "lazy", "off"):
-            loaded = load_index(
-                str(index_file), source=str(corpus), validate=policy
+    def test_v2_round_trip(self, corpus):
+        with ParallelGzipReader(
+            str(corpus), parallelization=2, chunk_size=CHUNK
+        ) as reader:
+            while reader.read(1 << 20):
+                pass
+            original = reader.index
+            blob = index_to_bytes_v2(
+                original, fingerprint=fingerprint_source(str(corpus))
             )
-            assert loaded.finalized
-            assert len(loaded) == len(pristine)
-            for original, restored in zip(pristine, loaded):
-                assert restored.compressed_bit_offset == (
-                    original.compressed_bit_offset
-                )
-                assert restored.uncompressed_offset == (
-                    original.uncompressed_offset
-                )
-                assert window_bytes(restored.window) == window_bytes(
-                    original.window
-                )
+        loaded = load_index(blob, source=str(corpus))
+        assert loaded.finalized
+        assert len(loaded) == len(original) > 3
+        for point, restored in zip(original, loaded):
+            assert restored.compressed_bit_offset == (
+                point.compressed_bit_offset
+            )
+            assert restored.uncompressed_offset == point.uncompressed_offset
+            # Every window is checked and inflated before load returns.
+            assert type(restored.window) is bytes
+            assert restored.window == window_bytes(point.window)
 
     def test_v2_magic_on_disk(self, index_file):
         with open(index_file, "rb") as handle:
@@ -170,45 +185,52 @@ class TestRoundTrip:
         blob = bytearray(index_file.read_bytes())
         blob[8] = 9  # version byte
         with pytest.raises(IndexIntegrityError) as info:
-            load_index(bytes(blob), validate="off")
+            load_index(reseal(blob))
         assert info.value.check == "version"
 
     def test_truncation_rejected_with_named_check(self, index_file):
         blob = index_file.read_bytes()
         for keep in (0, 4, 7, 20, len(blob) // 2, len(blob) - 3):
             with pytest.raises(IndexIntegrityError) as info:
-                load_index(truncate(blob, keep=keep), validate="off")
-            assert info.value.check in {"truncated", "magic", "trailer"}, (
+                load_index(truncate(blob, keep=keep))
+            assert info.value.check in {"truncated", "trailer"}, (
                 f"keep={keep} -> {info.value.check}"
             )
+        # Re-sealed, a cut body passes the footer CRC and runs into the
+        # truncation checks of the parse itself.
+        for keep in (0, 4, 7, 20, 32 + 40 + 10, len(blob) // 2):
+            with pytest.raises(IndexIntegrityError) as info:
+                load_index(reseal(blob, keep=keep))
+            assert info.value.check == "truncated", f"keep={keep}"
+
+    def test_impossible_point_count_rejected(self, index_file):
+        blob = bytearray(index_file.read_bytes())
+        struct.pack_into("<I", blob, 28, 1 << 30)  # header point count
+        with pytest.raises(IndexIntegrityError,
+                           match="cannot fit") as info:
+            load_index(reseal(blob))
+        assert info.value.check == "truncated"
 
     def test_footer_crc_rejected_eagerly(self, index_file):
         blob = bytearray(index_file.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         with pytest.raises(IndexIntegrityError) as info:
-            load_index(bytes(blob), validate="eager")
-        assert info.value.check in {"footer_crc", "window_crc",
-                                    "window_inflate", "truncated"}
+            load_index(bytes(blob))
+        assert info.value.check == "footer_crc"
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(UsageError):
-            check_policy("paranoid")
+    def test_window_crc_rejected_at_load(self, index_file):
+        blob = bytearray(index_file.read_bytes())
+        # Past the 32-byte header, the 40-byte fingerprint and point 0's
+        # 29-byte record: the first byte of point 0's window.
+        blob[32 + 40 + 29] ^= 0xFF
+        with pytest.raises(IndexIntegrityError) as info:
+            load_index(reseal(blob))
+        assert (info.value.check, info.value.point) == ("window_crc", 0)
 
-    def test_lazy_window_is_bytes_like(self, corpus, index_file):
-        index = load_index(str(index_file), source=str(corpus),
-                           validate="lazy")
-        lazy = [
-            p.window for p in index
-            if isinstance(p.window, LazyWindow) and len(p.window)
-        ]
-        assert lazy, "lazy load should defer window materialization"
-        window = lazy[0]
-        assert not window.validated
-        materialized = bytes(window)
-        assert window.validated
-        assert len(window) == len(materialized) > 0
-        assert window == materialized
-        assert window_bytes(window) == materialized
+    def test_unknown_policy_rejected(self, index_file):
+        for policy in ("lazy", "off", "paranoid"):
+            with pytest.raises(UsageError):
+                load_index(str(index_file), validate=policy)
 
     def test_cache_path_stable_and_distinct(self, tmp_path):
         a = cache_path(str(tmp_path), "/data/one.gz")
@@ -231,22 +253,21 @@ class TestFingerprint:
         blob[10] ^= 0xFF
         changed.write_bytes(bytes(blob))
         with pytest.raises(IndexIntegrityError) as info:
-            load_index(str(index_file), source=str(changed), validate="eager")
+            load_index(str(index_file), source=str(changed))
         assert info.value.check == "fingerprint"
 
     def test_resized_source_rejected(self, corpus, index_file, tmp_path):
         grown = tmp_path / "grown.gz"
         grown.write_bytes(corpus.read_bytes() + b"tail")
         with pytest.raises(IndexIntegrityError) as info:
-            load_index(str(index_file), source=str(grown), validate="eager")
+            load_index(str(index_file), source=str(grown))
         assert info.value.check == "fingerprint"
 
     def test_mtime_is_advisory(self, corpus, index_file, tmp_path):
         copy = tmp_path / "data.gz"
         copy.write_bytes(corpus.read_bytes())
         os.utime(copy, (1_000_000, 1_000_000))
-        loaded = load_index(str(index_file), source=str(copy),
-                            validate="eager")
+        loaded = load_index(str(index_file), source=str(copy))
         assert loaded.finalized  # same bytes, different mtime: accepted
 
     def test_mismatch_names_failing_check(self):
@@ -262,7 +283,7 @@ class TestAtomicExport:
     def test_replace_is_atomic_and_clean(self, corpus, index_file, tmp_path):
         target = tmp_path / "out.rpzidx"
         target.write_bytes(b"stale previous contents")
-        index = load_index(str(index_file), validate="off")
+        index = load_index(str(index_file))
         save_index(index, str(target), source=str(corpus))
         reloaded = load_index(str(target), source=str(corpus))
         assert len(reloaded) == len(index)
@@ -272,7 +293,7 @@ class TestAtomicExport:
     def test_failed_export_preserves_previous_file(self, corpus, index_file,
                                                    tmp_path):
         target = tmp_path / "out.rpzidx"
-        index = load_index(str(index_file), validate="off")
+        index = load_index(str(index_file))
         save_index(index, str(target), source=str(corpus))
         before = target.read_bytes()
         with injected(
@@ -303,7 +324,6 @@ class TestCacheLifecycle:
         stats = warm.statistics()["index"]
         assert stats["imported"]
         assert stats["index_chunks"] > 0  # zlib-delegated fast path used
-        assert stats["fallbacks"] == 0
         assert stats["load_failures"] == 0
 
     def test_rejected_cache_self_heals(self, corpus, index_file, tmp_path):
@@ -323,79 +343,69 @@ class TestCacheLifecycle:
 
 
 # ---------------------------------------------------------------------------
-# Chaos matrix: seeded damage x validation policy, differential safety
+# Chaos matrix: seeded damage, rejected at load, differential safety
 # ---------------------------------------------------------------------------
 
 
+# How chunks are decoded after a rejected cache sends the reader back to
+# a search: "eager" prefetches ahead of the consumer (the default);
+# "lazy" runs under a memory budget smaller than one chunk, so every
+# speculative decode is declined and each chunk is decoded on demand.
+DECODE = {"eager": {}, "lazy": {"max_memory": "16KiB"}}
+
+
+def open_decoding(corpus, cache_dir, decode):
+    return open_with_cache(corpus, cache_dir, **DECODE[decode])
+
+
+def assert_rejected_at_load(reader, decode: str = "eager") -> None:
+    stats = reader.statistics()
+    assert stats["index"]["load_failures"] == 1
+    assert not stats["index"]["imported"]
+    assert stats["damaged_regions"] >= 1
+    if decode == "lazy":  # the budget did turn speculation away
+        assert stats["memory"]["backpressure_stalls"] >= 1
+
+
 class TestChaosMatrix:
-    @pytest.mark.parametrize("validate", ["eager", "lazy"])
+    @pytest.mark.parametrize("decode", ["eager", "lazy"])
     @pytest.mark.parametrize("seed", range(6))
     def test_flipped_cache_bytes_identical_output(
-        self, corpus, index_file, tmp_path, seed, validate
+        self, corpus, index_file, tmp_path, seed, decode
     ):
         target = seed_cache(corpus, index_file, tmp_path)
         blob = index_file.read_bytes()
         with open(target, "wb") as handle:
             handle.write(flip_bytes(blob, seed=seed, flips=4))
-        reader = open_with_cache(corpus, tmp_path, index_validate=validate)
+        reader = open_decoding(corpus, tmp_path, decode)
         assert read_all(reader) == DATA, (
-            f"corrupted cache changed output (seed={seed}, {validate})"
+            f"corrupted cache changed output (seed={seed}, {decode})"
         )
-        stats = reader.statistics()["index"]
-        incidents = stats["load_failures"] + stats["fallbacks"] + stats[
-            "window_crc_failures"
-        ]
-        if incidents:
-            assert reader.statistics()["damaged_regions"] >= 1
-        else:
-            # Only lazy mode may accept a flipped file: it skips the
-            # whole-file footer CRC, so flips confined to the footer
-            # field itself (or other never-revalidated slack) slide
-            # through — harmlessly, as the byte-identical output shows.
-            # Eager mode checksums everything and must always notice.
-            assert validate == "lazy"
+        # The footer CRC covers every byte: any flip fails the load.
+        assert_rejected_at_load(reader, decode)
 
-    @pytest.mark.parametrize("validate", ["eager", "lazy"])
+    @pytest.mark.parametrize("decode", ["eager", "lazy"])
     @pytest.mark.parametrize("fraction", [0.1, 0.5, 0.9, 0.99])
     def test_truncated_cache_bytes_identical_output(
-        self, corpus, index_file, tmp_path, fraction, validate
+        self, corpus, index_file, tmp_path, fraction, decode
     ):
         target = seed_cache(corpus, index_file, tmp_path)
         with open(target, "wb") as handle:
             handle.write(truncate(index_file.read_bytes(), fraction=fraction))
-        reader = open_with_cache(corpus, tmp_path, index_validate=validate)
+        reader = open_decoding(corpus, tmp_path, decode)
         assert read_all(reader) == DATA
-        stats = reader.statistics()["index"]
-        assert stats["load_failures"] == 1
-        assert not stats["imported"]
+        assert_rejected_at_load(reader, decode)
 
-    @pytest.mark.parametrize("validate", ["eager", "lazy"])
+    @pytest.mark.parametrize("decode", ["eager", "lazy"])
     def test_injected_load_fault(self, corpus, index_file, tmp_path,
-                                 validate):
+                                 decode):
         seed_cache(corpus, index_file, tmp_path)
         with injected(
             seed=3, specs=[FaultSpec("index.load", "raise", error="index")]
         ):
-            reader = open_with_cache(corpus, tmp_path,
-                                     index_validate=validate)
+            reader = open_decoding(corpus, tmp_path, decode)
             assert read_all(reader) == DATA
-        stats = reader.statistics()["index"]
-        assert stats["load_failures"] == 1
-        assert not stats["imported"]
-
-    def test_injected_window_fault_lazy_falls_back_mid_flight(
-        self, corpus, index_file, tmp_path
-    ):
-        seed_cache(corpus, index_file, tmp_path)
-        with injected(
-            seed=5, specs=[FaultSpec("index.window", "raise", error="index")]
-        ):
-            reader = open_with_cache(corpus, tmp_path, index_validate="lazy")
-            assert read_all(reader) == DATA
-        stats = reader.statistics()["index"]
-        assert stats["imported"]
-        assert stats["fallbacks"] >= 1
-        assert reader.statistics()["damaged_regions"] >= 1
+        assert_rejected_at_load(reader, decode)
 
     def test_injected_window_fault_eager_rejects_at_load(
         self, corpus, index_file, tmp_path
@@ -404,11 +414,9 @@ class TestChaosMatrix:
         with injected(
             seed=5, specs=[FaultSpec("index.window", "raise", error="index")]
         ):
-            reader = open_with_cache(corpus, tmp_path, index_validate="eager")
+            reader = open_with_cache(corpus, tmp_path)
             assert read_all(reader) == DATA
-        stats = reader.statistics()["index"]
-        assert not stats["imported"]
-        assert stats["load_failures"] == 1
+        assert_rejected_at_load(reader)
 
     def test_injected_export_fault_is_tolerated(self, corpus, tmp_path):
         with injected(
@@ -433,15 +441,14 @@ class TestChaosMatrix:
         assert expected == DATA
         blob = index_file.read_bytes()
         for seed in range(8):
-            for validate in ("eager", "lazy"):
-                target = seed_cache(corpus, index_file, tmp_path)
-                with open(target, "wb") as handle:
-                    handle.write(flip_bytes(blob, seed=seed, flips=6))
-                reader = open_with_cache(corpus, tmp_path,
-                                         index_validate=validate)
-                assert read_all(reader) == expected, (
-                    f"differential mismatch seed={seed} validate={validate}"
-                )
+            target = seed_cache(corpus, index_file, tmp_path)
+            with open(target, "wb") as handle:
+                handle.write(flip_bytes(blob, seed=seed, flips=6))
+            reader = open_with_cache(corpus, tmp_path)
+            assert read_all(reader) == expected, (
+                f"differential mismatch seed={seed}"
+            )
+            assert_rejected_at_load(reader)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +618,7 @@ class TestConcurrency:
         # Whoever exported last, the survivor must be importable.
         survivor = load_index(
             cache_path(str(tmp_path), str(corpus)),
-            source=str(corpus), validate="eager",
+            source=str(corpus),
         )
         assert survivor.finalized
 
@@ -620,7 +627,7 @@ class TestConcurrency:
         """One reader mid-decode while another finishes and exports into
         the same cache slot: last writer wins, nobody reads torn data."""
         seed_cache(corpus, index_file, tmp_path)
-        reader = open_with_cache(corpus, tmp_path, index_validate="lazy")
+        reader = open_with_cache(corpus, tmp_path)
         first = reader.read(CHUNK)  # decode under way, cache imported
         exporter = open_with_cache(corpus, tmp_path)
         assert read_all(exporter) == DATA  # re-exports over the cache slot
@@ -629,6 +636,6 @@ class TestConcurrency:
         assert first + rest == DATA
         survivor = load_index(
             cache_path(str(tmp_path), str(corpus)),
-            source=str(corpus), validate="eager",
+            source=str(corpus),
         )
         assert survivor.finalized
