@@ -18,9 +18,11 @@ value whose bit 7 is set and whose low bits are ``w >> 8``, so the symbol is
 ``LOW | (LOW ^ MIX) << 8`` — ``MARKER_FLAG | w``, the marker the Python
 first stage emits, bit for bit. Once the trailing 32 Ki symbols at a block
 boundary are untainted the probe is closed and the chunk continues
-single-pass into ``bytes`` segments (§4.4's hand-off). The Python
-decoder (:mod:`repro.deflate.block`) stays: the no-libz path, this
-module's oracle, Table 2's row.
+single-pass into ``bytes`` segments (§4.4's hand-off). A chunk whose
+extent an index gives is read in one ``pread`` and inflated straight into
+the one ``bytes`` object it becomes — allocated once, at the extent's
+length, never copied. The Python decoder (:mod:`repro.deflate.block`)
+stays: the no-libz path, this module's oracle, Table 2's row.
 :class:`HeaderCheck` is the block finder's strict stage on the same library.
 """
 
@@ -36,19 +38,33 @@ import zlib
 import numpy as np
 
 from ..errors import DeflateError, TruncatedError
+from ..gz.crc32 import crc32_combine as reference_crc32_combine
 from ..io import BitReader
 from .constants import MAX_WINDOW_SIZE
 from .inflate import BlockBoundary
 from .markers import ChunkPayload
 
-__all__ = ["load", "ChunkStream", "HeaderCheck", "header_check"]
+__all__ = ["load", "ChunkStream", "HeaderCheck", "crc32_combine", "header_check"]
 
-_Z_BLOCK, _Z_TREES, _Z_OK, _Z_BUF_ERROR = 5, 6, 0, -5
+_Z_NO_FLUSH, _Z_BLOCK, _Z_TREES = 0, 5, 6
+_Z_OK, _Z_STREAM_END, _Z_BUF_ERROR = 0, 1, -5
 _OUT_SIZE = 256 * 1024  # output buffered per stream between flushes
 _REFILL = 128 * 1024
 #: Read this far past the stop offset: the block that crosses it must end
 #: (zlib's are under 25 KiB at the default memLevel; longer ones refill).
 _PAST_STOP = 32 * 1024
+#: Past a known extent's end only the next block header is read (and, at a
+#: member boundary, the next gzip header).
+_TAIL = 64
+
+#: ``PyBytes_FromStringAndSize(NULL, n)``: a fresh, unshared ``bytes`` of
+#: ``n`` uninitialised bytes that libz fills before anyone else sees it.
+_fresh_bytes = ctypes.PYFUNCTYPE(
+    ctypes.py_object, ctypes.c_void_p, ctypes.c_ssize_t
+)(("PyBytes_FromStringAndSize", ctypes.pythonapi))
+#: ``next_out`` of an empty known-size chunk: may not be NULL, never written.
+_SINK = ctypes.create_string_buffer(1)
+_NOWHERE = ctypes.addressof(_SINK)
 
 
 class _ZStream(ctypes.Structure):
@@ -95,10 +111,25 @@ def load():
                 stream, ctypes.c_char_p, ctypes.c_uint)
             library.inflate.argtypes = (stream, ctypes.c_int)
             library.inflateReset.argtypes = library.inflateEnd.argtypes = (stream,)
+            library.crc32_combine.argtypes = (
+                ctypes.c_ulong, ctypes.c_ulong, ctypes.c_long)
+            library.crc32_combine.restype = ctypes.c_ulong
         except (OSError, AttributeError):
             continue
         return library
     return None
+
+
+def crc32_combine(crc1: int, crc2: int, length2: int) -> int:
+    """CRC-32 of ``A + B`` from ``crc32(A)``, ``crc32(B)`` and ``len(B)``:
+    libz's, or :func:`repro.gz.crc32.crc32_combine` (the reference, three
+    orders of magnitude slower) where libz cannot be loaded."""
+    if not crc1:
+        return crc2  # A's register shifts as zero: no call, either way
+    library = load()
+    if library is None:
+        return reference_crc32_combine(crc1, crc2, length2)
+    return library.crc32_combine(crc1, crc2, length2)
 
 
 def _raw_inflater(library) -> _ZStream:
@@ -135,7 +166,7 @@ class ChunkStream:
     """
 
     def __init__(self, library, file_reader, start_bit: int, stop_bit: int,
-                 window: bytes, max_size: int = None):
+                 window: bytes, max_size: int = None, size: int = None):
         self._streams = []
         self._library = library
         self._file = file_reader
@@ -149,7 +180,23 @@ class ChunkStream:
         self.produced = 0
         dictionaries = (_probe_dictionaries() if window is None
                         else (bytes(window[-MAX_WINDOW_SIZE:]),))
-        self._outs = [np.empty(_OUT_SIZE, dtype=np.uint8) for _ in dictionaries]
+        #: ``size`` known: the chunk's extent is, so its input is read in
+        #: one ``pread`` and its output decoded straight into one ``bytes``
+        #: object of that size — the payload, no staging, no copy.
+        self._size = size
+        if size is None:
+            self._first_read = _REFILL  # a false positive dies within it
+            self._outs = [np.empty(_OUT_SIZE, dtype=np.uint8)
+                          for _ in dictionaries]
+            self._targets = [out.ctypes.data for out in self._outs]
+            self._capacity = _OUT_SIZE
+        else:
+            end = file_reader.size() if stop_bit is None else self._stop_byte + _TAIL
+            self._first_read = end - start_bit // 8
+            self._final = _fresh_bytes(None, size) if size else b""
+            # The empty result is CPython's shared singleton: never a target.
+            self._targets = [_address(self._final) if size else _NOWHERE]
+            self._capacity = size
         try:
             for _ in dictionaries:
                 self._streams.append(_raw_inflater(library))
@@ -160,9 +207,9 @@ class ChunkStream:
 
     def _read_slab(self, byte: int) -> None:
         """One ``pread`` per slab, shared by all streams without a copy."""
-        size = _REFILL  # first read: a false positive dies within it
+        size = self._first_read
         if self._slab:
-            size = max(size, self._stop_byte - byte + _PAST_STOP)
+            size = max(_REFILL, self._stop_byte - byte + _PAST_STOP)
         self._slab = bytes(self._file.pread(byte, size))
         if not self._slab:
             raise TruncatedError("input ended inside a Deflate stream")
@@ -205,14 +252,21 @@ class ChunkStream:
             (0, 0, (self.position + 7) // 8, self._slab, self._slab_start))
         return reader
 
-    def _inflate(self, stream, out, room: int) -> int:
-        """One ``inflate(Z_BLOCK)`` call; returns the bytes it produced."""
+    def _inflate(self, stream, target: int, room: int,
+                 flush: int = _Z_BLOCK) -> int:
+        """One ``inflate`` call into the output at ``target`` (an address);
+        returns the bytes it produced."""
         stream.next_in = self._slab_address + self._offset
         stream.avail_in = len(self._slab) - self._offset
-        stream.next_out = out.ctypes.data + self._fill
+        stream.next_out = target + self._fill
         stream.avail_out = room
-        status = self._library.inflate(stream, _Z_BLOCK)
-        if status not in (_Z_OK, _Z_BUF_ERROR):
+        status = self._library.inflate(stream, flush)
+        if status == _Z_STREAM_END and flush != _Z_BLOCK:
+            # A final block ended inside the run: mark the boundary the way
+            # Z_BLOCK would have (``data_type`` already holds BFINAL and the
+            # unused bits; libz rewrites the field on every call).
+            stream.data_type |= 128
+        elif status not in (_Z_OK, _Z_BUF_ERROR):
             # Z_BLOCK returns before a stream's end is processed, so even
             # Z_STREAM_END means a caller ran past a final block.
             message = stream.msg.decode() if stream.msg else f"status {status}"
@@ -228,11 +282,17 @@ class ChunkStream:
         while True:
             if self._offset >= len(self._slab):
                 self._read_slab(self._slab_start + len(self._slab))
-            room = _OUT_SIZE - self._fill
+            room = self._capacity - self._fill
             if self._max_size is not None:
                 # One byte of slack makes "exceeds" exact.
                 room = min(room, self._max_size + 1 - self.produced)
-            count = self._inflate(main, self._outs[0], room)
+            flush = _Z_BLOCK
+            if self._size is not None and room > 1:
+                # Known size: run across blocks (every Z_BLOCK return costs
+                # libz a window update) but stop one byte short, so that
+                # the extent's last block boundary is still ahead.
+                room, flush = room - 1, _Z_NO_FLUSH
+            count = self._inflate(main, self._targets[0], room, flush)
             if len(self._streams) > 1:
                 self._run_probe(count, main.avail_in)
             self._offset = len(self._slab) - main.avail_in
@@ -240,10 +300,15 @@ class ChunkStream:
             self.produced += count
             if self._max_size is not None and self.produced > self._max_size:
                 raise DeflateError("decoded chunk exceeds configured maximum size")
-            if self._fill == _OUT_SIZE:
+            if self._fill == self._capacity and self._size is None:
                 self._flush()
             if main.data_type & 128:
                 break
+            if self._fill == self._capacity and main.avail_in:
+                # Known size, all of it produced, and the block goes on
+                # (libz still reads an end-of-block code with no room).
+                raise DeflateError(
+                    f"chunk decodes past its declared {self._size} bytes")
         consumed_bits = (self._slab_start + self._offset) * 8
         self.position = consumed_bits - (main.data_type & 63)
         if len(self._streams) > 1 and self._clean >= MAX_WINDOW_SIZE:
@@ -256,7 +321,7 @@ class ChunkStream:
     def _run_probe(self, count: int, main_left: int) -> None:
         """Level MIX with the main pass; extend the clean run."""
         stream = self._streams[1]
-        produced = self._inflate(stream, self._outs[1], count)
+        produced = self._inflate(stream, self._targets[1], count)
         if (produced, stream.avail_in) != (count, main_left):
             raise DeflateError("libz: probe passes diverged")
         span = slice(self._fill, self._fill + count)
@@ -280,7 +345,10 @@ class ChunkStream:
         self.payload.append_symbol_bytes(memoryview(symbols).cast("B"))
 
     def finish(self) -> ChunkPayload:
-        self._flush()
+        if self._size is None:
+            self._flush()
+        else:
+            self.payload.append_bytes(self._final)
         return self.payload
 
     def close(self, keep: int = 0) -> None:

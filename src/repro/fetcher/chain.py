@@ -62,8 +62,8 @@ class ChunkRecord:
 
 
 class ChunkExtent(NamedTuple):
-    """What is known about a chained chunk: enough to decode it again by
-    checked zlib delegation."""
+    """What is known about a chained chunk: enough to decode it again in
+    one exact pass."""
 
     start_bit: int
     end_bit: int  # start of the next chunk; None for the file's last

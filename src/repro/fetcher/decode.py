@@ -1,21 +1,22 @@
 """Worker-side chunk decoding (paper §3.3).
 
-Two decode paths, fastest applicable wins:
+One decode path, :func:`decode_chunk_range`: start at a known (or
+candidate) bit offset, first stage (markers) when the window is unknown,
+conventional when it is known, stopping at the first Dynamic or
+Non-Compressed non-final block at/after the stop offset (the finder's
+predicate, so the next chunk's offset is findable — §3.3's parity).
+Blocks run bit-exactly through the chunk engine (:func:`open_chunk_stream`):
+libz (:mod:`repro.deflate.libz`: one pass with the window, two probe passes
+without), or the Python two-stage decoder where libz cannot be loaded; no
+option selects. Recovery (:mod:`repro.recovery`) decodes through the same
+engine.
 
-* :func:`decode_chunk_range` — the general path: start at a known (or
-  candidate) bit offset, first stage (markers) when the window is unknown,
-  conventional when it is known, stopping at the first Dynamic or
-  Non-Compressed non-final block at/after the stop offset (the finder's
-  predicate, so the next chunk's offset is findable — §3.3's parity).
-  Blocks run bit-exactly through the chunk engine
-  (:func:`open_chunk_stream`): libz (:mod:`repro.deflate.libz`: one pass
-  with the window, two probe passes without), or the Python two-stage
-  decoder where libz cannot be loaded; no option selects. Recovery
-  (:mod:`repro.recovery`) decodes through the same engine.
-* :func:`zlib_decode_range` — index-loaded fast path: bit-shift the
-  compressed range to byte alignment and delegate to zlib with the window
-  as dictionary (the paper's ">2x faster than two-stage" mode). Chunk
-  catalogs and BGZF member groups (§3.4.4) arrive here as index chunks.
+A chunk whose whole extent is known — an index interval, a catalog chunk,
+a BGZF member group (§3.4.4) or a chunk already on the search-mode chain —
+is the same loop run *exact* (:func:`decode_index_chunk`, the paper's
+">2x faster than two-stage" mode): one conventional pass straight into a
+buffer of the chunk's length, ending with a proof that the extent is what
+the index says it is.
 
 Gzip stream boundaries *inside* a chunk are handled inline: footers are
 parsed and recorded as events (for CRC/ISIZE verification upstream), and
@@ -25,7 +26,6 @@ decoding continues into the next member.
 from __future__ import annotations
 
 import contextlib
-import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,6 +126,7 @@ def decode_chunk_range(
     *,
     max_output: int = None,
     split_output: int = None,
+    expected_size: int = None,
 ) -> ChunkResult:
     """Decode from ``start_bit`` until the stop condition or file end.
 
@@ -146,6 +147,13 @@ def decode_chunk_range(
     larger than the ceiling cannot be split (Deflate blocks are atomic
     here); ``max_output`` remains the backstop for that case, enforced
     inside the block (at most one match past the limit).
+
+    ``expected_size`` makes the decode *exact*: the chunk's extent is
+    known, its output is written into one buffer of that size, and the
+    decode stops at the block boundary where the output reaches it — which
+    must be ``stop_bit`` (normalized when a stored block follows), or, for
+    ``stop_bit=None``, the end of the last member before the end of the
+    file. Anything else raises :class:`FormatError`.
     """
     requested_start = start_bit
     start_bit = _skip_member_header(file_reader, start_bit)
@@ -157,13 +165,28 @@ def decode_chunk_range(
     tail_bit = start_bit
 
     with open_chunk_stream(
-        file_reader, start_bit, window, stop_bit=stop_bit, max_output=max_output
+        file_reader, start_bit, window, stop_bit=stop_bit,
+        max_output=max_output, size=expected_size,
     ) as stream:
         while True:
             position = stream.position
             if position >= size_bits:
                 raise TruncatedError("input ended inside a Deflate stream")
-            if (
+            if expected_size is not None:
+                if stop_bit is not None and stream.produced >= expected_size:
+                    if position != stop_bit and not stream.peek_header() & 0b110:
+                        # A stored block's key may be its canonical offset,
+                        # as in the stop predicate below.
+                        position = canonical_nc_offset(position)
+                    if position == stop_bit:
+                        end_bit = stop_bit
+                        break
+                    if position > stop_bit:
+                        raise FormatError(
+                            f"chunk output ends at bit {position}, not at "
+                            f"its declared end {stop_bit}"
+                        )
+            elif (
                 split_output is not None
                 and stream.boundaries
                 and stream.produced >= split_output
@@ -175,7 +198,7 @@ def decode_chunk_range(
                 end_bit = position
                 split = True
                 break
-            if stop_bit is not None and stream.boundaries:
+            elif stop_bit is not None and stream.boundaries:
                 probe = stream.peek_header()
                 final_bit = probe & 1
                 block_type = (probe >> 1) & 0b11
@@ -204,7 +227,12 @@ def decode_chunk_range(
             probe_bytes = file_reader.pread(byte_position, 2)
             if probe_bytes == MAGIC:
                 parse_gzip_header(reader)
-                if stop_bit is not None and tail_bit >= stop_bit:
+                if (
+                    stop_bit is not None and tail_bit >= stop_bit
+                    # An exact chunk may end at the next member's header or
+                    # Deflate data; if at the latter, the loop top stops it.
+                    and (expected_size is None or tail_bit == stop_bit)
+                ):
                     end_bit = reader.tell()  # next chunk starts at the Deflate data
                     end_is_stream_start = True
                     break
@@ -220,6 +248,14 @@ def decode_chunk_range(
                 break  # bgzip-style zero padding
             raise FormatError(
                 f"trailing garbage after gzip member at byte {byte_position}"
+            )
+        if expected_size is not None and (
+            stream.produced != expected_size or (stop_bit is None) != (end_bit is None)
+        ):
+            raise FormatError(
+                f"chunk decodes to {stream.produced} bytes ending at bit "
+                f"{end_bit}, not to its declared {expected_size} bytes "
+                f"ending at bit {stop_bit}"
             )
         payload = stream.finish()
 
@@ -238,18 +274,20 @@ def decode_chunk_range(
 
 
 def open_chunk_stream(file_reader, start_bit: int, window: bytes, *,
-                      stop_bit: int = None, max_output: int = None):
+                      stop_bit: int = None, max_output: int = None,
+                      size: int = None):
     """The chunk engine at ``start_bit``, as a context manager that closes it.
 
     libz's :class:`~repro.deflate.libz.ChunkStream` wherever libz can be
     loaded, the Python decoder behind the same interface where it cannot;
-    no option selects. ``window=None`` decodes with markers.
+    no option selects. ``window=None`` decodes with markers; ``size`` is
+    the output's length when the chunk's extent is known.
     """
     library = libz.load()
     engine = _PythonChunkStream if library is None else libz.ChunkStream
-    return contextlib.closing(
-        engine(library, file_reader, start_bit, stop_bit, window, max_output)
-    )
+    return contextlib.closing(engine(
+        library, file_reader, start_bit, stop_bit, window, max_output, size
+    ))
 
 
 class _PythonChunkStream(TwoStageStreamDecoder):
@@ -257,7 +295,9 @@ class _PythonChunkStream(TwoStageStreamDecoder):
     :class:`repro.deflate.libz.ChunkStream`'s interface."""
 
     def __init__(self, _library, file_reader, start_bit: int, _stop_bit: int,
-                 window: bytes, max_size: int):
+                 window: bytes, max_size: int, size: int = None):
+        if size is not None and (max_size is None or size < max_size):
+            max_size = size  # more is an error: never decode it
         super().__init__(window=window, max_size=max_size)
         self._reader = BitReader(file_reader.clone())
         self._reader.seek(start_bit)
@@ -386,209 +426,9 @@ def shift_to_byte_alignment(file_reader, start_bit: int, end_bit: int) -> bytes:
     return shifted[:length].astype(np.uint8).tobytes()
 
 
-def _resolve_footer_byte(file_reader, end_of_consumed_bit: int) -> int:
-    """Original-file byte offset of a gzip footer after a Deflate stream.
-
-    zlib consumed whole (shifted) bytes, so the stream's true end lies in
-    the 8 bits before ``end_of_consumed_bit``; with a nonzero shift two
-    byte offsets are possible for the padding-aligned footer. The true one
-    fits inside the file and is followed by another member's magic, by
-    exactly the end of the file, or by zero padding. (Past a footer that
-    would overrun the file a read returns nothing too, which is not
-    "followed by the end of the file".)
-    """
-    if end_of_consumed_bit % 8 == 0:
-        return end_of_consumed_bit // 8
-    low = end_of_consumed_bit // 8
-    size = file_reader.size()
-    for candidate in (low + 1, low):
-        if candidate + 8 > size:
-            continue
-        after = file_reader.pread(candidate + 8, 2)
-        if after == MAGIC or not after:
-            return candidate
-        if after[0] == 0 and (len(after) < 2 or after[1] == 0):
-            return candidate
-    return low + 1
-
-
-def _starts_with_stored_block(file_reader, bit_offset: int) -> bool:
-    """True if the Deflate block header at ``bit_offset`` is type 00.
-
-    Stored blocks pad to *original-file* byte boundaries; after the bit
-    shift zlib would pad to shifted boundaries instead and read LEN/NLEN
-    five-odd bits astray. Usually that dies loudly on the NLEN check, but
-    one time in 2^16 the garbage complement matches and zlib emits silent
-    garbage — so an unaligned stored chunk start must never reach zlib.
-    (A chunk of an all-stored stream hits this systematically: its seek
-    points sit inside the previous block's zero padding, which itself
-    parses as a type-00 header.)
-    """
-    reader = BitReader(file_reader, cache_size=8)  # 3 bits, not a buffer
-    reader.seek(bit_offset)
-    reader.read(1)  # BFINAL
-    return reader.read(2) == 0
-
-
-#: After a member boundary zlib is fed the range this many bytes at a time
-#: (a BGZF member's most), so a stream's ``unused_data`` copies at most one
-#: slice, not the rest of the range.
-_MEMBER_SLICE = 64 * 1024
-
-
-def zlib_decode_range(
-    file_reader,
-    start_bit: int,
-    end_bit: int,
-    window: bytes,
-    expected_size: int = None,
-    next_window: bytes = None,
-    require_stream_end: bool = False,
-) -> ChunkResult:
-    """Index fast path: delegate the known range to zlib (paper §3.3).
-
-    Requires exact chunk boundaries (from a loaded index). The range is
-    read once: shifted to byte alignment, and past a member ending inside
-    a shifted range once more, as the byte-aligned file it is there.
-    Member boundaries are resolved in *original-file* coordinates (a
-    footer is byte-aligned in the file, not in the shifted buffer), each
-    following member decoded by a fresh decompressor fed bounded slices.
-    Output is clipped to ``expected_size`` because the trailing bits of
-    the shifted buffer may partially contain the next chunk's first block.
-
-    Delegation is *checked*, never trusted: stored blocks at unaligned
-    offsets are rejected up front (their byte-alignment padding does not
-    survive the bit shift), the final chunk must actually reach its
-    stream's end, and when the caller knows the next seek point's window
-    (``next_window``) the decoded tail must reproduce it exactly. Any
-    violation raises :class:`FormatError`, which the callers answer by
-    re-decoding the interval with the bit-exact two-stage decoder.
-    """
-    range_end = end_bit or file_reader.size() * 8
-    payload = ChunkPayload()
-    events: list = []
-    base_bit = _skip_member_header(file_reader, start_bit)
-    if base_bit % 8 and _starts_with_stored_block(file_reader, base_bit):
-        raise FormatError(
-            f"stored block at unaligned bit offset {base_bit}: "
-            f"zlib delegation cannot shift byte-aligned LEN/NLEN"
-        )
-    # data[i] holds the file's 8 bits at base_bit + 8 * i.
-    data = memoryview(shift_to_byte_alignment(file_reader, base_bit, range_end))
-    position = 0  # where in data the current stream's Deflate data starts
-    step = len(data)  # the first stream takes the whole range in one call
-    current_window = window
-    stream_ended = False
-    while True:
-        if current_window:
-            decompressor = zlib.decompressobj(wbits=-15, zdict=current_window)
-        else:
-            decompressor = zlib.decompressobj(wbits=-15)
-        fed = position
-        try:
-            while not decompressor.eof and fed < len(data):
-                piece = decompressor.decompress(data[fed:fed + step])
-                payload.append_bytes(piece)
-                fed = min(fed + step, len(data))
-        except zlib.error as error:
-            raise FormatError(f"zlib delegation failed: {error}") from error
-        if not decompressor.eof:
-            break  # chunk boundary mid-stream: the normal case
-        stream_ended = True
-
-        # Stream ended inside the chunk: locate the footer in the file.
-        consumed = fed - len(decompressor.unused_data)
-        footer_byte = _resolve_footer_byte(file_reader, base_bit + 8 * consumed)
-        footer = file_reader.pread(footer_byte, 8)
-        if len(footer) < 8:
-            raise FormatError("truncated gzip footer in zlib delegation")
-        events.append(
-            StreamEvent(
-                "footer",
-                payload.length,
-                int.from_bytes(footer[:4], "little"),
-                int.from_bytes(footer[4:8], "little"),
-            )
-        )
-        next_member = footer_byte + 8
-        if (
-            next_member * 8 >= range_end
-            or file_reader.pread(next_member, 2) != MAGIC
-        ):
-            break
-        reader = BitReader(file_reader)
-        reader.seek(next_member * 8)
-        parse_gzip_header(reader)
-        events.append(StreamEvent("header", payload.length))
-        if base_bit % 8:
-            # Past the shifted head the file is byte-aligned: read the
-            # rest of the range as it is, once.
-            base_bit = reader.tell()
-            data = memoryview(
-                shift_to_byte_alignment(file_reader, base_bit, range_end)
-            )
-        position = (reader.tell() - base_bit) // 8
-        step = _MEMBER_SLICE
-        current_window = b""
-        stream_ended = False
-
-    if require_stream_end and not stream_ended:
-        raise FormatError(
-            "zlib delegation consumed the final chunk without reaching "
-            "end of stream"
-        )
-    if expected_size is not None:
-        if payload.length < expected_size:
-            raise FormatError(
-                f"zlib delegation produced {payload.length} bytes, "
-                f"expected at least {expected_size}"
-            )
-        if payload.length > expected_size:
-            _truncate_payload(payload, expected_size)
-    if next_window:
-        overlap = min(len(next_window), payload.length)
-        if overlap and _payload_tail(payload, overlap) != next_window[-overlap:]:
-            raise FormatError(
-                "zlib delegation output does not reproduce the next seek "
-                "point's window"
-            )
-    return ChunkResult(
-        start_bit=start_bit,
-        end_bit=end_bit,
-        end_is_stream_start=False,
-        payload=payload,
-        events=events,
-        window_known=True,
-        compressed_size_bits=(end_bit or 0) - start_bit,
-    )
-
-
-def _payload_tail(payload: ChunkPayload, size: int) -> bytes:
-    """Last ``size`` bytes of an all-bytes payload (the zlib path never
-    appends marker segments)."""
-    pieces = []
-    remaining = size
-    for segment in reversed(payload.segments):
-        if remaining <= 0:
-            break
-        pieces.append(bytes(segment)[-remaining:])
-        remaining -= len(pieces[-1])
-    return b"".join(reversed(pieces))
-
-
-def _truncate_payload(payload: ChunkPayload, size: int) -> None:
-    total = 0
-    kept = []
-    for segment in payload.segments:
-        if total + len(segment) <= size:
-            kept.append(segment)
-            total += len(segment)
-        else:
-            kept.append(segment[: size - total])
-            total = size
-            break
-    payload.segments = kept
-    payload.length = total
+#: Deflate's densest code: a 1-bit length 258 and a 1-bit distance
+#: symbol, 258 bytes per 2 bits — 1032 bytes out per byte in.
+_MAX_RATIO = 1032
 
 
 def decode_index_chunk(
@@ -602,34 +442,53 @@ def decode_index_chunk(
     max_output: int = None,
     next_window: bytes = None,
 ) -> ChunkResult:
-    """Decode one index-interval chunk: zlib fast path, our decoder as
-    fallback (paper §3.3).
+    """Decode one chunk of known extent in one exact pass (paper §3.3).
 
-    Streams the shifted-buffer zlib path cannot cleanly cut (unaligned
-    stored blocks, member boundaries flush-aligned oddly, a tail that
-    fails to reproduce ``next_window``) fall back to the two-stage decoder
-    in conventional mode, which is bit-exact by construction.
+    The extent comes from an index (or catalog, BGZF member group, or the
+    search-mode chain): start, window, end and decompressed length. Its
+    compressed range is read once, its output written straight into one
+    buffer of ``expected_size``, and the pass proves the extent: exactly
+    ``expected_size`` bytes, ending at ``end_bit`` — or, ``is_last``, at
+    the stream's end before the end of the file — and, when the caller
+    knows the next seek point's window (``next_window``), a tail that
+    reproduces it. Any violation raises :class:`FormatError`; no second
+    decoder runs, the same bits would fail the same way.
     """
-    try:
-        result = zlib_decode_range(
-            file_reader, start_bit, end_bit, window,
-            expected_size=expected_size, next_window=next_window,
-            require_stream_end=is_last,
+    stop_bit = None if is_last else end_bit
+    size_bits = file_reader.size() * 8
+    end = size_bits if stop_bit is None else stop_bit
+    if max(start_bit, end) > size_bits:
+        raise TruncatedError(
+            f"chunk bits {start_bit}-{end} run past the end of the input"
         )
-    except FormatError:
-        result = decode_chunk_range(
-            file_reader, start_bit, end_bit, window,
-            max_output=max_output,
+    if (expected_size is not None
+            and expected_size > _MAX_RATIO * ((end - start_bit + 7) // 8)):
+        raise FormatError(
+            f"chunk at bit {start_bit} declares {expected_size} bytes, "
+            f"more than Deflate can encode in bits {start_bit}-{end}"
         )
-        if expected_size is not None and result.length > expected_size:
-            # ``end_bit`` need not satisfy the stop predicate (a chunk
-            # split under a memory budget may end before a Fixed or final
-            # block), so the decoder ran on to the next block that does.
-            _truncate_payload(result.payload, expected_size)
-            result.events = [
-                event for event in result.events
-                if event.local_offset <= expected_size
-            ]
-    result.end_bit = None if is_last else end_bit
+    result = decode_chunk_range(
+        file_reader, start_bit, stop_bit, window,
+        max_output=max_output, expected_size=expected_size,
+    )
+    if next_window:
+        overlap = min(len(next_window), result.length)
+        tail = result.payload.window_at_end()[-overlap:]
+        if overlap and tail != next_window[-overlap:]:
+            raise FormatError(
+                "chunk output does not reproduce the next seek point's window"
+            )
+    result.end_bit = stop_bit
     return result
 
+
+def zlib_decode_range(file_reader, start_bit: int, end_bit: int,
+                      window: bytes, expected_size: int = None,
+                      next_window: bytes = None,
+                      require_stream_end: bool = False) -> ChunkResult:
+    """:func:`decode_index_chunk` under the name the end-to-end benchmark's
+    layer replay imports (ROADMAP item 5(c))."""
+    return decode_index_chunk(
+        file_reader, start_bit, end_bit, window, expected_size=expected_size,
+        is_last=require_stream_end, next_window=next_window,
+    )

@@ -24,8 +24,9 @@ the reader extends. Two operating modes, chosen at construction:
   and wished again once their start is recorded. So a sequential read
   at P <= 3 never searches, and at P >= 4 only the far wishes do.
 * ``index`` — a finalized seek-point index is loaded: the chain is built
-  from it, chunks are its intervals, workers delegate to zlib with the
-  stored window (fast path, balanced workloads, bounded memory — §3.3).
+  from it, chunks are its intervals, each decoded by one exact libz pass
+  from the stored window (fast path, balanced workloads, bounded memory —
+  §3.3).
   The index is the caller's, or synthesized from a chunk catalog: an
   ``RG`` / ``MZ`` subfield the encoder wrote, or a BGZF file's BSIZE
   chain (§3.4.4), whose member groups are the chunks.
@@ -522,8 +523,8 @@ class GzipChunkFetcher:
         materialized-bytes cache is the paper's access cache.
 
         In search mode a chunk already on the :attr:`chain` is decoded on
-        demand by checked zlib delegation (the ``index`` task, with its
-        bit-exact fallback), never by block search or the Python decoder;
+        demand by one exact pass over its known extent (the ``index``
+        task), never by block search or markers;
         those serve the frontier and beyond.
 
         Every access triggers the prefetcher, cache hit or not (§3.1) —

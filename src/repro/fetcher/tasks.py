@@ -37,9 +37,10 @@ class ChunkTaskSpec:
     set: the on-demand decode from the last verified offset, or a queued
     one bound, when a worker started it, to the start and window the
     :class:`~repro.fetcher.chain.ChunkChain` records for its cell), or its
-    whole extent (``index``: checked zlib delegation — an index interval,
-    a catalog's or BGZF member group among them, or a search-mode chunk
-    already on the chain).
+    whole extent (``index``: one exact pass straight into a buffer of the
+    extent's length, proven to end where the extent does — an index
+    interval, a catalog's or BGZF member group among them, or a
+    search-mode chunk already on the chain).
     """
 
     mode: str  # "search" | "index"

@@ -203,8 +203,10 @@ class BitReader:
         """Read ``nbytes`` whole bytes; requires byte alignment.
 
         This is the fast path for Non-Compressed block payloads: buffered
-        bytes are drained, then the remainder is served by one bulk
-        positional read that bypasses the bit buffer entirely.
+        bytes are drained, then the remainder is sliced from the bytes
+        already read when they hold it (a gzip footer and header after a
+        libz chunk stream's slab), else served by one bulk positional read
+        that bypasses the bit buffer entirely.
         """
         if self.tell() & 7:
             raise UsageError("read_bytes requires byte alignment")
@@ -219,7 +221,11 @@ class BitReader:
         if remaining == 0:
             return head
         start = self._byte_position - self._buffer_bits // 8
-        bulk = self._reader.pread(start, remaining)
+        offset = start - self._chunk_start
+        if 0 <= offset and offset + remaining <= len(self._chunk):
+            bulk = self._chunk[offset : offset + remaining]
+        else:
+            bulk = self._reader.pread(start, remaining)
         if len(bulk) < remaining:
             raise TruncatedError(
                 f"requested {nbytes} bytes but input ended after {len(head) + len(bulk)}"

@@ -3,9 +3,9 @@
 Workers are threads (paper §3.1, Fig. 4): they share the address space, so
 there is no spawn, no pickling, no per-worker file handle, and a result is
 with the orchestrating thread the moment it is done. They scale because the
-hot paths leave the GIL — zlib delegation (loaded index, BGZF, catalog)
-always did, and the two-stage search path does wherever libz loads
-(:mod:`repro.deflate.libz`: inflate and the finder's strict check run in C).
+hot paths leave the GIL wherever libz loads (:mod:`repro.deflate.libz`:
+inflate — the exact pass of a loaded index, BGZF or catalog chunk and the
+two-stage search path alike — and the finder's strict check run in C).
 Without libz the Python decoder is GIL-bound and P > 1 buys nothing; that
 fallback is accepted as single-core (DESIGN.md §5).
 """

@@ -23,6 +23,7 @@ import time
 
 from ..blockfinder.pugz import PUGZ_MAX_BYTE, PUGZ_MIN_BYTE
 from ..cache import LRUCache, MemoryGovernor, SpillStore, parse_size
+from ..deflate.libz import crc32_combine
 from ..errors import (
     ChunkDecodeError,
     FormatError,
@@ -59,6 +60,23 @@ def _network_cause(error):
             return cursor
         cursor = cursor.__cause__
     return None
+
+
+def _piece_crcs(data: bytes, events) -> list:
+    """``(crc32, length)`` of each piece of ``data`` between footer events,
+    the last piece after the last footer included: every byte CRC'd once,
+    for the catalog's chunk CRC and the running member CRC alike."""
+    view = memoryview(data)
+    pieces = []
+    cursor = 0
+    for event in events:
+        if event.kind == "footer":
+            piece = view[cursor : event.local_offset]
+            pieces.append((fast_crc32(piece), len(piece)))
+            cursor = event.local_offset
+    piece = view[cursor:]
+    pieces.append((fast_crc32(piece), len(piece)))
+    return pieces
 
 
 class ParallelGzipReader:
@@ -116,9 +134,9 @@ class ParallelGzipReader:
         ``index_cache`` names a directory holding persistent seek
         indexes (created if missing). On open, a matching cached index
         is imported — checked whole before use, every window checksum
-        included — and the reader starts in the fast zlib-delegation
-        mode. A stale, torn, or corrupted cache entry is *never* fatal:
-        the failure is recorded in :attr:`damage_report` (kind
+        included — and the reader starts in index mode, each chunk one
+        exact libz pass. A stale, torn, or corrupted cache entry is
+        *never* fatal: the failure is recorded in :attr:`damage_report` (kind
         ``"index"``) and telemetry, and the reader falls back to a full
         parallel search;
         after that first full pass the fresh index is atomically
@@ -636,8 +654,8 @@ class ParallelGzipReader:
             if boundary.output_offset == 0 or boundary.is_final:
                 continue
             # Only Dynamic blocks: their bit offsets are unambiguous, the
-            # stop predicate of future chunk decodes matches them, and the
-            # zlib delegation path can resume at them.
+            # stop predicate of future chunk decodes matches them, and an
+            # exact index pass can end and resume at them.
             if boundary.block_type != 2:
                 continue
             if boundary.output_offset < next_emit:
@@ -687,8 +705,12 @@ class ParallelGzipReader:
                 )
         return data
 
-    def _verify_sequential(self, record: ChunkRecord, data: bytes, events) -> None:
-        """Verify member CRC/ISIZE while chunks arrive in order."""
+    def _verify_sequential(self, record: ChunkRecord, data: bytes, events,
+                           pieces=None) -> None:
+        """Verify member CRC/ISIZE while chunks arrive in order.
+
+        ``pieces`` are the chunk's :func:`_piece_crcs` if already computed.
+        """
         if not self._verify_active:
             return
         recorder = self.telemetry.recorder
@@ -696,42 +718,42 @@ class ParallelGzipReader:
             with recorder.span(
                 "reader.verify", start_bit=record.start_bit, nbytes=len(data)
             ):
-                self._verify_sequential_body(record, data, events)
+                self._verify_sequential_body(record, data, events, pieces)
         else:
-            self._verify_sequential_body(record, data, events)
+            self._verify_sequential_body(record, data, events, pieces)
 
     def _verify_sequential_body(self, record: ChunkRecord, data: bytes,
-                                events) -> None:
+                                events, pieces) -> None:
         if record.output_start != self._verified_up_to:
             self._verify_active = False  # out-of-order consumption: give up
             return
-        cursor = 0
-        for event in events:
+        if pieces is None:
+            pieces = _piece_crcs(data, events)
+        footers = (event for event in events if event.kind == "footer")
+        for (piece_crc, length), event in zip(pieces, footers):
             if not self._verify_active:
                 return  # a tolerated mismatch stood verification down
-            if event.kind == "footer":
-                piece = data[cursor : event.local_offset]
-                self._running_crc = fast_crc32(piece, self._running_crc)
-                self._running_length += len(piece)
-                cursor = event.local_offset
-                if self._running_crc != event.crc32:
-                    self._integrity_failure(
-                        record,
-                        f"CRC-32 mismatch at output offset "
-                        f"{record.output_start + event.local_offset}: stored "
-                        f"{event.crc32:#010x}, computed {self._running_crc:#010x}",
-                    )
-                elif self._running_length & 0xFFFFFFFF != event.isize:
-                    self._integrity_failure(
-                        record,
-                        f"ISIZE mismatch: stored {event.isize}, actual "
-                        f"{self._running_length & 0xFFFFFFFF}",
-                    )
-                self._running_crc = 0
-                self._running_length = 0
-        piece = data[cursor:]
-        self._running_crc = fast_crc32(piece, self._running_crc)
-        self._running_length += len(piece)
+            self._running_crc = crc32_combine(
+                self._running_crc, piece_crc, length)
+            self._running_length += length
+            if self._running_crc != event.crc32:
+                self._integrity_failure(
+                    record,
+                    f"CRC-32 mismatch at output offset "
+                    f"{record.output_start + event.local_offset}: stored "
+                    f"{event.crc32:#010x}, computed {self._running_crc:#010x}",
+                )
+            elif self._running_length & 0xFFFFFFFF != event.isize:
+                self._integrity_failure(
+                    record,
+                    f"ISIZE mismatch: stored {event.isize}, actual "
+                    f"{self._running_length & 0xFFFFFFFF}",
+                )
+            self._running_crc = 0
+            self._running_length = 0
+        piece_crc, length = pieces[-1]
+        self._running_crc = crc32_combine(self._running_crc, piece_crc, length)
+        self._running_length += length
         self._verified_up_to = record.output_end
 
     def _integrity_failure(self, record: ChunkRecord, message: str) -> None:
@@ -823,35 +845,43 @@ class ParallelGzipReader:
                 self._cache_materialized(record.start_bit, data)
                 return data
             data = self._materialize_result(result, record.window)
-            self._verify_catalog_chunk(record, data)
+            pieces = self._verify_catalog_chunk(record, data, result.events)
             self._cache_materialized(record.start_bit, data)
             # In index mode chunks materialize here, not via the chain walk;
             # verification proceeds while consumption stays in order and
             # silently stands down on the first out-of-order access.
-            self._verify_sequential(record, data, result.events)
+            self._verify_sequential(record, data, result.events, pieces)
         return data
 
-    def _verify_catalog_chunk(self, record: ChunkRecord, data: bytes) -> None:
+    def _verify_catalog_chunk(self, record: ChunkRecord, data: bytes,
+                              events):
         """Check a freshly decoded chunk against its catalog CRC.
 
         Unlike the member-footer running CRC, this works at any access
-        order — every catalogued chunk is independently verifiable.
+        order — every catalogued chunk is independently verifiable. Returns
+        the chunk's :func:`_piece_crcs` when it computed them, so the
+        running member CRC folds them instead of reading the bytes again.
         """
         if not self._verify or self._catalog is None:
-            return
+            return None
         number = self._chunks.position(record.start_bit)
         crc = self._catalog.chunks[number].crc32
         if crc is None:
-            return
+            return None
         self._chunk_crc_checked.increment()
-        if len(data) != record.length or fast_crc32(data) != crc:
+        pieces = _piece_crcs(data, events)
+        computed = 0
+        for piece_crc, length in pieces:
+            computed = crc32_combine(computed, piece_crc, length)
+        if len(data) != record.length or computed != crc:
             self._chunk_crc_failures.increment()
             self._integrity_failure(
                 record,
                 f"catalog chunk CRC mismatch at output offset "
                 f"{record.output_start}: stored {crc:#010x}/{record.length}B, "
-                f"computed {fast_crc32(data):#010x}/{len(data)}B",
+                f"computed {computed:#010x}/{len(data)}B",
             )
+        return pieces
 
     def _record_index_damage(self, record: ChunkRecord, error) -> bytes:
         from ..recovery import DamagedRegion

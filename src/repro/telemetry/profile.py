@@ -200,7 +200,7 @@ def format_profile(statistics: dict, *, wall_time: float = None,
         )
 
     # Persistent index cache: reported whenever the tier was in play —
-    # an imported/exported index, chunks on the zlib-delegation path, or
+    # an imported/exported index, chunks on the exact index pass, or
     # any integrity incident. Plain index-free runs stay unchanged.
     index = statistics.get("index")
     if index and (
@@ -215,7 +215,7 @@ def format_profile(statistics: dict, *, wall_time: float = None,
         )
         info(
             f"{'Index decode path':<28}: {index.get('index_chunks', 0)} "
-            f"zlib-delegated chunk(s), "
+            f"exact-pass chunk(s), "
             f"{index.get('windows_validated', 0)} window(s) validated"
         )
         if index.get("load_failures", 0) + index.get("export_failures", 0):

@@ -452,18 +452,20 @@ class TestChaosMatrix:
 
 
 # ---------------------------------------------------------------------------
-# zlib-delegation integrity (regression: silent stored-block corruption)
+# The exact index pass (regression: silent stored-block corruption)
 # ---------------------------------------------------------------------------
 
 
 class TestDelegationIntegrity:
-    """The warm path's zlib fast path is checked, never trusted.
+    """The warm path's one exact pass is checked, never trusted.
 
     Regression: on all-stored-block streams (incompressible data) seek
-    points land inside the previous block's padding, the bit shift
-    desynchronizes stored LEN/NLEN fields, and one corpus in 2^16 made
-    zlib emit exact-length garbage that the old code accepted silently.
-    The module-level DATA/BLOB corpus is exactly such a stream.
+    points land inside the previous block's padding; the former bit
+    shift desynchronized stored LEN/NLEN fields, and one corpus in 2^16
+    made zlib emit exact-length garbage that was accepted silently. The
+    pass now starts bit-exactly (libz primed with the leading bits), so
+    such a start decodes. The module-level DATA/BLOB corpus is exactly
+    such a stream.
     """
 
     def test_corpus_is_the_nasty_shape(self):
@@ -478,9 +480,8 @@ class TestDelegationIntegrity:
                                     index=index)
         assert read_all(reader) == DATA
 
-    def test_unaligned_stored_start_refused(self, corpus, index_file):
-        from repro.errors import FormatError
-        from repro.fetcher.decode import zlib_decode_range
+    def test_unaligned_stored_start_decodes_exactly(self, corpus, index_file):
+        from repro.fetcher.decode import decode_index_chunk
         from repro.io import ensure_file_reader
 
         index = load_index(str(index_file), source=str(corpus))
@@ -488,23 +489,28 @@ class TestDelegationIntegrity:
         assert first.compressed_bit_offset % 8, "corpus lost its misalignment"
         file_reader = ensure_file_reader(str(corpus))
         try:
-            with pytest.raises(FormatError, match="stored block"):
-                zlib_decode_range(
-                    file_reader,
-                    first.compressed_bit_offset,
-                    second.compressed_bit_offset,
-                    window_bytes(first.window),
-                )
+            result = decode_index_chunk(
+                file_reader,
+                first.compressed_bit_offset,
+                second.compressed_bit_offset,
+                window_bytes(first.window),
+                expected_size=second.uncompressed_offset
+                - first.uncompressed_offset,
+                next_window=window_bytes(second.window),
+            )
         finally:
             file_reader.close()
+        assert result.payload.materialize(b"") == DATA[
+            first.uncompressed_offset : second.uncompressed_offset
+        ]
 
     def test_tail_window_mismatch_refused(self, tmp_path):
         from repro.errors import FormatError
-        from repro.fetcher.decode import zlib_decode_range
+        from repro.fetcher.decode import decode_index_chunk
         from repro.io import ensure_file_reader
 
-        # Hex text: compressible enough for Huffman blocks (so the zlib
-        # path genuinely delegates) yet bulky enough to span chunks.
+        # Hex text: compressible enough for Huffman blocks, yet bulky
+        # enough to span chunks.
         text = DATA.hex().encode()
         source = tmp_path / "text.gz"
         source.write_bytes(stdlib_gzip.compress(text, 6))
@@ -518,7 +524,7 @@ class TestDelegationIntegrity:
         file_reader = ensure_file_reader(str(source))
         try:
             expected = points[1].uncompressed_offset
-            good = zlib_decode_range(
+            good = decode_index_chunk(
                 file_reader, points[0].compressed_bit_offset,
                 points[1].compressed_bit_offset, b"",
                 expected_size=expected,
@@ -526,7 +532,7 @@ class TestDelegationIntegrity:
             )
             assert good.payload.materialize(b"") == text[:expected]
             with pytest.raises(FormatError, match="next seek point"):
-                zlib_decode_range(
+                decode_index_chunk(
                     file_reader, points[0].compressed_bit_offset,
                     points[1].compressed_bit_offset, b"",
                     expected_size=expected,
@@ -535,31 +541,40 @@ class TestDelegationIntegrity:
         finally:
             file_reader.close()
 
-    def test_final_chunk_must_reach_stream_end(self, corpus, index_file):
+    def test_final_chunk_must_reach_stream_end(self):
+        # A member whose Deflate stream is only sync-flushed: every byte
+        # decodes, the output reaches its declared length, and then the
+        # file ends without a final block or footer.
         from repro.errors import FormatError
-        from repro.fetcher.decode import zlib_decode_range
+        from repro.fetcher.decode import decode_index_chunk
         from repro.io import ensure_file_reader
 
-        index = load_index(str(index_file), source=str(corpus))
-        last = index.seek_points[-1]
-        file_reader = ensure_file_reader(str(corpus))
-        try:
-            with pytest.raises(FormatError):
-                zlib_decode_range(
-                    file_reader, last.compressed_bit_offset,
-                    index.compressed_size_bits,
-                    window_bytes(last.window),
-                    require_stream_end=True,
-                )
-        finally:
-            file_reader.close()
+        text = DATA[:50_000].hex().encode()
+        compressor = zlib.compressobj(6, zlib.DEFLATED, -15)
+        raw = compressor.compress(text) + compressor.flush(zlib.Z_SYNC_FLUSH)
+        blob = stdlib_gzip.compress(b"")[:10] + raw
+        with pytest.raises(FormatError):
+            decode_index_chunk(
+                ensure_file_reader(blob), 80, len(blob) * 8, b"",
+                expected_size=len(text), is_last=True,
+            )
+        ended = blob + compressor.flush() + struct.pack(
+            "<II", zlib.crc32(text), len(text))
+        result = decode_index_chunk(
+            ensure_file_reader(ended), 80, len(ended) * 8, b"",
+            expected_size=len(text), is_last=True,
+        )
+        assert result.payload.materialize(b"") == text
+        assert [event.kind for event in result.events] == ["footer"]
 
     def test_member_boundary_after_a_shifted_head(self):
         # A range that starts mid-member at an unaligned bit and runs
-        # past a footer into the next member: the shifted head is read
-        # once, the byte-aligned rest once more, never the rest per member.
+        # past a footer into the next member is read once: the range and
+        # a short tail in one pread, plus the two-byte magic probe after
+        # each footer.
         from repro.datagen import generate_silesia_like
-        from repro.fetcher.decode import zlib_decode_range
+        from repro.deflate import libz
+        from repro.fetcher.decode import decode_index_chunk
         from repro.io import SharedFileReader
 
         parts = [generate_silesia_like(150_000, seed=k) for k in range(3)]
@@ -573,7 +588,7 @@ class TestDelegationIntegrity:
             if not first.compressed_bit_offset % 8:
                 continue
             source = SharedFileReader(blob)
-            result = zlib_decode_range(
+            result = decode_index_chunk(
                 source, first.compressed_bit_offset,
                 last.compressed_bit_offset, bytes(first.window),
                 expected_size=last.uncompressed_offset
@@ -585,10 +600,112 @@ class TestDelegationIntegrity:
             footers = [e for e in result.events if e.kind == "footer"]
             if footers and footers[-1].local_offset < result.length:
                 crossed += 1
-                span = (last.compressed_bit_offset + 7) // 8 \
-                    - first.compressed_bit_offset // 8
-                assert source.bytes_read <= 2 * span + 64
+            span = last.compressed_bit_offset // 8 \
+                - first.compressed_bit_offset // 8
+            assert source.bytes_read <= span + libz._TAIL + 2 * len(footers)
         assert crossed, "corpus lost its mid-member boundary crossings"
+
+
+class TestExactExtent:
+    """An index extent is proven, not trusted: its declared length and
+    end are what one pass over its bits produces, or it is refused."""
+
+    TEXT = DATA[:100_000].hex().encode()
+
+    @pytest.fixture(scope="class")
+    def extent(self):
+        # The first seek-point interval of a compressible member.
+        blob = stdlib_gzip.compress(self.TEXT, 6)
+        with ParallelGzipReader(blob, chunk_size=CHUNK // 2) as reader:
+            assert read_all(reader) == self.TEXT
+            points = reader.index.seek_points
+        assert len(points) >= 2
+        return blob, points[0], points[1]
+
+    @staticmethod
+    def decode(blob, first, second, **overrides):
+        from repro.fetcher.decode import decode_index_chunk
+        from repro.io import ensure_file_reader
+
+        arguments = {
+            "expected_size": second.uncompressed_offset
+            - first.uncompressed_offset,
+            "next_window": None,
+        }
+        arguments.update(overrides)
+        return decode_index_chunk(
+            ensure_file_reader(blob), first.compressed_bit_offset,
+            second.compressed_bit_offset, window_bytes(first.window),
+            **arguments,
+        )
+
+    def test_declared_length_is_proven(self, extent):
+        from repro.errors import FormatError
+
+        blob, first, second = extent
+        length = second.uncompressed_offset - first.uncompressed_offset
+        result = self.decode(blob, first, second)
+        assert result.payload.materialize() == self.TEXT[:length]
+        assert result.end_bit == second.compressed_bit_offset
+        for wrong in (length - 1, length + 1):
+            with pytest.raises(FormatError):
+                self.decode(blob, first, second, expected_size=wrong)
+
+    def test_past_the_deflate_ceiling_is_refused_unallocated(
+        self, extent, monkeypatch
+    ):
+        from repro.errors import FormatError
+        from repro.fetcher import decode as decode_module
+
+        def never(*args, **kwargs):
+            raise AssertionError("a refused extent opened the engine")
+
+        blob, first, second = extent
+        bits = second.compressed_bit_offset - first.compressed_bit_offset
+        ceiling = 1032 * ((bits + 7) // 8)
+        monkeypatch.setattr(decode_module, "open_chunk_stream", never)
+        for declared in (ceiling + 1, 1 << 50):
+            with pytest.raises(FormatError, match="more than Deflate"):
+                self.decode(blob, first, second, expected_size=declared)
+
+    @pytest.mark.parametrize("text", [b"", b"x"], ids=["empty", "one-byte"])
+    def test_tiny_extents(self, text):
+        from repro.fetcher.decode import decode_index_chunk
+        from repro.io import ensure_file_reader
+
+        blob = stdlib_gzip.compress(text, 6)
+        result = decode_index_chunk(
+            ensure_file_reader(blob), 0, None, b"",
+            expected_size=len(text), is_last=True,
+        )
+        assert result.payload.materialize() == text
+        assert [event.kind for event in result.events] == ["footer"]
+        with ParallelGzipReader(blob) as reader:
+            assert reader.read() == text
+            sink = io.BytesIO()
+            reader.export_index(sink)
+        with ParallelGzipReader(
+            blob, index=load_index(sink.getvalue())
+        ) as reader:
+            assert reader.read() == text
+            assert reader.statistics()["mode"] == "index"
+
+    def test_index_read_without_libz_is_identical(self, monkeypatch):
+        from repro.deflate import libz
+
+        blob = stdlib_gzip.compress(self.TEXT, 6)
+        with ParallelGzipReader(blob, chunk_size=CHUNK // 2) as reader:
+            assert reader.read() == self.TEXT
+            sink = io.BytesIO()
+            reader.export_index(sink)
+        monkeypatch.setattr(libz, "load", lambda: None)
+        with ParallelGzipReader(
+            blob, parallelization=2, index=load_index(sink.getvalue())
+        ) as reader:
+            assert reader.read() == self.TEXT
+            stats = reader.statistics()
+        assert stats["decoder"] == "python"
+        assert stats["metrics"]["decode.index_chunks"] > 1
 
 
 # ---------------------------------------------------------------------------

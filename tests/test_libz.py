@@ -153,8 +153,9 @@ def test_diverging_passes_are_a_format_error(monkeypatch):
     blob = gzip.compress(generate_silesia_like(100_000, seed=4), 6)
     real = libz.ChunkStream._inflate
 
-    def short_probe(self, stream, out, room):
-        return real(self, stream, out, room - (stream is not self._streams[0]))
+    def short_probe(self, stream, out, room, *flush):
+        return real(self, stream, out, room - (stream is not self._streams[0]),
+                    *flush)
 
     monkeypatch.setattr(libz.ChunkStream, "_inflate", short_probe)
     assert decode_chunk_range(ensure_file_reader(blob), 80, None, b"").length

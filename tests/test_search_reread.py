@@ -2,8 +2,8 @@
 
 Once the reader has chained a chunk it knows the chunk's extent (start
 and end bit, output length, preceding and following window), so a later
-cache miss on it is decoded by checked zlib delegation — the task index
-mode uses — and not by block search, markers or the Python decoder. The
+cache miss on it is decoded by one exact libz pass over that extent —
+the task index mode uses — and not by block search or markers. The
 output must stay byte-identical on every corpus and budget, and
 the existing counters must show which path ran.
 """
@@ -22,6 +22,7 @@ from repro.datagen import (
     generate_fastq,
     generate_silesia_like,
 )
+from repro.errors import FormatError
 from repro.faults import flip_bytes
 from repro.fetcher import decode as decode_module
 from repro.fetcher import decode_index_chunk, gzip_chunk_fetcher
@@ -56,7 +57,7 @@ def _corpus(name: str) -> tuple:
         "silesia": (generate_silesia_like, 3 * SIZE // 2),
         "fastq": (generate_fastq, 3 * SIZE),
         # Random bytes: zlib stores them, and every chunk boundary is an
-        # unaligned stored block, which zlib delegation must refuse.
+        # unaligned stored block, which the exact pass starts bit-exactly.
         "stored": (_stored, SIZE),
     }[name]
     data = generator(size, seed=5)
@@ -168,7 +169,7 @@ def test_prefetch_after_backward_seek_follows_the_chain(backend):
         assert reader.read_at(start, 100) == data[start:start + 100]
         _wait_until_idle(reader)
         before = reader.statistics()
-        # The successor was prefetched by delegation: reading on does not
+        # The successor was prefetched by an exact pass: reading on does not
         # decode on demand, search, or resolve markers.
         assert reader.read_at(end, 100) == data[end:end + 100]
         after = reader.statistics()
@@ -232,8 +233,10 @@ class _Spy:
 def test_last_chunk_of_a_single_member_file_is_zlib_delegated(seed,
                                                               monkeypatch):
     # The Deflate stream of a single member ends at any bit alignment, and
-    # its footer is the last thing in the file: both candidate positions
-    # of the footer are followed by "nothing", but only one fits the file.
+    # its footer is the last thing in the file. Every chunk of known
+    # extent, the last one included, is one exact libz pass: one call of
+    # the decode loop per index-task call for the same start bit — a
+    # second decode of a start would be a fallback, and there is none.
     data = generate_base64(1 << 20, seed=seed)
     blob = gzip.compress(data, 6)
     chunk_size = 128 * 1024
@@ -246,41 +249,55 @@ def test_last_chunk_of_a_single_member_file_is_zlib_delegated(seed,
         reader.export_index(sink)
         last_start_bit = reader.index.seek_points[-1].compressed_bit_offset
 
-        delegated = _Spy(decode_module.zlib_decode_range)
-        fallback = _Spy(decode_module.decode_chunk_range)
-        monkeypatch.setattr(decode_module, "zlib_decode_range", delegated)
-        monkeypatch.setattr(decode_module, "decode_chunk_range", fallback)
+        tasks, passes = _spy_on_index_chunks(monkeypatch)
         for start, end in spans:  # pushes the first pass out of the caches
             assert reader.read_at(start, end - start) == data[start:end]
-    assert last_start_bit in delegated.start_bits
-    assert fallback.start_bits == []
+    assert last_start_bit in tasks.start_bits
+    assert sorted(passes.start_bits) == sorted(tasks.start_bits)
 
-    del delegated.start_bits[:]
+    del tasks.start_bits[:], passes.start_bits[:]
     with ParallelGzipReader(
         blob, parallelization=1, index=load_index(sink.getvalue()),
     ) as reader:
         start, end = spans[-1]
         assert reader.read_at(start, end - start) == data[start:end]
         assert reader.statistics()["mode"] == "index"
-    assert last_start_bit in delegated.start_bits
-    assert fallback.start_bits == []
+    assert last_start_bit in tasks.start_bits
+    assert sorted(passes.start_bits) == sorted(tasks.start_bits)
 
 
-def test_fallback_stops_where_the_extent_ends():
-    # Two stored blocks, the second one final. A chunk that ends before a
-    # final block ends where no chunk decode would stop by itself (as after
-    # a split under a memory budget); when delegation is refused, the
-    # fallback must still return the chunk and not the rest of the stream.
+def _spy_on_index_chunks(monkeypatch) -> tuple:
+    """Spies on the index task's decode and on the loop it runs."""
+    from repro.fetcher import tasks as tasks_module
+
+    tasks = _Spy(tasks_module.decode_index_chunk)
+    passes = _Spy(decode_module.decode_chunk_range)
+    monkeypatch.setattr(tasks_module, "decode_index_chunk", tasks)
+    monkeypatch.setattr(decode_module, "decode_chunk_range", passes)
+    return tasks, passes
+
+
+def test_exact_pass_stops_where_the_extent_ends():
+    # Stored blocks, the last one final. A chunk that ends before a later
+    # block ends where no chunk decode would stop by itself (as after a
+    # split under a memory budget); the exact pass returns the chunk and
+    # not the rest of the stream — and a tail that contradicts the next
+    # window is refused, not decoded a second way.
     data = random.Random(1).randbytes(100_000)
     blob = gzip.compress(data, 0)
-    first_block = 65535
+    first_block = int.from_bytes(blob[11:13], "little")  # the block's LEN
     start_bit = 10 * 8
     end_bit = start_bit + (5 + first_block) * 8
     result = decode_index_chunk(
         ensure_file_reader(blob), start_bit, end_bit, b"",
-        expected_size=first_block,
-        next_window=b"not what the chunk ends with",  # refuses delegation
+        expected_size=first_block, next_window=data[:first_block][-32768:],
     )
     assert result.payload.materialize(b"") == data[:first_block]
     assert result.end_bit == end_bit
     assert result.events == []
+    with pytest.raises(FormatError, match="next seek point"):
+        decode_index_chunk(
+            ensure_file_reader(blob), start_bit, end_bit, b"",
+            expected_size=first_block,
+            next_window=b"not what the chunk ends with",
+        )
