@@ -22,6 +22,7 @@ from repro.datagen import generate_base64
 from repro.fetcher import GzipChunkFetcher
 from repro.gz.writer import compress as gz_compress
 from repro.io import BitReader
+from repro.reader import ReaderOptions
 from repro.gz.header import parse_gzip_header
 
 from conftest import fmt_bw
@@ -33,10 +34,10 @@ class NoPrefetch(PrefetchStrategy):
 
 
 def drive_fetcher(blob: bytes, strategy, parallelization=3, chunk_size=48 * 1024):
-    fetcher = GzipChunkFetcher(
-        blob, parallelization=parallelization, chunk_size=chunk_size,
+    fetcher = GzipChunkFetcher(blob, ReaderOptions(
+        parallelization=parallelization, chunk_size=chunk_size,
         strategy=strategy,
-    )
+    ))
     try:
         reader = BitReader(blob)
         parse_gzip_header(reader)
@@ -88,7 +89,7 @@ def test_ablation_prefetch_cache_size(benchmark, reporter):
 
     def run(cache_size):
         fetcher = GzipChunkFetcher(
-            blob, parallelization=3, chunk_size=48 * 1024,
+            blob, ReaderOptions(parallelization=3, chunk_size=48 * 1024),
             prefetch_cache_size=cache_size,
         )
         try:

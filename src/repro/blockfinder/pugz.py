@@ -14,6 +14,8 @@ Silesia corpus, §4.5).
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..deflate.block import read_block_header
 from ..deflate.inflate import TwoStageStreamDecoder
 from ..errors import FormatError
@@ -33,7 +35,8 @@ _MAX_DECODED = 64 * 1024
 
 def check_pugz_compatible(data: bytes) -> bool:
     """True when every byte is inside pugz's permitted 9–126 range."""
-    return all(PUGZ_MIN_BYTE <= byte <= PUGZ_MAX_BYTE for byte in data)
+    values = np.frombuffer(data, dtype=np.uint8)
+    return not ((values < PUGZ_MIN_BYTE) | (values > PUGZ_MAX_BYTE)).any()
 
 
 class PugzBlockFinder(BlockFinder):

@@ -31,8 +31,12 @@ from .errors import (
     NetworkError,
     ReproError,
     SourceChangedError,
+    cause_chain,
     exit_code_for,
 )
+from .io.remote import RemoteReaderOptions
+from .pool import available_cores
+from .reader.options import DEFAULT_CHUNK_SIZE
 
 __all__ = ["main", "build_parser"]
 
@@ -50,15 +54,17 @@ def build_parser() -> argparse.ArgumentParser:
         "-P",
         "--parallelization",
         type=int,
-        default=os.cpu_count() or 1,
-        help="number of decompression threads (default: CPU count)",
+        default=available_cores(),
+        help="number of decompression threads (default: the cores this "
+        "process may run on)",
     )
     parser.add_argument(
         "--chunk-size",
         type=int,
-        default=4096,
+        default=DEFAULT_CHUNK_SIZE // 1024,
         metavar="KiB",
-        help="compressed chunk size in KiB (default: 4096 = 4 MiB)",
+        help=f"compressed chunk size in KiB (default: "
+        f"{DEFAULT_CHUNK_SIZE // 1024})",
     )
     parser.add_argument("-o", "--output", help="output file path")
     parser.add_argument(
@@ -117,30 +123,30 @@ def build_parser() -> argparse.ArgumentParser:
     robustness.add_argument(
         "--net-retries",
         type=int,
-        default=4,
+        default=RemoteReaderOptions.retries,
         metavar="N",
         help="for http(s):// inputs: retry budget per range read; "
         "transient failures back off with jitter, a persistently dead "
         "origin trips the circuit breaker and exits with code 9 "
-        "(default: 4)",
+        f"(default: {RemoteReaderOptions.retries})",
     )
     robustness.add_argument(
         "--net-timeout",
         type=float,
-        default=30.0,
+        default=RemoteReaderOptions.deadline,
         metavar="SECONDS",
         help="for http(s):// inputs: total per-read deadline covering "
         "all retries and backoff (per-attempt socket timeout is "
-        "derived); default: 30",
+        f"derived); default: {RemoteReaderOptions.deadline:g}",
     )
     robustness.add_argument(
         "--net-block-size",
         type=int,
-        default=1024,
+        default=RemoteReaderOptions.block_size // 1024,
         metavar="KiB",
         help="for http(s):// inputs: aligned wire-block size of the "
         "read-coalescing cache — one HTTP range request per block "
-        "(default: 1024 = 1 MiB)",
+        f"(default: {RemoteReaderOptions.block_size // 1024})",
     )
 
     group = parser.add_argument_group("index")
@@ -344,16 +350,12 @@ def main(argv=None) -> int:
 def _summarize_network_failure(error) -> None:
     """One stderr line saying which range failed and how hard we tried."""
     network = None
-    seen = set()
-    cursor = error
-    while cursor is not None and id(cursor) not in seen:
-        seen.add(id(cursor))
+    for cursor in cause_chain(error):
         if isinstance(cursor, NetworkError):
             if network is None or (
                 network.attempts is None and cursor.attempts is not None
             ):
                 network = cursor  # prefer the one carrying retry context
-        cursor = cursor.__cause__
     if network is None:
         return
     if isinstance(network, SourceChangedError):
@@ -447,7 +449,7 @@ def _dispatch(arguments) -> int:
             arguments.file,
             retries=max(arguments.net_retries, 0),
             deadline=arguments.net_timeout,
-            timeout=min(arguments.net_timeout, 10.0),
+            timeout=min(arguments.net_timeout, RemoteReaderOptions.timeout),
             block_size=max(arguments.net_block_size, 1) * 1024,
         )
     else:

@@ -145,16 +145,22 @@ EXIT_INDEX = 8
 EXIT_NETWORK = 9
 
 
+def cause_chain(error: BaseException):
+    """``error``, then each ``__cause__`` behind it, every one once."""
+    seen = set()
+    while error is not None and id(error) not in seen:
+        seen.add(id(error))
+        yield error
+        error = error.__cause__
+
+
 def exit_code_for(error: BaseException) -> int:
     """Map an exception to the CLI exit code for its failure class.
 
     Walks the ``__cause__`` chain so a wrapping :class:`ChunkDecodeError`
     reports the class of the error that actually broke the chunk.
     """
-    seen = set()
-    cursor = error
-    while cursor is not None and id(cursor) not in seen:
-        seen.add(id(cursor))
+    for cursor in cause_chain(error):
         if isinstance(cursor, NetworkError):
             return EXIT_NETWORK
         if isinstance(cursor, IndexIntegrityError):
@@ -165,7 +171,6 @@ def exit_code_for(error: BaseException) -> int:
             return EXIT_INTEGRITY
         if isinstance(cursor, FormatError):
             return EXIT_FORMAT
-        cursor = cursor.__cause__
     if isinstance(error, ChunkDecodeError):
         return EXIT_FORMAT
     return 1

@@ -10,7 +10,7 @@ from .decode import (
     speculative_decode,
     zlib_decode_range,
 )
-from .gzip_chunk_fetcher import DEFAULT_CHUNK_SIZE, GzipChunkFetcher
+from .gzip_chunk_fetcher import GzipChunkFetcher
 from .tasks import ChunkTaskSpec
 
 __all__ = [
@@ -25,6 +25,5 @@ __all__ = [
     "shift_to_byte_alignment",
     "speculative_decode",
     "zlib_decode_range",
-    "DEFAULT_CHUNK_SIZE",
     "GzipChunkFetcher",
 ]

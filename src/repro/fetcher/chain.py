@@ -19,7 +19,8 @@ owned by the fetcher and extended by the reader, in every open mode:
 
 The seek-point index is a by-product of the chain, not a preprocessing
 step (§3, design goals): every frontier adds its seek point to a growing
-:class:`~repro.index.GzipIndex`, and the chain's end finalizes it.
+:class:`~repro.index.GzipIndex`, a long chunk adds more at interior block
+boundaries, and the chain's end finalizes it.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from ..deflate.constants import MAX_WINDOW_SIZE
 from ..errors import UsageError
 from ..index import GzipIndex, SeekPoint
 from ..index.store import window_bytes
@@ -274,6 +276,36 @@ class ChunkChain:
                 start_bit, self.known_size, window,
                 is_stream_start=is_stream_start,
             ))
+
+    def add_interior_points(self, record: ChunkRecord, data: bytes,
+                            boundaries, spacing: int) -> None:
+        """Split a chunk longer than ``spacing`` decompressed bytes with
+        seek points at interior Deflate block boundaries (paper §1.4).
+
+        Their windows come straight from the chunk's ``data``, so
+        splitting costs nothing extra; the index keeps both seek latency
+        and the per-chunk memory of a later index import bounded.
+        """
+        if (self.index.finalized or record.length <= spacing
+                or not boundaries):
+            return
+        next_emit = spacing
+        for boundary in boundaries:
+            # Only interior Dynamic blocks: their bit offsets are
+            # unambiguous, the stop predicate of future chunk decodes
+            # matches them, and an exact pass can end and resume there.
+            offset = boundary.output_offset
+            if (offset == 0 or boundary.is_final or boundary.block_type != 2
+                    or offset < next_emit or offset >= record.length):
+                continue
+            window_start = max(offset - MAX_WINDOW_SIZE, 0)
+            window = data[window_start:offset]
+            if window_start == 0 and len(window) < MAX_WINDOW_SIZE:
+                window = (record.window + window)[-MAX_WINDOW_SIZE:]
+            self.index.add(SeekPoint(
+                boundary.bit_offset, record.output_start + offset, window,
+            ))
+            next_emit = offset + spacing
 
     def end(self, size_bits: int) -> None:
         """The frontier ends: nothing is left to decode. A growing index

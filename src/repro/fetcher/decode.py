@@ -37,6 +37,8 @@ from ..deflate.markers import ChunkPayload
 from ..errors import FormatError, TruncatedError
 from ..gz.header import MAGIC, parse_gzip_footer, parse_gzip_header
 from ..io import BitReader
+from ..telemetry.events import NULL_EVENT_LOG
+from ..telemetry.recorder import NULL_RECORDER
 
 __all__ = [
     "ChunkResult",
@@ -299,7 +301,7 @@ class _PythonChunkStream(TwoStageStreamDecoder):
         if size is not None and (max_size is None or size < max_size):
             max_size = size  # more is an error: never decode it
         super().__init__(window=window, max_size=max_size)
-        self._reader = BitReader(file_reader.clone())
+        self._reader = BitReader(file_reader)
         self._reader.seek(start_bit)
 
     position = property(lambda self: self._reader.tell())
@@ -343,23 +345,20 @@ def speculative_decode(
     paper's Table 1 quantities live: candidates tested vs. accepted,
     per-filter-stage rejections, and decode-attempt false positives.
     """
-    recorder = telemetry.recorder if telemetry is not None else None
-    lifecycle = telemetry.events if telemetry is not None else None
+    recorder = telemetry.recorder if telemetry is not None else NULL_RECORDER
+    lifecycle = telemetry.events if telemetry is not None else NULL_EVENT_LOG
     search_from = chunk_index * chunk_size * 8
     stop_bit = (chunk_index + 1) * chunk_size * 8
-    finder = CombinedBlockFinder(file_reader.clone())
+    finder = CombinedBlockFinder(file_reader)
 
     def find_from(bit_offset: int):
         # Every finder call is spanned, retries after a false positive too.
-        if recorder is not None and recorder.enabled:
-            with recorder.span("chunk.block_find", chunk_id=chunk_index):
-                return finder.find_next(bit_offset, until=stop_bit)
-        return finder.find_next(bit_offset, until=stop_bit)
+        with recorder.span("chunk.block_find", chunk_id=chunk_index):
+            return finder.find_next(bit_offset, until=stop_bit)
 
-    if lifecycle is not None and lifecycle.enabled:
-        lifecycle.emit("block-find", chunk=chunk_index)
+    lifecycle.emit("block-find", chunk=chunk_index)
     offset = find_from(search_from)
-    if offset is not None and lifecycle is not None and lifecycle.enabled:
+    if offset is not None:
         lifecycle.emit("decode", chunk=chunk_index, mode="search",
                        kind="speculative")
     tried = 0
@@ -368,15 +367,9 @@ def speculative_decode(
     while offset is not None and tried < max_candidates:
         tried += 1
         try:
-            if recorder is not None and recorder.enabled:
-                with recorder.span(
-                    "chunk.decode_attempt", chunk_id=chunk_index, start_bit=offset
-                ):
-                    result = decode_chunk_range(
-                        file_reader, offset, stop_bit, None,
-                        max_output=max_output, split_output=split_output,
-                    )
-            else:
+            with recorder.span(
+                "chunk.decode_attempt", chunk_id=chunk_index, start_bit=offset
+            ):
                 result = decode_chunk_range(
                     file_reader, offset, stop_bit, None,
                     max_output=max_output, split_output=split_output,

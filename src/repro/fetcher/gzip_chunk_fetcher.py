@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import CancelledError
+from typing import TYPE_CHECKING
 
 from .. import faults
 from ..cache import FetchNextAdaptive, LRUCache, MemoryGovernor
@@ -58,14 +59,10 @@ from .chain import ChunkChain
 from .decode import ChunkResult
 from .tasks import ChunkTaskSpec, run_chunk_task
 
-__all__ = ["GzipChunkFetcher", "DEFAULT_CHUNK_SIZE"]
+if TYPE_CHECKING:
+    from ..reader.options import ReaderOptions
 
-#: Default compressed chunk size (paper default: 4 MiB).
-DEFAULT_CHUNK_SIZE = 4 * 1024 * 1024
-
-#: Floor for the per-chunk decompressed-split ceiling under a budget —
-#: splitting below this would fragment ordinary chunks for no benefit.
-MIN_SPLIT_OUTPUT = 1024 * 1024
+__all__ = ["GzipChunkFetcher"]
 
 
 def _result_nbytes(result) -> int:
@@ -74,48 +71,28 @@ def _result_nbytes(result) -> int:
 
 
 class GzipChunkFetcher:
-    """Parallel, speculatively prefetching chunk source for one gzip file."""
+    """Parallel, speculatively prefetching chunk source for one gzip file.
+
+    ``options`` is the reader's :class:`~repro.reader.ReaderOptions`; the
+    fetcher reads its pool size, chunk size, strategy, output caps,
+    catalog probe, time-out and memory budget from there.
+    """
 
     def __init__(
         self,
         source,
+        options: ReaderOptions,
         *,
-        parallelization: int = 1,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        strategy=None,
-        max_chunk_output: int = None,
         index=None,
         prefetch_cache_size: int = None,
         detect_bgzf: bool = True,
-        detect_catalog: bool = True,
-        chunk_timeout: float = None,
         telemetry: Telemetry = None,
-        governor: MemoryGovernor = None,
     ):
-        if parallelization < 1:
-            raise UsageError("parallelization must be at least 1")
-        if chunk_size < 1024:
-            raise UsageError("chunk_size must be at least 1 KiB")
-        if chunk_timeout is not None and chunk_timeout <= 0:
-            raise UsageError("chunk_timeout must be positive (or None)")
         self.file_reader = ensure_file_reader(source)
-        self.parallelization = parallelization
-        self.chunk_size = chunk_size
-        self.strategy = strategy or FetchNextAdaptive()
-        self.max_chunk_output = max_chunk_output
+        self.options = options
+        self.strategy = options.strategy or FetchNextAdaptive()
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-
-        # Memory governance: a governor shared with the reader, so its
-        # materialized-bytes cache draws on the same budget. Without one,
-        # all byte accounting stays dormant.
-        self.governor = governor
-        budget = governor.budget if governor is not None else None
-        # Per-chunk decompressed ceiling: workers stop at a Deflate block
-        # boundary past this and return a resumable partial result, so one
-        # high-ratio chunk can never hold more than ~a budget share.
-        self.chunk_split_size = (
-            max(budget // 8, MIN_SPLIT_OUTPUT) if budget else None
-        )
+        parallelization = options.parallelization
 
         # Precedence: explicit index > embedded chunk catalog > BGZF >
         # search — an explicit index is the caller's word, a catalog is
@@ -125,14 +102,16 @@ class GzipChunkFetcher:
         self.catalog_index = None
         self.catalog_errors: list = []
         if index is None:
-            if detect_catalog:
+            if options.detect_catalog:
                 self.catalog, self.catalog_errors = probe_catalog(
                     self.file_reader
                 )
             if self.catalog is None and detect_bgzf and is_bgzf(
                 self.file_reader
             ):
-                self.catalog = bgzf_catalog(self.file_reader, chunk_size)
+                self.catalog = bgzf_catalog(
+                    self.file_reader, options.chunk_size
+                )
             if self.catalog is not None:
                 self.catalog_index = synthesize_index(
                     self.catalog, self.file_reader.size()
@@ -143,7 +122,7 @@ class GzipChunkFetcher:
             self.mode = "index"
         else:
             self.mode = "search"
-        cell_bits = chunk_size * 8
+        cell_bits = options.chunk_size * 8
         #: What is known about the file's chunks; a finalized index is all
         #: of it at once. In search mode the reader starts the frontier.
         self.chain = ChunkChain(
@@ -154,7 +133,6 @@ class GzipChunkFetcher:
 
         #: ``threads``, or ``serial`` once repeated time-outs retired the pool.
         self.backend = "threads"
-        self.chunk_timeout = chunk_timeout
         # The first-stage decoder is resolved, never chosen: libz's probe,
         # or the Python decoder without libz.
         self._decoder = "probe" if libz.load() is not None else "python"
@@ -166,13 +144,19 @@ class GzipChunkFetcher:
         self._backend_failures = 0  # time-outs observed since the last downgrade
         capacity = prefetch_cache_size or max(2 * parallelization, 2)
         self._id_of_key: dict = {}  # cached start_bit -> chunk id
+        # Memory governance: one governor for the fetcher's caches and
+        # in-flight reservations and the reader's materialized bytes.
+        # Without a budget all byte accounting stays dormant.
+        budget = options.max_memory
+        self.governor = None
         sizing = {}
-        if governor is not None:
-            sizing = {"sizer": _result_nbytes, "governor": governor}
+        if budget is not None:
+            self.governor = MemoryGovernor(budget, telemetry=self.telemetry)
+            sizing = {"sizer": _result_nbytes, "governor": self.governor}
         self.prefetch_cache = LRUCache(
             capacity,
             max_bytes=budget // 4 if budget else None,
-            account="prefetch_cache" if governor is not None else None,
+            account="prefetch_cache" if budget is not None else None,
             on_evict=self._note_eviction(),
             **sizing,
         )
@@ -182,8 +166,6 @@ class GzipChunkFetcher:
         self._history: list = []  # recently accessed chunk ids
         self._lock = threading.RLock()
 
-        # Named metrics replace the former ad-hoc statistics integers; the
-        # attribute names survive as properties for the evaluation harness.
         metrics = self.telemetry.metrics
         self._speculative_submitted = metrics.counter("fetcher.speculative_submitted")
         self._speculative_unusable = metrics.counter("fetcher.speculative_unusable")
@@ -267,7 +249,6 @@ class GzipChunkFetcher:
             mode=self.mode,
             chunk_id=chunk_id,
             attempt=attempt,
-            max_output=self.max_chunk_output,
         )
         if self.mode == "index":
             known = self.chain.extent(self.chain[chunk_id].start_bit)
@@ -276,11 +257,8 @@ class GzipChunkFetcher:
         if known is not None:
             spec.mode = "index"
             spec.start_bit, spec.extent = known.start_bit, known
-        else:
-            spec.chunk_size = self.chunk_size
-            spec.split_output = self.chunk_split_size
-            if exact is not None:
-                spec.start_bit, spec.window = exact
+        elif exact is not None:
+            spec.start_bit, spec.window = exact
         return spec
 
     # -- cache plumbing ------------------------------------------------------------
@@ -377,7 +355,7 @@ class GzipChunkFetcher:
         if known is not None:
             return max(known.length, 1)
         if self.mode == "search":
-            return 2 * self.chunk_split_size
+            return 2 * self.options.split_output
         return max(self.chain[chunk_id].length, 1)
 
     def _submit(self, chunk_id: int, known=None) -> bool:
@@ -398,7 +376,7 @@ class GzipChunkFetcher:
                 # Headroom keeps room for one mandatory on-demand decode,
                 # so speculation can never starve the consumer's read.
                 if not self.governor.try_reserve(
-                    "in_flight", reserved, headroom=2 * self.chunk_split_size
+                    "in_flight", reserved, headroom=2 * self.options.split_output
                     if self.mode == "search" else reserved,
                 ):
                     return False
@@ -428,7 +406,9 @@ class GzipChunkFetcher:
         retired cell returns without searching. A search that lands on
         the recorded start extends the chain too."""
         if spec.mode != "search":
-            return run_chunk_task(spec, self.file_reader, self.telemetry)
+            return run_chunk_task(
+                spec, self.file_reader, self.telemetry, self.options
+            )
         chain = self.chain
         if spec.chunk_id in chain.retired:
             events = self.telemetry.events
@@ -438,7 +418,9 @@ class GzipChunkFetcher:
         entry = chain.ahead.get(spec.chunk_id)
         if entry is not None:
             spec.start_bit, spec.window = entry
-        result = run_chunk_task(spec, self.file_reader, self.telemetry)
+        result = run_chunk_task(
+            spec, self.file_reader, self.telemetry, self.options
+        )
         entry = entry or chain.ahead.get(spec.chunk_id)
         if result is not None and entry and result.start_bit == entry[0]:
             chain.hand_over(result, entry[1])
@@ -486,7 +468,9 @@ class GzipChunkFetcher:
         self._history.append(accessed_id)
         if len(self._history) > 64:
             del self._history[:-64]
-        wishes = self.strategy.prefetch(self._history, self.parallelization)
+        wishes = self.strategy.prefetch(
+            self._history, self.options.parallelization
+        )
         if known is None:
             targets = [(wish, None) for wish in wishes]
         else:
@@ -544,7 +528,7 @@ class GzipChunkFetcher:
                     "chunk.wait_inflight", chunk_id=chunk_id
                 ):
                     try:
-                        future.result(timeout=self.chunk_timeout)
+                        future.result(timeout=self.options.chunk_timeout)
                     except TimeoutError:
                         self._chunk_timeouts.increment()
                         self._note_backend_failure("timeout")
@@ -598,7 +582,9 @@ class GzipChunkFetcher:
             spec = self._spec_for(
                 chunk_id, attempt=1, exact=(start_bit, window), known=known,
             )
-            return run_chunk_task(spec, self.file_reader, self.telemetry)
+            return run_chunk_task(
+                spec, self.file_reader, self.telemetry, self.options
+            )
         except UsageError:
             raise  # caller bug, not a decode failure — report it as-is
         except Exception as error:
@@ -640,18 +626,6 @@ class GzipChunkFetcher:
 
     # -- statistics ----------------------------------------------------------------
 
-    @property
-    def speculative_submitted(self) -> int:
-        return self._speculative_submitted.value
-
-    @property
-    def speculative_unusable(self) -> int:
-        return self._speculative_unusable.value
-
-    @property
-    def on_demand_decodes(self) -> int:
-        return self._on_demand_decodes.value
-
     def statistics(self) -> dict:
         """Plain-dict snapshot (no live mutable objects leak out)."""
         memory = (
@@ -684,13 +658,13 @@ class GzipChunkFetcher:
                     "encoding.chunk_crc_failures"
                 ).value,
             },
-            "chunk_split_size": self.chunk_split_size,
+            "chunk_split_size": self.options.split_output,
             "chunk_splits": self._chunk_splits.value,
             "speculative_shed": self._speculative_shed.value,
             "prefetch_cache": self.prefetch_cache.snapshot(),
-            "speculative_submitted": self.speculative_submitted,
-            "speculative_unusable": self.speculative_unusable,
-            "on_demand_decodes": self.on_demand_decodes,
+            "speculative_submitted": self._speculative_submitted.value,
+            "speculative_unusable": self._speculative_unusable.value,
+            "on_demand_decodes": self._on_demand_decodes.value,
             "speculative_rejects": self._speculative_rejects.value,
             "wait_inflight": self._wait_inflight.value,
             "chunk_timeouts": self._chunk_timeouts.value,

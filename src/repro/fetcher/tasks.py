@@ -6,8 +6,9 @@ is its only description and :func:`run_chunk_task` its only body — span,
 ``decode`` lifecycle event, ``chunk.decode`` fault site, dispatch to the
 mode's decode function, folding of a speculative reject. Pool threads and
 the serial on-demand rung both call the body with the fetcher's live file
-reader and telemetry, so where a chunk is decoded changes nothing about
-what is recorded or raised.
+reader, telemetry and :class:`~repro.reader.ReaderOptions` (chunk size,
+output cap, split ceiling), so where a chunk is decoded changes nothing
+about what is recorded or raised.
 """
 
 from __future__ import annotations
@@ -47,12 +48,6 @@ class ChunkTaskSpec:
     chunk_id: int
     # 0 is the speculative prefetch, 1 the on-demand decode
     attempt: int = 0
-    max_output: int = None
-    # search mode
-    chunk_size: int = 0
-    # per-chunk decompressed ceiling (memory budget): decode stops at a
-    # block boundary past this and returns a resumable partial result
-    split_output: int = None
     # where decoding starts, when known (always, outside speculation)
     start_bit: int = 0
     # search mode: the window at start_bit once known (None: search)
@@ -61,9 +56,12 @@ class ChunkTaskSpec:
     extent: ChunkExtent = None
 
 
-def run_chunk_task(spec: ChunkTaskSpec, reader, telemetry) -> ChunkResult:
+def run_chunk_task(spec: ChunkTaskSpec, reader, telemetry,
+                   options) -> ChunkResult:
     """Decode the chunk ``spec`` describes from ``reader``: the one task
-    body, run by pool threads and the serial rung.
+    body, run by pool threads and the serial rung. ``options`` (the
+    reader's :class:`~repro.reader.ReaderOptions`) give the cell size, the
+    output cap and the split ceiling.
 
     A speculative task (``attempt`` 0) returns ``None`` when the chunk
     has no decodable candidate or is rejected with :class:`FormatError`
@@ -89,7 +87,7 @@ def run_chunk_task(spec: ChunkTaskSpec, reader, telemetry) -> ChunkResult:
                 )
             faults.fire("chunk.decode", chunk_id=spec.chunk_id,
                         attempt=spec.attempt)
-            result = _decode(spec, reader, telemetry, searching)
+            result = _decode(spec, reader, telemetry, options, searching)
     except FormatError as error:
         if spec.attempt:
             raise
@@ -107,18 +105,20 @@ def run_chunk_task(spec: ChunkTaskSpec, reader, telemetry) -> ChunkResult:
     return result
 
 
-def _decode(spec: ChunkTaskSpec, reader, telemetry, searching: bool):
+def _decode(spec: ChunkTaskSpec, reader, telemetry, options,
+            searching: bool):
+    max_output = options.max_chunk_output
     if searching:
         return speculative_decode(
-            reader, spec.chunk_id, spec.chunk_size,
-            max_output=spec.max_output, split_output=spec.split_output,
+            reader, spec.chunk_id, options.chunk_size,
+            max_output=max_output, split_output=options.split_output,
             telemetry=telemetry,
         )
     if spec.mode == "search":
-        stop_bit = (spec.chunk_id + 1) * spec.chunk_size * 8
+        stop_bit = (spec.chunk_id + 1) * options.chunk_size * 8
         return decode_chunk_range(
             reader, spec.start_bit, stop_bit, spec.window,
-            max_output=spec.max_output, split_output=spec.split_output,
+            max_output=max_output, split_output=options.split_output,
         )
     if spec.mode == "index":
         extent = spec.extent
@@ -126,7 +126,7 @@ def _decode(spec: ChunkTaskSpec, reader, telemetry, searching: bool):
         return decode_index_chunk(
             reader, spec.start_bit, extent.end_bit, extent.window,
             expected_size=extent.length, is_last=extent.is_last,
-            max_output=spec.max_output, next_window=extent.next_window,
+            max_output=max_output, next_window=extent.next_window,
         )
     raise UsageError(f"unknown task mode {spec.mode!r}")
 

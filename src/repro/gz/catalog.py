@@ -271,7 +271,7 @@ def detect_catalog(file_reader):
     propagates — the caller falls back to the search path.
     """
     try:
-        reader = BitReader(file_reader.clone())
+        reader = BitReader(file_reader)
         header = parse_gzip_header(reader)
         subfields = header.extra_subfields()
     except Exception:

@@ -12,6 +12,7 @@ from .store import (
     INDEX_MAGIC_V2,
     INDEX_TRAILER_V2,
     MAX_COMPRESSED_WINDOW,
+    IndexCache,
     SourceFingerprint,
     cache_path,
     fingerprint_source,
@@ -25,6 +26,7 @@ __all__ = [
     "INDEX_MAGIC_V1",
     "INDEX_MAGIC_V2",
     "INDEX_TRAILER_V2",
+    "IndexCache",
     "MAX_COMPRESSED_WINDOW",
     "SeekPoint",
     "SourceFingerprint",

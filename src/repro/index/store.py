@@ -30,9 +30,9 @@ Defenses, end to end:
   bytes, so nothing downstream can meet a damaged window.
 
 Every failure raises :class:`~repro.errors.IndexIntegrityError` with
-the failed check's name; callers choose what a rejection means (the
-reader's index cache logs it and searches instead, CLI
-``--import-index`` is strict).
+the failed check's name; callers choose what a rejection means
+(:class:`IndexCache`, the reader's ``index_cache``, logs it and
+searches instead; CLI ``--import-index`` is strict).
 Fault-injection sites ``index.load`` / ``index.window`` /
 ``index.export`` (:mod:`repro.faults`) make every failure path
 rehearsable under a seed.
@@ -83,6 +83,7 @@ from .gzip_index import GzipIndex, SeekPoint
 
 __all__ = [
     "INDEX_MAGIC_V1",
+    "IndexCache",
     "INDEX_MAGIC_V2",
     "INDEX_TRAILER_V2",
     "MAX_COMPRESSED_WINDOW",
@@ -563,4 +564,79 @@ def _check_footer(data: bytes, path) -> None:
             f"whole-file CRC-32 mismatch (stored {stored_crc:#010x}, "
             f"computed {actual:#010x})",
             check="footer_crc", path=path, offset=len(data) - _FOOTER.size,
+        )
+
+
+# -- the reader's persistent index cache ----------------------------------------
+
+
+class IndexCache:
+    """One source file's entry in a persistent index-cache directory.
+
+    :meth:`load` imports a matching entry at open. One failing its checks
+    is never fatal: it is counted and handed to ``reject``, and the
+    caller searches instead — a bad entry costs the fast path, never
+    correctness. :meth:`export` atomically publishes the index the first
+    full pass built, which is also how a rejected entry heals. Without
+    a source file path (byte buffers, file objects) :attr:`path` is
+    ``None`` and both do nothing.
+    """
+
+    def __init__(self, cache_dir, file_reader: FileReader, telemetry):
+        self._file_reader = file_reader
+        self._telemetry = telemetry
+        self.path = None
+        self.imported = self.exported = False
+        source_path = getattr(file_reader, "path", None)
+        if cache_dir is not None and source_path is not None:
+            os.makedirs(os.fspath(cache_dir), exist_ok=True)
+            self.path = cache_path(cache_dir, source_path)
+
+    def load(self, reject):
+        """The cached index, or ``None`` (never raises). A missing entry
+        is the ordinary cold open; one failing an integrity, binding or
+        I/O check goes to ``reject`` as its ``IndexIntegrityError``."""
+        if self.path is None or not os.path.exists(self.path):
+            return None
+        telemetry = self._telemetry
+        try:
+            loaded = load_index(
+                self.path, source=self._file_reader, telemetry=telemetry
+            )
+        except IndexIntegrityError as error:
+            telemetry.metrics.counter("index.load_failures").increment()
+            reject(error)
+            check = getattr(error, "check", None)
+            telemetry.recorder.instant(
+                "index.rejected", check=check, error=str(error)
+            )
+            telemetry.events.emit("index-rejected", check=check)
+            return None
+        self.imported = True
+        telemetry.events.emit("index-imported", points=len(loaded))
+        return loaded
+
+    def export(self, index: GzipIndex) -> None:
+        """Publish ``index`` once if it was built here (not imported) and
+        is finalized; the caller rules out damaged and catalog indexes.
+        A failure is counted, never raised: the cache is an optimization,
+        not a correctness dependency."""
+        if (self.path is None or self.imported or self.exported
+                or not index.finalized or not len(index)):
+            return
+        telemetry = self._telemetry
+        try:
+            save_index(
+                index, self.path, source=self._file_reader,
+                telemetry=telemetry,
+            )
+        except Exception as error:
+            telemetry.metrics.counter("index.export_failures").increment()
+            telemetry.recorder.instant("index.export_failed", error=repr(error))
+            telemetry.events.emit("index-export-failed", error=str(error))
+            return
+        self.exported = True
+        telemetry.metrics.counter("index.exports").increment()
+        telemetry.events.emit(
+            "index-exported", points=len(index), path=self.path
         )

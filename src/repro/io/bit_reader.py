@@ -7,8 +7,9 @@ dominated by a shift and a mask — the paper's observation that throughput
 grows with bits-per-read holds here for the same reason (fixed per-call
 overhead amortized over more bits).
 
-Every decompression thread owns its own ``BitReader`` instance; instances
-clone the underlying reader, so no locking is needed (paper §4.1).
+Every decompression thread owns its own ``BitReader`` instance. Instances
+read only through the underlying reader's positionless ``pread``, so any
+number of them share one :class:`FileReader` without locking (paper §4.1).
 """
 
 from __future__ import annotations

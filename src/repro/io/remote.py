@@ -26,9 +26,9 @@ I/O failure a *recoverable event* instead of an unhandled exception:
   retried — mixing object generations would be silent garbage.
 
 :func:`open_remote` assembles the stack; ``ensure_file_reader`` calls
-it for ``http(s)://`` strings. Worker threads read through clones that
-share the connection pool, so they share the captured size/ETag and a
-mid-decode origin swap is detected whichever thread meets it.
+it for ``http(s)://`` strings. Worker threads share one reader (and
+clones share its connection pool), so they share the captured size/ETag
+and a mid-decode origin swap is detected whichever thread meets it.
 
 Failure semantics end-to-end: exhausted retries surface as
 :class:`NetworkError` (CLI exit code 9); under

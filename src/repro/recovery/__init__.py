@@ -2,6 +2,7 @@
 
 from .damage import (
     DEFAULT_PLACEHOLDER,
+    DamagePolicy,
     DamagedRegion,
     DamageReport,
     ResyncSegment,
@@ -11,6 +12,7 @@ from .recover import RecoveredSegment, RecoveryReport, recover_gzip
 
 __all__ = [
     "DEFAULT_PLACEHOLDER",
+    "DamagePolicy",
     "DamageReport",
     "DamagedRegion",
     "RecoveredSegment",

@@ -13,7 +13,9 @@ that story:
   segment after a failure point;
 * :class:`DamagedRegion` / :class:`DamageReport` — the structured record
   of everything that was skipped, substituted, or left unverified, so a
-  tolerant read never silently launders damage into clean-looking output.
+  tolerant read never silently launders damage into clean-looking output;
+* :class:`DamagePolicy` — the one place an error becomes either a strict
+  raise or a tolerant region, and the only code that builds regions.
 """
 
 from __future__ import annotations
@@ -21,11 +23,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..blockfinder import CombinedBlockFinder
-from ..errors import FormatError
+from ..errors import (
+    FormatError,
+    cause_chain,
+    IntegrityError,
+    NetworkError,
+    SourceChangedError,
+    TruncatedError,
+)
 from .recover import _decode_segment
 
 __all__ = [
     "DEFAULT_PLACEHOLDER",
+    "DamagePolicy",
     "DamageReport",
     "DamagedRegion",
     "ResyncSegment",
@@ -41,7 +51,8 @@ class DamagedRegion:
     """One contiguous stretch of input the reader could not decode normally.
 
     ``kind`` is ``"corrupt"`` (structure broken mid-stream),
-    ``"truncated"`` (input ended early), ``"integrity"`` (structure
+    ``"truncated"`` (input ended early), ``"network"`` (a remote range
+    stayed unreachable after its retries), ``"integrity"`` (structure
     decoded but a CRC-32/ISIZE trailer did not match), or ``"index"``
     (a persistent seek index failed validation — the *output is still
     correct*: the reader fell back to a full search or re-decoded the
@@ -133,7 +144,7 @@ def resync_after_damage(file_reader, from_bit: int, *,
     resynchronisation makes monotonic progress through the file.
     """
     size_bits = file_reader.size() * 8
-    finder = CombinedBlockFinder(file_reader.clone())
+    finder = CombinedBlockFinder(file_reader)
     position = from_bit
     for _ in range(max_probes):
         if position >= size_bits:
@@ -153,3 +164,109 @@ def resync_after_damage(file_reader, from_bit: int, *,
             continue
         return ResyncSegment(candidate, data, unresolved, end_bit)
     return None
+
+
+class DamagePolicy:
+    """Strict or tolerant: the one place an error becomes a raise or a
+    :class:`DamagedRegion` in :attr:`report`.
+
+    Strict mode (``tolerate=False``) re-raises every decode failure and
+    raises :class:`~repro.errors.IntegrityError` on a checksum mismatch.
+    Tolerant mode classifies a decode failure as ``"network"`` (a
+    :class:`~repro.errors.NetworkError` in its cause chain: the bytes are
+    unreachable, not corrupt), ``"truncated"`` or ``"corrupt"``, and
+    records it. A :class:`~repro.errors.SourceChangedError` is never
+    absorbed: placeholder-filling would mix bytes of two object
+    generations. A rejected cached index is an ``"index"`` region in
+    either mode — the bytes are re-decoded, nothing is lost. Every
+    region leaves one ``reader.damage`` instant on ``recorder`` (a trace
+    recorder, ``Telemetry.recorder``).
+    """
+
+    def __init__(self, tolerate: bool, recorder):
+        self.tolerate = tolerate
+        self.report = DamageReport()
+        self._recorder = recorder
+
+    def classify(self, error) -> tuple:
+        """``(kind, cause)`` of a decode failure tolerant mode absorbs,
+        ``cause`` being what the region describes; raises ``error``
+        when strict or when the source changed."""
+        if not self.tolerate:
+            raise error
+        for cursor in cause_chain(error):
+            if isinstance(cursor, SourceChangedError):
+                raise error
+            if isinstance(cursor, NetworkError):
+                return "network", cursor
+        truncated = isinstance(error, TruncatedError) or isinstance(
+            getattr(error, "__cause__", None), TruncatedError
+        )
+        return ("truncated" if truncated else "corrupt"), error
+
+    def resync(self, error, file_reader, start_bit: int,
+               output_offset: int):
+        """Absorb a failed decode at ``start_bit``, where nothing says where
+        the chunk ends: the :class:`ResyncSegment` decodable after it, or
+        ``None`` when the rest of the file is lost. An unreachable range
+        is not searched — every candidate would hit the same dead origin.
+        """
+        kind, cause = self.classify(error)
+        segment = None
+        if kind != "network":
+            with self._recorder.span("reader.resync", start_bit=start_bit):
+                segment = resync_after_damage(
+                    file_reader, start_bit + 1,
+                    placeholder=self.report.placeholder,
+                )
+        if segment is None:
+            self._record(
+                kind, start_bit, output_offset=output_offset,
+                skipped_bits=max(file_reader.size() * 8 - start_bit, 0),
+                detail=str(cause),
+            )
+            return None
+        self._record(
+            kind, start_bit, resume_bit=segment.start_bit,
+            output_offset=output_offset,
+            skipped_bits=segment.start_bit - start_bit,
+            recovered_bytes=len(segment.data),
+            unresolved_markers=segment.unresolved, detail=str(cause),
+        )
+        return segment
+
+    def fill(self, error, record) -> bytes:
+        """Absorb a failed decode of a chunk of known extent (an index,
+        catalog or BGZF chunk): exactly its bytes become placeholders."""
+        kind, _cause = self.classify(error)
+        self._record(
+            kind, record.start_bit, resume_bit=record.end_bit,
+            output_offset=record.output_start,
+            skipped_bits=(record.end_bit or record.start_bit)
+            - record.start_bit,
+            unresolved_markers=record.length, detail=str(error),
+        )
+        return bytes([self.report.placeholder]) * record.length
+
+    def integrity(self, message: str, record) -> None:
+        """A CRC-32/ISIZE mismatch in ``record``'s chunk: strict raises;
+        tolerant keeps the data and records the mismatch."""
+        if not self.tolerate:
+            raise IntegrityError(message)
+        self._record(
+            "integrity", record.start_bit, resume_bit=record.end_bit,
+            output_offset=record.output_start, detail=message,
+        )
+
+    def index_rejected(self, error) -> None:
+        """A cached index failed its checks (either mode)."""
+        self._record("index", 0, detail=f"cached index rejected: {error}")
+
+    def _record(self, kind: str, start_bit: int, **fields) -> None:
+        region = DamagedRegion(kind=kind, start_bit=start_bit, **fields)
+        self.report.regions.append(region)
+        self._recorder.instant(
+            "reader.damage", kind=kind, start_bit=start_bit,
+            resume_bit=region.resume_bit,
+            unresolved=region.unresolved_markers,
+        )

@@ -120,7 +120,7 @@ def recover_gzip(source, *, placeholder: int = 0x3F, max_segments: int = 1024):
     except FormatError:
         position = 0
 
-    finder = CombinedBlockFinder(file_reader.clone())
+    finder = CombinedBlockFinder(file_reader)
     while position < size_bits and len(report.segments) < max_segments:
         candidate = finder.find_next(position)
         if candidate is None:

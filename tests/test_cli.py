@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.datagen import generate_base64
 
 DATA = generate_base64(150_000, seed=8)
@@ -232,6 +232,24 @@ class TestRecover:
         assert len(recovered) > len(DATA) // 2
         assert "recovered" in capsys.readouterr().err
 
+
+class TestDefaults:
+    def test_parallelization_respects_cpu_affinity(self, monkeypatch):
+        import os
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert build_parser().parse_args(["x.gz"]).parallelization == 1
+
+    def test_defaults_come_from_the_library(self):
+        from repro.io.remote import RemoteReaderOptions
+        from repro.reader import DEFAULT_CHUNK_SIZE
+
+        arguments = build_parser().parse_args(["x.gz"])
+        assert arguments.chunk_size * 1024 == DEFAULT_CHUNK_SIZE
+        assert arguments.net_retries == RemoteReaderOptions.retries
+        assert arguments.net_timeout == RemoteReaderOptions.deadline
+        assert arguments.net_block_size * 1024 == RemoteReaderOptions.block_size
 
 def test_version(capsys):
     with pytest.raises(SystemExit) as excinfo:

@@ -24,7 +24,7 @@ from repro.datagen import generate_base64, generate_fastq, generate_silesia_like
 from repro.fetcher import GzipChunkFetcher
 from repro.gz.header import parse_gzip_header
 from repro.io import BitReader
-from repro.reader import ParallelGzipReader
+from repro.reader import ParallelGzipReader, ReaderOptions
 
 SIZE = 448 * 1024
 
@@ -127,8 +127,10 @@ class TestQueuedTask:
 
     def fetcher(self, blob=None, **options):
         return GzipChunkFetcher(
-            self.BLOB if blob is None else blob, parallelization=1,
-            chunk_size=self.CHUNK, strategy=NoPrefetch(), **options,
+            self.BLOB if blob is None else blob, ReaderOptions(
+                parallelization=1, chunk_size=self.CHUNK,
+                strategy=NoPrefetch(), **options,
+            ),
         )
 
     def test_recorded_cell_decodes_exactly_at_its_start(self):
@@ -169,8 +171,10 @@ class TestQueuedTask:
         # FetchNextFixed wishes the next two cells; the second lies within
         # the chain's reach and unrecorded, so it is left to the chain.
         with GzipChunkFetcher(
-            self.BLOB, parallelization=2, chunk_size=self.CHUNK,
-            strategy=FetchNextFixed(),
+            self.BLOB, ReaderOptions(
+                parallelization=2, chunk_size=self.CHUNK,
+                strategy=FetchNextFixed(),
+            ),
         ) as fetcher:
             first = fetcher.request(deflate_start(self.BLOB), b"")
             cell = fetcher.chunk_id_for_bit(first.end_bit)

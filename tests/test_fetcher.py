@@ -11,7 +11,6 @@ from repro.fetcher import (
     ChunkChain,
     ChunkRecord,
     ChunkTaskSpec,
-    DEFAULT_CHUNK_SIZE,
     GzipChunkFetcher,
     decode_chunk_range,
     shift_to_byte_alignment,
@@ -20,6 +19,7 @@ from repro.fetcher import (
 from repro.fetcher.tasks import execute_chunk_task, run_chunk_task
 from repro.gz.writer import compress as gz_compress
 from repro.io import BitReader, MemoryFileReader
+from repro.reader import ReaderOptions
 from repro.telemetry import Telemetry
 from repro.gz.header import parse_gzip_header
 
@@ -169,7 +169,7 @@ class TestGzipChunkFetcher:
     def make(self, backend, **kwargs):
         kwargs.setdefault("parallelization", 2)
         kwargs.setdefault("chunk_size", 32 * 1024)
-        fetcher = GzipChunkFetcher(BLOB, **kwargs)
+        fetcher = GzipChunkFetcher(BLOB, ReaderOptions(**kwargs))
         assert fetcher.backend == backend
         return fetcher
 
@@ -213,7 +213,8 @@ class TestGzipChunkFetcher:
         noise = ascii_data(300_000, seed=5)
         blob = gz_compress(noise, "gzip", level=0)
         fetcher = GzipChunkFetcher(
-            blob, parallelization=3, chunk_size=32 * 1024, detect_bgzf=False,
+            blob, ReaderOptions(parallelization=3, chunk_size=32 * 1024),
+            detect_bgzf=False,
         )
         try:
             start = deflate_start(blob)
@@ -233,9 +234,9 @@ class TestGzipChunkFetcher:
 
     def test_invalid_configuration(self, backend):
         with pytest.raises(UsageError):
-            GzipChunkFetcher(BLOB, parallelization=0)
+            ReaderOptions(parallelization=0)
         with pytest.raises(UsageError):
-            GzipChunkFetcher(BLOB, chunk_size=10)
+            ReaderOptions(chunk_size=10)
 
     def test_chunk_id_mapping_search_mode(self, backend):
         with self.make(backend) as fetcher:
@@ -249,7 +250,9 @@ class TestChunkTask:
     def test_unknown_mode_rejected(self):
         spec = ChunkTaskSpec(mode="warp", chunk_id=0)
         with pytest.raises(UsageError):
-            run_chunk_task(spec, MemoryFileReader(b""), Telemetry())
+            run_chunk_task(
+                spec, MemoryFileReader(b""), Telemetry(), ReaderOptions()
+            )
 
     def test_process_entry_point_is_a_tombstone(self):
         with pytest.raises(UsageError, match="process backend was removed"):

@@ -339,6 +339,60 @@ class TestEdgeCases:
         assert stats["mode"] == "search"
 
 
+
+def _open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+)
+class TestResourceRelease:
+    """Readers share one file handle: an open, a block search or a failed
+    open leaves no descriptor or temp directory behind."""
+
+    def test_open_read_close_leaves_no_descriptor(self, tmp_path):
+        # P=4 wishes cells past the chain's reach, so the reads search.
+        from repro.datagen import generate_base64
+
+        data = generate_base64(1_000_000, seed=3)
+        path = tmp_path / "search.gz"
+        path.write_bytes(stdlib_gzip.compress(data, 6))
+        baseline = _open_descriptors()
+        for _ in range(3):
+            with ParallelGzipReader(
+                str(path), parallelization=4, chunk_size=32 * 1024
+            ) as reader:
+                assert reader.read() == data
+            searches = reader.statistics()["encoding"]["blockfinder_searches"]
+            assert searches > 0
+        assert _open_descriptors() == baseline
+
+    def test_invalid_setting_opens_nothing(self, tmp_path):
+        path = tmp_path / "data.gz"
+        path.write_bytes(stdlib_gzip.compress(TEXT[:10_000]))
+        baseline = _open_descriptors()
+        with pytest.raises(UsageError):
+            ParallelGzipReader(str(path), chunk_size=10)
+        assert _open_descriptors() == baseline
+
+    def test_failed_open_releases_source_and_spill(self, tmp_path,
+                                                   monkeypatch):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        path = tmp_path / "garbage.gz"
+        path.write_bytes(b"this is not gzip data at all" * 100)
+        baseline = _open_descriptors()
+        with pytest.raises(FormatError):
+            ParallelGzipReader(b"garbage, not gzip", max_memory="64MiB")
+        with pytest.raises(FormatError):
+            ParallelGzipReader(str(path), spill_dir=None, max_memory="64MiB")
+        assert _open_descriptors() == baseline
+        assert sorted(entry.name for entry in tmp_path.iterdir()) == [
+            "garbage.gz"
+        ]
+
 @settings(max_examples=15, deadline=None)
 @given(
     seed=st.integers(0, 10_000),

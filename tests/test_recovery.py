@@ -73,3 +73,101 @@ class TestRecovery:
         blob[100:400] = bytes(300)  # damage inside the first member
         report = recover_gzip(bytes(blob))
         assert report.data()[-50_000:] == second[-50_000:]
+
+
+class TestDamagePolicy:
+    """One place turns an error into a strict raise or a tolerant region."""
+
+    def policy(self, tolerate=True):
+        from repro.recovery import DamagePolicy
+        from repro.telemetry import Telemetry
+
+        self.telemetry = Telemetry(trace=True)
+        return DamagePolicy(tolerate, self.telemetry.recorder)
+
+    def chained(self, outer, cause):
+        try:
+            try:
+                raise cause
+            except Exception as inner:
+                raise outer from inner
+        except Exception as error:
+            return error
+
+    def record(self):
+        from repro.fetcher import ChunkRecord
+
+        return ChunkRecord(800, 100, 150, 1600, b"", False)
+
+    def test_strict_raises_what_it_is_given(self):
+        from repro.errors import ChunkDecodeError, IntegrityError
+
+        policy = self.policy(tolerate=False)
+        error = ChunkDecodeError("broken")
+        with pytest.raises(ChunkDecodeError) as info:
+            policy.fill(error, self.record())
+        assert info.value is error
+        with pytest.raises(IntegrityError, match="CRC"):
+            policy.integrity("CRC-32 mismatch", self.record())
+        assert policy.report.regions == []
+
+    def test_classification(self):
+        from repro.errors import (
+            ChunkDecodeError,
+            FormatError,
+            NetworkError,
+            TruncatedError,
+        )
+
+        policy = self.policy()
+        network = NetworkError("dead range")
+        assert policy.classify(
+            self.chained(ChunkDecodeError("x"), network)
+        ) == ("network", network)
+        truncated = self.chained(ChunkDecodeError("x"), TruncatedError("eof"))
+        assert policy.classify(truncated) == ("truncated", truncated)
+        bare = TruncatedError("eof")
+        assert policy.classify(bare) == ("truncated", bare)
+        corrupt = self.chained(ChunkDecodeError("x"), FormatError("bad"))
+        assert policy.classify(corrupt) == ("corrupt", corrupt)
+
+    def test_source_change_is_never_absorbed(self):
+        from repro.errors import ChunkDecodeError, SourceChangedError
+
+        policy = self.policy()
+        error = self.chained(ChunkDecodeError("x"), SourceChangedError("new"))
+        with pytest.raises(ChunkDecodeError):
+            policy.fill(error, self.record())
+        assert policy.report.regions == []
+
+    def test_regions_and_one_instant_each(self):
+        from repro.errors import ChunkDecodeError, IndexIntegrityError
+        from repro.recovery import DamagedRegion
+
+        policy = self.policy()
+        record = self.record()
+        filled = policy.fill(ChunkDecodeError("gone"), record)
+        assert filled == b"?" * 50
+        policy.integrity("ISIZE mismatch", record)
+        policy.index_rejected(IndexIntegrityError("stale", check="footer"))
+        assert policy.report.regions == [
+            DamagedRegion("corrupt", 800, resume_bit=1600, output_offset=100,
+                          skipped_bits=800, unresolved_markers=50,
+                          detail="gone"),
+            DamagedRegion("integrity", 800, resume_bit=1600,
+                          output_offset=100, detail="ISIZE mismatch"),
+            DamagedRegion("index", 0,
+                          detail="cached index rejected: [footer] stale"),
+        ]
+        instants = [
+            event["args"]["kind"] for event in self.telemetry.recorder.events()
+            if event["name"] == "reader.damage"
+        ]
+        assert instants == ["corrupt", "integrity", "index"]
+
+    def test_index_rejection_is_recorded_in_strict_mode(self):
+        from repro.errors import IndexIntegrityError
+
+        policy = self.policy(tolerate=False)
+        policy.index_rejected(IndexIntegrityError("torn", check="truncated"))
+        assert [region.kind for region in policy.report.regions] == ["index"]

@@ -25,10 +25,11 @@ from repro.datagen import (
 from repro.errors import FormatError
 from repro.faults import flip_bytes
 from repro.fetcher import decode as decode_module
-from repro.fetcher import decode_index_chunk, gzip_chunk_fetcher
+from repro.fetcher import decode_index_chunk
 from repro.index import load_index
 from repro.io import ensure_file_reader
 from repro.reader import ParallelGzipReader
+from repro.reader import options as reader_options
 
 CHUNK = 16 * 1024
 SIZE = 448 * 1024
@@ -105,7 +106,7 @@ def test_rereads_are_delegated_and_identical(corpus, backend, budget,
         # The floor keeps ordinary chunks whole; lowered, this budget
         # splits every chunk that decompresses to more than 64 KiB. A
         # budget this tight makes mandatory decodes overcommit.
-        monkeypatch.setattr(gzip_chunk_fetcher, "MIN_SPLIT_OUTPUT", 32 * 1024)
+        monkeypatch.setattr(reader_options, "MIN_SPLIT_OUTPUT", 32 * 1024)
         options = {"max_memory": budget, "spill_dir": str(tmp_path)}
     rng = random.Random(11)
     with ParallelGzipReader(
