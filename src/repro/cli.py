@@ -34,7 +34,7 @@ from .errors import (
     cause_chain,
     exit_code_for,
 )
-from .io.remote import RemoteReaderOptions
+from .io.options import RemoteReaderOptions
 from .pool import available_cores
 from .reader.options import DEFAULT_CHUNK_SIZE
 

@@ -9,17 +9,7 @@ from .file_reader import (
     StandardFileReader,
     ensure_file_reader,
 )
-from .remote import (
-    BlockCacheFileReader,
-    CircuitBreaker,
-    HttpRangeFileReader,
-    RemoteReaderOptions,
-    ResilientFileReader,
-    is_remote_url,
-    open_remote,
-    reader_from_options,
-)
-from .shared_file_reader import SharedFileReader, strided_read_benchmark
+from .options import RemoteReaderOptions, is_remote_url
 
 __all__ = [
     "BitReader",
@@ -39,3 +29,24 @@ __all__ = [
     "reader_from_options",
     "strided_read_benchmark",
 ]
+
+_LAZY = {
+    "BlockCacheFileReader": "remote",
+    "CircuitBreaker": "remote",
+    "HttpRangeFileReader": "remote",
+    "ResilientFileReader": "remote",
+    "open_remote": "remote",
+    "reader_from_options": "remote",
+    "SharedFileReader": "shared_file_reader",
+    "strided_read_benchmark": "shared_file_reader",
+}
+
+
+def __getattr__(name):
+    # Lazy: the HTTP stack (http.client) and the thread-pool benchmark
+    # load on first use, so importing the package stays cheap.
+    if name in _LAZY:
+        from importlib import import_module
+
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -239,10 +239,6 @@ class BitReader:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def clone(self) -> "BitReader":
-        """Independent reader over the same data, positioned at bit 0."""
-        return BitReader(self._reader.clone(), self._cache_size)
-
     def close(self) -> None:
         self._reader.close()
 

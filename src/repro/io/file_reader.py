@@ -3,8 +3,9 @@
 The paper (§3, Fig. 5) abstracts file access so the decompressor can read
 from regular files *and* from Python file-like objects — rapidgzip uses this
 to support recursive access to gzip-compressed gzip files. All readers are
-byte-oriented, seekable, and cheaply cloneable so that every decompression
-thread can own an independent read position over the same underlying data.
+byte-oriented and seekable, and their positionless ``pread`` is safe from
+many threads at once: every decompression thread reads through the one
+shared reader, as rapidgzip's ``SharedFileReader`` does (paper §4.2).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import threading
 from abc import ABC, abstractmethod
 
 from ..errors import UsageError
+from .options import is_remote_url
 
 __all__ = [
     "FileReader",
@@ -34,8 +36,6 @@ class FileReader(ABC):
       ``read(-1)`` reads to EOF.
     * ``pread(offset, size)`` reads without touching the cursor and must be
       safe to call from multiple threads concurrently.
-    * ``clone()`` returns an independent reader over the same data with its
-      own cursor positioned at 0.
     """
 
     def __init__(self) -> None:
@@ -50,10 +50,6 @@ class FileReader(ABC):
     @abstractmethod
     def pread(self, offset: int, size: int) -> bytes:
         """Thread-safe positional read of up to ``size`` bytes at ``offset``."""
-
-    @abstractmethod
-    def clone(self) -> "FileReader":
-        """Independent reader over the same data, cursor at 0."""
 
     # -- cursor-based API ----------------------------------------------------
 
@@ -122,9 +118,6 @@ class MemoryFileReader(FileReader):
             return b""
         return self._data[offset : offset + size]
 
-    def clone(self) -> "MemoryFileReader":
-        return MemoryFileReader(self._data)
-
     def view(self) -> memoryview:
         """Zero-copy view of the whole buffer (used by the bit reader)."""
         return memoryview(self._data)
@@ -174,10 +167,15 @@ class StandardFileReader(FileReader):
         return b"".join(pieces)
 
     def clone(self) -> "StandardFileReader":
-        # Duplicate the descriptor instead of reopening by path: if the
-        # path was replaced since open (atomic re-export, log rotation),
-        # a path-based clone would silently read a *different* file
-        # mid-decode. dup() stays bound to the original inode.
+        """A second reader on a duplicate of this descriptor.
+
+        Not part of the :class:`FileReader` contract: threads share one
+        reader through ``pread``. It stays for the end-to-end benchmark's
+        layer replay, which times single layers through readers of their
+        own. Duplicating the descriptor instead of reopening by path
+        keeps the clone bound to the original inode even if the path was
+        replaced since open (atomic re-export, log rotation).
+        """
         self._check_open()
         return StandardFileReader(self._path, _fd=os.dup(self._fd))
 
@@ -192,22 +190,17 @@ class PythonFileReader(FileReader):
 
     The wrapped object only needs ``read`` and ``seek``/``tell``. Because
     file-like objects have a single shared cursor, positional reads are
-    serialized with a lock; ``clone`` shares the same underlying object, so
-    clones remain thread-safe but do not add I/O parallelism.
+    serialized with a lock: thread-safe, but without I/O parallelism.
     """
 
-    def __init__(self, fileobj, *, _shared_state=None) -> None:
+    def __init__(self, fileobj) -> None:
         super().__init__()
         if not hasattr(fileobj, "read") or not hasattr(fileobj, "seek"):
             raise UsageError("file-like object must support read() and seek()")
-        if _shared_state is None:
-            lock = threading.Lock()
-            with lock:
-                fileobj.seek(0, io.SEEK_END)
-                size = fileobj.tell()
-            _shared_state = (lock, size)
         self._fileobj = fileobj
-        self._lock, self._size = _shared_state
+        self._lock = threading.Lock()
+        fileobj.seek(0, io.SEEK_END)
+        self._size = fileobj.tell()
         self._position = 0
 
     def size(self) -> int:
@@ -220,11 +213,6 @@ class PythonFileReader(FileReader):
         with self._lock:
             self._fileobj.seek(offset)
             return self._fileobj.read(size)
-
-    def clone(self) -> "PythonFileReader":
-        return PythonFileReader(
-            self._fileobj, _shared_state=(self._lock, self._size)
-        )
 
     def close(self) -> None:
         # The caller owns the wrapped object's lifetime; do not close it here.
@@ -242,8 +230,8 @@ def ensure_file_reader(source) -> FileReader:
         return source
     if isinstance(source, (bytes, bytearray, memoryview)):
         return MemoryFileReader(source)
-    if isinstance(source, str) and source.startswith(("http://", "https://")):
-        from .remote import open_remote  # local import: avoids a cycle
+    if is_remote_url(source):
+        from .remote import open_remote  # local import: loads http.client
 
         return open_remote(source)
     if isinstance(source, (str, os.PathLike)):

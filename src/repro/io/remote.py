@@ -11,12 +11,12 @@ I/O failure a *recoverable event* instead of an unhandled exception:
 * :class:`HttpRangeFileReader` — stdlib ``http.client`` over persistent
   connections, ``Range:`` requests, HEAD/first-GET size discovery, and
   ETag/``Last-Modified`` capture. ``pread`` is thread-safe through a
-  small connection pool; ``clone()`` shares the pool and the discovered
-  metadata so per-worker readers cost nothing extra.
+  small pool of idle connections, so every worker thread reads through
+  the one reader.
 * :class:`BlockCacheFileReader` — a read-coalescing aligned-block cache
-  (``repro.cache`` LRU, optional :class:`MemoryGovernor` accounting)
-  between the fetcher and the wire, so the block finder's bit-level
-  probing does not issue thousands of tiny range requests.
+  (``repro.cache`` LRU) between the fetcher and the wire, so the block
+  finder's bit-level probing does not issue thousands of tiny range
+  requests.
 * :class:`ResilientFileReader` — a source-agnostic decorator adding a
   bounded retry ladder with exponential backoff + decorrelated jitter
   (deterministic when seeded), a per-read deadline covering all
@@ -25,10 +25,12 @@ I/O failure a *recoverable event* instead of an unhandled exception:
   every worker. Source changes (:class:`SourceChangedError`) are never
   retried — mixing object generations would be silent garbage.
 
-:func:`open_remote` assembles the stack; ``ensure_file_reader`` calls
-it for ``http(s)://`` strings. Worker threads share one reader (and
-clones share its connection pool), so they share the captured size/ETag
-and a mid-decode origin swap is detected whichever thread meets it.
+:func:`open_remote` assembles the stack from one
+:class:`~repro.io.options.RemoteReaderOptions`, which every layer reads;
+``ensure_file_reader`` calls it for ``http(s)://`` strings. Worker threads
+share the one stack, so they share its breaker, its block cache and the
+captured size/ETag, and a mid-decode origin swap is detected whichever
+thread meets it.
 
 Failure semantics end-to-end: exhausted retries surface as
 :class:`NetworkError` (CLI exit code 9); under
@@ -46,11 +48,11 @@ import threading
 import time
 import urllib.parse
 from collections import deque
-from dataclasses import dataclass
 
 from .. import faults
-from ..errors import NetworkError, SourceChangedError, UsageError
+from ..errors import NetworkError, SourceChangedError
 from .file_reader import FileReader
+from .options import RemoteReaderOptions
 
 __all__ = [
     "BlockCacheFileReader",
@@ -59,66 +61,11 @@ __all__ = [
     "NetworkStats",
     "RemoteReaderOptions",
     "ResilientFileReader",
-    "is_remote_url",
     "open_remote",
     "reader_from_options",
 ]
 
-#: Default aligned wire-block size (one HTTP range request per block).
-DEFAULT_BLOCK_SIZE = 1024 * 1024
-#: Default number of wire blocks kept in the coalescing cache.
-DEFAULT_CACHE_BLOCKS = 32
-
 _CIRCUIT_CODES = {"closed": 0, "half-open": 1, "open": 2}
-
-
-def is_remote_url(source) -> bool:
-    """True for strings ``ensure_file_reader`` should open over HTTP."""
-    return isinstance(source, str) and source.startswith(
-        ("http://", "https://")
-    )
-
-
-@dataclass(frozen=True)
-class RemoteReaderOptions:
-    """Everything needed to build a resilient remote reader stack.
-
-    ``timeout`` bounds one socket operation (one attempt); ``deadline``
-    bounds one ``pread`` including every retry and backoff sleep.
-    ``expected_size``/``expected_etag``/``expected_last_modified`` bind
-    the reader to a known generation of the object — a different one at
-    the origin raises :class:`SourceChangedError` instead of mixing bytes.
-    ``jitter_seed`` makes the backoff sequence deterministic for tests.
-    """
-
-    url: str
-    block_size: int = DEFAULT_BLOCK_SIZE
-    cache_blocks: int = DEFAULT_CACHE_BLOCKS
-    timeout: float = 10.0
-    deadline: float = 30.0
-    retries: int = 4
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-    breaker_threshold: int = 5
-    breaker_cooldown: float = 1.0
-    pool_size: int = 4
-    jitter_seed: int = None
-    expected_size: int = None
-    expected_etag: str = None
-    expected_last_modified: str = None
-
-    def validate(self) -> "RemoteReaderOptions":
-        if not is_remote_url(self.url):
-            raise UsageError(f"not an http(s) URL: {self.url!r}")
-        if self.block_size < 1:
-            raise UsageError("block_size must be at least 1 byte")
-        if self.retries < 0:
-            raise UsageError("retries cannot be negative")
-        if self.timeout is not None and self.timeout <= 0:
-            raise UsageError("timeout must be positive")
-        if self.deadline is not None and self.deadline <= 0:
-            raise UsageError("deadline must be positive")
-        return self
 
 
 class NetworkStats:
@@ -180,10 +127,9 @@ class CircuitBreaker:
     closes the breaker, its failure re-opens it for another cooldown.
     """
 
-    def __init__(self, threshold: int = 5, cooldown: float = 1.0,
-                 stats: NetworkStats = None) -> None:
-        self.threshold = max(int(threshold), 1)
-        self.cooldown = cooldown
+    def __init__(self, options: RemoteReaderOptions,
+                 stats: NetworkStats) -> None:
+        self._options = options
         self._stats = stats
         self._lock = threading.Lock()
         self._state = "closed"
@@ -237,76 +183,16 @@ class CircuitBreaker:
             was_probe = self._state == "half-open" and self._probing
             self._probing = False
             if was_probe or (
-                self._state == "closed" and self._failures >= self.threshold
+                self._state == "closed"
+                and self._failures >= self._options.breaker_threshold
             ):
                 self._state = "open"
-                self._open_until = time.monotonic() + self.cooldown
+                self._open_until = (
+                    time.monotonic() + self._options.breaker_cooldown
+                )
                 opened = True
-        if opened and self._stats is not None:
+        if opened:
             self._stats.count("breaker_opens")
-
-
-class _HttpPool:
-    """Refcounted shared state behind every clone of one HTTP reader:
-    the parsed origin, a small pool of persistent connections, and the
-    metadata (size, ETag, Last-Modified) discovered on first contact."""
-
-    def __init__(self, url: str, *, timeout: float, pool_size: int,
-                 stats: NetworkStats) -> None:
-        parts = urllib.parse.urlsplit(url)
-        if parts.scheme not in ("http", "https"):
-            raise UsageError(f"unsupported URL scheme {parts.scheme!r}")
-        if not parts.netloc:
-            raise UsageError(f"URL has no host: {url!r}")
-        self.url = url
-        self.scheme = parts.scheme
-        self.netloc = parts.netloc
-        self.target = urllib.parse.urlunsplit(
-            ("", "", parts.path or "/", parts.query, "")
-        )
-        self.timeout = timeout
-        self.pool_size = max(int(pool_size), 1)
-        self.stats = stats
-        self.lock = threading.Lock()
-        self.idle: list = []
-        self.refs = 1
-        self.size = None
-        self.etag = None
-        self.last_modified = None
-
-    def connect(self) -> http.client.HTTPConnection:
-        factory = (
-            http.client.HTTPSConnection
-            if self.scheme == "https" else http.client.HTTPConnection
-        )
-        return factory(self.netloc, timeout=self.timeout)
-
-    def checkout(self) -> http.client.HTTPConnection:
-        with self.lock:
-            if self.idle:
-                return self.idle.pop()
-        return self.connect()
-
-    def checkin(self, connection) -> None:
-        with self.lock:
-            if len(self.idle) < self.pool_size:
-                self.idle.append(connection)
-                return
-        connection.close()
-
-    def retain(self) -> "_HttpPool":
-        with self.lock:
-            self.refs += 1
-        return self
-
-    def release(self) -> None:
-        with self.lock:
-            self.refs -= 1
-            if self.refs > 0:
-                return
-            idle, self.idle = self.idle, []
-        for connection in idle:
-            connection.close()
 
 
 class HttpRangeFileReader(FileReader):
@@ -322,43 +208,51 @@ class HttpRangeFileReader(FileReader):
     :class:`NetworkError` for the resilience layer above to retry.
     """
 
-    def __init__(self, url: str, *, timeout: float = 10.0,
-                 pool_size: int = 4, expected_size: int = None,
-                 expected_etag: str = None,
-                 expected_last_modified: str = None,
-                 stats: NetworkStats = None, _pool: _HttpPool = None) -> None:
+    def __init__(self, options: RemoteReaderOptions,
+                 stats: NetworkStats) -> None:
         super().__init__()
-        self._stats = stats if stats is not None else NetworkStats()
-        if _pool is not None:
-            self._pool = _pool.retain()
-        else:
-            self._pool = _HttpPool(
-                url, timeout=timeout, pool_size=pool_size, stats=self._stats
-            )
-            self._pool.size = expected_size
-            self._pool.etag = expected_etag
-            self._pool.last_modified = expected_last_modified
+        parts = urllib.parse.urlsplit(options.url)
+        self.url = options.url
+        self._options = options
+        self._stats = stats
+        self._connection_class = (
+            http.client.HTTPSConnection if parts.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._netloc = parts.netloc
+        self._target = urllib.parse.urlunsplit(
+            ("", "", parts.path or "/", parts.query, "")
+        )
+        self._lock = threading.Lock()
+        self._idle: list = []  # persistent connections between requests
+        # Discovered on first contact unless the options bind them.
+        self._size = options.expected_size
+        self.etag = options.expected_etag
+        self.last_modified = options.expected_last_modified
         self._position = 0
 
-    @property
-    def url(self) -> str:
-        return self._pool.url
+    def _checkout(self) -> http.client.HTTPConnection:
+        with self._lock:
+            if self._idle:
+                return self._idle.pop()
+        return self._connection_class(
+            self._netloc, timeout=self._options.timeout
+        )
 
-    @property
-    def etag(self):
-        return self._pool.etag
-
-    @property
-    def last_modified(self):
-        return self._pool.last_modified
+    def _checkin(self, connection) -> None:
+        with self._lock:
+            if not self._closed and len(self._idle) < self._options.pool_size:
+                self._idle.append(connection)
+                return
+        connection.close()
 
     # -- metadata discovery --------------------------------------------------
 
     def size(self) -> int:
         self._check_open()
-        if self._pool.size is None:
+        if self._size is None:
             self._discover_metadata()
-        return self._pool.size
+        return self._size
 
     def _discover_metadata(self) -> None:
         try:
@@ -367,7 +261,7 @@ class HttpRangeFileReader(FileReader):
             # Some servers refuse HEAD (405/501) — a 1-byte ranged GET
             # discovers the total through Content-Range instead.
             self.pread(0, 1)
-        if self._pool.size is None:
+        if self._size is None:
             raise NetworkError(
                 f"could not discover the size of {self.url}",
                 url=self.url,
@@ -375,9 +269,9 @@ class HttpRangeFileReader(FileReader):
 
     def _head(self) -> None:
         started = time.perf_counter()
-        connection = self._pool.checkout()
+        connection = self._checkout()
         try:
-            connection.request("HEAD", self._pool.target)
+            connection.request("HEAD", self._target)
             response = connection.getresponse()
             response.read()
         except (OSError, http.client.HTTPException) as error:
@@ -391,7 +285,7 @@ class HttpRangeFileReader(FileReader):
             status=response.status,
         )
         if response.status != 200:
-            self._pool.checkin(connection)
+            self._checkin(connection)
             raise NetworkError(
                 f"HEAD {self.url} returned {response.status}",
                 url=self.url,
@@ -400,27 +294,26 @@ class HttpRangeFileReader(FileReader):
         self._adopt_validators(response)
         if length is not None:
             self._bind_size(int(length))
-        self._pool.checkin(connection)
+        self._checkin(connection)
 
     def _adopt_validators(self, response) -> None:
         """Capture (or verify) the origin's change validators."""
         etag = response.getheader("ETag")
         modified = response.getheader("Last-Modified")
-        pool = self._pool
-        with pool.lock:
+        with self._lock:
             changed = []
             if etag is not None:
-                if pool.etag is not None and pool.etag != etag:
-                    changed.append(f"ETag {pool.etag!r} -> {etag!r}")
-                pool.etag = pool.etag or etag
+                if self.etag is not None and self.etag != etag:
+                    changed.append(f"ETag {self.etag!r} -> {etag!r}")
+                self.etag = self.etag or etag
             if modified is not None:
-                if (pool.last_modified is not None
-                        and pool.last_modified != modified):
+                if (self.last_modified is not None
+                        and self.last_modified != modified):
                     changed.append(
-                        f"Last-Modified {pool.last_modified!r} -> "
+                        f"Last-Modified {self.last_modified!r} -> "
                         f"{modified!r}"
                     )
-                pool.last_modified = pool.last_modified or modified
+                self.last_modified = self.last_modified or modified
         if changed:
             self._stats.count("source_changes")
             raise SourceChangedError(
@@ -429,12 +322,11 @@ class HttpRangeFileReader(FileReader):
             )
 
     def _bind_size(self, total: int) -> None:
-        pool = self._pool
-        with pool.lock:
-            if pool.size is not None and pool.size != total:
-                mismatch = (pool.size, total)
+        with self._lock:
+            if self._size is not None and self._size != total:
+                mismatch = (self._size, total)
             else:
-                pool.size = total
+                self._size = total
                 return
         self._stats.count("source_changes")
         raise SourceChangedError(
@@ -449,16 +341,16 @@ class HttpRangeFileReader(FileReader):
         self._check_open()
         if size <= 0 or offset < 0:
             return b""
-        known = self._pool.size
+        known = self._size
         if known is not None:
             if offset >= known:
                 return b""
             size = min(size, known - offset)
         started = time.perf_counter()
-        connection = self._pool.checkout()
+        connection = self._checkout()
         try:
             connection.request(
-                "GET", self._pool.target,
+                "GET", self._target,
                 headers={"Range": f"bytes={offset}-{offset + size - 1}"},
             )
             response = connection.getresponse()
@@ -487,10 +379,10 @@ class HttpRangeFileReader(FileReader):
             status=status,
         )
         if status == 416:  # requested range not satisfiable: past EOF
-            self._pool.checkin(connection)
+            self._checkin(connection)
             return b""
         if status not in (200, 206):
-            self._pool.checkin(connection)
+            self._checkin(connection)
             raise NetworkError(
                 f"range read [{offset}, {offset + size}) of {self.url} "
                 f"returned HTTP {status}",
@@ -505,11 +397,11 @@ class HttpRangeFileReader(FileReader):
         else:  # the origin ignored Range: it sent the whole object
             self._bind_size(len(body))
             data = body[offset : offset + size]
-        self._pool.checkin(connection)
+        self._checkin(connection)
         self._stats.count("wire_bytes", len(body))
         expected = size
-        if self._pool.size is not None:
-            expected = max(min(size, self._pool.size - offset), 0)
+        if self._size is not None:
+            expected = max(min(size, self._size - offset), 0)
         if len(data) < expected:
             raise NetworkError(
                 f"short read: got {len(data)} of {expected} bytes at "
@@ -519,15 +411,12 @@ class HttpRangeFileReader(FileReader):
             )
         return data[:size]
 
-    def clone(self) -> "HttpRangeFileReader":
-        return HttpRangeFileReader(
-            self._pool.url, stats=self._stats, _pool=self._pool
-        )
-
     def close(self) -> None:
-        if not self._closed:
-            self._pool.release()
-        super().close()
+        with self._lock:
+            super().close()
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
 
 
 def _content_range_total(header):
@@ -550,58 +439,29 @@ class BlockCacheFileReader(FileReader):
     range request, and a read spanning several cold blocks coalesces
     the contiguous misses into a single range request. Concurrent
     misses of the same block are deduplicated with per-block in-flight
-    locks. Clones share the cache (that is the
-    point: every worker's probing hits one pool of blocks).
-    ``attach_governor`` rebinds the cache to a reader-wide
-    :class:`MemoryGovernor` so resident wire blocks charge the same
-    budget as every other cache tier.
+    locks. Every worker thread reads through the one cache, so all of
+    their probing hits one pool of blocks.
     """
 
-    def __init__(self, base: FileReader, *, block_size: int =
-                 DEFAULT_BLOCK_SIZE, cache_blocks: int = DEFAULT_CACHE_BLOCKS,
-                 stats: NetworkStats = None, _shared: dict = None) -> None:
+    def __init__(self, base: FileReader, options: RemoteReaderOptions,
+                 stats: NetworkStats) -> None:
         super().__init__()
-        if block_size < 1:
-            raise UsageError("block_size must be at least 1 byte")
         from ..cache import LRUCache
 
         self._base = base
-        self._block_size = block_size
-        self._stats = stats if stats is not None else NetworkStats()
-        if _shared is not None:
-            self._shared = _shared
-        else:
-            self._shared = {
-                "cache": LRUCache(max(int(cache_blocks), 1), sizer=len),
-                "lock": threading.Lock(),
-                "inflight": {},
-                "cache_blocks": max(int(cache_blocks), 1),
-            }
+        self.block_size = options.block_size
+        self._stats = stats
+        self._cache = LRUCache(max(options.cache_blocks, 1), sizer=len)
+        self._lock = threading.Lock()
+        self._inflight: dict = {}  # block index -> its fetch gate
         self._position = 0
-
-    @property
-    def block_size(self) -> int:
-        return self._block_size
 
     def size(self) -> int:
         self._check_open()
         return self._base.size()
 
-    def attach_governor(self, governor, account: str = "network_cache") -> None:
-        """Swap in a budget-accounted cache (entries start fresh)."""
-        from ..cache import LRUCache
-
-        with self._shared["lock"]:
-            self._shared["cache"] = LRUCache(
-                self._shared["cache_blocks"], sizer=len,
-                governor=governor, account=account,
-                max_bytes=max(
-                    self._shared["cache_blocks"] * self._block_size, 1
-                ),
-            )
-
     def cache_snapshot(self) -> dict:
-        return self._shared["cache"].snapshot()
+        return self._cache.snapshot()
 
     def _fetch_span(self, first: int, last: int) -> dict:
         """Blocks ``first..last`` inclusive, coalescing wire round trips.
@@ -613,14 +473,14 @@ class BlockCacheFileReader(FileReader):
         deadlock); blocks fetched concurrently by another thread turn
         into cache hits on the double-check under the gates.
         """
-        cache = self._shared["cache"]
-        size = self._block_size
-        with self._shared["lock"]:
+        cache = self._cache
+        size = self.block_size
+        with self._lock:
             gates = []
             for index in range(first, last + 1):
-                gate = self._shared["inflight"].get(index)
+                gate = self._inflight.get(index)
                 if gate is None:
-                    gate = self._shared["inflight"][index] = threading.Lock()
+                    gate = self._inflight[index] = threading.Lock()
                 gates.append(gate)
         blocks = {}
         for gate in gates:
@@ -647,9 +507,9 @@ class BlockCacheFileReader(FileReader):
         finally:
             for gate in reversed(gates):
                 gate.release()
-            with self._shared["lock"]:
+            with self._lock:
                 for index in range(first, last + 1):
-                    self._shared["inflight"].pop(index, None)
+                    self._inflight.pop(index, None)
         return blocks
 
     def pread(self, offset: int, size: int) -> bytes:
@@ -660,29 +520,23 @@ class BlockCacheFileReader(FileReader):
         if offset >= total:
             return b""
         size = min(size, total - offset)
-        first = offset // self._block_size
-        last = (offset + size - 1) // self._block_size
+        first = offset // self.block_size
+        last = (offset + size - 1) // self.block_size
         blocks = self._fetch_span(first, last)
         pieces = []
         for index in range(first, last + 1):
             block = blocks[index]
-            lo = offset - index * self._block_size if index == first else 0
+            lo = offset - index * self.block_size if index == first else 0
             hi = (
-                offset + size - index * self._block_size
+                offset + size - index * self.block_size
                 if index == last else len(block)
             )
             pieces.append(block[max(lo, 0):hi])
-            if len(block) < self._block_size:
+            if len(block) < self.block_size:
                 break  # short tail block: nothing past it
         data = b"".join(pieces)
         self._stats.count("served_bytes", len(data))
         return data
-
-    def clone(self) -> "BlockCacheFileReader":
-        return BlockCacheFileReader(
-            self._base.clone(), block_size=self._block_size,
-            stats=self._stats, _shared=self._shared,
-        )
 
     def close(self) -> None:
         if not self._closed:
@@ -699,44 +553,23 @@ class ResilientFileReader(FileReader):
     per-read ``deadline``. A shared :class:`CircuitBreaker` rejects
     reads outright while the origin looks dead, and re-probes after a
     cooldown. :class:`SourceChangedError` is re-raised immediately —
-    retrying a generation mismatch cannot succeed. Clones share the
-    breaker, the jitter RNG, and the statistics, so the whole stack
-    behaves as one origin client no matter how many worker threads hold
-    clones. Every attempt passes through the ``io.pread`` fault site.
+    retrying a generation mismatch cannot succeed. Every worker thread
+    reads through the one decorator, so the whole stack behaves as one
+    origin client: one breaker, one jitter sequence, one set of
+    statistics. Every attempt passes through the ``io.pread`` fault site.
     """
 
-    def __init__(self, base: FileReader, *, options: RemoteReaderOptions =
-                 None, retries: int = 4, backoff_base: float = 0.05,
-                 backoff_cap: float = 2.0, deadline: float = 30.0,
-                 jitter_seed: int = None, breaker: CircuitBreaker = None,
-                 stats: NetworkStats = None, _rng=None,
-                 _rng_lock=None) -> None:
+    def __init__(self, base: FileReader, options: RemoteReaderOptions,
+                 stats: NetworkStats) -> None:
         super().__init__()
-        if retries < 0:
-            raise UsageError("retries cannot be negative")
         self._base = base
         self._options = options
-        self.retries = retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.deadline = deadline
-        self._stats = stats if stats is not None else NetworkStats()
-        self.breaker = (
-            breaker if breaker is not None
-            else CircuitBreaker(stats=self._stats)
-        )
-        self._rng = _rng if _rng is not None else random.Random(jitter_seed)
-        self._rng_lock = _rng_lock if _rng_lock is not None else threading.Lock()
+        self.url = options.url
+        self._stats = stats
+        self.breaker = CircuitBreaker(options, stats)
+        self._rng = random.Random(options.jitter_seed)
         self._position = 0
         self.backoff_log: list = []  # recent delays, for tests/diagnostics
-
-    # -- identity ------------------------------------------------------------
-
-    @property
-    def url(self):
-        return getattr(self._base, "url", None) or (
-            self._options.url if self._options is not None else None
-        )
 
     # -- telemetry -----------------------------------------------------------
 
@@ -747,12 +580,6 @@ class ResilientFileReader(FileReader):
         telemetry.metrics.probe(
             "net.circuit_state", lambda: self.breaker.state_code
         )
-
-    def attach_governor(self, governor) -> None:
-        base = self._base
-        hook = getattr(base, "attach_governor", None)
-        if hook is not None:
-            hook(governor)
 
     def network_statistics(self) -> dict:
         """Plain-dict wire/resilience snapshot for ``statistics()``."""
@@ -790,21 +617,17 @@ class ResilientFileReader(FileReader):
             self.pread(0, 1)
             return self._base.size()
 
-    def _next_delay(self, previous: float) -> float:
-        with self._rng_lock:
-            delay = self._rng.uniform(self.backoff_base, previous * 3)
-        return min(delay, self.backoff_cap)
-
     def pread(self, offset: int, size: int) -> bytes:
         self._check_open()
         if size <= 0:
             return b""
+        options = self._options
         deadline_at = (
-            time.monotonic() + self.deadline
-            if self.deadline is not None else None
+            time.monotonic() + options.deadline
+            if options.deadline is not None else None
         )
         attempt = 0
-        previous_delay = self.backoff_base
+        previous_delay = options.backoff_base
         while True:
             self.breaker.allow()  # fail fast: not caught, not retried
             try:
@@ -815,7 +638,7 @@ class ResilientFileReader(FileReader):
             except NetworkError as error:
                 self.breaker.record_failure()
                 attempt += 1
-                if attempt > self.retries:
+                if attempt > options.retries:
                     self._stats.count("giveups")
                     raise NetworkError(
                         f"range [{offset}, {offset + size}) of "
@@ -824,14 +647,19 @@ class ResilientFileReader(FileReader):
                         url=self.url, offset=offset, size=size,
                         attempts=attempt,
                     ) from error
-                delay = self._next_delay(previous_delay)
+                # One C call: atomic under the GIL, no lock needed.
+                delay = min(
+                    self._rng.uniform(options.backoff_base,
+                                      previous_delay * 3),
+                    options.backoff_cap,
+                )
                 if (deadline_at is not None
                         and time.monotonic() + delay > deadline_at):
                     self._stats.count("giveups")
                     raise NetworkError(
                         f"range [{offset}, {offset + size}) of "
                         f"{self.url or 'source'} exhausted its "
-                        f"{self.deadline:.1f} s deadline after {attempt} "
+                        f"{options.deadline:.1f} s deadline after {attempt} "
                         f"attempt(s): {error}",
                         url=self.url, offset=offset, size=size,
                         attempts=attempt,
@@ -889,57 +717,19 @@ class ResilientFileReader(FileReader):
         for worker in workers:
             worker.join()
 
-    def clone(self) -> "ResilientFileReader":
-        return ResilientFileReader(
-            self._base.clone(),
-            options=self._options,
-            retries=self.retries,
-            backoff_base=self.backoff_base,
-            backoff_cap=self.backoff_cap,
-            deadline=self.deadline,
-            breaker=self.breaker,
-            stats=self._stats,
-            _rng=self._rng,
-            _rng_lock=self._rng_lock,
-        )
-
     def close(self) -> None:
         if not self._closed:
             self._base.close()
         super().close()
 
 
-def reader_from_options(options: RemoteReaderOptions,
-                        stats: NetworkStats = None) -> ResilientFileReader:
+def reader_from_options(options: RemoteReaderOptions) -> ResilientFileReader:
     """Assemble the resilient HTTP stack one options object describes."""
     options.validate()
-    stats = stats if stats is not None else NetworkStats()
-    base = HttpRangeFileReader(
-        options.url,
-        timeout=options.timeout,
-        pool_size=options.pool_size,
-        expected_size=options.expected_size,
-        expected_etag=options.expected_etag,
-        expected_last_modified=options.expected_last_modified,
-        stats=stats,
-    )
-    cached = BlockCacheFileReader(
-        base, block_size=options.block_size,
-        cache_blocks=options.cache_blocks, stats=stats,
-    )
-    breaker = CircuitBreaker(
-        options.breaker_threshold, options.breaker_cooldown, stats=stats
-    )
+    stats = NetworkStats()
+    wire = HttpRangeFileReader(options, stats)
     return ResilientFileReader(
-        cached,
-        options=options,
-        retries=options.retries,
-        backoff_base=options.backoff_base,
-        backoff_cap=options.backoff_cap,
-        deadline=options.deadline,
-        jitter_seed=options.jitter_seed,
-        breaker=breaker,
-        stats=stats,
+        BlockCacheFileReader(wire, options, stats), options, stats
     )
 
 

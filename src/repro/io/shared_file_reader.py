@@ -7,7 +7,7 @@ is a plain slice; for Python file-like objects a lock serializes access.
 
 Also provides :func:`strided_read_benchmark`, the measurement kernel behind
 Figure 8 — each of ``num_threads`` workers reads every ``num_threads``-th
-``chunk_size`` block of the file.
+``chunk_size`` block of the file through the one shared reader.
 """
 
 from __future__ import annotations
@@ -22,77 +22,36 @@ __all__ = ["SharedFileReader", "strided_read_benchmark"]
 
 
 class SharedFileReader(FileReader):
-    """Decorator adding reference-counted sharing on top of any reader.
+    """Counting decorator over any reader, shared by every thread.
 
-    Every clone shares the same underlying reader (and therefore the same
-    file descriptor or buffer) but owns an independent cursor. Statistics
-    are aggregated across clones for instrumentation.
+    All threads read through this one object (and so through one file
+    descriptor or buffer) with positionless ``pread``; ``bytes_read`` and
+    ``read_calls`` total what they asked for, for instrumentation.
     """
 
-    def __init__(self, source, *, _shared=None) -> None:
+    def __init__(self, source) -> None:
         super().__init__()
-        if _shared is None:
-            base = ensure_file_reader(source)
-            _shared = _SharedState(base)
-        self._shared = _shared
-        self._shared.retain()
+        self._base = ensure_file_reader(source)
+        self.bytes_read = 0
+        self.read_calls = 0
+        self._lock = threading.Lock()  # guards the two counters only
         self._position = 0
 
     def size(self) -> int:
-        return self._shared.base.size()
+        return self._base.size()
 
     def pread(self, offset: int, size: int) -> bytes:
         self._check_open()
-        data = self._shared.base.pread(offset, size)
-        self._shared.record(len(data))
+        data = self._base.pread(offset, size)
+        with self._lock:
+            self.bytes_read += len(data)
+            self.read_calls += 1
         return data
-
-    def clone(self) -> "SharedFileReader":
-        # A clone of a closed reader would resurrect the refcount after
-        # the base may already have been released — refuse cleanly.
-        self._check_open()
-        return SharedFileReader(None, _shared=self._shared)
 
     def close(self) -> None:
         if not self._closed:
-            self._shared.release()
+            self._base.close()
         super().close()
-
-    @property
-    def bytes_read(self) -> int:
-        """Total bytes served across *all* clones of this reader."""
-        return self._shared.bytes_read
-
-    @property
-    def read_calls(self) -> int:
-        return self._shared.read_calls
-
-
-class _SharedState:
-    """Reference-counted wrapper holding the base reader and counters."""
-
-    def __init__(self, base: FileReader) -> None:
-        self.base = base
-        self.bytes_read = 0
-        self.read_calls = 0
-        self._refcount = 0
-        self._lock = threading.Lock()
-
-    def retain(self) -> None:
-        with self._lock:
-            self._refcount += 1
-
-    def release(self) -> None:
-        with self._lock:
-            self._refcount -= 1
-            last = self._refcount == 0
-        if last:
-            self.base.close()
-
-    def record(self, nbytes: int) -> None:
-        # Counters are advisory; a lock here would serialize the hot path.
-        self.bytes_read += nbytes
-        self.read_calls += 1
 
 
 def strided_read_benchmark(
@@ -112,11 +71,9 @@ def strided_read_benchmark(
     num_chunks = (total_size + chunk_size - 1) // chunk_size
 
     def worker(thread_index: int) -> int:
-        local = reader.clone()
         read = 0
         for chunk in range(thread_index, num_chunks, num_threads):
-            read += len(local.pread(chunk * chunk_size, chunk_size))
-        local.close()
+            read += len(reader.pread(chunk * chunk_size, chunk_size))
         return read
 
     start = time.perf_counter()

@@ -1,7 +1,6 @@
 """Worker pool: a priority thread pool."""
 
 from .backend import available_cores, create_pool
-from .thread_pool import PRIORITY_ON_DEMAND, PRIORITY_PREFETCH, ThreadPool
 
 __all__ = [
     "PRIORITY_ON_DEMAND",
@@ -10,3 +9,13 @@ __all__ = [
     "available_cores",
     "create_pool",
 ]
+
+
+def __getattr__(name):
+    # Lazy: the pool itself (concurrent.futures, telemetry) loads on first
+    # use; the host's core count alone does not need it.
+    if name in ("PRIORITY_ON_DEMAND", "PRIORITY_PREFETCH", "ThreadPool"):
+        from . import thread_pool
+
+        return getattr(thread_pool, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

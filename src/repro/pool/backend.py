@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 
 from ..errors import UsageError
-from .thread_pool import ThreadPool
 
 __all__ = ["available_cores", "create_pool"]
 
@@ -30,6 +29,10 @@ def available_cores() -> int:
 
 def create_pool(backend: str, size: int, *, telemetry=None):
     """Instantiate the fetcher's worker pool; ``backend`` is ``"threads"``."""
+    # Imported here so that `available_cores` alone stays cheap (the CLI's
+    # -P default); the fetcher's own import of the pool has loaded it.
+    from .thread_pool import ThreadPool
+
     if backend != "threads":
         raise UsageError(
             f"cannot create a pool for backend {backend!r}; workers are threads"

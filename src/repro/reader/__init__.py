@@ -1,7 +1,6 @@
 """User-facing parallel gzip reader and its settings."""
 
 from .options import DEFAULT_CHUNK_SIZE, ReaderOptions
-from .parallel_reader import ParallelGzipReader, decompress_parallel
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
@@ -9,3 +8,13 @@ __all__ = [
     "ReaderOptions",
     "decompress_parallel",
 ]
+
+
+def __getattr__(name):
+    # Lazy: the reader pulls in the whole engine (and NumPy); its
+    # settings alone do not.
+    if name in ("ParallelGzipReader", "decompress_parallel"):
+        from . import parallel_reader
+
+        return getattr(parallel_reader, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

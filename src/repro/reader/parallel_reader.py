@@ -113,7 +113,11 @@ class ParallelGzipReader:
         self._fetcher = self._spill = self._metrics_server = None
         self._file_reader = ensure_file_reader(source)
         try:
-            self._open(index)
+            # The probes registered while opening are this reader's own:
+            # closing freezes those, never another reader's on a shared
+            # registry.
+            with self.telemetry.metrics.claim() as self._probes:
+                self._open(index)
             if metrics_port is not None:
                 self._metrics_server = MetricsServer(
                     self.telemetry,
@@ -711,9 +715,10 @@ class ParallelGzipReader:
             self._file_reader.close()
         if self._spill is not None:
             self._spill.close()
-        # The probes close over the reader and its parts; frozen, nothing
-        # cyclic is left and the last reference frees it.
-        self.telemetry.metrics.freeze_probes()
+        # The probes close over the reader and its parts; frozen and
+        # dropped, nothing cyclic is left and the last reference frees it.
+        self.telemetry.metrics.freeze_probes(self._probes)
+        self._probes = {}
 
     def close(self) -> None:
         with self._lock:

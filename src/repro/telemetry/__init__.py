@@ -34,12 +34,6 @@ Usage::
         print(r.explain()["totals"]["bottleneck"])
 """
 
-from .analysis import (
-    READ_STAGES,
-    attribute_reads,
-    format_explain,
-    load_trace_events,
-)
 from .events import (
     EVENT_SCHEMA,
     EventLog,
@@ -50,16 +44,7 @@ from .events import (
     chunk_lifecycles,
     load_events,
 )
-from .exporter import (
-    MetricsServer,
-    STATS_SCHEMA,
-    TelemetrySampler,
-    flatten_metrics,
-    render_prometheus,
-    sanitize_metric_name,
-)
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .profile import format_profile
 from .recorder import NULL_RECORDER, NullRecorder, TraceRecorder
 
 __all__ = [
@@ -91,6 +76,31 @@ __all__ = [
     "render_prometheus",
     "sanitize_metric_name",
 ]
+
+
+_LAZY = {
+    "READ_STAGES": "analysis",
+    "attribute_reads": "analysis",
+    "format_explain": "analysis",
+    "load_trace_events": "analysis",
+    "MetricsServer": "exporter",
+    "STATS_SCHEMA": "exporter",
+    "TelemetrySampler": "exporter",
+    "flatten_metrics": "exporter",
+    "render_prometheus": "exporter",
+    "sanitize_metric_name": "exporter",
+    "format_profile": "profile",
+}
+
+
+def __getattr__(name):
+    # Lazy: the views over a bundle (the exporter's HTTP server loads
+    # http.client) load on first use; a pipeline needs only the bundle.
+    if name in _LAZY:
+        from importlib import import_module
+
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class Telemetry:

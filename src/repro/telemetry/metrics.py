@@ -23,6 +23,7 @@ import math
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 
 from ..errors import UsageError
 
@@ -144,6 +145,7 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._instruments: dict = {}
         self._probes: dict = {}
+        self._claims = threading.local()  # per thread: the open claim
 
     def _get(self, name: str, factory):
         with self._lock:
@@ -168,20 +170,42 @@ class MetricsRegistry:
         return self._get(name, Histogram)
 
     def probe(self, name: str, callback) -> None:
-        """Register (or replace) a pull gauge evaluated at snapshot time."""
+        """Register (or replace) a pull gauge evaluated at snapshot time.
+        Inside :meth:`claim` on this thread, the claim records it too."""
         with self._lock:
             self._probes[name] = callback
+        claimed = getattr(self._claims, "probes", None)
+        if claimed is not None:
+            claimed[name] = callback
 
-    def freeze_probes(self) -> None:
-        """Replace every probe by its current reading. For a pipeline
-        shutting down: later snapshots still show the last values, and
-        the registry stops keeping the probed objects alive."""
+    @contextmanager
+    def claim(self):
+        """Collect ``{name: callback}`` of every probe this thread
+        registers inside the block: what one pipeline owns, and later
+        hands to :meth:`freeze_probes`."""
+        previous = getattr(self._claims, "probes", None)
+        self._claims.probes = claimed = {}
+        try:
+            yield claimed
+        finally:
+            self._claims.probes = previous
+
+    def freeze_probes(self, owned: dict) -> None:
+        """Replace each ``owned`` probe still registered under its name
+        by its current reading. For a pipeline shutting down: later
+        snapshots still show its last values, and the registry stops
+        keeping its objects alive; a probe another pipeline on the same
+        registry has since re-registered stays live."""
         with self._lock:
-            probes = dict(self._probes)
-        readings = {name: callback() for name, callback in probes.items()}
+            mine = {
+                name: callback for name, callback in owned.items()
+                if self._probes.get(name) is callback
+            }
+        readings = {name: callback() for name, callback in mine.items()}
         with self._lock:
             for name, value in readings.items():
-                self._probes[name] = lambda value=value: value
+                if self._probes.get(name) is mine[name]:
+                    self._probes[name] = lambda value=value: value
 
     def names(self) -> list:
         with self._lock:

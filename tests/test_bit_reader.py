@@ -200,13 +200,6 @@ class TestSmallCache:
         with pytest.raises(UsageError):
             BitReader(b"", cache_size=4)
 
-    def test_clone_starts_at_zero(self):
-        reader = BitReader(b"\x12\x34")
-        reader.read(12)
-        clone = reader.clone()
-        assert clone.tell() == 0
-        assert clone.read(8) == 0x12
-
 
 @settings(max_examples=80, deadline=None)
 @given(

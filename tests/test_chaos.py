@@ -45,7 +45,8 @@ from repro.faults import (
     injected,
     truncate,
 )
-from repro.io import CircuitBreaker, MemoryFileReader, ResilientFileReader
+from repro.io import MemoryFileReader, RemoteReaderOptions, ResilientFileReader
+from repro.io.remote import NetworkStats
 from repro.reader import ParallelGzipReader
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "1337"))
@@ -318,9 +319,12 @@ def _unretried_source() -> ResilientFileReader:
     """MULTI_BLOB behind the network resilience layer, whose reads pass
     the ``io.pread`` site: no retries, and a breaker that never opens, so
     exactly the faulted reads fail."""
+    options = RemoteReaderOptions(
+        url="http://origin.invalid/multi.gz", retries=0,
+        breaker_threshold=1 << 30,
+    )
     return ResilientFileReader(
-        MemoryFileReader(MULTI_BLOB), retries=0,
-        breaker=CircuitBreaker(threshold=1 << 30),
+        MemoryFileReader(MULTI_BLOB), options, NetworkStats()
     )
 
 
@@ -608,5 +612,3 @@ class TestLifecycle:
         shared.close()
         with pytest.raises(UsageError):
             shared.pread(0, 1)
-        with pytest.raises(UsageError):
-            shared.clone()

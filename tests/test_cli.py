@@ -251,6 +251,28 @@ class TestDefaults:
         assert arguments.net_timeout == RemoteReaderOptions.deadline
         assert arguments.net_block_size * 1024 == RemoteReaderOptions.block_size
 
+def test_import_leaves_the_engine_and_http_stack_unloaded():
+    # `--version` and argument errors must not pay for NumPy, the reader
+    # engine or the HTTP client: the parser's defaults come from the
+    # settings modules alone.
+    import os
+    import subprocess
+
+    import repro
+
+    heavy = ("numpy", "http.client", "repro.reader.parallel_reader")
+    code = (
+        "import sys, repro.cli; "
+        f"print([name for name in {heavy!r} if name in sys.modules])"
+    )
+    source_root = os.path.dirname(os.path.dirname(repro.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=source_root), check=True,
+    )
+    assert result.stdout.strip() == "[]"
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version", "x"])

@@ -16,6 +16,7 @@ ranges.
 import gzip as stdlib_gzip
 import os
 import signal
+import threading
 import time
 
 import pytest
@@ -38,6 +39,7 @@ from repro.io import (
     reader_from_options,
 )
 from repro.io.fault_server import FaultHTTPServer
+from repro.io.remote import NetworkStats
 from repro.reader import ParallelGzipReader
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "1337"))
@@ -91,19 +93,6 @@ class TestHttpRangeReader:
                 assert reader.pread(len(BLOB) - 7, 100) == BLOB[-7:]
                 assert reader.pread(len(BLOB) + 1, 10) == b""
                 assert reader.read() == BLOB  # cursor API on top of pread
-
-    def test_clone_shares_cache_and_pool(self):
-        with FaultHTTPServer(BLOB) as server:
-            reader = open_remote(server.url, block_size=16 * 1024, **FAST)
-            reader.pread(0, 16 * 1024)
-            before = server.request_count
-            clone = reader.clone()
-            # The clone's read of the same block is served from the
-            # shared cache: zero extra wire requests.
-            assert clone.pread(0, 1000) == BLOB[:1000]
-            assert server.request_count == before
-            clone.close()
-            reader.close()
 
     def test_block_cache_coalesces_probing(self):
         with FaultHTTPServer(BLOB) as server:
@@ -211,17 +200,42 @@ class TestCircuitBreaker:
             assert reader.breaker.state == "closed"
             reader.close()
 
-    def test_breaker_shared_across_clones(self):
+    def test_dead_origin_costs_one_deadline_across_threads(self):
+        # Worker threads share one stack and so one breaker. Each read may
+        # retry for 2 s, but once the breaker opens every thread's next
+        # attempt fails fast, and the origin sees no further request.
+        threads = 4
         with FaultHTTPServer(BLOB, hard_down=True) as server:
-            reader = open_remote(server.url, retries=0, breaker_threshold=1,
-                                 breaker_cooldown=30.0, **FAST)
-            with pytest.raises(NetworkError):
-                reader.pread(0, 64)
-            clone = reader.clone()
-            with pytest.raises(NetworkError) as excinfo:
-                clone.pread(0, 64)
-            assert excinfo.value.circuit_open
-            clone.close()
+            reader = open_remote(server.url, retries=50, deadline=2.0,
+                                 breaker_threshold=2, breaker_cooldown=30.0,
+                                 block_size=8192, **FAST)
+            start = threading.Barrier(threads)
+            errors = [None] * threads
+
+            def worker(slot):
+                start.wait()
+                try:
+                    reader.pread(slot * 8192, 64)
+                except NetworkError as error:
+                    errors[slot] = error
+
+            started = time.monotonic()
+            pool = [threading.Thread(target=worker, args=(slot,))
+                    for slot in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join()
+            assert time.monotonic() - started < 1.0
+            assert all(error is not None and error.circuit_open
+                       for error in errors), errors
+            assert reader.breaker.state == "open"
+            requests = server.request_count
+            for slot in range(threads):
+                with pytest.raises(NetworkError) as excinfo:
+                    reader.pread(slot * 8192, 64)
+                assert excinfo.value.circuit_open
+            assert server.request_count == requests
             reader.close()
 
 
@@ -261,7 +275,8 @@ class TestWiring:
 
     def test_rebuilt_reader_detects_generation_mismatch(self):
         with FaultHTTPServer(BLOB) as server:
-            with HttpRangeFileReader(server.url) as first:
+            with HttpRangeFileReader(RemoteReaderOptions(url=server.url),
+                                     NetworkStats()) as first:
                 options = RemoteReaderOptions(
                     url=server.url, expected_size=first.size(),
                     expected_etag=first.etag, **FAST,

@@ -96,12 +96,27 @@ class TestMetricsRegistry:
 
         owner = Owner()
         registry = MetricsRegistry()
-        registry.probe("owner.value", owner.read)  # holds the owner
-        registry.freeze_probes()
+        with registry.claim() as owned:
+            registry.probe("owner.value", owner.read)  # holds the owner
+        registry.freeze_probes(owned)
         alive = weakref.ref(owner)
-        del owner
+        del owner, owned
         assert alive() is None
         assert registry.as_dict()["owner.value"] == 3
+
+    def test_freeze_leaves_a_probe_registered_since_by_another_owner(self):
+        registry = MetricsRegistry()
+        with registry.claim() as first:
+            registry.probe("shared.value", lambda: 1)
+        with registry.claim() as second:
+            registry.probe("shared.value", lambda: state["v"])
+        state = {"v": 2}
+        registry.freeze_probes(first)  # no longer the registered one
+        state["v"] = 5
+        assert registry.as_dict()["shared.value"] == 5
+        registry.freeze_probes(second)
+        state["v"] = 9
+        assert registry.as_dict()["shared.value"] == 5
 
     def test_as_dict_is_json_serializable(self):
         registry = MetricsRegistry()
@@ -291,6 +306,30 @@ class TestStatisticsSurface:
         assert_statistics_shape(stats, "index")
         assert stats["encoding"]["source"] == "bgzf"
         assert stats["known_size"] == len(DATA)
+
+
+class TestSharedTelemetry:
+    def test_closing_one_reader_leaves_the_others_probes_live(self):
+        # Two readers on one bundle: B's open re-registers every probe
+        # name A registered. Closing A must freeze only what is still
+        # A's, so the registry keeps reading B's live objects.
+        telemetry = Telemetry()
+        first = ParallelGzipReader(BLOB, parallelization=2,
+                                   chunk_size=16 * 1024, telemetry=telemetry)
+        second = ParallelGzipReader(BLOB, parallelization=2,
+                                    chunk_size=16 * 1024, telemetry=telemetry)
+        first.close()
+        try:
+            assert second.read() == DATA
+            own = second.statistics()["materialized_cache"]["insertions"]
+            shared = telemetry.metrics.as_dict()["cache.materialized"]
+            assert own > 0
+            assert shared["insertions"] == own
+        finally:
+            second.close()
+        # Closing the owner freezes its probes at their last reading.
+        assert telemetry.metrics.as_dict()["cache.materialized"][
+            "insertions"] == own
 
 
 class TestTracedPipeline:

@@ -514,18 +514,15 @@ class TestWindowSeams:
 
 
 class CountingReader(MemoryFileReader):
-    """Logs every ``pread`` as ``(offset, size)``; clones share the log."""
+    """Logs every ``pread`` as ``(offset, size)``."""
 
-    def __init__(self, data, log=None):
+    def __init__(self, data):
         super().__init__(data)
-        self.log = [] if log is None else log
+        self.log = []
 
     def pread(self, offset, size):
         self.log.append((offset, size))
         return super().pread(offset, size)
-
-    def clone(self):
-        return CountingReader(self._data, self.log)
 
     def requested(self) -> int:
         return sum(size for _, size in self.log)
