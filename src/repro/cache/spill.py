@@ -78,7 +78,7 @@ class SpillStore:
     def put(self, key: int, data: bytes) -> bool:
         """Write one chunk; returns False when rejected (closed/full/IO)."""
         if self._recorder is not None and self._recorder.enabled:
-            with self._recorder.span("spill.write", bit=key,
+            with self._recorder.span("spill.write", start_bit=key,
                                      nbytes=len(data)):
                 return self._put(key, data)
         return self._put(key, data)
@@ -114,7 +114,7 @@ class SpillStore:
         """Reload one chunk, or None on miss/corruption (fall back to
         re-decoding — spilled data is disposable by design)."""
         if self._recorder is not None and self._recorder.enabled:
-            with self._recorder.span("spill.read", bit=key):
+            with self._recorder.span("spill.read", start_bit=key):
                 return self._get(key)
         return self._get(key)
 

@@ -236,8 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     observability.add_argument(
         "--trace",
         metavar="FILE",
-        help="record chunk-lifecycle spans and write Chrome trace-event "
-        "JSON (open in Perfetto or chrome://tracing)",
+        help="record the pipeline's spans and each chunk's lifecycle "
+        "instants and write Chrome trace-event JSON (open in Perfetto or "
+        "chrome://tracing)",
     )
     observability.add_argument(
         "--stats",
@@ -246,19 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
         "schema-versioned, key-sorted JSON to stderr",
     )
     observability.add_argument(
-        "--events",
-        metavar="FILE",
-        help="record the per-chunk lifecycle event log (queued -> "
-        "block-find -> decode -> wait-window -> markers-replaced -> "
-        "cached -> evicted/spilled -> served) and write it as JSON Lines",
-    )
-    observability.add_argument(
         "--explain",
         action="store_true",
         help="attribute each read()'s wall time across pipeline stages "
         "(block-find, queue wait, decode, window propagation, spill I/O) "
         "and print the bottleneck report to "
-        "stderr; implies tracing and event logging for this run",
+        "stderr; implies tracing for this run",
     )
     observability.add_argument(
         "--explain-json",
@@ -477,7 +471,6 @@ def _dispatch(arguments) -> int:
         tolerate_corruption=arguments.tolerate_corruption,
         chunk_timeout=arguments.chunk_timeout,
         trace=bool(arguments.trace) or explain,
-        events=bool(arguments.events) or explain,
         detect_catalog=not arguments.no_catalog,
         max_memory=arguments.max_memory,
         spill_dir=arguments.spill_dir,
@@ -557,8 +550,6 @@ def _report_observability(arguments, reader, wall_time: float) -> None:
         )
     if arguments.trace:
         reader.save_trace(arguments.trace)
-    if arguments.events:
-        reader.save_events(arguments.events)
     if arguments.explain or arguments.explain_json:
         from .telemetry import format_explain
 

@@ -37,7 +37,6 @@ from ..deflate.markers import ChunkPayload
 from ..errors import FormatError, TruncatedError
 from ..gz.header import MAGIC, parse_gzip_footer, parse_gzip_header
 from ..io import BitReader
-from ..telemetry.events import NULL_EVENT_LOG
 from ..telemetry.recorder import NULL_RECORDER
 
 __all__ = [
@@ -346,7 +345,6 @@ def speculative_decode(
     per-filter-stage rejections, and decode-attempt false positives.
     """
     recorder = telemetry.recorder if telemetry is not None else NULL_RECORDER
-    lifecycle = telemetry.events if telemetry is not None else NULL_EVENT_LOG
     search_from = chunk_index * chunk_size * 8
     stop_bit = (chunk_index + 1) * chunk_size * 8
     finder = CombinedBlockFinder(file_reader)
@@ -356,11 +354,7 @@ def speculative_decode(
         with recorder.span("chunk.block_find", chunk_id=chunk_index):
             return finder.find_next(bit_offset, until=stop_bit)
 
-    lifecycle.emit("block-find", chunk=chunk_index)
     offset = find_from(search_from)
-    if offset is not None:
-        lifecycle.emit("decode", chunk=chunk_index, mode="search",
-                       kind="speculative")
     tried = 0
     false_positives = 0
     result = None

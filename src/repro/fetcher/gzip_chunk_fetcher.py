@@ -143,7 +143,6 @@ class GzipChunkFetcher:
         )
         self._backend_failures = 0  # time-outs observed since the last downgrade
         capacity = prefetch_cache_size or max(2 * parallelization, 2)
-        self._id_of_key: dict = {}  # cached start_bit -> chunk id
         # Memory governance: one governor for the fetcher's caches and
         # in-flight reservations and the reader's materialized bytes.
         # Without a budget all byte accounting stays dormant.
@@ -157,7 +156,6 @@ class GzipChunkFetcher:
             capacity,
             max_bytes=budget // 4 if budget else None,
             account="prefetch_cache" if budget is not None else None,
-            on_evict=self._note_eviction(),
             **sizing,
         )
         self._futures: dict = {}  # chunk id -> Future[ChunkResult | None]
@@ -183,40 +181,27 @@ class GzipChunkFetcher:
         metrics.probe("fetcher.inflight_decodes", lambda: len(self._futures))
 
     def _note_catalog_probe(self) -> None:
-        """Account the open-time catalog probe in metrics and events."""
+        """Account the open-time catalog probe in metrics and the trace."""
         metrics = self.telemetry.metrics
-        events = self.telemetry.events
+        recorder = self.telemetry.recorder
         if self.catalog_errors:
             metrics.counter("encoding.catalog_rejected").increment(
                 len(self.catalog_errors)
             )
-            if events.enabled:
+            if recorder.enabled:
                 for reason in self.catalog_errors:
-                    events.emit("catalog-rejected", reason=reason)
+                    recorder.instant(
+                        "encoding.catalog_rejected", reason=reason
+                    )
         if self.catalog is not None:
             metrics.counter("encoding.catalog_detected").increment()
-            if events.enabled:
-                events.emit(
-                    "catalog-detected",
+            if recorder.enabled:
+                recorder.instant(
+                    "encoding.catalog_detected",
                     source=self.catalog.source,
                     layout=self.catalog.layout,
                     chunks=len(self.catalog.chunks),
                 )
-
-    def _note_eviction(self):
-        """Prefetch-cache eviction hook emitting the ``evicted`` event.
-        It holds the event log and key map, not the fetcher, so a cache
-        never keeps its fetcher alive."""
-        events = self.telemetry.events
-        id_of_key = self._id_of_key
-
-        def hook(key, _value):
-            if events.enabled:
-                events.emit(
-                    "evicted", chunk=id_of_key.get(key), bit=key,
-                    cache="prefetch",
-                )
-        return hook
 
     # -- chunk-id database (offsets <-> indexes, paper §3.2) --------------------
 
@@ -274,13 +259,12 @@ class GzipChunkFetcher:
             if not finished:
                 return
             recorder = self.telemetry.recorder
-            events = self.telemetry.events
             # Spanned: absorbing worker results (cache inserts) is
             # read-thread time --explain should account for.
             with recorder.span("chunk.harvest", count=len(finished)):
-                self._harvest_finished(finished, recorder, events)
+                self._harvest_finished(finished, recorder)
 
-    def _harvest_finished(self, finished, recorder, events) -> None:
+    def _harvest_finished(self, finished, recorder) -> None:
         for chunk_id, future in finished:
             del self._futures[chunk_id]
             reserved = self._inflight_charge.pop(chunk_id, 0)
@@ -296,8 +280,6 @@ class GzipChunkFetcher:
                     recorder.instant(
                         "chunk.speculative_shed", chunk_id=chunk_id
                     )
-                if events.enabled:
-                    events.emit("shed", chunk=chunk_id)
                 continue
             except Exception as error:  # contain: speculation is optional
                 self._task_errors.increment()
@@ -305,10 +287,6 @@ class GzipChunkFetcher:
                     recorder.instant(
                         "chunk.task_error", chunk_id=chunk_id,
                         error=repr(error),
-                    )
-                if events.enabled:
-                    events.emit(
-                        "failed", chunk=chunk_id, reason="task-error"
                     )
                 result = None
             if result is None:
@@ -318,32 +296,19 @@ class GzipChunkFetcher:
                 continue
             if result.split:
                 self._chunk_splits.increment()
-            if events.enabled:
-                if not result.window_known:
-                    # Decoded against markers: parked until the
-                    # predecessor's window arrives at materialization.
-                    events.emit(
-                        "wait-window", chunk=chunk_id,
-                        bit=result.start_bit,
-                    )
-                events.emit(
-                    "cached", chunk=chunk_id, bit=result.start_bit,
-                    cache="prefetch", nbytes=result.payload.nbytes,
+            if recorder.enabled:
+                # Binds the chunk id to its start bit, the key the
+                # reader's serve records carry. Without a known window
+                # it waits for its predecessor's at materialization.
+                recorder.instant(
+                    "chunk.cached", chunk_id=chunk_id,
+                    start_bit=result.start_bit,
+                    window_known=result.window_known,
                 )
             self.prefetch_cache.insert(result.start_bit, result)
-            self._remember_key(result.start_bit, chunk_id)
-
-    def _remember_key(self, start_bit: int, chunk_id: int) -> None:
-        """Record a cached start_bit under its chunk id (both directions).
-
-        The reverse map makes the prefetch wish-check O(keys of one id)
-        instead of a scan over every key ever cached — and, unlike the
-        former scan over ``_id_of_key`` + membership probes, it is paired
-        with the non-perturbing ``peek`` path so checking a wish never
-        touches LRU recency or the hit/miss statistics.
-        """
-        self._id_of_key[start_bit] = chunk_id
-        self._keys_of_id.setdefault(chunk_id, set()).add(start_bit)
+            # The wish-check reads these keys through ``peek``: checking a
+            # wish never touches LRU recency or the hit/miss statistics.
+            self._keys_of_id.setdefault(chunk_id, set()).add(result.start_bit)
 
     def _inflight_estimate(self, chunk_id: int, known=None) -> int:
         """Conservative resident-byte reservation for one in-flight decode.
@@ -386,12 +351,9 @@ class GzipChunkFetcher:
                     self.governor.discharge("in_flight", reserved)
                 return True
             self._speculative_submitted.increment()
-            events = self.telemetry.events
-            if events.enabled:
-                events.emit(
-                    "queued", chunk=chunk_id, kind="speculative",
-                    backend=self.backend,
-                )
+            recorder = self.telemetry.recorder
+            if recorder.enabled:
+                recorder.instant("chunk.queued", chunk_id=chunk_id)
             self._futures[chunk_id] = self.pool.submit(
                 self._run_queued, spec, priority=PRIORITY_PREFETCH,
             )
@@ -411,9 +373,9 @@ class GzipChunkFetcher:
             )
         chain = self.chain
         if spec.chunk_id in chain.retired:
-            events = self.telemetry.events
-            if events.enabled:
-                events.emit("no-candidate", chunk=spec.chunk_id)
+            recorder = self.telemetry.recorder
+            if recorder.enabled:
+                recorder.instant("chunk.no_candidate", chunk_id=spec.chunk_id)
             return None
         entry = chain.ahead.get(spec.chunk_id)
         if entry is not None:

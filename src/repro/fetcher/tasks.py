@@ -2,13 +2,14 @@
 
 A chunk decode is one task the fetcher submits at two priorities,
 prefetch or on-demand (paper §3.1–§3.2, Fig. 4). :class:`ChunkTaskSpec`
-is its only description and :func:`run_chunk_task` its only body — span,
-``decode`` lifecycle event, ``chunk.decode`` fault site, dispatch to the
-mode's decode function, folding of a speculative reject. Pool threads and
-the serial on-demand rung both call the body with the fetcher's live file
-reader, telemetry and :class:`~repro.reader.ReaderOptions` (chunk size,
-output cap, split ceiling), so where a chunk is decoded changes nothing
-about what is recorded or raised.
+is its only description and :func:`run_chunk_task` its only body —
+``chunk.decode`` span and fault site, dispatch to the mode's decode
+function, folding of a speculative reject or an empty search. Pool
+threads and the serial on-demand rung both call the body with the
+fetcher's live file reader, telemetry and
+:class:`~repro.reader.ReaderOptions` (chunk size, output cap, split
+ceiling), so where a chunk is decoded changes nothing about what is
+recorded or raised.
 """
 
 from __future__ import annotations
@@ -73,18 +74,12 @@ def run_chunk_task(spec: ChunkTaskSpec, reader, telemetry,
     kind = "on_demand" if spec.attempt else "speculative"
     searching = spec.mode == "search" and spec.window is None
     recorder = telemetry.recorder
-    events = telemetry.events
     try:
+        # A known start bit joins the reader's bit-keyed serve records to
+        # this chunk; a search's decode attempts carry the found one.
         with recorder.span("chunk.decode", chunk_id=spec.chunk_id,
+                           start_bit=None if searching else spec.start_bit,
                            mode=spec.mode, kind=kind, attempt=spec.attempt):
-            if events.enabled and not searching:
-                # A search emits block-find/decode itself, where the
-                # phases actually separate. The start bit joins the
-                # reader's bit-keyed cached/served records to this chunk.
-                events.emit(
-                    "decode", chunk=spec.chunk_id, bit=spec.start_bit,
-                    mode=spec.mode, kind=kind,
-                )
             faults.fire("chunk.decode", chunk_id=spec.chunk_id,
                         attempt=spec.attempt)
             result = _decode(spec, reader, telemetry, options, searching)
@@ -97,11 +92,9 @@ def run_chunk_task(spec: ChunkTaskSpec, reader, telemetry,
                 "chunk.speculative_reject", chunk_id=spec.chunk_id,
                 error=repr(error),
             )
-        if events.enabled:
-            events.emit("rejected", chunk=spec.chunk_id)
         return None
-    if result is None and events.enabled:
-        events.emit("no-candidate", chunk=spec.chunk_id)
+    if result is None and recorder.enabled:
+        recorder.instant("chunk.no_candidate", chunk_id=spec.chunk_id)
     return result
 
 

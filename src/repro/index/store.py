@@ -610,10 +610,9 @@ class IndexCache:
             telemetry.recorder.instant(
                 "index.rejected", check=check, error=str(error)
             )
-            telemetry.events.emit("index-rejected", check=check)
             return None
         self.imported = True
-        telemetry.events.emit("index-imported", points=len(loaded))
+        telemetry.recorder.instant("index.imported", points=len(loaded))
         return loaded
 
     def export(self, index: GzipIndex) -> None:
@@ -633,10 +632,9 @@ class IndexCache:
         except Exception as error:
             telemetry.metrics.counter("index.export_failures").increment()
             telemetry.recorder.instant("index.export_failed", error=repr(error))
-            telemetry.events.emit("index-export-failed", error=str(error))
             return
         self.exported = True
         telemetry.metrics.counter("index.exports").increment()
-        telemetry.events.emit(
-            "index-exported", points=len(index), path=self.path
+        telemetry.recorder.instant(
+            "index.exported", points=len(index), path=self.path
         )

@@ -199,13 +199,15 @@ class HttpRangeFileReader(FileReader):
     """``FileReader`` over an HTTP(S) origin using ``Range:`` requests.
 
     Size discovery is lazy (HEAD, falling back to a 1-byte ranged GET
-    for servers that reject HEAD) so building the reader costs no round
-    trip. The first response's ETag/``Last-Modified`` are captured and
-    every later response is checked against them — a mismatch raises
-    :class:`SourceChangedError` mid-decode rather than mixing bytes
-    from two object generations. All transport-level failures (denied
-    connections, timeouts, 5xx, truncated bodies) surface as
-    :class:`NetworkError` for the resilience layer above to retry.
+    for servers that refuse HEAD with 405 or 501) so building the reader
+    costs no round trip; a range read binds the size too, through its
+    ``Content-Range``. The first response's ETag/``Last-Modified`` are
+    captured and every later response is checked against them — a
+    mismatch raises :class:`SourceChangedError` mid-decode rather than
+    mixing bytes from two object generations. All transport-level
+    failures (denied connections, timeouts, 5xx, truncated bodies)
+    surface as :class:`NetworkError` for the resilience layer above to
+    retry.
     """
 
     def __init__(self, options: RemoteReaderOptions,
@@ -254,11 +256,15 @@ class HttpRangeFileReader(FileReader):
             self._discover_metadata()
         return self._size
 
+    @property
+    def known_size(self):
+        """The size once discovered or bound, else ``None``; asking costs
+        no request."""
+        return self._size
+
     def _discover_metadata(self) -> None:
-        try:
-            self._head()
-        except NetworkError:
-            # Some servers refuse HEAD (405/501) — a 1-byte ranged GET
+        if not self._head():
+            # The server refuses HEAD itself: a 1-byte ranged GET
             # discovers the total through Content-Range instead.
             self.pread(0, 1)
         if self._size is None:
@@ -267,7 +273,10 @@ class HttpRangeFileReader(FileReader):
                 url=self.url,
             )
 
-    def _head(self) -> None:
+    def _head(self) -> bool:
+        """Learn size and validators from a HEAD; ``False`` when the
+        server refuses the method (405/501). Any other failure raises
+        :class:`NetworkError` for the retry ladder above."""
         started = time.perf_counter()
         connection = self._checkout()
         try:
@@ -284,6 +293,9 @@ class HttpRangeFileReader(FileReader):
             started, time.perf_counter(), offset=-1, nbytes=0,
             status=response.status,
         )
+        if response.status in (405, 501):
+            self._checkin(connection)
+            return False
         if response.status != 200:
             self._checkin(connection)
             raise NetworkError(
@@ -295,6 +307,7 @@ class HttpRangeFileReader(FileReader):
         if length is not None:
             self._bind_size(int(length))
         self._checkin(connection)
+        return True
 
     def _adopt_validators(self, response) -> None:
         """Capture (or verify) the origin's change validators."""
@@ -516,10 +529,13 @@ class BlockCacheFileReader(FileReader):
         self._check_open()
         if size <= 0 or offset < 0:
             return b""
-        total = self.size()
-        if offset >= total:
-            return b""
-        size = min(size, total - offset)
+        # An unknown size is not discovered first: the fetch's
+        # Content-Range binds it, and a short tail block ends the read.
+        total = self._base.known_size
+        if total is not None:
+            if offset >= total:
+                return b""
+            size = min(size, total - offset)
         first = offset // self.block_size
         last = (offset + size - 1) // self.block_size
         blocks = self._fetch_span(first, last)

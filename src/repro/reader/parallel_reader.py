@@ -43,6 +43,7 @@ from ..telemetry import (
     MetricsServer,
     Telemetry,
     attribute_reads,
+    lifecycle_digest,
 )
 from ..telemetry.exporter import STATS_SCHEMA
 from .options import ReaderOptions
@@ -60,7 +61,6 @@ class ParallelGzipReader:
         *,
         index: GzipIndex = None,
         trace: bool = False,
-        events: bool = False,
         telemetry: Telemetry = None,
         metrics_port: int = None,
         metrics_host: str = "127.0.0.1",
@@ -82,14 +82,13 @@ class ParallelGzipReader:
         ``index`` is a finalized :class:`~repro.index.GzipIndex` to open
         in index mode: each chunk one exact libz pass from its seek point.
 
-        ``trace=True`` records chunk-lifecycle spans for the whole pipeline
-        (export with :meth:`save_trace`); ``events=True`` the per-chunk
-        lifecycle event log (queued → block-find → decode → wait-window →
-        markers-replaced → cached → evicted/spilled → served; export with
-        :meth:`save_events`). With both, :meth:`explain` reconstructs
-        where each ``read()``'s wall time went. Metrics are collected
-        either way; pass an existing ``telemetry`` bundle to share one
-        recorder and registry across readers.
+        ``trace=True`` records the whole pipeline on one timeline (export
+        with :meth:`save_trace`): spans for its work and instants for each
+        chunk's lifecycle transitions (queued, cached, shed, rejected,
+        no candidate, failed). From it :meth:`explain` reconstructs where
+        each ``read()``'s wall time went. Metrics are collected either
+        way; pass an existing ``telemetry`` bundle to share one recorder
+        and registry across readers.
 
         ``metrics_port`` (``0`` for an ephemeral port) serves
         ``/metrics`` (Prometheus text), ``/stats`` (:meth:`statistics`),
@@ -103,7 +102,7 @@ class ParallelGzipReader:
             raise UsageError("only finalized indexes can be imported")
         self.telemetry = (
             telemetry if telemetry is not None
-            else Telemetry(trace=trace, events=events)
+            else Telemetry(trace=trace)
         )
         self._damage = DamagePolicy(
             self.options.tolerate_corruption, self.telemetry.recorder
@@ -275,7 +274,7 @@ class ParallelGzipReader:
         # Pin the recovered bytes: they cannot be re-materialized through
         # the fetcher (its decode would fail at this offset again).
         chain.pinned[start_bit] = segment.data
-        self._cache_materialized(start_bit, segment.data)
+        self._materialized.insert(start_bit, segment.data)
         if segment.end_bit >= end_bits - 16:
             # Within footer padding of EOF: the file is fully consumed.
             chain.end(end_bits)
@@ -313,7 +312,7 @@ class ParallelGzipReader:
                 chunks=len(chain),
                 known_size=chain.known_size,
             )
-        self._cache_materialized(start_bit, data)
+        self._materialized.insert(start_bit, data)
         self._verifier.members(record, data, result.events)
         chain.add_interior_points(
             record, data, result.boundaries, 2 * self.options.chunk_size
@@ -342,11 +341,6 @@ class ParallelGzipReader:
             # second stage, the moment speculative output becomes real.
             # Counted always — a parallel-friendly archive asserts zero.
             self._markers_replaced.increment()
-            events = self.telemetry.events
-            if events.enabled:
-                events.emit(
-                    "markers-replaced", bit=result.start_bit, nbytes=len(data)
-                )
         if self.options.pugz_compatible and not check_pugz_compatible(data):
             raise FormatError(
                 "pugz compatibility mode: decompressed data contains "
@@ -362,33 +356,23 @@ class ParallelGzipReader:
             self._decode_next_chunk()
 
     def _spill_evicted(self):
-        """Eviction hook: park evicted chunk bytes in the spill tier.
+        """Eviction hook parking evicted chunk bytes in the spill tier, or
+        ``None`` without one.
 
         Damaged-region bytes are already pinned on the chain (and
         could not be re-decoded anyway), so they never spill. The hook
-        holds the event log, the spill tier and the pinned bytes, not the
-        reader, so the cache never keeps its reader alive.
+        holds the spill tier and the pinned bytes, not the reader, so the
+        cache never keeps its reader alive.
         """
-        events = self.telemetry.events
         spill = self._spill
+        if spill is None:
+            return None
         pinned = self._chunks.pinned
 
         def hook(key, data):
-            if events.enabled:
-                events.emit("evicted", bit=key, cache="materialized")
-            if key in pinned or spill is None:
-                return
-            if spill.put(key, data) and events.enabled:
-                events.emit("spilled", bit=key, nbytes=len(data))
+            if key not in pinned:
+                spill.put(key, data)
         return hook
-
-    def _cache_materialized(self, key, data) -> None:
-        events = self.telemetry.events
-        if events.enabled:
-            events.emit(
-                "cached", bit=key, cache="materialized", nbytes=len(data)
-            )
-        self._materialized.insert(key, data)
 
     def _chunk_bytes(self, record: ChunkRecord) -> bytes:
         key = record.start_bit
@@ -403,7 +387,7 @@ class ParallelGzipReader:
         if data is None and self._spill is not None:
             data = self._spill.get(key)
         if data is not None:
-            self._cache_materialized(key, data)
+            self._materialized.insert(key, data)
             return data
         try:
             result = self._fetcher.request(key, record.window)
@@ -413,11 +397,11 @@ class ParallelGzipReader:
             data = self._damage.fill(error, record)  # strict: raises
             self._verifier.stand_down()
             self._chunks.pinned[key] = data
-            self._cache_materialized(key, data)
+            self._materialized.insert(key, data)
             return data
         data = self._materialize_result(result, record.window)
         pieces = self._verifier.catalog_chunk(record, data, result.events)
-        self._cache_materialized(key, data)
+        self._materialized.insert(key, data)
         # In index mode chunks materialize here, not via the chain walk;
         # member verification proceeds while consumption stays in order.
         self._verifier.members(record, data, result.events, pieces)
@@ -449,12 +433,7 @@ class ParallelGzipReader:
                 if recorder.enabled:
                     recorder.complete(
                         "reader.serve", serve_started, time.perf_counter(),
-                        nbytes=len(piece),
-                    )
-                events = self.telemetry.events
-                if events.enabled:
-                    events.emit(
-                        "served", bit=record.start_bit, nbytes=len(piece)
+                        start_bit=record.start_bit, nbytes=len(piece),
                     )
                 self._position += len(piece)
                 if remaining is not None:
@@ -647,13 +626,6 @@ class ParallelGzipReader:
         stats["spill"] = (
             self._spill.statistics() if self._spill is not None else None
         )
-        stats["events"] = (
-            {
-                "records": self.telemetry.events.num_records,
-                "dropped": self.telemetry.events.dropped,
-            }
-            if self.telemetry.event_logging else None
-        )
         stats["metrics"] = self.telemetry.metrics.as_dict()
         return stats
 
@@ -663,31 +635,29 @@ class ParallelGzipReader:
         file-like object. Load the file in Perfetto or chrome://tracing."""
         self.telemetry.recorder.export(target)
 
-    def save_events(self, target) -> None:
-        """Export the chunk-lifecycle event log as JSON Lines (requires
-        construction with ``events=True``)."""
-        self.telemetry.events.save(target)
-
     def explain(self) -> dict:
         """Attribute each ``read()``'s wall time across pipeline stages.
 
-        Requires construction with ``trace=True`` (event logging enriches
-        the report but is optional). Returns the machine-readable report
-        of :func:`repro.telemetry.attribute_reads`; render it for humans
-        with :func:`repro.telemetry.format_explain`.
+        Requires construction with ``trace=True``. Returns the
+        machine-readable report of :func:`repro.telemetry.attribute_reads`
+        plus a ``lifecycle`` digest of the same trace
+        (:func:`repro.telemetry.lifecycle_digest`, its evictions from the
+        cache counters); render it for humans with
+        :func:`repro.telemetry.format_explain`.
         """
         if not self.telemetry.tracing:
             raise UsageError(
                 "explain() needs trace spans; open the reader with "
                 "trace=True (the CLI's --explain does this automatically)"
             )
-        records = (
-            self.telemetry.events.records()
-            if self.telemetry.event_logging else None
+        trace_events = self.telemetry.recorder.events()
+        report = attribute_reads(trace_events)
+        evicted = sum(
+            cache.snapshot()["evictions"]
+            for cache in (self._fetcher.prefetch_cache, self._materialized)
         )
-        return attribute_reads(
-            self.telemetry.recorder.events(), event_records=records
-        )
+        report["lifecycle"] = lifecycle_digest(trace_events, evicted=evicted)
+        return report
 
     @property
     def metrics_url(self):

@@ -1,4 +1,4 @@
-"""Telemetry: tracing, metrics, lifecycle events, and live export.
+"""Telemetry: tracing, metrics, and live export.
 
 One :class:`Telemetry` object travels through a decode pipeline
 (reader → fetcher → pool → decode tasks → block finders) and bundles:
@@ -8,11 +8,12 @@ One :class:`Telemetry` object travels through a decode pipeline
   when tracing is off (the default);
 * ``metrics`` — the always-on :class:`MetricsRegistry` of counters,
   gauges, and histograms that backs ``statistics()`` snapshots, the
-  ``--profile`` report, and the live ``/metrics`` endpoint;
-* ``events`` — the structured chunk-lifecycle :class:`EventLog`
-  (queued → block-find → decode → wait-window → markers-replaced →
-  cached → evicted/spilled → served), or the zero-overhead
-  :data:`NULL_EVENT_LOG` when event logging is off (the default).
+  ``--profile`` report, and the live ``/metrics`` endpoint.
+
+The trace is the one timeline: besides the spans it holds each chunk's
+lifecycle as instants (``chunk.queued``, ``chunk.cached``, the shed,
+reject, no-candidate and error off-ramps), which
+:func:`chunk_lifecycles` groups per chunk.
 
 Live surfaces on top of the bundle:
 
@@ -21,7 +22,8 @@ Live surfaces on top of the bundle:
   JSON), ``/series`` (periodic sampler history), and ``/healthz``;
 * :func:`attribute_reads` / :func:`format_explain` — the ``--explain``
   toolkit reconstructing each ``read()``'s critical path from trace
-  spans and attributing its latency across named stages.
+  spans and attributing its latency across named stages, with
+  :func:`lifecycle_digest` summarising the chunks' lifecycles.
 
 Usage::
 
@@ -34,35 +36,21 @@ Usage::
         print(r.explain()["totals"]["bottleneck"])
 """
 
-from .events import (
-    EVENT_SCHEMA,
-    EventLog,
-    LIFECYCLE_STATES,
-    NULL_EVENT_LOG,
-    NullEventLog,
-    TERMINAL_STATES,
-    chunk_lifecycles,
-    load_events,
-)
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .recorder import NULL_RECORDER, NullRecorder, TraceRecorder
 
 __all__ = [
     "Counter",
-    "EVENT_SCHEMA",
-    "EventLog",
+    "EXPLAIN_SCHEMA",
     "Gauge",
     "Histogram",
-    "LIFECYCLE_STATES",
     "MetricsRegistry",
     "MetricsServer",
-    "NULL_EVENT_LOG",
     "NULL_RECORDER",
-    "NullEventLog",
     "NullRecorder",
     "READ_STAGES",
     "STATS_SCHEMA",
-    "TERMINAL_STATES",
+    "TERMINAL_RECORDS",
     "Telemetry",
     "TelemetrySampler",
     "TraceRecorder",
@@ -71,7 +59,7 @@ __all__ = [
     "flatten_metrics",
     "format_explain",
     "format_profile",
-    "load_events",
+    "lifecycle_digest",
     "load_trace_events",
     "render_prometheus",
     "sanitize_metric_name",
@@ -79,9 +67,13 @@ __all__ = [
 
 
 _LAZY = {
+    "EXPLAIN_SCHEMA": "analysis",
     "READ_STAGES": "analysis",
+    "TERMINAL_RECORDS": "analysis",
     "attribute_reads": "analysis",
+    "chunk_lifecycles": "analysis",
     "format_explain": "analysis",
+    "lifecycle_digest": "analysis",
     "load_trace_events": "analysis",
     "MetricsServer": "exporter",
     "STATS_SCHEMA": "exporter",
@@ -104,28 +96,12 @@ def __getattr__(name):
 
 
 class Telemetry:
-    """Recorder + metrics + event-log bundle shared by one decode pipeline.
+    """Recorder + metrics bundle shared by one decode pipeline."""
 
-    ``events`` may be ``True`` (create an :class:`EventLog` sharing the
-    recorder's timeline) or an existing :class:`EventLog`/
-    :class:`NullEventLog` to share one log across bundles.
-    """
-
-    def __init__(self, trace: bool = False, metrics: MetricsRegistry = None,
-                 events=False):
+    def __init__(self, trace: bool = False):
         self.recorder = TraceRecorder() if trace else NULL_RECORDER
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        if isinstance(events, (EventLog, NullEventLog)):
-            self.events = events
-        elif events:
-            self.events = EventLog(origin=self.recorder.origin)
-        else:
-            self.events = NULL_EVENT_LOG
+        self.metrics = MetricsRegistry()
 
     @property
     def tracing(self) -> bool:
         return self.recorder.enabled
-
-    @property
-    def event_logging(self) -> bool:
-        return self.events.enabled

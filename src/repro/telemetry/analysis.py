@@ -4,8 +4,8 @@ The paper's whole argument is a latency budget — block search vs.
 two-stage decode vs. the sequential window-propagation tail — but a
 trace file answers that only after manual squinting in Perfetto. This
 module reconstructs the *critical path* of every ``reader.read`` span
-from the recorded trace (and, when present, the structured event log)
-and attributes its wall time across named stages:
+from the recorded trace and attributes its wall time across named
+stages:
 
 * ``block-find`` — worker time spent searching for Deflate block
   candidates while the read waited on that chunk;
@@ -39,10 +39,18 @@ chunk id, from any thread, are intersected with the wait interval. Time
 the wait overlapped a worker decoding that chunk is decode time; the
 remainder is queue wait.
 
+The same trace holds each chunk's lifecycle: its spans plus the
+instants marking transitions no span covers (``chunk.queued``,
+``chunk.cached``, and the ``chunk.no_candidate``,
+``chunk.speculative_reject``, ``chunk.speculative_shed`` and
+``chunk.task_error`` off-ramps). :func:`chunk_lifecycles` groups them
+per chunk and :func:`lifecycle_digest` checks that every queued chunk
+reached a terminal record.
+
 Everything operates on plain trace-event dicts (``ph == "X"`` spans with
-microsecond ``ts``/``dur``), so it works on a live recorder's
-``events()``, a loaded trace JSON, or the spans a benchmark harness kept
-in memory.
+microsecond ``ts``/``dur``, ``ph == "i"`` instants), so it works on a
+live recorder's ``events()``, a loaded trace JSON, or the spans a
+benchmark harness kept in memory.
 """
 
 from __future__ import annotations
@@ -50,11 +58,20 @@ from __future__ import annotations
 import json
 
 __all__ = [
+    "EXPLAIN_SCHEMA",
     "READ_STAGES",
+    "TERMINAL_RECORDS",
     "attribute_reads",
+    "chunk_lifecycles",
     "format_explain",
+    "lifecycle_digest",
     "load_trace_events",
 ]
+
+#: Version of the :func:`attribute_reads` report. History: 1 — optional
+#: ``events`` digest of the separate event log; 2 — that log is gone,
+#: the reader's ``explain()`` adds a ``lifecycle`` digest of the trace.
+EXPLAIN_SCHEMA = 2
 
 #: Attribution stages, in report order. ``other`` is the unexplained
 #: remainder and deliberately last.
@@ -231,24 +248,20 @@ def _chunk_of(event):
     return event.get("args", {}).get("chunk_id")
 
 
-def attribute_reads(trace_events, event_records=None) -> dict:
+def attribute_reads(trace_events) -> dict:
     """Attribute every ``reader.read`` span's wall time across stages.
 
     Returns a machine-readable report::
 
-        {"schema": 1,
+        {"schema": EXPLAIN_SCHEMA,
          "reads": [{"start_us", "duration_seconds", "returned",
                     "stages": {stage: seconds}, "attributed_fraction"}],
          "totals": {"read_wall_seconds", "stages", "stage_fractions",
                     "attributed_fraction", "reads", "bottleneck"},
-         "events": {... event-log digest, when records were given ...},
          "advice": [...]}
 
     ``attributed_fraction`` is the share of read wall time explained by
-    a stage other than ``other``. ``event_records`` (from an
-    :class:`~repro.telemetry.events.EventLog`) optionally enriches the
-    report with lifecycle counts (evictions, spills, sheds) that spans
-    alone cannot see.
+    a stage other than ``other``.
     """
     spans = _spans(trace_events)
     reads = [span for span in spans if span["name"] == "reader.read"]
@@ -411,7 +424,7 @@ def attribute_reads(trace_events, event_records=None) -> dict:
         1.0 - fractions.get("other", 0.0) if reads else 0.0
     )
     report = {
-        "schema": 1,
+        "schema": EXPLAIN_SCHEMA,
         "reads": report_reads,
         "totals": {
             "reads": len(reads),
@@ -423,31 +436,99 @@ def attribute_reads(trace_events, event_records=None) -> dict:
         },
         "advice": [_ADVICE[bottleneck]] if bottleneck else [],
     }
-    if event_records is not None:
-        report["events"] = _digest_events(event_records)
     return report
 
 
-def _digest_events(records) -> dict:
-    """Lifecycle digest: per-state counts plus pipeline health signals."""
-    from .events import TERMINAL_STATES, chunk_lifecycles
+# -- chunk lifecycles -----------------------------------------------------------
 
-    states: dict = {}
-    for record in records:
-        state = record.get("state")
-        if state:
-            states[state] = states.get(state, 0) + 1
-    lifecycles = chunk_lifecycles(records)
-    incomplete = [
-        key for key, history in lifecycles.items()
-        if not any(
-            record.get("state") in TERMINAL_STATES for record in history
-        )
-    ]
+#: Trace records that end a chunk's journey through the pipeline.
+#: ``chunk.cached`` is terminal too: a chunk parked in the prefetch cache
+#: that nobody reads again (a speculative false positive, or data past
+#: the last read) ends its life there.
+TERMINAL_RECORDS = frozenset(
+    {
+        "chunk.cached",
+        "reader.serve",
+        "spill.write",
+        "chunk.no_candidate",
+        "chunk.speculative_reject",
+        "chunk.speculative_shed",
+        "chunk.task_error",
+    }
+)
+
+#: Records the ``lifecycle pressure`` line counts, with their labels.
+_PRESSURE = {
+    "spill.write": "spilled",
+    "chunk.speculative_shed": "shed",
+    "chunk.speculative_reject": "rejected",
+    "chunk.task_error": "failed",
+}
+
+
+def chunk_lifecycles(trace_events) -> dict:
+    """Group a trace's chunk records: ``{chunk: [records in time order]}``.
+
+    Spans and instants carrying a ``chunk_id`` are keyed by it. Those
+    carrying only a ``start_bit`` (the reader's serve, materialize and
+    spill records) fold into the chunk a record carrying both
+    (``chunk.cached``, an exact ``chunk.decode``, a search's
+    ``chunk.decode_attempt``) bound to that bit, else into ``"bit:N"``.
+    Records with neither are left out.
+    """
+    ordered = sorted(
+        (event for event in trace_events
+         if event.get("ph") in ("X", "i") and event.get("args")),
+        key=lambda event: event["ts"],
+    )
+    bit_to_chunk: dict = {}
+    for event in ordered:
+        chunk = event["args"].get("chunk_id")
+        bit = event["args"].get("start_bit")
+        if chunk is not None and bit is not None:
+            bit_to_chunk[bit] = chunk
+    lifecycles: dict = {}
+    for event in ordered:
+        args = event["args"]
+        key = args.get("chunk_id")
+        if key is None:
+            bit = args.get("start_bit")
+            if bit is None:
+                continue
+            key = bit_to_chunk.get(bit, f"bit:{bit}")
+        lifecycles.setdefault(key, []).append(event)
+    return lifecycles
+
+
+def lifecycle_digest(trace_events, evicted: int = 0) -> dict:
+    """Per-chunk digest of a trace: record counts, the pipeline pressure
+    signals, and the chunks whose last ``chunk.queued`` reached no
+    terminal record. ``evicted`` is the caches' eviction count
+    (``statistics()``'s ``prefetch_cache`` and ``materialized_cache``):
+    evictions are counted, not traced."""
+    lifecycles = chunk_lifecycles(trace_events)
+    counts: dict = {}
+    incomplete = []
+    for key, history in lifecycles.items():
+        pending = False
+        for event in history:
+            name = event["name"]
+            counts[name] = counts.get(name, 0) + 1
+            if name == "chunk.queued":
+                pending = True
+            elif name in TERMINAL_RECORDS:
+                pending = False
+        if pending:
+            incomplete.append(key)
+    pressure = {"evicted": evicted}
+    for name, label in _PRESSURE.items():
+        pressure[label] = counts.get(name, 0)
     return {
-        "records": len(records) if hasattr(records, "__len__") else None,
         "chunks": len(lifecycles),
-        "state_counts": dict(sorted(states.items())),
+        "record_counts": dict(sorted(counts.items())),
+        "pressure": {
+            label: count for label, count in pressure.items() if count
+        },
         "incomplete_chunks": sorted(incomplete, key=str)[:32],
     }
 
@@ -483,20 +564,15 @@ def format_explain(report: dict) -> list:
         say(f"bottleneck: reads spent {share:.0f}% in {bottleneck}")
     for advice in report.get("advice", []):
         say(f"hint: {advice}")
-    events = report.get("events")
-    if events:
-        counts = events.get("state_counts", {})
-        interesting = {
-            state: counts[state]
-            for state in ("evicted", "spilled", "shed", "rejected", "failed")
-            if counts.get(state)
-        }
-        if interesting:
+    lifecycle = report.get("lifecycle")
+    if lifecycle:
+        pressure = lifecycle.get("pressure")
+        if pressure:
             say("lifecycle pressure: " + ", ".join(
-                f"{count} {state}" for state, count in interesting.items()
+                f"{count} {label}" for label, count in pressure.items()
             ))
-        incomplete = events.get("incomplete_chunks")
+        incomplete = lifecycle.get("incomplete_chunks")
         if incomplete:
             say(f"warning: {len(incomplete)} chunk(s) never reached a "
-                f"terminal lifecycle state: {incomplete[:8]}")
+                f"terminal lifecycle record: {incomplete[:8]}")
     return lines

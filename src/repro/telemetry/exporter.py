@@ -47,8 +47,9 @@ __all__ = [
 #: 3: added the "index" section (persistent index cache);
 #: 4: removed the "kernel" section (one block-decode kernel);
 #: 5: removed "index" keys "validate" and "window_crc_failures" (one
-#: index validation pipeline).
-STATS_SCHEMA = 5
+#: index validation pipeline);
+#: 6: removed the "events" section (chunk lifecycles live in the trace).
+STATS_SCHEMA = 6
 
 
 def sanitize_metric_name(name: str) -> str:

@@ -77,15 +77,8 @@ class NullRecorder:
     def instant(self, name, **attrs) -> None:
         pass
 
-    def counter(self, name, **values) -> None:
-        pass
-
     def set_thread_name(self, name, tid=None) -> None:
         pass
-
-    @property
-    def origin(self):
-        return None
 
     @property
     def num_events(self) -> int:
@@ -117,11 +110,6 @@ class TraceRecorder:
         self._pid = os.getpid()
         self._named_threads: dict = {}
         self.set_thread_name(threading.current_thread().name)
-
-    @property
-    def origin(self) -> float:
-        """``perf_counter`` value all exported timestamps are relative to."""
-        return self._origin
 
     # -- recording ---------------------------------------------------------------
 
@@ -161,19 +149,6 @@ class TraceRecorder:
         }
         if attrs:
             event["args"] = attrs
-        with self._lock:
-            self._events.append(event)
-
-    def counter(self, name: str, **values) -> None:
-        """Record a counter ("C") sample, rendered as a stacked area track."""
-        event = {
-            "name": name,
-            "ph": "C",
-            "ts": (time.perf_counter() - self._origin) * 1e6,
-            "pid": self._pid,
-            "tid": threading.get_ident(),
-            "args": values,
-        }
         with self._lock:
             self._events.append(event)
 

@@ -394,17 +394,18 @@ class TestDecodeFaults:
         with injected(seed=CHAOS_SEED, specs=specs):
             reader = ParallelGzipReader(
                 MULTI_BLOB, parallelization=1, chunk_size=MULTI_CHUNK,
-                events=True,
+                trace=True,
             )
             out = _read_all(reader)
         assert out == MULTI_DATA
         stats = reader.statistics()
-        states = [
-            record["state"] for record in reader.telemetry.events.records()
-            if record.get("chunk") == FAULTED_CHUNK
+        names = [
+            event["name"] for event in reader.telemetry.recorder.events()
+            if event.get("args", {}).get("chunk_id") == FAULTED_CHUNK
         ]
-        assert "block-find" not in states  # bound at dequeue: no search
-        assert ("rejected" if error == "format" else "failed") in states
+        assert "chunk.block_find" not in names  # bound at dequeue: no search
+        assert ("chunk.speculative_reject" if error == "format"
+                else "chunk.task_error") in names
         assert stats["metrics"]["blockfinder.candidates_tested"] == 0
         assert stats["on_demand_decodes"] == 2  # the first chunk, and this
 
@@ -426,17 +427,17 @@ class TestDecodeFaults:
 
     def test_speculative_reject_is_one_event(self):
         # The reject happens on a pool thread and must show up exactly
-        # once: one lifecycle record, one counter increment.
+        # once: one trace instant, one counter increment.
         damaged, index = _corrupt_index_interval()
-        reader = _open("threads", damaged, index=index, events=True,
+        reader = _open("threads", damaged, index=index, trace=True,
                        verify=False, tolerate_corruption=True)
         _read_all(reader)
-        states = collections.Counter(
-            record["state"] for record in reader.telemetry.events.records()
+        names = collections.Counter(
+            event["name"] for event in reader.telemetry.recorder.events()
         )
         assert reader.statistics()["speculative_rejects"] == 1
-        assert states["rejected"] == 1
-        assert not states["no-candidate"]
+        assert names["chunk.speculative_reject"] == 1
+        assert not names["chunk.no_candidate"]
 
     def test_exhausted_pread_has_one_contract(self):
         # Every read of one chunk's bytes fails for good at ``io.pread``:

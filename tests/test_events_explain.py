@@ -1,8 +1,7 @@
-"""Tests for the structured event log and the read-latency attribution
-(--explain) toolkit."""
+"""Tests for the chunk lifecycles on the trace and the read-latency
+attribution (--explain) toolkit."""
 
 import gzip as stdlib_gzip
-import io
 import json
 
 import pytest
@@ -11,76 +10,85 @@ from repro.datagen import generate_base64
 from repro.errors import UsageError
 from repro.reader import ParallelGzipReader
 from repro.telemetry import (
-    EVENT_SCHEMA,
-    EventLog,
-    NULL_EVENT_LOG,
+    EXPLAIN_SCHEMA,
     READ_STAGES,
-    TERMINAL_STATES,
+    TERMINAL_RECORDS,
     attribute_reads,
     chunk_lifecycles,
     format_explain,
-    load_events,
+    lifecycle_digest,
+    load_trace_events,
 )
 
 DATA = generate_base64(400_000, seed=21)
 BLOB = stdlib_gzip.compress(DATA, 6)
 
 
-class TestEventLog:
-    def test_emit_and_records(self):
-        log = EventLog(origin=0.0)
-        log.emit("queued", chunk=1, kind="speculative")
-        log.emit("cached", chunk=1, bit=80, nbytes=4096)
-        records = log.records()
-        assert len(records) == 2
-        for record in records:
-            assert record["schema"] == EVENT_SCHEMA
-            assert record["ts"] >= 0.0
-            assert "pid" in record
-        assert records[0]["state"] == "queued"
-        assert records[1]["bit"] == 80
+def _instant(name, ts, **args):
+    return {"ph": "i", "s": "t", "name": name, "ts": float(ts), "pid": 1,
+            "tid": 1, "args": args}
 
-    def test_schema_round_trip(self, tmp_path):
-        log = EventLog(origin=0.0)
-        log.emit("queued", chunk=0)
-        log.emit("decode", chunk=0, mode="search")
-        log.emit("cached", chunk=0, bit=0, nbytes=10)
-        path = tmp_path / "events.jsonl"
-        log.save(str(path))
-        loaded = load_events(str(path))
-        assert loaded == log.records()
-        # JSONL: one self-contained JSON object per line.
-        lines = path.read_text().splitlines()
-        assert len(lines) == 3
-        assert all(json.loads(line)["schema"] == EVENT_SCHEMA
-                   for line in lines)
 
-    def test_capacity_drops_counted(self):
-        log = EventLog(origin=0.0, capacity=2)
-        for index in range(5):
-            log.emit("queued", chunk=index)
-        assert len(log.records()) == 2
-        assert log.dropped == 3
+def _span(name, ts, dur, tid=1, pid=1, **args):
+    return {"ph": "X", "name": name, "ts": float(ts), "dur": float(dur),
+            "pid": pid, "tid": tid, "args": args}
 
-    def test_null_log_is_inert(self):
-        NULL_EVENT_LOG.emit("queued", chunk=0)
-        assert NULL_EVENT_LOG.records() == []
-        assert not NULL_EVENT_LOG.enabled
 
+def _unfinished(lifecycles) -> dict:
+    """Chunks whose last ``chunk.queued`` reached no terminal record."""
+    unfinished = {}
+    for chunk, history in lifecycles.items():
+        names = [event["name"] for event in history]
+        if "chunk.queued" not in names:
+            continue
+        last_queued = len(names) - 1 - names[::-1].index("chunk.queued")
+        if not TERMINAL_RECORDS & set(names[last_queued:]):
+            unfinished[chunk] = names
+    return unfinished
+
+
+class TestLifecycles:
     def test_chunk_lifecycles_joins_bit_records(self):
-        log = EventLog(origin=0.0)
-        log.emit("queued", chunk=4)
-        log.emit("cached", chunk=4, bit=352, nbytes=100)
-        log.emit("served", bit=352, nbytes=100)  # bit-only record
-        lifecycles = chunk_lifecycles(log.records())
-        assert set(lifecycles) == {4}
-        assert [r["state"] for r in lifecycles[4]] == \
-            ["queued", "cached", "served"]
+        trace_events = [
+            _instant("chunk.queued", 0, chunk_id=4),
+            _span("chunk.decode", 1, 5, tid=2, chunk_id=4, start_bit=None),
+            _instant("chunk.cached", 8, chunk_id=4, start_bit=352,
+                     window_known=False),
+            _span("reader.serve", 9, 1, start_bit=352, nbytes=100),
+            _span("reader.serve", 11, 1, nbytes=100),  # the join: no bit
+            _span("spill.write", 12, 1, start_bit=999, nbytes=10),
+        ]
+        lifecycles = chunk_lifecycles(trace_events)
+        assert set(lifecycles) == {4, "bit:999"}
+        assert [event["name"] for event in lifecycles[4]] == [
+            "chunk.queued", "chunk.decode", "chunk.cached", "reader.serve",
+        ]
+
+    def test_digest_counts_pressure_and_unfinished_chunks(self):
+        trace_events = [
+            _instant("chunk.queued", 0, chunk_id=1),
+            _instant("chunk.speculative_shed", 1, chunk_id=1),
+            _instant("chunk.queued", 2, chunk_id=1),  # resubmitted, pending
+            _instant("chunk.queued", 3, chunk_id=2),
+            _instant("chunk.cached", 4, chunk_id=2, start_bit=80,
+                     window_known=True),
+        ]
+        digest = lifecycle_digest(trace_events, evicted=3)
+        assert digest["chunks"] == 2
+        assert digest["incomplete_chunks"] == [1]
+        assert digest["record_counts"]["chunk.queued"] == 3
+        assert digest["pressure"] == {"evicted": 3, "shed": 1}
+        lines = format_explain({
+            "totals": {"reads": 1, "read_wall_seconds": 0.0},
+            "lifecycle": digest,
+        })
+        assert "[Explain] lifecycle pressure: 3 evicted, 1 shed" in lines
+        assert any("never reached a terminal" in line for line in lines)
 
 
 def read_all_with_telemetry(backend, **kwargs):
     with ParallelGzipReader(BLOB, parallelization=3, chunk_size=32 * 1024,
-                            trace=True, events=True, **kwargs) as reader:
+                            trace=True, **kwargs) as reader:
         output = bytearray()
         while True:
             piece = reader.read(128 * 1024)
@@ -90,52 +98,48 @@ def read_all_with_telemetry(backend, **kwargs):
         assert bytes(output) == DATA
         assert reader.statistics()["backend"] == backend
     # Read after close(), as the CLI does: what was still queued or in
-    # flight has been shed or harvested by then, so the log is complete.
+    # flight has been shed or harvested by then, so the trace is complete.
     trace_events = reader.telemetry.recorder.events()
-    event_records = reader.telemetry.events.records()
     report = reader.explain()
-    return trace_events, event_records, report
+    return trace_events, report
 
 
 class TestLifecycleCompleteness:
     @pytest.mark.parametrize("backend", ["threads"])
     def test_every_chunk_reaches_terminal_state(self, backend):
-        _, records, _ = read_all_with_telemetry(backend)
-        lifecycles = chunk_lifecycles(records)
-        assert lifecycles  # multi-chunk by construction
-        incomplete = {
-            chunk: [record["state"] for record in history]
-            for chunk, history in lifecycles.items()
-            if not any(record["state"] in TERMINAL_STATES
-                       for record in history)
+        trace_events, _ = read_all_with_telemetry(backend)
+        lifecycles = chunk_lifecycles(trace_events)
+        assert len(lifecycles) > 1  # multi-chunk by construction
+        assert any(
+            event["name"] == "chunk.queued"
+            for history in lifecycles.values() for event in history
+        )
+        assert not _unfinished(lifecycles)
+        # The served data is on the same timeline, joined to its chunk.
+        names = {
+            event["name"]
+            for chunk, history in lifecycles.items() if isinstance(chunk, int)
+            for event in history
         }
-        assert not incomplete
-        # The served data must also be visible as lifecycle events.
-        states = {record["state"] for record in records}
-        assert {"queued", "decode", "cached", "served"} <= states
+        assert {"chunk.queued", "chunk.decode", "chunk.cached",
+                "reader.serve"} <= names
 
     @pytest.mark.parametrize("backend", ["threads"])
     def test_close_terminates_what_was_queued(self, backend):
         # One small read leaves speculative decodes queued and in flight;
         # close() cancels or harvests them, so none ends as "queued".
         reader = ParallelGzipReader(BLOB, parallelization=2,
-                                    chunk_size=16 * 1024, events=True)
+                                    chunk_size=16 * 1024, trace=True)
         assert reader.read(1000) == DATA[:1000]
         assert reader.statistics()["backend"] == backend
         reader.close()
-        lifecycles = chunk_lifecycles(reader.telemetry.events.records())
-        speculative = [
-            history for history in lifecycles.values()
-            if history[0]["state"] == "queued"
+        lifecycles = chunk_lifecycles(reader.telemetry.recorder.events())
+        queued = [
+            chunk for chunk, history in lifecycles.items()
+            if any(event["name"] == "chunk.queued" for event in history)
         ]
-        assert speculative
-        for history in speculative:
-            assert history[-1]["state"] in TERMINAL_STATES, history
-
-
-def _span(name, ts, dur, tid=1, pid=1, **args):
-    return {"ph": "X", "name": name, "ts": float(ts), "dur": float(dur),
-            "pid": pid, "tid": tid, "args": args}
+        assert queued
+        assert not _unfinished(lifecycles)
 
 
 class TestAttribution:
@@ -173,7 +177,7 @@ class TestAttribution:
         # Live run: structural identities only. How much lands in named
         # stages depends on scheduler luck on a loaded host; that identity
         # is asserted on the hand-built spans above.
-        trace_events, records, report = read_all_with_telemetry(backend)
+        trace_events, report = read_all_with_telemetry(backend)
         totals = report["totals"]
         assert totals["reads"] >= 2  # multi-read, multi-chunk
         assert totals["bottleneck"] in READ_STAGES
@@ -187,16 +191,19 @@ class TestAttribution:
             assert set(row["stages"]) == set(READ_STAGES)
             assert row["duration_seconds"] >= 0.0
         # The report is reproducible from the raw artifacts.
-        rebuilt = attribute_reads(trace_events, records)
+        rebuilt = attribute_reads(trace_events)
         assert rebuilt["totals"]["stages"] == totals["stages"]
 
     def test_event_digest_included(self):
-        _, records, report = read_all_with_telemetry("threads")
-        digest = report["events"]
-        assert digest["chunks"] >= 1
-        assert digest["records"] == len(records)
+        trace_events, report = read_all_with_telemetry("threads")
+        digest = report["lifecycle"]
+        assert digest == lifecycle_digest(
+            trace_events, evicted=digest["pressure"].get("evicted", 0)
+        )
+        assert digest["chunks"] > 1
         assert digest["incomplete_chunks"] == []
-        assert digest["state_counts"]["served"] >= 1
+        assert digest["record_counts"]["chunk.queued"] >= 1
+        assert digest["record_counts"]["reader.serve"] >= 1
 
     def test_explain_requires_tracing(self):
         with ParallelGzipReader(BLOB, parallelization=1,
@@ -205,7 +212,7 @@ class TestAttribution:
                 reader.explain()
 
     def test_format_explain_lines(self):
-        _, _, report = read_all_with_telemetry("threads")
+        _, report = read_all_with_telemetry("threads")
         lines = format_explain(report)
         assert lines
         assert all(line.startswith("[Explain]") for line in lines)
@@ -228,17 +235,21 @@ class TestCliExplain:
         path.write_bytes(BLOB)
         return path
 
-    def test_events_flag_writes_jsonl(self, gz_file, tmp_path, capsys):
+    def test_trace_flag_holds_lifecycle(self, gz_file, tmp_path):
         from repro.cli import main
 
-        events_path = tmp_path / "events.jsonl"
+        trace_path = tmp_path / "data.trace.json"
         out = tmp_path / "data"
-        assert main(["-o", str(out), "--events", str(events_path),
-                     str(gz_file)]) == 0
-        records = load_events(str(events_path))
-        assert records
-        assert all(record["schema"] == EVENT_SCHEMA for record in records)
+        assert main(["-o", str(out), "-P", "2", "--chunk-size", "64",
+                     "--trace", str(trace_path), str(gz_file)]) == 0
         assert out.read_bytes() == DATA
+        lifecycles = chunk_lifecycles(load_trace_events(str(trace_path)))
+        names = {
+            event["name"]
+            for history in lifecycles.values() for event in history
+        }
+        assert {"chunk.queued", "chunk.cached", "reader.serve"} <= names
+        assert not _unfinished(lifecycles)
 
     def test_explain_flag_prints_report(self, gz_file, tmp_path, capsys):
         from repro.cli import main
@@ -257,6 +268,7 @@ class TestCliExplain:
         assert main(["-o", str(out), "--explain-json", str(report_path),
                      str(gz_file)]) == 0
         report = json.loads(report_path.read_text())
-        assert report["schema"] == 1
+        assert report["schema"] == EXPLAIN_SCHEMA
+        assert report["lifecycle"]["incomplete_chunks"] == []
         assert report["totals"]["attributed_fraction"] > 0.5
         assert report["totals"]["bottleneck"] in READ_STAGES

@@ -426,7 +426,7 @@ class TestClosedReaderIsFreed:
         variants = [
             {},
             {"max_memory": "8MiB", "spill_dir": str(tmp_path)},
-            {"trace": True, "events": True},
+            {"trace": True},
             {"tolerate_corruption": True},
             {"index": index},
         ]

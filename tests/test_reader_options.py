@@ -100,7 +100,7 @@ class TestReaderForwarding:
 
     def test_reader_keywords_outside_the_options(self):
         with ParallelGzipReader(
-            BLOB, index=None, trace=True, events=True, telemetry=None,
+            BLOB, index=None, trace=True, telemetry=None,
             metrics_port=None, metrics_host="127.0.0.1", metrics_interval=1.0,
         ) as reader:
             assert reader.options == ReaderOptions()

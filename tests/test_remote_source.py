@@ -18,6 +18,7 @@ import os
 import signal
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -77,6 +78,35 @@ def _hard_deadline():
         signal.signal(signal.SIGALRM, previous)
 
 
+class _RefuseHeadHandler(BaseHTTPRequestHandler):
+    """Serves ``BLOB`` to ranged GETs and answers HEAD with 405."""
+
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, *args) -> None:
+        pass
+
+    def do_HEAD(self) -> None:
+        self.server.methods.append("HEAD")
+        self.send_response(405)
+        self.send_header("Allow", "GET")
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def do_GET(self) -> None:
+        self.server.methods.append("GET")
+        lo, _, hi = self.headers["Range"][len("bytes="):].partition("-")
+        start, stop = int(lo), min(int(hi) + 1, len(BLOB))
+        body = BLOB[start:stop]
+        self.send_response(206)
+        self.send_header(
+            "Content-Range", f"bytes {start}-{stop - 1}/{len(BLOB)}"
+        )
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
 class TestHttpRangeReader:
     def test_size_and_validators(self):
         with FaultHTTPServer(BLOB) as server:
@@ -105,6 +135,51 @@ class TestHttpRangeReader:
                 assert stats["block_hits"] >= 200
                 # wire bytes ~ one block, served bytes ~ sum of tiny reads
                 assert stats["wire_bytes"] <= 2 * 32 * 1024
+
+    def test_failed_read_costs_one_request_per_attempt(self):
+        # A 503 is the origin failing, not refusing HEAD: the retry
+        # ladder handles it, no second request rides along.
+        with FaultHTTPServer(BLOB, hard_down=True) as server:
+            with open_remote(server.url, retries=0, breaker_threshold=1,
+                             **FAST) as reader:
+                with pytest.raises(NetworkError) as info:
+                    reader.pread(0, 10)
+            assert server.request_count == 1
+        assert "503" in str(info.value)
+
+    def test_failed_head_is_not_retried_as_a_ranged_get(self):
+        with FaultHTTPServer(BLOB, hard_down=True) as server:
+            stats = NetworkStats()
+            wire = HttpRangeFileReader(
+                RemoteReaderOptions(url=server.url), stats
+            )
+            with pytest.raises(NetworkError) as info:
+                wire.size()
+            wire.close()
+            assert server.request_count == 1
+        assert "HEAD" in str(info.value)
+        assert "503" in str(info.value)
+
+    def test_refused_head_discovers_size_through_ranged_get(self):
+        server = ThreadingHTTPServer(("127.0.0.1", 0), _RefuseHeadHandler)
+        server.daemon_threads = True
+        server.methods = []
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05},
+            daemon=True,
+        )
+        thread.start()
+        try:
+            host, port = server.server_address[:2]
+            url = f"http://{host}:{port}/payload"
+            with open_remote(url, retries=0, **FAST) as reader:
+                assert reader.size() == len(BLOB)
+                assert reader.pread(1000, 50) == BLOB[1000:1050]
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join()
+        assert server.methods[:2] == ["HEAD", "GET"]
 
     def test_rejects_non_http_url(self):
         with pytest.raises(UsageError):
@@ -415,8 +490,7 @@ class TestEndToEndChaos:
         with FaultHTTPServer(BLOB, latency=0.01) as server:
             source = open_remote(server.url, block_size=32 * 1024, **FAST)
             with ParallelGzipReader(source, parallelization=2,
-                                    chunk_size=CHUNK, trace=True,
-                                    events=True) as reader:
+                                    chunk_size=CHUNK, trace=True) as reader:
                 assert reader.read() == DATA
                 report = reader.explain()
             stages = report["totals"]["stages"]

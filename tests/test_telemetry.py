@@ -166,11 +166,15 @@ class TestTraceRecorder:
         assert metadata[-1]["args"]["name"] == "custom"
 
     def test_instant_and_counter_events(self):
+        # Instants only: counts live in the metrics registry, and the
+        # recorder writes no counter ("C") samples.
         recorder = TraceRecorder()
         recorder.instant("marker", chunks=2)
-        recorder.counter("queue", depth=5)
-        phases = {e["ph"] for e in recorder.events()}
-        assert {"i", "C"} <= phases
+        (marker,) = [e for e in recorder.events() if e["ph"] != "M"]
+        assert marker["ph"] == "i"
+        assert marker["name"] == "marker"
+        assert marker["args"] == {"chunks": 2}
+        assert not hasattr(recorder, "counter")
 
     def test_export_valid_chrome_trace_json(self, tmp_path):
         recorder = TraceRecorder()
@@ -206,7 +210,6 @@ class TestNullRecorder:
         recorder = NullRecorder()
         with recorder.span("ignored", attr=1):
             recorder.instant("ignored")
-            recorder.counter("ignored", n=1)
         recorder.complete("ignored", 0.0, 1.0)
         recorder.set_thread_name("ignored")
         assert recorder.num_events == 0
