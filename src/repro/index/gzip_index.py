@@ -6,7 +6,7 @@ index is built as a by-product of decompression and can be exported and
 re-imported (like indexed_gzip); with a finalized index loaded:
 
 * seeking is O(log n) + decoding at most one seek-point interval,
-* chunk decompression delegates to zlib (>2x faster than two-stage),
+* a chunk decodes in one exact libz pass (>2x faster than two-stage),
 * workloads are balanced, because the points are equally spaced in
   *decompressed* space.
 

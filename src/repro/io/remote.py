@@ -473,6 +473,11 @@ class BlockCacheFileReader(FileReader):
         self._check_open()
         return self._base.size()
 
+    @property
+    def known_size(self):
+        """The wire reader's size once known, else ``None``."""
+        return self._base.known_size
+
     def cache_snapshot(self) -> dict:
         return self._cache.snapshot()
 
@@ -563,16 +568,142 @@ class BlockCacheFileReader(FileReader):
 class ResilientFileReader(FileReader):
     """Retry/deadline/circuit-breaker decorator around any reader.
 
-    Wraps ``base.pread`` in a bounded retry ladder: up to ``retries``
-    re-attempts with exponential backoff and decorrelated jitter
-    (``sleep = min(cap, uniform(base, 3 * previous))``), all inside a
-    per-read ``deadline``. A shared :class:`CircuitBreaker` rejects
-    reads outright while the origin looks dead, and re-probes after a
-    cooldown. :class:`SourceChangedError` is re-raised immediately —
+    Wraps ``base.pread``, and ``base.size`` while the size is unknown,
+    in one bounded retry ladder: up to ``retries`` re-attempts with
+    exponential backoff and decorrelated jitter (``sleep = min(cap,
+    uniform(base, 3 * previous))``), all inside a per-read ``deadline``.
+    A shared :class:`CircuitBreaker` rejects reads outright while the
+    origin looks dead, and re-probes after a cooldown.
+    :class:`SourceChangedError` is re-raised immediately — retrying a
+    generation mismatch cannot succeed. Every worker thread reads
+    through the one decorator, so the whole stack behaves as one origin
+    client: one breaker, one jitter sequence, one set of statistics.
+    Every read attempt passes through the ``io.pread`` fault site.
+    """
+
+    def __init__(self, base: FileReader, options: RemoteReaderOptions,
+                 stats: NetworkStats) -> None:
+        super().__init__()
+        from ..cache import LRUCache
+
+        self._base = base
+        self.block_size = options.block_size
+        self._stats = stats
+        self._cache = LRUCache(max(options.cache_blocks, 1), sizer=len)
+        self._lock = threading.Lock()
+        self._inflight: dict = {}  # block index -> its fetch gate
+        self._position = 0
+
+    def size(self) -> int:
+        self._check_open()
+        return self._base.size()
+
+    @property
+    def known_size(self):
+        """The wire reader's size once known, else ``None``."""
+        return self._base.known_size
+
+    def cache_snapshot(self) -> dict:
+        return self._cache.snapshot()
+
+    def _fetch_span(self, first: int, last: int) -> dict:
+        """Blocks ``first..last`` inclusive, coalescing wire round trips.
+
+        Every contiguous run of still-missing blocks becomes ONE range
+        request — a chunk-sized ``pread`` spanning four cold blocks pays
+        one round trip, not four. Gates are acquired in ascending index
+        order (one global ordering, so overlapping spans cannot
+        deadlock); blocks fetched concurrently by another thread turn
+        into cache hits on the double-check under the gates.
+        """
+        cache = self._cache
+        size = self.block_size
+        with self._lock:
+            gates = []
+            for index in range(first, last + 1):
+                gate = self._inflight.get(index)
+                if gate is None:
+                    gate = self._inflight[index] = threading.Lock()
+                gates.append(gate)
+        blocks = {}
+        for gate in gates:
+            gate.acquire()
+        try:
+            runs = []  # [start, length] of consecutive missing indexes
+            for index in range(first, last + 1):
+                block = cache.get(index)
+                if block is not None:
+                    self._stats.count("block_hits")
+                    blocks[index] = block
+                elif runs and index == runs[-1][0] + runs[-1][1]:
+                    runs[-1][1] += 1
+                else:
+                    runs.append([index, 1])
+            for start, length in runs:
+                data = self._base.pread(start * size, length * size)
+                for step in range(length):
+                    index = start + step
+                    block = data[step * size:(step + 1) * size]
+                    self._stats.count("block_misses")
+                    cache.insert(index, block)
+                    blocks[index] = block
+        finally:
+            for gate in reversed(gates):
+                gate.release()
+            with self._lock:
+                for index in range(first, last + 1):
+                    self._inflight.pop(index, None)
+        return blocks
+
+    def pread(self, offset: int, size: int) -> bytes:
+        self._check_open()
+        if size <= 0 or offset < 0:
+            return b""
+        # An unknown size is not discovered first: the fetch's
+        # Content-Range binds it, and a short tail block ends the read.
+        total = self._base.known_size
+        if total is not None:
+            if offset >= total:
+                return b""
+            size = min(size, total - offset)
+        first = offset // self.block_size
+        last = (offset + size - 1) // self.block_size
+        blocks = self._fetch_span(first, last)
+        pieces = []
+        for index in range(first, last + 1):
+            block = blocks[index]
+            lo = offset - index * self.block_size if index == first else 0
+            hi = (
+                offset + size - index * self.block_size
+                if index == last else len(block)
+            )
+            pieces.append(block[max(lo, 0):hi])
+            if len(block) < self.block_size:
+                break  # short tail block: nothing past it
+        data = b"".join(pieces)
+        self._stats.count("served_bytes", len(data))
+        return data
+
+    def close(self) -> None:
+        if not self._closed:
+            self._base.close()
+        super().close()
+
+
+class ResilientFileReader(FileReader):
+    """Retry/deadline/circuit-breaker decorator around any reader.
+
+    Wraps ``base.pread``, and ``base.size`` while the size is unknown,
+    in one bounded retry ladder: up to ``retries`` re-attempts with
+    exponential backoff and decorrelated jitter (``sleep = min(cap,
+    uniform(base, 3 * previous))``), all inside a per-read ``deadline``.
+    A shared :class:`CircuitBreaker` rejects reads outright while the
+    origin looks dead, and re-probes after a cooldown. :class:`SourceChangedError` is re-raised immediately —
     retrying a generation mismatch cannot succeed. Every worker thread
     reads through the one decorator, so the whole stack behaves as one
     origin client: one breaker, one jitter sequence, one set of
-    statistics. Every attempt passes through the ``io.pread`` fault site.
+    statistics. Every read attempt passes through the ``io.pread`` fault
+    site.
     """
 
     def __init__(self, base: FileReader, options: RemoteReaderOptions,
@@ -625,18 +756,32 @@ class ResilientFileReader(FileReader):
 
     def size(self) -> int:
         self._check_open()
-        # Size discovery goes over the wire too: give it the same ladder
-        # by riding a 1-byte read when the size is still unknown.
-        try:
-            return self._base.size()
-        except NetworkError:
-            self.pread(0, 1)
-            return self._base.size()
+        known = getattr(self._base, "known_size", None)
+        if known is not None:
+            return known  # no request to make, so nothing to retry
+        return self._with_retries(
+            lambda attempt: self._base.size(), "size discovery"
+        )
 
     def pread(self, offset: int, size: int) -> bytes:
         self._check_open()
         if size <= 0:
             return b""
+
+        def attempt(number: int) -> bytes:
+            faults.fire("io.pread", chunk_id=offset, attempt=number)
+            return self._base.pread(offset, size)
+
+        return self._with_retries(
+            attempt, f"range [{offset}, {offset + size})",
+            offset=offset, size=size,
+        )
+
+    def _with_retries(self, call, what: str, **where):
+        """``call(attempt)`` under the breaker, retried with backoff until
+        it succeeds, ``retries`` re-attempts are spent, or the deadline
+        would pass; ``what`` and ``where`` name the request in the
+        :class:`NetworkError` that gives up."""
         options = self._options
         deadline_at = (
             time.monotonic() + options.deadline
@@ -647,8 +792,7 @@ class ResilientFileReader(FileReader):
         while True:
             self.breaker.allow()  # fail fast: not caught, not retried
             try:
-                faults.fire("io.pread", chunk_id=offset, attempt=attempt)
-                data = self._base.pread(offset, size)
+                result = call(attempt)
             except SourceChangedError:
                 raise  # a new object generation: retrying cannot help
             except NetworkError as error:
@@ -657,11 +801,9 @@ class ResilientFileReader(FileReader):
                 if attempt > options.retries:
                     self._stats.count("giveups")
                     raise NetworkError(
-                        f"range [{offset}, {offset + size}) of "
-                        f"{self.url or 'source'} failed after {attempt} "
-                        f"attempt(s): {error}",
-                        url=self.url, offset=offset, size=size,
-                        attempts=attempt,
+                        f"{what} of {self.url or 'source'} failed after "
+                        f"{attempt} attempt(s): {error}",
+                        url=self.url, attempts=attempt, **where,
                     ) from error
                 # One C call: atomic under the GIL, no lock needed.
                 delay = min(
@@ -673,12 +815,10 @@ class ResilientFileReader(FileReader):
                         and time.monotonic() + delay > deadline_at):
                     self._stats.count("giveups")
                     raise NetworkError(
-                        f"range [{offset}, {offset + size}) of "
-                        f"{self.url or 'source'} exhausted its "
+                        f"{what} of {self.url or 'source'} exhausted its "
                         f"{options.deadline:.1f} s deadline after {attempt} "
                         f"attempt(s): {error}",
-                        url=self.url, offset=offset, size=size,
-                        attempts=attempt,
+                        url=self.url, attempts=attempt, **where,
                     ) from error
                 previous_delay = delay
                 self._stats.count("retries")
@@ -688,7 +828,7 @@ class ResilientFileReader(FileReader):
                 time.sleep(delay)
                 continue
             self.breaker.record_success()
-            return data
+            return result
 
     def warm_ranges(self, ranges) -> None:
         """Best-effort concurrent prefetch of ``(offset, size)`` ranges.

@@ -76,7 +76,7 @@ class TestIndex:
     def test_export_then_import(self, gz_file, tmp_path, capsysbinary):
         idx = tmp_path / "data.idx"
         assert main(["--export-index", str(idx), str(gz_file)]) == 0
-        assert idx.exists()
+        assert idx.read_bytes().startswith(b"RPGZIDX2")
         assert main(["-c", "--import-index", str(idx), str(gz_file)]) == 0
         assert capsysbinary.readouterr().out == DATA
 

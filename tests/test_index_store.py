@@ -227,6 +227,25 @@ class TestRoundTrip:
             load_index(reseal(blob))
         assert (info.value.check, info.value.point) == ("window_crc", 0)
 
+    def test_flipped_window_without_reseal_reports_footer_crc(
+            self, index_file):
+        # The walk meets the bad window before the footer CRC is known;
+        # the report is still the footer's, as for any unsealed damage.
+        blob = bytearray(index_file.read_bytes())
+        blob[32 + 40 + 29] ^= 0xFF
+        with pytest.raises(IndexIntegrityError) as info:
+            load_index(bytes(blob))
+        assert info.value.check == "footer_crc"
+
+    def test_stale_source_outranks_a_damaged_window(self, corpus,
+                                                    index_file):
+        blob = bytearray(index_file.read_bytes())
+        blob[32 + 40 + 29] ^= 0xFF
+        other = stdlib_gzip.compress(DATA[::-1], 6)
+        with pytest.raises(IndexIntegrityError) as info:
+            load_index(reseal(blob), source=other)
+        assert info.value.check == "fingerprint"
+
     def test_unknown_policy_rejected(self, index_file):
         for policy in ("lazy", "off", "paranoid"):
             with pytest.raises(UsageError):
@@ -239,6 +258,102 @@ class TestRoundTrip:
         assert a == b
         assert a != c  # same basename, different source path
         assert a.endswith(".rpzidx")
+
+
+# v2 layout pieces, for rewriting the windows of a file on disk.
+_HEADER = struct.Struct("<8sBBHQQI")
+_FINGERPRINT_SIZE = struct.calcsize("<QQIIIIQ")
+_POINT = struct.Struct("<QQBIII")
+_STORED_ZLIB_HEADER = zlib.compress(b"", 0)[:2]
+
+
+def split_v2(blob):
+    """A v2 file's header and fingerprint bytes, and its points as
+    ``(record fields, compressed window)`` pairs."""
+    header = _HEADER.unpack_from(blob)
+    offset = _HEADER.size + (_FINGERPRINT_SIZE if header[2] & 2 else 0)
+    prefix, points = blob[:offset], []
+    for _ in range(header[-1]):
+        fields = _POINT.unpack_from(blob, offset)
+        offset += _POINT.size
+        points.append((fields, blob[offset : offset + fields[4]]))
+        offset += fields[4]
+    return prefix, points
+
+
+class TestWindowEncoding:
+    """A window is written deflated when that at least halves it, stored
+    otherwise; the loader accepts either, as it always has."""
+
+    @pytest.fixture(scope="class")
+    def silesia(self):
+        from repro.datagen import generate_silesia_like
+
+        data = generate_silesia_like(1_000_000, seed=5)
+        blob = stdlib_gzip.compress(data, 6)
+        with ParallelGzipReader(
+            blob, parallelization=2, chunk_size=CHUNK
+        ) as reader:
+            assert reader.read() == data
+            index = reader.index
+        return data, blob, index
+
+    def test_silesia_windows_stored_unless_halved_and_round_trip(
+            self, silesia):
+        data, blob, index = silesia
+        encoded = index_to_bytes_v2(index, fingerprint=fingerprint_source(blob))
+        _, points = split_v2(encoded)
+        stored = 0
+        for point, (fields, compressed) in zip(index, points):
+            window = window_bytes(point.window)
+            if compressed[:2] == _STORED_ZLIB_HEADER:
+                stored += 1
+                assert 2 * len(zlib.compress(window, 6)) > len(window)
+            else:
+                assert 2 * len(compressed) <= len(window)
+            assert len(compressed) <= len(window) + 11
+        assert 0 < stored < len(points)
+        loaded = load_index(encoded, source=blob)
+        assert [(p.compressed_bit_offset, p.uncompressed_offset, p.window)
+                for p in loaded] == [
+            (p.compressed_bit_offset, p.uncompressed_offset,
+             window_bytes(p.window)) for p in index]
+        with ParallelGzipReader(blob, parallelization=2,
+                                index=loaded) as reader:
+            assert reader.read() == data
+
+    def test_all_deflated_index_still_loads(self, silesia):
+        # What earlier releases wrote: every window deflated at level 6.
+        data, blob, index = silesia
+        prefix, points = split_v2(
+            index_to_bytes_v2(index, fingerprint=fingerprint_source(blob))
+        )
+        pieces = [prefix]
+        for (bit, output, flags, raw, _, _), compressed in points:
+            deflated = zlib.compress(zlib.decompress(compressed), 6)
+            pieces += [
+                _POINT.pack(bit, output, flags, raw, len(deflated),
+                            zlib.crc32(deflated)),
+                deflated,
+            ]
+        legacy = reseal(b"".join(pieces) + bytes(12))
+        assert all(piece[:2] != _STORED_ZLIB_HEADER
+                   for _, piece in split_v2(legacy)[1])
+        loaded = load_index(legacy, source=blob)
+        assert [(p.compressed_bit_offset, p.uncompressed_offset, p.window,
+                 p.is_stream_start) for p in loaded] == [
+            (p.compressed_bit_offset, p.uncompressed_offset,
+             window_bytes(p.window), p.is_stream_start) for p in index]
+        with ParallelGzipReader(blob, parallelization=2,
+                                index=loaded) as reader:
+            assert reader.read() == data
+
+    def test_loaded_windows_are_bytes(self, silesia, index_file):
+        _, blob, index = silesia
+        for loaded in (load_index(index_to_bytes_v2(index)),
+                       load_index(str(index_file)),
+                       load_index(bytearray(index_file.read_bytes()))):
+            assert all(type(point.window) is bytes for point in loaded)
 
 
 class TestFingerprint:

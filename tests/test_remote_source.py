@@ -160,6 +160,34 @@ class TestHttpRangeReader:
         assert "HEAD" in str(info.value)
         assert "503" in str(info.value)
 
+    @pytest.mark.parametrize("retries, breaker_threshold",
+                             [(0, 1), (2, 5)])
+    def test_size_discovery_runs_the_retry_ladder(self, retries,
+                                                  breaker_threshold):
+        # One HEAD per attempt, under the breaker: no extra request rides
+        # along, and the error names the size probe, not a byte range.
+        with FaultHTTPServer(BLOB, hard_down=True) as server:
+            with open_remote(server.url, retries=retries,
+                             breaker_threshold=breaker_threshold,
+                             **FAST) as reader:
+                with pytest.raises(NetworkError) as info:
+                    reader.size()
+            assert server.request_count == retries + 1
+        error = info.value
+        assert "size discovery" in str(error)
+        assert "range [" not in str(error)
+        assert error.offset is None
+        assert error.attempts == retries + 1
+
+    def test_known_size_costs_no_request(self):
+        with FaultHTTPServer(BLOB) as server:
+            with open_remote(server.url, retries=0, **FAST) as reader:
+                assert reader.size() == len(BLOB)
+                requests = server.request_count
+                server.set_hard_down(True)
+                assert reader.size() == len(BLOB)
+            assert server.request_count == requests
+
     def test_refused_head_discovers_size_through_ranged_get(self):
         server = ThreadingHTTPServer(("127.0.0.1", 0), _RefuseHeadHandler)
         server.daemon_threads = True
