@@ -28,10 +28,8 @@ Defenses, end to end:
   file carries one and ``source`` is given), and every window's CRC and
   bounded inflation. A returned ``SeekPoint.window`` is always real
   bytes, so nothing downstream can meet a damaged window. The file is
-  walked once, through ``memoryview`` slices: each window's CRC is
-  folded into the running footer CRC (``crc32_combine``), so every byte
-  is CRC'd once, and a walk that fails re-checks the footer first, so
-  damage reports as ``footer_crc`` whatever else it broke.
+  read through ``memoryview`` slices, so checks copy nothing; only the
+  inflated windows are new bytes.
 
 Every failure raises :class:`~repro.errors.IndexIntegrityError` with
 the failed check's name; callers choose what a rejection means
@@ -88,7 +86,6 @@ import zlib
 from dataclasses import dataclass
 
 from .. import faults
-from ..deflate import libz
 from ..deflate.constants import MAX_WINDOW_SIZE
 from ..errors import IndexIntegrityError, UsageError
 from ..io import FileReader, ensure_file_reader
@@ -254,7 +251,7 @@ def fingerprint_source(source, *, like: SourceFingerprint = None) -> SourceFinge
 # -- windows ---------------------------------------------------------------------
 
 
-def _check_window(compressed: bytes, crc: int, raw_length: int,
+def _check_window(compressed: memoryview, crc: int, raw_length: int,
                   point: int) -> bytes:
     """CRC-check and inflate one stored window; every failure is typed."""
     faults.fire("index.window", chunk_id=point)
@@ -275,7 +272,7 @@ def _check_window(compressed: bytes, crc: int, raw_length: int,
     return window
 
 
-def _inflate_window(compressed: bytes, point: int) -> bytes:
+def _inflate_window(compressed: memoryview, point: int) -> bytes:
     """Inflate one stored window into at most one byte past 32 KiB, so a
     hostile window cannot balloon memory; every failure is typed."""
     try:
@@ -462,12 +459,12 @@ def _parse_index(data: bytes, path, source, telemetry) -> GzipIndex:
         header = _take(view, 0, _HEADER_V1.size, "header", path)
         magic, version, flags, uncompressed_size, compressed_size_bits, \
             count = _HEADER_V1.unpack(header)
-        expected = 1
+        expected, point_size = 1, _POINT_V1.size
     else:
         header = _take(view, 0, _HEADER.size, "header", path)
         magic, version, flags, _reserved, uncompressed_size, \
             compressed_size_bits, count = _HEADER.unpack(header)
-        expected = _VERSION
+        expected, point_size = _VERSION, _POINT.size
         if magic != INDEX_MAGIC_V2:
             raise IndexIntegrityError(
                 f"not a rapidgzip-repro index file (magic {magic!r})",
@@ -486,57 +483,33 @@ def _parse_index(data: bytes, path, source, telemetry) -> GzipIndex:
             check="finalized", path=path, offset=9,
         )
 
-    stored_crc = None if legacy else _check_trailer(view, path)
+    if not legacy:
+        _check_footer(view, path)
+
     offset = len(header)
     fingerprint = None
     if not legacy and flags & _FLAG_FINGERPRINT:
         block = _take(view, offset, _FINGERPRINT.size, "fingerprint", path)
         fingerprint = SourceFingerprint(*_FINGERPRINT.unpack(block))
         offset += _FINGERPRINT.size
-
-    # The walk CRCs the v2 body as it goes, so the footer CRC is known
-    # only after it. A walk that fails is reported as if the footer had
-    # been checked first: a damaged file names ``footer_crc``, a stale
-    # one ``fingerprint``, whatever the walk tripped over behind them.
-    try:
-        index, body_crc = _walk_points(
-            view, offset, count, legacy, path, telemetry
-        )
-    except Exception:
-        if not legacy:
-            _check_footer(
-                view, path, stored_crc, zlib.crc32(view[: -_FOOTER.size])
+    if fingerprint is not None and source is not None:
+        observed = fingerprint_source(source, like=fingerprint)
+        drift = fingerprint.mismatch(observed)
+        if drift:
+            raise IndexIntegrityError(
+                f"index does not match the compressed file: {drift}",
+                check="fingerprint", path=path,
             )
-        _check_binding(fingerprint, source, path)
-        raise
-    if not legacy:
-        _check_footer(view, path, stored_crc, body_crc)
-    _check_binding(fingerprint, source, path)
-    index.finalize(uncompressed_size, compressed_size_bits)
-    return index
 
-
-def _walk_points(view: memoryview, offset: int, count: int, legacy: bool,
-                 path, telemetry) -> tuple:
-    """Check and inflate the ``count`` seek points from ``offset`` on.
-
-    Returns the index and, for v2, the CRC-32 of everything before the
-    footer. Each byte is CRC'd once: a window's own CRC, once it
-    matches, is folded into the running body CRC instead of being read
-    again.
-    """
-    point_size = _POINT_V1.size if legacy else _POINT.size
     # A count no file of this size could hold is structural damage, not
     # a huge index — reject before looping (and allocating) on it.
-    header_size = _HEADER_V1.size if legacy else _HEADER.size
-    if count > max((len(view) - header_size) // point_size, 0):
+    if count > max((len(view) - len(header)) // point_size, 0):
         raise IndexIntegrityError(
             f"declared seek-point count {count} cannot fit in a "
             f"{len(view)}-byte index file",
-            check="truncated", path=path, offset=header_size - 4,
+            check="truncated", path=path, offset=len(header) - 4,
         )
 
-    body_crc = 0 if legacy else zlib.crc32(view[:offset])
     validated = None
     if telemetry is not None and not legacy:
         validated = telemetry.metrics.counter("index.windows_validated")
@@ -550,7 +523,6 @@ def _walk_points(view: memoryview, offset: int, count: int, legacy: bool,
         else:
             bit_offset, output_offset, point_flags, raw_length, \
                 compressed_length, window_crc = _POINT.unpack(record)
-            body_crc = zlib.crc32(record, body_crc)
         offset += point_size
         if raw_length > MAX_WINDOW_SIZE or \
                 compressed_length > MAX_COMPRESSED_WINDOW:
@@ -568,7 +540,6 @@ def _walk_points(view: memoryview, offset: int, count: int, legacy: bool,
             window = _inflate_window(compressed, number)
         else:
             window = _check_window(compressed, window_crc, raw_length, number)
-            body_crc = _fold_crc(body_crc, compressed, window_crc)
             if validated is not None:
                 validated.increment()
         try:
@@ -586,30 +557,16 @@ def _walk_points(view: memoryview, offset: int, count: int, legacy: bool,
                 check="order", path=path, offset=offset,
             ) from error
 
-    if not legacy:
-        end = len(view) - _FOOTER.size
-        if offset > end:
-            raise IndexIntegrityError(
-                f"truncated index file: footer missing at byte offset "
-                f"{offset}",
-                check="truncated", path=path, offset=offset,
-            )
-        body_crc = zlib.crc32(view[offset:end], body_crc)
-    return index, body_crc
+    if not legacy and offset + _FOOTER.size > len(view):
+        raise IndexIntegrityError(
+            f"truncated index file: footer missing at byte offset {offset}",
+            check="truncated", path=path, offset=offset,
+        )
+    index.finalize(uncompressed_size, compressed_size_bits)
+    return index
 
 
-def _fold_crc(crc: int, piece: memoryview, piece_crc: int) -> int:
-    """``crc`` extended over ``piece``, whose own CRC-32 is known: libz's
-    ``crc32_combine`` (microseconds), or, where libz cannot be loaded,
-    one more pass over ``piece`` (the reference combine takes ms)."""
-    if libz.load() is None:
-        return zlib.crc32(piece, crc)
-    return libz.crc32_combine(crc, piece_crc, len(piece))
-
-
-def _check_trailer(view: memoryview, path) -> int:
-    """The footer's stored body CRC, once the file is long enough to
-    hold a footer and ends in the trailer magic."""
+def _check_footer(view: memoryview, path) -> None:
     if len(view) < _HEADER.size + _FOOTER.size:
         raise IndexIntegrityError(
             f"truncated index file: {len(view)} byte(s) cannot hold a "
@@ -622,28 +579,12 @@ def _check_trailer(view: memoryview, path) -> int:
             "index trailer magic missing (torn or truncated write)",
             check="trailer", path=path, offset=len(view) - 8,
         )
-    return stored_crc
-
-
-def _check_footer(view: memoryview, path, stored_crc: int,
-                  actual: int) -> None:
+    actual = zlib.crc32(view[: -_FOOTER.size])
     if actual != stored_crc:
         raise IndexIntegrityError(
             f"whole-file CRC-32 mismatch (stored {stored_crc:#010x}, "
             f"computed {actual:#010x})",
             check="footer_crc", path=path, offset=len(view) - _FOOTER.size,
-        )
-
-
-def _check_binding(fingerprint, source, path) -> None:
-    """Reject an index whose fingerprint does not match ``source``."""
-    if fingerprint is None or source is None:
-        return
-    drift = fingerprint.mismatch(fingerprint_source(source, like=fingerprint))
-    if drift:
-        raise IndexIntegrityError(
-            f"index does not match the compressed file: {drift}",
-            check="fingerprint", path=path,
         )
 
 

@@ -584,131 +584,6 @@ class ResilientFileReader(FileReader):
     def __init__(self, base: FileReader, options: RemoteReaderOptions,
                  stats: NetworkStats) -> None:
         super().__init__()
-        from ..cache import LRUCache
-
-        self._base = base
-        self.block_size = options.block_size
-        self._stats = stats
-        self._cache = LRUCache(max(options.cache_blocks, 1), sizer=len)
-        self._lock = threading.Lock()
-        self._inflight: dict = {}  # block index -> its fetch gate
-        self._position = 0
-
-    def size(self) -> int:
-        self._check_open()
-        return self._base.size()
-
-    @property
-    def known_size(self):
-        """The wire reader's size once known, else ``None``."""
-        return self._base.known_size
-
-    def cache_snapshot(self) -> dict:
-        return self._cache.snapshot()
-
-    def _fetch_span(self, first: int, last: int) -> dict:
-        """Blocks ``first..last`` inclusive, coalescing wire round trips.
-
-        Every contiguous run of still-missing blocks becomes ONE range
-        request — a chunk-sized ``pread`` spanning four cold blocks pays
-        one round trip, not four. Gates are acquired in ascending index
-        order (one global ordering, so overlapping spans cannot
-        deadlock); blocks fetched concurrently by another thread turn
-        into cache hits on the double-check under the gates.
-        """
-        cache = self._cache
-        size = self.block_size
-        with self._lock:
-            gates = []
-            for index in range(first, last + 1):
-                gate = self._inflight.get(index)
-                if gate is None:
-                    gate = self._inflight[index] = threading.Lock()
-                gates.append(gate)
-        blocks = {}
-        for gate in gates:
-            gate.acquire()
-        try:
-            runs = []  # [start, length] of consecutive missing indexes
-            for index in range(first, last + 1):
-                block = cache.get(index)
-                if block is not None:
-                    self._stats.count("block_hits")
-                    blocks[index] = block
-                elif runs and index == runs[-1][0] + runs[-1][1]:
-                    runs[-1][1] += 1
-                else:
-                    runs.append([index, 1])
-            for start, length in runs:
-                data = self._base.pread(start * size, length * size)
-                for step in range(length):
-                    index = start + step
-                    block = data[step * size:(step + 1) * size]
-                    self._stats.count("block_misses")
-                    cache.insert(index, block)
-                    blocks[index] = block
-        finally:
-            for gate in reversed(gates):
-                gate.release()
-            with self._lock:
-                for index in range(first, last + 1):
-                    self._inflight.pop(index, None)
-        return blocks
-
-    def pread(self, offset: int, size: int) -> bytes:
-        self._check_open()
-        if size <= 0 or offset < 0:
-            return b""
-        # An unknown size is not discovered first: the fetch's
-        # Content-Range binds it, and a short tail block ends the read.
-        total = self._base.known_size
-        if total is not None:
-            if offset >= total:
-                return b""
-            size = min(size, total - offset)
-        first = offset // self.block_size
-        last = (offset + size - 1) // self.block_size
-        blocks = self._fetch_span(first, last)
-        pieces = []
-        for index in range(first, last + 1):
-            block = blocks[index]
-            lo = offset - index * self.block_size if index == first else 0
-            hi = (
-                offset + size - index * self.block_size
-                if index == last else len(block)
-            )
-            pieces.append(block[max(lo, 0):hi])
-            if len(block) < self.block_size:
-                break  # short tail block: nothing past it
-        data = b"".join(pieces)
-        self._stats.count("served_bytes", len(data))
-        return data
-
-    def close(self) -> None:
-        if not self._closed:
-            self._base.close()
-        super().close()
-
-
-class ResilientFileReader(FileReader):
-    """Retry/deadline/circuit-breaker decorator around any reader.
-
-    Wraps ``base.pread``, and ``base.size`` while the size is unknown,
-    in one bounded retry ladder: up to ``retries`` re-attempts with
-    exponential backoff and decorrelated jitter (``sleep = min(cap,
-    uniform(base, 3 * previous))``), all inside a per-read ``deadline``.
-    A shared :class:`CircuitBreaker` rejects reads outright while the
-    origin looks dead, and re-probes after a cooldown. :class:`SourceChangedError` is re-raised immediately —
-    retrying a generation mismatch cannot succeed. Every worker thread
-    reads through the one decorator, so the whole stack behaves as one
-    origin client: one breaker, one jitter sequence, one set of
-    statistics. Every read attempt passes through the ``io.pread`` fault
-    site.
-    """
-
-    def __init__(self, base: FileReader, options: RemoteReaderOptions,
-                 stats: NetworkStats) -> None:
-        super().__init__()
         self._base = base
         self._options = options
         self.url = options.url

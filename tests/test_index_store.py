@@ -47,6 +47,7 @@ from repro.index import (
 )
 from repro.index.store import index_to_bytes_v2
 from repro.reader import ParallelGzipReader
+from repro.telemetry import Telemetry
 
 from .test_index import _v1_of
 
@@ -229,10 +230,21 @@ class TestRoundTrip:
 
     def test_flipped_window_without_reseal_reports_footer_crc(
             self, index_file):
-        # The walk meets the bad window before the footer CRC is known;
-        # the report is still the footer's, as for any unsealed damage.
+        # Unsealed damage is the footer's to report, whatever it hit.
         blob = bytearray(index_file.read_bytes())
         blob[32 + 40 + 29] ^= 0xFF
+        with pytest.raises(IndexIntegrityError) as info:
+            load_index(bytes(blob))
+        assert info.value.check == "footer_crc"
+
+    def test_flipped_flags_without_reseal_report_footer_crc(self):
+        # A 0-point 44-byte index whose header now claims a fingerprint
+        # block the file is too short to hold: still the footer's.
+        index = GzipIndex()
+        index.finalize(0, 0)
+        blob = bytearray(index_to_bytes_v2(index))
+        assert len(blob) == 44
+        blob[9] |= 2  # header flags: fingerprint present
         with pytest.raises(IndexIntegrityError) as info:
             load_index(bytes(blob))
         assert info.value.check == "footer_crc"
@@ -245,6 +257,15 @@ class TestRoundTrip:
         with pytest.raises(IndexIntegrityError) as info:
             load_index(reseal(blob), source=other)
         assert info.value.check == "fingerprint"
+
+    def test_stale_index_rejected_before_any_window(self, index_file):
+        telemetry = Telemetry()
+        other = stdlib_gzip.compress(DATA[::-1], 6)
+        with pytest.raises(IndexIntegrityError) as info:
+            load_index(str(index_file), source=other, telemetry=telemetry)
+        assert info.value.check == "fingerprint"
+        validated = telemetry.metrics.counter("index.windows_validated")
+        assert validated.value == 0
 
     def test_unknown_policy_rejected(self, index_file):
         for policy in ("lazy", "off", "paranoid"):
