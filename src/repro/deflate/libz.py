@@ -122,8 +122,8 @@ def load():
 
 def crc32_combine(crc1: int, crc2: int, length2: int) -> int:
     """CRC-32 of ``A + B`` from ``crc32(A)``, ``crc32(B)`` and ``len(B)``:
-    libz's, or :func:`repro.gz.crc32.crc32_combine` (the reference, three
-    orders of magnitude slower) where libz cannot be loaded."""
+    libz's, or :func:`repro.gz.crc32.crc32_combine` (the same arithmetic
+    in Python, ten to thirty times slower) where libz cannot be loaded."""
     if not crc1:
         return crc2  # A's register shifts as zero: no call, either way
     library = load()

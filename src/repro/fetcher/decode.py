@@ -137,17 +137,20 @@ def decode_chunk_range(
     the signal the speculative caller uses to advance to the next
     candidate.
 
-    ``split_output`` is the per-chunk decompressed-size *ceiling* of the
-    memory-governed pipeline: once at least one block is decoded and the
-    output reaches it, decoding stops at the next Deflate block boundary
-    and returns a **resumable partial result** (``split=True``) whose
-    ``end_bit`` continues the chunk chain — so one high-ratio "bomb"
-    chunk becomes many budget-sized chunks instead of one giant
-    allocation. Unlike ``max_output`` (a hard error), splitting loses no
-    work: everything decoded so far is verified output. A single block
-    larger than the ceiling cannot be split (Deflate blocks are atomic
-    here); ``max_output`` remains the backstop for that case, enforced
-    inside the block (at most one match past the limit).
+    ``split_output`` is the per-chunk decompressed-size *ceiling*: the
+    memory budget's, or — for the on-demand decode a read smaller than a
+    chunk is blocked on — the bytes that read asked for, whichever is
+    lower. Once at least one block is decoded and the output reaches it,
+    decoding stops at the next Deflate block boundary and returns a
+    **resumable partial result** (``split=True``) whose ``end_bit``
+    continues the chunk chain — so one high-ratio "bomb" chunk becomes
+    many budget-sized chunks instead of one giant allocation, and a
+    small cold read waits for its blocks only. Unlike ``max_output`` (a
+    hard error), splitting loses no work: everything decoded so far is
+    verified output. A single block larger than the ceiling cannot be
+    split (Deflate blocks are atomic here); ``max_output`` remains the
+    backstop for that case, enforced inside the block (at most one match
+    past the limit).
 
     ``expected_size`` makes the decode *exact*: the chunk's extent is
     known, its output is written into one buffer of that size, and the

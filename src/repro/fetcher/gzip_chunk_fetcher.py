@@ -10,7 +10,10 @@ the reader extends. Two operating modes, chosen at construction:
   candidate. False positives land in the cache under offsets nobody
   requests and age out; the consumer's *exact* request (previous chunk's
   end offset) either hits a speculative result or triggers an on-demand
-  decode at top priority. §3.3's rule "two-stage only while the window
+  decode at top priority. When the blocked read asked for less than a
+  chunk, that decode stops at the first Deflate block boundary past the
+  bytes it asked for (a demand stop) and the rest of the cell is queued
+  on the pool at once. §3.3's rule "two-stage only while the window
   is unknown" is applied through the chain. A chunk already on it has an
   extent, so a request or prefetch wish for it is the ``index`` task
   below, and prefetch follows its successors instead of searching cells.
@@ -174,6 +177,7 @@ class GzipChunkFetcher:
         self._task_errors = metrics.counter("fetcher.task_errors")
         self._backend_downgrades = metrics.counter("fetcher.backend_downgrades")
         self._chunk_splits = metrics.counter("fetcher.chunk_splits")
+        self._demand_stops = metrics.counter("fetcher.demand_stops")
         self._speculative_shed = metrics.counter("fetcher.speculative_shed")
         metrics.probe(
             "cache.prefetch", lambda: self.prefetch_cache.snapshot()
@@ -234,6 +238,7 @@ class GzipChunkFetcher:
             mode=self.mode,
             chunk_id=chunk_id,
             attempt=attempt,
+            split_output=self.options.split_output,
         )
         if self.mode == "index":
             known = self.chain.extent(self.chain[chunk_id].start_bit)
@@ -459,7 +464,8 @@ class GzipChunkFetcher:
 
     # -- public API -----------------------------------------------------------------
 
-    def request(self, start_bit: int, window: bytes) -> ChunkResult:
+    def request(self, start_bit: int, window: bytes,
+                demand: int = None) -> ChunkResult:
         """Return the chunk starting exactly at ``start_bit``.
 
         ``window`` is the known 32 KiB preceding the chunk (``b""`` at
@@ -472,6 +478,13 @@ class GzipChunkFetcher:
         demand by one exact pass over its known extent (the ``index``
         task), never by block search or markers;
         those serve the frontier and beyond.
+
+        ``demand`` is how many of the chunk's bytes a read blocked on it
+        asked for, when that read was smaller than a chunk. A frontier
+        chunk no pool task delivered then stops at the first Deflate
+        block boundary past them (a *demand stop*), and the rest of its
+        cell is queued on the pool in the same call: the consumer waits
+        for the blocks it asked for, not for the whole cell.
 
         Every access triggers the prefetcher, cache hit or not (§3.1) —
         along the chain's successors after a chunk of known extent, over
@@ -498,20 +511,43 @@ class GzipChunkFetcher:
                         pass  # classified (and counted) by _harvest below
                 self._harvest()
                 result = self.prefetch_cache.get(start_bit)
+        ceiling = None
         if result is None:
-            result = self._produce_chunk(start_bit, chunk_id, window, known)
+            ceiling = self._demand_ceiling(demand, known)
+            result = self._produce_chunk(
+                start_bit, chunk_id, window, known, ceiling
+            )
             if result.split:
-                self._chunk_splits.increment()
+                (self._chunk_splits if ceiling is None
+                 else self._demand_stops).increment()
         if known is None and self.mode == "search":
             # The frontier: its window is known, so its successor's is too.
             self.chain.hand_over(result, window)
+            if ceiling is not None and result.split:
+                # The rest lies in the accessed cell, which no wish names.
+                self._submit(self.chunk_id_for_bit(result.end_bit))
         self._trigger_prefetch(chunk_id, known)
         return result
+
+    def _demand_ceiling(self, demand, known):
+        """The output ceiling of the on-demand decode of a chunk a read
+        waits on ``demand`` bytes of, or ``None`` to decode it whole.
+
+        Only a search-mode frontier chunk stops early, and only while a
+        pool exists to decode the rest: a chunk of known extent (index,
+        catalog, BGZF, or already chained) is proven by decoding all of
+        it. The budget's ceiling wins when it is the lower one.
+        """
+        if (demand is None or known is not None or self.mode != "search"
+                or self.backend != "threads"):
+            return None
+        budget = self.options.split_output
+        return demand if budget is None or demand < budget else None
 
     # -- on-demand decode -------------------------------------------------------------
 
     def _produce_chunk(self, start_bit: int, chunk_id: int, window: bytes,
-                       known):
+                       known, ceiling=None):
         """Produce a chunk no cache or in-flight task delivered: decode it
         on this thread from the last verified offset, or raise a structured
         :class:`ChunkDecodeError` carrying the full context.
@@ -520,7 +556,8 @@ class GzipChunkFetcher:
         blocked on it — so when its worst case does not fit it sheds queued
         speculation (whose harvest drains reservations) and charges with
         :meth:`MemoryGovernor.reserve`, which never refuses and never
-        waits: every discharge runs on this thread.
+        waits: every discharge runs on this thread. ``ceiling`` is a demand
+        stop's output ceiling (:meth:`_demand_ceiling`).
         """
         if self.governor is not None and self.governor.budget:
             reserved = self._inflight_estimate(chunk_id, known)
@@ -529,14 +566,16 @@ class GzipChunkFetcher:
                 self.governor.reserve("on_demand", reserved)
             try:
                 return self._decode_on_demand(
-                    start_bit, chunk_id, window, known
+                    start_bit, chunk_id, window, known, ceiling
                 )
             finally:
                 self.governor.discharge("on_demand", reserved)
-        return self._decode_on_demand(start_bit, chunk_id, window, known)
+        return self._decode_on_demand(
+            start_bit, chunk_id, window, known, ceiling
+        )
 
     def _decode_on_demand(self, start_bit: int, chunk_id: int, window: bytes,
-                          known):
+                          known, ceiling=None):
         """The serial rung: the same task, run on this thread."""
         self._on_demand_decodes.increment()
         try:
@@ -544,6 +583,8 @@ class GzipChunkFetcher:
             spec = self._spec_for(
                 chunk_id, attempt=1, exact=(start_bit, window), known=known,
             )
+            if ceiling is not None:
+                spec.split_output = ceiling
             return run_chunk_task(
                 spec, self.file_reader, self.telemetry, self.options
             )

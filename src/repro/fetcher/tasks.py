@@ -7,9 +7,8 @@ is its only description and :func:`run_chunk_task` its only body —
 function, folding of a speculative reject or an empty search. Pool
 threads and the serial on-demand rung both call the body with the
 fetcher's live file reader, telemetry and
-:class:`~repro.reader.ReaderOptions` (chunk size, output cap, split
-ceiling), so where a chunk is decoded changes nothing about what is
-recorded or raised.
+:class:`~repro.reader.ReaderOptions` (chunk size, output cap), so where
+a chunk is decoded changes nothing about what is recorded or raised.
 """
 
 from __future__ import annotations
@@ -55,14 +54,18 @@ class ChunkTaskSpec:
     window: bytes = None
     # index mode
     extent: ChunkExtent = None
+    # search mode: the decompressed ceiling past which the decode stops at
+    # a block boundary — the budget's (ReaderOptions.split_output), or a
+    # blocked read's demand when that is lower; None decodes the cell whole
+    split_output: int = None
 
 
 def run_chunk_task(spec: ChunkTaskSpec, reader, telemetry,
                    options) -> ChunkResult:
     """Decode the chunk ``spec`` describes from ``reader``: the one task
     body, run by pool threads and the serial rung. ``options`` (the
-    reader's :class:`~repro.reader.ReaderOptions`) give the cell size, the
-    output cap and the split ceiling.
+    reader's :class:`~repro.reader.ReaderOptions`) give the cell size and
+    the output cap; the split ceiling is the spec's.
 
     A speculative task (``attempt`` 0) returns ``None`` when the chunk
     has no decodable candidate or is rejected with :class:`FormatError`
@@ -104,14 +107,14 @@ def _decode(spec: ChunkTaskSpec, reader, telemetry, options,
     if searching:
         return speculative_decode(
             reader, spec.chunk_id, options.chunk_size,
-            max_output=max_output, split_output=options.split_output,
+            max_output=max_output, split_output=spec.split_output,
             telemetry=telemetry,
         )
     if spec.mode == "search":
         stop_bit = (spec.chunk_id + 1) * options.chunk_size * 8
         return decode_chunk_range(
             reader, spec.start_bit, stop_bit, spec.window,
-            max_output=max_output, split_output=options.split_output,
+            max_output=max_output, split_output=spec.split_output,
         )
     if spec.mode == "index":
         extent = spec.extent

@@ -46,45 +46,54 @@ fast_crc32 = zlib.crc32
 
 # -- crc32_combine ------------------------------------------------------------
 #
-# Advancing a CRC over n zero bytes is a linear operation on GF(2)^32; we
-# represent it as a 32x32 bit matrix (one int per column) and square it to
-# apply 2^k zeros at a time — the same trick zlib uses.
+# zlib 1.2.12's form: a CRC register is a polynomial over GF(2), bit-reversed
+# (bit 31 is x^0). Appending n zero bytes multiplies it by x^(8n) modulo the
+# CRC polynomial, and x^(8n) is the product of the table entries x^(2^k) for
+# the set bits k of 8n: one product of 32 shift-and-add steps per set bit.
+# The table wraps at 32 entries because x^(2^32) = x modulo the polynomial.
 
 
-def _matrix_times_vector(matrix: list, vector: int) -> int:
-    result = 0
-    index = 0
-    while vector:
-        if vector & 1:
-            result ^= matrix[index]
-        vector >>= 1
-        index += 1
-    return result
+def _multiply_mod_p(a: int, b: int) -> int:
+    """``a * b`` modulo the CRC polynomial; ``a`` must not be zero."""
+    mask = 1 << 31
+    product = 0
+    while True:
+        if a & mask:
+            product ^= b
+            if not a & (mask - 1):
+                return product
+        mask >>= 1
+        b = (b >> 1) ^ CRC32_POLYNOMIAL if b & 1 else b >> 1
 
 
-def _matrix_square(matrix: list) -> list:
-    return [_matrix_times_vector(matrix, column) for column in matrix]
+def _build_x2n_table() -> list:
+    """``x^(2^k)`` modulo the CRC polynomial for k = 0..31."""
+    power = 1 << 30  # x^1
+    table = [power]
+    for _ in range(31):
+        power = _multiply_mod_p(power, power)
+        table.append(power)
+    return table
 
 
-def _zero_operator() -> list:
-    """Matrix advancing a CRC register by one zero *byte* (8 bit shifts)."""
-    # One zero bit: crc' = (crc >> 1) ^ (poly if crc & 1 else 0).
-    one_bit = [CRC32_POLYNOMIAL] + [1 << i for i in range(31)]
-    matrix = one_bit
-    for _ in range(2):  # square twice: 1 bit -> 2 bits -> 4 bits
-        matrix = _matrix_square(matrix)
-    return _matrix_square(matrix)  # -> 8 bits = 1 byte
+_X2N_TABLE = _build_x2n_table()
+
+
+def _x8n_mod_p(length: int) -> int:
+    """``x^(8 * length)`` modulo the CRC polynomial."""
+    power = 1 << 31  # x^0
+    k = 3  # 8 = 2^3: bit j of length weighs x^(2^(j + 3))
+    while length:
+        if length & 1:
+            power = _multiply_mod_p(_X2N_TABLE[k & 31], power)
+        length >>= 1
+        k += 1
+    return power
 
 
 def crc32_combine(crc1: int, crc2: int, length2: int) -> int:
     """CRC of ``A+B`` given ``crc32(A)``, ``crc32(B)`` and ``len(B)``."""
     if length2 <= 0:
         return crc1 & 0xFFFFFFFF
-    matrix = _zero_operator()
-    crc = crc1 & 0xFFFFFFFF
-    while length2:
-        if length2 & 1:
-            crc = _matrix_times_vector(matrix, crc)
-        matrix = _matrix_square(matrix)
-        length2 >>= 1
-    return (crc ^ crc2) & 0xFFFFFFFF
+    shifted = _multiply_mod_p(_x8n_mod_p(length2), crc1 & 0xFFFFFFFF)
+    return (shifted ^ crc2) & 0xFFFFFFFF

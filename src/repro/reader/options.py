@@ -126,7 +126,9 @@ class ReaderOptions:
         """Per-chunk decompressed ceiling under a budget, ``None`` without:
         a worker past it stops at a Deflate block boundary and returns a
         resumable partial result, so one high-ratio chunk never holds
-        more than about a budget share."""
+        more than about a budget share. The on-demand decode of a read
+        smaller than ``chunk_size`` stops at the lower of this ceiling
+        and the bytes that read asked for (the fetcher's demand stop)."""
         if self.max_memory is None:
             return None
         return max(self.max_memory // 8, MIN_SPLIT_OUTPUT)

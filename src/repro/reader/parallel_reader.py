@@ -224,14 +224,15 @@ class ParallelGzipReader:
 
     # -- decoding engine --------------------------------------------------------
 
-    def _decode_next_chunk(self):
-        """Advance the chain by one chunk; a failure goes to the damage
+    def _decode_next_chunk(self, until: int = None):
+        """Advance the chain by one chunk (``until`` as in
+        :meth:`_decode_frontier_chunk`); a failure goes to the damage
         policy. The first full pass publishes the index to the cache,
         unless it was built over damaged data (an ``index`` region only
         records a rejected stale entry, which the export heals) or is a
         catalog's (already embedded in the file)."""
         try:
-            record = self._decode_frontier_chunk()
+            record = self._decode_frontier_chunk(until)
         except (ChunkDecodeError, FormatError) as error:
             record = self._resync(error)
         if (
@@ -286,14 +287,20 @@ class ParallelGzipReader:
             )
         return record
 
-    def _decode_frontier_chunk(self) -> ChunkRecord:
-        """Decode the chunk at the frontier and extend the chain."""
+    def _decode_frontier_chunk(self, until: int = None) -> ChunkRecord:
+        """Decode the chunk at the frontier and extend the chain.
+
+        ``until`` is the decompressed offset a read smaller than a chunk
+        is blocked on: the fetcher may stop the chunk at the first block
+        boundary past it (a demand stop) and decode the rest on the pool.
+        """
         chain = self._chunks
         start_bit, window, is_stream_start = chain.frontier
+        demand = None if until is None else until - chain.known_size
         with self.telemetry.recorder.span(
             "reader.decode_next_chunk", start_bit=start_bit
         ):
-            result = self._fetcher.request(start_bit, window)
+            result = self._fetcher.request(start_bit, window, demand)
             data = self._materialize_result(result, window)
         output_start = chain.known_size
         record = ChunkRecord(
@@ -348,12 +355,15 @@ class ParallelGzipReader:
             )
         return data
 
-    def _ensure_decoded_to(self, offset: int) -> None:
+    def _ensure_decoded_to(self, offset: int, until: int = None) -> None:
+        """Extend the chain past ``offset``; ``until`` (a read smaller
+        than a chunk: the end of what it asked for) lets the chunk that
+        gets there stop soon after it."""
         while (
             self._chunks.frontier is not None
             and self._chunks.known_size <= offset
         ):
-            self._decode_next_chunk()
+            self._decode_next_chunk(until)
 
     def _spill_evicted(self):
         """Eviction hook parking evicted chunk bytes in the spill tier, or
@@ -416,8 +426,14 @@ class ParallelGzipReader:
             recorder = self.telemetry.recorder
             pieces = []
             remaining = size if size >= 0 else None
+            # A read of at least a chunk decodes whole chunks: the rest of
+            # a stopped one would be the next thing it waits for.
+            small = remaining is not None and size < self.options.chunk_size
             while remaining is None or remaining > 0:
-                self._ensure_decoded_to(self._position)
+                self._ensure_decoded_to(
+                    self._position,
+                    self._position + remaining if small else None,
+                )
                 if self._position >= self._chunks.known_size:
                     break  # end of file
                 serve_started = time.perf_counter() if recorder.enabled else 0.0

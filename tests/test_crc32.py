@@ -1,7 +1,9 @@
 """Tests for the from-scratch CRC-32 and crc32_combine."""
 
+import random
 import zlib
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -55,3 +57,43 @@ def test_combine_associative():
     bc = crc32_combine(zlib.crc32(b), zlib.crc32(c), len(c))
     abc_right = crc32_combine(zlib.crc32(a), bc, len(b) + len(c))
     assert abc_left == abc_right == zlib.crc32(a + b + c)
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 31, 4096, 65537])
+def test_combine_matches_zlib_at_lengths(length):
+    rng = random.Random(length)
+    for _ in range(20):
+        first = rng.randbytes(rng.randrange(0, 3000))
+        second = rng.randbytes(length)
+        assert crc32_combine(
+            zlib.crc32(first), zlib.crc32(second), len(second)
+        ) == zlib.crc32(first + second)
+
+
+def test_combine_matches_zlib_at_random_lengths():
+    rng = random.Random(7)
+    for _ in range(200):
+        first = rng.randbytes(rng.randrange(0, 5000))
+        second = rng.randbytes(rng.randrange(0, 5000))
+        assert crc32_combine(
+            zlib.crc32(first), zlib.crc32(second), len(second)
+        ) == zlib.crc32(first + second)
+
+
+def test_combine_matches_zlib_past_4_gib():
+    # A = 1000 zero bytes, B = 2^32 + 3 zero bytes: one pass of zlib.crc32
+    # over A + B passes both ends of A and of B on the way.
+    first_length, second_length = 1000, (1 << 32) + 3
+    block = bytes(1 << 20)
+    crcs = {}
+    crc = position = 0
+    for stop in sorted({first_length, second_length,
+                        first_length + second_length}):
+        while position < stop:
+            step = min(len(block), stop - position)
+            crc = zlib.crc32(memoryview(block)[:step], crc)
+            position += step
+        crcs[stop] = crc
+    assert crc32_combine(
+        crcs[first_length], crcs[second_length], second_length
+    ) == crcs[first_length + second_length]

@@ -1,12 +1,14 @@
 """Tests for the cache-and-prefetch chunk fetcher — the paper's core engine."""
 
+import functools
 import gzip as stdlib_gzip
 import random
 
 import pytest
 
 from repro.cache import FetchNextFixed
-from repro.errors import UsageError
+from repro.datagen import generate_base64, generate_silesia_like
+from repro.errors import ReproError, UsageError
 from repro.fetcher import (
     ChunkChain,
     ChunkRecord,
@@ -18,8 +20,9 @@ from repro.fetcher import (
 )
 from repro.fetcher.tasks import execute_chunk_task, run_chunk_task
 from repro.gz.writer import compress as gz_compress
+from repro.index import load_index
 from repro.io import BitReader, MemoryFileReader
-from repro.reader import ReaderOptions
+from repro.reader import ParallelGzipReader, ReaderOptions
 from repro.telemetry import Telemetry
 from repro.gz.header import parse_gzip_header
 
@@ -396,3 +399,232 @@ class TestChunkChain:
         chain.hand_over(self.Decoded(250, 420), b"")
         assert chain.within_reach(4 + SEARCH_DISTANCE - 1)
         assert not chain.within_reach(4 + SEARCH_DISTANCE)
+
+
+# -- demand stops: a cold small read waits for its blocks, not the chunk ------
+
+STOP_CHUNK = 256 * 1024
+FIRST_READ = 65536
+
+
+@functools.lru_cache(maxsize=None)
+def stop_corpus(name: str) -> tuple:
+    """``(data, blob)`` of a 2 MiB corpus whose first chunk outputs far
+    more than :data:`FIRST_READ`."""
+    if name == "multi_member":
+        data = generate_base64(2 << 20, seed=5)
+        cuts = [0, 40_000, 700_000, 700_100, len(data)]
+        return data, b"".join(
+            stdlib_gzip.compress(data[start:end], 6)
+            for start, end in zip(cuts, cuts[1:])
+        )
+    if name == "stored":
+        data = random.Random(5).randbytes(1 << 20)
+        return data, stdlib_gzip.compress(data, 6)
+    generator = {"base64": generate_base64,
+                 "silesia": generate_silesia_like}[name]
+    data = generator(2 << 20, seed=5)
+    return data, stdlib_gzip.compress(data, 6)
+
+
+def whole_chunk_starts(blob: bytes, chunk_size: int) -> list:
+    """Start bits of the chunks a read of whole chunks chains: each decoded
+    exactly from its predecessor's end to its cell's stop predicate."""
+    reader = MemoryFileReader(blob)
+    start, window, starts = deflate_start(blob), b"", []
+    while True:
+        starts.append(start)
+        cell = start // (chunk_size * 8)
+        result = decode_chunk_range(
+            reader, start, (cell + 1) * chunk_size * 8, window
+        )
+        if result.end_bit is None:
+            return starts
+        window = result.next_window(window)
+        start = result.end_bit
+
+
+def read_in(reader, size: int) -> bytes:
+    out = bytearray()
+    while piece := reader.read(size):
+        out += piece
+    return bytes(out)
+
+
+def open_reader(blob: bytes, parallelization: int = 2, **options):
+    return ParallelGzipReader(
+        blob, parallelization=parallelization, chunk_size=STOP_CHUNK,
+        **options,
+    )
+
+
+class TestDemandStop:
+    @pytest.mark.parametrize("corpus", ["base64", "silesia"])
+    def test_cold_read_stops_one_block_past_its_bytes(self, corpus):
+        data, blob = stop_corpus(corpus)
+        start = deflate_start(blob)
+        whole = decode_chunk_range(
+            MemoryFileReader(blob), start, STOP_CHUNK * 8, b""
+        )
+        stop = min(
+            (boundary for boundary in whole.boundaries
+             if boundary.output_offset >= FIRST_READ),
+            key=lambda boundary: boundary.output_offset,
+        )
+        with open_reader(blob, trace=True) as reader:
+            assert reader.read(FIRST_READ) == data[:FIRST_READ]
+            head = reader._chunks[0]
+            assert (head.length, head.end_bit) == (
+                stop.output_offset, stop.bit_offset
+            )
+            assert head.length < whole.length
+            # The rest of the cell went to the pool in the same request.
+            queued = [
+                event["args"]["chunk_id"]
+                for event in reader.telemetry.recorder.events()
+                if event["name"] == "chunk.queued"
+            ]
+            assert 0 in queued
+            assert reader.read() == data[FIRST_READ:]
+            stats = reader.statistics()
+        assert stats["on_demand_decodes"] == 1
+        assert stats["metrics"]["fetcher.demand_stops"] == 1
+        assert stats["chunk_splits"] == 0  # a demand stop is no budget split
+
+    @pytest.mark.parametrize("size", [
+        1, 4096, 65536, STOP_CHUNK - 1, STOP_CHUNK, 1 << 20, -1,
+    ])
+    @pytest.mark.parametrize("parallelization", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "corpus", ["base64", "silesia", "multi_member", "stored"]
+    )
+    def test_bytes_match_zlib_at_every_read_size(self, corpus,
+                                                 parallelization, size):
+        data, blob = stop_corpus(corpus)
+        step = size if size > 0 else 4096
+        with open_reader(blob, parallelization) as reader:
+            # Across three frontiers in reads of ``size`` (the way there
+            # in one read inside decoded territory), a positional read and
+            # a peek beyond the frontier, lines, then the rest.
+            out = bytearray()
+            for _ in range(3):
+                frontier = reader._chunks.known_size
+                out += reader.read(max(frontier - 100 - len(out), 0))
+                for _ in range(300):
+                    piece = reader.read(size)
+                    out += piece
+                    if not piece or len(out) > frontier:
+                        break
+            far = len(data) * 3 // 4
+            assert reader.read_at(far, step) == data[far:far + step]
+            position = len(out)
+            assert reader.peek(step) == data[position:position + step]
+            for _ in range(3):
+                out += reader.readline()
+            out += reader.read() if size < 0 else read_in(
+                reader, max(size, 4096)
+            )
+        assert bytes(out) == data
+
+    @pytest.mark.parametrize("corpus", ["base64", "silesia", "stored"])
+    def test_reads_of_a_chunk_keep_whole_chunks(self, corpus, tmp_path):
+        data, blob = stop_corpus(corpus)
+        expected = whole_chunk_starts(blob, STOP_CHUNK)
+        points = []
+        for size in (STOP_CHUNK, 1 << 20, -1):
+            with open_reader(blob) as reader:
+                assert (read_in(reader, size) if size > 0
+                        else reader.read()) == data
+                assert [record.start_bit for record in reader._chunks] \
+                    == expected
+                assert reader.statistics()["metrics"][
+                    "fetcher.demand_stops"] == 0
+                path = tmp_path / f"{size}.idx"
+                reader.export_index(str(path))
+                points.append([
+                    (point.compressed_bit_offset, point.uncompressed_offset)
+                    for point in reader.index.seek_points
+                ])
+        assert points[0] == points[1] == points[2]
+
+    @pytest.mark.parametrize("parallelization", [1, 2])
+    @pytest.mark.parametrize("corpus", ["base64", "silesia"])
+    def test_small_read_loop_adds_one_record(self, corpus, parallelization):
+        data, blob = stop_corpus(corpus)
+        with open_reader(blob, parallelization) as reader:
+            assert read_in(reader, 8192) == data
+            small = len(reader._chunks)
+            stats = reader.statistics()
+        with open_reader(blob, parallelization) as reader:
+            assert reader.read() == data
+            whole = len(reader._chunks)
+        assert small == whole + 1
+        assert stats["on_demand_decodes"] == 1
+        assert stats["metrics"]["fetcher.demand_stops"] == 1
+
+    def test_index_exported_after_a_small_read_has_the_stop(self, tmp_path):
+        data, blob = stop_corpus("stored")
+        with open_reader(blob) as reader:
+            assert reader.read(FIRST_READ) == data[:FIRST_READ]
+            stop = reader._chunks[0].end_bit
+            reader.export_index(str(tmp_path / "small.idx"))
+            small = [p.compressed_bit_offset for p in reader.index.seek_points]
+        with open_reader(blob) as reader:
+            reader.export_index(str(tmp_path / "whole.idx"))
+            whole = [p.compressed_bit_offset for p in reader.index.seek_points]
+        assert sorted(whole + [stop]) == small
+        index = load_index(str(tmp_path / "small.idx"), source=blob)
+        with ParallelGzipReader(
+            blob, index=index, parallelization=2, chunk_size=STOP_CHUNK
+        ) as reader:
+            assert reader.read_at(FIRST_READ - 10, 20) == \
+                data[FIRST_READ - 10:FIRST_READ + 10]
+            assert reader.read() == data
+
+    def test_serial_backend_keeps_whole_chunks(self):
+        data, blob = stop_corpus("base64")
+        with open_reader(blob) as reader:
+            reader._fetcher._downgrade_backend("test")
+            assert reader.read(FIRST_READ) == data[:FIRST_READ]
+            assert reader._chunks[0].start_bit == deflate_start(blob)
+            assert reader._chunks[0].end_bit == whole_chunk_starts(
+                blob, STOP_CHUNK)[1]
+            assert reader.read() == data[FIRST_READ:]
+            assert reader.statistics()["metrics"][
+                "fetcher.demand_stops"] == 0
+
+    def test_damage_past_the_stop(self):
+        data, blob = stop_corpus("base64")
+        start = deflate_start(blob)
+        whole = decode_chunk_range(
+            MemoryFileReader(blob), start, STOP_CHUNK * 8, b""
+        )
+        block = [boundary for boundary in whole.boundaries
+                 if boundary.output_offset > 2 * FIRST_READ][1]
+        damaged = bytearray(blob)
+        # The header of a block the rest of the first chunk decodes.
+        for offset in range(4):
+            damaged[block.bit_offset // 8 + offset] ^= 0xFF
+        damaged = bytes(damaged)
+
+        errors = []
+        for small in (True, False):
+            with open_reader(damaged) as reader:
+                with pytest.raises(ReproError) as info:
+                    read_in(reader, 4096) if small else reader.read()
+                errors.append(type(info.value))
+        assert errors[0] is errors[1]
+
+        clean = []
+        for small in (True, False):
+            with open_reader(damaged, tolerate_corruption=True) as reader:
+                out = read_in(reader, 4096) if small else reader.read()
+                assert reader.damage_report.regions
+            clean.append(next(
+                (n for n, (a, b) in enumerate(zip(out, data)) if a != b),
+                len(out),
+            ))
+        # Small reads decoded up to the damaged block before failing; a
+        # whole chunk fails from its start.
+        assert clean[0] == block.output_offset
+        assert clean[1] <= clean[0]
