@@ -1,9 +1,8 @@
 """Caching layer: LRU chunk caches, prefetch strategies, and the
-memory-budget machinery (governor, byte accounting, spill tier)."""
+memory-budget machinery (governor, byte accounting)."""
 
 from .budget import MemoryGovernor, format_size, parse_size
 from .lru import CacheStatistics, LRUCache
-from .spill import SpillStore
 from .strategies import (
     FetchMultiStream,
     FetchNextAdaptive,
@@ -15,7 +14,6 @@ __all__ = [
     "CacheStatistics",
     "LRUCache",
     "MemoryGovernor",
-    "SpillStore",
     "format_size",
     "parse_size",
     "FetchMultiStream",

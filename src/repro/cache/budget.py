@@ -23,8 +23,10 @@ admission gate. Graceful degradation is the callers' job:
 * the fetcher stops submitting speculative work (and sheds queued
   speculation) when a reservation does not fit,
 * workers split oversized chunks at Deflate block boundaries so a single
-  bomb chunk cannot blow the budget on its own,
-* evicted-but-indexed chunks spill to disk (:mod:`repro.cache.spill`).
+  bomb chunk cannot blow the budget on its own.
+
+An evicted chunk is simply dropped: a later read decodes it again by one
+exact pass from its seek point and window (paper §3.3).
 
 ``budget=None`` disables the gate but keeps the accounting, so
 ``statistics()`` can always report charged bytes and high-water marks.

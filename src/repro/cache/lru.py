@@ -73,13 +73,10 @@ class LRUCache:
     dropping it instead would send every oversized chunk back to a full
     re-decode. ``governor``/``account`` mirror the cache's charged bytes
     into a shared :class:`~repro.cache.budget.MemoryGovernor`.
-    ``on_evict(key, value)`` fires for every *capacity* eviction (not for
-    ``pop``/``clear``/replacement, where the caller controls the value) —
-    the spill tier's hook.
     """
 
     def __init__(self, capacity: int, *, max_bytes: int = None, sizer=None,
-                 governor=None, account: str = None, on_evict=None):
+                 governor=None, account: str = None):
         if capacity < 1:
             raise UsageError("cache capacity must be at least 1")
         if max_bytes is not None and max_bytes < 1:
@@ -94,7 +91,6 @@ class LRUCache:
         self._sizer = sizer
         self._governor = governor
         self._account = account
-        self._on_evict = on_evict
         self._entries: OrderedDict = OrderedDict()
         self._sizes: dict = {}
         self.current_bytes = 0
@@ -132,12 +128,10 @@ class LRUCache:
             and len(self._entries) > 1  # never evict the sole (newest) entry
         )
 
-    def _evict_lru(self) -> tuple:
-        key, value = self._entries.popitem(last=False)
-        size = self._discharge(key)
+    def _evict_lru(self) -> None:
+        key, _ = self._entries.popitem(last=False)
         self.statistics.evictions += 1
-        self.statistics.bytes_evicted += size
-        return key, value
+        self.statistics.bytes_evicted += self._discharge(key)
 
     # -- mapping API -------------------------------------------------------------
 
@@ -157,21 +151,15 @@ class LRUCache:
             return self._entries.get(key, default)
 
     def insert(self, key, value) -> None:
-        evicted = []
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-                self._discharge(key)  # replacement: swap the charge, no hook
+                self._discharge(key)  # replacement: swap the charge
             self._entries[key] = value
             self._charge(key, value)
             self.statistics.insertions += 1
             while self._over_capacity():
-                evicted.append(self._evict_lru())
-        if self._on_evict is not None:
-            # Outside the lock: the spill hook does disk I/O and may
-            # re-enter governor accounting.
-            for evicted_key, evicted_value in evicted:
-                self._on_evict(evicted_key, evicted_value)
+                self._evict_lru()
 
     def pop(self, key, default=None):
         with self._lock:
@@ -179,18 +167,6 @@ class LRUCache:
                 self._discharge(key)
                 return self._entries.pop(key)
             return default
-
-    def resize(self, capacity: int) -> None:
-        if capacity < 1:
-            raise UsageError("cache capacity must be at least 1")
-        evicted = []
-        with self._lock:
-            self.capacity = capacity
-            while len(self._entries) > capacity:
-                evicted.append(self._evict_lru())
-        if self._on_evict is not None:
-            for evicted_key, evicted_value in evicted:
-                self._on_evict(evicted_key, evicted_value)
 
     def clear(self) -> None:
         with self._lock:

@@ -110,15 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap resident decompressed bytes across caches and in-flight "
         "decodes, e.g. 64MiB, 1.5G, or a plain byte count; prefetching "
         "backs off, oversized chunks split at block boundaries, and "
-        "evicted chunks spill to disk",
-    )
-    robustness.add_argument(
-        "--spill-dir",
-        default=None,
-        metavar="DIR",
-        help="directory for spilled chunks (default: a private temp "
-        "directory, removed on exit); implies the spill tier even "
-        "without --max-memory",
+        "an evicted chunk is decoded again from its seek point",
     )
     robustness.add_argument(
         "--net-retries",
@@ -250,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--explain",
         action="store_true",
         help="attribute each read()'s wall time across pipeline stages "
-        "(block-find, queue wait, decode, window propagation, spill I/O) "
+        "(block-find, queue wait, decode, window propagation) "
         "and print the bottleneck report to "
         "stderr; implies tracing for this run",
     )
@@ -473,7 +465,6 @@ def _dispatch(arguments) -> int:
         trace=bool(arguments.trace) or explain,
         detect_catalog=not arguments.no_catalog,
         max_memory=arguments.max_memory,
-        spill_dir=arguments.spill_dir,
         metrics_port=arguments.metrics_port,
         metrics_interval=arguments.metrics_interval,
     )

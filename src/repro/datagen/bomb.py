@@ -4,8 +4,8 @@ The paper's workloads compress at most ~4.3:1 (Silesia), so the cache
 sizing assumption "an entry is roughly one chunk of output" holds. A
 bomb breaks it: long runs of a constant byte reach the Deflate format's
 practical ratio ceiling of ~1030:1 (a 258-byte match costs a couple of
-bits), which is what the memory governor, chunk splitting, and the spill
-tier exist to survive. These helpers build such inputs deterministically
+bits), which is what the memory governor and chunk splitting exist to
+survive. These helpers build such inputs deterministically
 and cheaply — generating the decompressed side lazily so a test can
 target hundreds of decompressed MiB without ever holding them.
 """

@@ -79,17 +79,14 @@ class ReaderOptions:
         searched, after which the fresh index is atomically re-exported
         (:class:`~repro.index.store.IndexCache`). Needs a file path: it
         is inactive for byte buffers and file objects.
-    ``spill_dir``
-        Directory for chunks evicted from the materialized cache (a
-        private temp directory by default); setting it without
-        ``max_memory`` enables the spill tier alone.
     ``max_memory``
         Cap on the decompressed bytes the whole pipeline holds at once:
         prefetch cache, materialized cache (the paper's access cache) and
         in-flight decodes. A byte count or a size string (``"64MiB"``,
         ``"1.5G"``). Under it the prefetcher sheds speculation, workers
         split chunks at Deflate block boundaries past
-        :attr:`split_output`, and evicted chunks spill to disk. ``None``
+        :attr:`split_output`, and an evicted chunk is decoded again
+        exactly (one libz pass from its start and window). ``None``
         takes ``$REPRO_MAX_MEMORY`` (to replay a whole test suite under a
         budget); after construction the field holds the parsed byte
         count or ``None``.
@@ -105,7 +102,6 @@ class ReaderOptions:
     tolerate_corruption: bool = False
     chunk_timeout: float = None
     index_cache: object = None
-    spill_dir: object = None
     max_memory: object = None
 
     def __post_init__(self) -> None:

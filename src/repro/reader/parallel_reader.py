@@ -30,7 +30,7 @@ from ..blockfinder.pugz import (
     PUGZ_MIN_BYTE,
     check_pugz_compatible,
 )
-from ..cache import LRUCache, SpillStore
+from ..cache import LRUCache
 from ..deflate import MAX_WINDOW_SIZE
 from ..errors import ChunkDecodeError, FormatError, UsageError
 from ..fetcher import ChunkRecord, GzipChunkFetcher
@@ -73,7 +73,7 @@ class ParallelGzipReader:
         (``parallelization``, ``chunk_size``, ``verify``, ``strategy``,
         ``pugz_compatible``, ``max_chunk_output``, ``detect_catalog``,
         ``tolerate_corruption``, ``chunk_timeout``, ``index_cache``,
-        ``spill_dir``, ``max_memory``), each documented there; the
+        ``max_memory``), each documented there; the
         validated object is :attr:`options`. An unknown keyword raises
         :class:`TypeError` and an invalid value
         :class:`~repro.errors.UsageError`, before anything is opened. A
@@ -109,7 +109,7 @@ class ParallelGzipReader:
         )
         self._lock = threading.RLock()
         self._closed = False
-        self._fetcher = self._spill = self._metrics_server = None
+        self._fetcher = self._metrics_server = None
         self._file_reader = ensure_file_reader(source)
         try:
             # The probes registered while opening are this reader's own:
@@ -162,8 +162,6 @@ class ParallelGzipReader:
         )
         if index is None:
             index = self._index_cache.load(self._damage.index_rejected)
-        if options.spill_dir is not None or options.max_memory is not None:
-            self._spill = SpillStore(options.spill_dir, telemetry=self.telemetry)
         try:
             self._fetcher = GzipChunkFetcher(
                 self._file_reader, options, index=index,
@@ -195,7 +193,6 @@ class ParallelGzipReader:
         self._materialized = LRUCache(
             max(4, options.parallelization // 2),
             max_bytes=budget // 8 if budget else None,
-            on_evict=self._spill_evicted(),
             **sizing,
         )
         metrics.probe(
@@ -365,37 +362,15 @@ class ParallelGzipReader:
         ):
             self._decode_next_chunk(until)
 
-    def _spill_evicted(self):
-        """Eviction hook parking evicted chunk bytes in the spill tier, or
-        ``None`` without one.
-
-        Damaged-region bytes are already pinned on the chain (and
-        could not be re-decoded anyway), so they never spill. The hook
-        holds the spill tier and the pinned bytes, not the reader, so the
-        cache never keeps its reader alive.
-        """
-        spill = self._spill
-        if spill is None:
-            return None
-        pinned = self._chunks.pinned
-
-        def hook(key, data):
-            if key not in pinned:
-                spill.put(key, data)
-        return hook
-
     def _chunk_bytes(self, record: ChunkRecord) -> bytes:
         key = record.start_bit
         data = self._materialized.get(key)
         if data is not None:
             return data
         # Tolerant-mode bytes are pinned: the fetcher cannot re-materialize
-        # them (its decode fails at that offset). The spill tier reloads an
-        # evicted chunk CRC-verified; a corrupt or missing spill file falls
-        # through to a fresh decode.
+        # them (its decode fails at that offset). Any other evicted chunk
+        # is decoded again: one exact pass from its start and window.
         data = self._chunks.pinned.get(key)
-        if data is None and self._spill is not None:
-            data = self._spill.get(key)
         if data is not None:
             self._materialized.insert(key, data)
             return data
@@ -639,9 +614,6 @@ class ParallelGzipReader:
         stats["network"] = (
             network_stats() if network_stats is not None else None
         )
-        stats["spill"] = (
-            self._spill.statistics() if self._spill is not None else None
-        )
         stats["metrics"] = self.telemetry.metrics.as_dict()
         return stats
 
@@ -691,7 +663,7 @@ class ParallelGzipReader:
 
     def _release(self) -> None:
         """Let go of everything acquired: the metrics server, the fetcher
-        (its pool and the source) or the bare source, the spill tier."""
+        (its pool and the source) or the bare source."""
         if self._metrics_server is not None:
             self._metrics_server.stop()
             self._metrics_server = None
@@ -699,8 +671,6 @@ class ParallelGzipReader:
             self._fetcher.close()
         else:
             self._file_reader.close()
-        if self._spill is not None:
-            self._spill.close()
         # The probes close over the reader and its parts; frozen and
         # dropped, nothing cyclic is left and the last reference frees it.
         self.telemetry.metrics.freeze_probes(self._probes)

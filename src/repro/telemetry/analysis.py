@@ -19,8 +19,6 @@ stages:
   wire spans carry no chunk id);
 * ``window-propagation`` — materialization: marker replacement with the
   propagated 32 KiB window, the paper's sequential tail;
-* ``spill-io`` — reloading evicted chunks from (or writing them to) the
-  spill tier;
 * ``recovery`` — tolerant-mode resynchronisation after damage;
 * ``verify`` — CRC-32/ISIZE verification on the reading thread;
 * ``bookkeeping`` — harvesting finished futures (absorbing worker
@@ -70,8 +68,10 @@ __all__ = [
 
 #: Version of the :func:`attribute_reads` report. History: 1 — optional
 #: ``events`` digest of the separate event log; 2 — that log is gone,
-#: the reader's ``explain()`` adds a ``lifecycle`` digest of the trace.
-EXPLAIN_SCHEMA = 2
+#: the reader's ``explain()`` adds a ``lifecycle`` digest of the trace;
+#: 3 — the on-disk chunk tier's stage and pressure count are gone (an
+#: evicted chunk is decoded again, which is ``decode`` time).
+EXPLAIN_SCHEMA = 3
 
 #: Attribution stages, in report order. ``other`` is the unexplained
 #: remainder and deliberately last.
@@ -81,7 +81,6 @@ READ_STAGES = (
     "decode",
     "network-io",
     "window-propagation",
-    "spill-io",
     "recovery",
     "verify",
     "bookkeeping",
@@ -93,8 +92,6 @@ READ_STAGES = (
 #: stage, full stop.
 _DIRECT_STAGES = {
     "chunk.materialize": "window-propagation",
-    "spill.read": "spill-io",
-    "spill.write": "spill-io",
     "reader.resync": "recovery",
     "reader.verify": "verify",
     "chunk.harvest": "bookkeeping",
@@ -128,7 +125,7 @@ _ADVICE = {
     "decode": (
         "decode-bound: reads waited on Deflate decoding itself — raise "
         "-P; if --stats reports decoder \"python\", libz could not be "
-        "loaded and the ~40x slower Python decoder is decoding"
+        "loaded and the much slower Python decoder is decoding"
     ),
     "network-io": (
         "origin-latency-bound: reads waited on wire round trips to the "
@@ -140,13 +137,8 @@ _ADVICE = {
         "window-propagation-bound: the sequential marker-replacement "
         "tail dominates — chunks decode speculatively fast enough, but "
         "each must wait for its predecessor's 32 KiB window; import an "
-        "index (windows known, zlib fast path) or recompress with "
+        "index (windows known, one exact libz pass) or recompress with "
         "independent chunks (BGZF)"
-    ),
-    "spill-io": (
-        "spill-bound: reads reloaded evicted chunks from disk — raise "
-        "--max-memory, point --spill-dir at faster storage, or read "
-        "more sequentially"
     ),
     "recovery": (
         "recovery-bound: tolerant-mode resynchronisation after damage "
@@ -449,7 +441,6 @@ TERMINAL_RECORDS = frozenset(
     {
         "chunk.cached",
         "reader.serve",
-        "spill.write",
         "chunk.no_candidate",
         "chunk.speculative_reject",
         "chunk.speculative_shed",
@@ -459,7 +450,6 @@ TERMINAL_RECORDS = frozenset(
 
 #: Records the ``lifecycle pressure`` line counts, with their labels.
 _PRESSURE = {
-    "spill.write": "spilled",
     "chunk.speculative_shed": "shed",
     "chunk.speculative_reject": "rejected",
     "chunk.task_error": "failed",
@@ -470,8 +460,8 @@ def chunk_lifecycles(trace_events) -> dict:
     """Group a trace's chunk records: ``{chunk: [records in time order]}``.
 
     Spans and instants carrying a ``chunk_id`` are keyed by it. Those
-    carrying only a ``start_bit`` (the reader's serve, materialize and
-    spill records) fold into the chunk a record carrying both
+    carrying only a ``start_bit`` (the reader's serve and materialize
+    records) fold into the chunk a record carrying both
     (``chunk.cached``, an exact ``chunk.decode``, a search's
     ``chunk.decode_attempt``) bound to that bit, else into ``"bit:N"``.
     Records with neither are left out.

@@ -48,8 +48,10 @@ __all__ = [
 #: 4: removed the "kernel" section (one block-decode kernel);
 #: 5: removed "index" keys "validate" and "window_crc_failures" (one
 #: index validation pipeline);
-#: 6: removed the "events" section (chunk lifecycles live in the trace).
-STATS_SCHEMA = 6
+#: 6: removed the "events" section (chunk lifecycles live in the trace);
+#: 7: removed the on-disk chunk tier's section (an evicted chunk is
+#: decoded again from its seek point).
+STATS_SCHEMA = 7
 
 
 def sanitize_metric_name(name: str) -> str:

@@ -186,19 +186,6 @@ def format_profile(statistics: dict, *, wall_time: float = None,
                 f"{format_size(split_size)} ceiling, "
                 f"{shed} speculative task(s) shed"
             )
-    spill = statistics.get("spill")
-    if spill and (spill.get("writes") or spill.get("hits")
-                  or spill.get("misses") or spill.get("rejected")):
-        from ..cache import format_size
-
-        info(
-            f"{'Spill tier':<28}: {spill.get('writes', 0)} chunk(s) "
-            f"spilled ({format_size(spill.get('bytes_written', 0))}), "
-            f"{spill.get('hits', 0)} hit(s) / {spill.get('misses', 0)} "
-            f"miss(es), {spill.get('corrupt', 0)} corrupt reload(s), "
-            f"{spill.get('rejected', 0)} write(s) rejected"
-        )
-
     # Persistent index cache: reported whenever the tier was in play —
     # an imported/exported index, chunks on the exact index pass, or
     # any integrity incident. Plain index-free runs stay unchanged.

@@ -64,19 +64,9 @@ class TestLRUCache:
         assert cache.pop("a") == 1
         assert cache.pop("a", "gone") == "gone"
 
-    def test_resize_shrinks(self):
-        cache = LRUCache(4)
-        for i in range(4):
-            cache.insert(i, i)
-        cache.resize(2)
-        assert len(cache) == 2
-        assert 3 in cache  # most recent survive
-
     def test_capacity_validation(self):
         with pytest.raises(UsageError):
             LRUCache(0)
-        with pytest.raises(UsageError):
-            LRUCache(2).resize(0)
 
     def test_thread_safety_smoke(self):
         cache = LRUCache(16)
@@ -263,19 +253,6 @@ class TestLRUByteAccounting:
         assert cache.current_bytes == 50
         cache.clear()
         assert cache.current_bytes == 0
-
-    def test_on_evict_hook_fires_for_capacity_evictions_only(self):
-        evicted = []
-        cache = LRUCache(
-            10, max_bytes=100, sizer=len,
-            on_evict=lambda key, value: evicted.append(key),
-        )
-        cache.insert("a", b"x" * 60)
-        cache.insert("b", b"y" * 60)  # evicts a -> hook
-        cache.pop("b")  # no hook
-        cache.insert("c", b"z" * 10)
-        cache.clear()  # no hook
-        assert evicted == ["a"]
 
     def test_max_bytes_requires_sizer(self):
         with pytest.raises(UsageError):

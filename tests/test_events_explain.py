@@ -56,7 +56,7 @@ class TestLifecycles:
                      window_known=False),
             _span("reader.serve", 9, 1, start_bit=352, nbytes=100),
             _span("reader.serve", 11, 1, nbytes=100),  # the join: no bit
-            _span("spill.write", 12, 1, start_bit=999, nbytes=10),
+            _span("chunk.materialize", 12, 1, start_bit=999),
         ]
         lifecycles = chunk_lifecycles(trace_events)
         assert set(lifecycles) == {4, "bit:999"}

@@ -1,14 +1,14 @@
 """Memory-governed pipeline tests: budget accounting, backpressure,
-chunk splitting, the spill tier, and end-to-end peak-RSS behavior.
+chunk splitting, evicted chunks decoded again, and end-to-end peak-RSS
+behavior.
 
 The hard guarantees under test:
 
 * a >=1000:1 gzip bomb decompresses byte-exactly under a budget a
   fraction of its decompressed size, with the governor's peak charged
   bytes never exceeding the budget,
-* seeking backward into a spilled region returns correct bytes from the
-  spill tier without a re-decode (and falls back to a re-decode when the
-  spill file is corrupted),
+* seeking backward into an evicted chunk decodes it again exactly, with
+  no file written beside the output,
 * backpressure can never deadlock the consumer — every test runs under
   a hard SIGALRM deadline.
 """
@@ -16,7 +16,6 @@ The hard guarantees under test:
 import gzip
 import os
 import signal
-import struct
 import subprocess
 import sys
 import textwrap
@@ -27,7 +26,6 @@ import pytest
 from repro.cache import (
     LRUCache,
     MemoryGovernor,
-    SpillStore,
     format_size,
     parse_size,
 )
@@ -211,7 +209,6 @@ class TestBudgetedDecompression:
         out, stats = self._run(parallelization=2)
         assert out == bomb_expected_output(self.DECOMPRESSED)
         assert stats["memory"] is None
-        assert stats["spill"] is None
         assert stats["chunk_split_size"] is None
         assert stats["chunk_splits"] == 0
 
@@ -237,110 +234,40 @@ class TestBudgetedDecompression:
         assert stats["memory"]["high_water_bytes"] > 0
 
 
-class TestSpillStore:
-    def test_round_trip(self, tmp_path):
-        with SpillStore(str(tmp_path / "spill")) as store:
-            payload = os.urandom(100_000)
-            assert store.put(1234, payload)
-            assert store.get(1234) == payload
-            assert store.hits == 1
+class TestEvictedChunks:
+    """An evicted chunk is decoded again by one exact pass from its seek
+    point and window; a budgeted read touches no disk beyond its output."""
 
-    def test_missing_key_is_a_miss(self, tmp_path):
-        with SpillStore(str(tmp_path / "spill")) as store:
-            assert store.get(999) is None
-            assert store.misses == 1
+    def test_budgeted_read_uses_no_temp_files_and_decodes_again(
+        self, tmp_path, monkeypatch
+    ):
+        import tempfile
+        import zlib
 
-    def test_corrupted_spill_detected(self, tmp_path):
-        directory = tmp_path / "spill"
-        with SpillStore(str(directory)) as store:
-            store.put(7, b"hello world" * 1000)
-            (spill_file,) = directory.iterdir()
-            blob = bytearray(spill_file.read_bytes())
-            blob[-1] ^= 0xFF  # flip a data byte: CRC must catch it
-            spill_file.write_bytes(bytes(blob))
-            assert store.get(7) is None
-            assert store.corrupt == 1
-            assert store.get(7) is None  # bad entry was dropped, plain miss
-            assert store.corrupt == 1
+        from repro.datagen import generate_silesia_like
 
-    def test_bad_magic_detected(self, tmp_path):
-        directory = tmp_path / "spill"
-        with SpillStore(str(directory)) as store:
-            store.put(8, b"payload")
-            (spill_file,) = directory.iterdir()
-            blob = bytearray(spill_file.read_bytes())
-            blob[:4] = b"XXXX"
-            spill_file.write_bytes(bytes(blob))
-            assert store.get(8) is None
-            assert store.corrupt == 1
-
-    def test_replacement_adjusts_bytes_written(self, tmp_path):
-        with SpillStore(str(tmp_path / "spill")) as store:
-            store.put(1, b"a" * 100)
-            store.put(1, b"b" * 40)
-            assert store.bytes_written == 40
-            assert store.get(1) == b"b" * 40
-
-    def test_owned_temp_directory_removed_on_close(self):
-        store = SpillStore()
-        store.put(1, b"data")
-        directory = store.directory
-        assert os.path.isdir(directory)
-        store.close()
-        assert not os.path.exists(directory)
-        assert not store.put(2, b"late")  # closed: refused, not an error
-
-
-class TestSpillTier:
-    DECOMPRESSED = 32 * MiB
-
-    def _spilled_reader(self, tmp_path):
-        blob = generate_bomb(self.DECOMPRESSED)
-        reader = ParallelGzipReader(
-            blob, parallelization=2, max_memory="8MiB",
-            spill_dir=str(tmp_path / "spill"),
-        )
-        while reader.read(4 * MiB):
-            pass
-        return reader
-
-    def test_backward_seek_hits_spill_without_redecode(self, tmp_path):
-        reader = self._spilled_reader(tmp_path)
-        before = reader.statistics()
-        assert before["spill"]["writes"] > 0
-        reader.seek(100)
-        piece = reader.read(8192)
-        after = reader.statistics()
-        reader.close()
-        assert piece == bomb_expected_output(8192)
-        assert after["spill"]["hits"] > before["spill"]["hits"]
-        assert after["on_demand_decodes"] == before["on_demand_decodes"]
-
-    def test_corrupted_spill_falls_back_to_redecode(self, tmp_path):
-        reader = self._spilled_reader(tmp_path)
-        spill_dir = tmp_path / "spill"
-        for spill_file in spill_dir.iterdir():
-            blob = bytearray(spill_file.read_bytes())
-            blob[-1] ^= 0xFF
-            spill_file.write_bytes(bytes(blob))
-        reader.seek(100)
-        piece = reader.read(8192)
-        stats = reader.statistics()
-        reader.close()
-        assert piece == bomb_expected_output(8192)  # re-decoded correctly
-        assert stats["spill"]["corrupt"] >= 1
-
-    def test_spill_dir_without_budget_enables_spill_tier(self, tmp_path):
-        blob = generate_bomb(4 * MiB)
-        reader = ParallelGzipReader(
-            blob, parallelization=2, spill_dir=str(tmp_path / "spill")
-        )
-        data = reader.read()
-        stats = reader.statistics()
-        reader.close()
-        assert data == bomb_expected_output(4 * MiB)
-        assert stats["spill"] is not None
-        assert stats["memory"] is None  # no governor without max_memory
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        data = generate_silesia_like(4 * MiB, seed=9)
+        blob = gzip.compress(data, 6)
+        with ParallelGzipReader(
+            blob, parallelization=2, chunk_size=256 * 1024, max_memory="8MiB"
+        ) as reader:
+            pieces = []
+            while True:
+                piece = reader.read(MiB)
+                if not piece:
+                    break
+                pieces.append(piece)
+            assert b"".join(pieces) == data
+            assert list(tmp_path.iterdir()) == []
+            before = reader.statistics()
+            assert before["materialized_cache"]["evictions"] > 0
+            reader.seek(100)
+            piece = reader.read(8192)
+            after = reader.statistics()
+        assert piece == zlib.decompress(blob, 31)[100:8292]
+        assert (after["index"]["index_chunks"]
+                > before["index"]["index_chunks"])
 
 
 class TestPeakRSS:
@@ -409,7 +336,7 @@ class TestClosedReaderIsFreed:
     it — caches, windows, pool, telemetry — with its last reference, not
     whenever the cyclic collector reaches its generation."""
 
-    def test_no_cycle_outlives_close(self, tmp_path):
+    def test_no_cycle_outlives_close(self):
         import gc
         import io
         import weakref
@@ -425,7 +352,7 @@ class TestClosedReaderIsFreed:
         index = load_index(sink.getvalue())
         variants = [
             {},
-            {"max_memory": "8MiB", "spill_dir": str(tmp_path)},
+            {"max_memory": "8MiB"},
             {"trace": True},
             {"tolerate_corruption": True},
             {"index": index},

@@ -376,8 +376,8 @@ class TestResourceRelease:
             ParallelGzipReader(str(path), chunk_size=10)
         assert _open_descriptors() == baseline
 
-    def test_failed_open_releases_source_and_spill(self, tmp_path,
-                                                   monkeypatch):
+    def test_failed_open_leaves_no_descriptor_or_temp_file(self, tmp_path,
+                                                           monkeypatch):
         import tempfile
 
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
@@ -387,7 +387,7 @@ class TestResourceRelease:
         with pytest.raises(FormatError):
             ParallelGzipReader(b"garbage, not gzip", max_memory="64MiB")
         with pytest.raises(FormatError):
-            ParallelGzipReader(str(path), spill_dir=None, max_memory="64MiB")
+            ParallelGzipReader(str(path), max_memory="64MiB")
         assert _open_descriptors() == baseline
         assert sorted(entry.name for entry in tmp_path.iterdir()) == [
             "garbage.gz"

@@ -27,13 +27,13 @@ class TestReaderOptions:
         assert not options.pugz_compatible
         assert not options.tolerate_corruption
         for name in ("strategy", "max_chunk_output", "chunk_timeout",
-                     "index_cache", "spill_dir", "max_memory"):
+                     "index_cache", "max_memory"):
             assert getattr(options, name) is None, name
         assert options.split_output is None
 
-    def test_twelve_settings(self):
+    def test_eleven_settings(self):
         names = [field.name for field in dataclasses.fields(ReaderOptions)]
-        assert len(names) == 12
+        assert len(names) == 11
 
     @pytest.mark.parametrize("settings", [
         {"parallelization": 0},
@@ -88,7 +88,6 @@ class TestReaderForwarding:
             "tolerate_corruption": True,
             "chunk_timeout": 5.0,
             "index_cache": str(tmp_path / "cache"),
-            "spill_dir": str(tmp_path / "spill"),
             "max_memory": "64MiB",
         }
         with ParallelGzipReader(BLOB, **settings) as reader:

@@ -8,10 +8,8 @@ output must stay byte-identical on every corpus and budget, and
 the existing counters must show which path ran.
 """
 
-import glob
 import gzip
 import io
-import os
 import random
 import time
 
@@ -87,19 +85,13 @@ def _chunk_spans(reader) -> list:
     ]
 
 
-def _drop_spill_files(directory) -> None:
-    """Spilled chunks are disposable; losing them forces a re-decode."""
-    for path in glob.glob(os.path.join(str(directory), "*.spill")):
-        os.remove(path)
-
-
 @pytest.mark.parametrize("budget", [None, "512KiB"], ids=["default", "split"])
 @pytest.mark.parametrize("backend", ["threads"])
 @pytest.mark.parametrize(
     "corpus", ["base64", "silesia", "fastq", "stored", "multi_member"]
 )
 def test_rereads_are_delegated_and_identical(corpus, backend, budget,
-                                             tmp_path, monkeypatch):
+                                             monkeypatch):
     data, blob = _corpus(corpus)
     options = {}
     if budget is not None:
@@ -107,7 +99,7 @@ def test_rereads_are_delegated_and_identical(corpus, backend, budget,
         # splits every chunk that decompresses to more than 64 KiB. A
         # budget this tight makes mandatory decodes overcommit.
         monkeypatch.setattr(reader_options, "MIN_SPLIT_OUTPUT", 32 * 1024)
-        options = {"max_memory": budget, "spill_dir": str(tmp_path)}
+        options = {"max_memory": budget}
     rng = random.Random(11)
     with ParallelGzipReader(
         blob, parallelization=2, chunk_size=CHUNK, **options
@@ -125,16 +117,13 @@ def test_rereads_are_delegated_and_identical(corpus, backend, budget,
         # behind: finished speculative tasks and marker-mode results still
         # in the prefetch cache.
         _wait_until_idle(reader)
-        _drop_spill_files(tmp_path)
         reader.seek(0)
         assert reader.read() == data
         swept = reader.statistics()
         assert swept["metrics"]["decode.index_chunks"] > 0
 
-        _drop_spill_files(tmp_path)
         for start, end in reversed(spans):
             assert reader.read_at(start, end - start) == data[start:end]
-        _drop_spill_files(tmp_path)
         for start, end in rng.sample(spans, len(spans)):
             assert reader.read_at(start, end - start) == data[start:end]
         _wait_until_idle(reader)
