@@ -3,8 +3,8 @@
 Not part of the paper's tables, but each ablation isolates one mechanism
 the paper credits for its performance:
 
-* **prefetch strategy** — adaptive vs fixed vs none (cache hit rates on
-  sequential and strided access),
+* **prefetch strategy** — adaptive vs fixed vs none (prefetch hits,
+  on-demand decodes and speculation on sequential and random access),
 * **prefetch cache size** — the 2P sizing rule vs a starved cache,
 * **marker fallback** — the §3.3 fall-back to conventional decoding once
   the window is marker-free (decode bandwidth on marker-free data),
@@ -12,6 +12,7 @@ the paper credits for its performance:
 * **zlib delegation** — the index fast path vs forcing the custom decoder.
 """
 
+import io
 import random
 import time
 
@@ -21,8 +22,9 @@ from repro.cache import FetchNextAdaptive, FetchNextFixed, LRUCache, PrefetchStr
 from repro.datagen import generate_base64
 from repro.fetcher import GzipChunkFetcher
 from repro.gz.writer import compress as gz_compress
+from repro.index import load_index
 from repro.io import BitReader
-from repro.reader import ReaderOptions
+from repro.reader import ParallelGzipReader, ReaderOptions
 from repro.gz.header import parse_gzip_header
 
 from conftest import fmt_bw
@@ -56,31 +58,81 @@ def drive_fetcher(blob: bytes, strategy, parallelization=3, chunk_size=48 * 1024
         fetcher.close()
 
 
+def drive_random(blob: bytes, index: bytes, strategy, offsets,
+                 parallelization=3):
+    """4 KiB reads at ``offsets`` through an imported index."""
+    with ParallelGzipReader(
+        blob, index=load_index(index), parallelization=parallelization,
+        strategy=strategy,
+    ) as reader:
+        for offset in offsets:
+            reader.read_at(offset, 4096)
+        return reader.statistics()
+
+
+def random_chunk_starts(index: bytes, reads: int, seed: int) -> list:
+    """Seek-point offsets in random order, never the same or an adjacent
+    point twice in a row."""
+    points = [point.uncompressed_offset
+              for point in load_index(index).seek_points]
+    rng = random.Random(seed)
+    chosen = [rng.randrange(len(points))]
+    while len(chosen) < reads:
+        candidate = rng.randrange(len(points))
+        if abs(candidate - chosen[-1]) > 1:
+            chosen.append(candidate)
+    return [points[chunk] for chunk in chosen]
+
+
 def test_ablation_prefetch_strategy(benchmark, reporter):
     data = generate_base64(1024 * 1024, seed=20)
     blob = gz_compress(data, "pigz")
+    with ParallelGzipReader(
+        blob, parallelization=3, chunk_size=48 * 1024
+    ) as reader:
+        reader.read()
+        sink = io.BytesIO()
+        reader.export_index(sink)
+    index = sink.getvalue()
+    offsets = random_chunk_starts(index, reads=24, seed=22)
+    strategies = {
+        "adaptive (paper default)": FetchNextAdaptive,
+        "fixed-next": FetchNextFixed,
+        "no prefetch": NoPrefetch,
+    }
 
     def run():
         return {
-            "adaptive (paper default)": drive_fetcher(blob, FetchNextAdaptive()),
-            "fixed-next": drive_fetcher(blob, FetchNextFixed()),
-            "no prefetch": drive_fetcher(blob, NoPrefetch()),
+            (name, access): (
+                drive_fetcher(blob, strategy()) if access == "sequential"
+                else drive_random(blob, index, strategy(), offsets)
+            )
+            for access in ("sequential", "random")
+            for name, strategy in strategies.items()
         }
 
     stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    table = reporter("Ablation: prefetch strategy (sequential full read)")
-    table.row("strategy", "prefetch hits", "on-demand", "speculative",
-              widths=[26, 14, 10, 12])
-    for name, stat in stats.items():
-        table.row(name, stat["prefetch_cache"]["hits"], stat["on_demand_decodes"],
-                  stat["speculative_submitted"], widths=[26, 14, 10, 12])
+    table = reporter("Ablation: prefetch strategy (sequential full read, "
+                     f"{len(offsets)} random 4 KiB reads)")
+    widths = [26, 10, 14, 10, 12]
+    table.row("strategy", "access", "prefetch hits", "on-demand",
+              "speculative", widths=widths)
+    for (name, access), stat in stats.items():
+        table.row(name, access, stat["prefetch_cache"]["hits"],
+                  stat["on_demand_decodes"], stat["speculative_submitted"],
+                  widths=widths)
     table.add("(no prefetch => every chunk is an on-demand decode; the")
-    table.add(" adaptive strategy hides chunk latency behind the pool)")
+    table.add(" adaptive strategy hides chunk latency behind the pool and,")
+    table.add(" on random access, speculates only on its first access)")
     table.emit()
-    assert stats["no prefetch"]["on_demand_decodes"] > (
-        stats["adaptive (paper default)"]["on_demand_decodes"]
+    adaptive = stats["adaptive (paper default)", "sequential"]
+    assert stats["no prefetch", "sequential"]["on_demand_decodes"] > (
+        adaptive["on_demand_decodes"]
     )
-    assert stats["adaptive (paper default)"]["prefetch_cache"]["hits"] > 0
+    assert adaptive["prefetch_cache"]["hits"] > 0
+    # Only the first random access wishes the full degree (P = 3).
+    assert stats["adaptive (paper default)", "random"][
+        "speculative_submitted"] <= 3
 
 
 def test_ablation_prefetch_cache_size(benchmark, reporter):

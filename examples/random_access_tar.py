@@ -75,4 +75,4 @@ with ParallelGzipReader(
         assert results[name] == members[name]
     print("two concurrent streaming clients served correctly")
     stats = reader.statistics()
-    print(f"prefetch cache hit rate: {stats['prefetch_cache'].hit_rate:.0%}")
+    print(f"prefetch cache hit rate: {stats['prefetch_cache']['hit_rate']:.0%}")

@@ -4,8 +4,9 @@ The default strategy is the paper's ad-hoc adaptive prefetcher, "comparable
 to an exponentially incremented adaptive asynchronous multi-stream
 prefetcher" (AMP, Gill & Bathen 2007): the prefetch depth doubles with each
 confirmed sequential access, saturates at the full parallelism degree, and
-independent interleaved access streams (two readers walking different files
-inside one TAR) are tracked separately.
+drops to nothing when an access breaks the run; independent interleaved
+access streams (two readers walking different files inside one TAR) are
+tracked separately.
 
 Strategies are stateless with respect to what was *actually* prefetched:
 they return wishes based on recent accesses, and the fetcher filters out
@@ -48,37 +49,38 @@ class FetchNextFixed(PrefetchStrategy):
         return [last + step for step in range(1, degree + 1)]
 
 
+def _run_length(accesses) -> int:
+    """Length of the sequential run of chunk ids ending at the newest access;
+    repeats of one id count once (a demand-stopped or budget-split chunk is
+    requested twice in its cell, which breaks no pattern)."""
+    run, current = 1, accesses[-1]
+    for previous in reversed(accesses):
+        if previous == current:
+            continue
+        if previous != current - 1:
+            break
+        run, current = run + 1, previous
+    return run
+
+
 class FetchNextAdaptive(PrefetchStrategy):
     """Exponentially ramping single-stream prefetcher (the paper default).
 
     The first access already prefetches the full degree ("so that
-    decompression starts fully parallel"); a broken sequential pattern
-    resets the ramp, so random access does not flood the pool with wasted
-    speculative work.
+    decompression starts fully parallel"), a run of k >= 2 sequential
+    accesses ``min(degree, 2**k)``, and an access that breaks the run
+    nothing: random access decodes only the chunks it reads.
     """
-
-    def __init__(self, start_depth: int = None):
-        self._start_depth = start_depth
 
     def prefetch(self, history, degree: int) -> list:
         if not history:
             return []
-        last = history[-1]
-        if len(history) == 1:
-            depth = degree if self._start_depth is None else self._start_depth
-            return [last + step for step in range(1, depth + 1)]
-        # Length of the sequential run ending at the last access.
-        run = 1
-        items = list(history)
-        for previous, current in zip(reversed(items[:-1]), reversed(items[1:])):
-            if current == previous + 1:
-                run += 1
-            else:
-                break
-        if run == 1:
-            depth = 1  # pattern broken: probe cautiously
+        if len(set(history)) == 1:
+            depth = degree
         else:
-            depth = min(degree, 1 << run)
+            run = _run_length(history)
+            depth = min(degree, 1 << run) if run > 1 else 0
+        last = history[-1]
         return [last + step for step in range(1, depth + 1)]
 
 
@@ -88,7 +90,9 @@ class FetchMultiStream(PrefetchStrategy):
     Accesses are attributed to the stream whose last index is closest
     (within ``stream_gap``); each stream ramps independently and the union
     of wishes is returned, newest stream first. This is the pattern of
-    ratarmount serving two files of one TAR concurrently (§3.2).
+    ratarmount serving two files of one TAR concurrently (§3.2). After the
+    history's first access, a stream its newest access did not extend wishes
+    nothing.
     """
 
     def __init__(self, stream_gap: int = 32, max_streams: int = 16):
@@ -113,19 +117,11 @@ class FetchMultiStream(PrefetchStrategy):
         wishes: list = []
         ordered = sorted(streams, key=lambda s: s[-1] != last)  # active stream first
         per_stream = max(1, degree // max(len(ordered), 1))
+        first_access = len(set(history)) == 1
         for stream in ordered:
-            run = 1
-            for previous, current in zip(reversed(stream[:-1]), reversed(stream[1:])):
-                if current == previous + 1:
-                    run += 1
-                else:
-                    break
+            run = _run_length(stream)
+            if run == 1 and not first_access:
+                continue
             depth = min(per_stream if stream[-1] != last else degree, 1 << run)
             wishes.extend(stream[-1] + step for step in range(1, depth + 1))
-        seen = set()
-        unique = []
-        for wish in wishes:
-            if wish not in seen:
-                seen.add(wish)
-                unique.append(wish)
-        return unique[: 2 * degree]
+        return list(dict.fromkeys(wishes))[: 2 * degree]  # ordered, unique

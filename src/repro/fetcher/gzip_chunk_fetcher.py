@@ -486,9 +486,13 @@ class GzipChunkFetcher:
         cell is queued on the pool in the same call: the consumer waits
         for the blocks it asked for, not for the whole cell.
 
-        Every access triggers the prefetcher, cache hit or not (§3.1) —
-        along the chain's successors after a chunk of known extent, over
-        grid cells otherwise.
+        Every request triggers the prefetcher, prefetch-cache hit or not
+        (§3.1) — along the chain's successors after a chunk of known
+        extent, over grid cells otherwise. A hit in the reader's
+        materialized cache is served by the reader and never reaches this
+        method, so the prefetch history holds only that cache's misses:
+        re-reading a chunk the reader still holds neither extends nor
+        breaks a sequential run.
         """
         chunk_id = self.chunk_id_for_bit(start_bit)
         known = self.chain.extent(start_bit) if self.mode == "search" else None

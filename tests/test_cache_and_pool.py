@@ -106,7 +106,15 @@ class TestPrefetchStrategies:
     def test_adaptive_resets_on_random_access(self):
         strategy = FetchNextAdaptive()
         wishes = strategy.prefetch([3, 4, 5, 42], 16)
-        assert wishes == [43]
+        assert wishes == []
+
+    def test_adaptive_counts_a_repeated_chunk_once(self):
+        # A chunk split inside its cell is requested twice under one id.
+        strategy = FetchNextAdaptive()
+        assert strategy.prefetch([3, 4, 5, 5], 16) == strategy.prefetch(
+            [3, 4, 5], 16
+        )
+        assert strategy.prefetch([0, 0], 8) == list(range(1, 9))
 
     def test_multistream_tracks_streams_independently(self):
         strategy = FetchMultiStream()
@@ -124,6 +132,12 @@ class TestPrefetchStrategies:
         strategy = FetchMultiStream()
         wishes = strategy.prefetch([0, 1, 2, 3], 8)
         assert wishes[0] == 4
+
+    def test_multistream_lone_access_wishes_nothing_for_its_stream(self):
+        strategy = FetchMultiStream()
+        wishes = strategy.prefetch([0, 1, 2, 100], 8)
+        assert wishes
+        assert all(wish < 100 for wish in wishes)
 
 
 class TestThreadPool:

@@ -155,19 +155,55 @@ def test_prefetch_after_backward_seek_follows_the_chain(backend):
         assert reader.read() == data
         spans = _chunk_spans(reader)
         _wait_until_idle(reader)
-        start, end = spans[2]
-        assert reader.read_at(start, 100) == data[start:start + 100]
+        # A seek back breaks the pattern; reading on makes a run of two.
+        for start, _ in spans[2:4]:
+            assert reader.read_at(start, 100) == data[start:start + 100]
         _wait_until_idle(reader)
         before = reader.statistics()
-        # The successor was prefetched by an exact pass: reading on does not
-        # decode on demand, search, or resolve markers.
-        assert reader.read_at(end, 100) == data[end:end + 100]
+        # The run's successor was prefetched by an exact pass: reading on
+        # does not decode on demand, search, or resolve markers.
+        start = spans[4][0]
+        assert reader.read_at(start, 100) == data[start:start + 100]
         after = reader.statistics()
     assert after["backend"] == backend
     assert after["metrics"]["decode.index_chunks"] >= 2
     assert after["on_demand_decodes"] == before["on_demand_decodes"]
     for name in ("blockfinder.candidates_tested", "decode.markers_replaced"):
         assert after["metrics"][name] == before["metrics"][name], name
+
+
+def test_random_reads_decode_only_the_chunks_they_read():
+    # A read that breaks the sequential pattern prefetches nothing, so
+    # after the first access (which wishes the full degree) every chunk
+    # pass is one a read asked for.
+    data = generate_silesia_like(3 << 20, seed=4)
+    blob = gzip.compress(data, 6)
+    with ParallelGzipReader(
+        blob, parallelization=2, chunk_size=CHUNK
+    ) as reader:
+        reader.read()
+        sink = io.BytesIO()
+        reader.export_index(sink)
+    with ParallelGzipReader(
+        blob, parallelization=2, index=load_index(sink.getvalue())
+    ) as reader:
+        spans = _chunk_spans(reader)
+        assert len(spans) >= 31
+        # Steps of 7 modulo 31: never the same or an adjacent chunk twice
+        # in a row, and the first read's two successors are read later.
+        chosen = [7 * step % 31 for step in range(30)]
+        for step, chunk in enumerate(chosen):
+            start, end = spans[chunk]
+            size = min(4096, end - start)
+            assert reader.read_at(start, size) == data[start:start + size]
+            if step == 0:
+                first = reader.statistics()
+        _wait_until_idle(reader)
+        last = reader.statistics()
+    assert last["mode"] == "index"
+    assert first["speculative_submitted"] == 2
+    assert last["speculative_submitted"] == first["speculative_submitted"]
+    assert last["metrics"]["decode.index_chunks"] == len(set(chosen))
 
 
 @pytest.mark.parametrize("backend", ["threads"])
