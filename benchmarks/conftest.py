@@ -2,8 +2,9 @@
 
 Every ``bench_*`` module regenerates one table or figure from the paper's
 evaluation section (see DESIGN.md §4 for the index). Results are printed
-as paper-style tables AND appended to ``benchmarks/results/<name>.txt`` so
-EXPERIMENTS.md can quote them.
+as paper-style tables AND written to
+``benchmarks/results/<module>__<test>.txt`` so EXPERIMENTS.md can quote
+them.
 
 Run with::
 
@@ -47,9 +48,14 @@ class TableReporter:
 
 @pytest.fixture
 def reporter(request):
+    """``reporter(title)`` makes the test's table; its file is named after
+    the module and the test (``test_`` dropped), so no two tables share
+    one and a run rewrites only the tables it made."""
+
     def make(title: str) -> TableReporter:
         slug = "".join(
-            ch if ch.isalnum() else "_" for ch in title.split(":")[0].lower()
+            ch if ch.isalnum() else "_"
+            for ch in request.node.name.removeprefix("test_")
         ).strip("_")
         return TableReporter(
             f"{request.node.module.__name__}__{slug}", title

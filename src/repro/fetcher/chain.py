@@ -6,7 +6,9 @@ owned by the fetcher and extended by the reader, in every open mode:
 
 * the decoded chunk records, looked up by decompressed offset (bisect) or
   by compressed start bit — built once from a finalized index, otherwise
-  appended as the reader decodes the frontier;
+  appended as the reader decodes the frontier. Either way there is one
+  record per seek-point interval, so a chained chunk is decoded again
+  exactly the way an index chunk is, one bounded interval at a time;
 * the frontier: where the next undecoded chunk starts, with its window;
 * ahead of the frontier, per *cell* (one ``chunk_size``-wide slice of the
   compressed file, the unit search-mode speculation works on), the start
@@ -19,8 +21,9 @@ owned by the fetcher and extended by the reader, in every open mode:
 
 The seek-point index is a by-product of the chain, not a preprocessing
 step (§3, design goals): every frontier adds its seek point to a growing
-:class:`~repro.index.GzipIndex`, a long chunk adds more at interior block
-boundaries, and the chain's end finalizes it.
+:class:`~repro.index.GzipIndex`, a long decode is split at interior block
+boundaries into more (:meth:`ChunkChain.append_split`), and the chain's
+end finalizes it.
 """
 
 from __future__ import annotations
@@ -216,20 +219,6 @@ class ChunkChain:
             record.end_bit is None,
         )
 
-    def successors(self, extent: ChunkExtent, steps: int) -> tuple:
-        """Up to ``steps`` extents chained after ``extent``'s chunk, in
-        order, and the start bit where the walk met a chunk of unknown
-        extent (the frontier, or a pinned record) — ``None`` when it ran
-        out of steps or reached the file's last chunk."""
-        found = []
-        while len(found) < steps and not extent.is_last:
-            start_bit = extent.end_bit
-            extent = self.extent(start_bit)
-            if extent is None:
-                return found, start_bit
-            found.append(extent)
-        return found, None
-
     def hand_over(self, result, window: bytes) -> None:
         """Record where a chunk decoded from a known ``window`` hands over:
         its successor's start and window enter :attr:`ahead` (at most
@@ -277,35 +266,60 @@ class ChunkChain:
                 is_stream_start=is_stream_start,
             ))
 
-    def add_interior_points(self, record: ChunkRecord, data: bytes,
-                            boundaries, spacing: int) -> None:
-        """Split a chunk longer than ``spacing`` decompressed bytes with
-        seek points at interior Deflate block boundaries (paper §1.4).
+    def append_split(self, record: ChunkRecord, data: bytes, boundaries,
+                     spacing: int) -> list:
+        """Append a frontier decode ``record`` (its ``data`` and block
+        ``boundaries``) as one record per seek-point interval; returns
+        the records appended.
 
-        Their windows come straight from the chunk's ``data``, so
-        splitting costs nothing extra; the index keeps both seek latency
-        and the per-chunk memory of a later index import bounded.
+        A decode longer than ``spacing`` decompressed bytes is split at
+        interior Deflate block boundaries at least ``spacing`` apart (paper
+        §1.4): each adds its seek point to the growing index, and its
+        interval is one record, carrying the seek point's window and ending
+        where the next interval starts. The windows come straight from
+        ``data``, so splitting costs nothing extra, and a seek into an
+        interval decodes that interval alone — through the chain as
+        through an exported index — which bounds both seek latency and
+        the per-chunk memory of a later index import.
         """
-        if (self.index.finalized or record.length <= spacing
-                or not boundaries):
-            return
-        next_emit = spacing
-        for boundary in boundaries:
-            # Only interior Dynamic blocks: their bit offsets are
-            # unambiguous, the stop predicate of future chunk decodes
-            # matches them, and an exact pass can end and resume there.
-            offset = boundary.output_offset
-            if (offset == 0 or boundary.is_final or boundary.block_type != 2
-                    or offset < next_emit or offset >= record.length):
-                continue
-            window_start = max(offset - MAX_WINDOW_SIZE, 0)
-            window = data[window_start:offset]
-            if window_start == 0 and len(window) < MAX_WINDOW_SIZE:
-                window = (record.window + window)[-MAX_WINDOW_SIZE:]
-            self.index.add(SeekPoint(
-                boundary.bit_offset, record.output_start + offset, window,
-            ))
-            next_emit = offset + spacing
+        cuts = []  # (bit offset, offset in data, window) per interior point
+        if record.length > spacing:
+            next_emit = spacing
+            for boundary in boundaries:
+                # Only interior Dynamic blocks: their bit offsets are
+                # unambiguous, the stop predicate of future chunk decodes
+                # matches them, and an exact pass can end and resume there.
+                offset = boundary.output_offset
+                if (offset == 0 or boundary.is_final
+                        or boundary.block_type != 2 or offset < next_emit
+                        or offset >= record.length):
+                    continue
+                window_start = max(offset - MAX_WINDOW_SIZE, 0)
+                window = data[window_start:offset]
+                if window_start == 0 and len(window) < MAX_WINDOW_SIZE:
+                    window = (record.window + window)[-MAX_WINDOW_SIZE:]
+                cuts.append((boundary.bit_offset, offset, window))
+                next_emit = offset + spacing
+        cuts.append((record.end_bit, record.length, None))
+        records = []
+        start_bit, start, window = record.start_bit, 0, record.window
+        for end_bit, end, next_window in cuts:
+            interval = ChunkRecord(
+                start_bit=start_bit,
+                output_start=record.output_start + start,
+                output_end=record.output_start + end,
+                end_bit=end_bit,
+                window=window,
+                is_stream_start=record.is_stream_start and not start,
+            )
+            if start:
+                self.index.add(SeekPoint(
+                    start_bit, interval.output_start, window,
+                ))
+            self.append(interval)
+            records.append(interval)
+            start_bit, start, window = end_bit, end, next_window
+        return records
 
     def end(self, size_bits: int) -> None:
         """The frontier ends: nothing is left to decode. A growing index

@@ -14,9 +14,10 @@ the reader extends. Two operating modes, chosen at construction:
   chunk, that decode stops at the first Deflate block boundary past the
   bytes it asked for (a demand stop) and the rest of the cell is queued
   on the pool at once. §3.3's rule "two-stage only while the window
-  is unknown" is applied through the chain. A chunk already on it has an
-  extent, so a request or prefetch wish for it is the ``index`` task
-  below, and prefetch follows its successors instead of searching cells.
+  is unknown" is applied through the chain. A chunk already on it (one
+  record per seek-point interval) has an extent, so a request or
+  prefetch wish for it is the ``index`` task below, one task per start
+  bit, and prefetch follows its chain positions instead of cells.
   Ahead of the frontier a task is bound when a worker *starts* it, not
   when it is queued: a cell the chain holds a start and window for
   decodes exactly — one libz pass, no block search, no markers — and a
@@ -161,10 +162,12 @@ class GzipChunkFetcher:
             account="prefetch_cache" if budget is not None else None,
             **sizing,
         )
-        self._futures: dict = {}  # chunk id -> Future[ChunkResult | None]
+        # task key (see _task_key) -> (chunk id, Future[ChunkResult | None])
+        self._futures: dict = {}
         self._keys_of_id: dict = {}  # chunk id -> set of cached start_bits
-        self._inflight_charge: dict = {}  # chunk id -> reserved bytes
-        self._history: list = []  # recently accessed chunk ids
+        self._inflight_charge: dict = {}  # task key -> reserved bytes
+        # recently accessed chunk ids; a chained chunk's is its position
+        self._history: list = []
         self._lock = threading.RLock()
 
         metrics = self.telemetry.metrics
@@ -221,6 +224,15 @@ class GzipChunkFetcher:
     def num_chunk_ids(self) -> int:
         return self.chain.cells if self.mode == "search" else len(self.chain)
 
+    @staticmethod
+    def _task_key(chunk_id: int, known):
+        """The key of a chunk's in-flight task: its chunk id, or for a
+        search-mode chunk of known extent its cell and start bit, as its
+        prefetch-cache entry is keyed by its start bit. Several chained
+        chunks start in one cell (the intervals of a split decode, the
+        head and rest of a stopped one), and each is its own task."""
+        return chunk_id if known is None else (chunk_id, known.start_bit)
+
     # -- task specs ----------------------------------------------------------------
 
     def _spec_for(self, chunk_id: int, attempt: int = 0,
@@ -257,8 +269,8 @@ class GzipChunkFetcher:
         """Move completed speculative futures into the prefetch cache."""
         with self._lock:
             finished = [
-                (chunk_id, future)
-                for chunk_id, future in self._futures.items()
+                (key, chunk_id, future)
+                for key, (chunk_id, future) in self._futures.items()
                 if future.done()
             ]
             if not finished:
@@ -270,9 +282,9 @@ class GzipChunkFetcher:
                 self._harvest_finished(finished, recorder)
 
     def _harvest_finished(self, finished, recorder) -> None:
-        for chunk_id, future in finished:
-            del self._futures[chunk_id]
-            reserved = self._inflight_charge.pop(chunk_id, 0)
+        for key, chunk_id, future in finished:
+            del self._futures[key]
+            reserved = self._inflight_charge.pop(key, 0)
             if reserved and self.governor is not None:
                 self.governor.discharge("in_flight", reserved)
             try:
@@ -295,8 +307,10 @@ class GzipChunkFetcher:
                     )
                 result = None
             if result is None:
-                # No candidate or rejected (the task body said which).
-                self.chain.retired.add(chunk_id)
+                # No candidate or rejected (the task body said which). A
+                # chained chunk's cell holds other chunks: it stays open.
+                if key == chunk_id:
+                    self.chain.retired.add(chunk_id)
                 self._speculative_unusable.increment()
                 continue
             if result.split:
@@ -331,11 +345,13 @@ class GzipChunkFetcher:
     def _submit(self, chunk_id: int, known=None) -> bool:
         """Submit a speculative decode (of the chunk ``known`` names, when
         given); False only on a budget refusal."""
+        key = self._task_key(chunk_id, known)
         with self._lock:
             if (
                 self.backend == "serial"
-                or chunk_id in self._futures
-                or chunk_id in self.chain.retired
+                or key in self._futures
+                # A chained chunk decodes whatever its cell's search found.
+                or (known is None and chunk_id in self.chain.retired)
                 or chunk_id < 0
                 or chunk_id >= self.num_chunk_ids
             ):
@@ -359,11 +375,11 @@ class GzipChunkFetcher:
             recorder = self.telemetry.recorder
             if recorder.enabled:
                 recorder.instant("chunk.queued", chunk_id=chunk_id)
-            self._futures[chunk_id] = self.pool.submit(
+            self._futures[key] = chunk_id, self.pool.submit(
                 self._run_queued, spec, priority=PRIORITY_PREFETCH,
             )
             if reserved:
-                self._inflight_charge[chunk_id] = reserved
+                self._inflight_charge[key] = reserved
             return True
 
     def _run_queued(self, spec: ChunkTaskSpec):
@@ -405,33 +421,38 @@ class GzipChunkFetcher:
             self._harvest()
         return shed
 
-    def _wishes_along_chain(self, accessed_id: int, known, wishes: list) -> list:
-        """Re-aim the wishes ahead of a chunk of known extent along the
-        chain: ``(chunk_id, extent)`` pairs, in wish order.
+    def _wishes_along_chain(self, wishes: list) -> list:
+        """Re-aim the wishes around a chunk of known extent, whose ids are
+        chain positions: ``(chunk_id, extent)`` pairs, in wish order.
 
-        The wish ``accessed_id + n`` becomes the accessed chunk's n-th
-        chain successor while those are known, and past the newest of
-        them the grid cell that many steps beyond the frontier — inside
-        known territory a cell's block search finds nothing the chain
-        does not already name. Wishes past the file's end drop out; the
-        others (behind the access, another stream's) stay grid cells.
+        A wish for a position on the chain is that chunk's extent, and a
+        wish n positions past the newest record the grid cell n steps
+        beyond the frontier — inside known territory a cell's block search
+        finds nothing the chain does not already name. Wishes before the
+        file's start, past its end, or for pinned bytes drop out.
         """
-        steps = max(wishes, default=accessed_id) - accessed_id
-        successors, frontier_bit = self.chain.successors(known, steps)
+        chain = self.chain
         targets = []
         for wish in wishes:
-            step = wish - accessed_id
-            if step < 1:
-                targets.append((wish, None))
-            elif step <= len(successors):
-                extent = successors[step - 1]
-                targets.append((self.chunk_id_for_bit(extent.start_bit), extent))
-            elif frontier_bit is not None:
-                beyond = step - len(successors) - 1
-                targets.append((self.chunk_id_for_bit(frontier_bit) + beyond, None))
+            if 0 <= wish < len(chain):
+                extent = chain.extent(chain[wish].start_bit)
+                if extent is not None:
+                    targets.append(
+                        (self.chunk_id_for_bit(extent.start_bit), extent)
+                    )
+            elif wish >= len(chain) and chain.frontier is not None:
+                beyond = wish - len(chain)
+                targets.append(
+                    (self.chunk_id_for_bit(chain.frontier[0]) + beyond, None)
+                )
         return targets
 
     def _trigger_prefetch(self, accessed_id: int, known) -> None:
+        if known is not None:
+            # A chained chunk is accessed as an index chunk is, by its
+            # chain position: a walk through the intervals of one cell is
+            # a sequential run, not one access repeated.
+            accessed_id = self.chain.position(known.start_bit)
         self._history.append(accessed_id)
         if len(self._history) > 64:
             del self._history[:-64]
@@ -441,7 +462,7 @@ class GzipChunkFetcher:
         if known is None:
             targets = [(wish, None) for wish in wishes]
         else:
-            targets = self._wishes_along_chain(accessed_id, known, wishes)
+            targets = self._wishes_along_chain(wishes)
         for wish, target in targets:
             if (target is None and wish not in self.chain.ahead
                     and self.chain.within_reach(wish)):
@@ -500,7 +521,9 @@ class GzipChunkFetcher:
         result = self.prefetch_cache.get(start_bit)
         if result is None:
             # An in-flight speculative task may be about to produce it.
-            future = self._futures.get(chunk_id)
+            _, future = self._futures.get(
+                self._task_key(chunk_id, known), (None, None)
+            )
             if future is not None:
                 self._wait_inflight.increment()
                 with self.telemetry.recorder.span(

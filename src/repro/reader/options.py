@@ -35,9 +35,11 @@ class ReaderOptions:
     ``chunk_size``
         Compressed bytes per chunk (≥ 1 KiB; paper default 4 MiB). Seek
         points are at most ``2 * chunk_size`` *decompressed* bytes apart:
-        a chunk whose output exceeds that contributes extra seek points
-        at interior Deflate block boundaries (paper §1.4), which bounds
-        seek latency and per-chunk memory of a later index import.
+        a chunk whose output exceeds that is split at interior Deflate
+        block boundaries into more seek points, each its own chain record
+        (paper §1.4). That bounds seek latency — of this reader's own
+        re-reads as of a later index import — and the per-chunk memory
+        of that import.
     ``verify``
         Check member CRC-32/ISIZE while chunks are consumed in order, and
         each catalogued chunk's CRC at any access order.

@@ -134,6 +134,9 @@ class ParallelGzipReader:
         options = self.options
         metrics = self.telemetry.metrics
         self._chunks_decoded = 0  # chunk decodes materialized
+        # start bit of a split decode's later interval -> the decode's
+        # first start bit, the key of its one materialized entry
+        self._decode_start: dict = {}
         self._position = 0
         self._read_calls = metrics.counter("reader.read_calls")
         self._read_seconds = metrics.histogram("reader.read_seconds")
@@ -308,7 +311,11 @@ class ParallelGzipReader:
             window=window,
             is_stream_start=is_stream_start,
         )
-        chain.append(record)
+        intervals = chain.append_split(
+            record, data, result.boundaries, 2 * self.options.chunk_size
+        )
+        for interval in intervals[1:]:
+            self._decode_start[interval.start_bit] = start_bit
         recorder = self.telemetry.recorder
         if recorder.enabled:
             recorder.instant(
@@ -316,11 +323,10 @@ class ParallelGzipReader:
                 chunks=len(chain),
                 known_size=chain.known_size,
             )
+        # One entry for the whole decode, under its first record's key:
+        # _chunk_bytes serves every interval of it from there.
         self._materialized.insert(start_bit, data)
         self._verifier.members(record, data, result.events)
-        chain.add_interior_points(
-            record, data, result.boundaries, 2 * self.options.chunk_size
-        )
         if result.end_bit is not None:
             # The end window was resolved when the fetcher handed over.
             chain.advance(
@@ -362,18 +368,37 @@ class ParallelGzipReader:
         ):
             self._decode_next_chunk(until)
 
-    def _chunk_bytes(self, record: ChunkRecord) -> bytes:
-        key = record.start_bit
-        data = self._materialized.get(key)
+    def _entry_owner(self, record: ChunkRecord) -> ChunkRecord:
+        """The record whose materialized entry holds ``record``'s bytes:
+        the first record of the split decode ``record`` came from while
+        that decode's entry is cached, else ``record`` itself."""
+        start = self._decode_start.get(record.start_bit)
+        if start is not None:
+            owner = self._chunks[self._chunks.position(start)]
+            data = self._materialized.peek(start)
+            # A re-read of the first interval alone may hold that key now.
+            if data is not None and (
+                owner.output_start + len(data) >= record.output_end
+            ):
+                return owner
+        return record
+
+    def _chunk_bytes(self, record: ChunkRecord) -> tuple:
+        """``(data, owner)``: bytes covering ``record`` and the record they
+        start at (``record``, or the first record of the decode whose entry
+        holds it). A miss decodes ``record`` alone."""
+        owner = self._entry_owner(record)
+        data = self._materialized.get(owner.start_bit)
         if data is not None:
-            return data
+            return data, owner
+        key = record.start_bit
         # Tolerant-mode bytes are pinned: the fetcher cannot re-materialize
         # them (its decode fails at that offset). Any other evicted chunk
         # is decoded again: one exact pass from its start and window.
         data = self._chunks.pinned.get(key)
         if data is not None:
             self._materialized.insert(key, data)
-            return data
+            return data, record
         try:
             result = self._fetcher.request(key, record.window)
         except ChunkDecodeError as error:
@@ -383,14 +408,14 @@ class ParallelGzipReader:
             self._verifier.stand_down()
             self._chunks.pinned[key] = data
             self._materialized.insert(key, data)
-            return data
+            return data, record
         data = self._materialize_result(result, record.window)
         pieces = self._verifier.catalog_chunk(record, data, result.events)
         self._materialized.insert(key, data)
         # In index mode chunks materialize here, not via the chain walk;
         # member verification proceeds while consumption stays in order.
         self._verifier.members(record, data, result.events, pieces)
-        return data
+        return data, record
 
     # -- file-like API ------------------------------------------------------------
 
@@ -413,7 +438,7 @@ class ParallelGzipReader:
                     break  # end of file
                 serve_started = time.perf_counter() if recorder.enabled else 0.0
                 record = self._chunks.record_for_output(self._position)
-                data = self._chunk_bytes(record)
+                data, record = self._chunk_bytes(record)
                 local = self._position - record.output_start
                 piece = (
                     data[local:]

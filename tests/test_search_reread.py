@@ -172,6 +172,29 @@ def test_prefetch_after_backward_seek_follows_the_chain(backend):
         assert after["metrics"][name] == before["metrics"][name], name
 
 
+def test_sequential_reread_of_split_chunks_stays_prefetched():
+    # At 64 KiB chunks most decodes of this silesia-like file split into
+    # two or three intervals, the first cell's into three. After a seek
+    # back to 0 the first interval breaks the run and the second starts
+    # one; from there prefetch along the chain keeps ahead of the reads,
+    # each interval its own task even where several share a cell.
+    data = generate_silesia_like(3 << 20, seed=4)
+    blob = gzip.compress(data, 6)
+    with ParallelGzipReader(
+        blob, parallelization=2, chunk_size=64 * 1024
+    ) as reader:
+        assert reader.read() == data
+        first = reader.statistics()
+        assert len(reader._chunks) > first["chunks_decoded"]
+        _wait_until_idle(reader)
+        before = reader.statistics()
+        reader.seek(0)
+        assert reader.read() == data
+        after = reader.statistics()
+    assert after["on_demand_decodes"] - before["on_demand_decodes"] <= 2
+    assert after["metrics"]["decode.index_chunks"] > 0
+
+
 def test_random_reads_decode_only_the_chunks_they_read():
     # A read that breaks the sequential pattern prefetches nothing, so
     # after the first access (which wishes the full degree) every chunk
