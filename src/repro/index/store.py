@@ -14,7 +14,7 @@ Defenses, end to end:
   ``os.replace``. A crash mid-export leaves the old index (or nothing),
   never a half-written one. Concurrent exporters race harmlessly:
   last-writer-wins, readers always see a complete file.
-* **Integrity metadata** — format v2 stores a CRC-32 per compressed
+* **Integrity metadata** — format v2 stores a CRC-32 per stored
   seek-point window, a whole-file footer CRC, and a trailer magic, all
   under a schema version whose *future* values are rejected with a
   structured error instead of a misparse.
@@ -26,10 +26,11 @@ Defenses, end to end:
 * **One validation pipeline** — an import is checked whole before
   :func:`load_index` returns: the footer CRC, the fingerprint (when the
   file carries one and ``source`` is given), and every window's CRC and
-  bounded inflation. A returned ``SeekPoint.window`` is always real
-  bytes, so nothing downstream can meet a damaged window. The file is
-  read through ``memoryview`` slices, so checks copy nothing; only the
-  inflated windows are new bytes.
+  length (a zlib window's bounded inflation). A returned
+  ``SeekPoint.window`` is always real bytes, so nothing downstream can
+  meet a damaged window. The file is read through ``memoryview``
+  slices, so checks copy nothing; only the windows handed out are new
+  bytes.
 
 Every failure raises :class:`~repro.errors.IndexIntegrityError` with
 the failed check's name; callers choose what a rejection means
@@ -48,18 +49,22 @@ Format v2 (little-endian)::
     fingerprint Q source size | Q source mtime_ns | I head crc
                 | I tail crc | I stride crc | I sample size | Q stride
     point * N   Q compressed bit offset | Q uncompressed offset
-                | B flags (bit0 stream start) | I raw window length
-                | I compressed window length | I window crc
-                | compressed window bytes
+                | B flags (bit0 stream start, bit1 raw window)
+                | I raw window length | I stored window length
+                | I window crc | stored window bytes
     footer      I crc-32 of everything above | 8s trailer "RPGZEND2"
 
-Each window is one zlib stream: deflated at level 6 when that at least
-halves it, stored (``zlib.compress(window, 0)``, 11 bytes over the raw
-length) otherwise. Every import inflates every window, and a stored one
-inflates at copy speed where a deflated one runs at 130-240 MB/s, so a
-window that deflate cannot halve costs more to load than it saves on
-disk. The loader accepts either encoding for any window, so files with
-every window deflated, as earlier releases wrote them, load unchanged.
+The writer stores every window as its raw bytes and sets the point's
+raw-window flag, so the stored length equals the raw length and the
+CRC covers the raw bytes. Every import checks every window, and a raw
+window is checked and copied where a zlib stream must be inflated on
+the reading thread before the first byte is served; deflate makes no
+window cheap to load (even a window of zeros inflates slower than a
+stored one copies), so there is one rule and no ratio threshold. A
+window without the flag is one zlib stream and is inflated with a
+bound, so files whose windows are deflated or zlib-stored, as earlier
+releases wrote them, load unchanged. A release that predates the flag
+rejects a raw window (``window_inflate``) and falls back to a search.
 
 Format v2 is the only format written. Legacy v1 files still import:
 :func:`load_index` parses their layout below and runs v2's checks on it
@@ -72,7 +77,7 @@ nothing::
                 | I seek-point count
     point * N   Q compressed bit offset | Q uncompressed offset
                 | B flags (bit0 stream start) | I compressed window length
-                | compressed window bytes
+                | compressed window bytes (one zlib stream)
 """
 
 from __future__ import annotations
@@ -111,14 +116,15 @@ INDEX_MAGIC_V2 = b"RPGZIDX2"
 INDEX_TRAILER_V2 = b"RPGZEND2"
 _VERSION = 2
 
-#: Largest credible zlib-compressed 32 KiB window: raw size plus the
-#: worst-case stored-block expansion overhead. A declared length past
+#: Largest credible stored window, a zlib stream of 32 KiB: raw size
+#: plus the worst-case stored-block expansion overhead. A declared length past
 #: this is a malformed (or malicious) index, not a big window.
 MAX_COMPRESSED_WINDOW = MAX_WINDOW_SIZE + 1024
 
 _FLAG_FINALIZED = 1
 _FLAG_FINGERPRINT = 2
 _POINT_STREAM_START = 1
+_POINT_RAW_WINDOW = 2
 
 _HEADER = struct.Struct("<8sBBHQQI")
 _FINGERPRINT = struct.Struct("<QQIIIIQ")
@@ -251,18 +257,27 @@ def fingerprint_source(source, *, like: SourceFingerprint = None) -> SourceFinge
 # -- windows ---------------------------------------------------------------------
 
 
-def _check_window(compressed: memoryview, crc: int, raw_length: int,
-                  point: int) -> bytes:
-    """CRC-check and inflate one stored window; every failure is typed."""
+def _check_window(stored: memoryview, crc: int, raw_length: int,
+                  point: int, raw: bool) -> bytes:
+    """CRC-check one stored window, then copy it (raw) or inflate it
+    (zlib); every failure is typed."""
     faults.fire("index.window", chunk_id=point)
-    actual_crc = zlib.crc32(compressed)
+    actual_crc = zlib.crc32(stored)
     if actual_crc != crc:
         raise IndexIntegrityError(
             f"seek point {point}: window CRC-32 mismatch (stored "
             f"{crc:#010x}, computed {actual_crc:#010x})",
             check="window_crc", point=point,
         )
-    window = _inflate_window(compressed, point)
+    if raw:
+        if len(stored) != raw_length:
+            raise IndexIntegrityError(
+                f"seek point {point}: raw window stores {len(stored)} "
+                f"byte(s), declared {raw_length}",
+                check="window_length", point=point,
+            )
+        return bytes(stored)
+    window = _inflate_window(stored, point)
     if len(window) != raw_length:
         raise IndexIntegrityError(
             f"seek point {point}: window inflated to {len(window)} byte(s), "
@@ -273,7 +288,7 @@ def _check_window(compressed: memoryview, crc: int, raw_length: int,
 
 
 def _inflate_window(compressed: memoryview, point: int) -> bytes:
-    """Inflate one stored window into at most one byte past 32 KiB, so a
+    """Inflate one zlib window into at most one byte past 32 KiB, so a
     hostile window cannot balloon memory; every failure is typed."""
     try:
         window = zlib.decompressobj().decompress(
@@ -304,18 +319,11 @@ def window_bytes(window) -> bytes:
 # -- export -----------------------------------------------------------------------
 
 
-def _encode_window(window: bytes) -> bytes:
-    """A window's zlib stream on disk: deflated at level 6 when that at
-    least halves it, stored otherwise (see the module docstring)."""
-    deflated = zlib.compress(window, 6)
-    if 2 * len(deflated) <= len(window):
-        return deflated
-    return zlib.compress(window, 0)
-
-
 def index_to_bytes_v2(index: GzipIndex, *,
                       fingerprint: SourceFingerprint = None) -> bytes:
-    """Serialize ``index`` in format v2 (checksummed, fingerprinted)."""
+    """Serialize ``index`` in format v2 (checksummed, fingerprinted),
+    every window raw. A window longer than 32 KiB, which the loader
+    would reject, is a :class:`UsageError` naming its seek point."""
     if not index.finalized:
         raise UsageError(
             "only finalized indexes can be persisted (complete the first "
@@ -338,20 +346,27 @@ def index_to_bytes_v2(index: GzipIndex, *,
                 fingerprint.sample_size, fingerprint.stride,
             )
         )
-    for point in index:
+    for number, point in enumerate(index):
         window = window_bytes(point.window)
-        compressed = _encode_window(window)
+        if len(window) > MAX_WINDOW_SIZE:
+            raise UsageError(
+                f"seek point {number}: window of {len(window)} byte(s) is "
+                f"longer than {MAX_WINDOW_SIZE}; no index can hold it"
+            )
+        point_flags = _POINT_RAW_WINDOW
+        if point.is_stream_start:
+            point_flags |= _POINT_STREAM_START
         pieces.append(
             _POINT.pack(
                 point.compressed_bit_offset,
                 point.uncompressed_offset,
-                _POINT_STREAM_START if point.is_stream_start else 0,
+                point_flags,
                 len(window),
-                len(compressed),
-                zlib.crc32(compressed),
+                len(window),
+                zlib.crc32(window),
             )
         )
-        pieces.append(compressed)
+        pieces.append(window)
     body = b"".join(pieces)
     return body + _FOOTER.pack(zlib.crc32(body), INDEX_TRAILER_V2)
 
@@ -420,8 +435,9 @@ def load_index(source_index, *, source=None, validate: str = "eager",
     the embedded fingerprint is re-sampled against it and any content
     drift rejects the index. The whole file is checked before the index
     is returned: footer CRC, fingerprint, structure, and every window's
-    CRC and inflation. ``validate`` accepts only ``"eager"``, the one
-    pipeline; it is kept for callers that still pass it.
+    CRC and length (a zlib window's bounded inflation). ``validate``
+    accepts only ``"eager"``, the one pipeline; it is kept for callers
+    that still pass it.
 
     Raises :class:`~repro.errors.IndexIntegrityError` naming the failed
     check. Legacy v1 files run the same checks, minus the checksums and
@@ -517,29 +533,32 @@ def _parse_index(data: bytes, path, source, telemetry) -> GzipIndex:
     for number in range(count):
         record = _take(view, offset, point_size, f"seek point {number}", path)
         if legacy:
-            bit_offset, output_offset, point_flags, compressed_length = \
+            bit_offset, output_offset, point_flags, stored_length = \
                 _POINT_V1.unpack(record)
             raw_length = window_crc = 0
         else:
             bit_offset, output_offset, point_flags, raw_length, \
-                compressed_length, window_crc = _POINT.unpack(record)
+                stored_length, window_crc = _POINT.unpack(record)
         offset += point_size
         if raw_length > MAX_WINDOW_SIZE or \
-                compressed_length > MAX_COMPRESSED_WINDOW:
+                stored_length > MAX_COMPRESSED_WINDOW:
             raise IndexIntegrityError(
                 f"seek point {number}: implausible window lengths "
-                f"(raw {raw_length}, compressed {compressed_length})",
+                f"(raw {raw_length}, stored {stored_length})",
                 check="window_length", path=path, offset=offset,
             )
-        compressed = _take(
-            view, offset, compressed_length,
+        stored = _take(
+            view, offset, stored_length,
             f"window of seek point {number}", path,
         )
-        offset += compressed_length
+        offset += stored_length
         if legacy:
-            window = _inflate_window(compressed, number)
+            window = _inflate_window(stored, number)
         else:
-            window = _check_window(compressed, window_crc, raw_length, number)
+            window = _check_window(
+                stored, window_crc, raw_length, number,
+                bool(point_flags & _POINT_RAW_WINDOW),
+            )
             if validated is not None:
                 validated.increment()
         try:
@@ -598,9 +617,10 @@ class IndexCache:
     is never fatal: it is counted and handed to ``reject``, and the
     caller searches instead — a bad entry costs the fast path, never
     correctness. :meth:`export` atomically publishes the index the first
-    full pass built, which is also how a rejected entry heals. Without
-    a source file path (byte buffers, file objects) :attr:`path` is
-    ``None`` and both do nothing.
+    full pass built, which is also how a rejected entry heals; it
+    creates the directory, so an unusable one is an export failure, not
+    a failed open. Without a source file path (byte buffers, file
+    objects) :attr:`path` is ``None`` and both do nothing.
     """
 
     def __init__(self, cache_dir, file_reader: FileReader, telemetry):
@@ -610,7 +630,6 @@ class IndexCache:
         self.imported = self.exported = False
         source_path = getattr(file_reader, "path", None)
         if cache_dir is not None and source_path is not None:
-            os.makedirs(os.fspath(cache_dir), exist_ok=True)
             self.path = cache_path(cache_dir, source_path)
 
     def load(self, reject):
@@ -646,6 +665,7 @@ class IndexCache:
             return
         telemetry = self._telemetry
         try:
+            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
             save_index(
                 index, self.path, source=self._file_reader,
                 telemetry=telemetry,

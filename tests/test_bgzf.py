@@ -158,7 +158,8 @@ class TestBgzfCatalog:
             str(path), chunk_size=self.CHUNK, index_cache=str(cache)
         ) as reader:
             assert reader.read() == self.DATA
-        assert list(cache.iterdir()) == []
+        # The cache directory is made by an export, and none ran.
+        assert not cache.exists()
 
     def test_many_member_chunk_reads_its_range_once(self):
         blob = compress_bgzf(self.DATA[:400_000], payload_size=4096)

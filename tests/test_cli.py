@@ -2,11 +2,13 @@
 
 import gzip as stdlib_gzip
 import sys
+import zlib
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.datagen import generate_base64
+from repro.reader import ParallelGzipReader
 
 DATA = generate_base64(150_000, seed=8)
 
@@ -158,6 +160,21 @@ class TestIndexCache:
         assert main(base) == 0
         assert cached.read_bytes() == good  # re-exported, byte-identical
         capsysbinary.readouterr()
+
+    def test_unusable_cache_dir_is_an_export_failure(self, gz_file, tmp_path,
+                                                     capsysbinary):
+        # A file stands where the cache directory would be created: the
+        # read completes and the failed export is counted, never raised.
+        blocker = tmp_path / "afile"
+        blocker.write_bytes(b"not a directory")
+        cache = str(blocker / "sub")
+        with ParallelGzipReader(str(gz_file), index_cache=cache) as reader:
+            assert reader.read() == zlib.decompress(gz_file.read_bytes(), 31)
+            stats = reader.statistics()["index"]
+        assert (stats["exported"], stats["export_failures"]) == (False, 1)
+        assert main(["-c", "--index-cache", cache, str(gz_file)]) == 0
+        assert capsysbinary.readouterr().out == DATA
+        assert blocker.read_bytes() == b"not a directory"
 
 
 class TestAnalyze:

@@ -85,10 +85,39 @@ class TestSerialization:
         for original, restored in zip(index, loaded):
             assert original == restored
 
-    def test_windows_compressed_in_file(self):
+    def test_windows_raw_in_file(self):
         index = make_index()
-        # 2 x 32 KiB of constant windows must compress to far less.
-        assert len(index_to_bytes_v2(index)) < 10_000
+        # Every window is written as its raw bytes, flagged raw (bit 1):
+        # a 32-byte header, then per point a 29-byte record and the
+        # window itself, then the 12-byte footer.
+        data = index_to_bytes_v2(index)
+        assert len(data) == 32 + 3 * 29 + 2 * 32768 + 12
+        offset = 32
+        for point in index:
+            flags, raw, stored = struct.unpack_from("<BII", data, offset + 16)
+            assert flags & 2 and raw == stored == len(point.window)
+            offset += 29
+            assert data[offset : offset + stored] == point.window
+            offset += stored
+
+    def test_overlong_window_not_exportable(self):
+        # The loader rejects a window past 32 KiB, so the writer refuses
+        # to write one and names its seek point.
+        index = GzipIndex()
+        index.add(SeekPoint(100, 0, b"", is_stream_start=True))
+        index.add(SeekPoint(2000, 5000, b"x" * 32769))
+        index.finalize(10000, 4000)
+        with pytest.raises(UsageError, match="seek point 1"):
+            index_to_bytes_v2(index)
+
+    def test_raw_window_with_differing_lengths_rejected(self):
+        # A raw window is stored as it is, so its two lengths must agree;
+        # the CRC over the stored bytes is valid, the lengths are not.
+        raw = _raw_v2([(100, 0, 2, b"x" * 100)], raw_length=101)
+        with pytest.raises(IndexIntegrityError,
+                           match="raw window stores 100") as info:
+            load_index(raw)
+        assert (info.value.check, info.value.point) == ("window_length", 0)
 
     def test_bad_magic_rejected(self):
         with pytest.raises(IndexIntegrityError) as info:

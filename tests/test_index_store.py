@@ -109,6 +109,12 @@ def reseal(blob, keep: int = None) -> bytes:
     return body + footer.pack(zlib.crc32(body), INDEX_TRAILER_V2)
 
 
+#: Past the 32-byte header, the 40-byte fingerprint, point 0's 29-byte
+#: record (its window is empty: point 0 starts the stream) and point 1's
+#: record: the first byte of point 1's window.
+FIRST_WINDOW_BYTE = 32 + 40 + 29 + 29
+
+
 def seed_cache(corpus, index_file, cache_dir) -> str:
     """Place the pristine index where the auto-import will find it."""
     target = cache_path(str(cache_dir), str(corpus))
@@ -221,18 +227,42 @@ class TestRoundTrip:
 
     def test_window_crc_rejected_at_load(self, index_file):
         blob = bytearray(index_file.read_bytes())
-        # Past the 32-byte header, the 40-byte fingerprint and point 0's
-        # 29-byte record: the first byte of point 0's window.
-        blob[32 + 40 + 29] ^= 0xFF
+        blob[FIRST_WINDOW_BYTE] ^= 0xFF
         with pytest.raises(IndexIntegrityError) as info:
             load_index(reseal(blob))
-        assert (info.value.check, info.value.point) == ("window_crc", 0)
+        assert (info.value.check, info.value.point) == ("window_crc", 1)
+
+    def test_flip_inside_a_raw_window_rejected_at_its_point(self,
+                                                            index_file):
+        blob = bytearray(index_file.read_bytes())
+        _, points = split_v2(bytes(blob))
+        last = len(points) - 1
+        fields, window = points[last]
+        assert fields[2] & 2 and window  # flagged raw, not empty
+        # The last window ends where the 12-byte footer starts.
+        blob[len(blob) - 12 - len(window) // 2] ^= 0x01
+        with pytest.raises(IndexIntegrityError) as info:
+            load_index(reseal(blob))
+        assert (info.value.check, info.value.point) == ("window_crc", last)
+
+    def test_fresh_export_imports_without_inflating(self, index_file,
+                                                    monkeypatch):
+        calls = []
+        decompressobj = zlib.decompressobj
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return decompressobj(*args, **kwargs)
+
+        monkeypatch.setattr(zlib, "decompressobj", counting)
+        loaded = load_index(str(index_file))
+        assert len(loaded) > 3 and calls == []
 
     def test_flipped_window_without_reseal_reports_footer_crc(
             self, index_file):
         # Unsealed damage is the footer's to report, whatever it hit.
         blob = bytearray(index_file.read_bytes())
-        blob[32 + 40 + 29] ^= 0xFF
+        blob[FIRST_WINDOW_BYTE] ^= 0xFF
         with pytest.raises(IndexIntegrityError) as info:
             load_index(bytes(blob))
         assert info.value.check == "footer_crc"
@@ -252,7 +282,7 @@ class TestRoundTrip:
     def test_stale_source_outranks_a_damaged_window(self, corpus,
                                                     index_file):
         blob = bytearray(index_file.read_bytes())
-        blob[32 + 40 + 29] ^= 0xFF
+        blob[FIRST_WINDOW_BYTE] ^= 0xFF
         other = stdlib_gzip.compress(DATA[::-1], 6)
         with pytest.raises(IndexIntegrityError) as info:
             load_index(reseal(blob), source=other)
@@ -303,8 +333,8 @@ def split_v2(blob):
 
 
 class TestWindowEncoding:
-    """A window is written deflated when that at least halves it, stored
-    otherwise; the loader accepts either, as it always has."""
+    """Every window is written raw and flagged so; zlib windows, as
+    earlier releases wrote them, still load."""
 
     @pytest.fixture(scope="class")
     def silesia(self):
@@ -319,48 +349,9 @@ class TestWindowEncoding:
             index = reader.index
         return data, blob, index
 
-    def test_silesia_windows_stored_unless_halved_and_round_trip(
-            self, silesia):
-        data, blob, index = silesia
-        encoded = index_to_bytes_v2(index, fingerprint=fingerprint_source(blob))
-        _, points = split_v2(encoded)
-        stored = 0
-        for point, (fields, compressed) in zip(index, points):
-            window = window_bytes(point.window)
-            if compressed[:2] == _STORED_ZLIB_HEADER:
-                stored += 1
-                assert 2 * len(zlib.compress(window, 6)) > len(window)
-            else:
-                assert 2 * len(compressed) <= len(window)
-            assert len(compressed) <= len(window) + 11
-        assert 0 < stored < len(points)
+    @staticmethod
+    def assert_loads_as(encoded, data, blob, index):
         loaded = load_index(encoded, source=blob)
-        assert [(p.compressed_bit_offset, p.uncompressed_offset, p.window)
-                for p in loaded] == [
-            (p.compressed_bit_offset, p.uncompressed_offset,
-             window_bytes(p.window)) for p in index]
-        with ParallelGzipReader(blob, parallelization=2,
-                                index=loaded) as reader:
-            assert reader.read() == data
-
-    def test_all_deflated_index_still_loads(self, silesia):
-        # What earlier releases wrote: every window deflated at level 6.
-        data, blob, index = silesia
-        prefix, points = split_v2(
-            index_to_bytes_v2(index, fingerprint=fingerprint_source(blob))
-        )
-        pieces = [prefix]
-        for (bit, output, flags, raw, _, _), compressed in points:
-            deflated = zlib.compress(zlib.decompress(compressed), 6)
-            pieces += [
-                _POINT.pack(bit, output, flags, raw, len(deflated),
-                            zlib.crc32(deflated)),
-                deflated,
-            ]
-        legacy = reseal(b"".join(pieces) + bytes(12))
-        assert all(piece[:2] != _STORED_ZLIB_HEADER
-                   for _, piece in split_v2(legacy)[1])
-        loaded = load_index(legacy, source=blob)
         assert [(p.compressed_bit_offset, p.uncompressed_offset, p.window,
                  p.is_stream_start) for p in loaded] == [
             (p.compressed_bit_offset, p.uncompressed_offset,
@@ -368,6 +359,45 @@ class TestWindowEncoding:
         with ParallelGzipReader(blob, parallelization=2,
                                 index=loaded) as reader:
             assert reader.read() == data
+
+    def test_silesia_windows_raw_and_round_trip(self, silesia):
+        data, blob, index = silesia
+        encoded = index_to_bytes_v2(index, fingerprint=fingerprint_source(blob))
+        _, points = split_v2(encoded)
+        assert len(points) == len(index) > 3
+        for point, ((_, _, flags, raw, stored, crc), window) in zip(
+                index, points):
+            assert flags & 2
+            assert raw == stored == len(window)
+            assert window == window_bytes(point.window)
+            assert crc == zlib.crc32(window)
+        self.assert_loads_as(encoded, data, blob, index)
+
+    def test_all_deflated_index_still_loads(self, silesia):
+        # What earlier releases wrote, neither with the raw flag: every
+        # window deflated at level 6, and (the rule before raw windows)
+        # deflated when that at least halves it, zlib-stored otherwise.
+        data, blob, index = silesia
+        prefix, points = split_v2(
+            index_to_bytes_v2(index, fingerprint=fingerprint_source(blob))
+        )
+        for halved_only in (False, True):
+            pieces, stored = [prefix], 0
+            for (bit, output, flags, raw, _, _), window in points:
+                encoded = zlib.compress(window, 6)
+                if halved_only and 2 * len(encoded) > len(window):
+                    encoded = zlib.compress(window, 0)
+                    stored += 1
+                pieces += [
+                    _POINT.pack(bit, output, flags & ~2, raw, len(encoded),
+                                zlib.crc32(encoded)),
+                    encoded,
+                ]
+            legacy = reseal(b"".join(pieces) + bytes(12))
+            assert all(piece[:2] != _STORED_ZLIB_HEADER
+                       for _, piece in split_v2(legacy)[1]) != halved_only
+            assert (0 < stored < len(points)) == halved_only
+            self.assert_loads_as(legacy, data, blob, index)
 
     def test_loaded_windows_are_bytes(self, silesia, index_file):
         _, blob, index = silesia
@@ -827,6 +857,9 @@ class TestExactExtent:
             assert reader.statistics()["mode"] == "index"
 
     def test_index_read_without_libz_is_identical(self, monkeypatch):
+        # There is no stdlib-zlib index route: without libz an imported
+        # index's chunks run on the Python engine, which must read the
+        # same bytes in the same chunks as the libz probe.
         from repro.deflate import libz
 
         blob = stdlib_gzip.compress(self.TEXT, 6)
@@ -834,14 +867,22 @@ class TestExactExtent:
             assert reader.read() == self.TEXT
             sink = io.BytesIO()
             reader.export_index(sink)
+
+        def index_read():
+            with ParallelGzipReader(
+                blob, parallelization=2, index=load_index(sink.getvalue())
+            ) as reader:
+                assert reader.read() == self.TEXT
+                return reader.statistics()
+
+        probe = index_read()
         monkeypatch.setattr(libz, "load", lambda: None)
-        with ParallelGzipReader(
-            blob, parallelization=2, index=load_index(sink.getvalue())
-        ) as reader:
-            assert reader.read() == self.TEXT
-            stats = reader.statistics()
-        assert stats["decoder"] == "python"
-        assert stats["metrics"]["decode.index_chunks"] > 1
+        python = index_read()
+        assert (probe["decoder"], python["decoder"]) == ("probe", "python")
+        assert probe["mode"] == python["mode"] == "index"
+        chunks = [stats["metrics"]["decode.index_chunks"]
+                  for stats in (probe, python)]
+        assert chunks[0] == chunks[1] > 1, chunks
 
 
 # ---------------------------------------------------------------------------
