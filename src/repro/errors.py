@@ -122,13 +122,14 @@ class SourceChangedError(NetworkError):
 class ChunkDecodeError(ReproError):
     """A chunk the consumer is blocked on could not be decoded.
 
-    Carries the failure context — which chunk, where it starts, and
-    whether the fetcher was on ``threads`` or ``serial`` — so callers (and
-    the CLI error message) can say more than "decode failed". The
-    triggering error is chained as ``__cause__``.
+    Carries the failure context — which chunk (``chunk_id``: a frontier
+    chunk's cell, or a chained chunk's ``bit:<start bit>`` label), where
+    it starts, and whether the fetcher was on ``threads`` or ``serial`` —
+    so callers (and the CLI error message) can say more than "decode
+    failed". The triggering error is chained as ``__cause__``.
     """
 
-    def __init__(self, message: str, *, chunk_id: int = None,
+    def __init__(self, message: str, *, chunk_id=None,
                  start_bit: int = None, backend: str = None):
         super().__init__(message)
         self.chunk_id = chunk_id

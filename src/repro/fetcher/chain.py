@@ -16,7 +16,7 @@ owned by the fetcher and extended by the reader, in every open mode:
   known;
 * the reach: the furthest cell a start and window were recorded for,
   so how far the chain of exact decodes has got;
-* the retired cells, which no task should decode;
+* the retired cells, which no search should run;
 * the tolerant reader's pinned bytes, which nothing can decode again.
 
 The seek-point index is a by-product of the chain, not a preprocessing
@@ -60,6 +60,9 @@ class ChunkRecord:
     # the seek point's own window
     window: bytes
     is_stream_start: bool  # chunk begins exactly at a gzip member boundary
+    # start bit of the first record of the decode this one was split from
+    # (append_split), the key of the entry holding its bytes; else None
+    decode_start: int = None
 
     @property
     def length(self) -> int:
@@ -76,6 +79,12 @@ class ChunkExtent(NamedTuple):
     window: bytes  # 32 KiB preceding the chunk
     next_window: bytes  # the successor's window, to verify the tail (or None)
     is_last: bool
+
+    @property
+    def label(self) -> str:
+        """The chunk's name as a task key, in the trace and at fault
+        sites: its start bit, spelled apart from a search's cell."""
+        return f"bit:{self.start_bit}"
 
 
 class ChunkChain:
@@ -106,8 +115,8 @@ class ChunkChain:
         #: the furthest cell :meth:`hand_over` recorded a start and window
         #: for; ``None`` before the first and after :meth:`close`
         self.reach = None
-        #: chunk ids (cells in search mode) no task should decode: nothing
-        #: decodable there, or inside a known chunk, or past the file's last
+        #: cells no search should run: inside a known chunk, or past the
+        #: file's last (see :meth:`hand_over`)
         self.retired: set = set()
         #: start_bit -> bytes the tolerant reader recovered or filled in
         self.pinned: dict = {}
@@ -267,10 +276,9 @@ class ChunkChain:
             ))
 
     def append_split(self, record: ChunkRecord, data: bytes, boundaries,
-                     spacing: int) -> list:
+                     spacing: int) -> None:
         """Append a frontier decode ``record`` (its ``data`` and block
-        ``boundaries``) as one record per seek-point interval; returns
-        the records appended.
+        ``boundaries``) as one record per seek-point interval.
 
         A decode longer than ``spacing`` decompressed bytes is split at
         interior Deflate block boundaries at least ``spacing`` apart (paper
@@ -280,7 +288,8 @@ class ChunkChain:
         ``data``, so splitting costs nothing extra, and a seek into an
         interval decodes that interval alone — through the chain as
         through an exported index — which bounds both seek latency and
-        the per-chunk memory of a later index import.
+        the per-chunk memory of a later index import. Every later
+        interval records the decode's start bit (``decode_start``).
         """
         cuts = []  # (bit offset, offset in data, window) per interior point
         if record.length > spacing:
@@ -301,7 +310,6 @@ class ChunkChain:
                 cuts.append((boundary.bit_offset, offset, window))
                 next_emit = offset + spacing
         cuts.append((record.end_bit, record.length, None))
-        records = []
         start_bit, start, window = record.start_bit, 0, record.window
         for end_bit, end, next_window in cuts:
             interval = ChunkRecord(
@@ -311,15 +319,14 @@ class ChunkChain:
                 end_bit=end_bit,
                 window=window,
                 is_stream_start=record.is_stream_start and not start,
+                decode_start=record.start_bit if start else None,
             )
             if start:
                 self.index.add(SeekPoint(
                     start_bit, interval.output_start, window,
                 ))
             self.append(interval)
-            records.append(interval)
             start_bit, start, window = end_bit, end, next_window
-        return records
 
     def end(self, size_bits: int) -> None:
         """The frontier ends: nothing is left to decode. A growing index

@@ -9,17 +9,16 @@ the reader extends. Two operating modes, chosen at construction:
   compressed-size cells and two-stage-decode from the first workable
   candidate. False positives land in the cache under offsets nobody
   requests and age out; the consumer's *exact* request (previous chunk's
-  end offset) either hits a speculative result or triggers an on-demand
-  decode at top priority. When the blocked read asked for less than a
+  end offset) either hits a speculative result or is decoded on demand
+  on the requesting thread. When the blocked read asked for less than a
   chunk, that decode stops at the first Deflate block boundary past the
   bytes it asked for (a demand stop) and the rest of the cell is queued
   on the pool at once. §3.3's rule "two-stage only while the window
   is unknown" is applied through the chain. A chunk already on it (one
   record per seek-point interval) has an extent, so a request or
-  prefetch wish for it is the ``index`` task below, one task per start
-  bit, and prefetch follows its chain positions instead of cells.
-  Ahead of the frontier a task is bound when a worker *starts* it, not
-  when it is queued: a cell the chain holds a start and window for
+  prefetch wish for it is the ``index`` task below, exactly as in index
+  mode. Ahead of the frontier a task is bound when a worker *starts* it,
+  not when it is queued: a cell the chain holds a start and window for
   decodes exactly — one libz pass, no block search, no markers — and a
   retired cell returns without searching. No task ever waits on another
   to learn more. Chain first: a wish is searched only for a cell at
@@ -35,8 +34,17 @@ the reader extends. Two operating modes, chosen at construction:
   ``RG`` / ``MZ`` subfield the encoder wrote, or a BGZF file's BSIZE
   chain (§3.4.4), whose member groups are the chunks.
 
-Whatever the mode and the priority (speculative prefetch or on-demand),
-a decode is one :class:`~repro.fetcher.tasks.ChunkTaskSpec` filled by
+One name per chunk, in every mode. A chunk on the chain is named by its
+start bit: its task key, prefetch-cache key, in-flight charge, trace
+label and fault coordinate are ``bit:<start bit>``
+(:attr:`~repro.fetcher.chain.ChunkExtent.label`), and its prefetch
+history entry is its chain position. Only a search — a cell past the
+frontier, the frontier's own decode, or the rest of a demand stop — is
+named by its grid cell. A speculative task that yields nothing is never
+queued again; the consumer decodes that chunk on demand.
+
+Whatever the mode, speculative or on demand, a decode is one
+:class:`~repro.fetcher.tasks.ChunkTaskSpec` filled by
 :meth:`GzipChunkFetcher._spec_for` and run by
 :func:`~repro.fetcher.tasks.run_chunk_task` with the live reader and
 telemetry — on a pool thread when speculative, on the requesting thread
@@ -57,7 +65,7 @@ from ..gz.bgzf import bgzf_catalog, is_bgzf
 from ..gz.catalog import detect_catalog as probe_catalog
 from ..gz.catalog import synthesize_index
 from ..io import ensure_file_reader
-from ..pool import PRIORITY_PREFETCH, create_pool
+from ..pool import create_pool
 from ..telemetry import Telemetry
 from .chain import ChunkChain
 from .decode import ChunkResult
@@ -162,11 +170,11 @@ class GzipChunkFetcher:
             account="prefetch_cache" if budget is not None else None,
             **sizing,
         )
-        # task key (see _task_key) -> (chunk id, Future[ChunkResult | None])
+        # task key (a chained chunk's label, else a cell) -> its future
         self._futures: dict = {}
-        self._keys_of_id: dict = {}  # chunk id -> set of cached start_bits
         self._inflight_charge: dict = {}  # task key -> reserved bytes
-        # recently accessed chunk ids; a chained chunk's is its position
+        self._failed: set = set()  # task keys never to queue again
+        # recent accesses: a chained chunk's chain position, else its cell
         self._history: list = []
         self._lock = threading.RLock()
 
@@ -210,52 +218,23 @@ class GzipChunkFetcher:
                     chunks=len(self.catalog.chunks),
                 )
 
-    # -- chunk-id database (offsets <-> indexes, paper §3.2) --------------------
-
-    def chunk_id_for_bit(self, start_bit: int) -> int:
-        if self.mode == "search":
-            return start_bit // self.chain.cell_bits
-        identifier = self.chain.position(start_bit)
-        if identifier is None:
-            raise UsageError(f"bit offset {start_bit} is not a chunk boundary")
-        return identifier
-
-    @property
-    def num_chunk_ids(self) -> int:
-        return self.chain.cells if self.mode == "search" else len(self.chain)
-
-    @staticmethod
-    def _task_key(chunk_id: int, known):
-        """The key of a chunk's in-flight task: its chunk id, or for a
-        search-mode chunk of known extent its cell and start bit, as its
-        prefetch-cache entry is keyed by its start bit. Several chained
-        chunks start in one cell (the intervals of a split decode, the
-        head and rest of a stopped one), and each is its own task."""
-        return chunk_id if known is None else (chunk_id, known.start_bit)
-
     # -- task specs ----------------------------------------------------------------
 
-    def _spec_for(self, chunk_id: int, attempt: int = 0,
+    def _spec_for(self, chunk_id, attempt: int = 0,
                   exact=None, known=None) -> ChunkTaskSpec:
         """The one description of a chunk decode.
 
-        ``exact`` (search mode only) is ``(start_bit, window)``: instead
-        of searching, decode exactly from that offset — the on-demand
-        request. ``known`` (search mode only) is the chunk's extent on
-        the chain and wins over it: the same ``index`` task an index
-        chunk is. ``None`` for an index chunk whose bytes the reader
-        pinned: nothing decodes it again.
+        ``known`` is the chunk's extent on the chain: the ``index`` task,
+        in every mode. Otherwise ``chunk_id`` is the cell a search runs
+        over, and ``exact`` is ``(start_bit, window)`` when the decode
+        starts there instead of searching — the on-demand request.
         """
         spec = ChunkTaskSpec(
-            mode=self.mode,
+            mode="search",
             chunk_id=chunk_id,
             attempt=attempt,
             split_output=self.options.split_output,
         )
-        if self.mode == "index":
-            known = self.chain.extent(self.chain[chunk_id].start_bit)
-            if known is None:
-                return None
         if known is not None:
             spec.mode = "index"
             spec.start_bit, spec.extent = known.start_bit, known
@@ -269,8 +248,7 @@ class GzipChunkFetcher:
         """Move completed speculative futures into the prefetch cache."""
         with self._lock:
             finished = [
-                (key, chunk_id, future)
-                for key, (chunk_id, future) in self._futures.items()
+                (key, future) for key, future in self._futures.items()
                 if future.done()
             ]
             if not finished:
@@ -282,7 +260,7 @@ class GzipChunkFetcher:
                 self._harvest_finished(finished, recorder)
 
     def _harvest_finished(self, finished, recorder) -> None:
-        for key, chunk_id, future in finished:
+        for key, future in finished:
             del self._futures[key]
             reserved = self._inflight_charge.pop(key, 0)
             if reserved and self.governor is not None:
@@ -294,71 +272,60 @@ class GzipChunkFetcher:
                 # Says nothing about decodability: stay eligible for
                 # resubmission once the budget has headroom again.
                 if recorder.enabled:
-                    recorder.instant(
-                        "chunk.speculative_shed", chunk_id=chunk_id
-                    )
+                    recorder.instant("chunk.speculative_shed", chunk_id=key)
                 continue
             except Exception as error:  # contain: speculation is optional
                 self._task_errors.increment()
                 if recorder.enabled:
                     recorder.instant(
-                        "chunk.task_error", chunk_id=chunk_id,
-                        error=repr(error),
+                        "chunk.task_error", chunk_id=key, error=repr(error),
                     )
                 result = None
             if result is None:
-                # No candidate or rejected (the task body said which). A
-                # chained chunk's cell holds other chunks: it stays open.
-                if key == chunk_id:
-                    self.chain.retired.add(chunk_id)
+                # No candidate, rejected or failed (the task body said
+                # which): never queued again; the consumer decodes the
+                # chunk on demand.
+                self._failed.add(key)
                 self._speculative_unusable.increment()
                 continue
             if result.split:
                 self._chunk_splits.increment()
             if recorder.enabled:
-                # Binds the chunk id to its start bit, the key the
+                # Binds the task key to its start bit, the key the
                 # reader's serve records carry. Without a known window
                 # it waits for its predecessor's at materialization.
                 recorder.instant(
-                    "chunk.cached", chunk_id=chunk_id,
+                    "chunk.cached", chunk_id=key,
                     start_bit=result.start_bit,
                     window_known=result.window_known,
                 )
             self.prefetch_cache.insert(result.start_bit, result)
-            # The wish-check reads these keys through ``peek``: checking a
-            # wish never touches LRU recency or the hit/miss statistics.
-            self._keys_of_id.setdefault(chunk_id, set()).add(result.start_bit)
 
-    def _inflight_estimate(self, chunk_id: int, known=None) -> int:
-        """Conservative resident-byte reservation for one in-flight decode.
-
-        Search mode is bounded by the split ceiling (marker symbols are
-        2 bytes each); index chunks and chunks of known extent have a
-        known decompressed size.
-        """
+    def _inflight_estimate(self, known) -> int:
+        """Conservative resident-byte reservation for one in-flight decode:
+        a chunk of known extent has its decompressed size, a search the
+        split ceiling (marker symbols are 2 bytes each)."""
         if known is not None:
             return max(known.length, 1)
-        if self.mode == "search":
-            return 2 * self.options.split_output
-        return max(self.chain[chunk_id].length, 1)
+        return 2 * self.options.split_output
 
-    def _submit(self, chunk_id: int, known=None) -> bool:
-        """Submit a speculative decode (of the chunk ``known`` names, when
-        given); False only on a budget refusal."""
-        key = self._task_key(chunk_id, known)
+    def _submit(self, key, known=None) -> bool:
+        """Submit a speculative decode of the chunk ``known`` names, whose
+        key is its label, else a search of cell ``key``; False only on a
+        budget refusal."""
+        chain = self.chain
         with self._lock:
             if (
                 self.backend == "serial"
                 or key in self._futures
-                # A chained chunk decodes whatever its cell's search found.
-                or (known is None and chunk_id in self.chain.retired)
-                or chunk_id < 0
-                or chunk_id >= self.num_chunk_ids
+                or key in self._failed
+                or (known is None
+                    and (key in chain.retired or not 0 <= key < chain.cells))
             ):
                 return True
             reserved = 0
             if self.governor is not None and self.governor.budget:
-                reserved = self._inflight_estimate(chunk_id, known)
+                reserved = self._inflight_estimate(known)
                 # Headroom keeps room for one mandatory on-demand decode,
                 # so speculation can never starve the consumer's read.
                 if not self.governor.try_reserve(
@@ -366,17 +333,12 @@ class GzipChunkFetcher:
                     if self.mode == "search" else reserved,
                 ):
                     return False
-            spec = self._spec_for(chunk_id, known=known)
-            if spec is None:
-                if reserved:
-                    self.governor.discharge("in_flight", reserved)
-                return True
             self._speculative_submitted.increment()
             recorder = self.telemetry.recorder
             if recorder.enabled:
-                recorder.instant("chunk.queued", chunk_id=chunk_id)
-            self._futures[key] = chunk_id, self.pool.submit(
-                self._run_queued, spec, priority=PRIORITY_PREFETCH,
+                recorder.instant("chunk.queued", chunk_id=key)
+            self._futures[key] = self.pool.submit(
+                self._run_queued, self._spec_for(key, known=known)
             )
             if reserved:
                 self._inflight_charge[key] = reserved
@@ -415,68 +377,62 @@ class GzipChunkFetcher:
         Cancelled futures complete immediately, so a follow-up harvest
         discharges their in-flight reservations synchronously.
         """
-        shed = self.pool.shed(PRIORITY_PREFETCH)
+        shed = self.pool.shed()
         if shed:
             self._speculative_shed.increment(shed)
             self._harvest()
         return shed
 
-    def _wishes_along_chain(self, wishes: list) -> list:
-        """Re-aim the wishes around a chunk of known extent, whose ids are
-        chain positions: ``(chunk_id, extent)`` pairs, in wish order.
+    def _targets(self, wishes: list, chained: bool) -> list:
+        """``(task key, extent)`` per wish, in wish order. After a frontier
+        access the wishes are cells (extent ``None``); after a chained one
+        they are chain positions, in every mode.
 
-        A wish for a position on the chain is that chunk's extent, and a
-        wish n positions past the newest record the grid cell n steps
-        beyond the frontier — inside known territory a cell's block search
-        finds nothing the chain does not already name. Wishes before the
-        file's start, past its end, or for pinned bytes drop out.
+        A position on the chain is that chunk's extent, and one n past the
+        newest record the grid cell n steps beyond the frontier — inside
+        known territory a cell's block search finds nothing the chain does
+        not already name. Positions before the file's start, past its end,
+        or of pinned bytes drop out.
         """
+        if not chained:
+            return [(wish, None) for wish in wishes]
         chain = self.chain
         targets = []
         for wish in wishes:
             if 0 <= wish < len(chain):
                 extent = chain.extent(chain[wish].start_bit)
                 if extent is not None:
-                    targets.append(
-                        (self.chunk_id_for_bit(extent.start_bit), extent)
-                    )
+                    targets.append((extent.label, extent))
             elif wish >= len(chain) and chain.frontier is not None:
                 beyond = wish - len(chain)
                 targets.append(
-                    (self.chunk_id_for_bit(chain.frontier[0]) + beyond, None)
+                    (chain.frontier[0] // chain.cell_bits + beyond, None)
                 )
         return targets
 
-    def _trigger_prefetch(self, accessed_id: int, known) -> None:
-        if known is not None:
-            # A chained chunk is accessed as an index chunk is, by its
-            # chain position: a walk through the intervals of one cell is
-            # a sequential run, not one access repeated.
-            accessed_id = self.chain.position(known.start_bit)
-        self._history.append(accessed_id)
+    def _trigger_prefetch(self, access: int, chained: bool) -> None:
+        self._history.append(access)
         if len(self._history) > 64:
             del self._history[:-64]
         wishes = self.strategy.prefetch(
             self._history, self.options.parallelization
         )
-        if known is None:
-            targets = [(wish, None) for wish in wishes]
-        else:
-            targets = self._wishes_along_chain(wishes)
-        for wish, target in targets:
-            if (target is None and wish not in self.chain.ahead
-                    and self.chain.within_reach(wish)):
+        chain = self.chain
+        for key, known in self._targets(wishes, chained):
+            # The wish-check reads the cache's keys, never its LRU recency
+            # or hit/miss statistics.
+            if known is not None:
+                cached = known.start_bit in self.prefetch_cache
+            elif key not in chain.ahead and chain.within_reach(key):
                 # Chain first: the exact chain gets there before a search
                 # would pay; the wish returns once its start is recorded.
                 continue
-            keys = (
-                (target.start_bit,) if target is not None
-                else self._keys_of_id.get(wish, ())
-            )
-            if any(self.prefetch_cache.peek(key) is not None
-                   for key in keys):
+            else:
+                cached = any(bit // chain.cell_bits == key
+                             for bit in self.prefetch_cache.keys())
+            if cached:
                 continue
-            if not self._submit(wish, target):
+            if not self._submit(key, known):
                 # Over budget: shed queued speculation instead of piling
                 # more on, and stop walking the wish list — later wishes
                 # would only hit the same refusal.
@@ -495,10 +451,10 @@ class GzipChunkFetcher:
         by the caller. Nothing is kept here once served: the reader's
         materialized-bytes cache is the paper's access cache.
 
-        In search mode a chunk already on the :attr:`chain` is decoded on
-        demand by one exact pass over its known extent (the ``index``
-        task), never by block search or markers;
-        those serve the frontier and beyond.
+        A chunk already on the :attr:`chain` is decoded on demand by one
+        exact pass over its known extent (the ``index`` task), in every
+        mode, never by block search or markers; those serve the frontier
+        and beyond.
 
         ``demand`` is how many of the chunk's bytes a read blocked on it
         asked for, when that read was smaller than a chunk. A frontier
@@ -515,19 +471,24 @@ class GzipChunkFetcher:
         re-reading a chunk the reader still holds neither extends nor
         breaks a sequential run.
         """
-        chunk_id = self.chunk_id_for_bit(start_bit)
-        known = self.chain.extent(start_bit) if self.mode == "search" else None
+        chain = self.chain
+        known = chain.extent(start_bit)
+        if known is None:
+            # The frontier keeps its cell: one frontier decode may become
+            # several records, and named by position consecutive frontier
+            # reads would skip some and break the sequential run.
+            key = access = start_bit // chain.cell_bits
+        else:
+            key, access = known.label, chain.position(start_bit)
         self._harvest()
         result = self.prefetch_cache.get(start_bit)
         if result is None:
             # An in-flight speculative task may be about to produce it.
-            _, future = self._futures.get(
-                self._task_key(chunk_id, known), (None, None)
-            )
+            future = self._futures.get(key)
             if future is not None:
                 self._wait_inflight.increment()
                 with self.telemetry.recorder.span(
-                    "chunk.wait_inflight", chunk_id=chunk_id
+                    "chunk.wait_inflight", chunk_id=key
                 ):
                     try:
                         future.result(timeout=self.options.chunk_timeout)
@@ -542,38 +503,37 @@ class GzipChunkFetcher:
         if result is None:
             ceiling = self._demand_ceiling(demand, known)
             result = self._produce_chunk(
-                start_bit, chunk_id, window, known, ceiling
+                start_bit, key, window, known, ceiling
             )
             if result.split:
                 (self._chunk_splits if ceiling is None
                  else self._demand_stops).increment()
-        if known is None and self.mode == "search":
+        if known is None:
             # The frontier: its window is known, so its successor's is too.
-            self.chain.hand_over(result, window)
+            chain.hand_over(result, window)
             if ceiling is not None and result.split:
                 # The rest lies in the accessed cell, which no wish names.
-                self._submit(self.chunk_id_for_bit(result.end_bit))
-        self._trigger_prefetch(chunk_id, known)
+                self._submit(result.end_bit // chain.cell_bits)
+        self._trigger_prefetch(access, known is not None)
         return result
 
     def _demand_ceiling(self, demand, known):
         """The output ceiling of the on-demand decode of a chunk a read
         waits on ``demand`` bytes of, or ``None`` to decode it whole.
 
-        Only a search-mode frontier chunk stops early, and only while a
-        pool exists to decode the rest: a chunk of known extent (index,
-        catalog, BGZF, or already chained) is proven by decoding all of
-        it. The budget's ceiling wins when it is the lower one.
+        Only a frontier chunk stops early, and only while a pool exists
+        to decode the rest: a chunk of known extent (index, catalog,
+        BGZF, or already chained) is proven by decoding all of it. The
+        budget's ceiling wins when it is the lower one.
         """
-        if (demand is None or known is not None or self.mode != "search"
-                or self.backend != "threads"):
+        if demand is None or known is not None or self.backend != "threads":
             return None
         budget = self.options.split_output
         return demand if budget is None or demand < budget else None
 
     # -- on-demand decode -------------------------------------------------------------
 
-    def _produce_chunk(self, start_bit: int, chunk_id: int, window: bytes,
+    def _produce_chunk(self, start_bit: int, chunk_id, window: bytes,
                        known, ceiling=None):
         """Produce a chunk no cache or in-flight task delivered: decode it
         on this thread from the last verified offset, or raise a structured
@@ -587,7 +547,7 @@ class GzipChunkFetcher:
         stop's output ceiling (:meth:`_demand_ceiling`).
         """
         if self.governor is not None and self.governor.budget:
-            reserved = self._inflight_estimate(chunk_id, known)
+            reserved = self._inflight_estimate(known)
             if not self.governor.try_reserve("on_demand", reserved):
                 self._shed_speculation()
                 self.governor.reserve("on_demand", reserved)
@@ -601,7 +561,7 @@ class GzipChunkFetcher:
             start_bit, chunk_id, window, known, ceiling
         )
 
-    def _decode_on_demand(self, start_bit: int, chunk_id: int, window: bytes,
+    def _decode_on_demand(self, start_bit: int, chunk_id, window: bytes,
                           known, ceiling=None):
         """The serial rung: the same task, run on this thread."""
         self._on_demand_decodes.increment()

@@ -1,8 +1,9 @@
 """The chunk-decode task: one description, one body.
 
-A chunk decode is one task the fetcher submits at two priorities,
-prefetch or on-demand (paper §3.1–§3.2, Fig. 4). :class:`ChunkTaskSpec`
-is its only description and :func:`run_chunk_task` its only body —
+A chunk decode is one task, queued on the pool as a speculative
+prefetch or run on the reading thread on demand (paper §3.1–§3.2,
+Fig. 4). :class:`ChunkTaskSpec` is its only description and
+:func:`run_chunk_task` its only body —
 ``chunk.decode`` span and fault site, dispatch to the mode's decode
 function, folding of a speculative reject or an empty search. Pool
 threads and the serial on-demand rung both call the body with the
@@ -45,7 +46,8 @@ class ChunkTaskSpec:
     """
 
     mode: str  # "search" | "index"
-    chunk_id: int
+    # a search's cell, which its decode reads; a chained chunk's label
+    chunk_id: object
     # 0 is the speculative prefetch, 1 the on-demand decode
     attempt: int = 0
     # where decoding starts, when known (always, outside speculation)

@@ -1,21 +1,15 @@
-"""Worker pool: a priority thread pool."""
+"""Worker pool: a FIFO thread pool."""
 
 from .backend import available_cores, create_pool
 
-__all__ = [
-    "PRIORITY_ON_DEMAND",
-    "PRIORITY_PREFETCH",
-    "ThreadPool",
-    "available_cores",
-    "create_pool",
-]
+__all__ = ["ThreadPool", "available_cores", "create_pool"]
 
 
 def __getattr__(name):
     # Lazy: the pool itself (concurrent.futures, telemetry) loads on first
     # use; the host's core count alone does not need it.
-    if name in ("PRIORITY_ON_DEMAND", "PRIORITY_PREFETCH", "ThreadPool"):
-        from . import thread_pool
+    if name == "ThreadPool":
+        from .thread_pool import ThreadPool
 
-        return getattr(thread_pool, name)
+        return ThreadPool
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

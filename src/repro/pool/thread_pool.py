@@ -1,9 +1,10 @@
-"""Worker thread pool with priorities, clean shutdown, and telemetry.
+"""Worker thread pool: one FIFO queue, clean shutdown, and telemetry.
 
 Decompression tasks are CPU-heavy, so exactly ``parallelization`` workers
-exist and tasks carry priorities: an *exact* on-demand decode requested by
-the consuming reader must overtake queued speculative prefetches, otherwise
-a cache miss waits behind work that may turn out useless.
+exist, and they start queued tasks in submission order. Every task is
+speculative: a decode the consuming reader is blocked on runs on the
+reading thread, never here, so nothing queued has to overtake anything
+else. What is still queued can be cancelled at once (:meth:`shed`).
 
 Futures are :class:`concurrent.futures.Future`, so callers get the standard
 ``result()/done()/add_done_callback()`` surface.
@@ -17,7 +18,6 @@ timeline in the trace viewer.
 
 from __future__ import annotations
 
-import itertools
 import queue
 import threading
 import time
@@ -26,22 +26,18 @@ from concurrent.futures import Future
 from ..errors import UsageError
 from ..telemetry import Telemetry
 
-__all__ = ["ThreadPool", "PRIORITY_ON_DEMAND", "PRIORITY_PREFETCH"]
-
-PRIORITY_ON_DEMAND = 0
-PRIORITY_PREFETCH = 10
+__all__ = ["ThreadPool"]
 
 
 class ThreadPool:
-    """Fixed-size priority thread pool."""
+    """Fixed-size FIFO thread pool."""
 
     def __init__(self, size: int, name: str = "repro-worker", telemetry=None):
         if size < 1:
             raise UsageError("thread pool needs at least one worker")
         self.size = size
         self._telemetry = telemetry if telemetry is not None else Telemetry()
-        self._queue: queue.PriorityQueue = queue.PriorityQueue()
-        self._sequence = itertools.count()  # FIFO tie-breaker per priority
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._shutdown = False
         self._lock = threading.Lock()
         self._started_at = time.perf_counter()
@@ -49,7 +45,7 @@ class ThreadPool:
         self.tasks_completed = 0
         self.tasks_cancelled = 0
         self._tasks_dequeued = 0
-        self._queued_futures: dict = {}  # sequence -> (priority, future)
+        self._queued_futures: set = set()
         self._busy_seconds: dict = {}
         metrics = self._telemetry.metrics
         self._queue_wait = metrics.histogram("pool.queue_wait_seconds")
@@ -65,66 +61,47 @@ class ThreadPool:
         for worker in self._workers:
             worker.start()
 
-    def submit(self, function, /, *args, priority: int = PRIORITY_PREFETCH, **kwargs) -> Future:
-        """Queue ``function(*args, **kwargs)``; lower priority runs first."""
+    def submit(self, function, /, *args, **kwargs) -> Future:
+        """Queue ``function(*args, **kwargs)`` behind what is queued."""
+        future: Future = Future()
         with self._lock:
             if self._shutdown:
                 raise UsageError("submit on a shut-down ThreadPool")
             self.tasks_submitted += 1
-        future: Future = Future()
-        sequence = next(self._sequence)
-        with self._lock:
-            self._queued_futures[sequence] = (priority, future)
-        self._queue.put(
-            (priority, sequence, future, function, args, kwargs,
-             time.perf_counter())
-        )
+            self._queued_futures.add(future)
+        self._queue.put((future, function, args, kwargs, time.perf_counter()))
         return future
 
-    def shed(self, min_priority: int = PRIORITY_PREFETCH) -> int:
-        """Cancel still-queued tasks at ``min_priority`` or lower urgency.
+    def shed(self) -> int:
+        """Cancel every still-queued task.
 
         The memory governor's load-shedding hook: when charged bytes
-        exceed the budget, queued *speculative* work (priority >=
-        ``min_priority``; on-demand decodes sort before it) is cancelled
-        before any worker picks it up. Running tasks are never touched.
+        exceed the budget, queued speculative work is cancelled before
+        any worker picks it up. Running tasks are never touched.
         Returns the number of tasks newly cancelled.
         """
         with self._lock:
-            queued = [
-                (sequence, future)
-                for sequence, (priority, future) in self._queued_futures.items()
-                if priority >= min_priority
-            ]
-        shed = 0
-        for sequence, future in queued:
-            if future.cancel():
-                shed += 1
-        return shed
+            queued, self._queued_futures = self._queued_futures, set()
+        return sum(future.cancel() for future in queued)
 
     def _worker_loop(self) -> None:
         recorder = self._telemetry.recorder
         worker_name = threading.current_thread().name
         recorder.set_thread_name(worker_name)
         while True:
-            item = self._queue.get()
-            priority, sequence, future, function, args, kwargs, submitted = item
-            if future is None:  # shutdown sentinel, sorted after real work
-                self._queue.task_done()
+            future, function, args, kwargs, submitted = self._queue.get()
+            if future is None:  # shutdown sentinel, queued after real work
                 return
             dequeued = time.perf_counter()
             with self._lock:
                 self._tasks_dequeued += 1
-                self._queued_futures.pop(sequence, None)
+                self._queued_futures.discard(future)
             self._queue_wait.observe(dequeued - submitted)
             if recorder.enabled:
-                recorder.complete(
-                    "pool.queue_wait", submitted, dequeued, priority=priority
-                )
+                recorder.complete("pool.queue_wait", submitted, dequeued)
             if not future.set_running_or_notify_cancel():
                 with self._lock:
                     self.tasks_cancelled += 1
-                self._queue.task_done()
                 continue
             try:
                 future.set_result(function(*args, **kwargs))
@@ -134,16 +111,13 @@ class ThreadPool:
                 finished = time.perf_counter()
                 self._task_time.observe(finished - dequeued)
                 if recorder.enabled:
-                    recorder.complete(
-                        "pool.task", dequeued, finished, priority=priority
-                    )
+                    recorder.complete("pool.task", dequeued, finished)
                 with self._lock:
                     self.tasks_completed += 1
                     self._busy_seconds[worker_name] = (
                         self._busy_seconds.get(worker_name, 0.0)
                         + (finished - dequeued)
                     )
-                self._queue.task_done()
 
     def shutdown(self, wait: bool = True) -> None:
         with self._lock:
@@ -151,9 +125,7 @@ class ThreadPool:
                 return
             self._shutdown = True
         for _ in self._workers:
-            self._queue.put(
-                (float("inf"), next(self._sequence), None, None, (), {}, 0.0)
-            )
+            self._queue.put((None, None, (), {}, 0.0))
         if wait:
             for worker in self._workers:
                 worker.join()

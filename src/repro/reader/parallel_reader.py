@@ -134,9 +134,6 @@ class ParallelGzipReader:
         options = self.options
         metrics = self.telemetry.metrics
         self._chunks_decoded = 0  # chunk decodes materialized
-        # start bit of a split decode's later interval -> the decode's
-        # first start bit, the key of its one materialized entry
-        self._decode_start: dict = {}
         self._position = 0
         self._read_calls = metrics.counter("reader.read_calls")
         self._read_seconds = metrics.histogram("reader.read_seconds")
@@ -311,11 +308,9 @@ class ParallelGzipReader:
             window=window,
             is_stream_start=is_stream_start,
         )
-        intervals = chain.append_split(
+        chain.append_split(
             record, data, result.boundaries, 2 * self.options.chunk_size
         )
-        for interval in intervals[1:]:
-            self._decode_start[interval.start_bit] = start_bit
         recorder = self.telemetry.recorder
         if recorder.enabled:
             recorder.instant(
@@ -372,7 +367,7 @@ class ParallelGzipReader:
         """The record whose materialized entry holds ``record``'s bytes:
         the first record of the split decode ``record`` came from while
         that decode's entry is cached, else ``record`` itself."""
-        start = self._decode_start.get(record.start_bit)
+        start = record.decode_start
         if start is not None:
             owner = self._chunks[self._chunks.position(start)]
             data = self._materialized.peek(start)

@@ -12,7 +12,7 @@ from repro.cache import (
     LRUCache,
 )
 from repro.errors import UsageError
-from repro.pool import PRIORITY_ON_DEMAND, PRIORITY_PREFETCH, ThreadPool
+from repro.pool import ThreadPool
 
 
 class TestLRUCache:
@@ -159,16 +159,16 @@ class TestThreadPool:
             for future in futures:
                 future.result(timeout=5)  # deadlocks unless truly parallel
 
-    def test_priorities_order_queued_work(self):
+    def test_queued_work_runs_in_submission_order(self):
         order = []
         gate = threading.Event()
         with ThreadPool(1) as pool:
             pool.submit(gate.wait)  # occupy the single worker
-            pool.submit(order.append, "prefetch", priority=PRIORITY_PREFETCH)
-            pool.submit(order.append, "demand", priority=PRIORITY_ON_DEMAND)
+            for name in ("first", "second", "third"):
+                pool.submit(order.append, name)
             gate.set()
             pool.shutdown(wait=True)
-        assert order == ["demand", "prefetch"]
+        assert order == ["first", "second", "third"]
 
     def test_shutdown_drains_queue(self):
         results = []
@@ -274,7 +274,7 @@ class TestLRUByteAccounting:
 
 
 class TestThreadPoolShed:
-    def test_shed_cancels_queued_prefetch_not_on_demand(self):
+    def test_shed_cancels_every_queued_task(self):
         gate = threading.Event()
         started = threading.Event()
 
@@ -285,17 +285,13 @@ class TestThreadPoolShed:
         with ThreadPool(1) as pool:
             blocker = pool.submit(blocker_task)
             assert started.wait(timeout=5)  # occupy the sole worker
-            prefetches = [
-                pool.submit(time.sleep, 0, priority=PRIORITY_PREFETCH)
-                for _ in range(3)
-            ]
-            demand = pool.submit(time.sleep, 0, priority=PRIORITY_ON_DEMAND)
-            shed = pool.shed(PRIORITY_PREFETCH)
+            prefetches = [pool.submit(time.sleep, 0) for _ in range(3)]
+            shed = pool.shed()
+            assert pool.shed() == 0  # nothing newly cancelled
             gate.set()
             pool.shutdown(wait=True)
         assert shed == 3
         assert all(future.cancelled() for future in prefetches)
-        assert not demand.cancelled()
         assert blocker.done()
 
     def test_shed_does_not_touch_running_tasks(self):
@@ -308,8 +304,8 @@ class TestThreadPoolShed:
             return "done"
 
         with ThreadPool(1) as pool:
-            future = pool.submit(task, priority=PRIORITY_PREFETCH)
+            future = pool.submit(task)
             assert started.wait(timeout=5)
-            assert pool.shed(PRIORITY_PREFETCH) == 0
+            assert pool.shed() == 0
             gate.set()
             assert future.result(timeout=5) == "done"

@@ -137,7 +137,7 @@ class TestQueuedTask:
         with self.fetcher() as fetcher:
             first = fetcher.request(deflate_start(self.BLOB), b"")
             window = first.next_window(b"")
-            cell = fetcher.chunk_id_for_bit(first.end_bit)
+            cell = first.end_bit // fetcher.chain.cell_bits
             bound = fetcher._run_queued(fetcher._spec_for(cell))
             assert bound.window_known and not bound.payload.has_markers
             assert bound.start_bit == first.end_bit  # the key requested next
@@ -149,7 +149,7 @@ class TestQueuedTask:
             assert tested.value == 0
 
             # Past the newest record nothing is known: the task searches.
-            unknown = fetcher.chunk_id_for_bit(bound.end_bit) + 1
+            unknown = bound.end_bit // fetcher.chain.cell_bits + 1
             searched = fetcher._run_queued(fetcher._spec_for(unknown))
             assert not searched.window_known and searched.payload.has_markers
             assert tested.value > 0
@@ -159,7 +159,7 @@ class TestQueuedTask:
         blob = gzip.compress(random.Random(5).randbytes(SIZE), 0)
         with self.fetcher(blob) as fetcher:
             first = fetcher.request(deflate_start(blob), b"")
-            covered = range(1, fetcher.chunk_id_for_bit(first.end_bit))
+            covered = range(1, first.end_bit // fetcher.chain.cell_bits)
             assert len(covered) >= 1
             for cell in covered:
                 assert fetcher._run_queued(fetcher._spec_for(cell)) is None
@@ -177,7 +177,7 @@ class TestQueuedTask:
             ),
         ) as fetcher:
             first = fetcher.request(deflate_start(self.BLOB), b"")
-            cell = fetcher.chunk_id_for_bit(first.end_bit)
+            cell = first.end_bit // fetcher.chain.cell_bits
             assert fetcher.chain.reach == cell
             assert set(fetcher._futures) == {cell}
 

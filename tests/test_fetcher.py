@@ -248,9 +248,8 @@ class TestGzipChunkFetcher:
     def test_chunk_id_mapping_search_mode(self, backend):
         with self.make(backend) as fetcher:
             assert fetcher.mode == "search"
-            assert fetcher.chunk_id_for_bit(0) == 0
-            assert fetcher.chunk_id_for_bit(32 * 1024 * 8) == 1
-            assert fetcher.num_chunk_ids == -(-len(BLOB) // (32 * 1024))
+            assert fetcher.chain.cell_bits == 32 * 1024 * 8
+            assert fetcher.chain.cells == -(-len(BLOB) // (32 * 1024))
 
 
 class TestChunkTask:

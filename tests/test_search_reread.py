@@ -21,7 +21,7 @@ from repro.datagen import (
     generate_silesia_like,
 )
 from repro.errors import FormatError
-from repro.faults import flip_bytes
+from repro.faults import FaultSpec, flip_bytes, injected
 from repro.fetcher import decode as decode_module
 from repro.fetcher import decode_index_chunk
 from repro.index import load_index
@@ -227,6 +227,46 @@ def test_random_reads_decode_only_the_chunks_they_read():
     assert first["speculative_submitted"] == 2
     assert last["speculative_submitted"] == first["speculative_submitted"]
     assert last["metrics"]["decode.index_chunks"] == len(set(chosen))
+
+
+def _read_in_steps(reader, step: int = 64 * 1024) -> bytes:
+    pieces = []
+    while piece := reader.read(step):
+        pieces.append(piece)
+    return b"".join(pieces)
+
+
+def test_failed_speculation_is_not_queued_again():
+    # One rule in every mode: a speculative task that fails is never
+    # queued again, and the consumer decodes its chunk on demand. With
+    # every speculative decode failing, a re-read submits each chained
+    # chunk at most once, as an index-mode read of the exported index does.
+    data = generate_silesia_like(3 << 20, seed=4)
+    blob = gzip.compress(data, 6)
+    every_prefetch_fails = [FaultSpec("chunk.decode", "raise", attempts=(0,))]
+    with ParallelGzipReader(
+        blob, parallelization=2, chunk_size=32 * 1024
+    ) as reader:
+        assert reader.read() == data
+        _wait_until_idle(reader)
+        records = len(reader._chunks)
+        sink = io.BytesIO()
+        reader.export_index(sink)
+        before = reader.statistics()["speculative_submitted"]
+        with injected(seed=1, specs=every_prefetch_fails):
+            reader.seek(0)
+            assert _read_in_steps(reader) == data
+            _wait_until_idle(reader)
+        after = reader.statistics()["speculative_submitted"]
+    assert after - before <= records
+    with injected(seed=1, specs=every_prefetch_fails):
+        with ParallelGzipReader(
+            blob, parallelization=2, index=load_index(sink.getvalue())
+        ) as reader:
+            assert _read_in_steps(reader) == data
+            _wait_until_idle(reader)
+            submitted = reader.statistics()["speculative_submitted"]
+    assert submitted <= records
 
 
 @pytest.mark.parametrize("backend", ["threads"])
